@@ -9,7 +9,7 @@ cross-checks, pluggable deterministic outcome rules, a trajectory simulator,
 and a command-line interface (`spincollapse`).
 """
 
-from .entropy import LN2, binary_entropy, s_down, s_f, s_i, s_up
+from .entropy import LN2, binary_entropy, s_down, s_i, s_up
 from .risk import RiskContext, RiskFunction, builtin_risks, get_risk, select_outcome
 from .simulate import RNG_NAME, SimConfig, TrajectoryStep, make_rng, simulate, step
 from .solver import (
@@ -34,7 +34,6 @@ from .spin import (
     axis_from_vector,
     bloch_vector,
     born_up,
-    canonicalize_axis,
     eigenpair,
     overlap,
     spin_operator,
@@ -71,7 +70,6 @@ __all__ = [
     "born_up",
     "brute_force_oracle",
     "builtin_risks",
-    "canonicalize_axis",
     "constraint_residual",
     "eigenpair",
     "feasible_set",
@@ -79,7 +77,6 @@ __all__ = [
     "make_rng",
     "overlap",
     "s_down",
-    "s_f",
     "s_i",
     "s_up",
     "select_outcome",

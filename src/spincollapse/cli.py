@@ -28,13 +28,19 @@ import math
 import sys
 
 import click
-import numpy as np
 
 from . import __version__
-from .entropy import _binary_entropy_grid, s_i
+from .entropy import s_i
 from .simulate import RNG_NAME, SimConfig, simulate
-from .solver import InfeasibleGridError, SolverSolution, brute_force_oracle, solve
-from .spin import Axis, PureState, bloch_vector, state_from_amplitudes, unit_vector
+from .solver import (
+    InfeasibleGridError,
+    SolverSolution,
+    _entropy_grid,
+    _oracle_grid,
+    brute_force_oracle,
+    solve,
+)
+from .spin import Axis, PureState, state_from_amplitudes
 
 _BASES = {"e": math.e, "2": 2.0}
 _TOOL_NAME = "spincollapse"
@@ -133,29 +139,49 @@ def _common_options(f):
     return f
 
 
-def _resolve_state(rho, tau, amp_up, amp_down, degrees) -> PureState:
+def _resolve_inputs(tabular: bool = False) -> tuple[PureState, Axis, dict]:
+    """Validate the flags every command shares: the output format, the state,
+    the measured axis and --tol, in that order.
+
+    Returns the state, the axis and the command's ``input`` echo: each flag
+    but --out and --format, in declaration order whatever the argv order.
+    """
+    ctx = click.get_current_context()
+    flags = ctx.params
+    if tabular and flags["fmt"] == "json":
+        raise click.UsageError("landscape emits tabular data; use --format csv or tsv")
+    if not tabular and flags["fmt"] not in (None, "json"):
+        raise click.UsageError("this command emits a single json document; "
+                               "use --format json (or omit --format)")
+
+    rho, amp_up, amp_down = flags["rho"], flags["amp_up"], flags["amp_down"]
+    angle = math.radians if flags["degrees"] else float
     has_amp = amp_up is not None or amp_down is not None
     if has_amp and rho is not None:
         raise click.UsageError("give either --rho/--tau or --amp-up/--amp-down, not both")
     if has_amp:
         if amp_up is None or amp_down is None:
             raise click.UsageError("amplitude input needs both --amp-up and --amp-down")
-        return _guard(
+        state = _guard(
             state_from_amplitudes,
             _parse_complex(amp_up, "--amp-up"),
             _parse_complex(amp_down, "--amp-down"),
         )
-    if rho is None:
+    elif rho is None:
         raise click.UsageError("state input needs --rho (with optional --tau) "
                                "or both --amp-up and --amp-down")
-    t = math.radians(tau) if degrees else tau
-    return _guard(PureState, rho, t)
+    else:
+        state = _guard(PureState, rho, angle(flags["tau"]))
+    axis = _guard(Axis, angle(flags["theta_i"]), angle(flags["phi_i"]))
 
-
-def _resolve_axis(theta_i, phi_i, degrees) -> Axis:
-    th = math.radians(theta_i) if degrees else theta_i
-    ph = math.radians(phi_i) if degrees else phi_i
-    return _guard(Axis, th, ph)
+    if not flags["tol"] >= 0.0:
+        raise click.UsageError(f"--tol must be non-negative, got {flags['tol']!r}")
+    echo = {
+        p.name: flags[p.name]
+        for p in ctx.command.params
+        if p.name in flags and p.name not in ("out", "fmt")
+    }
+    return state, axis, echo
 
 
 def _parse_complex(text: str, flag: str) -> complex:
@@ -167,7 +193,7 @@ def _parse_complex(text: str, flag: str) -> complex:
         )
 
 
-def _parse_grid(text: str, minimum: int) -> tuple[int, int]:
+def _parse_grid(text: str) -> tuple[int, int]:
     head, sep, tail = text.lower().partition("x")
     try:
         if not sep:
@@ -175,8 +201,8 @@ def _parse_grid(text: str, minimum: int) -> tuple[int, int]:
         n, m = int(head), int(tail)
     except ValueError:
         raise click.UsageError(f"--grid expects NxM (e.g. 400x800), got {text!r}")
-    if n < minimum or m < minimum:
-        raise click.UsageError(f"--grid dimensions must be at least {minimum}, got {text!r}")
+    if n < 2 or m < 2:
+        raise click.UsageError(f"--grid dimensions must be at least 2, got {text!r}")
     return n, m
 
 
@@ -186,18 +212,6 @@ def _guard(fn, *args, **kwargs):
         return fn(*args, **kwargs)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
-
-
-def _check_tol(tol: float) -> float:
-    if not tol >= 0.0:
-        raise click.UsageError(f"--tol must be non-negative, got {tol!r}")
-    return tol
-
-
-def _structured_format(fmt: str | None) -> None:
-    if fmt not in (None, "json"):
-        raise click.UsageError("this command emits a single json document; "
-                               "use --format json (or omit --format)")
 
 
 # ---------------------------------------------------------------------------
@@ -258,19 +272,10 @@ def main() -> None:
 @_state_options
 @_axis_options
 @_common_options
-def cmd_solve(rho, tau, amp_up, amp_down, theta_i, phi_i, degrees,
-              mode, entropy_base, tol, out, fmt):
+def cmd_solve(mode, entropy_base, tol, out, **_):
     """Minimize the transfer entropy over entropy-conserving axes."""
-    _structured_format(fmt)
-    state = _resolve_state(rho, tau, amp_up, amp_down, degrees)
-    axis = _resolve_axis(theta_i, phi_i, degrees)
-    sol = _guard(solve, state, axis, mode,
-                 base=_BASES[entropy_base], eigen_tol=_check_tol(tol))
-    echo = {
-        "rho": rho, "tau": tau, "amp_up": amp_up, "amp_down": amp_down,
-        "theta_i": theta_i, "phi_i": phi_i, "degrees": degrees,
-        "mode": mode, "entropy_base": entropy_base, "tol": tol,
-    }
+    state, axis, echo = _resolve_inputs()
+    sol = _guard(solve, state, axis, mode, base=_BASES[entropy_base], eigen_tol=tol)
     _emit(_envelope("solve", echo, entropy_base, mode, _solve_results(sol), []), out)
 
 
@@ -280,34 +285,20 @@ def cmd_solve(rho, tau, amp_up, amp_down, theta_i, phi_i, degrees,
 @_common_options
 @click.option("--grid", default="200x400", show_default=True,
               help="Scan resolution NxM (theta rows x phi columns).")
-def cmd_landscape(rho, tau, amp_up, amp_down, theta_i, phi_i, degrees,
-                  mode, entropy_base, tol, out, fmt, grid):
+def cmd_landscape(entropy_base, out, fmt, grid, **_):
     """Tabulate p_up, entropies, and the constraint residual over a grid.
 
     Columns: theta_f, phi_f, p_up, s_f, constraint_residual, s_up.  The scan
     is mode-independent; --mode and --tol are accepted for flag-set
     compatibility with the other subcommands but do not affect the table.
     """
-    if fmt == "json":
-        raise click.UsageError("landscape emits tabular data; use --format csv or tsv")
+    state, axis_i, _echo = _resolve_inputs(tabular=True)
     delimiter = "\t" if fmt == "tsv" else ","
-    _check_tol(tol)
-    state = _resolve_state(rho, tau, amp_up, amp_down, degrees)
-    axis_i = _resolve_axis(theta_i, phi_i, degrees)
-    n_theta, n_phi = _parse_grid(grid, minimum=2)
+    n_theta, n_phi = _parse_grid(grid)
     base = _BASES[entropy_base]
-
-    thetas = np.linspace(0.0, math.pi, n_theta)
-    phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
-    st, ct = np.sin(thetas)[:, None], np.cos(thetas)[:, None]
-    cp, sp = np.cos(phis)[None, :], np.sin(phis)[None, :]
-    m = bloch_vector(state)
-    n_i = unit_vector(axis_i)
-    dot_m = st * cp * m[0] + st * sp * m[1] + ct * m[2]
-    dot_i = st * cp * n_i[0] + st * sp * n_i[1] + ct * n_i[2]
-    p_up = np.clip(0.5 * (1.0 + dot_m), 0.0, 1.0)
-    s_f_grid = _binary_entropy_grid(p_up, base)
-    s_up_grid = _binary_entropy_grid(np.clip(0.5 * (1.0 + dot_i), 0.0, 1.0), base)
+    thetas, phis, p_up, s_f_grid, s_up_grid, _dot_i = _entropy_grid(
+        state, axis_i, n_theta, n_phi, base
+    )
     residual = s_f_grid - s_i(state, axis_i, base)
 
     buf = io.StringIO()
@@ -333,24 +324,12 @@ def cmd_landscape(rho, tau, amp_up, amp_down, theta_i, phi_i, degrees,
 @click.option("--exclude-trivial", type=float, default=None,
               help="Drop grid points within this angular radius of the "
               "measured axis and its antipode.")
-def cmd_oracle(rho, tau, amp_up, amp_down, theta_i, phi_i, degrees,
-               mode, entropy_base, tol, out, fmt, grid,
-               constraint_tol, exclude_trivial):
+def cmd_oracle(mode, entropy_base, tol, out, grid, constraint_tol, exclude_trivial, **_):
     """Brute-force grid search reported beside the closed-form solver."""
-    _structured_format(fmt)
-    state = _resolve_state(rho, tau, amp_up, amp_down, degrees)
-    axis_i = _resolve_axis(theta_i, phi_i, degrees)
-    grid_dims = _parse_grid(grid, minimum=2)
+    state, axis_i, echo = _resolve_inputs()
+    # checked here too: an eigenstate never reaches the oracle's own checks
+    grid_dims = _guard(_oracle_grid, _parse_grid(grid), constraint_tol, exclude_trivial)
     base = _BASES[entropy_base]
-    eigen_tol = _check_tol(tol)
-
-    echo = {
-        "rho": rho, "tau": tau, "amp_up": amp_up, "amp_down": amp_down,
-        "theta_i": theta_i, "phi_i": phi_i, "degrees": degrees,
-        "mode": mode, "entropy_base": entropy_base, "tol": tol,
-        "grid": grid, "constraint_tol": constraint_tol,
-        "exclude_trivial": exclude_trivial,
-    }
     warnings = []
     if exclude_trivial is not None:
         warnings.append(
@@ -359,7 +338,7 @@ def cmd_oracle(rho, tau, amp_up, amp_down, theta_i, phi_i, degrees,
             "critical point"
         )
 
-    sol = _guard(solve, state, axis_i, mode, base=base, eigen_tol=eigen_tol)
+    sol = _guard(solve, state, axis_i, mode, base=base, eigen_tol=tol)
     results = {"no_collapse": sol.no_collapse, "solver": _solve_results(sol)}
     if sol.no_collapse:
         results["oracle"] = {"no_collapse": True}
@@ -369,7 +348,7 @@ def cmd_oracle(rho, tau, amp_up, amp_down, theta_i, phi_i, degrees,
             axis_o, obj_o = _guard(
                 brute_force_oracle, state, axis_i,
                 grid=grid_dims, constraint_tol=constraint_tol,
-                exclude=exclude_trivial, base=base, eigen_tol=eigen_tol,
+                exclude=exclude_trivial, base=base, eigen_tol=tol,
             )
         except InfeasibleGridError as exc:
             results["oracle"] = {"error": "infeasible-grid", "message": str(exc)}
@@ -394,31 +373,23 @@ def cmd_oracle(rho, tau, amp_up, amp_down, theta_i, phi_i, degrees,
               help="Outcome rule: 'born' (seeded sampling) or 'risk:<name>'.")
 @click.option("--seed", type=int, default=None,
               help="RNG seed; required when --outcome born.")
-def cmd_simulate(rho, tau, amp_up, amp_down, theta_i, phi_i, degrees,
-                 mode, entropy_base, tol, out, fmt, steps, outcome, seed):
+def cmd_simulate(mode, entropy_base, tol, out, steps, outcome, seed, **_):
     """Run a measurement trajectory and emit every step."""
-    _structured_format(fmt)
-    state = _resolve_state(rho, tau, amp_up, amp_down, degrees)
-    axis_i = _resolve_axis(theta_i, phi_i, degrees)
+    state, axis_i, echo = _resolve_inputs()
     config = _guard(
         SimConfig, steps=steps, mode=mode, outcome=outcome, seed=seed,
-        entropy_base=_BASES[entropy_base], eigen_tol=_check_tol(tol),
+        entropy_base=_BASES[entropy_base], eigen_tol=tol,
     )
     trajectory = simulate(state, axis_i, config)
-    echo = {
-        "rho": rho, "tau": tau, "amp_up": amp_up, "amp_down": amp_down,
-        "theta_i": theta_i, "phi_i": phi_i, "degrees": degrees,
-        "mode": mode, "entropy_base": entropy_base, "tol": tol,
-        "steps": steps, "outcome": outcome, "seed": seed,
-    }
+    kind, risk = config._parsed_outcome
     warnings = []
-    if outcome.startswith("risk:"):
+    if kind == "risk":
         warnings.append(
-            f"risk function {outcome[len('risk:'):]!r} is an illustrative "
+            f"risk function {risk.name!r} is an illustrative "
             "stand-in: the collapse model does not prescribe one"
         )
     results = {
-        "rng": RNG_NAME if outcome == "born" else None,
+        "rng": RNG_NAME if kind == "born" else None,
         "trajectory": [ts.to_dict() for ts in trajectory],
     }
     _emit(_envelope("simulate", echo, entropy_base, mode, results, warnings), out)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .spin import Axis, PureState, born_up, eigenpair, overlap, unit_vector
 
-__all__ = ["LN2", "binary_entropy", "s_i", "s_f", "s_up", "s_down"]
+__all__ = ["LN2", "binary_entropy", "s_i", "s_up", "s_down"]
 
 LN2 = math.log(2.0)
 
@@ -54,13 +54,9 @@ def _binary_entropy_grid(p: np.ndarray, base: float = math.e) -> np.ndarray:
 
 
 def s_i(state: PureState, axis_i: Axis, base: float = math.e) -> float:
-    """Outcome-distribution entropy of measuring the state along axis_i."""
+    """Outcome-distribution entropy of measuring the state along axis_i; given
+    a candidate next axis instead, it is that axis's entropy s_f."""
     return binary_entropy(born_up(state, axis_i), base)
-
-
-def s_f(state: PureState, axis_f: Axis, base: float = math.e) -> float:
-    """Outcome-distribution entropy of measuring the state along a candidate next axis."""
-    return binary_entropy(born_up(state, axis_f), base)
 
 
 def s_up(axis_i: Axis, axis_f: Axis, base: float = math.e) -> float:

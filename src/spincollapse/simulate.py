@@ -71,14 +71,18 @@ class SimConfig:
     seed: int | None = None
     entropy_base: float = math.e
     eigen_tol: float = DEFAULT_ATOL
+    # ("born", None) or ("risk", rule): `outcome` parsed once, on construction
+    _parsed_outcome: tuple[str, RiskFunction | None] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not isinstance(self.steps, int) or self.steps < 1:
             raise ValueError(f"steps must be a positive integer, got {self.steps!r}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        kind, _ = _parse_outcome(self.outcome)
-        if kind == "born" and self.seed is None:
+        object.__setattr__(self, "_parsed_outcome", _parse_outcome(self.outcome))
+        if self._parsed_outcome[0] == "born" and self.seed is None:
             raise ValueError("outcome 'born' requires a seed for reproducibility")
         _check_base(self.entropy_base)
         if not self.eigen_tol >= 0.0:
@@ -134,7 +138,7 @@ def step(
     A no-collapse step (eigenstate input) reports the certain outcome and
     leaves both the state and the axis untouched.
     """
-    kind, risk = _parse_outcome(config.outcome)
+    kind, risk = config._parsed_outcome
     if kind == "born" and rng is None:
         raise ValueError("born outcome sampling requires an rng; see make_rng()")
 
@@ -175,7 +179,7 @@ def simulate(
     initial_state: PureState, initial_axis: Axis, config: SimConfig
 ) -> list[TrajectoryStep]:
     """Run `config.steps` measurements, threading state and axis through."""
-    rng = make_rng(config.seed) if _parse_outcome(config.outcome)[0] == "born" else None
+    rng = make_rng(config.seed) if config._parsed_outcome[0] == "born" else None
     state, axis = initial_state, initial_axis
     steps: list[TrajectoryStep] = []
     for k in range(config.steps):

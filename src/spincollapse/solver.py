@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import _binary_entropy_grid, binary_entropy, s_f, s_i
+from .entropy import _binary_entropy_grid, binary_entropy, s_i
 from .spin import (
     DEFAULT_ATOL,
     Axis,
@@ -123,16 +123,22 @@ def constraint_residual(
     state: PureState, axis_i: Axis, axis_f: Axis, base: float = math.e
 ) -> float:
     """Entropy-conservation violation s_f - s_i of a candidate axis."""
-    return s_f(state, axis_f, base) - s_i(state, axis_i, base)
+    return s_i(state, axis_f, base) - s_i(state, axis_i, base)
 
 
-def _geometry(state: PureState, axis_i: Axis, eigen_tol: float):
-    """Shared solve/feasible-set setup; raises NoCollapseError on eigenstates."""
+def _collapse_probability(state: PureState, axis_i: Axis, eigen_tol: float) -> float:
+    """Born probability p_i; raises NoCollapseError on eigenstates."""
     p = born_up(state, axis_i)
     if min(p, 1.0 - p) <= eigen_tol:
         raise NoCollapseError(
             f"state is an eigenstate of the measured axis (born probability {p!r})"
         )
+    return p
+
+
+def _geometry(state: PureState, axis_i: Axis, eigen_tol: float):
+    """Shared solve/feasible-set setup; raises NoCollapseError on eigenstates."""
+    p = _collapse_probability(state, axis_i, eigen_tol)
     m = bloch_vector(state)
     n_i = unit_vector(axis_i)
     cosb = min(1.0, max(-1.0, float(np.dot(n_i, m))))
@@ -145,15 +151,19 @@ def _geometry(state: PureState, axis_i: Axis, eigen_tol: float):
     return p, m, n_i, cosb, math.sqrt(sin2), e1, np.cross(m, e1)
 
 
-def feasible_set(
-    state: PureState, axis_i: Axis, *, eigen_tol: float = DEFAULT_ATOL
-) -> FeasibleSet:
-    """Level probabilities and circles of axes satisfying the constraint."""
-    p, m, _n_i, cosb, _sinb, e1, e2 = _geometry(state, axis_i, eigen_tol)
+def _circles(p, m, _n_i, cosb, _sinb, e1, e2) -> FeasibleSet:
+    """The feasible set of one `_geometry` result."""
     beta = math.acos(cosb)
     if abs(cosb) <= DEFAULT_ATOL:  # the two levels merge into one great circle
         return FeasibleSet((p,), (beta,), m, e1, e2)
     return FeasibleSet((p, 1.0 - p), (beta, math.pi - beta), m, e1, e2)
+
+
+def feasible_set(
+    state: PureState, axis_i: Axis, *, eigen_tol: float = DEFAULT_ATOL
+) -> FeasibleSet:
+    """Level probabilities and circles of axes satisfying the constraint."""
+    return _circles(*_geometry(state, axis_i, eigen_tol))
 
 
 def solve(
@@ -204,6 +214,40 @@ def solve(
     return SolverSolution(minimizers, objective, tuple(extrema), False, mode)
 
 
+def _entropy_grid(
+    state: PureState, axis_i: Axis, n_theta: int, n_phi: int, base: float
+):
+    """Entropy surfaces over a (theta_f, phi_f) grid of candidate axes.
+
+    Returns the grid coordinates, the clipped up-probability grid p_f, its
+    entropy s_f, the transfer entropy s_up and n_i . n_f (for exclusions).
+    """
+    thetas = np.linspace(0.0, math.pi, n_theta)
+    phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
+    st, ct = np.sin(thetas)[:, None], np.cos(thetas)[:, None]
+    cp, sp = np.cos(phis)[None, :], np.sin(phis)[None, :]
+    m = bloch_vector(state)
+    n_i = unit_vector(axis_i)
+    dot_m = st * cp * m[0] + st * sp * m[1] + ct * m[2]
+    dot_i = st * cp * n_i[0] + st * sp * n_i[1] + ct * n_i[2]
+    p_up = np.clip(0.5 * (1.0 + dot_m), 0.0, 1.0)
+    s_f_grid = _binary_entropy_grid(p_up, base)
+    s_up_grid = _binary_entropy_grid(np.clip(0.5 * (1.0 + dot_i), 0.0, 1.0), base)
+    return thetas, phis, p_up, s_f_grid, s_up_grid, dot_i
+
+
+def _oracle_grid(grid, constraint_tol: float, exclude: float | None) -> tuple[int, int]:
+    """Validated (n_theta, n_phi) of an oracle search; raises ValueError."""
+    n_theta, n_phi = int(grid[0]), int(grid[1])
+    if n_theta < 8 or n_phi < 8:
+        raise ValueError(f"grid must be at least 8x8, got {n_theta}x{n_phi}")
+    if not constraint_tol > 0.0:
+        raise ValueError(f"constraint_tol must be positive, got {constraint_tol!r}")
+    if exclude is not None and not exclude > 0.0:
+        raise ValueError(f"exclusion radius must be positive, got {exclude!r}")
+    return n_theta, n_phi
+
+
 def brute_force_oracle(
     state: PureState,
     axis_i: Axis,
@@ -222,31 +266,11 @@ def brute_force_oracle(
     point of least s_up; ties resolve to the first point in row-major order,
     so the scan is deterministic no matter how it is scheduled.
     """
-    n_theta, n_phi = int(grid[0]), int(grid[1])
-    if n_theta < 8 or n_phi < 8:
-        raise ValueError(f"grid must be at least 8x8, got {n_theta}x{n_phi}")
-    if not constraint_tol > 0.0:
-        raise ValueError(f"constraint_tol must be positive, got {constraint_tol!r}")
-    if exclude is not None and not exclude > 0.0:
-        raise ValueError(f"exclusion radius must be positive, got {exclude!r}")
-
-    p_i = born_up(state, axis_i)
-    if min(p_i, 1.0 - p_i) <= eigen_tol:
-        raise NoCollapseError(
-            f"state is an eigenstate of the measured axis (born probability {p_i!r})"
-        )
-
-    thetas = np.linspace(0.0, math.pi, n_theta)
-    phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
-    st, ct = np.sin(thetas)[:, None], np.cos(thetas)[:, None]
-    cp, sp = np.cos(phis)[None, :], np.sin(phis)[None, :]
-
-    m = bloch_vector(state)
-    n_i = unit_vector(axis_i)
-    dot_m = st * cp * m[0] + st * sp * m[1] + ct * m[2]
-    dot_i = st * cp * n_i[0] + st * sp * n_i[1] + ct * n_i[2]
-
-    s_f_grid = _binary_entropy_grid(np.clip(0.5 * (1.0 + dot_m), 0.0, 1.0), base)
+    n_theta, n_phi = _oracle_grid(grid, constraint_tol, exclude)
+    p_i = _collapse_probability(state, axis_i, eigen_tol)
+    thetas, phis, _p_up, s_f_grid, objective, dot_i = _entropy_grid(
+        state, axis_i, n_theta, n_phi, base
+    )
     keep = np.abs(s_f_grid - binary_entropy(p_i, base)) <= constraint_tol
     if exclude is not None:
         # angle to the nearer of the two trivial directions
@@ -258,7 +282,6 @@ def brute_force_oracle(
             f"{n_theta}x{n_phi} grid; refine the grid or loosen the tolerance"
         )
 
-    objective = _binary_entropy_grid(np.clip(0.5 * (1.0 + dot_i), 0.0, 1.0), base)
     flat = int(np.where(keep, objective, np.inf).argmin())
     i, j = divmod(flat, n_phi)
     return Axis(float(thetas[i]), float(phis[j])), float(objective[i, j])
@@ -281,9 +304,9 @@ def azimuth_descent(
     settles at psi = 0 or psi = pi (mod 2*pi).  Returns (psi, objective) at
     the converged point; `tol` bounds the final azimuth gradient.
     """
-    _p, m, n_i, cosb, sinb, _e1, _e2 = _geometry(state, axis_i, eigen_tol)
-    fs = feasible_set(state, axis_i, eigen_tol=eigen_tol)
-    alpha = fs.colatitudes[level]
+    geometry = _geometry(state, axis_i, eigen_tol)
+    _p, _m, _n_i, cosb, sinb, _e1, _e2 = geometry
+    alpha = _circles(*geometry).colatitudes[level]
     a = math.cos(alpha) * cosb
     b = math.sin(alpha) * sinb
     log_base = 1.0 if base == math.e else math.log(base)
@@ -312,5 +335,7 @@ def azimuth_descent(
             if cv <= v - 0.5 * step * g * g:
                 break
             step *= 0.5
+        else:
+            break  # no decrease left at float resolution: psi is converged
         psi, v = cand, cv
     return psi, v

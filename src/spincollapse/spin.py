@@ -44,15 +44,11 @@ __all__ = [
     "Axis",
     "PureState",
     "Spinor",
-    "SIGMA_X",
-    "SIGMA_Y",
-    "SIGMA_Z",
     "amplitudes",
     "antipode",
     "axis_from_vector",
     "bloch_vector",
     "born_up",
-    "canonicalize_axis",
     "eigenpair",
     "overlap",
     "spin_operator",
@@ -112,11 +108,6 @@ class Axis:
         object.__setattr__(self, "phi", phi)
 
 
-def canonicalize_axis(theta: float, phi: float) -> Axis:
-    """Reduce raw angles to the canonical axis pointing the same way."""
-    return Axis(theta, phi)
-
-
 def antipode(axis: Axis) -> Axis:
     """The opposite direction."""
     return Axis(math.pi - axis.theta, axis.phi + math.pi)
@@ -143,11 +134,6 @@ def axis_from_vector(vec) -> Axis:
     if r_xy <= _POLE_SNAP * norm:
         return Axis(0.0 if z > 0.0 else math.pi, 0.0)
     return Axis(math.atan2(r_xy, z), math.atan2(y, x))
-
-
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 def spin_operator(axis: Axis) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Command-line contract: envelopes, exit codes, round-trips, formats."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -371,6 +372,10 @@ class TestUsageErrors:
             ["oracle", "--rho", "1", "--theta-i", "1", "--grid", "4x4"],
             ["oracle", "--rho", "1", "--theta-i", "1", "--constraint-tol", "0"],
             ["simulate", "--rho", "1", "--theta-i", "1", "--steps", "0"],
+            # on an eigenstate the oracle never runs; its flags are still checked
+            ["oracle", "--rho", "1", "--theta-i", "0", "--grid", "2x2"],
+            ["oracle", "--rho", "1", "--theta-i", "0", "--constraint-tol", "-1"],
+            ["oracle", "--rho", "1", "--theta-i", "0", "--exclude-trivial", "0"],
         ],
     )
     def test_exit_code_two(self, runner, argv):
@@ -380,3 +385,78 @@ class TestUsageErrors:
         result = runner.invoke(main, ["--version"])
         assert result.exit_code == 0
         assert __version__ in result.output
+
+
+# sha256 of stdout for a fixed command set, recorded before the grid code, the
+# input echo and the outcome parsing were each merged into one helper
+# (Python 3.11.7, numpy 2.4.6, click 8.4.0).  A deliberate change to the
+# emitted documents updates these digests; anything else must keep them.
+# The reordered argv lists pin the input echo to the declared flag order.
+_STATE = "--rho 0.7 --tau 0.4 --theta-i 0.9 --phi-i 1.1"
+_PINNED = [
+    ("solve-strict-e", f"solve {_STATE}", 0,
+     "511e9bcc87b9d2e4d0d8ce207d8c57281649957538af2c6bb6293fb7cc5f27ab"),
+    ("solve-strict-2", f"solve {_STATE} --entropy-base 2", 0,
+     "4a93d6ed4baf79e46e6c84178f387d5570c6b6da77ee3f032c5c8af5a32ed9f8"),
+    ("solve-reflective-e", f"solve {_STATE} --mode reflective", 0,
+     "f65469b696c79281bae42378796635a67834bf86ac6ff354d8bb82b2753529df"),
+    ("solve-reflective-2", f"solve {_STATE} --mode reflective --entropy-base 2", 0,
+     "540311bb601cf57248238d73e30ccf1a03c1978e82acb4a2fedffc3db831dedc"),
+    ("oracle", f"oracle {_STATE} --mode reflective --grid 64x128", 0,
+     "493b0ebee4519f9bf31c25358ed615112dde6a6fb8e9b5200bc623c13b5a3a98"),
+    ("oracle-exclude",
+     f"oracle {_STATE} --mode reflective --grid 64x128 --exclude-trivial 0.25",
+     0, "6f2c21f49f9e0aa98d12d3e6a368819193a1655d72493de31c90f1c282e1981a"),
+    ("oracle-eigenstate", "oracle --rho 1 --theta-i 0", 0,
+     "2bda5796537fea88e38d0499ebb9224912248ccbd73e80e90962d3c05037f962"),
+    ("oracle-infeasible",
+     "oracle --rho 0.9 --tau 0.3 --theta-i 1.0 --phi-i 0.5 --grid 8x8 "
+     "--constraint-tol 1e-9",
+     3, "0730ca2a105237106209a78c87809a05fe6a1a951fd12ea99e60ea4da68adb80"),
+    ("simulate-born",
+     f"simulate {_STATE} --steps 6 --mode reflective --outcome born --seed 11",
+     0, "1e70421a095fdf97dbcc49d2f66955ac8db794fde40a4886ea188f69139e2ec4"),
+    ("simulate-born-surprise",
+     f"simulate {_STATE} --steps 6 --mode reflective --outcome risk:born-surprise",
+     0, "a7ec7564c79f6fcdb7eb8c3dd626525f2aac67fb434a1a94eb8d79e82970def8"),
+    ("simulate-alignment",
+     f"simulate {_STATE} --steps 6 --mode reflective --outcome risk:alignment",
+     0, "e9ce5413825b035edb1e8582e3df8b91acc6f32e20e5774002bd50a17743959a"),
+    ("simulate-constant",
+     f"simulate {_STATE} --steps 6 --mode reflective --outcome risk:constant",
+     0, "3dc295ce91c3d0403bbf7a1ccbf5e1e51d5bfba24222bd26b05e4960d2fed874"),
+    ("simulate-flags-reordered",
+     "simulate --outcome risk:constant --steps 6 --mode reflective "
+     "--phi-i 1.1 --theta-i 0.9 --tau 0.4 --rho 0.7",
+     0, "3dc295ce91c3d0403bbf7a1ccbf5e1e51d5bfba24222bd26b05e4960d2fed874"),
+    ("oracle-exclude-flags-reordered",
+     "oracle --exclude-trivial 0.25 --grid 64x128 --mode reflective "
+     "--phi-i 1.1 --theta-i 0.9 --tau 0.4 --rho 0.7",
+     0, "6f2c21f49f9e0aa98d12d3e6a368819193a1655d72493de31c90f1c282e1981a"),
+    ("landscape-csv", f"landscape {_STATE} --grid 20x40", 0,
+     "deb74769431ef22ce00eeb17238f0f3b82107bd30036e84e33dc13f1324d7de3"),
+    ("landscape-tsv", f"landscape {_STATE} --grid 20x40 --format tsv", 0,
+     "89160f6c8a8e1224f5738128c79cd8fb60bbc3bb95c37f380be664f180c4e6fb"),
+    ("solve-degrees",
+     "solve --rho 0.7 --tau 30 --theta-i 60 --phi-i 45 --degrees --mode reflective",
+     0, "b83b5b69ac207061e9217c598769aadfd0bfcb18356ee7b0076ff16480e792d0"),
+    ("solve-degrees-flags-reordered",
+     "solve --mode reflective --degrees --phi-i 45 --theta-i 60 --tau 30 --rho 0.7",
+     0, "b83b5b69ac207061e9217c598769aadfd0bfcb18356ee7b0076ff16480e792d0"),
+    ("solve-amplitudes",
+     "solve --amp-up 0.6+0.2j --amp-down 0.5 --theta-i 0.9 --phi-i 1.1 "
+     "--mode reflective",
+     0, "6139ab8facd4ed68e30042cef8cfaf4cdfcc5b7ea7e3c6fb53bd831968f4aa10"),
+]
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize(
+        "command, exit_code, digest",
+        [case[1:] for case in _PINNED],
+        ids=[case[0] for case in _PINNED],
+    )
+    def test_output_digest(self, runner, command, exit_code, digest):
+        result = runner.invoke(main, command.split())
+        assert result.exit_code == exit_code, result.output
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spincollapse import Axis, PureState, binary_entropy, born_up, s_down, s_f, s_i, s_up
+from spincollapse import Axis, PureState, binary_entropy, born_up, s_down, s_i, s_up
 from spincollapse.entropy import _binary_entropy_grid
 
 from helpers import uniform_axis, uniform_state
@@ -89,11 +89,6 @@ class TestGridHelper:
 
 
 class TestStateEntropies:
-    def test_s_i_equals_s_f_same_axis(self, rng):
-        for _ in range(50):
-            state, axis = uniform_state(rng), uniform_axis(rng)
-            assert s_i(state, axis) == s_f(state, axis)
-
     def test_s_i_is_entropy_of_born_probability(self, rng):
         for _ in range(50):
             state, axis = uniform_state(rng), uniform_axis(rng)

@@ -10,7 +10,7 @@ from spincollapse import (
     PureState,
     SimConfig,
     make_rng,
-    s_f,
+    s_i,
     simulate,
     state_from_eigenvector,
     step,
@@ -187,7 +187,7 @@ class TestConservation:
             for _ in range(25):
                 state, axis = non_eigen_pair(rng)
                 for t in simulate(state, axis, cfg):
-                    assert abs(t.s_i - s_f(t.state_before, t.axis_next)) <= 1e-9
+                    assert abs(t.s_i - s_i(t.state_before, t.axis_next)) <= 1e-9
 
 
 class TestSerialization:

@@ -316,6 +316,23 @@ class TestAzimuthDescent:
         assert psi == pytest.approx(math.pi, abs=1e-4)
         assert value == pytest.approx(H_QUARTER, abs=1e-12)
 
+    def test_stops_when_no_step_decreases(self, monkeypatch):
+        # near psi = pi on the second circle the objective reaches 0 and the
+        # line search finds no decrease at float resolution: the descent must
+        # stop there instead of spending its iteration cap on sub-ulp steps
+        import spincollapse.solver as solver_module
+
+        calls = []
+
+        def counting(p, base=math.e):
+            calls.append(p)
+            return binary_entropy(p, base)
+
+        monkeypatch.setattr(solver_module, "binary_entropy", counting)
+        psi, _ = azimuth_descent(UP_Z, TILT, 1, math.pi - 0.2)
+        assert len(calls) < 1000
+        assert abs(psi - math.pi) <= 1e-6
+
 
 class TestInvariances:
     def test_rotational_covariance(self, rng):

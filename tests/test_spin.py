@@ -17,7 +17,6 @@ from spincollapse import (
     axis_from_vector,
     bloch_vector,
     born_up,
-    canonicalize_axis,
     eigenpair,
     overlap,
     spin_operator,
@@ -86,9 +85,6 @@ class TestAxisCanonicalization:
             Axis(bad, 0.0)
         with pytest.raises(ValueError):
             Axis(0.0, bad)
-
-    def test_canonicalize_axis_matches_constructor(self):
-        assert canonicalize_axis(-1.0, 7.0) == Axis(-1.0, 7.0)
 
 
 class TestVectors:
