@@ -42,6 +42,8 @@ RNG_NAME = "numpy.random.PCG64"
 
 
 def _parse_outcome(outcome: str) -> tuple[str, RiskFunction | None]:
+    if not isinstance(outcome, str):
+        raise ValueError(f"outcome must be a string, got {outcome!r}")
     if outcome == "born":
         return "born", None
     if outcome.startswith("risk:"):
@@ -77,7 +79,8 @@ class SimConfig:
     )
 
     def __post_init__(self) -> None:
-        if not isinstance(self.steps, int) or self.steps < 1:
+        # bool is an int subclass, but steps=True is a mistake, not 1 step
+        if isinstance(self.steps, bool) or not isinstance(self.steps, int) or self.steps < 1:
             raise ValueError(f"steps must be a positive integer, got {self.steps!r}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")

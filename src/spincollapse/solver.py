@@ -45,6 +45,7 @@ from .spin import (
     DEFAULT_ATOL,
     Axis,
     PureState,
+    _axis_from_xyz,
     antipode,
     axis_from_vector,
     bloch_vector,
@@ -136,19 +137,31 @@ def _collapse_probability(state: PureState, axis_i: Axis, eigen_tol: float) -> f
     return p
 
 
-def _geometry(state: PureState, axis_i: Axis, eigen_tol: float):
-    """Shared solve/feasible-set setup; raises NoCollapseError on eigenstates."""
+def _collapse_frame(state: PureState, axis_i: Axis, eigen_tol: float):
+    """p_i, m, n_i and cos(beta) = n_i . m; raises NoCollapseError on eigenstates.
+
+    n_i . m stays a numpy dot: its BLAS kernel fixes the rounding, and with it
+    every emitted byte downstream.
+    """
     p = _collapse_probability(state, axis_i, eigen_tol)
     m = bloch_vector(state)
     n_i = unit_vector(axis_i)
     cosb = min(1.0, max(-1.0, float(np.dot(n_i, m))))
+    return p, m, n_i, cosb
+
+
+def _geometry(state: PureState, axis_i: Axis, eigen_tol: float):
+    """`_collapse_frame` plus sin(beta) and the circle frame e1, e2 = m x e1."""
+    p, m, n_i, cosb = _collapse_frame(state, axis_i, eigen_tol)
     sin2 = 1.0 - cosb * cosb
     # a Bloch vector parallel to the axis forces p into {0, 1}, which the
     # eigenstate branch above already absorbed
     assert sin2 > 0.0, "non-eigenstate with Bloch vector parallel to the axis"
     e1 = n_i - cosb * m
     e1 = e1 / np.linalg.norm(e1)
-    return p, m, n_i, cosb, math.sqrt(sin2), e1, np.cross(m, e1)
+    (mx, my, mz), (ux, uy, uz) = m.tolist(), e1.tolist()
+    e2 = np.array([my * uz - mz * uy, mz * ux - mx * uz, mx * uy - my * ux])
+    return p, m, n_i, cosb, math.sqrt(sin2), e1, e2
 
 
 def _circles(p, m, _n_i, cosb, _sinb, e1, e2) -> FeasibleSet:
@@ -184,7 +197,7 @@ def solve(
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     try:
-        _p, m, n_i, cosb, _sinb, _e1, _e2 = _geometry(state, axis_i, eigen_tol)
+        _p, m, n_i, cosb = _collapse_frame(state, axis_i, eigen_tol)
     except NoCollapseError:
         ext = (Extremum(axis_i, 0.0, "min"),)
         return SolverSolution((axis_i,), 0.0, ext, True, mode)
@@ -199,8 +212,11 @@ def solve(
         # so the four critical points collapse to two and must not be repeated
         reflective = (a_i, a_anti)
     else:
-        r = 2.0 * cosb * m - n_i
-        a_r, a_rb = axis_from_vector(r), axis_from_vector(-r)
+        # the mirror r = 2 cos(beta) m - n_i and -r, on floats
+        c = 2.0 * cosb
+        (mx, my, mz), (nx, ny, nz) = m.tolist(), n_i.tolist()
+        rx, ry, rz = c * mx - nx, c * my - ny, c * mz - nz
+        a_r, a_rb = _axis_from_xyz(rx, ry, rz), _axis_from_xyz(-rx, -ry, -rz)
         kind = "min" if cos2b < 0.0 else "max"
         extrema += [Extremum(a_r, mirror_value, kind), Extremum(a_rb, mirror_value, kind)]
         reflective = (a_r, a_rb)
@@ -306,7 +322,13 @@ def azimuth_descent(
     """
     geometry = _geometry(state, axis_i, eigen_tol)
     _p, _m, _n_i, cosb, sinb, _e1, _e2 = geometry
-    alpha = _circles(*geometry).colatitudes[level]
+    colatitudes = _circles(*geometry).colatitudes
+    if not 0 <= level < len(colatitudes):
+        raise ValueError(
+            f"level must lie in [0, {len(colatitudes) - 1}] for this pair "
+            f"({len(colatitudes)} feasible circle(s)), got {level!r}"
+        )
+    alpha = colatitudes[level]
     a = math.cos(alpha) * cosb
     b = math.sin(alpha) * sinb
     log_base = 1.0 if base == math.e else math.log(base)

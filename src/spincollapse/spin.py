@@ -124,9 +124,13 @@ def axis_from_vector(vec) -> Axis:
     v = np.asarray(vec, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    return _axis_from_xyz(*v.tolist())
+
+
+def _axis_from_xyz(x: float, y: float, z: float) -> Axis:
+    """`axis_from_vector` on three floats, without the array round trip."""
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise ValueError("vector components must be finite")
-    x, y, z = float(v[0]), float(v[1]), float(v[2])
     r_xy = math.hypot(x, y)
     norm = math.hypot(r_xy, z)
     if norm == 0.0:

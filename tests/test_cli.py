@@ -391,6 +391,7 @@ class TestUsageErrors:
 # input echo and the outcome parsing were each merged into one helper
 # (Python 3.11.7, numpy 2.4.6, click 8.4.0).  A deliberate change to the
 # emitted documents updates these digests; anything else must keep them.
+# BLAS: scipy-openblas 0.3.31.188.0 (DYNAMIC_ARCH, Haswell kernel), the 3-vector dot.
 # The reordered argv lists pin the input echo to the declared flag order.
 _STATE = "--rho 0.7 --tau 0.4 --theta-i 0.9 --phi-i 1.1"
 _PINNED = [

@@ -42,7 +42,7 @@ class TestConfigValidation:
         cfg = SimConfig(steps=3)
         assert cfg.mode == "strict" and cfg.outcome == "risk:born-surprise"
 
-    @pytest.mark.parametrize("steps", [0, -1, 2.0])
+    @pytest.mark.parametrize("steps", [0, -1, 2.0, True])
     def test_bad_steps(self, steps):
         with pytest.raises(ValueError):
             SimConfig(steps=steps)
@@ -51,7 +51,9 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SimConfig(steps=1, mode="loose")
 
-    @pytest.mark.parametrize("outcome", ["dice", "risk:", "risk:unknown", "bornlike"])
+    @pytest.mark.parametrize(
+        "outcome", ["dice", "risk:", "risk:unknown", "bornlike", None, 3]
+    )
     def test_bad_outcome(self, outcome):
         with pytest.raises(ValueError):
             SimConfig(steps=1, outcome=outcome)

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from spincollapse import (
+    DEFAULT_ATOL,
     Axis,
     InfeasibleGridError,
     NoCollapseError,
     PureState,
     antipode,
+    axis_from_vector,
     azimuth_descent,
     binary_entropy,
     bloch_vector,
@@ -25,7 +27,13 @@ from spincollapse import (
     unit_vector,
 )
 
-from helpers import angle_between, non_eigen_pair, triple_product, uniform_axis
+from helpers import (
+    angle_between,
+    non_eigen_pair,
+    triple_product,
+    uniform_axis,
+    uniform_state,
+)
 
 H_QUARTER = 0.5623351446188083  # binary_entropy(1/4), frozen
 UP_Z = PureState(1.0, 0.0)
@@ -316,6 +324,18 @@ class TestAzimuthDescent:
         assert psi == pytest.approx(math.pi, abs=1e-4)
         assert value == pytest.approx(H_QUARTER, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "state, axis, level",
+        [
+            (PureState(0.5, 0.0), Axis(0.0, 0.0), 1),  # one merged circle
+            (UP_Z, TILT, -1),
+            (UP_Z, TILT, 2),
+        ],
+    )
+    def test_level_out_of_range_rejected(self, state, axis, level):
+        with pytest.raises(ValueError, match="level must lie in"):
+            azimuth_descent(state, axis, level, 1.0)
+
     def test_stops_when_no_step_decreases(self, monkeypatch):
         # near psi = pi on the second circle the objective reaches 0 and the
         # line search finds no decrease at float resolution: the descent must
@@ -332,6 +352,38 @@ class TestAzimuthDescent:
         psi, _ = azimuth_descent(UP_Z, TILT, 1, math.pi - 0.2)
         assert len(calls) < 1000
         assert abs(psi - math.pi) <= 1e-6
+
+
+class TestFloatPathAgainstNumpy:
+    """The float-triple geometry pinned bit for bit to the numpy route it
+    replaced: `np.cross` for the circle frame, and `axis_from_vector` on the
+    array mirror 2 (n_i . m) m - n_i for the reflective minimizers."""
+
+    def test_frame_and_mirrors_bit_equal(self, rng):
+        pairs = [non_eigen_pair(rng) for _ in range(300)]
+        pairs += [(uniform_state(rng), Axis(t, 0.0)) for t in (0.0, math.pi) for _ in range(20)]
+        pairs += [(PureState(0.5, float(tau)), Axis(0.0, 0.0)) for tau in (0.0, 1.0, 4.0)]
+        pairs += [(UP_Z, Axis(math.pi / 2, 0.3)), (PureState(0.5, 0.0), Axis(1.0, 0.0))]
+        mirrors = 0
+        for state, axis in pairs:
+            p = born_up(state, axis)
+            if min(p, 1.0 - p) <= DEFAULT_ATOL:
+                continue  # eigenstate: no frame, no mirrors
+            fs = feasible_set(state, axis)
+            crossed = np.cross(fs.center, fs.in_plane)
+            assert fs.out_of_plane.tobytes() == crossed.tobytes()
+            m, n_i = bloch_vector(state), unit_vector(axis)
+            cosb = min(1.0, max(-1.0, float(np.dot(n_i, m))))
+            if abs(cosb) <= DEFAULT_ATOL:
+                continue  # merged circle: the mirrors are the trivial pair
+            r = 2.0 * cosb * m - n_i
+            expected = sorted(
+                (axis_from_vector(r), axis_from_vector(-r)), key=lambda a: (a.theta, a.phi)
+            )
+            got = solve(state, axis, "reflective").minimizers
+            assert [repr(a) for a in got] == [repr(a) for a in expected]
+            mirrors += 1
+        assert mirrors >= 300
 
 
 class TestInvariances:
@@ -370,7 +422,5 @@ class TestInvariances:
 
 
 def _rotated_angles(rot: np.ndarray, axis: Axis) -> tuple[float, float]:
-    from spincollapse import axis_from_vector
-
     a = axis_from_vector(rot @ unit_vector(axis))
     return a.theta, a.phi

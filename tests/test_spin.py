@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from spincollapse import (
@@ -25,10 +25,16 @@ from spincollapse import (
     state_from_eigenvector,
     unit_vector,
 )
+from spincollapse.spin import _axis_from_xyz
 
 from helpers import angle_between, uniform_axis, uniform_state
 
 finite_angles = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
+# vector components reaching signed zeros, pole-snap-sized offsets, NaN and inf
+vector_components = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-14, -1e-14, 1e-300, math.nan, math.inf, -math.inf]),
+    st.floats(),
+)
 TWO_PI = 2.0 * math.pi
 
 
@@ -107,6 +113,29 @@ class TestVectors:
         assert axis_from_vector(np.array([0.0, 0.0, 5.0])) == Axis(0.0, 0.0)
         assert axis_from_vector(np.array([0.0, 0.0, -1.0])) == Axis(math.pi, 0.0)
         assert axis_from_vector(np.array([1e-20, 0.0, 1.0])) == Axis(0.0, 0.0)
+
+    @given(
+        vector_components,
+        vector_components,
+        vector_components,
+        st.sampled_from([1.0, 1e-9, 7.5, 1e9]),
+    )
+    @example(1e-20, 0.0, 1.0, 1.0)  # snapped onto the north pole
+    @example(0.0, -1e-14, -3.0, 1.0)  # snapped onto the south pole
+    @example(-0.0, -0.0, 2.0, 1.0)
+    @example(-1.0, -0.0, 0.0, 7.5)  # phi = atan2(-0.0, -1) = -pi
+    @example(0.0, 0.0, 0.0, 1.0)
+    @example(math.nan, 0.0, 1.0, 1.0)
+    @example(1.0, math.inf, 0.0, 1.0)
+    def test_float_entry_matches_array_route(self, x, y, z, scale):
+        v = (x * scale, y * scale, z * scale)
+        if not all(map(math.isfinite, v)) or v == (0.0, 0.0, 0.0):
+            with pytest.raises(ValueError):
+                axis_from_vector(np.array(v))
+            with pytest.raises(ValueError):
+                _axis_from_xyz(*v)
+            return
+        assert repr(_axis_from_xyz(*v)) == repr(axis_from_vector(np.array(v)))
 
     def test_rejects_degenerate_input(self):
         with pytest.raises(ValueError):
