@@ -9,84 +9,20 @@ cross-checks, pluggable deterministic outcome rules, a trajectory simulator,
 and a command-line interface (`spincollapse`).
 """
 
-from .entropy import LN2, binary_entropy, s_down, s_i, s_up
-from .risk import RiskContext, RiskFunction, builtin_risks, get_risk, select_outcome
-from .simulate import RNG_NAME, SimConfig, TrajectoryStep, make_rng, simulate, step
-from .solver import (
-    Extremum,
-    FeasibleSet,
-    InfeasibleGridError,
-    NoCollapseError,
-    SolverSolution,
-    azimuth_descent,
-    brute_force_oracle,
-    constraint_residual,
-    feasible_set,
-    solve,
-)
-from .spin import (
-    DEFAULT_ATOL,
-    Axis,
-    PureState,
-    Spinor,
-    amplitudes,
-    antipode,
-    axis_from_vector,
-    bloch_vector,
-    born_up,
-    eigenpair,
-    overlap,
-    spin_operator,
-    state_from_amplitudes,
-    state_from_bloch,
-    state_from_eigenvector,
-    unit_vector,
-)
+from . import entropy as _entropy
+from . import risk as _risk
+from . import simulate as _simulate
+from . import solver as _solver
+from . import spin as _spin
+from .entropy import *
+from .risk import *
+from .simulate import *
+from .solver import *
+from .spin import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Axis",
-    "DEFAULT_ATOL",
-    "Extremum",
-    "FeasibleSet",
-    "InfeasibleGridError",
-    "LN2",
-    "NoCollapseError",
-    "PureState",
-    "RNG_NAME",
-    "RiskContext",
-    "RiskFunction",
-    "SimConfig",
-    "SolverSolution",
-    "Spinor",
-    "TrajectoryStep",
-    "amplitudes",
-    "antipode",
-    "axis_from_vector",
-    "azimuth_descent",
-    "binary_entropy",
-    "bloch_vector",
-    "born_up",
-    "brute_force_oracle",
-    "builtin_risks",
-    "constraint_residual",
-    "eigenpair",
-    "feasible_set",
-    "get_risk",
-    "make_rng",
-    "overlap",
-    "s_down",
-    "s_i",
-    "s_up",
-    "select_outcome",
-    "simulate",
-    "solve",
-    "spin_operator",
-    "state_from_amplitudes",
-    "state_from_bloch",
-    "state_from_eigenvector",
-    "step",
-    "unit_vector",
-    "__version__",
-]
+# each module's __all__ is the one list of its public names
+__all__ = sorted(
+    [*_spin.__all__, *_entropy.__all__, *_solver.__all__, *_risk.__all__, *_simulate.__all__]
+) + ["__version__"]

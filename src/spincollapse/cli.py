@@ -34,9 +34,9 @@ from .entropy import s_i
 from .simulate import RNG_NAME, SimConfig, simulate
 from .solver import (
     InfeasibleGridError,
+    NoCollapseError,
     SolverSolution,
     _entropy_grid,
-    _oracle_grid,
     brute_force_oracle,
     solve,
 )
@@ -327,8 +327,7 @@ def cmd_landscape(entropy_base, out, fmt, grid, **_):
 def cmd_oracle(mode, entropy_base, tol, out, grid, constraint_tol, exclude_trivial, **_):
     """Brute-force grid search reported beside the closed-form solver."""
     state, axis_i, echo = _resolve_inputs()
-    # checked here too: an eigenstate never reaches the oracle's own checks
-    grid_dims = _guard(_oracle_grid, _parse_grid(grid), constraint_tol, exclude_trivial)
+    grid_dims = _parse_grid(grid)
     base = _BASES[entropy_base]
     warnings = []
     if exclude_trivial is not None:
@@ -340,21 +339,22 @@ def cmd_oracle(mode, entropy_base, tol, out, grid, constraint_tol, exclude_trivi
 
     sol = _guard(solve, state, axis_i, mode, base=base, eigen_tol=tol)
     results = {"no_collapse": sol.no_collapse, "solver": _solve_results(sol)}
-    if sol.no_collapse:
+    try:
+        # validates the grid flags before its own eigenstate check
+        axis_o, obj_o = _guard(
+            brute_force_oracle, state, axis_i,
+            grid=grid_dims, constraint_tol=constraint_tol,
+            exclude=exclude_trivial, base=base, eigen_tol=tol,
+        )
+    except NoCollapseError:
         results["oracle"] = {"no_collapse": True}
         results["discrepancy"] = None
+    except InfeasibleGridError as exc:
+        results["oracle"] = {"error": "infeasible-grid", "message": str(exc)}
+        results["discrepancy"] = None
+        _emit(_envelope("oracle", echo, entropy_base, mode, results, warnings), out)
+        sys.exit(3)
     else:
-        try:
-            axis_o, obj_o = _guard(
-                brute_force_oracle, state, axis_i,
-                grid=grid_dims, constraint_tol=constraint_tol,
-                exclude=exclude_trivial, base=base, eigen_tol=tol,
-            )
-        except InfeasibleGridError as exc:
-            results["oracle"] = {"error": "infeasible-grid", "message": str(exc)}
-            results["discrepancy"] = None
-            _emit(_envelope("oracle", echo, entropy_base, mode, results, warnings), out)
-            sys.exit(3)
         results["oracle"] = {
             "no_collapse": False,
             "axis": _axis_dict(axis_o),

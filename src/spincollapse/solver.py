@@ -68,6 +68,9 @@ __all__ = [
 
 MODES = ("strict", "reflective")
 
+_DESCENT_TOL = 1e-10
+_DESCENT_MAX_ITER = 200
+
 
 class NoCollapseError(Exception):
     """The state is an eigenstate of the measured projection: the outcome is
@@ -104,7 +107,7 @@ class FeasibleSet:
     out_of_plane: np.ndarray
 
     def axis_on_circle(self, level: int, psi: float) -> Axis:
-        a = self.colatitudes[level]
+        a = _colatitude(self.colatitudes, level)
         v = math.cos(a) * self.center + math.sin(a) * (
             math.cos(psi) * self.in_plane + math.sin(psi) * self.out_of_plane
         )
@@ -150,33 +153,46 @@ def _collapse_frame(state: PureState, axis_i: Axis, eigen_tol: float):
     return p, m, n_i, cosb
 
 
-def _geometry(state: PureState, axis_i: Axis, eigen_tol: float):
-    """`_collapse_frame` plus sin(beta) and the circle frame e1, e2 = m x e1."""
-    p, m, n_i, cosb = _collapse_frame(state, axis_i, eigen_tol)
-    sin2 = 1.0 - cosb * cosb
-    # a Bloch vector parallel to the axis forces p into {0, 1}, which the
-    # eigenstate branch above already absorbed
-    assert sin2 > 0.0, "non-eigenstate with Bloch vector parallel to the axis"
-    e1 = n_i - cosb * m
-    e1 = e1 / np.linalg.norm(e1)
-    (mx, my, mz), (ux, uy, uz) = m.tolist(), e1.tolist()
-    e2 = np.array([my * uz - mz * uy, mz * ux - mx * uz, mx * uy - my * ux])
-    return p, m, n_i, cosb, math.sqrt(sin2), e1, e2
+def _circles(p: float, cosb: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Level probabilities and circle colatitudes for p_i and cos(beta).
 
-
-def _circles(p, m, _n_i, cosb, _sinb, e1, e2) -> FeasibleSet:
-    """The feasible set of one `_geometry` result."""
+    Raises NoCollapseError when n_i . m rounds to +-1: p_i cleared the
+    eigenstate tolerance, but at float resolution the Bloch vector lies on
+    the axis and no circle exists.
+    """
+    if abs(cosb) >= 1.0:
+        raise NoCollapseError(
+            f"state is an eigenstate of the measured axis at float resolution "
+            f"(n_i . m = {cosb!r}, born probability {p!r})"
+        )
     beta = math.acos(cosb)
     if abs(cosb) <= DEFAULT_ATOL:  # the two levels merge into one great circle
-        return FeasibleSet((p,), (beta,), m, e1, e2)
-    return FeasibleSet((p, 1.0 - p), (beta, math.pi - beta), m, e1, e2)
+        return (p,), (beta,)
+    return (p, 1.0 - p), (beta, math.pi - beta)
+
+
+def _colatitude(colatitudes: tuple[float, ...], level: int) -> float:
+    """The colatitude of circle `level`; raises ValueError outside the circles."""
+    if not 0 <= level < len(colatitudes):
+        raise ValueError(
+            f"level must lie in [0, {len(colatitudes) - 1}] for this pair "
+            f"({len(colatitudes)} feasible circle(s)), got {level!r}"
+        )
+    return colatitudes[level]
 
 
 def feasible_set(
     state: PureState, axis_i: Axis, *, eigen_tol: float = DEFAULT_ATOL
 ) -> FeasibleSet:
     """Level probabilities and circles of axes satisfying the constraint."""
-    return _circles(*_geometry(state, axis_i, eigen_tol))
+    p, m, n_i, cosb = _collapse_frame(state, axis_i, eigen_tol)
+    levels, colatitudes = _circles(p, cosb)
+    # the circle frame: e1 toward n_i in the plane of m and n_i, e2 = m x e1
+    e1 = n_i - cosb * m
+    e1 = e1 / np.linalg.norm(e1)
+    (mx, my, mz), (ux, uy, uz) = m.tolist(), e1.tolist()
+    e2 = np.array([my * uz - mz * uy, mz * ux - mx * uz, mx * uy - my * ux])
+    return FeasibleSet(levels, colatitudes, m, e1, e2)
 
 
 def solve(
@@ -310,27 +326,19 @@ def azimuth_descent(
     psi0: float,
     *,
     base: float = math.e,
-    tol: float = 1e-10,
-    max_iter: int = 200,
     eigen_tol: float = DEFAULT_ATOL,
 ) -> tuple[float, float]:
     """Projected descent of s_up along one feasible circle's azimuth.
 
     A numeric cross-check of the in-plane claim: from any start the descent
     settles at psi = 0 or psi = pi (mod 2*pi).  Returns (psi, objective) at
-    the converged point; `tol` bounds the final azimuth gradient.
+    the converged point.  The constant `_DESCENT_TOL` bounds the final
+    azimuth gradient, and `_DESCENT_MAX_ITER` caps the number of steps.
     """
-    geometry = _geometry(state, axis_i, eigen_tol)
-    _p, _m, _n_i, cosb, sinb, _e1, _e2 = geometry
-    colatitudes = _circles(*geometry).colatitudes
-    if not 0 <= level < len(colatitudes):
-        raise ValueError(
-            f"level must lie in [0, {len(colatitudes) - 1}] for this pair "
-            f"({len(colatitudes)} feasible circle(s)), got {level!r}"
-        )
-    alpha = colatitudes[level]
+    p, _m, _n_i, cosb = _collapse_frame(state, axis_i, eigen_tol)
+    alpha = _colatitude(_circles(p, cosb)[1], level)
     a = math.cos(alpha) * cosb
-    b = math.sin(alpha) * sinb
+    b = math.sin(alpha) * math.sqrt(1.0 - cosb * cosb)
     log_base = 1.0 if base == math.e else math.log(base)
 
     def value(psi: float) -> float:
@@ -346,9 +354,9 @@ def azimuth_descent(
 
     psi = psi0 % (2.0 * math.pi)
     v = value(psi)
-    for _ in range(max_iter):
+    for _ in range(_DESCENT_MAX_ITER):
         g = gradient(psi)
-        if abs(g) <= tol:
+        if abs(g) <= _DESCENT_TOL:
             break
         step = 1.0
         while step > 1e-20:

@@ -372,7 +372,7 @@ class TestUsageErrors:
             ["oracle", "--rho", "1", "--theta-i", "1", "--grid", "4x4"],
             ["oracle", "--rho", "1", "--theta-i", "1", "--constraint-tol", "0"],
             ["simulate", "--rho", "1", "--theta-i", "1", "--steps", "0"],
-            # on an eigenstate the oracle never runs; its flags are still checked
+            # on an eigenstate the oracle still checks its flags before it stops
             ["oracle", "--rho", "1", "--theta-i", "0", "--grid", "2x2"],
             ["oracle", "--rho", "1", "--theta-i", "0", "--constraint-tol", "-1"],
             ["oracle", "--rho", "1", "--theta-i", "0", "--exclude-trivial", "0"],

@@ -161,9 +161,26 @@ class TestNoCollapse:
             assert sol.minimizers == (axis,)
             assert sol.objective == 0.0
 
-    def test_feasible_set_raises(self):
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda state, axis, **kw: feasible_set(state, axis, **kw),
+            lambda state, axis, **kw: azimuth_descent(state, axis, 0, 1.0, **kw),
+        ],
+        ids=["feasible_set", "azimuth_descent"],
+    )
+    @pytest.mark.parametrize(
+        "state, eigen_tol",
+        [
+            (UP_Z, DEFAULT_ATOL),
+            # p = 1e-20 clears a zero tolerance, but n_i . m rounds to -1
+            (PureState(1e-20, 0.0), 0.0),
+        ],
+        ids=["eigenstate", "eigenstate-at-float-resolution"],
+    )
+    def test_feasible_set_raises(self, build, state, eigen_tol):
         with pytest.raises(NoCollapseError):
-            feasible_set(UP_Z, Axis(0.0, 0.0))
+            build(state, Axis(0.0, 0.0), eigen_tol=eigen_tol)
 
     def test_oracle_raises(self):
         with pytest.raises(NoCollapseError):
@@ -335,6 +352,8 @@ class TestAzimuthDescent:
     def test_level_out_of_range_rejected(self, state, axis, level):
         with pytest.raises(ValueError, match="level must lie in"):
             azimuth_descent(state, axis, level, 1.0)
+        with pytest.raises(ValueError, match="level must lie in"):
+            feasible_set(state, axis).axis_on_circle(level, 1.0)
 
     def test_stops_when_no_step_decreases(self, monkeypatch):
         # near psi = pi on the second circle the objective reaches 0 and the
