@@ -21,8 +21,6 @@ feasible point.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import sys
@@ -296,21 +294,26 @@ def cmd_landscape(entropy_base, out, fmt, grid, **_):
     delimiter = "\t" if fmt == "tsv" else ","
     n_theta, n_phi = _parse_grid(grid)
     base = _BASES[entropy_base]
-    thetas, phis, p_up, s_f_grid, s_up_grid, _dot_i = _entropy_grid(
+    thetas, phis, p_up, s_f_grid, s_up_grid = _entropy_grid(
         state, axis_i, n_theta, n_phi, base
     )
     residual = s_f_grid - s_i(state, axis_i, base)
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
-    writer.writerow(["theta_f", "phi_f", "p_up", "s_f", "constraint_residual", "s_up"])
-    for i in range(n_theta):
-        for j in range(n_phi):
-            writer.writerow([
-                float(thetas[i]), float(phis[j]), float(p_up[i, j]),
-                float(s_f_grid[i, j]), float(residual[i, j]), float(s_up_grid[i, j]),
-            ])
-    _emit(buf.getvalue(), out)
+    # float reprs never hold a delimiter, a quote or a line break, so the
+    # rows need no CSV quoting.  Each grid angle is formatted once; values
+    # become Python floats one theta_f row at a time, which keeps the peak
+    # memory of a large grid near that of a csv writer.
+    phi_cells = [repr(phi) for phi in phis.tolist()]
+    blocks = [delimiter.join(
+        ["theta_f", "phi_f", "p_up", "s_f", "constraint_residual", "s_up"]
+    )]
+    for theta, *row in zip(thetas.tolist(), p_up, s_f_grid, residual, s_up_grid):
+        blocks.append("\n".join(map(delimiter.join, zip(
+            [repr(theta)] * n_phi, phi_cells,
+            *(map(repr, cells.tolist()) for cells in row),
+        ))))
+    blocks.append("")
+    _emit("\n".join(blocks), out)
 
 
 @main.command("oracle")

@@ -130,41 +130,32 @@ def constraint_residual(
     return s_i(state, axis_f, base) - s_i(state, axis_i, base)
 
 
-def _collapse_probability(state: PureState, axis_i: Axis, eigen_tol: float) -> float:
-    """Born probability p_i; raises NoCollapseError on eigenstates."""
+def _collapse_frame(state: PureState, axis_i: Axis, eigen_tol: float):
+    """p_i, m, n_i and cos(beta) = n_i . m; raises NoCollapseError on eigenstates.
+
+    That includes n_i . m rounding to +-1: p_i cleared the eigenstate
+    tolerance, but at float resolution the Bloch vector lies on the axis and
+    no circle exists.  n_i . m stays a numpy dot: its BLAS kernel fixes the
+    rounding, and with it every emitted byte downstream.
+    """
     p = born_up(state, axis_i)
     if min(p, 1.0 - p) <= eigen_tol:
         raise NoCollapseError(
             f"state is an eigenstate of the measured axis (born probability {p!r})"
         )
-    return p
-
-
-def _collapse_frame(state: PureState, axis_i: Axis, eigen_tol: float):
-    """p_i, m, n_i and cos(beta) = n_i . m; raises NoCollapseError on eigenstates.
-
-    n_i . m stays a numpy dot: its BLAS kernel fixes the rounding, and with it
-    every emitted byte downstream.
-    """
-    p = _collapse_probability(state, axis_i, eigen_tol)
     m = bloch_vector(state)
     n_i = unit_vector(axis_i)
     cosb = min(1.0, max(-1.0, float(np.dot(n_i, m))))
-    return p, m, n_i, cosb
-
-
-def _circles(p: float, cosb: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Level probabilities and circle colatitudes for p_i and cos(beta).
-
-    Raises NoCollapseError when n_i . m rounds to +-1: p_i cleared the
-    eigenstate tolerance, but at float resolution the Bloch vector lies on
-    the axis and no circle exists.
-    """
     if abs(cosb) >= 1.0:
         raise NoCollapseError(
             f"state is an eigenstate of the measured axis at float resolution "
             f"(n_i . m = {cosb!r}, born probability {p!r})"
         )
+    return p, m, n_i, cosb
+
+
+def _circles(p: float, cosb: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Level probabilities and circle colatitudes for p_i and cos(beta)."""
     beta = math.acos(cosb)
     if abs(cosb) <= DEFAULT_ATOL:  # the two levels merge into one great circle
         return (p,), (beta,)
@@ -246,26 +237,52 @@ def solve(
     return SolverSolution(minimizers, objective, tuple(extrema), False, mode)
 
 
+def _outcome_grid(m: np.ndarray, n_theta: int, n_phi: int, base: float):
+    """The (theta_f, phi_f) grid of candidate axes and the outcome surfaces of
+    the state with Bloch vector m.
+
+    Returns the grid coordinates, their sines and cosines (for `_grid_dot`),
+    the clipped up-probability grid p_f and its entropy s_f.
+    """
+    thetas = np.linspace(0.0, math.pi, n_theta)
+    phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
+    trig = (np.sin(thetas), np.cos(thetas), np.cos(phis), np.sin(phis))
+    p_up = _up_probability(_grid_dot(m, trig))
+    return thetas, phis, trig, p_up, _binary_entropy_grid(p_up, base)
+
+
+def _grid_dot(v: np.ndarray, trig, rows=None, cols=None) -> np.ndarray:
+    """v . n_f over the whole grid, or at the grid points (rows[k], cols[k]).
+
+    Both forms make the same elementwise products in the same order, so a
+    point's value does not depend on which form computed it.
+    """
+    st, ct, cp, sp = trig
+    if rows is None:
+        st, ct, cp, sp = st[:, None], ct[:, None], cp[None, :], sp[None, :]
+    else:
+        st, ct, cp, sp = st[rows], ct[rows], cp[cols], sp[cols]
+    return st * cp * v[0] + st * sp * v[1] + ct * v[2]
+
+
+def _up_probability(dot: np.ndarray) -> np.ndarray:
+    """(1 + dot)/2 clipped to [0, 1], elementwise."""
+    return np.clip(0.5 * (1.0 + dot), 0.0, 1.0)
+
+
 def _entropy_grid(
     state: PureState, axis_i: Axis, n_theta: int, n_phi: int, base: float
 ):
     """Entropy surfaces over a (theta_f, phi_f) grid of candidate axes.
 
     Returns the grid coordinates, the clipped up-probability grid p_f, its
-    entropy s_f, the transfer entropy s_up and n_i . n_f (for exclusions).
+    entropy s_f and the transfer entropy s_up.
     """
-    thetas = np.linspace(0.0, math.pi, n_theta)
-    phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
-    st, ct = np.sin(thetas)[:, None], np.cos(thetas)[:, None]
-    cp, sp = np.cos(phis)[None, :], np.sin(phis)[None, :]
-    m = bloch_vector(state)
-    n_i = unit_vector(axis_i)
-    dot_m = st * cp * m[0] + st * sp * m[1] + ct * m[2]
-    dot_i = st * cp * n_i[0] + st * sp * n_i[1] + ct * n_i[2]
-    p_up = np.clip(0.5 * (1.0 + dot_m), 0.0, 1.0)
-    s_f_grid = _binary_entropy_grid(p_up, base)
-    s_up_grid = _binary_entropy_grid(np.clip(0.5 * (1.0 + dot_i), 0.0, 1.0), base)
-    return thetas, phis, p_up, s_f_grid, s_up_grid, dot_i
+    thetas, phis, trig, p_up, s_f_grid = _outcome_grid(
+        bloch_vector(state), n_theta, n_phi, base
+    )
+    dot_i = _grid_dot(unit_vector(axis_i), trig)
+    return thetas, phis, p_up, s_f_grid, _binary_entropy_grid(_up_probability(dot_i), base)
 
 
 def _oracle_grid(grid, constraint_tol: float, exclude: float | None) -> tuple[int, int]:
@@ -299,24 +316,24 @@ def brute_force_oracle(
     so the scan is deterministic no matter how it is scheduled.
     """
     n_theta, n_phi = _oracle_grid(grid, constraint_tol, exclude)
-    p_i = _collapse_probability(state, axis_i, eigen_tol)
-    thetas, phis, _p_up, s_f_grid, objective, dot_i = _entropy_grid(
-        state, axis_i, n_theta, n_phi, base
-    )
-    keep = np.abs(s_f_grid - binary_entropy(p_i, base)) <= constraint_tol
+    p_i, m, n_i, _cosb = _collapse_frame(state, axis_i, eigen_tol)
+    thetas, phis, trig, _p_up, s_f_grid = _outcome_grid(m, n_theta, n_phi, base)
+    # the feasible band, in row-major order; s_up is needed only there
+    rows, cols = np.nonzero(np.abs(s_f_grid - binary_entropy(p_i, base)) <= constraint_tol)
+    dot_i = _grid_dot(n_i, trig, rows, cols)
     if exclude is not None:
         # angle to the nearer of the two trivial directions
-        separation = np.arccos(np.clip(np.abs(dot_i), -1.0, 1.0))
-        keep &= separation > exclude
-    if not keep.any():
+        kept = np.arccos(np.clip(np.abs(dot_i), -1.0, 1.0)) > exclude
+        rows, cols, dot_i = rows[kept], cols[kept], dot_i[kept]
+    if rows.size == 0:
         raise InfeasibleGridError(
             f"no grid point satisfies |residual| <= {constraint_tol!r} on a "
             f"{n_theta}x{n_phi} grid; refine the grid or loosen the tolerance"
         )
 
-    flat = int(np.where(keep, objective, np.inf).argmin())
-    i, j = divmod(flat, n_phi)
-    return Axis(float(thetas[i]), float(phis[j])), float(objective[i, j])
+    objective = _binary_entropy_grid(_up_probability(dot_i), base)
+    k = int(objective.argmin())
+    return Axis(float(thetas[rows[k]]), float(phis[cols[k]])), float(objective[k])
 
 
 def azimuth_descent(

@@ -448,6 +448,22 @@ _PINNED = [
      "solve --amp-up 0.6+0.2j --amp-down 0.5 --theta-i 0.9 --phi-i 1.1 "
      "--mode reflective",
      0, "6139ab8facd4ed68e30042cef8cfaf4cdfcc5b7ea7e3c6fb53bd831968f4aa10"),
+    # recorded before the oracle scored only its feasible band and the
+    # landscape rows were joined without the csv module
+    ("landscape-2x3-base2-degrees",
+     f"landscape {_STATE} --grid 2x3 --entropy-base 2 --degrees", 0,
+     "171f95548728a7da6e3ffea9863df35600b2bc90f81d0daf87bb0673e8a83d1c"),
+    ("landscape-tsv-amplitudes",
+     "landscape --amp-up 0.6+0.2j --amp-down 0.5 --theta-i 0.9 --phi-i 1.1 "
+     "--grid 7x5 --format tsv",
+     0, "9da6a43bbc0885f95bcaf5c52dd193f566672d38e796e988e8ab25512c30c135"),
+    ("oracle-odd-grid-base2-exclude",
+     f"oracle {_STATE} --mode reflective --grid 37x91 --entropy-base 2 "
+     "--exclude-trivial 0.1",
+     0, "424f256b2228d8c5867a2fe7ba6d51072a389ed41366e448ba9758efb4276cc3"),
+    ("oracle-merged-circle",
+     "oracle --rho 0.5 --theta-i 0 --mode reflective --grid 64x128",
+     0, "d2fec2dd0cd155b779788a57c92cb442357df84bc7ca85473e301335bfb6d5d0"),
 ]
 
 

@@ -140,6 +140,17 @@ class TestNoCollapse:
             assert t.state_after == state
             assert t.s_i <= 1e-12 and t.s_up_next == 0.0
 
+    @pytest.mark.parametrize("mode", ["strict", "reflective"])
+    def test_eigenstate_at_float_resolution(self, mode):
+        # p = 1e-20 clears a zero tolerance, but n_i . m rounds to -1: the
+        # step must not collapse, and must not pick s = +1 at p = 1e-20
+        state, axis = PureState(1e-20, 0.0), Axis(0.0, 0.0)
+        cfg = SimConfig(steps=1, mode=mode, outcome="risk:constant", eigen_tol=0.0)
+        t = step(state, axis, cfg)
+        assert t.no_collapse
+        assert t.s == -1
+        assert t.axis_next == axis and t.state_after == state
+
 
 class TestOutcomeRules:
     def test_constant_risk_always_up(self):

@@ -8,6 +8,7 @@ import pytest
 from spincollapse import (
     DEFAULT_ATOL,
     Axis,
+    Extremum,
     InfeasibleGridError,
     NoCollapseError,
     PureState,
@@ -26,6 +27,8 @@ from spincollapse import (
     state_from_eigenvector,
     unit_vector,
 )
+
+from spincollapse.solver import _entropy_grid
 
 from helpers import (
     angle_between,
@@ -182,9 +185,24 @@ class TestNoCollapse:
         with pytest.raises(NoCollapseError):
             build(state, Axis(0.0, 0.0), eigen_tol=eigen_tol)
 
+    @pytest.mark.parametrize("mode", ["strict", "reflective"])
+    def test_solve_flags_eigenstate_at_float_resolution(self, mode):
+        # agrees with feasible_set: no mirror pair 4e-10 rad off +-n_i
+        axis = Axis(0.0, 0.0)
+        sol = solve(PureState(1e-20, 0.0), axis, mode, eigen_tol=0.0)
+        assert sol.no_collapse
+        assert sol.minimizers == (axis,)
+        assert sol.extrema == (Extremum(axis, 0.0, "min"),)
+
     def test_oracle_raises(self):
         with pytest.raises(NoCollapseError):
             brute_force_oracle(UP_Z, Axis(0.0, 0.0), grid=(16, 16))
+
+    def test_oracle_raises_at_float_resolution(self):
+        with pytest.raises(NoCollapseError, match="float resolution"):
+            brute_force_oracle(
+                PureState(1e-20, 0.0), Axis(0.0, 0.0), grid=(16, 16), eigen_tol=0.0
+            )
 
     def test_eigen_tolerance_boundary(self):
         nearly_up = PureState(1.0 - 1e-13, 0.0)
@@ -305,6 +323,70 @@ class TestBruteForceOracle:
             brute_force_oracle(UP_Z, TILT, grid=(16, 16), constraint_tol=0.0)
         with pytest.raises(ValueError):
             brute_force_oracle(UP_Z, TILT, grid=(16, 16), exclude=-0.1)
+
+
+def _full_grid_oracle(state, axis, grid, constraint_tol, exclude, base):
+    """The oracle as a masked argmin over the whole landscape grid."""
+    thetas, phis, _p_up, s_f, s_up_grid = _entropy_grid(state, axis, *grid, base)
+    keep = np.abs(s_f - binary_entropy(born_up(state, axis), base)) <= constraint_tol
+    if exclude is not None:
+        st, ct = np.sin(thetas)[:, None], np.cos(thetas)[:, None]
+        cp, sp = np.cos(phis)[None, :], np.sin(phis)[None, :]
+        n = unit_vector(axis)
+        dot_i = st * cp * n[0] + st * sp * n[1] + ct * n[2]
+        keep &= np.arccos(np.clip(np.abs(dot_i), -1.0, 1.0)) > exclude
+    if not keep.any():
+        raise InfeasibleGridError(
+            f"no grid point satisfies |residual| <= {constraint_tol!r} on a "
+            f"{grid[0]}x{grid[1]} grid; refine the grid or loosen the tolerance"
+        )
+    i, j = divmod(int(np.where(keep, s_up_grid, np.inf).argmin()), grid[1])
+    return Axis(float(thetas[i]), float(phis[j])), float(s_up_grid[i, j])
+
+
+def _oracle_cases():
+    rng = np.random.Generator(np.random.PCG64(5150))
+    pairs = [(f"generic{k}", *non_eigen_pair(rng)) for k in range(6)]
+    pairs += [("north-pole", uniform_state(rng), Axis(0.0, 0.0)),
+              ("south-pole", uniform_state(rng), Axis(math.pi, 0.0)),
+              ("half", PureState(0.5, 0.0), Axis(0.0, 0.0)),
+              ("half-tau", PureState(0.5, 1.3), Axis(0.0, 0.0))]
+    cases = []
+    for k, (name, state, axis) in enumerate(pairs):
+        grid = [(37, 91), (64, 128), (33, 16)][k % 3]
+        for exclude in (None, 0.05, 0.2):
+            for base, base_name in ((math.e, "e"), (2.0, "2")):
+                cases.append(pytest.param(
+                    state, axis, grid, 5e-3, exclude, base,
+                    id=f"{name}-{grid[0]}x{grid[1]}-exclude{exclude}-base{base_name}",
+                ))
+    infeasible = (PureState(0.9, 0.3), Axis(1.0, 0.5), (8, 8), 1e-9)
+    cases.append(pytest.param(*infeasible, None, math.e, id="infeasible"))
+    cases.append(pytest.param(*infeasible, 0.2, 2.0, id="infeasible-exclude-base2"))
+    cases.append(pytest.param(UP_Z, TILT, (64, 64), 5e-3, 3.0, math.e, id="all-excluded"))
+    return cases
+
+
+class TestOracleSubsetPath:
+    """The oracle scores s_up only on the feasible band; its answer must be
+    bit-equal to the row-major argmin over the full landscape surfaces."""
+
+    @pytest.mark.parametrize(
+        "state, axis, grid, constraint_tol, exclude, base", _oracle_cases()
+    )
+    def test_matches_full_grid_argmin(self, state, axis, grid, constraint_tol, exclude, base):
+        kwargs = dict(grid=grid, constraint_tol=constraint_tol, exclude=exclude, base=base)
+        try:
+            expected = _full_grid_oracle(state, axis, grid, constraint_tol, exclude, base)
+        except InfeasibleGridError as exc:
+            with pytest.raises(InfeasibleGridError) as got:
+                brute_force_oracle(state, axis, **kwargs)
+            assert str(got.value) == str(exc)
+            return
+        found, objective = brute_force_oracle(state, axis, **kwargs)
+        assert (found.theta.hex(), found.phi.hex(), objective.hex()) == (
+            expected[0].theta.hex(), expected[0].phi.hex(), expected[1].hex()
+        )
 
 
 class TestAzimuthDescent:
