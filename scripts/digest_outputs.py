@@ -11,6 +11,9 @@ families are
 * ``feasible_set``: the float bytes of `feasible_set`;
 * ``oracle.plain``, ``oracle.exclude``, ``oracle.base2``,
   ``oracle.infeasible``: the `brute_force_oracle` result, or its error;
+* ``oracle.tol``: the oracle on its default 400x800 grid at tolerances from
+  1e-9 to 0.3 (where the two entropy levels merge into one band), with and
+  without exclusion, over every fourth pair;
 * ``landscape``: the stdout bytes of ``spincollapse landscape``;
 * ``simulate``: the step documents of `simulate` for every outcome rule;
 * ``eigen_tol0``: near-eigenstates with ``eigen_tol=0``, where `n_i . m`
@@ -48,6 +51,7 @@ from spincollapse.cli import main as cli_main
 
 SEED = 20261018
 ORACLE_GRIDS = ((40, 80), (37, 91))
+ORACLE_TOLS = (1e-9, 5e-3, 0.3)
 OUTCOMES = ("risk:born-surprise", "risk:alignment", "risk:constant", "born")
 
 
@@ -142,7 +146,7 @@ def _families() -> dict[str, list]:
     pairs = [pair for name in ("generic", "poles", "half", "near") for pair in groups[name]]
     fam: dict[str, list] = {name: [] for name in (
         "solve", "feasible_set", "oracle.plain", "oracle.exclude", "oracle.base2",
-        "oracle.infeasible", "landscape", "simulate", "eigen_tol0")}
+        "oracle.infeasible", "oracle.tol", "landscape", "simulate", "eigen_tol0")}
     for k, (state, axis) in enumerate(pairs):
         grid = ORACLE_GRIDS[k % len(ORACLE_GRIDS)]
         fam["solve"].extend(_solve_records(state, axis))
@@ -155,6 +159,11 @@ def _families() -> dict[str, list]:
         fam["oracle.infeasible"].append(
             _oracle_record(state, axis, grid=(8, 8), constraint_tol=1e-9))
         fam["simulate"].extend(_simulate_records(state, axis))
+    for state, axis in pairs[::4]:
+        for constraint_tol in ORACLE_TOLS:
+            for exclude in (None, 0.2):
+                fam["oracle.tol"].append(_oracle_record(
+                    state, axis, constraint_tol=constraint_tol, exclude=exclude))
     for k, (state, axis) in enumerate(pairs[::4]):
         flags = [("--format", "tsv"), ("--entropy-base", "2"), ()][k % 3]
         fam["landscape"].append(_landscape_stdout(state, axis, "9x14", *flags))

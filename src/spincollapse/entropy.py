@@ -13,9 +13,7 @@ import numpy as np
 
 from .spin import Axis, PureState, born_up, eigenpair, overlap, unit_vector
 
-__all__ = ["LN2", "binary_entropy", "s_i", "s_up", "s_down"]
-
-LN2 = math.log(2.0)
+__all__ = ["binary_entropy", "s_i", "s_up", "s_down"]
 
 _SLACK = 1e-12
 

@@ -237,18 +237,11 @@ def solve(
     return SolverSolution(minimizers, objective, tuple(extrema), False, mode)
 
 
-def _outcome_grid(m: np.ndarray, n_theta: int, n_phi: int, base: float):
-    """The (theta_f, phi_f) grid of candidate axes and the outcome surfaces of
-    the state with Bloch vector m.
-
-    Returns the grid coordinates, their sines and cosines (for `_grid_dot`),
-    the clipped up-probability grid p_f and its entropy s_f.
-    """
+def _grid(n_theta: int, n_phi: int):
+    """The (theta_f, phi_f) grid of candidate axes and its trig (for `_grid_dot`)."""
     thetas = np.linspace(0.0, math.pi, n_theta)
     phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
-    trig = (np.sin(thetas), np.cos(thetas), np.cos(phis), np.sin(phis))
-    p_up = _up_probability(_grid_dot(m, trig))
-    return thetas, phis, trig, p_up, _binary_entropy_grid(p_up, base)
+    return thetas, phis, (np.sin(thetas), np.cos(thetas), np.cos(phis), np.sin(phis))
 
 
 def _grid_dot(v: np.ndarray, trig, rows=None, cols=None) -> np.ndarray:
@@ -278,11 +271,62 @@ def _entropy_grid(
     Returns the grid coordinates, the clipped up-probability grid p_f, its
     entropy s_f and the transfer entropy s_up.
     """
-    thetas, phis, trig, p_up, s_f_grid = _outcome_grid(
-        bloch_vector(state), n_theta, n_phi, base
-    )
-    dot_i = _grid_dot(unit_vector(axis_i), trig)
-    return thetas, phis, p_up, s_f_grid, _binary_entropy_grid(_up_probability(dot_i), base)
+    thetas, phis, trig = _grid(n_theta, n_phi)
+    p_up = _up_probability(_grid_dot(bloch_vector(state), trig))
+    q_up = _up_probability(_grid_dot(unit_vector(axis_i), trig))
+    return thetas, phis, p_up, _binary_entropy_grid(p_up, base), _binary_entropy_grid(q_up, base)
+
+
+# the band prefilter's slack in entropy and in n_f . m (float error is ~1e-16)
+_BAND_SLACK = 1e-9
+
+
+def _band_candidates(m: np.ndarray, level: float, constraint_tol: float,
+                     base: float, trig):
+    """Row-major (rows, cols) of a superset of the band |s_f - level| <= tol.
+
+    binary_entropy rises on [0, 1/2]: bisection brackets q = min(p_f, 1 - p_f)
+    at the band's edges, which bounds n_f . m to two intervals.  On row theta,
+    n_f . m = A cos(phi - phi_m) + B with A = sin(theta) hypot(m_x, m_y) and
+    B = cos(theta) m_z, so an interval meets the row in at most two arcs, each
+    widened by one column; a row with A below the slack is taken whole.
+    """
+    def edge(h: float, upper: bool) -> float:  # outer end of q's bracket
+        if h <= 0.0 or h >= binary_entropy(0.5, base):
+            return 0.5 if upper else 0.0
+        lo, hi = 0.0, 0.5
+        for _ in range(32):  # brackets q to 1.2e-10, inside the slack
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if binary_entropy(mid, base) < h else (lo, mid)
+        return hi if upper else lo
+
+    q_lo = edge(level - constraint_tol - _BAND_SLACK, False)
+    q_hi = edge(level + constraint_tol + _BAND_SLACK, True)
+    # p_f near 0 and near 1; the intervals join when the band reaches H(1/2)
+    lows = np.array([2.0 * q_lo - 1.0, 1.0 - 2.0 * q_hi]) - _BAND_SLACK
+    highs = np.array([2.0 * q_hi - 1.0, 1.0 - 2.0 * q_lo]) + _BAND_SLACK
+    st, ct, cp, _sp = trig
+    n_theta, n_phi = st.size, cp.size
+    a = st[:, None] * math.hypot(m[0], m[1])
+    b = ct[:, None] * m[2]
+    hit = np.tile((b - a <= highs) & (b + a >= lows), 2)  # four arcs a row
+    flat = hit & (a <= _BAND_SLACK)
+    a = np.where(a > _BAND_SLACK, a, 1.0)
+    alpha1 = np.arccos(np.clip((highs - b) / a, -1.0, 1.0))
+    alpha2 = np.arccos(np.clip((lows - b) / a, -1.0, 1.0))
+    # the arcs phi_m + [alpha1, alpha2] and phi_m - [alpha2, alpha1], in columns
+    step = 2.0 * math.pi / n_phi
+    center = math.atan2(m[1], m[0]) / step
+    first = np.ceil(np.hstack([center + alpha1 / step, center - alpha2 / step])) - 1
+    last = np.floor(np.hstack([center + alpha2 / step, center - alpha1 / step])) + 1
+    length = np.where(flat, n_phi, np.clip(last - first + 1, 0, n_phi) * hit)
+    first, length = first.astype(np.intp).ravel(), length.astype(np.intp).ravel()
+    # mark every arc's columns; the mask reads back in row-major order
+    row = np.repeat(np.arange(4 * n_theta) // 4, length)
+    col = np.repeat(first - np.cumsum(length) + length, length) + np.arange(length.sum())
+    mask = np.zeros(n_theta * n_phi, dtype=bool)
+    mask[row * n_phi + col % n_phi] = True
+    return np.divmod(np.flatnonzero(mask), n_phi)
 
 
 def _oracle_grid(grid, constraint_tol: float, exclude: float | None) -> tuple[int, int]:
@@ -313,13 +357,19 @@ def brute_force_oracle(
     dropped; with `exclude` set, points within that angular radius of the
     measured axis or its antipode are dropped too.  Returns the surviving
     point of least s_up; ties resolve to the first point in row-major order,
-    so the scan is deterministic no matter how it is scheduled.
+    so the scan is deterministic no matter how it is scheduled.  s_f is
+    evaluated only at the candidates of `_band_candidates`, a superset of the
+    band, so the answer is bit-equal to that of a scan of every point.
     """
     n_theta, n_phi = _oracle_grid(grid, constraint_tol, exclude)
     p_i, m, n_i, _cosb = _collapse_frame(state, axis_i, eigen_tol)
-    thetas, phis, trig, _p_up, s_f_grid = _outcome_grid(m, n_theta, n_phi, base)
-    # the feasible band, in row-major order; s_up is needed only there
-    rows, cols = np.nonzero(np.abs(s_f_grid - binary_entropy(p_i, base)) <= constraint_tol)
+    thetas, phis, trig = _grid(n_theta, n_phi)
+    # the band in row-major order, decided exactly at the prefilter's candidates
+    level = binary_entropy(p_i, base)
+    rows, cols = _band_candidates(m, level, constraint_tol, base, trig)
+    s_f = _binary_entropy_grid(_up_probability(_grid_dot(m, trig, rows, cols)), base)
+    band = np.abs(s_f - level) <= constraint_tol
+    rows, cols = rows[band], cols[band]
     dot_i = _grid_dot(n_i, trig, rows, cols)
     if exclude is not None:
         # angle to the nearer of the two trivial directions

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spincollapse import (
     DEFAULT_ATOL,
@@ -28,7 +30,7 @@ from spincollapse import (
     unit_vector,
 )
 
-from spincollapse.solver import _entropy_grid
+from spincollapse.solver import _band_candidates, _entropy_grid, _grid
 
 from helpers import (
     angle_between,
@@ -364,12 +366,21 @@ def _oracle_cases():
     cases.append(pytest.param(*infeasible, None, math.e, id="infeasible"))
     cases.append(pytest.param(*infeasible, 0.2, 2.0, id="infeasible-exclude-base2"))
     cases.append(pytest.param(UP_Z, TILT, (64, 64), 5e-3, 3.0, math.e, id="all-excluded"))
+    # pole states (A = 0 on every row of the band prefilter), a band merged
+    # across H(1/2) and the default grid
+    cases.append(pytest.param(UP_Z, TILT, (37, 91), 5e-3, None, math.e, id="rho1-37x91"))
+    cases.append(pytest.param(
+        PureState(0.0, 0.0), TILT, (37, 91), 5e-3, 0.2, 2.0, id="rho0-37x91-exclude0.2-base2"))
+    cases.append(pytest.param(
+        *pairs[2][1:], (64, 128), 0.3, None, math.e, id="generic2-64x128-merged-tol0.3"))
+    cases.append(pytest.param(*pairs[0][1:], (400, 800), 5e-3, None, math.e, id="generic0-400x800"))
     return cases
 
 
 class TestOracleSubsetPath:
-    """The oracle scores s_up only on the feasible band; its answer must be
-    bit-equal to the row-major argmin over the full landscape surfaces."""
+    """The oracle scores s_f only at the band prefilter's candidates and s_up
+    only on the feasible band; its answer must be bit-equal to the row-major
+    argmin over the full landscape surfaces."""
 
     @pytest.mark.parametrize(
         "state, axis, grid, constraint_tol, exclude, base", _oracle_cases()
@@ -387,6 +398,76 @@ class TestOracleSubsetPath:
         assert (found.theta.hex(), found.phi.hex(), objective.hex()) == (
             expected[0].theta.hex(), expected[0].phi.hex(), expected[1].hex()
         )
+
+
+BAND_GRIDS = [(8, 8), (33, 16), (37, 91), (400, 800)]
+
+
+def _check_band_superset(state, axis, grid, constraint_tol, base):
+    """`_band_candidates` holds every point of the full-grid band, in
+    strictly increasing row-major order."""
+    level = binary_entropy(born_up(state, axis), base)
+    if constraint_tol == "merge":  # the two levels join into one band
+        constraint_tol = binary_entropy(0.5, base) - level + 0.05
+    _thetas, _phis, _p_up, s_f, _s_up = _entropy_grid(state, axis, *grid, base)
+    rows, cols = np.nonzero(np.abs(s_f - level) <= constraint_tol)
+    got_rows, got_cols = _band_candidates(
+        bloch_vector(state), level, constraint_tol, base, _grid(*grid)[2])
+    got = got_rows * grid[1] + got_cols
+    assert np.all(np.diff(got) > 0)
+    missed = ~np.isin(rows * grid[1] + cols, got)
+    assert not missed.any(), list(zip(rows[missed], cols[missed]))
+
+
+def _band_cases():
+    rng = np.random.Generator(np.random.PCG64(6161))
+    pairs = [(f"generic{k}", *non_eigen_pair(rng)) for k in range(3)]
+    pairs += [("rho0", PureState(0.0, 0.0), uniform_axis(rng)),
+              ("rho1", UP_Z, TILT),
+              ("rho1-north-axis", UP_Z, Axis(0.0, 0.0)),
+              # level 0 at float resolution; on the theta = pi row n_f . m
+              # rounds to 1, but A cos(phi - phi_m) + B exceeds it
+              ("near-eigen", PureState(1e-60, 0.0), Axis(0.0, 0.0)),
+              ("north-pole", uniform_state(rng), Axis(0.0, 0.0)),
+              ("south-pole", uniform_state(rng), Axis(math.pi, 0.0)),
+              ("half", PureState(0.5, 0.7), Axis(0.0, 0.0)),
+              ("half-tilted", PureState(0.5, 0.0), Axis(math.pi / 2, 1.1))]
+    cases = []
+    for k, (name, state, axis) in enumerate(pairs):
+        for g, grid in enumerate(BAND_GRIDS):
+            for constraint_tol in (1e-9, 5e-3, "merge"):
+                base, base_name = ((math.e, "e"), (2.0, "2"))[(k + g) % 2]
+                cases.append(pytest.param(
+                    state, axis, grid, constraint_tol, base,
+                    id=f"{name}-{grid[0]}x{grid[1]}-tol{constraint_tol}-base{base_name}",
+                ))
+    return cases
+
+
+class TestBandPrefilter:
+    """The oracle's closed-form candidates must cover the exact band: a point
+    it skipped could be the full-grid argmin.  The pole axes put the band on
+    the theta = pi row, where sin(theta) is 1.2e-16 and not 0."""
+
+    @pytest.mark.parametrize("state, axis, grid, constraint_tol, base", _band_cases())
+    def test_candidates_cover_band(self, state, axis, grid, constraint_tol, base):
+        _check_band_superset(state, axis, grid, constraint_tol, base)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+        st.floats(0.0, 2.0 * math.pi),
+        st.one_of(st.sampled_from([0.0, math.pi]), st.floats(0.0, math.pi)),
+        st.floats(0.0, 2.0 * math.pi),
+        st.sampled_from(BAND_GRIDS),
+        st.one_of(st.sampled_from([1e-9, 5e-3, "merge"]), st.floats(1e-12, 1.0)),
+        st.sampled_from([math.e, 2.0]),
+    )
+    def test_candidates_cover_band_hypothesis(
+        self, rho, tau, theta, phi, grid, constraint_tol, base
+    ):
+        _check_band_superset(
+            PureState(rho, tau), Axis(theta, phi), grid, constraint_tol, base)
 
 
 class TestAzimuthDescent:
