@@ -273,8 +273,8 @@ def _entropy_grid(
     """
     thetas, phis, trig = _grid(n_theta, n_phi)
     p_up = _up_probability(_grid_dot(bloch_vector(state), trig))
-    q_up = _up_probability(_grid_dot(unit_vector(axis_i), trig))
-    return thetas, phis, p_up, _binary_entropy_grid(p_up, base), _binary_entropy_grid(q_up, base)
+    s_up = _binary_entropy_grid(_up_probability(_grid_dot(unit_vector(axis_i), trig)), base)
+    return thetas, phis, p_up, _binary_entropy_grid(p_up, base), s_up
 
 
 # the band prefilter's slack in entropy and in n_f . m (float error is ~1e-16)
