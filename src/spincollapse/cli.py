@@ -1,15 +1,18 @@
 """Command-line interface: entropy-conserving collapse from a shell.
 
-Four subcommands share one vocabulary of flags:
+Four subcommands:
 
 * ``solve``      -- closed-form constrained minimization for one (state, axis).
 * ``landscape``  -- tabular scan of the entropy surfaces over a (theta, phi) grid.
 * ``oracle``     -- brute-force grid search reported side by side with the solver.
 * ``simulate``   -- multi-step measurement trajectory, deterministic or Born-sampled.
 
-``solve``/``oracle``/``simulate`` emit a single structured JSON document that
-echoes every input flag, so any output can be re-run from its own ``input``
-block; ``landscape`` emits delimiter-separated rows for external plotting.
+Each takes only the flags it reads, from one table: all four take the state
+and axis inputs, ``--entropy-base`` and ``--out``.  ``solve``/``oracle``/
+``simulate`` add ``--mode`` and ``--tol`` and emit a single structured JSON
+document that echoes every input flag, so any output can be re-run from its
+own ``input`` block; ``landscape`` adds ``--format csv|tsv`` and emits
+delimiter-separated rows for external plotting.
 Documents carry no timestamps: identical invocations produce bit-identical
 output.  Angles are radians unless ``--degrees`` is given; emitted angles are
 always canonicalized radians (theta in [0, pi], phi in [0, 2*pi)) at full
@@ -48,110 +51,102 @@ _TOOL_NAME = "spincollapse"
 # flag plumbing
 
 
-def _state_options(f):
-    f = click.option(
-        "--amp-down",
+# Each flag more than one command reads, defined once.  A command lists the
+# ones it reads in this order, which is the key order of its ``input`` echo.
+_FLAGS = {
+    "rho": click.option(
+        "--rho",
+        type=float,
         default=None,
-        help="Complex down-amplitude literal (requires --amp-up).",
-    )(f)
-    f = click.option(
-        "--amp-up",
-        default=None,
-        help="Complex up-amplitude literal, e.g. '0.6+0.2j' "
-        "(alternative to --rho/--tau; requires --amp-down).",
-    )(f)
-    f = click.option(
+        help="Up-outcome probability weight of the state, in [0, 1].",
+    ),
+    "tau": click.option(
         "--tau",
         type=float,
         default=0.0,
         show_default=True,
         help="Relative phase of the state (radians unless --degrees).",
-    )(f)
-    f = click.option(
-        "--rho",
-        type=float,
+    ),
+    "amp_up": click.option(
+        "--amp-up",
         default=None,
-        help="Up-outcome probability weight of the state, in [0, 1].",
-    )(f)
-    return f
-
-
-def _axis_options(f):
-    f = click.option(
-        "--degrees",
-        is_flag=True,
-        help="Interpret angle inputs (--theta-i, --phi-i, --tau) as degrees; "
-        "output stays in radians.",
-    )(f)
-    f = click.option(
+        help="Complex up-amplitude literal, e.g. '0.6+0.2j' "
+        "(alternative to --rho/--tau; requires --amp-down).",
+    ),
+    "amp_down": click.option(
+        "--amp-down",
+        default=None,
+        help="Complex down-amplitude literal (requires --amp-up).",
+    ),
+    "theta_i": click.option(
+        "--theta-i",
+        type=float,
+        required=True,
+        help="Colatitude of the measured axis (radians unless --degrees).",
+    ),
+    "phi_i": click.option(
         "--phi-i",
         type=float,
         default=0.0,
         show_default=True,
         help="Azimuth of the measured axis (radians unless --degrees).",
-    )(f)
-    f = click.option(
-        "--theta-i",
-        type=float,
-        required=True,
-        help="Colatitude of the measured axis (radians unless --degrees).",
-    )(f)
-    return f
-
-
-def _common_options(f):
-    f = click.option(
-        "--format",
-        "fmt",
-        type=click.Choice(["json", "csv", "tsv"]),
-        default=None,
-        help="Output format (default: json; landscape defaults to csv).",
-    )(f)
-    f = click.option(
-        "--out",
-        default=None,
-        help="Write output to this path instead of stdout.",
-    )(f)
-    f = click.option(
-        "--tol",
-        type=float,
-        default=1e-12,
-        show_default=True,
-        help="Eigenstate-detection tolerance on min(p_up, 1 - p_up).",
-    )(f)
-    f = click.option(
-        "--entropy-base",
-        type=click.Choice(["e", "2"]),
-        default="e",
-        show_default=True,
-        help="Logarithm base for reported entropies (never changes minimizers).",
-    )(f)
-    f = click.option(
+    ),
+    "degrees": click.option(
+        "--degrees",
+        is_flag=True,
+        help="Interpret angle inputs (--theta-i, --phi-i, --tau) as degrees; "
+        "output stays in radians.",
+    ),
+    "mode": click.option(
         "--mode",
         type=click.Choice(["strict", "reflective"]),
         default="strict",
         show_default=True,
         help="strict keeps the measured direction; reflective mirrors it "
         "about the state's Bloch vector.",
-    )(f)
-    return f
+    ),
+    "entropy_base": click.option(
+        "--entropy-base",
+        type=click.Choice(["e", "2"]),
+        default="e",
+        show_default=True,
+        help="Logarithm base for reported entropies (never changes minimizers).",
+    ),
+    "tol": click.option(
+        "--tol",
+        type=float,
+        default=1e-12,
+        show_default=True,
+        help="Eigenstate-detection tolerance on min(p_up, 1 - p_up).",
+    ),
+    "out": click.option(
+        "--out",
+        default=None,
+        help="Write output to this path instead of stdout.",
+    ),
+}
+_INPUTS = ("rho", "tau", "amp_up", "amp_down", "theta_i", "phi_i", "degrees")
+_JSON_FLAGS = (*_INPUTS, "mode", "entropy_base", "tol", "out")
 
 
-def _resolve_inputs(tabular: bool = False) -> tuple[PureState, Axis, dict]:
-    """Validate the flags every command shares: the output format, the state,
-    the measured axis and --tol, in that order.
+def _flags(*names):
+    """Attach the named `_FLAGS` to a command, in the order given."""
+    def decorate(f):
+        for name in reversed(names):
+            f = _FLAGS[name](f)
+        return f
+    return decorate
+
+
+def _resolve_inputs() -> tuple[PureState, Axis, dict]:
+    """Validate the state and then the measured axis, the inputs every
+    command reads.
 
     Returns the state, the axis and the command's ``input`` echo: each flag
-    but --out and --format, in declaration order whatever the argv order.
+    but --out, in declaration order whatever the argv order.
     """
     ctx = click.get_current_context()
     flags = ctx.params
-    if tabular and flags["fmt"] == "json":
-        raise click.UsageError("landscape emits tabular data; use --format csv or tsv")
-    if not tabular and flags["fmt"] not in (None, "json"):
-        raise click.UsageError("this command emits a single json document; "
-                               "use --format json (or omit --format)")
-
     rho, amp_up, amp_down = flags["rho"], flags["amp_up"], flags["amp_down"]
     angle = math.radians if flags["degrees"] else float
     has_amp = amp_up is not None or amp_down is not None
@@ -171,14 +166,7 @@ def _resolve_inputs(tabular: bool = False) -> tuple[PureState, Axis, dict]:
     else:
         state = _guard(PureState, rho, angle(flags["tau"]))
     axis = _guard(Axis, angle(flags["theta_i"]), angle(flags["phi_i"]))
-
-    if not flags["tol"] >= 0.0:
-        raise click.UsageError(f"--tol must be non-negative, got {flags['tol']!r}")
-    echo = {
-        p.name: flags[p.name]
-        for p in ctx.command.params
-        if p.name in flags and p.name not in ("out", "fmt")
-    }
+    echo = {p.name: flags[p.name] for p in ctx.command.params if p.name != "out"}
     return state, axis, echo
 
 
@@ -267,9 +255,7 @@ def main() -> None:
 
 
 @main.command("solve")
-@_state_options
-@_axis_options
-@_common_options
+@_flags(*_JSON_FLAGS)
 def cmd_solve(mode, entropy_base, tol, out, **_):
     """Minimize the transfer entropy over entropy-conserving axes."""
     state, axis, echo = _resolve_inputs()
@@ -278,19 +264,19 @@ def cmd_solve(mode, entropy_base, tol, out, **_):
 
 
 @main.command("landscape")
-@_state_options
-@_axis_options
-@_common_options
+@_flags(*_INPUTS, "entropy_base", "out")
+@click.option("--format", "fmt", type=click.Choice(["csv", "tsv"]), default="csv",
+              show_default=True, help="Output format.")
 @click.option("--grid", default="200x400", show_default=True,
               help="Scan resolution NxM (theta rows x phi columns).")
 def cmd_landscape(entropy_base, out, fmt, grid, **_):
     """Tabulate p_up, entropies, and the constraint residual over a grid.
 
-    Columns: theta_f, phi_f, p_up, s_f, constraint_residual, s_up.  The scan
-    is mode-independent; --mode and --tol are accepted for flag-set
-    compatibility with the other subcommands but do not affect the table.
+    Columns: theta_f, phi_f, p_up, s_f, constraint_residual, s_up.  The
+    surfaces depend on neither the selection mode nor the eigenstate
+    tolerance, so the command takes no --mode and no --tol.
     """
-    state, axis_i, _echo = _resolve_inputs(tabular=True)
+    state, axis_i, _echo = _resolve_inputs()
     delimiter = "\t" if fmt == "tsv" else ","
     n_theta, n_phi = _parse_grid(grid)
     base = _BASES[entropy_base]
@@ -317,9 +303,7 @@ def cmd_landscape(entropy_base, out, fmt, grid, **_):
 
 
 @main.command("oracle")
-@_state_options
-@_axis_options
-@_common_options
+@_flags(*_JSON_FLAGS)
 @click.option("--grid", default="400x800", show_default=True,
               help="Search resolution NxM (theta rows x phi columns), each >= 8.")
 @click.option("--constraint-tol", type=float, default=5e-3, show_default=True,
@@ -341,7 +325,7 @@ def cmd_oracle(mode, entropy_base, tol, out, grid, constraint_tol, exclude_trivi
         )
 
     sol = _guard(solve, state, axis_i, mode, base=base, eigen_tol=tol)
-    results = {"no_collapse": sol.no_collapse, "solver": _solve_results(sol)}
+    discrepancy = None
     try:
         # validates the grid flags before its own eigenstate check
         axis_o, obj_o = _guard(
@@ -350,27 +334,25 @@ def cmd_oracle(mode, entropy_base, tol, out, grid, constraint_tol, exclude_trivi
             exclude=exclude_trivial, base=base, eigen_tol=tol,
         )
     except NoCollapseError:
-        results["oracle"] = {"no_collapse": True}
-        results["discrepancy"] = None
+        oracle = {"no_collapse": True}
     except InfeasibleGridError as exc:
-        results["oracle"] = {"error": "infeasible-grid", "message": str(exc)}
-        results["discrepancy"] = None
-        _emit(_envelope("oracle", echo, entropy_base, mode, results, warnings), out)
-        sys.exit(3)
+        oracle = {"error": "infeasible-grid", "message": str(exc)}
     else:
-        results["oracle"] = {
-            "no_collapse": False,
-            "axis": _axis_dict(axis_o),
-            "objective": obj_o,
-        }
-        results["discrepancy"] = obj_o - sol.objective
+        oracle = {"no_collapse": False, "axis": _axis_dict(axis_o), "objective": obj_o}
+        discrepancy = obj_o - sol.objective
+    results = {
+        "no_collapse": sol.no_collapse,
+        "solver": _solve_results(sol),
+        "oracle": oracle,
+        "discrepancy": discrepancy,
+    }
     _emit(_envelope("oracle", echo, entropy_base, mode, results, warnings), out)
+    if "error" in oracle:
+        sys.exit(3)
 
 
 @main.command("simulate")
-@_state_options
-@_axis_options
-@_common_options
+@_flags(*_JSON_FLAGS)
 @click.option("--steps", type=int, required=True, help="Number of measurements (>= 1).")
 @click.option("--outcome", default="risk:born-surprise", show_default=True,
               help="Outcome rule: 'born' (seeded sampling) or 'risk:<name>'.")

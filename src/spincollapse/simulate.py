@@ -26,7 +26,7 @@ import numpy as np
 
 from .entropy import _check_base, binary_entropy, s_up
 from .risk import RiskContext, RiskFunction, get_risk, select_outcome
-from .solver import MODES, solve
+from .solver import MODES, _check_eigen_tol, solve
 from .spin import DEFAULT_ATOL, Axis, PureState, born_up, state_from_eigenvector
 
 __all__ = [
@@ -88,8 +88,7 @@ class SimConfig:
         if self._parsed_outcome[0] == "born" and self.seed is None:
             raise ValueError("outcome 'born' requires a seed for reproducibility")
         _check_base(self.entropy_base)
-        if not self.eigen_tol >= 0.0:
-            raise ValueError(f"eigen_tol must be non-negative, got {self.eigen_tol!r}")
+        _check_eigen_tol(self.eigen_tol)
 
 
 @dataclass(frozen=True)

@@ -130,14 +130,21 @@ def constraint_residual(
     return s_i(state, axis_f, base) - s_i(state, axis_i, base)
 
 
+def _check_eigen_tol(eigen_tol: float) -> None:
+    if not eigen_tol >= 0.0:
+        raise ValueError(f"eigen_tol must be non-negative, got {eigen_tol!r}")
+
+
 def _collapse_frame(state: PureState, axis_i: Axis, eigen_tol: float):
-    """p_i, m, n_i and cos(beta) = n_i . m; raises NoCollapseError on eigenstates.
+    """p_i, m, n_i and cos(beta) = n_i . m; raises NoCollapseError on eigenstates
+    and ValueError on a negative or NaN `eigen_tol`.
 
     That includes n_i . m rounding to +-1: p_i cleared the eigenstate
     tolerance, but at float resolution the Bloch vector lies on the axis and
     no circle exists.  n_i . m stays a numpy dot: its BLAS kernel fixes the
     rounding, and with it every emitted byte downstream.
     """
+    _check_eigen_tol(eigen_tol)
     p = born_up(state, axis_i)
     if min(p, 1.0 - p) <= eigen_tol:
         raise NoCollapseError(
@@ -392,32 +399,29 @@ def azimuth_descent(
     level: int,
     psi0: float,
     *,
-    base: float = math.e,
     eigen_tol: float = DEFAULT_ATOL,
 ) -> tuple[float, float]:
     """Projected descent of s_up along one feasible circle's azimuth.
 
     A numeric cross-check of the in-plane claim: from any start the descent
     settles at psi = 0 or psi = pi (mod 2*pi).  Returns (psi, objective) at
-    the converged point.  The constant `_DESCENT_TOL` bounds the final
-    azimuth gradient, and `_DESCENT_MAX_ITER` caps the number of steps.
+    the converged point, the objective in nats.  The constant `_DESCENT_TOL`
+    bounds the final azimuth gradient, and `_DESCENT_MAX_ITER` caps the
+    number of steps.
     """
     p, _m, _n_i, cosb = _collapse_frame(state, axis_i, eigen_tol)
     alpha = _colatitude(_circles(p, cosb)[1], level)
     a = math.cos(alpha) * cosb
     b = math.sin(alpha) * math.sqrt(1.0 - cosb * cosb)
-    log_base = 1.0 if base == math.e else math.log(base)
 
     def value(psi: float) -> float:
-        return binary_entropy(
-            min(1.0, max(0.0, 0.5 * (1.0 + a + b * math.cos(psi)))), base
-        )
+        return binary_entropy(min(1.0, max(0.0, 0.5 * (1.0 + a + b * math.cos(psi)))))
 
     def gradient(psi: float) -> float:
         p = 0.5 * (1.0 + a + b * math.cos(psi))
         if p <= 0.0 or p >= 1.0:
             return 0.0  # the vanishing circle speed beats the log divergence
-        return -0.5 * b * math.sin(psi) * math.log((1.0 - p) / p) / log_base
+        return -0.5 * b * math.sin(psi) * math.log((1.0 - p) / p)
 
     psi = psi0 % (2.0 * math.pi)
     v = value(psi)

@@ -376,6 +376,13 @@ class TestUsageErrors:
             ["oracle", "--rho", "1", "--theta-i", "0", "--grid", "2x2"],
             ["oracle", "--rho", "1", "--theta-i", "0", "--constraint-tol", "-1"],
             ["oracle", "--rho", "1", "--theta-i", "0", "--exclude-trivial", "0"],
+            # each command takes only the flags it reads
+            ["landscape", "--rho", "1", "--theta-i", "1", "--mode", "reflective"],
+            ["landscape", "--rho", "1", "--theta-i", "1", "--tol", "0"],
+            ["solve", "--rho", "1", "--theta-i", "1", "--format", "json"],
+            ["oracle", "--rho", "1", "--theta-i", "1", "--format", "json"],
+            ["simulate", "--rho", "1", "--theta-i", "1", "--steps", "1",
+             "--format", "json"],
         ],
     )
     def test_exit_code_two(self, runner, argv):

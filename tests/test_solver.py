@@ -187,6 +187,21 @@ class TestNoCollapse:
         with pytest.raises(NoCollapseError):
             build(state, Axis(0.0, 0.0), eigen_tol=eigen_tol)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda **kw: solve(UP_Z, TILT, **kw),
+            lambda **kw: feasible_set(UP_Z, TILT, **kw),
+            lambda **kw: azimuth_descent(UP_Z, TILT, 0, 1.0, **kw),
+            lambda **kw: brute_force_oracle(UP_Z, TILT, grid=(16, 16), **kw),
+        ],
+        ids=["solve", "feasible_set", "azimuth_descent", "brute_force_oracle"],
+    )
+    @pytest.mark.parametrize("eigen_tol", [-1.0, math.nan])
+    def test_bad_eigen_tol_rejected(self, call, eigen_tol):
+        with pytest.raises(ValueError, match="eigen_tol must be non-negative"):
+            call(eigen_tol=eigen_tol)
+
     @pytest.mark.parametrize("mode", ["strict", "reflective"])
     def test_solve_flags_eigenstate_at_float_resolution(self, mode):
         # agrees with feasible_set: no mirror pair 4e-10 rad off +-n_i

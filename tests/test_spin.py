@@ -233,6 +233,7 @@ class TestPureState:
     def test_phase_wraps(self):
         assert PureState(0.5, -1.0).tau == pytest.approx(TWO_PI - 1.0, abs=1e-15)
         assert 0.0 <= PureState(0.5, 123.456).tau < TWO_PI
+        assert PureState(0.5, -1e-300).tau == 0.0  # tau % 2pi rounds up to 2pi
 
     def test_amplitudes_recover_weights(self, rng):
         for _ in range(100):
