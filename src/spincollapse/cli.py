@@ -324,10 +324,9 @@ def cmd_oracle(mode, entropy_base, tol, out, grid, constraint_tol, exclude_trivi
             "critical point"
         )
 
-    sol = _guard(solve, state, axis_i, mode, base=base, eigen_tol=tol)
-    discrepancy = None
     try:
-        # validates the grid flags before its own eigenstate check
+        # runs before `solve`, so the grid flags are checked before --tol
+        # and before the oracle's own eigenstate check
         axis_o, obj_o = _guard(
             brute_force_oracle, state, axis_i,
             grid=grid_dims, constraint_tol=constraint_tol,
@@ -339,7 +338,8 @@ def cmd_oracle(mode, entropy_base, tol, out, grid, constraint_tol, exclude_trivi
         oracle = {"error": "infeasible-grid", "message": str(exc)}
     else:
         oracle = {"no_collapse": False, "axis": _axis_dict(axis_o), "objective": obj_o}
-        discrepancy = obj_o - sol.objective
+    sol = _guard(solve, state, axis_i, mode, base=base, eigen_tol=tol)
+    discrepancy = oracle["objective"] - sol.objective if "objective" in oracle else None
     results = {
         "no_collapse": sol.no_collapse,
         "solver": _solve_results(sol),

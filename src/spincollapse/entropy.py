@@ -63,7 +63,12 @@ def s_up(axis_i: Axis, axis_f: Axis, base: float = math.e) -> float:
     That eigenstate's Bloch vector is the axis itself, so the distribution is
     ((1 + n_i . n_f)/2, (1 - n_i . n_f)/2).
     """
-    q = 0.5 * (1.0 + float(np.dot(unit_vector(axis_i), unit_vector(axis_f))))
+    return _s_up_vectors(unit_vector(axis_i), unit_vector(axis_f), base)
+
+
+def _s_up_vectors(n_i: np.ndarray, n_f: np.ndarray, base: float) -> float:
+    """`s_up` from the two unit vectors, for a caller that already holds them."""
+    q = 0.5 * (1.0 + float(np.dot(n_i, n_f)))
     return binary_entropy(min(1.0, max(0.0, q)), base)
 
 

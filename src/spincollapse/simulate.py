@@ -24,10 +24,24 @@ from typing import Iterator
 
 import numpy as np
 
-from .entropy import _check_base, binary_entropy, s_up
+from .entropy import _check_base, _s_up_vectors, binary_entropy
 from .risk import RiskContext, RiskFunction, get_risk, select_outcome
-from .solver import MODES, _check_eigen_tol, solve
-from .spin import DEFAULT_ATOL, Axis, PureState, born_up, state_from_eigenvector
+from .solver import (
+    MODES,
+    NoCollapseError,
+    _candidate_pair,
+    _canonical,
+    _check_eigen_tol,
+    _collapse_frame,
+)
+from .spin import (
+    DEFAULT_ATOL,
+    Axis,
+    PureState,
+    born_up,
+    state_from_eigenvector,
+    unit_vector,
+)
 
 __all__ = [
     "RNG_NAME",
@@ -138,25 +152,26 @@ def step(
     """Advance one measurement from (state, axis_i) under `config`.
 
     A no-collapse step (eigenstate input) reports the certain outcome and
-    leaves both the state and the axis untouched.
+    leaves both the state and the axis untouched.  The step reads the collapse
+    frame once; its next axis is `solve(...).minimizers[0]` and its
+    `s_up_next` is `s_up(axis_i, axis_next)`, bit for bit.
     """
     kind, risk = config._parsed_outcome
     if kind == "born" and rng is None:
         raise ValueError("born outcome sampling requires an rng; see make_rng()")
 
+    base = config.entropy_base
     p = born_up(state, axis_i)
-    entropy_before = binary_entropy(p, config.entropy_base)
-    solution = solve(
-        state, axis_i, config.mode, base=config.entropy_base, eigen_tol=config.eigen_tol
-    )
-
-    if solution.no_collapse:
+    entropy_before = binary_entropy(p, base)
+    try:
+        _p, m, n_i, cosb = _collapse_frame(state, axis_i, config.eigen_tol, p)
+    except NoCollapseError:
         s = 1 if p >= 0.5 else -1
         return TrajectoryStep(
             index, state, axis_i, p, s, state, axis_i, entropy_before, 0.0, True
         )
 
-    axis_next = solution.minimizers[0]
+    axis_next = min(_candidate_pair(axis_i, m, n_i, cosb, config.mode), key=_canonical)
     if kind == "born":
         s = 1 if rng.random() < p else -1
     else:
@@ -172,7 +187,7 @@ def step(
         state_after,
         axis_next,
         entropy_before,
-        s_up(axis_i, axis_next, config.entropy_base),
+        _s_up_vectors(n_i, unit_vector(axis_next), base),
         False,
     )
 

@@ -135,9 +135,11 @@ def _check_eigen_tol(eigen_tol: float) -> None:
         raise ValueError(f"eigen_tol must be non-negative, got {eigen_tol!r}")
 
 
-def _collapse_frame(state: PureState, axis_i: Axis, eigen_tol: float):
+def _collapse_frame(state: PureState, axis_i: Axis, eigen_tol: float,
+                    p: float | None = None):
     """p_i, m, n_i and cos(beta) = n_i . m; raises NoCollapseError on eigenstates
-    and ValueError on a negative or NaN `eigen_tol`.
+    and ValueError on a negative or NaN `eigen_tol`.  A caller already holding
+    p_i = born_up(state, axis_i) passes it as `p`.
 
     That includes n_i . m rounding to +-1: p_i cleared the eigenstate
     tolerance, but at float resolution the Bloch vector lies on the axis and
@@ -145,7 +147,8 @@ def _collapse_frame(state: PureState, axis_i: Axis, eigen_tol: float):
     rounding, and with it every emitted byte downstream.
     """
     _check_eigen_tol(eigen_tol)
-    p = born_up(state, axis_i)
+    if p is None:
+        p = born_up(state, axis_i)
     if min(p, 1.0 - p) <= eigen_tol:
         raise NoCollapseError(
             f"state is an eigenstate of the measured axis (born probability {p!r})"
@@ -161,10 +164,39 @@ def _collapse_frame(state: PureState, axis_i: Axis, eigen_tol: float):
     return p, m, n_i, cosb
 
 
+def _merged(cosb: float) -> bool:
+    """Whether the two levels merge into one great circle (p_i = 1/2)."""
+    return abs(cosb) <= DEFAULT_ATOL
+
+
+def _candidate_pair(axis_i: Axis, m: np.ndarray, n_i: np.ndarray, cosb: float,
+                    mode: str) -> tuple[Axis, Axis]:
+    """The unsorted pair of axes `mode` minimizes over, from `_collapse_frame`.
+
+    The trivial pair (n_i, -n_i) in strict mode; otherwise the mirrors (r, -r)
+    with r = 2 cos(beta) m - n_i computed on floats, which on the merged great
+    circle is -n_i, so the pair is (-n_i, n_i).  Either way the first axis is
+    the one `mode` picks without reference to a coordinate frame.
+    """
+    if mode == "strict":
+        return axis_i, antipode(axis_i)
+    if _merged(cosb):
+        return antipode(axis_i), axis_i
+    c = 2.0 * cosb
+    (mx, my, mz), (nx, ny, nz) = m.tolist(), n_i.tolist()
+    rx, ry, rz = c * mx - nx, c * my - ny, c * mz - nz
+    return _axis_from_xyz(rx, ry, rz), _axis_from_xyz(-rx, -ry, -rz)
+
+
+def _canonical(axis: Axis) -> tuple[float, float]:
+    """The sort key of minimizers and extrema: smaller theta, then smaller phi."""
+    return axis.theta, axis.phi
+
+
 def _circles(p: float, cosb: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Level probabilities and circle colatitudes for p_i and cos(beta)."""
     beta = math.acos(cosb)
-    if abs(cosb) <= DEFAULT_ATOL:  # the two levels merge into one great circle
+    if _merged(cosb):
         return (p,), (beta,)
     return (p, 1.0 - p), (beta, math.pi - beta)
 
@@ -216,31 +248,19 @@ def solve(
         ext = (Extremum(axis_i, 0.0, "min"),)
         return SolverSolution((axis_i,), 0.0, ext, True, mode)
 
-    a_i, a_anti = axis_i, antipode(axis_i)
     cos2b = 2.0 * cosb * cosb - 1.0
     mirror_value = binary_entropy(min(1.0, max(0.0, 0.5 * (1.0 + cos2b))), base)
-    extrema = [Extremum(a_i, 0.0, "min"), Extremum(a_anti, 0.0, "min")]
-
-    if abs(cosb) <= DEFAULT_ATOL:
-        # degenerate great circle: the mirrors coincide with the trivial pair,
-        # so the four critical points collapse to two and must not be repeated
-        reflective = (a_i, a_anti)
-    else:
-        # the mirror r = 2 cos(beta) m - n_i and -r, on floats
-        c = 2.0 * cosb
-        (mx, my, mz), (nx, ny, nz) = m.tolist(), n_i.tolist()
-        rx, ry, rz = c * mx - nx, c * my - ny, c * mz - nz
-        a_r, a_rb = _axis_from_xyz(rx, ry, rz), _axis_from_xyz(-rx, -ry, -rz)
+    extrema = [Extremum(a, 0.0, "min")
+               for a in _candidate_pair(axis_i, m, n_i, cosb, "strict")]
+    if not _merged(cosb):
+        # on the merged great circle the mirrors coincide with the trivial
+        # pair, so the four critical points collapse to two and are not repeated
         kind = "min" if cos2b < 0.0 else "max"
-        extrema += [Extremum(a_r, mirror_value, kind), Extremum(a_rb, mirror_value, kind)]
-        reflective = (a_r, a_rb)
-
-    extrema.sort(key=lambda e: (e.axis.theta, e.axis.phi))
-    if mode == "strict":
-        minimizers, objective = (a_i, a_anti), 0.0
-    else:
-        minimizers, objective = reflective, mirror_value
-    minimizers = tuple(sorted(minimizers, key=lambda a: (a.theta, a.phi)))
+        extrema += [Extremum(a, mirror_value, kind)
+                    for a in _candidate_pair(axis_i, m, n_i, cosb, "reflective")]
+    extrema.sort(key=lambda e: _canonical(e.axis))
+    minimizers = tuple(sorted(_candidate_pair(axis_i, m, n_i, cosb, mode), key=_canonical))
+    objective = 0.0 if mode == "strict" else mirror_value
     return SolverSolution(minimizers, objective, tuple(extrema), False, mode)
 
 

@@ -388,6 +388,14 @@ class TestUsageErrors:
     def test_exit_code_two(self, runner, argv):
         assert runner.invoke(main, argv).exit_code == 2
 
+    @pytest.mark.parametrize("grid", ["4x4", "400"])
+    def test_oracle_checks_grid_before_tol(self, runner, grid):
+        # a bad grid is reported before a bad --tol, whatever its size
+        argv = ["oracle", "--rho", "0.7", "--theta-i", "1", "--grid", grid, "--tol", "-1"]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 2
+        assert "grid" in result.output and "eigen_tol" not in result.output
+
     def test_version(self, runner):
         result = runner.invoke(main, ["--version"])
         assert result.exit_code == 0

@@ -2,21 +2,30 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spincollapse import (
     RNG_NAME,
     Axis,
     PureState,
     SimConfig,
+    binary_entropy,
+    bloch_vector,
+    born_up,
     make_rng,
     s_i,
+    s_up,
     simulate,
+    solve,
     state_from_eigenvector,
     step,
+    unit_vector,
 )
 
-from helpers import non_eigen_pair
+from helpers import non_eigen_pair, uniform_axis, uniform_state
 
 H_QUARTER = 0.5623351446188083  # binary_entropy(1/4) == binary_entropy(3/4)
 
@@ -215,3 +224,108 @@ class TestSerialization:
     def test_indices_sequential(self):
         cfg = SimConfig(steps=5, mode="reflective")
         assert [t.index for t in simulate(UP_Z, TILT, cfg)] == list(range(5))
+
+
+OUTCOMES = ("born", "risk:born-surprise", "risk:alignment", "risk:constant")
+
+
+def _hex(*values: float) -> tuple[str, ...]:
+    return tuple(float(v).hex() for v in values)
+
+
+def _check_step_against_routes(state, axis, mode, outcome, base, eigen_tol):
+    """`step` against `solve`, `s_up`, `born_up` and `binary_entropy`, bit for bit."""
+    config = SimConfig(steps=1, mode=mode, outcome=outcome, seed=0,
+                       entropy_base=base, eigen_tol=eigen_tol)
+    t = step(state, axis, config, make_rng(3))
+    sol = solve(state, axis, mode, base=base, eigen_tol=eigen_tol)
+    first = sol.minimizers[0]
+    assert t.no_collapse == sol.no_collapse
+    assert _hex(t.axis_next.theta, t.axis_next.phi) == _hex(first.theta, first.phi)
+    assert _hex(t.p_up) == _hex(born_up(state, axis))
+    assert _hex(t.s_i) == _hex(binary_entropy(t.p_up, base))
+    if t.no_collapse:
+        assert t.axis_next == axis and t.state_after == state
+        assert _hex(t.s_up_next) == _hex(0.0)
+    else:
+        assert _hex(t.s_up_next) == _hex(s_up(axis, t.axis_next, base))
+    return t.no_collapse
+
+
+def _pinning_pairs() -> list[tuple[PureState, Axis]]:
+    rng = np.random.Generator(np.random.PCG64(20261018))
+    pairs = [non_eigen_pair(rng) for _ in range(12)]
+    pairs += [(uniform_state(rng), Axis(theta, 0.0)) for theta in (0.0, math.pi)]
+    pairs += [(PureState(rho, 0.0), uniform_axis(rng)) for rho in (0.0, 1.0)]
+    pairs += [(PureState(rho, 0.0), Axis(theta, 0.0))
+              for rho in (0.0, 1.0) for theta in (0.0, math.pi)]
+    # p = 1/2: the Bloch vector is perpendicular to the axis (merged circle)
+    pairs += [(PureState(0.5, 1.3), Axis(0.0, 0.0)),
+              (PureState(0.5, 0.0), Axis(math.pi / 2, math.pi / 2))]
+    # near-eigenstates: at eigen_tol=0, p clears the tolerance; for the
+    # smallest ones n_i . m rounds to -1 (no collapse at float resolution)
+    pairs += [(PureState(rho, 0.3), Axis(0.0, 0.0)) for rho in (1e-20, 1e-17, 1e-13)]
+    pairs += [(PureState(1.0 - 1e-16, 1.1), Axis(0.0, 0.0))]
+    for s in (1, -1):
+        axis = uniform_axis(rng)
+        pairs.append((state_from_eigenvector(axis, s), axis))
+    return pairs
+
+
+class TestStepPinnedToSolve:
+    """`step` reads the collapse frame once and picks its next axis from the
+    solver's candidate pair; every reported float must equal the one the
+    independent public routes compute, compared by `float.hex`."""
+
+    @pytest.mark.parametrize("base", [math.e, 2.0])
+    @pytest.mark.parametrize("outcome", OUTCOMES)
+    @pytest.mark.parametrize("mode", ["strict", "reflective"])
+    def test_seeded_pairs(self, mode, outcome, base):
+        for eigen_tol in (1e-12, 0.0):
+            branches = {
+                _check_step_against_routes(state, axis, mode, outcome, base, eigen_tol)
+                for state, axis in _pinning_pairs()
+            }
+            assert branches == {False, True}  # collapse and no-collapse steps
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rho=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.5, 1e-20, 1e-13, 1.0 - 1e-16])),
+        tau=st.floats(0.0, 2.0 * math.pi),
+        theta=st.one_of(st.floats(0.0, math.pi), st.sampled_from([0.0, math.pi / 2, math.pi])),
+        phi=st.floats(0.0, 2.0 * math.pi),
+        mode=st.sampled_from(["strict", "reflective"]),
+        outcome=st.sampled_from(OUTCOMES),
+        base=st.sampled_from([math.e, 2.0]),
+        eigen_tol=st.sampled_from([1e-12, 0.0]),
+    )
+    def test_any_pair(self, rho, tau, theta, phi, mode, outcome, base, eigen_tol):
+        state, axis = PureState(rho, tau), Axis(theta, phi)
+        _check_step_against_routes(state, axis, mode, outcome, base, eigen_tol)
+
+
+def _cos_beta(state: PureState, axis: Axis) -> float:
+    return float(np.dot(bloch_vector(state), unit_vector(axis)))
+
+
+class TestTentMap:
+    """On a reflective collapse step the state becomes +-n_i and the next axis
+    is the mirror +-(2 cos(beta) m - n_i), so |cos beta| follows the tent-map
+    identity |cos beta_{k+1}| = |cos 2 beta_k| from step to step."""
+
+    @pytest.mark.parametrize("outcome", OUTCOMES)
+    def test_cos_beta_doubles(self, outcome):
+        rng = np.random.Generator(np.random.PCG64(7))
+        checked = 0
+        for seed in range(20):
+            state, axis = non_eigen_pair(rng)
+            config = SimConfig(steps=60, mode="reflective", outcome=outcome, seed=seed)
+            traj = simulate(state, axis, config)
+            for prev, nxt in zip(traj, traj[1:]):
+                if prev.no_collapse:
+                    continue
+                cosb = _cos_beta(prev.state_before, prev.axis_measured)
+                cos_next = _cos_beta(nxt.state_before, nxt.axis_measured)
+                assert abs(abs(cos_next) - abs(2.0 * cosb * cosb - 1.0)) <= 1e-14
+                checked += 1
+        assert checked >= 20 * 30
