@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -188,9 +189,9 @@ def _candidate_pair(axis_i: Axis, m: np.ndarray, n_i: np.ndarray, cosb: float,
     return _axis_from_xyz(rx, ry, rz), _axis_from_xyz(-rx, -ry, -rz)
 
 
-def _canonical(axis: Axis) -> tuple[float, float]:
-    """The sort key of minimizers and extrema: smaller theta, then smaller phi."""
-    return axis.theta, axis.phi
+# the canonical order of minimizers and extrema: smaller theta, then smaller phi
+_canonical = attrgetter("theta", "phi")
+_canonical_extremum = attrgetter("axis.theta", "axis.phi")
 
 
 def _circles(p: float, cosb: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -250,17 +251,19 @@ def solve(
 
     cos2b = 2.0 * cosb * cosb - 1.0
     mirror_value = binary_entropy(min(1.0, max(0.0, 0.5 * (1.0 + cos2b))), base)
-    extrema = [Extremum(a, 0.0, "min")
-               for a in _candidate_pair(axis_i, m, n_i, cosb, "strict")]
+    pair = _candidate_pair(axis_i, m, n_i, cosb, mode)
+    strict = mode == "strict"
+    trivial = pair if strict else _candidate_pair(axis_i, m, n_i, cosb, "strict")
+    extrema = [Extremum(a, 0.0, "min") for a in trivial]
     if not _merged(cosb):
         # on the merged great circle the mirrors coincide with the trivial
         # pair, so the four critical points collapse to two and are not repeated
         kind = "min" if cos2b < 0.0 else "max"
-        extrema += [Extremum(a, mirror_value, kind)
-                    for a in _candidate_pair(axis_i, m, n_i, cosb, "reflective")]
-    extrema.sort(key=lambda e: _canonical(e.axis))
-    minimizers = tuple(sorted(_candidate_pair(axis_i, m, n_i, cosb, mode), key=_canonical))
-    objective = 0.0 if mode == "strict" else mirror_value
+        mirrors = _candidate_pair(axis_i, m, n_i, cosb, "reflective") if strict else pair
+        extrema += [Extremum(a, mirror_value, kind) for a in mirrors]
+    extrema.sort(key=_canonical_extremum)
+    minimizers = tuple(sorted(pair, key=_canonical))
+    objective = 0.0 if strict else mirror_value
     return SolverSolution(minimizers, objective, tuple(extrema), False, mode)
 
 
