@@ -16,6 +16,10 @@ families are
   without exclusion, over every fourth pair;
 * ``landscape``: the stdout bytes of ``spincollapse landscape``;
 * ``simulate``: the step documents of `simulate` for every outcome rule;
+* ``simulate.long``: 60-step `simulate` documents over every fourth pair,
+  with ``eigen_tol`` 1e-12 and 0: long absorbed tails in strict mode, and
+  reflective runs past the ~46 steps after which a last-ulp change in one
+  step has grown to O(1);
 * ``eigen_tol0``: near-eigenstates with ``eigen_tol=0``, where `n_i . m`
   can round to +-1: `solve`, `feasible_set`, the oracle and `simulate`.
 
@@ -146,7 +150,8 @@ def _families() -> dict[str, list]:
     pairs = [pair for name in ("generic", "poles", "half", "near") for pair in groups[name]]
     fam: dict[str, list] = {name: [] for name in (
         "solve", "feasible_set", "oracle.plain", "oracle.exclude", "oracle.base2",
-        "oracle.infeasible", "oracle.tol", "landscape", "simulate", "eigen_tol0")}
+        "oracle.infeasible", "oracle.tol", "landscape", "simulate", "simulate.long",
+        "eigen_tol0")}
     for k, (state, axis) in enumerate(pairs):
         grid = ORACLE_GRIDS[k % len(ORACLE_GRIDS)]
         fam["solve"].extend(_solve_records(state, axis))
@@ -164,6 +169,9 @@ def _families() -> dict[str, list]:
             for exclude in (None, 0.2):
                 fam["oracle.tol"].append(_oracle_record(
                     state, axis, constraint_tol=constraint_tol, exclude=exclude))
+        for eigen_tol in (1e-12, 0.0):
+            fam["simulate.long"].extend(
+                _simulate_records(state, axis, eigen_tol=eigen_tol, steps=60))
     for k, (state, axis) in enumerate(pairs[::4]):
         flags = [("--format", "tsv"), ("--entropy-base", "2"), ()][k % 3]
         fam["landscape"].append(_landscape_stdout(state, axis, "9x14", *flags))

@@ -19,7 +19,7 @@ taken when one uniform draw per step falls below the up probability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterator
 
 import numpy as np
@@ -29,8 +29,7 @@ from .risk import RiskContext, RiskFunction, get_risk, select_outcome
 from .solver import (
     MODES,
     NoCollapseError,
-    _candidate_pair,
-    _canonical,
+    _candidate_angles,
     _check_eigen_tol,
     _collapse_frame,
 )
@@ -153,8 +152,9 @@ def step(
 
     A no-collapse step (eigenstate input) reports the certain outcome and
     leaves both the state and the axis untouched.  The step reads the collapse
-    frame once; its next axis is `solve(...).minimizers[0]` and its
-    `s_up_next` is `s_up(axis_i, axis_next)`, bit for bit.
+    frame once and builds one axis; its next axis is
+    `solve(...).minimizers[0]` and its `s_up_next` is
+    `s_up(axis_i, axis_next)`, bit for bit.
     """
     kind, risk = config._parsed_outcome
     if kind == "born" and rng is None:
@@ -171,7 +171,7 @@ def step(
             index, state, axis_i, p, s, state, axis_i, entropy_before, 0.0, True
         )
 
-    axis_next = min(_candidate_pair(axis_i, m, n_i, cosb, config.mode), key=_canonical)
+    axis_next = Axis(*min(_candidate_angles(axis_i, m, n_i, cosb, config.mode)))
     if kind == "born":
         s = 1 if rng.random() < p else -1
     else:
@@ -195,12 +195,22 @@ def step(
 def simulate(
     initial_state: PureState, initial_axis: Axis, config: SimConfig
 ) -> list[TrajectoryStep]:
-    """Run `config.steps` measurements, threading state and axis through."""
+    """Run `config.steps` measurements, threading state and axis through.
+
+    A no-collapse step hands its own state and axis to the next step, draws
+    no random number and calls no risk rule, so every later step repeats it
+    exactly; the run stops stepping there and repeats it under the remaining
+    indices.
+    """
     rng = make_rng(config.seed) if config._parsed_outcome[0] == "born" else None
     state, axis = initial_state, initial_axis
     steps: list[TrajectoryStep] = []
     for k in range(config.steps):
         ts = step(state, axis, config, rng, index=k)
         steps.append(ts)
+        if ts.no_collapse:
+            rest = [getattr(ts, f.name) for f in fields(ts)[1:]]  # all but index
+            steps += [TrajectoryStep(j, *rest) for j in range(k + 1, config.steps)]
+            break
         state, axis = ts.state_after, ts.axis_next
     return steps

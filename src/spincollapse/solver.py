@@ -46,8 +46,8 @@ from .spin import (
     DEFAULT_ATOL,
     Axis,
     PureState,
-    _axis_from_xyz,
-    antipode,
+    _reduce_angles,
+    _xyz_angles,
     axis_from_vector,
     bloch_vector,
     born_up,
@@ -170,26 +170,37 @@ def _merged(cosb: float) -> bool:
     return abs(cosb) <= DEFAULT_ATOL
 
 
-def _candidate_pair(axis_i: Axis, m: np.ndarray, n_i: np.ndarray, cosb: float,
-                    mode: str) -> tuple[Axis, Axis]:
-    """The unsorted pair of axes `mode` minimizes over, from `_collapse_frame`.
+def _candidate_angles(axis_i: Axis, m: np.ndarray, n_i: np.ndarray, cosb: float,
+                      mode: str) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The canonical (theta, phi) of the unsorted pair `mode` minimizes over,
+    from `_collapse_frame`.
 
     The trivial pair (n_i, -n_i) in strict mode; otherwise the mirrors (r, -r)
     with r = 2 cos(beta) m - n_i computed on floats, which on the merged great
     circle is -n_i, so the pair is (-n_i, n_i).  Either way the first axis is
-    the one `mode` picks without reference to a coordinate frame.
+    the one `mode` picks without reference to a coordinate frame.  Tuple order
+    on the angles is the canonical order `_canonical` sorts axes by.
     """
-    if mode == "strict":
-        return axis_i, antipode(axis_i)
-    if _merged(cosb):
-        return antipode(axis_i), axis_i
+    if mode == "strict" or _merged(cosb):
+        trivial = axis_i.theta, axis_i.phi
+        # -n_i: the angles `antipode(axis_i)` canonicalizes to
+        opposite = _reduce_angles(math.pi - axis_i.theta, axis_i.phi + math.pi)
+        return (trivial, opposite) if mode == "strict" else (opposite, trivial)
     c = 2.0 * cosb
     (mx, my, mz), (nx, ny, nz) = m.tolist(), n_i.tolist()
     rx, ry, rz = c * mx - nx, c * my - ny, c * mz - nz
-    return _axis_from_xyz(rx, ry, rz), _axis_from_xyz(-rx, -ry, -rz)
+    return _xyz_angles(rx, ry, rz), _xyz_angles(-rx, -ry, -rz)
 
 
-# the canonical order of minimizers and extrema: smaller theta, then smaller phi
+def _candidate_pair(axis_i: Axis, m: np.ndarray, n_i: np.ndarray, cosb: float,
+                    mode: str) -> tuple[Axis, Axis]:
+    """The two axes of `_candidate_angles`, in its order."""
+    first, second = _candidate_angles(axis_i, m, n_i, cosb, mode)
+    return Axis(*first), Axis(*second)
+
+
+# the canonical order of minimizers and extrema: smaller theta, then smaller
+# phi; on canonical angles it is the tuple order of (theta, phi)
 _canonical = attrgetter("theta", "phi")
 _canonical_extremum = attrgetter("axis.theta", "axis.phi")
 

@@ -86,7 +86,10 @@ def _reduce_angles(theta: float, phi: float) -> tuple[float, float]:
     return theta + 0.0, phi + 0.0  # normalize -0.0
 
 
-@dataclass(frozen=True)
+# Axis and PureState write their own __init__ (init=False): it validates and
+# canonicalizes, then sets each field once, where a generated __init__ plus
+# __post_init__ would set every field twice.
+@dataclass(frozen=True, init=False)
 class Axis:
     """A direction on the unit sphere, canonicalized on construction.
 
@@ -98,12 +101,10 @@ class Axis:
     theta: float
     phi: float
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
-            raise ValueError(
-                f"axis angles must be finite, got ({self.theta!r}, {self.phi!r})"
-            )
-        theta, phi = _reduce_angles(float(self.theta), float(self.phi))
+    def __init__(self, theta: float, phi: float) -> None:
+        if not (math.isfinite(theta) and math.isfinite(phi)):
+            raise ValueError(f"axis angles must be finite, got ({theta!r}, {phi!r})")
+        theta, phi = _reduce_angles(float(theta), float(phi))
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "phi", phi)
 
@@ -124,11 +125,12 @@ def axis_from_vector(vec) -> Axis:
     v = np.asarray(vec, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {v.shape}")
-    return _axis_from_xyz(*v.tolist())
+    return Axis(*_xyz_angles(*v.tolist()))
 
 
-def _axis_from_xyz(x: float, y: float, z: float) -> Axis:
-    """`axis_from_vector` on three floats, without the array round trip."""
+def _xyz_angles(x: float, y: float, z: float) -> tuple[float, float]:
+    """The canonical (theta, phi) of `axis_from_vector` on three floats,
+    without the array round trip; `Axis` leaves them bitwise unchanged."""
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise ValueError("vector components must be finite")
     r_xy = math.hypot(x, y)
@@ -136,8 +138,8 @@ def _axis_from_xyz(x: float, y: float, z: float) -> Axis:
     if norm == 0.0:
         raise ValueError("cannot orient a zero vector")
     if r_xy <= _POLE_SNAP * norm:
-        return Axis(0.0 if z > 0.0 else math.pi, 0.0)
-    return Axis(math.atan2(r_xy, z), math.atan2(y, x))
+        return (0.0 if z > 0.0 else math.pi), 0.0
+    return _reduce_angles(math.atan2(r_xy, z), math.atan2(y, x))
 
 
 def spin_operator(axis: Axis) -> np.ndarray:
@@ -181,15 +183,15 @@ def overlap(bra: Spinor, ket: Spinor) -> complex:
     return bra.up.conjugate() * ket.up + bra.down.conjugate() * ket.down
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PureState:
     """Gauge-fixed pure state (sqrt(rho) e^{-i tau}, sqrt(1-rho))."""
 
     rho: float
     tau: float
 
-    def __post_init__(self) -> None:
-        rho, tau = float(self.rho), float(self.tau)
+    def __init__(self, rho: float, tau: float) -> None:
+        rho, tau = float(rho), float(tau)
         if not (math.isfinite(rho) and math.isfinite(tau)):
             raise ValueError(f"state parameters must be finite, got ({rho!r}, {tau!r})")
         if rho < 0.0 or rho > 1.0:

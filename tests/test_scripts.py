@@ -1,11 +1,18 @@
-"""Each experiment script runs to its summary line; the output digests hold."""
+"""Each experiment script runs to its summary line; the output digests hold;
+the README's library quickstart prints what its comments say."""
 
+import contextlib
+import io
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from spincollapse import binary_entropy
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -27,6 +34,7 @@ def _run(script: str, *args: str) -> subprocess.CompletedProcess:
         ("compare_modes.py", ["--steps", "3"], "collapses="),
         ("mirror_objective_sweep.py", ["--points", "3"],
          "descent reached the reflection"),
+        ("long_run_law.py", ["--steps", "2000"], "mean s_i: predicted 0.386294"),
     ],
 )
 def test_script_runs(script, args, summary):
@@ -38,8 +46,10 @@ def test_script_runs(script, args, summary):
 # The lines `digest_outputs.py` printed before `step` read its next axis from
 # the solver's candidate pair instead of calling `solve` (Python 3.11.7, numpy
 # 2.4.6, BLAS: scipy-openblas 0.3.31.188.0, DYNAMIC_ARCH, Haswell kernel, which
-# fixes the rounding of the 3-vector dots).  A deliberate change to the
-# emitted bytes updates these lines; a fast path must keep them.
+# fixes the rounding of the 3-vector dots).  The ``simulate.long`` line was
+# recorded on the `simulate` that still ran every step of an absorbed tail.
+# A deliberate change to the emitted bytes updates these lines; a fast path
+# must keep them.
 DIGEST_LINES = """\
 solve                200  2ff5b0ed4306965e21583139a2d6d552c225d2d84e2f986d150ebb946341c122
 feasible_set          50  3b63ac47c19b4d99b813f0a53f76fa0a4a50dd75aac7629a69810fce45a951a8
@@ -50,6 +60,7 @@ oracle.infeasible     50  c6d2901b1d1ade7bf7dc90f885825415a5b5079e6b2b7007e730df
 oracle.tol            78  7306eecb5a0752fe65d9711d5ca21018996ab0a902bb25f57710648a71dfb8a7
 landscape             14  98a4c856b8282cd7cd2702a270af3d9b34f86f268f6df3df4f93f67b65af1ec4
 simulate             400  a59205c1cd75bdcd038ee891f09d2a03a62ab7a1bcd89ecdad83aac2e53beacf
+simulate.long        208  1508c0b5abe2f7850e2e532be02cd49af130817dd3343de4efe45e405b01ea46
 eigen_tol0           112  1fba571c0765c46364850e178daeb5e8a8e206a4cebaac899fd7eb5179715d0c
 """
 
@@ -59,3 +70,34 @@ def test_output_digests_unchanged():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == DIGEST_LINES
 
+
+def _quickstart() -> tuple[str, list[str]]:
+    """The README's "Library quickstart" code block and its `print` comments."""
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quickstart", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    comments = [line.split("#", 1)[1].strip()
+                for line in code.splitlines() if line.startswith("print(")]
+    return code, comments
+
+
+def test_readme_quickstart():
+    code, comments = _quickstart()
+    out = io.StringIO()
+    namespace: dict = {}
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), namespace)
+    printed = out.getvalue().splitlines()
+    assert len(printed) == len(comments) == 4
+
+    sol = namespace["sol"]
+    assert comments[0] == "(Axis(theta=pi/3, phi=pi), Axis(theta=2pi/3, phi=0))"
+    expected = [(math.pi / 3, math.pi), (2 * math.pi / 3, 0.0)]
+    for axis, (theta, phi) in zip(sol.minimizers, expected, strict=True):
+        assert abs(axis.theta - theta) <= 1e-12 and abs(axis.phi - phi) <= 1e-12
+    assert comments[1] == "0.5623... == H(1/4) in nats"
+    assert abs(sol.objective - binary_entropy(0.25)) <= 1e-12
+    assert printed[1].startswith("0.5623")
+    # the outcomes and the last axis are quoted as printed
+    assert printed[2:] == comments[2:] == [
+        "[1, -1, -1]", "Axis(theta=1.047197551196598, phi=0.0)"]

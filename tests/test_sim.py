@@ -329,3 +329,95 @@ class TestTentMap:
                 assert abs(abs(cos_next) - abs(2.0 * cosb * cosb - 1.0)) <= 1e-14
                 checked += 1
         assert checked >= 20 * 30
+
+
+def _chained_steps(state, axis, config) -> list[dict]:
+    """`simulate` spelled out as a chain of public `step` calls."""
+    rng = make_rng(config.seed) if config.outcome == "born" else None
+    docs = []
+    for k in range(config.steps):
+        t = step(state, axis, config, rng, index=k)
+        docs.append(t.to_dict())
+        state, axis = t.state_after, t.axis_next
+    return docs
+
+
+def _check_simulate_is_chained(state, axis, mode, outcome, base, eigen_tol, steps, seed=0):
+    config = SimConfig(steps=steps, mode=mode, outcome=outcome, seed=seed,
+                       entropy_base=base, eigen_tol=eigen_tol)
+    docs = [t.to_dict() for t in simulate(state, axis, config)]
+    assert repr(docs) == repr(_chained_steps(state, axis, config))  # exact, -0.0 too
+    return [d["no_collapse"] for d in docs]
+
+
+class TestSimulateIsChainedStep:
+    """`simulate` stops stepping once a step is no-collapse and repeats that
+    step under the remaining indices; its documents must equal a chain of
+    public `step` calls exactly, absorbed tail included."""
+
+    @pytest.mark.parametrize("base", [math.e, 2.0])
+    @pytest.mark.parametrize("outcome", OUTCOMES)
+    @pytest.mark.parametrize("mode", ["strict", "reflective"])
+    def test_seeded_pairs(self, mode, outcome, base):
+        patterns = set()
+        for eigen_tol in (1e-12, 0.0):
+            for state, axis in _pinning_pairs():
+                flags = _check_simulate_is_chained(
+                    state, axis, mode, outcome, base, eigen_tol, steps=7, seed=11)
+                patterns.add((flags[0], flags[1]))
+        assert (True, True) in patterns  # an eigenstate start: every step absorbed
+        if mode == "strict":
+            assert (False, True) in patterns  # collapses once, absorbed from step 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rho=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.5, 1e-20, 1e-13, 1.0 - 1e-16])),
+        tau=st.floats(0.0, 2.0 * math.pi),
+        theta=st.one_of(st.floats(0.0, math.pi), st.sampled_from([0.0, math.pi / 2, math.pi])),
+        phi=st.floats(0.0, 2.0 * math.pi),
+        mode=st.sampled_from(["strict", "reflective"]),
+        outcome=st.sampled_from(OUTCOMES),
+        base=st.sampled_from([math.e, 2.0]),
+        eigen_tol=st.sampled_from([1e-12, 0.0]),
+        steps=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_any_pair(self, rho, tau, theta, phi, mode, outcome, base, eigen_tol,
+                      steps, seed):
+        _check_simulate_is_chained(PureState(rho, tau), Axis(theta, phi), mode, outcome,
+                                   base, eigen_tol, steps, seed)
+
+
+class TestLongRunLaw:
+    """Folded into [0, pi/2], beta follows the tent map in x = beta / (pi/2),
+    whose invariant law is uniform: each octile of folded beta holds 1/8 of
+    the steps and the mean s_i is 2 ln 2 - 1 nats.  The outcome rule does not
+    move beta, so one seeded reflective Born run tests the law.
+
+    Both bounds come from the tent map's mixing, fixed before the run.  The
+    octile of x_k is the 3-bit word (b_k, b_k+1, b_k+2) of the map's itinerary,
+    whose bits are independent and fair, so the counts are overlapping 3-bit
+    word counts.  Their chi-square has mean 7 but a heavier tail than
+    chi-square on 7 degrees of freedom: over 2e4 Monte Carlo sets of 20,000
+    words its 99.9th percentile is 37.3, so the bound is 40.  The
+    autocovariance of s_i at lag k falls as 8^-k (5.6e-3 at lag 1, against a
+    variance of 5.6e-2), so the mean's standard error over 20,000 steps is
+    sqrt(0.0690 / 20000) = 1.86e-3; the bound is four of them, 7.5e-3."""
+
+    STEPS, SEED = 20000, 20261018
+    LAW = 2.0 * math.log(2.0) - 1.0
+
+    def test_octiles_and_mean_entropy(self):
+        config = SimConfig(steps=self.STEPS, mode="reflective", outcome="born",
+                           seed=self.SEED)
+        traj = simulate(PureState(0.3, 1.0), Axis(1.2, 0.4), config)
+        assert not any(t.no_collapse for t in traj)
+        counts = [0] * 8
+        for t in traj:
+            x = math.acos(min(1.0, abs(2.0 * t.p_up - 1.0))) / (0.5 * math.pi)
+            counts[min(int(8 * x), 7)] += 1
+        expected = self.STEPS / 8
+        chi2 = sum((c - expected) ** 2 for c in counts) / expected
+        assert chi2 <= 40.0, counts
+        mean_s_i = sum(t.s_i for t in traj) / self.STEPS
+        assert abs(mean_s_i - self.LAW) <= 7.5e-3

@@ -1,7 +1,9 @@
 """Axis canonicalization, spin operator algebra, states, and the Born rule."""
 
 import cmath
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from spincollapse import (
     state_from_eigenvector,
     unit_vector,
 )
-from spincollapse.spin import _axis_from_xyz
+from spincollapse.spin import _xyz_angles
 
 from helpers import angle_between, uniform_axis, uniform_state
 
@@ -87,10 +89,12 @@ class TestAxisCanonicalization:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             Axis(bad, 0.0)
-        with pytest.raises(ValueError):
+        assert str(exc.value) == f"axis angles must be finite, got ({bad!r}, 0.0)"
+        with pytest.raises(ValueError) as exc:
             Axis(0.0, bad)
+        assert str(exc.value) == f"axis angles must be finite, got (0.0, {bad!r})"
 
 
 class TestVectors:
@@ -133,9 +137,11 @@ class TestVectors:
             with pytest.raises(ValueError):
                 axis_from_vector(np.array(v))
             with pytest.raises(ValueError):
-                _axis_from_xyz(*v)
+                _xyz_angles(*v)
             return
-        assert repr(_axis_from_xyz(*v)) == repr(axis_from_vector(np.array(v)))
+        axis = axis_from_vector(np.array(v))
+        # already canonical: `Axis` leaves the angles bitwise unchanged
+        assert tuple(map(float.hex, _xyz_angles(*v))) == (axis.theta.hex(), axis.phi.hex())
 
     def test_rejects_degenerate_input(self):
         with pytest.raises(ValueError):
@@ -225,10 +231,22 @@ class TestPureState:
         assert PureState(0.0, 2.2).tau == 0.0
         assert PureState(1.0, 2.2).tau == 0.0
 
-    @pytest.mark.parametrize("rho", [-1e-9, 1.0 + 1e-9, 2.0, math.nan])
-    def test_out_of_range_rejected(self, rho):
-        with pytest.raises(ValueError):
-            PureState(rho, 0.0)
+    @pytest.mark.parametrize(
+        "rho, tau, message",
+        [
+            (-1e-9, 0.0, "rho must lie in [0, 1], got -1e-09"),
+            (1.0 + 1e-9, 0.0, "rho must lie in [0, 1], got 1.000000001"),
+            (2, 0.0, "rho must lie in [0, 1], got 2.0"),
+            (math.nan, 0.0, "state parameters must be finite, got (nan, 0.0)"),
+            (math.inf, 0.0, "state parameters must be finite, got (inf, 0.0)"),
+            (0.5, -math.inf, "state parameters must be finite, got (0.5, -inf)"),
+            (0.5, math.nan, "state parameters must be finite, got (0.5, nan)"),
+        ],
+    )
+    def test_out_of_range_rejected(self, rho, tau, message):
+        with pytest.raises(ValueError) as exc:
+            PureState(rho, tau)
+        assert str(exc.value) == message
 
     def test_phase_wraps(self):
         assert PureState(0.5, -1.0).tau == pytest.approx(TWO_PI - 1.0, abs=1e-15)
@@ -334,3 +352,48 @@ class TestStateConstructors:
 
     def test_state_from_bloch_normalizes(self):
         assert state_from_bloch(np.array([0.0, 0.0, 0.5])) == PureState(1.0, 0.0)
+
+
+VALUE_TYPES = [
+    # (type, its fields, positional input, canonical field values)
+    (Axis, ("theta", "phi"), (-1.0, 0.5), (1.0, 0.5 + math.pi)),
+    (Axis, ("theta", "phi"), (0, True), (0.0, 0.0)),  # a pole: phi forced to 0
+    (Axis, ("theta", "phi"), (np.float64(2.0), 7), (2.0, 7.0 - TWO_PI)),
+    (PureState, ("rho", "tau"), (0.25, -1.0), (0.25, TWO_PI - 1.0)),
+    (PureState, ("rho", "tau"), (True, 2.0), (1.0, 0.0)),  # rho = 1: tau is gauge
+    (PureState, ("rho", "tau"), (np.float64(0.5), 3), (0.5, 3.0)),
+]
+
+
+class TestValueTypeContract:
+    """`Axis` and `PureState` canonicalize in their own `__init__`; the
+    dataclass surface around it stays that of a frozen dataclass."""
+
+    @pytest.mark.parametrize("cls, names, args, canonical", VALUE_TYPES)
+    def test_construction_stores_canonical_floats(self, cls, names, args, canonical):
+        value = cls(*args)
+        assert value == cls(**dict(zip(names, args)))
+        assert tuple(getattr(value, n) for n in names) == canonical
+        assert all(type(getattr(value, n)) is float for n in names)
+        fields_repr = ", ".join(f"{n}={v!r}" for n, v in zip(names, canonical))
+        assert repr(value) == f"{cls.__name__}({fields_repr})"
+        assert hash(value) == hash(cls(*canonical))
+
+    @pytest.mark.parametrize("cls, names, args, canonical", VALUE_TYPES)
+    def test_dataclass_surface(self, cls, names, args, canonical):
+        value = cls(*args)
+        assert tuple(f.name for f in dataclasses.fields(cls)) == names
+        assert cls.__match_args__ == names
+        match value:
+            case cls(first, second):
+                assert (first, second) == canonical
+        # replace goes through the constructor, so it canonicalizes too
+        assert dataclasses.replace(value, **{names[0]: args[0]}) == cls(args[0], canonical[1])
+        restored = pickle.loads(pickle.dumps(value))
+        assert restored == value and repr(restored) == repr(value)
+        for name in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, name, 0.5)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(value, name)
+        assert tuple(getattr(value, n) for n in names) == canonical
