@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .spin import Axis, PureState, born_up, eigenpair, overlap, unit_vector
+from .spin import Axis, PureState, _dot3, _unit_xyz, born_up, eigenpair, overlap
 
 __all__ = ["binary_entropy", "s_i", "s_up", "s_down"]
 
@@ -63,12 +63,13 @@ def s_up(axis_i: Axis, axis_f: Axis, base: float = math.e) -> float:
     That eigenstate's Bloch vector is the axis itself, so the distribution is
     ((1 + n_i . n_f)/2, (1 - n_i . n_f)/2).
     """
-    return _s_up_vectors(unit_vector(axis_i), unit_vector(axis_f), base)
+    return _s_up_vectors(_unit_xyz(axis_i), _unit_xyz(axis_f), base)
 
 
-def _s_up_vectors(n_i: np.ndarray, n_f: np.ndarray, base: float) -> float:
-    """`s_up` from the two unit vectors, for a caller that already holds them."""
-    q = 0.5 * (1.0 + float(np.dot(n_i, n_f)))
+def _s_up_vectors(n_i, n_f, base: float) -> float:
+    """`s_up` from the two unit-vector triples, for a caller that already
+    holds them."""
+    q = 0.5 * (1.0 + _dot3(n_i, n_f))
     return binary_entropy(min(1.0, max(0.0, q)), base)
 
 

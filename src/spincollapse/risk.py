@@ -23,9 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
-from .spin import Axis, PureState, bloch_vector, born_up, unit_vector
+from .spin import Axis, PureState, _bloch_xyz, _dot3, _unit_xyz, born_up
 
 __all__ = [
     "RiskContext",
@@ -84,9 +82,7 @@ def _born_surprise(axis_f: Axis, s: int, context: RiskContext) -> float:
 def _alignment(axis_f: Axis, s: int, context: RiskContext) -> float:
     """Penalize outcomes whose collapsed spin s*n_f would point away from the
     current Bloch vector: risk = -s * (n_f . m)."""
-    n_f = unit_vector(axis_f)
-    m = bloch_vector(context.state)
-    return -float(s) * float(np.dot(n_f, m))
+    return -float(s) * _dot3(_unit_xyz(axis_f), _bloch_xyz(context.state))
 
 
 _BUILTINS = (

@@ -37,9 +37,9 @@ from .spin import (
     DEFAULT_ATOL,
     Axis,
     PureState,
+    _unit_xyz,
     born_up,
     state_from_eigenvector,
-    unit_vector,
 )
 
 __all__ = [
@@ -76,8 +76,9 @@ class SimConfig:
     """Trajectory parameters, validated up front.
 
     `outcome="born"` requires a `seed` so every run is replayable; risk
-    outcomes ignore the seed.  `entropy_base` only rescales reported
-    entropies -- it never changes which axes are chosen.
+    outcomes ignore the seed, which must still be None or a non-negative
+    integer.  `entropy_base` only rescales reported entropies -- it never
+    changes which axes are chosen.
     """
 
     steps: int
@@ -97,6 +98,11 @@ class SimConfig:
             raise ValueError(f"steps must be a positive integer, got {self.steps!r}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        seed = self.seed  # checked even where the outcome rule ignores it
+        if seed is not None and (
+            isinstance(seed, bool) or not isinstance(seed, int) or seed < 0
+        ):
+            raise ValueError(f"seed must be None or a non-negative integer, got {seed!r}")
         object.__setattr__(self, "_parsed_outcome", _parse_outcome(self.outcome))
         if self._parsed_outcome[0] == "born" and self.seed is None:
             raise ValueError("outcome 'born' requires a seed for reproducibility")
@@ -187,7 +193,7 @@ def step(
         state_after,
         axis_next,
         entropy_before,
-        _s_up_vectors(n_i, unit_vector(axis_next), base),
+        _s_up_vectors(n_i, _unit_xyz(axis_next), base),
         False,
     )
 

@@ -46,12 +46,13 @@ from .spin import (
     DEFAULT_ATOL,
     Axis,
     PureState,
+    _bloch_xyz,
+    _dot3,
     _reduce_angles,
+    _unit_xyz,
     _xyz_angles,
     axis_from_vector,
-    bloch_vector,
     born_up,
-    unit_vector,
 )
 
 __all__ = [
@@ -144,8 +145,8 @@ def _collapse_frame(state: PureState, axis_i: Axis, eigen_tol: float,
 
     That includes n_i . m rounding to +-1: p_i cleared the eigenstate
     tolerance, but at float resolution the Bloch vector lies on the axis and
-    no circle exists.  n_i . m stays a numpy dot: its BLAS kernel fixes the
-    rounding, and with it every emitted byte downstream.
+    no circle exists.  m and n_i are float triples and n_i . m is `_dot3`, the
+    plain float sum, so every byte downstream is the same on any BLAS build.
     """
     _check_eigen_tol(eigen_tol)
     if p is None:
@@ -154,9 +155,9 @@ def _collapse_frame(state: PureState, axis_i: Axis, eigen_tol: float,
         raise NoCollapseError(
             f"state is an eigenstate of the measured axis (born probability {p!r})"
         )
-    m = bloch_vector(state)
-    n_i = unit_vector(axis_i)
-    cosb = min(1.0, max(-1.0, float(np.dot(n_i, m))))
+    m = _bloch_xyz(state)
+    n_i = _unit_xyz(axis_i)
+    cosb = min(1.0, max(-1.0, _dot3(n_i, m)))
     if abs(cosb) >= 1.0:
         raise NoCollapseError(
             f"state is an eigenstate of the measured axis at float resolution "
@@ -170,7 +171,7 @@ def _merged(cosb: float) -> bool:
     return abs(cosb) <= DEFAULT_ATOL
 
 
-def _candidate_angles(axis_i: Axis, m: np.ndarray, n_i: np.ndarray, cosb: float,
+def _candidate_angles(axis_i: Axis, m: tuple, n_i: tuple, cosb: float,
                       mode: str) -> tuple[tuple[float, float], tuple[float, float]]:
     """The canonical (theta, phi) of the unsorted pair `mode` minimizes over,
     from `_collapse_frame`.
@@ -187,12 +188,12 @@ def _candidate_angles(axis_i: Axis, m: np.ndarray, n_i: np.ndarray, cosb: float,
         opposite = _reduce_angles(math.pi - axis_i.theta, axis_i.phi + math.pi)
         return (trivial, opposite) if mode == "strict" else (opposite, trivial)
     c = 2.0 * cosb
-    (mx, my, mz), (nx, ny, nz) = m.tolist(), n_i.tolist()
+    (mx, my, mz), (nx, ny, nz) = m, n_i
     rx, ry, rz = c * mx - nx, c * my - ny, c * mz - nz
     return _xyz_angles(rx, ry, rz), _xyz_angles(-rx, -ry, -rz)
 
 
-def _candidate_pair(axis_i: Axis, m: np.ndarray, n_i: np.ndarray, cosb: float,
+def _candidate_pair(axis_i: Axis, m: tuple, n_i: tuple, cosb: float,
                     mode: str) -> tuple[Axis, Axis]:
     """The two axes of `_candidate_angles`, in its order."""
     first, second = _candidate_angles(axis_i, m, n_i, cosb, mode)
@@ -230,11 +231,14 @@ def feasible_set(
     p, m, n_i, cosb = _collapse_frame(state, axis_i, eigen_tol)
     levels, colatitudes = _circles(p, cosb)
     # the circle frame: e1 toward n_i in the plane of m and n_i, e2 = m x e1
-    e1 = n_i - cosb * m
-    e1 = e1 / np.linalg.norm(e1)
-    (mx, my, mz), (ux, uy, uz) = m.tolist(), e1.tolist()
-    e2 = np.array([my * uz - mz * uy, mz * ux - mx * uz, mx * uy - my * ux])
-    return FeasibleSet(levels, colatitudes, m, e1, e2)
+    (mx, my, mz), (nx, ny, nz) = m, n_i
+    e1 = nx - cosb * mx, ny - cosb * my, nz - cosb * mz
+    norm = math.sqrt(_dot3(e1, e1))
+    ux, uy, uz = e1[0] / norm, e1[1] / norm, e1[2] / norm
+    e2 = my * uz - mz * uy, mz * ux - mx * uz, mx * uy - my * ux
+    return FeasibleSet(
+        levels, colatitudes, np.array(m), np.array((ux, uy, uz)), np.array(e2)
+    )
 
 
 def solve(
@@ -285,7 +289,7 @@ def _grid(n_theta: int, n_phi: int):
     return thetas, phis, (np.sin(thetas), np.cos(thetas), np.cos(phis), np.sin(phis))
 
 
-def _grid_dot(v: np.ndarray, trig, rows=None, cols=None) -> np.ndarray:
+def _grid_dot(v, trig, rows=None, cols=None) -> np.ndarray:
     """v . n_f over the whole grid, or at the grid points (rows[k], cols[k]).
 
     Both forms make the same elementwise products in the same order, so a
@@ -313,8 +317,8 @@ def _entropy_grid(
     entropy s_f and the transfer entropy s_up.
     """
     thetas, phis, trig = _grid(n_theta, n_phi)
-    p_up = _up_probability(_grid_dot(bloch_vector(state), trig))
-    s_up = _binary_entropy_grid(_up_probability(_grid_dot(unit_vector(axis_i), trig)), base)
+    p_up = _up_probability(_grid_dot(_bloch_xyz(state), trig))
+    s_up = _binary_entropy_grid(_up_probability(_grid_dot(_unit_xyz(axis_i), trig)), base)
     return thetas, phis, p_up, _binary_entropy_grid(p_up, base), s_up
 
 
@@ -322,7 +326,7 @@ def _entropy_grid(
 _BAND_SLACK = 1e-9
 
 
-def _band_candidates(m: np.ndarray, level: float, constraint_tol: float,
+def _band_candidates(m: tuple, level: float, constraint_tol: float,
                      base: float, trig):
     """Row-major (rows, cols) of a superset of the band |s_f - level| <= tol.
 

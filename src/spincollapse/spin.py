@@ -116,8 +116,23 @@ def antipode(axis: Axis) -> Axis:
 
 def unit_vector(axis: Axis) -> np.ndarray:
     """Cartesian unit vector of an axis."""
+    return np.array(_unit_xyz(axis))
+
+
+def _unit_xyz(axis: Axis) -> tuple[float, float, float]:
+    """`unit_vector` as a float triple, for the scalar path."""
     st = math.sin(axis.theta)
-    return np.array([st * math.cos(axis.phi), st * math.sin(axis.phi), math.cos(axis.theta)])
+    return st * math.cos(axis.phi), st * math.sin(axis.phi), math.cos(axis.theta)
+
+
+def _dot3(u, v) -> float:
+    """u . v of two 3-vectors as the plain left-to-right float sum.
+
+    The one dot product of the scalar path: unlike `np.dot`, whose 3-vector
+    kernel (and so its rounding) depends on the BLAS build, it rounds the
+    same way everywhere.
+    """
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
 def axis_from_vector(vec) -> Axis:
@@ -224,8 +239,13 @@ def born_up(state: PureState, axis: Axis) -> float:
 
 def bloch_vector(state: PureState) -> np.ndarray:
     """Expectation values of the three spin projections."""
+    return np.array(_bloch_xyz(state))
+
+
+def _bloch_xyz(state: PureState) -> tuple[float, float, float]:
+    """`bloch_vector` as a float triple, for the scalar path."""
     r = 2.0 * math.sqrt(state.rho * (1.0 - state.rho))
-    return np.array([r * math.cos(state.tau), r * math.sin(state.tau), 2.0 * state.rho - 1.0])
+    return r * math.cos(state.tau), r * math.sin(state.tau), 2.0 * state.rho - 1.0
 
 
 def state_from_eigenvector(axis: Axis, s: int) -> PureState:

@@ -372,6 +372,11 @@ class TestUsageErrors:
             ["oracle", "--rho", "1", "--theta-i", "1", "--grid", "4x4"],
             ["oracle", "--rho", "1", "--theta-i", "1", "--constraint-tol", "0"],
             ["simulate", "--rho", "1", "--theta-i", "1", "--steps", "0"],
+            # a negative seed, whatever the outcome rule
+            ["simulate", "--rho", "0.7", "--theta-i", "1", "--steps", "1",
+             "--outcome", "born", "--seed", "-1"],
+            ["simulate", "--rho", "0.7", "--theta-i", "1", "--steps", "1",
+             "--seed", "-1"],
             # on an eigenstate the oracle still checks its flags before it stops
             ["oracle", "--rho", "1", "--theta-i", "0", "--grid", "2x2"],
             ["oracle", "--rho", "1", "--theta-i", "0", "--constraint-tol", "-1"],
@@ -406,49 +411,50 @@ class TestUsageErrors:
 # input echo and the outcome parsing were each merged into one helper
 # (Python 3.11.7, numpy 2.4.6, click 8.4.0).  A deliberate change to the
 # emitted documents updates these digests; anything else must keep them.
-# BLAS: scipy-openblas 0.3.31.188.0 (DYNAMIC_ARCH, Haswell kernel), the 3-vector dot.
+# The solve, oracle and simulate digests are the bytes of the plain float sum
+# `_dot3` for the 3-vector dots, the same on any BLAS build.
 # The reordered argv lists pin the input echo to the declared flag order.
 _STATE = "--rho 0.7 --tau 0.4 --theta-i 0.9 --phi-i 1.1"
 _PINNED = [
     ("solve-strict-e", f"solve {_STATE}", 0,
-     "511e9bcc87b9d2e4d0d8ce207d8c57281649957538af2c6bb6293fb7cc5f27ab"),
+     "fb965bcc41532624ec0f52f5b1c3238c2a6834347203a9b66d3f2880cd589b7a"),
     ("solve-strict-2", f"solve {_STATE} --entropy-base 2", 0,
-     "4a93d6ed4baf79e46e6c84178f387d5570c6b6da77ee3f032c5c8af5a32ed9f8"),
+     "a7e8ac8613cbdaf027caee8de800a719bdd8bdafe44fb95bb071721b5dbb9b36"),
     ("solve-reflective-e", f"solve {_STATE} --mode reflective", 0,
-     "f65469b696c79281bae42378796635a67834bf86ac6ff354d8bb82b2753529df"),
+     "1beb0d75c2f23809fb72605d24a806ab2a85b36bedf3cb637c5b29a26f437781"),
     ("solve-reflective-2", f"solve {_STATE} --mode reflective --entropy-base 2", 0,
-     "540311bb601cf57248238d73e30ccf1a03c1978e82acb4a2fedffc3db831dedc"),
+     "539b5d007f3bb80fc087806ae23b3e5b15cf1c4829b8a3a5f07d0bd6f0bc61a8"),
     ("oracle", f"oracle {_STATE} --mode reflective --grid 64x128", 0,
-     "493b0ebee4519f9bf31c25358ed615112dde6a6fb8e9b5200bc623c13b5a3a98"),
+     "6d7637638aa50fa2f5e923213987a28593059aa9ad828a55201e7721977b9a48"),
     ("oracle-exclude",
      f"oracle {_STATE} --mode reflective --grid 64x128 --exclude-trivial 0.25",
-     0, "6f2c21f49f9e0aa98d12d3e6a368819193a1655d72493de31c90f1c282e1981a"),
+     0, "cc47003de00f417a2307080da581cb300d5dfb78f542b6bac3f7a56a2c937422"),
     ("oracle-eigenstate", "oracle --rho 1 --theta-i 0", 0,
      "2bda5796537fea88e38d0499ebb9224912248ccbd73e80e90962d3c05037f962"),
     ("oracle-infeasible",
      "oracle --rho 0.9 --tau 0.3 --theta-i 1.0 --phi-i 0.5 --grid 8x8 "
      "--constraint-tol 1e-9",
-     3, "0730ca2a105237106209a78c87809a05fe6a1a951fd12ea99e60ea4da68adb80"),
+     3, "50cc0731a0523a4a4539072307117a1d5b5252696dc418f7c64fa989b2771003"),
     ("simulate-born",
      f"simulate {_STATE} --steps 6 --mode reflective --outcome born --seed 11",
-     0, "1e70421a095fdf97dbcc49d2f66955ac8db794fde40a4886ea188f69139e2ec4"),
+     0, "2b4c4059df28470a879411f11faa1c34ee031aeabe91a5bf5a07de4544ade87c"),
     ("simulate-born-surprise",
      f"simulate {_STATE} --steps 6 --mode reflective --outcome risk:born-surprise",
-     0, "a7ec7564c79f6fcdb7eb8c3dd626525f2aac67fb434a1a94eb8d79e82970def8"),
+     0, "a45f8e7af90a512d6c153f3bc44b8f161567b52cfc50f9ff78512afd01adeab2"),
     ("simulate-alignment",
      f"simulate {_STATE} --steps 6 --mode reflective --outcome risk:alignment",
-     0, "e9ce5413825b035edb1e8582e3df8b91acc6f32e20e5774002bd50a17743959a"),
+     0, "a2333d0b517e72140caccfc17373af4097e0f78f6c87c03d3227d7bac032e8a0"),
     ("simulate-constant",
      f"simulate {_STATE} --steps 6 --mode reflective --outcome risk:constant",
-     0, "3dc295ce91c3d0403bbf7a1ccbf5e1e51d5bfba24222bd26b05e4960d2fed874"),
+     0, "356dbf79ff3532133b1138d7d8f9a625ff6efee662b741006250d01832269f56"),
     ("simulate-flags-reordered",
      "simulate --outcome risk:constant --steps 6 --mode reflective "
      "--phi-i 1.1 --theta-i 0.9 --tau 0.4 --rho 0.7",
-     0, "3dc295ce91c3d0403bbf7a1ccbf5e1e51d5bfba24222bd26b05e4960d2fed874"),
+     0, "356dbf79ff3532133b1138d7d8f9a625ff6efee662b741006250d01832269f56"),
     ("oracle-exclude-flags-reordered",
      "oracle --exclude-trivial 0.25 --grid 64x128 --mode reflective "
      "--phi-i 1.1 --theta-i 0.9 --tau 0.4 --rho 0.7",
-     0, "6f2c21f49f9e0aa98d12d3e6a368819193a1655d72493de31c90f1c282e1981a"),
+     0, "cc47003de00f417a2307080da581cb300d5dfb78f542b6bac3f7a56a2c937422"),
     ("landscape-csv", f"landscape {_STATE} --grid 20x40", 0,
      "deb74769431ef22ce00eeb17238f0f3b82107bd30036e84e33dc13f1324d7de3"),
     ("landscape-tsv", f"landscape {_STATE} --grid 20x40 --format tsv", 0,
@@ -475,7 +481,7 @@ _PINNED = [
     ("oracle-odd-grid-base2-exclude",
      f"oracle {_STATE} --mode reflective --grid 37x91 --entropy-base 2 "
      "--exclude-trivial 0.1",
-     0, "424f256b2228d8c5867a2fe7ba6d51072a389ed41366e448ba9758efb4276cc3"),
+     0, "d8559750991590ae9d43f124d73e0eac4624a5a7876eec32f74d64b561d32de3"),
     ("oracle-merged-circle",
      "oracle --rho 0.5 --theta-i 0 --mode reflective --grid 64x128",
      0, "d2fec2dd0cd155b779788a57c92cb442357df84bc7ca85473e301335bfb6d5d0"),

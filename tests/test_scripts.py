@@ -17,8 +17,8 @@ from spincollapse import binary_entropy
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _run(script: str, *args: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
+def _run(script: str, *args: str, **extra_env: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, **extra_env)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
@@ -45,28 +45,42 @@ def test_script_runs(script, args, summary):
 
 # The lines `digest_outputs.py` printed before `step` read its next axis from
 # the solver's candidate pair instead of calling `solve` (Python 3.11.7, numpy
-# 2.4.6, BLAS: scipy-openblas 0.3.31.188.0, DYNAMIC_ARCH, Haswell kernel, which
-# fixes the rounding of the 3-vector dots).  The ``simulate.long`` line was
-# recorded on the `simulate` that still ran every step of an absorbed tail.
+# 2.4.6).  The ``simulate.long`` line was recorded on the `simulate` that still
+# ran every step of an absorbed tail.  The ``solve``, ``feasible_set``,
+# ``simulate`` and ``simulate.long`` lines are the bytes of the plain float sum
+# `_dot3` for the 3-vector dots, which the numpy route printed when
+# scipy-openblas 0.3.31.188.0 (DYNAMIC_ARCH) ran its Haswell kernel.
 # A deliberate change to the emitted bytes updates these lines; a fast path
 # must keep them.
 DIGEST_LINES = """\
-solve                200  2ff5b0ed4306965e21583139a2d6d552c225d2d84e2f986d150ebb946341c122
-feasible_set          50  3b63ac47c19b4d99b813f0a53f76fa0a4a50dd75aac7629a69810fce45a951a8
+solve                200  a8784dd13f43001253c43cc8c51a48596a555009a43c765704e3709fdd86da4a
+feasible_set          50  a5eebb6fbd7621ac3d79341d506f9051534355e19dde3c6d48c7a7944a4d47aa
 oracle.plain          50  1c0d71cf975da033297d1ab03c9feb523fa64b3922b3ac8728bf7d987c02615a
 oracle.exclude       100  974696b86e4ef738fb11130913c9d5c0d5549e4f57b26d5b769a2b1d81e9f273
 oracle.base2          50  3c34150176d15160ce8067da1e2cfba2c9edb1cedfd87abba7b408951887c750
 oracle.infeasible     50  c6d2901b1d1ade7bf7dc90f885825415a5b5079e6b2b7007e730df7e3bc37be8
 oracle.tol            78  7306eecb5a0752fe65d9711d5ca21018996ab0a902bb25f57710648a71dfb8a7
 landscape             14  98a4c856b8282cd7cd2702a270af3d9b34f86f268f6df3df4f93f67b65af1ec4
-simulate             400  a59205c1cd75bdcd038ee891f09d2a03a62ab7a1bcd89ecdad83aac2e53beacf
-simulate.long        208  1508c0b5abe2f7850e2e532be02cd49af130817dd3343de4efe45e405b01ea46
+simulate             400  c220ea50c0e5b1aa1d943a41b4c40304679ffc20b474a91b8e78bd2e2c62209b
+simulate.long        208  80f0830588243c328e12870930432d8805e6009e532ede2d2cb7ac76fd6d083f
 eigen_tol0           112  1fba571c0765c46364850e178daeb5e8a8e206a4cebaac899fd7eb5179715d0c
 """
 
 
 def test_output_digests_unchanged():
     proc = _run("digest_outputs.py")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == DIGEST_LINES
+
+
+# The emitted bytes do not depend on the BLAS build: the same lines under two
+# OpenBLAS kernels forced in place of the one picked for the CPU, whose
+# `np.dot` calls round 3-vector dots differently.  OpenBLAS reads
+# OPENBLAS_CORETYPE only when built with DYNAMIC_ARCH; on other builds the
+# variable is ignored and this check holds trivially.
+@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+def test_output_digests_blas_independent(coretype):
+    proc = _run("digest_outputs.py", OPENBLAS_CORETYPE=coretype)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == DIGEST_LINES
 

@@ -72,6 +72,14 @@ class TestConfigValidation:
             SimConfig(steps=1, outcome="born")
         SimConfig(steps=1, outcome="born", seed=0)
 
+    @pytest.mark.parametrize("outcome", ["born", "risk:constant"])
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "1"])
+    def test_bad_seed(self, seed, outcome):
+        # checked whatever the outcome rule; bool is an int subclass, but
+        # seed=True is a mistake, not seed 1
+        with pytest.raises(ValueError, match=f"seed must be .*, got {seed!r}"):
+            SimConfig(steps=1, outcome=outcome, seed=seed)
+
     def test_bad_entropy_base(self):
         with pytest.raises(ValueError):
             SimConfig(steps=1, entropy_base=1.0)

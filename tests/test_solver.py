@@ -333,6 +333,28 @@ class TestBruteForceOracle:
                 constraint_tol=1e-9,
             )
 
+    @pytest.mark.parametrize("exclude", [None, 0.2])
+    def test_fine_grid_within_spacing_bound(self, rng, exclude):
+        # Every point of the sphere lies within cell/2 of a grid point.  The
+        # exact minimum sits at angle R from n_i (R = 0 unexcluded, the
+        # exclusion radius otherwise); the grid point nearest the circle point
+        # at angle R + cell is kept and lies within R + 2 cell of n_i.  Its
+        # n_f . m is within cell/2 of the level's, so its |residual| is at most
+        # about ln(19) cell/4 = 1.6e-3 < tol for p_i in [0.05, 0.95].
+        # No kept point lies within R of n_i or -n_i.
+        grid, tol = (2000, 4000), 2e-3
+        cell = math.hypot(math.pi / (grid[0] - 1), 2.0 * math.pi / grid[1])
+        radius = 0.0 if exclude is None else exclude
+        lower = binary_entropy(0.5 * (1.0 + math.cos(radius))) - 1e-12
+        upper = binary_entropy(0.5 * (1.0 + math.cos(radius + 2.0 * cell)))
+        for _ in range(10):
+            state, axis = non_eigen_pair(rng, margin=0.05)
+            found, objective = brute_force_oracle(
+                state, axis, grid=grid, constraint_tol=tol, exclude=exclude
+            )
+            assert lower <= objective <= upper
+            assert abs(constraint_residual(state, axis, found)) <= tol
+
     def test_validation(self):
         with pytest.raises(ValueError):
             brute_force_oracle(UP_Z, TILT, grid=(4, 800))
@@ -554,7 +576,9 @@ class TestAzimuthDescent:
 class TestFloatPathAgainstNumpy:
     """The float-triple geometry pinned bit for bit to the numpy route it
     replaced: `np.cross` for the circle frame, and `axis_from_vector` on the
-    array mirror 2 (n_i . m) m - n_i for the reflective minimizers."""
+    array mirror 2 (n_i . m) m - n_i for the reflective minimizers.  The dots
+    are the plain left-to-right float sum, written out: `np.dot` rounds a
+    3-vector dot as the BLAS kernel does, which differs from build to build."""
 
     def test_frame_and_mirrors_bit_equal(self, rng):
         pairs = [non_eigen_pair(rng) for _ in range(300)]
@@ -570,7 +594,12 @@ class TestFloatPathAgainstNumpy:
             crossed = np.cross(fs.center, fs.in_plane)
             assert fs.out_of_plane.tobytes() == crossed.tobytes()
             m, n_i = bloch_vector(state), unit_vector(axis)
-            cosb = min(1.0, max(-1.0, float(np.dot(n_i, m))))
+            (mx, my, mz), (nx, ny, nz) = m.tolist(), n_i.tolist()
+            cosb = min(1.0, max(-1.0, nx * mx + ny * my + nz * mz))
+            e1 = n_i - cosb * m
+            ux, uy, uz = e1.tolist()
+            e1 = e1 / math.sqrt(ux * ux + uy * uy + uz * uz)
+            assert fs.in_plane.tobytes() == e1.tobytes()
             if abs(cosb) <= DEFAULT_ATOL:
                 continue  # merged circle: the mirrors are the trivial pair
             r = 2.0 * cosb * m - n_i

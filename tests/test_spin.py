@@ -4,6 +4,7 @@ import cmath
 import dataclasses
 import math
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from spincollapse import (
     state_from_eigenvector,
     unit_vector,
 )
-from spincollapse.spin import _xyz_angles
+from spincollapse.spin import _dot3, _xyz_angles
 
 from helpers import angle_between, uniform_axis, uniform_state
 
@@ -38,6 +39,13 @@ vector_components = st.one_of(
     st.floats(),
 )
 TWO_PI = 2.0 * math.pi
+# 3-vectors whose component products neither underflow nor overflow, where the
+# float sum's relative error bound holds; signed zeros included
+dot_component = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(math.copysign, st.floats(2.0**-300, 2.0**300), st.sampled_from([1.0, -1.0])),
+)
+dot_triples = st.tuples(dot_component, dot_component, dot_component)
 
 
 class TestAxisCanonicalization:
@@ -156,6 +164,19 @@ class TestVectors:
             a = uniform_axis(rng)
             assert float(np.dot(unit_vector(a), unit_vector(antipode(a)))) <= -1.0 + 1e-12
             assert angle_between(antipode(antipode(a)), a) <= 1e-12
+
+
+class TestDot3:
+    """`_dot3`, the one dot product of the scalar path."""
+
+    @given(dot_triples, dot_triples)
+    def test_symmetric_and_within_rounding_bound(self, u, v):
+        got = _dot3(u, v)
+        assert float.hex(got) == float.hex(_dot3(v, u))
+        products = [Fraction(a) * Fraction(b) for a, b in zip(u, v)]
+        # a 3-term float dot product: |error| <= 3 * 2^-53 * sum |u_k v_k|
+        bound = 3 * Fraction(1, 2**53) * sum(abs(p) for p in products)
+        assert abs(Fraction(got) - sum(products)) <= bound
 
 
 class TestSpinOperator:
