@@ -366,15 +366,15 @@ def cmd_simulate(mode, entropy_base, tol, out, steps, outcome, seed, **_):
         entropy_base=_BASES[entropy_base], eigen_tol=tol,
     )
     trajectory = simulate(state, axis_i, config)
-    kind, risk = config._parsed_outcome
+    risk = config._risk
     warnings = []
-    if kind == "risk":
+    if risk is not None:
         warnings.append(
             f"risk function {risk.name!r} is an illustrative "
             "stand-in: the collapse model does not prescribe one"
         )
     results = {
-        "rng": RNG_NAME if kind == "born" else None,
+        "rng": RNG_NAME if risk is None else None,
         "trajectory": [ts.to_dict() for ts in trajectory],
     }
     _emit(_envelope("simulate", echo, entropy_base, mode, results, warnings), out)

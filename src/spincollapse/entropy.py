@@ -63,14 +63,14 @@ def s_up(axis_i: Axis, axis_f: Axis, base: float = math.e) -> float:
     That eigenstate's Bloch vector is the axis itself, so the distribution is
     ((1 + n_i . n_f)/2, (1 - n_i . n_f)/2).
     """
-    return _s_up_vectors(_unit_xyz(axis_i), _unit_xyz(axis_f), base)
+    return _dot_entropy(_dot3(_unit_xyz(axis_i), _unit_xyz(axis_f)), base)
 
 
-def _s_up_vectors(n_i, n_f, base: float) -> float:
-    """`s_up` from the two unit-vector triples, for a caller that already
-    holds them."""
-    q = 0.5 * (1.0 + _dot3(n_i, n_f))
-    return binary_entropy(min(1.0, max(0.0, q)), base)
+def _dot_entropy(dot: float, base: float) -> float:
+    """binary_entropy((1 + dot)/2), the probability clipped to [0, 1]: the
+    entropy of measuring along one unit vector the +1 eigenstate of another,
+    given their dot product."""
+    return binary_entropy(min(1.0, max(0.0, 0.5 * (1.0 + dot))), base)
 
 
 def s_down(axis_i: Axis, axis_f: Axis, base: float = math.e) -> float:

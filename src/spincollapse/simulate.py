@@ -20,23 +20,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Iterator
 
 import numpy as np
 
-from .entropy import _check_base, _s_up_vectors, binary_entropy
+from .entropy import _check_base, _dot_entropy, binary_entropy
 from .risk import RiskContext, RiskFunction, get_risk, select_outcome
 from .solver import (
-    MODES,
     NoCollapseError,
     _candidate_angles,
     _check_eigen_tol,
+    _check_mode,
     _collapse_frame,
 )
 from .spin import (
     DEFAULT_ATOL,
     Axis,
     PureState,
+    _dot3,
     _unit_xyz,
     born_up,
     state_from_eigenvector,
@@ -54,13 +54,14 @@ __all__ = [
 RNG_NAME = "numpy.random.PCG64"
 
 
-def _parse_outcome(outcome: str) -> tuple[str, RiskFunction | None]:
+def _parse_outcome(outcome: str) -> RiskFunction | None:
+    """The risk rule `outcome` names, or None for Born sampling."""
     if not isinstance(outcome, str):
         raise ValueError(f"outcome must be a string, got {outcome!r}")
     if outcome == "born":
-        return "born", None
+        return None
     if outcome.startswith("risk:"):
-        return "risk", get_risk(outcome[len("risk:") :])
+        return get_risk(outcome[len("risk:") :])
     raise ValueError(
         f"outcome must be 'born' or 'risk:<name>', got {outcome!r}"
     )
@@ -87,24 +88,21 @@ class SimConfig:
     seed: int | None = None
     entropy_base: float = math.e
     eigen_tol: float = DEFAULT_ATOL
-    # ("born", None) or ("risk", rule): `outcome` parsed once, on construction
-    _parsed_outcome: tuple[str, RiskFunction | None] = field(
-        init=False, repr=False, compare=False
-    )
+    # the risk rule, None for Born sampling: `outcome` parsed once, on construction
+    _risk: RiskFunction | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # bool is an int subclass, but steps=True is a mistake, not 1 step
         if isinstance(self.steps, bool) or not isinstance(self.steps, int) or self.steps < 1:
             raise ValueError(f"steps must be a positive integer, got {self.steps!r}")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        _check_mode(self.mode)
         seed = self.seed  # checked even where the outcome rule ignores it
         if seed is not None and (
             isinstance(seed, bool) or not isinstance(seed, int) or seed < 0
         ):
             raise ValueError(f"seed must be None or a non-negative integer, got {seed!r}")
-        object.__setattr__(self, "_parsed_outcome", _parse_outcome(self.outcome))
-        if self._parsed_outcome[0] == "born" and self.seed is None:
+        object.__setattr__(self, "_risk", _parse_outcome(self.outcome))
+        if self._risk is None and self.seed is None:
             raise ValueError("outcome 'born' requires a seed for reproducibility")
         _check_base(self.entropy_base)
         _check_eigen_tol(self.eigen_tol)
@@ -162,8 +160,8 @@ def step(
     `solve(...).minimizers[0]` and its `s_up_next` is
     `s_up(axis_i, axis_next)`, bit for bit.
     """
-    kind, risk = config._parsed_outcome
-    if kind == "born" and rng is None:
+    risk = config._risk
+    if risk is None and rng is None:
         raise ValueError("born outcome sampling requires an rng; see make_rng()")
 
     base = config.entropy_base
@@ -178,7 +176,7 @@ def step(
         )
 
     axis_next = Axis(*min(_candidate_angles(axis_i, m, n_i, cosb, config.mode)))
-    if kind == "born":
+    if risk is None:
         s = 1 if rng.random() < p else -1
     else:
         s, _ = select_outcome(risk, axis_next, RiskContext(state, axis_i))
@@ -193,7 +191,7 @@ def step(
         state_after,
         axis_next,
         entropy_before,
-        _s_up_vectors(n_i, _unit_xyz(axis_next), base),
+        _dot_entropy(_dot3(n_i, _unit_xyz(axis_next)), base),
         False,
     )
 
@@ -208,7 +206,7 @@ def simulate(
     exactly; the run stops stepping there and repeats it under the remaining
     indices.
     """
-    rng = make_rng(config.seed) if config._parsed_outcome[0] == "born" else None
+    rng = make_rng(config.seed) if config._risk is None else None
     state, axis = initial_state, initial_axis
     steps: list[TrajectoryStep] = []
     for k in range(config.steps):

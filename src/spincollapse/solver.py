@@ -37,11 +37,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
-from .entropy import _binary_entropy_grid, binary_entropy, s_i
+from .entropy import _binary_entropy_grid, _dot_entropy, binary_entropy, s_i
 from .spin import (
     DEFAULT_ATOL,
     Axis,
@@ -132,6 +131,11 @@ def constraint_residual(
     return s_i(state, axis_f, base) - s_i(state, axis_i, base)
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+
+
 def _check_eigen_tol(eigen_tol: float) -> None:
     if not eigen_tol >= 0.0:
         raise ValueError(f"eigen_tol must be non-negative, got {eigen_tol!r}")
@@ -180,7 +184,9 @@ def _candidate_angles(axis_i: Axis, m: tuple, n_i: tuple, cosb: float,
     with r = 2 cos(beta) m - n_i computed on floats, which on the merged great
     circle is -n_i, so the pair is (-n_i, n_i).  Either way the first axis is
     the one `mode` picks without reference to a coordinate frame.  Tuple order
-    on the angles is the canonical order `_canonical` sorts axes by.
+    on the angles is the canonical order (smaller theta, then smaller phi)
+    that `solve` sorts by and `step` takes the `min` of; `Axis` leaves the
+    angles bitwise unchanged.
     """
     if mode == "strict" or _merged(cosb):
         trivial = axis_i.theta, axis_i.phi
@@ -191,19 +197,6 @@ def _candidate_angles(axis_i: Axis, m: tuple, n_i: tuple, cosb: float,
     (mx, my, mz), (nx, ny, nz) = m, n_i
     rx, ry, rz = c * mx - nx, c * my - ny, c * mz - nz
     return _xyz_angles(rx, ry, rz), _xyz_angles(-rx, -ry, -rz)
-
-
-def _candidate_pair(axis_i: Axis, m: tuple, n_i: tuple, cosb: float,
-                    mode: str) -> tuple[Axis, Axis]:
-    """The two axes of `_candidate_angles`, in its order."""
-    first, second = _candidate_angles(axis_i, m, n_i, cosb, mode)
-    return Axis(*first), Axis(*second)
-
-
-# the canonical order of minimizers and extrema: smaller theta, then smaller
-# phi; on canonical angles it is the tuple order of (theta, phi)
-_canonical = attrgetter("theta", "phi")
-_canonical_extremum = attrgetter("axis.theta", "axis.phi")
 
 
 def _circles(p: float, cosb: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -256,8 +249,7 @@ def solve(
     changes the minimizing axes.  Eigenstate inputs collapse nothing: the
     solution is flagged `no_collapse` with the axis unchanged.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    _check_mode(mode)
     try:
         _p, m, n_i, cosb = _collapse_frame(state, axis_i, eigen_tol)
     except NoCollapseError:
@@ -265,21 +257,25 @@ def solve(
         return SolverSolution((axis_i,), 0.0, ext, True, mode)
 
     cos2b = 2.0 * cosb * cosb - 1.0
-    mirror_value = binary_entropy(min(1.0, max(0.0, 0.5 * (1.0 + cos2b))), base)
-    pair = _candidate_pair(axis_i, m, n_i, cosb, mode)
+    mirror_value = _dot_entropy(cos2b, base)
+    pair = _candidate_angles(axis_i, m, n_i, cosb, mode)
     strict = mode == "strict"
-    trivial = pair if strict else _candidate_pair(axis_i, m, n_i, cosb, "strict")
-    extrema = [Extremum(a, 0.0, "min") for a in trivial]
+    trivial = pair if strict else _candidate_angles(axis_i, m, n_i, cosb, "strict")
+    points = [(angles, 0.0, "min") for angles in trivial]
     if not _merged(cosb):
         # on the merged great circle the mirrors coincide with the trivial
-        # pair, so the four critical points collapse to two and are not repeated
+        # pair, so the four critical points collapse to two and are not
+        # repeated; off it their canonical angles are distinct, so sorting
+        # the tuples sorts by the angles alone
         kind = "min" if cos2b < 0.0 else "max"
-        mirrors = _candidate_pair(axis_i, m, n_i, cosb, "reflective") if strict else pair
-        extrema += [Extremum(a, mirror_value, kind) for a in mirrors]
-    extrema.sort(key=_canonical_extremum)
-    minimizers = tuple(sorted(pair, key=_canonical))
+        mirrors = _candidate_angles(axis_i, m, n_i, cosb, "reflective") if strict else pair
+        points += [(angles, mirror_value, kind) for angles in mirrors]
+    points.sort()
+    extrema = tuple([Extremum(Axis(*angles), value, kind) for angles, value, kind in points])
+    # the minimizing pair is among the extrema, already in canonical order
+    minimizers = tuple([e.axis for e in extrema if (e.axis.theta, e.axis.phi) in pair])
     objective = 0.0 if strict else mirror_value
-    return SolverSolution(minimizers, objective, tuple(extrema), False, mode)
+    return SolverSolution(minimizers, objective, extrema, False, mode)
 
 
 def _grid(n_theta: int, n_phi: int):
@@ -374,18 +370,6 @@ def _band_candidates(m: tuple, level: float, constraint_tol: float,
     return np.divmod(np.flatnonzero(mask), n_phi)
 
 
-def _oracle_grid(grid, constraint_tol: float, exclude: float | None) -> tuple[int, int]:
-    """Validated (n_theta, n_phi) of an oracle search; raises ValueError."""
-    n_theta, n_phi = int(grid[0]), int(grid[1])
-    if n_theta < 8 or n_phi < 8:
-        raise ValueError(f"grid must be at least 8x8, got {n_theta}x{n_phi}")
-    if not constraint_tol > 0.0:
-        raise ValueError(f"constraint_tol must be positive, got {constraint_tol!r}")
-    if exclude is not None and not exclude > 0.0:
-        raise ValueError(f"exclusion radius must be positive, got {exclude!r}")
-    return n_theta, n_phi
-
-
 def brute_force_oracle(
     state: PureState,
     axis_i: Axis,
@@ -406,7 +390,14 @@ def brute_force_oracle(
     evaluated only at the candidates of `_band_candidates`, a superset of the
     band, so the answer is bit-equal to that of a scan of every point.
     """
-    n_theta, n_phi = _oracle_grid(grid, constraint_tol, exclude)
+    # the search flags come before the eigenstate check: the CLI relies on it
+    n_theta, n_phi = int(grid[0]), int(grid[1])
+    if n_theta < 8 or n_phi < 8:
+        raise ValueError(f"grid must be at least 8x8, got {n_theta}x{n_phi}")
+    if not constraint_tol > 0.0:
+        raise ValueError(f"constraint_tol must be positive, got {constraint_tol!r}")
+    if exclude is not None and not exclude > 0.0:
+        raise ValueError(f"exclusion radius must be positive, got {exclude!r}")
     p_i, m, n_i, _cosb = _collapse_frame(state, axis_i, eigen_tol)
     thetas, phis, trig = _grid(n_theta, n_phi)
     # the band in row-major order, decided exactly at the prefilter's candidates

@@ -73,8 +73,6 @@ def _reduce_angles(theta: float, phi: float) -> tuple[float, float]:
     if theta < 0.0:
         theta, phi = -theta, phi + math.pi
     theta %= TWO_PI
-    if theta >= TWO_PI:  # float % can round up to the modulus itself
-        theta = 0.0
     if theta > math.pi:
         theta = TWO_PI - theta
         phi += math.pi
@@ -281,16 +279,21 @@ def state_from_amplitudes(up: complex, down: complex) -> PureState:
 
 
 def state_from_bloch(vec) -> PureState:
-    """Pure state whose Bloch vector points along the given nonzero 3-vector."""
+    """Pure state whose Bloch vector points along the given nonzero 3-vector.
+
+    The vector is normalized by its correctly rounded length `math.hypot`,
+    which neither overflows nor underflows and needs no BLAS.
+    """
     v = np.asarray(vec, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    x, y, z = v.tolist()
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise ValueError("vector components must be finite")
-    norm = float(np.linalg.norm(v))
+    norm = math.hypot(x, y, z)
     if norm == 0.0:
         raise ValueError("cannot orient a zero vector")
-    x, y, z = (float(c) for c in v / norm)
+    x, y, z = x / norm, y / norm, z / norm
     rho = min(1.0, max(0.0, 0.5 * (1.0 + z)))
     tau = math.atan2(y, x) if (x != 0.0 or y != 0.0) else 0.0
     return PureState(rho, tau)

@@ -17,15 +17,18 @@ from spincollapse import binary_entropy
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _run(script: str, *args: str, **extra_env: str) -> subprocess.CompletedProcess:
+def _python(*argv: str, **extra_env: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, **extra_env)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args],
-        capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def _run(script: str, *args: str, **extra_env: str) -> subprocess.CompletedProcess:
+    return _python(str(ROOT / "scripts" / script), *args, **extra_env)
 
 
 @pytest.mark.parametrize(
@@ -83,6 +86,31 @@ def test_output_digests_blas_independent(coretype):
     proc = _run("digest_outputs.py", OPENBLAS_CORETYPE=coretype)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == DIGEST_LINES
+
+
+# One sha256 over the (rho, tau) bytes of `state_from_bloch` on 2,000 seeded
+# Gaussian vectors: a norm taken through `np.dot` rounds differently from one
+# OpenBLAS kernel to another on about 6 % of them.
+_BLOCH_DIGEST = """\
+import hashlib, struct
+import numpy as np
+from spincollapse import state_from_bloch
+h = hashlib.sha256()
+for v in np.random.default_rng(11).standard_normal((2000, 3)):
+    s = state_from_bloch(v)
+    h.update(struct.pack("<2d", s.rho, s.tau))
+print(h.hexdigest())
+"""
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+def test_state_from_bloch_blas_independent(coretype):
+    here = io.StringIO()
+    with contextlib.redirect_stdout(here):
+        exec(_BLOCH_DIGEST, {})
+    proc = _python("-c", _BLOCH_DIGEST, OPENBLAS_CORETYPE=coretype)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == here.getvalue()
 
 
 def _quickstart() -> tuple[str, list[str]]:

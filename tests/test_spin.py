@@ -371,8 +371,33 @@ class TestStateConstructors:
                 abs(t.tau - s.tau), TWO_PI - abs(t.tau - s.tau)
             ) <= 1e-9
 
-    def test_state_from_bloch_normalizes(self):
-        assert state_from_bloch(np.array([0.0, 0.0, 0.5])) == PureState(1.0, 0.0)
+    @pytest.mark.parametrize("vec, state", [
+        (np.array([0.0, 0.0, 0.5]), PureState(1.0, 0.0)),
+        # lengths whose square overflows, then underflows twice
+        ([0.0, 0.0, 1e200], PureState(1.0, 0.0)),
+        ([0.0, 0.0, 1e-200], PureState(1.0, 0.0)),
+        # normalizes to (0.6, 0.8 - 1 ulp, 0)
+        ([3e-170, 4e-170, 0.0], PureState(0.5, math.atan2(0.7999999999999999, 0.6))),
+    ])
+    def test_state_from_bloch_normalizes(self, vec, state):
+        assert state_from_bloch(vec) == state
+
+
+@pytest.mark.parametrize("make, args, message", [
+    (Spinor, (math.nan, 0.0), "spinor components must be finite"),
+    (Spinor, (0.6, complex(0.0, math.inf)), "spinor components must be finite"),
+    (state_from_amplitudes, (complex(math.inf, 0.0), 1.0), "amplitudes must be finite"),
+    (state_from_amplitudes, (1.0, complex(0.0, math.nan)), "amplitudes must be finite"),
+    (state_from_bloch, ([1.0, 0.0],), "expected a 3-vector, got shape (2,)"),
+    (state_from_bloch, ([[0.0, 0.0, 1.0]],), "expected a 3-vector, got shape (1, 3)"),
+    (state_from_bloch, ([0.0, math.nan, 1.0],), "vector components must be finite"),
+    (state_from_bloch, ([0.0, 0.0, -math.inf],), "vector components must be finite"),
+    (state_from_bloch, ([0.0, -0.0, 0.0],), "cannot orient a zero vector"),
+])
+def test_rejects_with_message(make, args, message):
+    with pytest.raises(ValueError) as exc:
+        make(*args)
+    assert str(exc.value) == message
 
 
 VALUE_TYPES = [
