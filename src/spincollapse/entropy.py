@@ -32,6 +32,11 @@ def binary_entropy(p: float, base: float = math.e) -> float:
     (lo, hi) pair, with hi >= 1/2 so that lo = 1 - hi is computed exactly.
     """
     _check_base(base)
+    return _binary_entropy(p, base)
+
+
+def _binary_entropy(p: float, base: float) -> float:
+    """`binary_entropy` for a base its caller has already checked."""
     if not (-_SLACK <= p <= 1.0 + _SLACK):
         raise ValueError(f"probability out of range: {p!r}")
     hi = min(1.0, max(p, 1.0 - p))
@@ -63,14 +68,15 @@ def s_up(axis_i: Axis, axis_f: Axis, base: float = math.e) -> float:
     That eigenstate's Bloch vector is the axis itself, so the distribution is
     ((1 + n_i . n_f)/2, (1 - n_i . n_f)/2).
     """
+    _check_base(base)
     return _dot_entropy(_dot3(_unit_xyz(axis_i), _unit_xyz(axis_f)), base)
 
 
 def _dot_entropy(dot: float, base: float) -> float:
     """binary_entropy((1 + dot)/2), the probability clipped to [0, 1]: the
     entropy of measuring along one unit vector the +1 eigenstate of another,
-    given their dot product."""
-    return binary_entropy(min(1.0, max(0.0, 0.5 * (1.0 + dot))), base)
+    given their dot product.  The caller has already checked `base`."""
+    return _binary_entropy(min(1.0, max(0.0, 0.5 * (1.0 + dot))), base)
 
 
 def s_down(axis_i: Axis, axis_f: Axis, base: float = math.e) -> float:

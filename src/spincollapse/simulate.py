@@ -1,16 +1,19 @@
 """Repeated-measurement trajectories under entropy-conserving axis updates.
 
 Each step measures the current axis, fixes a collapse outcome, projects the
-state onto the corresponding eigenvector, and hands the solver's minimizing
-axis to the next step.  Outcomes come either from sampling the Born
-distribution (`outcome="born"`, seeded, reproducible) or from a deterministic
-risk rule (`outcome="risk:<name>"`) evaluated at the solver's proposed axis;
-deterministic trajectories are bit-identical across runs by construction.
+state onto the corresponding eigenvector, and hands one of the solver's
+minimizing axes to the next step: the one built from the Bloch vector m and
+the measured axis n_i alone, so a trajectory does not depend on the
+coordinate frame.  Outcomes come either from sampling the Born distribution
+(`outcome="born"`, seeded, reproducible) or from a deterministic risk rule
+(`outcome="risk:<name>"`) evaluated at that proposed axis; deterministic
+trajectories are bit-identical across runs by construction.
 
-Mode shapes the long-run behaviour: "strict" re-measures the just-collapsed
-direction, so the trajectory absorbs after one step into a fixed point where
-every later step is a certain no-collapse repeat; "reflective" keeps the
-axis moving along mirror reflections about the evolving Bloch vector.
+Mode shapes the long-run behaviour: "strict" re-measures n_i itself, so the
+trajectory absorbs after one step into a fixed point where every later step
+is a certain no-collapse repeat; "reflective" keeps the axis moving along
+the mirror r = 2 (n_i . m) m - n_i, the reflection of -n_i about the
+evolving Bloch vector.
 
 Born sampling uses numpy's PCG64 generator (see `RNG_NAME`): outcome +1 is
 taken when one uniform draw per step falls below the up probability.
@@ -23,19 +26,20 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .entropy import _check_base, _dot_entropy, binary_entropy
+from .entropy import _binary_entropy, _check_base, _dot_entropy
 from .risk import RiskContext, RiskFunction, get_risk, select_outcome
 from .solver import (
     NoCollapseError,
-    _candidate_angles,
     _check_eigen_tol,
     _check_mode,
     _collapse_frame,
+    _next_angles,
 )
 from .spin import (
     DEFAULT_ATOL,
     Axis,
     PureState,
+    _canonical_axis,
     _dot3,
     _unit_xyz,
     born_up,
@@ -156,9 +160,10 @@ def step(
 
     A no-collapse step (eigenstate input) reports the certain outcome and
     leaves both the state and the axis untouched.  The step reads the collapse
-    frame once and builds one axis; its next axis is
-    `solve(...).minimizers[0]` and its `s_up_next` is
-    `s_up(axis_i, axis_next)`, bit for bit.
+    frame once and builds only its next axis: n_i in strict mode, the mirror
+    r = 2 (n_i . m) m - n_i in reflective mode.  That axis is, bit for bit,
+    the one of `solve(...).minimizers` along n_i or r, and `s_up_next` is
+    `s_up(axis_i, axis_next)`.
     """
     risk = config._risk
     if risk is None and rng is None:
@@ -166,7 +171,7 @@ def step(
 
     base = config.entropy_base
     p = born_up(state, axis_i)
-    entropy_before = binary_entropy(p, base)
+    entropy_before = _binary_entropy(p, base)  # SimConfig checked the base
     try:
         _p, m, n_i, cosb = _collapse_frame(state, axis_i, config.eigen_tol, p)
     except NoCollapseError:
@@ -175,7 +180,7 @@ def step(
             index, state, axis_i, p, s, state, axis_i, entropy_before, 0.0, True
         )
 
-    axis_next = Axis(*min(_candidate_angles(axis_i, m, n_i, cosb, config.mode)))
+    axis_next = _canonical_axis(*_next_angles(axis_i, m, n_i, cosb, config.mode))
     if risk is None:
         s = 1 if rng.random() < p else -1
     else:

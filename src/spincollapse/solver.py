@@ -40,12 +40,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import _binary_entropy_grid, _dot_entropy, binary_entropy, s_i
+from .entropy import (
+    _binary_entropy,
+    _binary_entropy_grid,
+    _check_base,
+    _dot_entropy,
+    binary_entropy,
+    s_i,
+)
 from .spin import (
     DEFAULT_ATOL,
     Axis,
     PureState,
     _bloch_xyz,
+    _canonical_axis,
     _dot3,
     _reduce_angles,
     _unit_xyz,
@@ -175,28 +183,54 @@ def _merged(cosb: float) -> bool:
     return abs(cosb) <= DEFAULT_ATOL
 
 
-def _candidate_angles(axis_i: Axis, m: tuple, n_i: tuple, cosb: float,
-                      mode: str) -> tuple[tuple[float, float], tuple[float, float]]:
-    """The canonical (theta, phi) of the unsorted pair `mode` minimizes over,
-    from `_collapse_frame`.
-
-    The trivial pair (n_i, -n_i) in strict mode; otherwise the mirrors (r, -r)
-    with r = 2 cos(beta) m - n_i computed on floats, which on the merged great
-    circle is -n_i, so the pair is (-n_i, n_i).  Either way the first axis is
-    the one `mode` picks without reference to a coordinate frame.  Tuple order
-    on the angles is the canonical order (smaller theta, then smaller phi)
-    that `solve` sorts by and `step` takes the `min` of; `Axis` leaves the
-    angles bitwise unchanged.
-    """
-    if mode == "strict" or _merged(cosb):
-        trivial = axis_i.theta, axis_i.phi
-        # -n_i: the angles `antipode(axis_i)` canonicalizes to
-        opposite = _reduce_angles(math.pi - axis_i.theta, axis_i.phi + math.pi)
-        return (trivial, opposite) if mode == "strict" else (opposite, trivial)
+def _mirror(m: tuple, n_i: tuple, cosb: float) -> tuple[float, float, float]:
+    """r = 2 cos(beta) m - n_i on floats: the reflection of -n_i about m."""
     c = 2.0 * cosb
     (mx, my, mz), (nx, ny, nz) = m, n_i
-    rx, ry, rz = c * mx - nx, c * my - ny, c * mz - nz
-    return _xyz_angles(rx, ry, rz), _xyz_angles(-rx, -ry, -rz)
+    return c * mx - nx, c * my - ny, c * mz - nz
+
+
+def _opposite_angles(axis_i: Axis) -> tuple[float, float]:
+    """The canonical angles of -n_i, those `antipode(axis_i)` reduces to."""
+    return _reduce_angles(math.pi - axis_i.theta, axis_i.phi + math.pi)
+
+
+def _next_angles(axis_i: Axis, m: tuple, n_i: tuple, cosb: float,
+                 mode: str) -> tuple[float, float]:
+    """The canonical (theta, phi) of the one axis `mode` picks, from
+    `_collapse_frame`, without reference to a coordinate frame.
+
+    n_i itself in strict mode; otherwise the mirror r = 2 cos(beta) m - n_i,
+    which on the merged great circle is -n_i.  The mirrors +-r give the same
+    spin-projection operator up to sign, so they are one measurement with the
+    outcome labels swapped; taking r rather than the smaller of the two in
+    some frame keeps a trajectory covariant under rotations of the frame.
+    `Axis` leaves the angles bitwise unchanged.
+    """
+    if mode == "strict":
+        return axis_i.theta, axis_i.phi
+    if _merged(cosb):
+        return _opposite_angles(axis_i)
+    return _xyz_angles(*_mirror(m, n_i, cosb))
+
+
+def _candidate_angles(axis_i: Axis, m: tuple, n_i: tuple, cosb: float,
+                      mode: str) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The canonical (theta, phi) of the unsorted pair `mode` minimizes over:
+    `_next_angles` first, then its opposite.
+
+    The trivial pair (n_i, -n_i) in strict mode; otherwise the mirrors (r, -r),
+    which on the merged great circle are (-n_i, n_i).  Tuple order on the
+    angles is the canonical order (smaller theta, then smaller phi) that
+    `solve` sorts by.
+    """
+    first = _next_angles(axis_i, m, n_i, cosb, mode)
+    if mode == "strict":
+        return first, _opposite_angles(axis_i)
+    if _merged(cosb):
+        return first, (axis_i.theta, axis_i.phi)
+    rx, ry, rz = _mirror(m, n_i, cosb)
+    return first, _xyz_angles(-rx, -ry, -rz)
 
 
 def _circles(p: float, cosb: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -250,6 +284,7 @@ def solve(
     solution is flagged `no_collapse` with the axis unchanged.
     """
     _check_mode(mode)
+    _check_base(base)
     try:
         _p, m, n_i, cosb = _collapse_frame(state, axis_i, eigen_tol)
     except NoCollapseError:
@@ -271,7 +306,8 @@ def solve(
         mirrors = _candidate_angles(axis_i, m, n_i, cosb, "reflective") if strict else pair
         points += [(angles, mirror_value, kind) for angles in mirrors]
     points.sort()
-    extrema = tuple([Extremum(Axis(*angles), value, kind) for angles, value, kind in points])
+    extrema = tuple([Extremum(_canonical_axis(*angles), value, kind)
+                     for angles, value, kind in points])
     # the minimizing pair is among the extrema, already in canonical order
     minimizers = tuple([e.axis for e in extrema if (e.axis.theta, e.axis.phi) in pair])
     objective = 0.0 if strict else mirror_value
@@ -333,12 +369,12 @@ def _band_candidates(m: tuple, level: float, constraint_tol: float,
     widened by one column; a row with A below the slack is taken whole.
     """
     def edge(h: float, upper: bool) -> float:  # outer end of q's bracket
-        if h <= 0.0 or h >= binary_entropy(0.5, base):
+        if h <= 0.0 or h >= _binary_entropy(0.5, base):
             return 0.5 if upper else 0.0
         lo, hi = 0.0, 0.5
         for _ in range(32):  # brackets q to 1.2e-10, inside the slack
             mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if binary_entropy(mid, base) < h else (lo, mid)
+            lo, hi = (mid, hi) if _binary_entropy(mid, base) < h else (lo, mid)
         return hi if upper else lo
 
     q_lo = edge(level - constraint_tol - _BAND_SLACK, False)
@@ -398,10 +434,11 @@ def brute_force_oracle(
         raise ValueError(f"constraint_tol must be positive, got {constraint_tol!r}")
     if exclude is not None and not exclude > 0.0:
         raise ValueError(f"exclusion radius must be positive, got {exclude!r}")
+    _check_base(base)
     p_i, m, n_i, _cosb = _collapse_frame(state, axis_i, eigen_tol)
     thetas, phis, trig = _grid(n_theta, n_phi)
     # the band in row-major order, decided exactly at the prefilter's candidates
-    level = binary_entropy(p_i, base)
+    level = _binary_entropy(p_i, base)
     rows, cols = _band_candidates(m, level, constraint_tol, base, trig)
     s_f = _binary_entropy_grid(_up_probability(_grid_dot(m, trig, rows, cols)), base)
     band = np.abs(s_f - level) <= constraint_tol

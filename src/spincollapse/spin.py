@@ -67,6 +67,12 @@ DEFAULT_ATOL = 1e-12
 # indistinguishable from a pole at DEFAULT_ATOL and is snapped onto it.
 _POLE_SNAP = 1e-13
 
+# `state_from_amplitudes` rescales a pair whose largest part lies outside
+# [_TINY, _HUGE).  Inside it the norm is normal, and the norm of four parts
+# each under 2**1022 is under 2**1023, so it cannot overflow.
+_TINY = 2.0**-1022  # the smallest normal float
+_HUGE = 2.0**1022
+
 
 def _reduce_angles(theta: float, phi: float) -> tuple[float, float]:
     """Range-reduce a raw (theta, phi) pair without moving its direction."""
@@ -105,6 +111,15 @@ class Axis:
         theta, phi = _reduce_angles(float(theta), float(phi))
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "phi", phi)
+
+
+def _canonical_axis(theta: float, phi: float) -> Axis:
+    """Wrap angles that are already canonical, as `Axis` would leave them,
+    without validating or reducing them again."""
+    axis = object.__new__(Axis)
+    object.__setattr__(axis, "theta", theta)
+    object.__setattr__(axis, "phi", phi)
+    return axis
 
 
 def antipode(axis: Axis) -> Axis:
@@ -260,13 +275,21 @@ def state_from_amplitudes(up: complex, down: complex) -> PureState:
     """Gauge-fix a raw amplitude pair into canonical (rho, tau) form.
 
     The pair is normalized first, so any nonzero amplitude scale is accepted.
+    Where the norm would overflow or be subnormal, the pair is first scaled
+    into the normal range by an exact power of two.
     """
     up, down = complex(up), complex(down)
-    if not all(map(math.isfinite, (up.real, up.imag, down.real, down.imag))):
+    parts = up.real, up.imag, down.real, down.imag
+    if not all(map(math.isfinite, parts)):
         raise ValueError("amplitudes must be finite")
-    norm = math.hypot(abs(up), abs(down))
-    if norm <= DEFAULT_ATOL:
+    big = max(map(abs, parts))
+    if big == 0.0:
         raise ValueError("amplitude pair has zero norm")
+    if not _TINY <= big < _HUGE:
+        k = -math.frexp(big)[1]  # brings the largest part into [1/2, 1)
+        up = complex(math.ldexp(up.real, k), math.ldexp(up.imag, k))
+        down = complex(math.ldexp(down.real, k), math.ldexp(down.imag, k))
+    norm = math.hypot(abs(up), abs(down))
     up, down = up / norm, down / norm
     mag_down = abs(down)
     if mag_down == 0.0:

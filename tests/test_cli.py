@@ -102,6 +102,16 @@ class TestSolveCommand:
         )
         assert amp["results"] == rho["results"]
 
+    @pytest.mark.parametrize("scale", ["1.5e308", repr(2.0**-1070)])
+    def test_amplitudes_at_extreme_scales(self, runner, scale):
+        # the pair is rescaled by a power of two before its norm overflows or
+        # turns subnormal, so it solves like the unit-scale pair
+        def results(amp):
+            argv = ["solve", "--amp-up", amp, "--amp-down", amp, "--theta-i", PI_THIRD]
+            return _json(runner.invoke(main, argv))["results"]
+
+        assert results(scale) == results("1")
+
     def test_base_two_rescales_objective(self, runner):
         doc = _json(
             runner.invoke(
@@ -413,6 +423,8 @@ class TestUsageErrors:
 # emitted documents updates these digests; anything else must keep them.
 # The solve, oracle and simulate digests are the bytes of the plain float sum
 # `_dot3` for the 3-vector dots, the same on any BLAS build.
+# The simulate digests were re-recorded when `step` took the frame-free next
+# axis (n_i in strict mode, the mirror r = 2 (n_i . m) m - n_i otherwise).
 # The reordered argv lists pin the input echo to the declared flag order.
 _STATE = "--rho 0.7 --tau 0.4 --theta-i 0.9 --phi-i 1.1"
 _PINNED = [
@@ -437,20 +449,20 @@ _PINNED = [
      3, "50cc0731a0523a4a4539072307117a1d5b5252696dc418f7c64fa989b2771003"),
     ("simulate-born",
      f"simulate {_STATE} --steps 6 --mode reflective --outcome born --seed 11",
-     0, "2b4c4059df28470a879411f11faa1c34ee031aeabe91a5bf5a07de4544ade87c"),
+     0, "395410efe6a0a70d0b5709d39f19a1b84c35c8e60859b5537a408f7a1f10d2d6"),
     ("simulate-born-surprise",
      f"simulate {_STATE} --steps 6 --mode reflective --outcome risk:born-surprise",
-     0, "a45f8e7af90a512d6c153f3bc44b8f161567b52cfc50f9ff78512afd01adeab2"),
+     0, "662208f66d9e2407eb5eca8cde52a8739ce9fa186e6e99d72c43aeef6624a05d"),
     ("simulate-alignment",
      f"simulate {_STATE} --steps 6 --mode reflective --outcome risk:alignment",
-     0, "a2333d0b517e72140caccfc17373af4097e0f78f6c87c03d3227d7bac032e8a0"),
+     0, "69cecc846f8d259f4d9c9f42f35727c97c9e571303a7d8cef1caa2e61bf66207"),
     ("simulate-constant",
      f"simulate {_STATE} --steps 6 --mode reflective --outcome risk:constant",
-     0, "356dbf79ff3532133b1138d7d8f9a625ff6efee662b741006250d01832269f56"),
+     0, "5b834af6640140be1c347a6c3483ea09f3fea6739d21f946809f53c7a28c5ab5"),
     ("simulate-flags-reordered",
      "simulate --outcome risk:constant --steps 6 --mode reflective "
      "--phi-i 1.1 --theta-i 0.9 --tau 0.4 --rho 0.7",
-     0, "356dbf79ff3532133b1138d7d8f9a625ff6efee662b741006250d01832269f56"),
+     0, "5b834af6640140be1c347a6c3483ea09f3fea6739d21f946809f53c7a28c5ab5"),
     ("oracle-exclude-flags-reordered",
      "oracle --exclude-trivial 0.25 --grid 64x128 --mode reflective "
      "--phi-i 1.1 --theta-i 0.9 --tau 0.4 --rho 0.7",

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spincollapse import (
@@ -12,6 +12,7 @@ from spincollapse import (
     Axis,
     PureState,
     SimConfig,
+    axis_from_vector,
     binary_entropy,
     bloch_vector,
     born_up,
@@ -20,10 +21,16 @@ from spincollapse import (
     s_up,
     simulate,
     solve,
+    state_from_bloch,
     state_from_eigenvector,
     step,
     unit_vector,
 )
+
+import spincollapse.entropy
+import spincollapse.simulate
+import spincollapse.solver
+import spincollapse.spin
 
 from helpers import non_eigen_pair, uniform_axis, uniform_state
 
@@ -93,15 +100,16 @@ class TestReflectiveTrajectory:
     def test_frozen_three_step_path(self):
         cfg = SimConfig(steps=3, mode="reflective", outcome="risk:born-surprise")
         traj = simulate(UP_Z, TILT, cfg)
-        assert [t.s for t in traj] == [+1, -1, -1]
+        assert [t.s for t in traj] == [+1, -1, +1]
         assert [t.no_collapse for t in traj] == [False, False, False]
 
-        expect_axes = [(math.pi / 3, 0.0), (math.pi / 3, math.pi), (0.0, 0.0)]
+        # the third axis is the mirror r = 2 cos(beta) m - n_i = -z itself
+        expect_axes = [(math.pi / 3, 0.0), (math.pi / 3, math.pi), (math.pi, 0.0)]
         for t, (th, ph) in zip(traj, expect_axes):
             assert t.axis_measured.theta == pytest.approx(th, abs=1e-12)
             assert t.axis_measured.phi == pytest.approx(ph, abs=1e-12)
 
-        expect_p = [0.75, 0.25, 0.25]
+        expect_p = [0.75, 0.25, 0.75]
         expect_rho_after = [0.75, 0.25, 0.0]
         for t, p, rho in zip(traj, expect_p, expect_rho_after):
             assert t.p_up == pytest.approx(p, abs=1e-12)
@@ -241,15 +249,25 @@ def _hex(*values: float) -> tuple[str, ...]:
     return tuple(float(v).hex() for v in values)
 
 
+def _frame_free_minimizer(sol, state: PureState, axis: Axis, mode: str) -> Axis:
+    """The minimizer of `sol` that points along n_i in strict mode and along
+    the mirror r = 2 (n_i . m) m - n_i otherwise; the other one is its
+    antipode, so the two dots are +-1 and the pick does not depend on how
+    the target is rounded."""
+    n_i, m = unit_vector(axis), bloch_vector(state)
+    target = n_i if mode == "strict" else 2.0 * float(np.dot(n_i, m)) * m - n_i
+    return max(sol.minimizers, key=lambda a: float(np.dot(unit_vector(a), target)))
+
+
 def _check_step_against_routes(state, axis, mode, outcome, base, eigen_tol):
     """`step` against `solve`, `s_up`, `born_up` and `binary_entropy`, bit for bit."""
     config = SimConfig(steps=1, mode=mode, outcome=outcome, seed=0,
                        entropy_base=base, eigen_tol=eigen_tol)
     t = step(state, axis, config, make_rng(3))
     sol = solve(state, axis, mode, base=base, eigen_tol=eigen_tol)
-    first = sol.minimizers[0]
+    picked = _frame_free_minimizer(sol, state, axis, mode)
     assert t.no_collapse == sol.no_collapse
-    assert _hex(t.axis_next.theta, t.axis_next.phi) == _hex(first.theta, first.phi)
+    assert _hex(t.axis_next.theta, t.axis_next.phi) == _hex(picked.theta, picked.phi)
     assert _hex(t.p_up) == _hex(born_up(state, axis))
     assert _hex(t.s_i) == _hex(binary_entropy(t.p_up, base))
     if t.no_collapse:
@@ -281,9 +299,11 @@ def _pinning_pairs() -> list[tuple[PureState, Axis]]:
 
 
 class TestStepPinnedToSolve:
-    """`step` reads the collapse frame once and picks its next axis from the
-    solver's candidate pair; every reported float must equal the one the
-    independent public routes compute, compared by `float.hex`."""
+    """`step` reads the collapse frame once and builds only its frame-free
+    next axis: n_i in strict mode, the mirror r = 2 (n_i . m) m - n_i in
+    reflective mode.  That axis must be, bit for bit, the one of `solve`'s
+    minimizers along n_i or r, and every other reported float must equal the
+    one the independent public routes compute, compared by `float.hex`."""
 
     @pytest.mark.parametrize("base", [math.e, 2.0])
     @pytest.mark.parametrize("outcome", OUTCOMES)
@@ -429,3 +449,108 @@ class TestLongRunLaw:
         assert chi2 <= 40.0, counts
         mean_s_i = sum(t.s_i for t in traj) / self.STEPS
         assert abs(mean_s_i - self.LAW) <= 7.5e-3
+
+
+class TestStepDoesEachThingOnce:
+    """The work of one collapsing reflective step, counted: `step` canonicalizes
+    only the mirror it takes, wraps those already canonical angles without
+    `Axis.__init__`, and leaves the base to `SimConfig`, which checked it."""
+
+    @pytest.mark.parametrize("outcome", OUTCOMES)
+    def test_call_counts(self, monkeypatch, outcome):
+        calls = {"_xyz_angles": 0, "_check_base": 0, "Axis.__init__": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        config = SimConfig(steps=1, mode="reflective", outcome=outcome, seed=5)
+        state, axis = PureState(0.3, 1.0), Axis(1.2, 0.4)
+        rng = make_rng(5)
+        for module in (spincollapse.spin, spincollapse.entropy, spincollapse.solver,
+                       spincollapse.simulate):
+            for name in ("_xyz_angles", "_check_base"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        monkeypatch.setattr(Axis, "__init__", counted("Axis.__init__", Axis.__init__))
+        t = step(state, axis, config, rng)
+        assert not t.no_collapse
+        assert calls == {"_xyz_angles": 1, "_check_base": 0, "Axis.__init__": 0}
+
+
+def _random_rotation(q: tuple[float, float, float, float]) -> np.ndarray:
+    """The rotation matrix of the normalized quaternion q = (w, x, y, z)."""
+    w, x, y, z = np.array(q) / math.sqrt(sum(c * c for c in q))
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
+        [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
+        [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
+    ])
+
+
+quaternions = st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
+    lambda q: sum(c * c for c in q) >= 0.01)
+
+
+def _rotated_pair(rot: np.ndarray, state: PureState, axis: Axis):
+    return state_from_bloch(rot @ bloch_vector(state)), axis_from_vector(rot @ unit_vector(axis))
+
+
+def _step_vectors(t) -> np.ndarray:
+    """The Bloch vectors and axes of one step, as rows."""
+    return np.array([bloch_vector(t.state_before), unit_vector(t.axis_measured),
+                     bloch_vector(t.state_after), unit_vector(t.axis_next)])
+
+
+class TestFrameCovariance:
+    """Rotating the frame rotates the trajectory: the next axis is the mirror
+    r = 2 (n_i . m) m - n_i (n_i in strict mode), built from vectors alone, so
+    the run in a rotated frame is the rotated run.
+
+    Deterministic rules are compared path by path.  The reflective map
+    doubles rounding error at every step, so over 15 steps it stays near
+    1e-11, far inside 1e-8.  A rule's tie (p = 1/2 for `born-surprise`,
+    n_next . m = 0 for `alignment`) is broken by rounding, in either frame,
+    so paths that pass within 1e-9 of one are left out."""
+
+    STEPS = 15
+
+    @settings(max_examples=60, deadline=None)
+    @given(q=quaternions, seed=st.integers(0, 2**32 - 1),
+           mode=st.sampled_from(["strict", "reflective"]),
+           outcome=st.sampled_from(["risk:born-surprise", "risk:alignment", "risk:constant"]))
+    def test_deterministic_paths(self, q, seed, mode, outcome):
+        rot = _random_rotation(q)
+        state, axis = non_eigen_pair(np.random.Generator(np.random.PCG64(seed)))
+        config = SimConfig(steps=self.STEPS, mode=mode, outcome=outcome)
+        traj = simulate(state, axis, config)
+        assume(all(t.no_collapse or abs(2.0 * t.p_up - 1.0) > 1e-9 for t in traj))
+        turned = simulate(*_rotated_pair(rot, state, axis), config)
+        assert [(t.s, t.no_collapse) for t in turned] == [(t.s, t.no_collapse) for t in traj]
+        for t, u in zip(traj, turned):
+            assert np.abs(_step_vectors(t) @ rot.T - _step_vectors(u)).max() <= 1e-8
+
+    RUNS, BORN_STEPS = 400, 10
+
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(q=quaternions, mode=st.sampled_from(["strict", "reflective"]))
+    def test_born_distribution(self, q, mode):
+        # independent seeds in the two frames: the mean of each rotated-back
+        # vector must agree within five standard errors at every step
+        rot = _random_rotation(q)
+        state, axis = PureState(0.3, 1.0), Axis(1.2, 0.4)
+        turned_pair = _rotated_pair(rot, state, axis)
+
+        def vectors(pair, seeds, back):
+            runs = [[_step_vectors(t) @ back for t in simulate(*pair, SimConfig(
+                steps=self.BORN_STEPS, mode=mode, outcome="born", seed=seed))]
+                for seed in seeds]
+            return np.array(runs)  # (run, step, vector, component)
+
+        plain = vectors((state, axis), range(self.RUNS), np.eye(3))
+        turned = vectors(turned_pair, range(self.RUNS, 2 * self.RUNS), rot)
+        gap = np.abs(plain.mean(axis=0) - turned.mean(axis=0))
+        spread = np.sqrt((plain.var(axis=0) + turned.var(axis=0)) / self.RUNS)
+        assert (gap <= 5.0 * spread + 1e-9).all()

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spincollapse import (
@@ -354,6 +354,34 @@ class TestStateConstructors:
         with pytest.raises(ValueError):
             state_from_amplitudes(0.0, 0.0)
 
+    @pytest.mark.parametrize("up, down, same_as", [
+        # tiny but nonzero: only an exact zero is rejected
+        (1e-12, 0.0, (1.0, 0.0)),
+        (3e-13, 4e-13, (3.0, 4.0)),
+        # subnormal: rescaled before the norm loses its bits
+        (3 * 2.0**-1070, 4j * 2.0**-1070, (3.0, 4j)),
+        # a norm that overflows: rescaled instead of collapsing to rho = 1
+        (1.5e308, 1.5e308, (1.0, 1.0)),
+        (complex(1.5, 1.0) * 2.0**1023, -1.5 * 2.0**1023, (1.5 + 1j, -1.5)),
+    ])
+    def test_state_from_amplitudes_extreme_scales(self, up, down, same_as):
+        assert state_from_amplitudes(up, down) == state_from_amplitudes(*same_as)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        parts=st.lists(
+            st.one_of(st.just(0.0), st.floats(2.0**-20, 7.99), st.floats(-7.99, -2.0**-20)),
+            min_size=4, max_size=4,
+        ).filter(any),
+        k=st.integers(-1000, 1020),
+    )
+    def test_state_from_amplitudes_scale_free(self, parts, k):
+        # parts in [2**-20, 8) scale by 2**k without rounding over the whole range
+        up, down = complex(parts[0], parts[1]), complex(parts[2], parts[3])
+        scaled = [math.ldexp(x, k) for x in parts]
+        got = state_from_amplitudes(complex(*scaled[:2]), complex(*scaled[2:]))
+        assert got == state_from_amplitudes(up, down)
+
     def test_state_from_amplitudes_phase(self):
         tau = 1.1
         s = state_from_amplitudes(cmath.exp(-1j * tau) * math.sqrt(0.3), math.sqrt(0.7))
@@ -388,6 +416,8 @@ class TestStateConstructors:
     (Spinor, (0.6, complex(0.0, math.inf)), "spinor components must be finite"),
     (state_from_amplitudes, (complex(math.inf, 0.0), 1.0), "amplitudes must be finite"),
     (state_from_amplitudes, (1.0, complex(0.0, math.nan)), "amplitudes must be finite"),
+    (state_from_amplitudes, (0.0, 0.0), "amplitude pair has zero norm"),
+    (state_from_amplitudes, (-0.0, complex(0.0, -0.0)), "amplitude pair has zero norm"),
     (state_from_bloch, ([1.0, 0.0],), "expected a 3-vector, got shape (2,)"),
     (state_from_bloch, ([[0.0, 0.0, 1.0]],), "expected a 3-vector, got shape (1, 3)"),
     (state_from_bloch, ([0.0, math.nan, 1.0],), "vector components must be finite"),
