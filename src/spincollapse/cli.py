@@ -117,7 +117,7 @@ _FLAGS = {
         type=float,
         default=1e-12,
         show_default=True,
-        help="Eigenstate-detection tolerance on min(p_up, 1 - p_up).",
+        help="Eigenstate-detection tolerance on min(p_up, 1 - p_up), in [0, 1/2).",
     ),
     "out": click.option(
         "--out",

@@ -16,6 +16,7 @@ from .spin import Axis, PureState, _dot3, _unit_xyz, born_up, eigenpair, overlap
 __all__ = ["binary_entropy", "s_i", "s_up", "s_down"]
 
 _SLACK = 1e-12
+_log, _E = math.log, math.e  # module aliases for the scalar hot path
 
 
 def _check_base(base: float) -> None:
@@ -36,15 +37,20 @@ def binary_entropy(p: float, base: float = math.e) -> float:
 
 
 def _binary_entropy(p: float, base: float) -> float:
-    """`binary_entropy` for a base its caller has already checked."""
+    """`binary_entropy` for a base its caller has already checked.
+
+    The larger of p and 1 - p is hi; at or past 1 the entropy is 0 (the
+    clamp), and below 1 the complement lo = 1 - hi is exact and nonzero.
+    """
     if not (-_SLACK <= p <= 1.0 + _SLACK):
         raise ValueError(f"probability out of range: {p!r}")
-    hi = min(1.0, max(p, 1.0 - p))
-    lo = 1.0 - hi
-    if lo == 0.0:
+    q = 1.0 - p
+    hi = p if p >= q else q
+    if hi >= 1.0:
         return 0.0
-    h = -lo * math.log(lo) - hi * math.log(hi)
-    return h if base == math.e else h / math.log(base)
+    lo = 1.0 - hi
+    h = -lo * _log(lo) - hi * _log(hi)
+    return h if base == _E else h / _log(base)
 
 
 def _binary_entropy_grid(p: np.ndarray, base: float = math.e) -> np.ndarray:

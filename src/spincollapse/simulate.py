@@ -148,6 +148,26 @@ class TrajectoryStep:
         }
 
 
+def _trajectory_step(index, state_before, axis_measured, p_up, s, state_after,
+                     axis_next, s_i, s_up_next, no_collapse) -> TrajectoryStep:
+    """`TrajectoryStep(...)` without the frozen dataclass `__init__` and its
+    `object.__setattr__` per field: the instance dict is filled in field
+    order, which leaves the same record, equal, hashed and printed alike."""
+    ts = object.__new__(TrajectoryStep)
+    d = ts.__dict__
+    d["index"] = index
+    d["state_before"] = state_before
+    d["axis_measured"] = axis_measured
+    d["p_up"] = p_up
+    d["s"] = s
+    d["state_after"] = state_after
+    d["axis_next"] = axis_next
+    d["s_i"] = s_i
+    d["s_up_next"] = s_up_next
+    d["no_collapse"] = no_collapse
+    return ts
+
+
 def step(
     state: PureState,
     axis_i: Axis,
@@ -176,7 +196,7 @@ def step(
         _p, m, n_i, cosb = _collapse_frame(state, axis_i, config.eigen_tol, p)
     except NoCollapseError:
         s = 1 if p >= 0.5 else -1
-        return TrajectoryStep(
+        return _trajectory_step(
             index, state, axis_i, p, s, state, axis_i, entropy_before, 0.0, True
         )
 
@@ -187,7 +207,7 @@ def step(
         s, _ = select_outcome(risk, axis_next, RiskContext(state, axis_i))
 
     state_after = state_from_eigenvector(axis_i, s)
-    return TrajectoryStep(
+    return _trajectory_step(
         index,
         state,
         axis_i,
@@ -219,7 +239,7 @@ def simulate(
         steps.append(ts)
         if ts.no_collapse:
             rest = [getattr(ts, f.name) for f in fields(ts)[1:]]  # all but index
-            steps += [TrajectoryStep(j, *rest) for j in range(k + 1, config.steps)]
+            steps += [_trajectory_step(j, *rest) for j in range(k + 1, config.steps)]
             break
         state, axis = ts.state_after, ts.axis_next
     return steps

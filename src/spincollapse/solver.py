@@ -147,13 +147,20 @@ def _check_mode(mode: str) -> None:
 def _check_eigen_tol(eigen_tol: float) -> None:
     if not eigen_tol >= 0.0:
         raise ValueError(f"eigen_tol must be non-negative, got {eigen_tol!r}")
+    # min(p, 1 - p) never exceeds 1/2, so such a tolerance calls every state
+    # an eigenstate of every axis
+    if eigen_tol >= 0.5:
+        raise ValueError(
+            f"eigen_tol must be below 1/2, got {eigen_tol!r}: at 1/2 or above "
+            "every state counts as an eigenstate"
+        )
 
 
 def _collapse_frame(state: PureState, axis_i: Axis, eigen_tol: float,
                     p: float | None = None):
     """p_i, m, n_i and cos(beta) = n_i . m; raises NoCollapseError on eigenstates
-    and ValueError on a negative or NaN `eigen_tol`.  A caller already holding
-    p_i = born_up(state, axis_i) passes it as `p`.
+    and ValueError on an `eigen_tol` that is negative, NaN or at least 1/2.
+    A caller already holding p_i = born_up(state, axis_i) passes it as `p`.
 
     That includes n_i . m rounding to +-1: p_i cleared the eigenstate
     tolerance, but at float resolution the Bloch vector lies on the axis and

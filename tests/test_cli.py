@@ -378,6 +378,12 @@ class TestUsageErrors:
             ["solve", "--amp-up", "banana", "--amp-down", "1", "--theta-i", "1"],
             ["solve", "--rho", "1", "--theta-i", "1", "--format", "csv"],
             ["solve", "--rho", "1", "--theta-i", "1", "--tol", "-1"],
+            # a tolerance of 1/2 or more would call every state an eigenstate
+            ["solve", "--rho", "0.5", "--theta-i", "1", "--tol", "0.5"],
+            ["solve", "--rho", "0.5", "--theta-i", "1", "--tol", "0.6"],
+            ["oracle", "--rho", "0.5", "--theta-i", "1", "--tol", "0.5"],
+            ["simulate", "--rho", "0.5", "--theta-i", "1", "--steps", "3",
+             "--tol", "inf"],
             ["oracle", "--rho", "1", "--theta-i", "1", "--grid", "400"],
             ["oracle", "--rho", "1", "--theta-i", "1", "--grid", "4x4"],
             ["oracle", "--rho", "1", "--theta-i", "1", "--constraint-tol", "0"],

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spincollapse import Axis, PureState, binary_entropy, born_up, s_down, s_i, s_up
-from spincollapse.entropy import _binary_entropy_grid
+from spincollapse.entropy import _SLACK, _binary_entropy, _binary_entropy_grid, _dot_entropy
 
 from helpers import uniform_axis, uniform_state
 
@@ -72,6 +72,79 @@ class TestValidation:
     def test_bad_base_raises(self, base):
         with pytest.raises(ValueError):
             binary_entropy(0.3, base=base)
+
+
+def _binary_entropy_minmax(p: float, base: float) -> float:
+    """The earlier spelling of `_binary_entropy`, through `min`/`max`, kept
+    as the oracle of the one-comparison core."""
+    if not (-_SLACK <= p <= 1.0 + _SLACK):
+        raise ValueError(f"probability out of range: {p!r}")
+    hi = min(1.0, max(p, 1.0 - p))
+    lo = 1.0 - hi
+    if lo == 0.0:
+        return 0.0
+    h = -lo * math.log(lo) - hi * math.log(hi)
+    return h if base == math.e else h / math.log(base)
+
+
+def _dot_entropy_minmax(dot: float, base: float) -> float:
+    return _binary_entropy_minmax(min(1.0, max(0.0, 0.5 * (1.0 + dot))), base)
+
+
+TINY = 5e-324  # the smallest subnormal
+EDGE_PROBABILITIES = [
+    0.0, -0.0, 1.0, 0.5, 1.0 - 2.0**-53, 2.0**-53, 1.0 - 2.0**-52,
+    math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0),
+    TINY, 1e-310, 2.2250738585072014e-308, 1.0 - TINY,
+    -1e-12, 1.0 + 1e-12, -1e-13, 1.0 + 1e-13, 1e-12, 1.0 - 1e-12,
+]
+EDGE_DOTS = [
+    -1.0, 1.0, 0.0, -0.0, 1.0 - 2.0**-53, -1.0 + 2.0**-53, TINY, -TINY,
+    1.0 + 2.0**-52, -1.0 - 2.0**-52, 1.0 + 1e-12, -1.0 - 1e-12, 2.0, -2.0,
+]
+
+
+class TestScalarCoreMatchesOracle:
+    """`_binary_entropy` picks the larger of p and 1 - p with one comparison
+    and returns 0 once it reaches 1; every result is the `min`/`max`
+    spelling's, bit for bit."""
+
+    @staticmethod
+    def _same(got: float, want: float) -> None:
+        assert type(got) is float and got.hex() == want.hex()
+
+    @settings(max_examples=500)
+    @given(p=st.floats(min_value=-1e-12, max_value=1.0 + 1e-12),
+           base=st.sampled_from([math.e, 2.0]))
+    def test_any_probability(self, p, base):
+        self._same(_binary_entropy(p, base), _binary_entropy_minmax(p, base))
+
+    @pytest.mark.parametrize("base", [math.e, 2.0])
+    @pytest.mark.parametrize("p", EDGE_PROBABILITIES)
+    def test_edges(self, p, base):
+        self._same(_binary_entropy(p, base), _binary_entropy_minmax(p, base))
+
+    @pytest.mark.parametrize("p", [
+        math.nextafter(-1e-12, -1.0), math.nextafter(1.0 + 1e-12, 2.0),
+        -1e-9, 1.0 + 1e-9, 2.0, -1.0, math.nan, math.inf, -math.inf,
+    ])
+    def test_out_of_range_raises_alike(self, p):
+        with pytest.raises(ValueError) as want:
+            _binary_entropy_minmax(p, math.e)
+        with pytest.raises(ValueError) as got:
+            _binary_entropy(p, math.e)
+        assert str(got.value) == str(want.value)
+
+    @settings(max_examples=500)
+    @given(dot=st.floats(min_value=-1.0 - 1e-12, max_value=1.0 + 1e-12),
+           base=st.sampled_from([math.e, 2.0]))
+    def test_any_dot(self, dot, base):
+        self._same(_dot_entropy(dot, base), _dot_entropy_minmax(dot, base))
+
+    @pytest.mark.parametrize("base", [math.e, 2.0])
+    @pytest.mark.parametrize("dot", EDGE_DOTS)
+    def test_dot_edges(self, dot, base):
+        self._same(_dot_entropy(dot, base), _dot_entropy_minmax(dot, base))
 
 
 class TestGridHelper:

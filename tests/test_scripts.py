@@ -3,6 +3,7 @@ the README's library quickstart prints what its comments say."""
 
 import contextlib
 import io
+import json
 import math
 import os
 import re
@@ -146,3 +147,16 @@ def test_readme_quickstart():
     # the outcomes and the last axis are quoted as printed
     assert printed[2:] == comments[2:] == [
         "[1, -1, 1]", "Axis(theta=1.047197551196598, phi=0.0)"]
+
+
+# The two workloads `BENCHMARK.json` gates, run for half a second each at the
+# benchmark's self-test sizes: every operation's output passes the checks the
+# benchmark itself applies, so a change that breaks them fails here too.
+@pytest.mark.parametrize("workload", ["trajectory", "cli_inproc"])
+def test_gated_workload_smoke(workload):
+    proc = _python(str(ROOT / "perfbench" / "worker.py"), workload, "1", "0.5",
+                   "measure", "--tiny")
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["attempted"] > 0
+    assert result["failed"] == 0, result["failures"]

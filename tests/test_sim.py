@@ -1,6 +1,9 @@
 """Trajectory simulation: frozen paths, absorption, reproducible sampling."""
 
+import dataclasses
 import math
+import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from spincollapse import (
     Axis,
     PureState,
     SimConfig,
+    TrajectoryStep,
     axis_from_vector,
     binary_entropy,
     bloch_vector,
@@ -31,6 +35,9 @@ import spincollapse.entropy
 import spincollapse.simulate
 import spincollapse.solver
 import spincollapse.spin
+
+# the package binds `spincollapse.simulate` to the function of that name
+SIMULATE_MODULE = sys.modules["spincollapse.simulate"]
 
 from helpers import non_eigen_pair, uniform_axis, uniform_state
 
@@ -94,6 +101,12 @@ class TestConfigValidation:
     def test_bad_eigen_tol(self):
         with pytest.raises(ValueError):
             SimConfig(steps=1, eigen_tol=-1e-9)
+
+    @pytest.mark.parametrize("eigen_tol", [0.5, 0.9, math.inf])
+    def test_eigen_tol_of_half_or_more(self, eigen_tol):
+        # it would call every state an eigenstate: p_up 0.92 read as certain
+        with pytest.raises(ValueError, match=f"eigen_tol must be below 1/2, got {eigen_tol!r}"):
+            SimConfig(steps=3, mode="reflective", outcome="born", seed=1, eigen_tol=eigen_tol)
 
 
 class TestReflectiveTrajectory:
@@ -454,11 +467,13 @@ class TestLongRunLaw:
 class TestStepDoesEachThingOnce:
     """The work of one collapsing reflective step, counted: `step` canonicalizes
     only the mirror it takes, wraps those already canonical angles without
-    `Axis.__init__`, and leaves the base to `SimConfig`, which checked it."""
+    `Axis.__init__`, leaves the base to `SimConfig`, which checked it, and
+    builds its record without `TrajectoryStep.__init__`."""
 
-    @pytest.mark.parametrize("outcome", OUTCOMES)
-    def test_call_counts(self, monkeypatch, outcome):
-        calls = {"_xyz_angles": 0, "_check_base": 0, "Axis.__init__": 0}
+    @staticmethod
+    def _count(monkeypatch) -> dict:
+        calls = {"_xyz_angles": 0, "_check_base": 0, "Axis.__init__": 0,
+                 "TrajectoryStep.__init__": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -466,18 +481,82 @@ class TestStepDoesEachThingOnce:
                 return fn(*args, **kwargs)
             return wrapper
 
-        config = SimConfig(steps=1, mode="reflective", outcome=outcome, seed=5)
-        state, axis = PureState(0.3, 1.0), Axis(1.2, 0.4)
-        rng = make_rng(5)
         for module in (spincollapse.spin, spincollapse.entropy, spincollapse.solver,
-                       spincollapse.simulate):
+                       SIMULATE_MODULE):
             for name in ("_xyz_angles", "_check_base"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-        monkeypatch.setattr(Axis, "__init__", counted("Axis.__init__", Axis.__init__))
+        for cls in (Axis, TrajectoryStep):
+            name = f"{cls.__name__}.__init__"
+            monkeypatch.setattr(cls, "__init__", counted(name, cls.__init__))
+        return calls
+
+    @pytest.mark.parametrize("outcome", OUTCOMES)
+    def test_call_counts(self, monkeypatch, outcome):
+        config = SimConfig(steps=1, mode="reflective", outcome=outcome, seed=5)
+        state, axis = PureState(0.3, 1.0), Axis(1.2, 0.4)
+        rng = make_rng(5)
+        calls = self._count(monkeypatch)
         t = step(state, axis, config, rng)
         assert not t.no_collapse
-        assert calls == {"_xyz_angles": 1, "_check_base": 0, "Axis.__init__": 0}
+        assert calls == {"_xyz_angles": 1, "_check_base": 0, "Axis.__init__": 0,
+                         "TrajectoryStep.__init__": 0}
+
+    def test_strict_run_builds_no_record_through_init(self, monkeypatch):
+        # one collapse, one no-collapse step and an 18-step absorbed tail
+        config = SimConfig(steps=20, mode="strict", outcome="risk:constant")
+        state, axis = PureState(0.3, 1.0), Axis(1.2, 0.4)
+        calls = self._count(monkeypatch)
+        traj = simulate(state, axis, config)
+        assert [t.no_collapse for t in traj] == [False] + [True] * 19
+        assert calls["TrajectoryStep.__init__"] == 0
+        assert calls["Axis.__init__"] == 0 and calls["_check_base"] == 0
+
+
+def _records_of_every_route() -> list:
+    """Records from both `step` branches and from a strict absorbed tail."""
+    reflective = SimConfig(steps=1, mode="reflective", outcome="born", seed=3)
+    collapsed = step(PureState(0.3, 1.0), Axis(1.2, 0.4), reflective, make_rng(3), index=4)
+    eigen = step(UP_Z, Axis(0.0, 0.0), reflective, make_rng(3), index=2)
+    strict = SimConfig(steps=4, mode="strict", outcome="risk:alignment")
+    tail = simulate(PureState(0.6, 2.0), Axis(0.7, 5.0), strict)
+    assert not collapsed.no_collapse and eigen.no_collapse
+    assert [t.no_collapse for t in tail] == [False, True, True, True]
+    return [collapsed, eigen, *tail]
+
+
+class TestRecordContract:
+    """The records `step` and `simulate` build skip the dataclass `__init__`;
+    each is still the record `TrajectoryStep(*values)` builds, with the whole
+    frozen-dataclass surface."""
+
+    NAMES = ("index", "state_before", "axis_measured", "p_up", "s", "state_after",
+             "axis_next", "s_i", "s_up_next", "no_collapse")
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_same_as_public_constructor(self, k):
+        record = _records_of_every_route()[k]
+        values = tuple(getattr(record, n) for n in self.NAMES)
+        public = TrajectoryStep(*values)
+        assert type(record) is TrajectoryStep
+        assert tuple(f.name for f in dataclasses.fields(record)) == self.NAMES
+        assert dataclasses.fields(record) == dataclasses.fields(public)
+        assert record == public and public == record
+        assert hash(record) == hash(public)
+        assert repr(record) == repr(public)
+        assert list(vars(record).items()) == list(vars(public).items())
+        assert record.to_dict() == public.to_dict()
+        moved = dataclasses.replace(record, index=99)
+        assert moved == TrajectoryStep(99, *values[1:]) and record.index == values[0]
+        restored = pickle.loads(pickle.dumps(record))
+        assert type(restored) is TrajectoryStep
+        assert restored == record and repr(restored) == repr(record)
+        for name in self.NAMES:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, 0)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(record, name)
+        assert tuple(getattr(record, n) for n in self.NAMES) == values
 
 
 def _random_rotation(q: tuple[float, float, float, float]) -> np.ndarray:

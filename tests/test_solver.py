@@ -1,6 +1,7 @@
 """Constrained solver: closed form vs grid oracle vs circle descent."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -207,10 +208,21 @@ class TestNoCollapse:
         ],
         ids=["solve", "feasible_set", "azimuth_descent", "brute_force_oracle"],
     )
-    @pytest.mark.parametrize("eigen_tol", [-1.0, math.nan])
+    # min(p, 1 - p) <= 1/2 always, so a tolerance of 1/2 or more would call
+    # every state an eigenstate
+    @pytest.mark.parametrize("eigen_tol", [-1.0, math.nan, 0.5, 0.6, math.inf])
     def test_bad_eigen_tol_rejected(self, call, eigen_tol):
-        with pytest.raises(ValueError, match="eigen_tol must be non-negative"):
+        if eigen_tol >= 0.5:
+            message = re.escape(f"eigen_tol must be below 1/2, got {eigen_tol!r}")
+        else:
+            message = "eigen_tol must be non-negative"
+        with pytest.raises(ValueError, match=message):
             call(eigen_tol=eigen_tol)
+
+    def test_eigen_tol_just_below_half_accepted(self):
+        # p = 1/2 exactly: min(p, 1 - p) clears any tolerance below 1/2
+        sol = solve(PureState(0.5, 1.3), Axis(0.0, 0.0), eigen_tol=math.nextafter(0.5, 0.0))
+        assert not sol.no_collapse
 
     # the base is checked with the other arguments, before the eigenstate
     # check, so an eigenstate input does not hide a bad base
