@@ -34,6 +34,7 @@ from . import __version__
 from .entropy import s_i
 from .simulate import RNG_NAME, SimConfig, simulate
 from .solver import (
+    MODES,
     InfeasibleGridError,
     NoCollapseError,
     SolverSolution,
@@ -99,7 +100,7 @@ _FLAGS = {
     ),
     "mode": click.option(
         "--mode",
-        type=click.Choice(["strict", "reflective"]),
+        type=click.Choice(MODES),
         default="strict",
         show_default=True,
         help="strict keeps the measured direction; reflective mirrors it "

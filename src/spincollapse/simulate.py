@@ -33,13 +33,12 @@ from .solver import (
     _check_eigen_tol,
     _check_mode,
     _collapse_frame,
-    _next_angles,
+    _next_axis,
 )
 from .spin import (
     DEFAULT_ATOL,
     Axis,
     PureState,
-    _canonical_axis,
     _dot3,
     _unit_xyz,
     born_up,
@@ -189,18 +188,18 @@ def step(
     if risk is None and rng is None:
         raise ValueError("born outcome sampling requires an rng; see make_rng()")
 
-    base = config.entropy_base
-    p = born_up(state, axis_i)
-    entropy_before = _binary_entropy(p, base)  # SimConfig checked the base
+    base = config.entropy_base  # SimConfig checked it
     try:
-        _p, m, n_i, cosb = _collapse_frame(state, axis_i, config.eigen_tol, p)
+        p, m, n_i, cosb = _collapse_frame(state, axis_i, config.eigen_tol)
     except NoCollapseError:
+        # once per run: `simulate` copies this record for the rest of it
+        p = born_up(state, axis_i)
         s = 1 if p >= 0.5 else -1
         return _trajectory_step(
-            index, state, axis_i, p, s, state, axis_i, entropy_before, 0.0, True
+            index, state, axis_i, p, s, state, axis_i, _binary_entropy(p, base), 0.0, True
         )
 
-    axis_next = _canonical_axis(*_next_angles(axis_i, m, n_i, cosb, config.mode))
+    axis_next = _next_axis(axis_i, m, n_i, cosb, config.mode)
     if risk is None:
         s = 1 if rng.random() < p else -1
     else:
@@ -215,7 +214,7 @@ def step(
         s,
         state_after,
         axis_next,
-        entropy_before,
+        _binary_entropy(p, base),
         _dot_entropy(_dot3(n_i, _unit_xyz(axis_next)), base),
         False,
     )

@@ -55,9 +55,9 @@ from .spin import (
     _bloch_xyz,
     _canonical_axis,
     _dot3,
-    _reduce_angles,
     _unit_xyz,
     _xyz_angles,
+    antipode,
     axis_from_vector,
     born_up,
 )
@@ -156,11 +156,9 @@ def _check_eigen_tol(eigen_tol: float) -> None:
         )
 
 
-def _collapse_frame(state: PureState, axis_i: Axis, eigen_tol: float,
-                    p: float | None = None):
+def _collapse_frame(state: PureState, axis_i: Axis, eigen_tol: float):
     """p_i, m, n_i and cos(beta) = n_i . m; raises NoCollapseError on eigenstates
     and ValueError on an `eigen_tol` that is negative, NaN or at least 1/2.
-    A caller already holding p_i = born_up(state, axis_i) passes it as `p`.
 
     That includes n_i . m rounding to +-1: p_i cleared the eigenstate
     tolerance, but at float resolution the Bloch vector lies on the axis and
@@ -168,8 +166,7 @@ def _collapse_frame(state: PureState, axis_i: Axis, eigen_tol: float,
     plain float sum, so every byte downstream is the same on any BLAS build.
     """
     _check_eigen_tol(eigen_tol)
-    if p is None:
-        p = born_up(state, axis_i)
+    p = born_up(state, axis_i)
     if min(p, 1.0 - p) <= eigen_tol:
         raise NoCollapseError(
             f"state is an eigenstate of the measured axis (born probability {p!r})"
@@ -197,47 +194,22 @@ def _mirror(m: tuple, n_i: tuple, cosb: float) -> tuple[float, float, float]:
     return c * mx - nx, c * my - ny, c * mz - nz
 
 
-def _opposite_angles(axis_i: Axis) -> tuple[float, float]:
-    """The canonical angles of -n_i, those `antipode(axis_i)` reduces to."""
-    return _reduce_angles(math.pi - axis_i.theta, axis_i.phi + math.pi)
-
-
-def _next_angles(axis_i: Axis, m: tuple, n_i: tuple, cosb: float,
-                 mode: str) -> tuple[float, float]:
-    """The canonical (theta, phi) of the one axis `mode` picks, from
-    `_collapse_frame`, without reference to a coordinate frame.
+def _next_axis(axis_i: Axis, m: tuple, n_i: tuple, cosb: float, mode: str) -> Axis:
+    """The one axis `mode` picks, from `_collapse_frame`, without reference
+    to a coordinate frame.
 
     n_i itself in strict mode; otherwise the mirror r = 2 cos(beta) m - n_i,
     which on the merged great circle is -n_i.  The mirrors +-r give the same
     spin-projection operator up to sign, so they are one measurement with the
     outcome labels swapped; taking r rather than the smaller of the two in
     some frame keeps a trajectory covariant under rotations of the frame.
-    `Axis` leaves the angles bitwise unchanged.
+    The axis is, bit for bit, the one of `solve(...).minimizers` along it.
     """
     if mode == "strict":
-        return axis_i.theta, axis_i.phi
+        return axis_i
     if _merged(cosb):
-        return _opposite_angles(axis_i)
-    return _xyz_angles(*_mirror(m, n_i, cosb))
-
-
-def _candidate_angles(axis_i: Axis, m: tuple, n_i: tuple, cosb: float,
-                      mode: str) -> tuple[tuple[float, float], tuple[float, float]]:
-    """The canonical (theta, phi) of the unsorted pair `mode` minimizes over:
-    `_next_angles` first, then its opposite.
-
-    The trivial pair (n_i, -n_i) in strict mode; otherwise the mirrors (r, -r),
-    which on the merged great circle are (-n_i, n_i).  Tuple order on the
-    angles is the canonical order (smaller theta, then smaller phi) that
-    `solve` sorts by.
-    """
-    first = _next_angles(axis_i, m, n_i, cosb, mode)
-    if mode == "strict":
-        return first, _opposite_angles(axis_i)
-    if _merged(cosb):
-        return first, (axis_i.theta, axis_i.phi)
-    rx, ry, rz = _mirror(m, n_i, cosb)
-    return first, _xyz_angles(-rx, -ry, -rz)
+        return antipode(axis_i)
+    return _canonical_axis(*_xyz_angles(*_mirror(m, n_i, cosb)))
 
 
 def _circles(p: float, cosb: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -300,25 +272,24 @@ def solve(
 
     cos2b = 2.0 * cosb * cosb - 1.0
     mirror_value = _dot_entropy(cos2b, base)
-    pair = _candidate_angles(axis_i, m, n_i, cosb, mode)
-    strict = mode == "strict"
-    trivial = pair if strict else _candidate_angles(axis_i, m, n_i, cosb, "strict")
-    points = [(angles, 0.0, "min") for angles in trivial]
-    if not _merged(cosb):
-        # on the merged great circle the mirrors coincide with the trivial
-        # pair, so the four critical points collapse to two and are not
-        # repeated; off it their canonical angles are distinct, so sorting
-        # the tuples sorts by the angles alone
+    trivial = (axis_i, antipode(axis_i))
+    extrema = [Extremum(axis, 0.0, "min") for axis in trivial]
+    if _merged(cosb):
+        # the mirrors coincide with the trivial pair: two critical points, not four
+        mirrors = trivial
+    else:
+        rx, ry, rz = _mirror(m, n_i, cosb)
+        mirrors = (_canonical_axis(*_xyz_angles(rx, ry, rz)),
+                   _canonical_axis(*_xyz_angles(-rx, -ry, -rz)))
         kind = "min" if cos2b < 0.0 else "max"
-        mirrors = _candidate_angles(axis_i, m, n_i, cosb, "reflective") if strict else pair
-        points += [(angles, mirror_value, kind) for angles in mirrors]
-    points.sort()
-    extrema = tuple([Extremum(_canonical_axis(*angles), value, kind)
-                     for angles, value, kind in points])
-    # the minimizing pair is among the extrema, already in canonical order
-    minimizers = tuple([e.axis for e in extrema if (e.axis.theta, e.axis.phi) in pair])
+        extrema += [Extremum(axis, mirror_value, kind) for axis in mirrors]
+    # a mirror can round to n_i's angles (at eigen_tol=0); value and kind then
+    # decide the order
+    extrema.sort(key=lambda e: ((e.axis.theta, e.axis.phi), e.value, e.kind))
+    strict = mode == "strict"
+    minimizers = tuple(sorted(trivial if strict else mirrors, key=lambda a: (a.theta, a.phi)))
     objective = 0.0 if strict else mirror_value
-    return SolverSolution(minimizers, objective, extrema, False, mode)
+    return SolverSolution(minimizers, objective, tuple(extrema), False, mode)
 
 
 def _grid(n_theta: int, n_phi: int):

@@ -59,6 +59,29 @@ class TestSolveCommand:
             (round(2 * math.pi / 3, 9), round(math.pi, 9)),
         }
 
+    @pytest.mark.parametrize("mode", ["strict", "reflective"])
+    def test_near_eigenstate_at_zero_tol_reports_two_minimizers(self, runner, mode):
+        doc = _json(
+            runner.invoke(
+                main,
+                ["solve", "--rho", "0.5377366313690835", "--tau", "2.673200529835764",
+                 "--theta-i", "1.4952512277980856", "--phi-i", "2.673200529835764",
+                 "--tol", "0", "--mode", mode],
+            )
+        )
+        res = doc["results"]
+        n_i = {"theta": 1.4952512277980856, "phi": 2.673200529835764}
+        opposite = {"theta": 1.6463414257917075, "phi": 5.814793183425557}
+        mirror_value = 1.6142867579807968e-14
+        assert res["no_collapse"] is False
+        assert res["minimizers"] == [n_i, opposite]
+        assert res["extrema"] == [
+            {"axis": n_i, "value": 0.0, "kind": "min"},
+            {"axis": n_i, "value": mirror_value, "kind": "max"},
+            {"axis": opposite, "value": 0.0, "kind": "min"},
+            {"axis": opposite, "value": mirror_value, "kind": "max"},
+        ]
+
     def test_eigenstate_no_collapse(self, runner):
         doc = _json(
             runner.invoke(main, ["solve", "--rho", "1", "--tau", "0", "--theta-i", "0"])

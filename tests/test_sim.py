@@ -465,14 +465,16 @@ class TestLongRunLaw:
 
 
 class TestStepDoesEachThingOnce:
-    """The work of one collapsing reflective step, counted: `step` canonicalizes
-    only the mirror it takes, wraps those already canonical angles without
-    `Axis.__init__`, leaves the base to `SimConfig`, which checked it, and
-    builds its record without `TrajectoryStep.__init__`."""
+    """The work of one collapsing step, counted: `step` reads the Born
+    probability once, canonicalizes only the mirror it takes (none in strict
+    mode, which hands on the measured axis itself), wraps those already
+    canonical angles without `Axis.__init__`, leaves the base to `SimConfig`,
+    which checked it, and builds its record without `TrajectoryStep.__init__`.
+    A risk rule's own work is not counted: `spincollapse.risk` is not patched."""
 
     @staticmethod
     def _count(monkeypatch) -> dict:
-        calls = {"_xyz_angles": 0, "_check_base": 0, "Axis.__init__": 0,
+        calls = {"_xyz_angles": 0, "_check_base": 0, "born_up": 0, "Axis.__init__": 0,
                  "TrajectoryStep.__init__": 0}
 
         def counted(name, fn):
@@ -483,7 +485,7 @@ class TestStepDoesEachThingOnce:
 
         for module in (spincollapse.spin, spincollapse.entropy, spincollapse.solver,
                        SIMULATE_MODULE):
-            for name in ("_xyz_angles", "_check_base"):
+            for name in ("_xyz_angles", "_check_base", "born_up"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         for cls in (Axis, TrajectoryStep):
@@ -499,8 +501,20 @@ class TestStepDoesEachThingOnce:
         calls = self._count(monkeypatch)
         t = step(state, axis, config, rng)
         assert not t.no_collapse
-        assert calls == {"_xyz_angles": 1, "_check_base": 0, "Axis.__init__": 0,
-                         "TrajectoryStep.__init__": 0}
+        assert calls == {"_xyz_angles": 1, "_check_base": 0, "born_up": 1,
+                         "Axis.__init__": 0, "TrajectoryStep.__init__": 0}
+
+    @pytest.mark.parametrize("outcome", OUTCOMES)
+    def test_strict_step_hands_on_the_measured_axis(self, monkeypatch, outcome):
+        config = SimConfig(steps=1, mode="strict", outcome=outcome, seed=5)
+        state, axis = PureState(0.3, 1.0), Axis(1.2, 0.4)
+        rng = make_rng(5)
+        calls = self._count(monkeypatch)
+        t = step(state, axis, config, rng)
+        assert not t.no_collapse
+        assert t.axis_next is t.axis_measured
+        assert calls == {"_xyz_angles": 0, "_check_base": 0, "born_up": 1,
+                         "Axis.__init__": 0, "TrajectoryStep.__init__": 0}
 
     def test_strict_run_builds_no_record_through_init(self, monkeypatch):
         # one collapse, one no-collapse step and an 18-step absorbed tail
@@ -511,6 +525,27 @@ class TestStepDoesEachThingOnce:
         assert [t.no_collapse for t in traj] == [False] + [True] * 19
         assert calls["TrajectoryStep.__init__"] == 0
         assert calls["Axis.__init__"] == 0 and calls["_check_base"] == 0
+
+
+def test_planted_mirror_fault_reaches_step_and_solve(monkeypatch):
+    # `solver._mirror` is where both `step` and `solve` build r = 2 cos(beta) m
+    # - n_i, so a fault planted there shows in the trajectory and the solver
+    state, axis = PureState(0.3, 1.0), Axis(1.2, 0.4)
+    config = SimConfig(steps=1, mode="reflective", outcome="risk:constant")
+    step_before = step(state, axis, config).axis_next
+    solve_before = solve(state, axis, "reflective").minimizers
+    mirror = spincollapse.solver._mirror
+
+    def tilted(m, n_i, cosb):
+        x, y, z = mirror(m, n_i, cosb)
+        return x + 1e-3, y, z
+
+    monkeypatch.setattr(spincollapse.solver, "_mirror", tilted)
+    step_after = step(state, axis, config).axis_next
+    solve_after = solve(state, axis, "reflective").minimizers
+    assert step_after != step_before
+    assert all(a != b for a, b in zip(solve_after, solve_before))
+    assert step_after in solve_after
 
 
 def _records_of_every_route() -> list:

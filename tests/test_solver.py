@@ -35,11 +35,10 @@ from spincollapse import (
 from spincollapse.solver import (
     MODES,
     _band_candidates,
-    _candidate_angles,
     _collapse_frame,
     _entropy_grid,
     _grid,
-    _next_angles,
+    _next_axis,
 )
 from spincollapse.spin import _canonical_axis
 
@@ -266,6 +265,43 @@ class TestNoCollapse:
         assert solve(nearly_up, Axis(0.0, 0.0)).no_collapse
         barely_mixed = PureState(1.0 - 1e-10, 0.0)
         assert not solve(barely_mixed, Axis(0.0, 0.0)).no_collapse
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_mirrors_on_trivial_angles_reported_once(self, mode):
+        # n_i along the Bloch vector up to rounding: at eigen_tol=0 the state
+        # collapses, and the mirrors +-r round to the canonical angles of +-n_i
+        state = PureState(0.5377366313690835, 2.673200529835764)
+        axis = Axis(1.4952512277980856, 2.673200529835764)
+        sol = solve(state, axis, mode, eigen_tol=0.0)
+        n_i = (1.4952512277980856, 2.673200529835764)
+        opposite = (1.6463414257917075, 5.814793183425557)
+        mirror_value = 1.6142867579807968e-14
+        assert not sol.no_collapse
+        assert [(a.theta, a.phi) for a in sol.minimizers] == [n_i, opposite]
+        assert sol.objective == (0.0 if mode == "strict" else mirror_value)
+        # equal angles sort by value, then by kind
+        assert [((e.axis.theta, e.axis.phi), e.value, e.kind) for e in sol.extrema] == [
+            (n_i, 0.0, "min"),
+            (n_i, mirror_value, "max"),
+            (opposite, 0.0, "min"),
+            (opposite, mirror_value, "max"),
+        ]
+
+    def test_near_eigenstates_report_two_minimizers(self, rng):
+        # axes along the Bloch vector up to rounding: at eigen_tol=0 a few
+        # pairs collapse, and their mirrors often round onto +-n_i
+        collapsed = 0
+        for _ in range(800):
+            theta, phi = math.acos(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, 2.0 * math.pi)
+            state, axis = PureState(math.cos(theta / 2.0) ** 2, phi), Axis(theta, phi)
+            for mode in MODES:
+                sol = solve(state, axis, mode, eigen_tol=0.0)
+                if sol.no_collapse:
+                    continue
+                collapsed += 1
+                assert len({(a.theta, a.phi) for a in sol.minimizers}) == 2
+                assert len(sol.minimizers) == 2
+        assert collapsed >= 20
 
 
 class TestFeasibleSet:
@@ -653,8 +689,8 @@ class TestFloatPathAgainstNumpy:
 
 
 class TestCanonicalAngles:
-    """Every angle pair the candidate helpers return is already canonical, so
-    wrapping it with `_canonical_axis` stores the very floats `Axis` would."""
+    """Every axis `_next_axis` and `solve` wrap with `_canonical_axis` holds
+    angles that are already canonical: the very floats `Axis` would store."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -673,14 +709,16 @@ class TestCanonicalAngles:
     def test_wrapping_matches_axis(self, rho, tau, theta, phi, eigen_tol):
         state, axis = PureState(rho, tau), Axis(theta, phi)
         try:
-            _p, m, n_i, cosb = _collapse_frame(state, axis, eigen_tol)
+            frame = _collapse_frame(state, axis, eigen_tol)[1:]
         except NoCollapseError:
-            return  # no frame: the helpers are never called
+            frame = None  # no frame: `_next_axis` is never called
         for mode in MODES:
-            pair = _candidate_angles(axis, m, n_i, cosb, mode)
-            assert pair[0] == _next_angles(axis, m, n_i, cosb, mode)
-            for angles in pair:
-                wrapped, built = _canonical_axis(*angles), Axis(*angles)
+            sol = solve(state, axis, mode, eigen_tol=eigen_tol)
+            axes = [e.axis for e in sol.extrema] + list(sol.minimizers)
+            if frame is not None:
+                axes.append(_next_axis(axis, *frame, mode))
+            for wrapped in axes:
+                built = Axis(wrapped.theta, wrapped.phi)
                 assert type(wrapped) is Axis
                 assert [float.hex(v) for v in (wrapped.theta, wrapped.phi)] == [
                     float.hex(v) for v in (built.theta, built.phi)]
