@@ -111,7 +111,7 @@ class SimConfig:
         _check_eigen_tol(self.eigen_tol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TrajectoryStep:
     """One measurement: the state walked in, `axis_measured` was read out
     with outcome `s`, the state collapsed to `state_after`, and the solver
@@ -129,6 +129,22 @@ class TrajectoryStep:
     s_up_next: float
     no_collapse: bool
 
+    def __init__(self, index, state_before, axis_measured, p_up, s, state_after,
+                 axis_next, s_i, s_up_next, no_collapse) -> None:
+        # the record the generated frozen __init__ builds, without its
+        # `object.__setattr__` per field: the dict is filled in field order
+        d = self.__dict__
+        d["index"] = index
+        d["state_before"] = state_before
+        d["axis_measured"] = axis_measured
+        d["p_up"] = p_up
+        d["s"] = s
+        d["state_after"] = state_after
+        d["axis_next"] = axis_next
+        d["s_i"] = s_i
+        d["s_up_next"] = s_up_next
+        d["no_collapse"] = no_collapse
+
     def to_dict(self) -> dict:
         return {
             "index": self.index,
@@ -145,26 +161,6 @@ class TrajectoryStep:
             "s_up_next": self.s_up_next,
             "no_collapse": self.no_collapse,
         }
-
-
-def _trajectory_step(index, state_before, axis_measured, p_up, s, state_after,
-                     axis_next, s_i, s_up_next, no_collapse) -> TrajectoryStep:
-    """`TrajectoryStep(...)` without the frozen dataclass `__init__` and its
-    `object.__setattr__` per field: the instance dict is filled in field
-    order, which leaves the same record, equal, hashed and printed alike."""
-    ts = object.__new__(TrajectoryStep)
-    d = ts.__dict__
-    d["index"] = index
-    d["state_before"] = state_before
-    d["axis_measured"] = axis_measured
-    d["p_up"] = p_up
-    d["s"] = s
-    d["state_after"] = state_after
-    d["axis_next"] = axis_next
-    d["s_i"] = s_i
-    d["s_up_next"] = s_up_next
-    d["no_collapse"] = no_collapse
-    return ts
 
 
 def step(
@@ -195,7 +191,7 @@ def step(
         # once per run: `simulate` copies this record for the rest of it
         p = born_up(state, axis_i)
         s = 1 if p >= 0.5 else -1
-        return _trajectory_step(
+        return TrajectoryStep(
             index, state, axis_i, p, s, state, axis_i, _binary_entropy(p, base), 0.0, True
         )
 
@@ -206,7 +202,7 @@ def step(
         s, _ = select_outcome(risk, axis_next, RiskContext(state, axis_i))
 
     state_after = state_from_eigenvector(axis_i, s)
-    return _trajectory_step(
+    return TrajectoryStep(
         index,
         state,
         axis_i,
@@ -238,7 +234,7 @@ def simulate(
         steps.append(ts)
         if ts.no_collapse:
             rest = [getattr(ts, f.name) for f in fields(ts)[1:]]  # all but index
-            steps += [_trajectory_step(j, *rest) for j in range(k + 1, config.steps)]
+            steps += [TrajectoryStep(j, *rest) for j in range(k + 1, config.steps)]
             break
         state, axis = ts.state_after, ts.axis_next
     return steps

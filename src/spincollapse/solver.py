@@ -36,6 +36,7 @@ exhaustive sphere scan (`brute_force_oracle`).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +54,6 @@ from .spin import (
     Axis,
     PureState,
     _bloch_xyz,
-    _canonical_axis,
     _dot3,
     _unit_xyz,
     _xyz_angles,
@@ -209,7 +209,7 @@ def _next_axis(axis_i: Axis, m: tuple, n_i: tuple, cosb: float, mode: str) -> Ax
         return axis_i
     if _merged(cosb):
         return antipode(axis_i)
-    return _canonical_axis(*_xyz_angles(*_mirror(m, n_i, cosb)))
+    return Axis(*_xyz_angles(*_mirror(m, n_i, cosb)))
 
 
 def _circles(p: float, cosb: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -279,8 +279,7 @@ def solve(
         mirrors = trivial
     else:
         rx, ry, rz = _mirror(m, n_i, cosb)
-        mirrors = (_canonical_axis(*_xyz_angles(rx, ry, rz)),
-                   _canonical_axis(*_xyz_angles(-rx, -ry, -rz)))
+        mirrors = Axis(*_xyz_angles(rx, ry, rz)), Axis(*_xyz_angles(-rx, -ry, -rz))
         kind = "min" if cos2b < 0.0 else "max"
         extrema += [Extremum(axis, mirror_value, kind) for axis in mirrors]
     # a mirror can round to n_i's angles (at eigen_tol=0); value and kind then
@@ -405,7 +404,10 @@ def brute_force_oracle(
     band, so the answer is bit-equal to that of a scan of every point.
     """
     # the search flags come before the eigenstate check: the CLI relies on it
-    n_theta, n_phi = int(grid[0]), int(grid[1])
+    try:  # operator.index, not int: a size of 8.9 is an error, not 8
+        n_theta, n_phi = map(operator.index, grid)
+    except (TypeError, ValueError):
+        raise ValueError(f"grid must be two integer sizes, got {grid!r}") from None
     if n_theta < 8 or n_phi < 8:
         raise ValueError(f"grid must be at least 8x8, got {n_theta}x{n_phi}")
     if not constraint_tol > 0.0:
@@ -455,6 +457,8 @@ def azimuth_descent(
     """
     p, _m, _n_i, cosb = _collapse_frame(state, axis_i, eigen_tol)
     alpha = _colatitude(_circles(p, cosb)[1], level)
+    if not math.isfinite(psi0):
+        raise ValueError(f"psi0 must be finite, got {psi0!r}")
     a = math.cos(alpha) * cosb
     b = math.sin(alpha) * math.sqrt(1.0 - cosb * cosb)
 

@@ -92,7 +92,10 @@ def _reduce_angles(theta: float, phi: float) -> tuple[float, float]:
 
 # Axis and PureState write their own __init__ (init=False): it validates and
 # canonicalizes, then sets each field once, where a generated __init__ plus
-# __post_init__ would set every field twice.
+# __post_init__ would set every field twice.  Axis stores two plain floats in
+# 0 < theta < pi, 0 < phi < 2*pi as they are: `_reduce_angles` returns them
+# bit for bit, and the solver's axes land there.  Other types are reduced: a
+# Fraction just inside the region can round onto its edge.
 @dataclass(frozen=True, init=False)
 class Axis:
     """A direction on the unit sphere, canonicalized on construction.
@@ -106,20 +109,13 @@ class Axis:
     phi: float
 
     def __init__(self, theta: float, phi: float) -> None:
-        if not (math.isfinite(theta) and math.isfinite(phi)):
-            raise ValueError(f"axis angles must be finite, got ({theta!r}, {phi!r})")
-        theta, phi = _reduce_angles(float(theta), float(phi))
+        if not (0.0 < theta < math.pi and 0.0 < phi < TWO_PI
+                and type(theta) is float and type(phi) is float):
+            if not (math.isfinite(theta) and math.isfinite(phi)):
+                raise ValueError(f"axis angles must be finite, got ({theta!r}, {phi!r})")
+            theta, phi = _reduce_angles(float(theta), float(phi))
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "phi", phi)
-
-
-def _canonical_axis(theta: float, phi: float) -> Axis:
-    """Wrap angles that are already canonical, as `Axis` would leave them,
-    without validating or reducing them again."""
-    axis = object.__new__(Axis)
-    object.__setattr__(axis, "theta", theta)
-    object.__setattr__(axis, "phi", phi)
-    return axis
 
 
 def antipode(axis: Axis) -> Axis:

@@ -4,15 +4,18 @@ Each test prints exactly one `[criterion N] PASS` or `[criterion N] FAIL`
 line so a plain pytest run doubles as a scorecard.
 """
 
+import ast
 import contextlib
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import spincollapse
 from spincollapse import (
     Axis,
     PureState,
@@ -218,3 +221,17 @@ def test_criterion_10_entropy_base_does_not_move_minimizers():
                 for a, b in zip(nat.minimizers, two.minimizers):
                     assert abs(a.theta - b.theta) <= 1e-9
                     assert abs(a.phi - b.phi) <= 1e-9
+
+
+def test_no_module_builds_values_past_their_constructor():
+    # `object.__new__` makes an instance without its `__init__`: a value type
+    # has one constructor, and it validates and canonicalizes
+    paths = sorted(Path(spincollapse.__file__).parent.glob("*.py"))
+    assert {"spin.py", "solver.py", "simulate.py"} <= {path.name for path in paths}
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr == "__new__"
+                    and isinstance(node.value, ast.Name) and node.value.id == "object"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -467,15 +467,19 @@ class TestLongRunLaw:
 class TestStepDoesEachThingOnce:
     """The work of one collapsing step, counted: `step` reads the Born
     probability once, canonicalizes only the mirror it takes (none in strict
-    mode, which hands on the measured axis itself), wraps those already
-    canonical angles without `Axis.__init__`, leaves the base to `SimConfig`,
-    which checked it, and builds its record without `TrajectoryStep.__init__`.
-    A risk rule's own work is not counted: `spincollapse.risk` is not patched."""
+    mode, which hands on the measured axis itself) and reduces its angles
+    once, in `_xyz_angles`: `Axis` keeps those canonical angles as they are.
+    It leaves the base to `SimConfig`, which checked it, and builds its
+    record once, through `TrajectoryStep.__init__`, which fills the instance
+    dict (one `__dict__` read) instead of setting each field through
+    `object.__setattr__`.  A risk rule's own work is not counted:
+    `spincollapse.risk` is not patched."""
 
     @staticmethod
     def _count(monkeypatch) -> dict:
-        calls = {"_xyz_angles": 0, "_check_base": 0, "born_up": 0, "Axis.__init__": 0,
-                 "TrajectoryStep.__init__": 0}
+        calls = {"_xyz_angles": 0, "_reduce_angles": 0, "_check_base": 0, "born_up": 0,
+                 "Axis.__init__": 0, "TrajectoryStep.__init__": 0,
+                 "TrajectoryStep.__dict__": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -485,12 +489,19 @@ class TestStepDoesEachThingOnce:
 
         for module in (spincollapse.spin, spincollapse.entropy, spincollapse.solver,
                        SIMULATE_MODULE):
-            for name in ("_xyz_angles", "_check_base", "born_up"):
+            for name in ("_xyz_angles", "_reduce_angles", "_check_base", "born_up"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         for cls in (Axis, TrajectoryStep):
             name = f"{cls.__name__}.__init__"
             monkeypatch.setattr(cls, "__init__", counted(name, cls.__init__))
+
+        def getattribute(self, name):
+            if name == "__dict__":
+                calls["TrajectoryStep.__dict__"] += 1
+            return object.__getattribute__(self, name)
+
+        monkeypatch.setattr(TrajectoryStep, "__getattribute__", getattribute)
         return calls
 
     @pytest.mark.parametrize("outcome", OUTCOMES)
@@ -501,8 +512,9 @@ class TestStepDoesEachThingOnce:
         calls = self._count(monkeypatch)
         t = step(state, axis, config, rng)
         assert not t.no_collapse
-        assert calls == {"_xyz_angles": 1, "_check_base": 0, "born_up": 1,
-                         "Axis.__init__": 0, "TrajectoryStep.__init__": 0}
+        assert calls == {"_xyz_angles": 1, "_reduce_angles": 1, "_check_base": 0,
+                         "born_up": 1, "Axis.__init__": 1, "TrajectoryStep.__init__": 1,
+                         "TrajectoryStep.__dict__": 1}
 
     @pytest.mark.parametrize("outcome", OUTCOMES)
     def test_strict_step_hands_on_the_measured_axis(self, monkeypatch, outcome):
@@ -513,18 +525,21 @@ class TestStepDoesEachThingOnce:
         t = step(state, axis, config, rng)
         assert not t.no_collapse
         assert t.axis_next is t.axis_measured
-        assert calls == {"_xyz_angles": 0, "_check_base": 0, "born_up": 1,
-                         "Axis.__init__": 0, "TrajectoryStep.__init__": 0}
+        assert calls == {"_xyz_angles": 0, "_reduce_angles": 0, "_check_base": 0,
+                         "born_up": 1, "Axis.__init__": 0, "TrajectoryStep.__init__": 1,
+                         "TrajectoryStep.__dict__": 1}
 
-    def test_strict_run_builds_no_record_through_init(self, monkeypatch):
+    def test_strict_run_builds_each_record_once(self, monkeypatch):
         # one collapse, one no-collapse step and an 18-step absorbed tail
         config = SimConfig(steps=20, mode="strict", outcome="risk:constant")
         state, axis = PureState(0.3, 1.0), Axis(1.2, 0.4)
         calls = self._count(monkeypatch)
         traj = simulate(state, axis, config)
         assert [t.no_collapse for t in traj] == [False] + [True] * 19
-        assert calls["TrajectoryStep.__init__"] == 0
+        assert calls["TrajectoryStep.__init__"] == 20
+        assert calls["TrajectoryStep.__dict__"] == 20
         assert calls["Axis.__init__"] == 0 and calls["_check_base"] == 0
+        assert calls["_reduce_angles"] == 0
 
 
 def test_planted_mirror_fault_reaches_step_and_solve(monkeypatch):

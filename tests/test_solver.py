@@ -3,6 +3,8 @@
 import math
 import re
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -40,7 +42,7 @@ from spincollapse.solver import (
     _grid,
     _next_axis,
 )
-from spincollapse.spin import _canonical_axis
+from spincollapse.spin import TWO_PI, _reduce_angles
 
 from helpers import (
     angle_between,
@@ -439,6 +441,18 @@ class TestBruteForceOracle:
         with pytest.raises(ValueError):
             brute_force_oracle(UP_Z, TILT, grid=(16, 16), exclude=-0.1)
 
+    @pytest.mark.parametrize(
+        "grid", [(8.9, 8.9), (16.0, 16), (16, "16"), ("16", "16"), "16x16", (16,), (16, 16, 16)])
+    def test_grid_sizes_must_be_two_integers(self, grid):
+        # a float size is not truncated, and the grid is checked first
+        with pytest.raises(ValueError, match=r"grid must be two integer sizes, got "):
+            brute_force_oracle(UP_Z, TILT, grid=grid, constraint_tol=-1.0)
+
+    def test_numpy_integer_grid_sizes_accepted(self):
+        grid = (np.int64(16), np.int32(24))
+        assert brute_force_oracle(UP_Z, TILT, grid=grid) == brute_force_oracle(
+            UP_Z, TILT, grid=(16, 24))
+
 
 def _full_grid_oracle(state, axis, grid, constraint_tol, exclude, base):
     """The oracle as a masked argmin over the whole landscape grid."""
@@ -631,6 +645,12 @@ class TestAzimuthDescent:
         with pytest.raises(ValueError, match="level must lie in"):
             feasible_set(state, axis).axis_on_circle(level, 1.0)
 
+    @pytest.mark.parametrize("psi0", [math.nan, math.inf, -math.inf])
+    def test_non_finite_start_rejected(self, psi0):
+        # it used to return (nan, 0.0): a silent objective at the global minimum
+        with pytest.raises(ValueError, match="psi0 must be finite"):
+            azimuth_descent(PureState(0.7, 0.4), Axis(0.9, 1.1), 0, psi0)
+
     def test_stops_when_no_step_decreases(self, monkeypatch):
         # near psi = pi on the second circle the objective reaches 0 and the
         # line search finds no decrease at float resolution: the descent must
@@ -688,9 +708,42 @@ class TestFloatPathAgainstNumpy:
         assert mirrors >= 300
 
 
+def _reference_angles(theta, phi) -> tuple[float, float]:
+    """The reducing route of `Axis`, taken by every input: the finite check,
+    then `_reduce_angles` on both angles as floats."""
+    if not (math.isfinite(theta) and math.isfinite(phi)):
+        raise ValueError(f"axis angles must be finite, got ({theta!r}, {phi!r})")
+    return _reduce_angles(float(theta), float(phi))
+
+
+def _wrapped_axis(theta: float, phi: float) -> Axis:
+    """An `Axis` holding the given angles, built without `__init__`: the
+    least memory an axis can take."""
+    axis = object.__new__(Axis)
+    object.__setattr__(axis, "theta", theta)
+    object.__setattr__(axis, "phi", phi)
+    return axis
+
+
+def _hex(*values) -> list[str]:
+    return [float.hex(v) for v in values]
+
+
+# raw angles at the edges of the canonical region 0 < theta < pi, 0 < phi < 2 pi
+_EDGE_ANGLES = [
+    0.0, -0.0, math.pi, math.nextafter(math.pi, 0.0), TWO_PI, math.nextafter(TWO_PI, 0.0),
+    -1.0, -math.pi, -TWO_PI, -7.5, 1e300, -1e300, 5e-324, math.nan, math.inf, -math.inf,
+    0, 1, 3, 7, -2, np.float64(1.0), np.float64(math.pi), np.float64(-0.0), np.float64(math.nan),
+    # just inside the region, but rounding onto its edge as floats
+    Fraction(math.pi) - Fraction(1, 2**80), Fraction(TWO_PI) - Fraction(1, 2**80),
+    Fraction(1, 2**1100), Decimal(math.pi).next_minus(),
+]
+
+
 class TestCanonicalAngles:
-    """Every axis `_next_axis` and `solve` wrap with `_canonical_axis` holds
-    angles that are already canonical: the very floats `Axis` would store."""
+    """For every input, `Axis` stores the floats of its reducing route
+    (`_reference_angles`) or raises its error: canonical floats, such as every
+    axis the solver builds, come out as they went in."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -717,15 +770,44 @@ class TestCanonicalAngles:
             axes = [e.axis for e in sol.extrema] + list(sol.minimizers)
             if frame is not None:
                 axes.append(_next_axis(axis, *frame, mode))
-            for wrapped in axes:
-                built = Axis(wrapped.theta, wrapped.phi)
-                assert type(wrapped) is Axis
-                assert [float.hex(v) for v in (wrapped.theta, wrapped.phi)] == [
-                    float.hex(v) for v in (built.theta, built.phi)]
+            for built in axes:
+                assert type(built) is Axis
+                assert _hex(built.theta, built.phi) == _hex(
+                    *_reference_angles(built.theta, built.phi))
 
-    def test_wrapping_allocates_no_more_than_axis(self):
+    @settings(max_examples=500, deadline=None)
+    @given(
+        theta=st.one_of(st.floats(), st.sampled_from(_EDGE_ANGLES)),
+        phi=st.one_of(st.floats(), st.sampled_from(_EDGE_ANGLES)),
+    )
+    @example(theta=math.nextafter(math.pi, 0.0), phi=math.nextafter(TWO_PI, 0.0))
+    @example(theta=5e-324, phi=5e-324)
+    @example(theta=1.0, phi=-0.0)
+    @example(theta=-0.0, phi=1.0)
+    @example(theta=math.pi, phi=1.0)
+    @example(theta=1.0, phi=TWO_PI)
+    @example(theta=Fraction(math.pi) - Fraction(1, 2**80), phi=1.0)
+    @example(theta=1.0, phi=Fraction(TWO_PI) - Fraction(1, 2**80))
+    @example(theta=Decimal(math.pi).next_minus(), phi=1.0)
+    @example(theta=1.0, phi=math.nan)
+    @example(theta=np.float64(1.0), phi=np.float64(2.0))
+    @example(theta=1, phi=2)
+    def test_raw_input_matches_reference(self, theta, phi):
+        try:
+            expected = _reference_angles(theta, phi)
+        except ValueError as err:
+            with pytest.raises(ValueError) as raised:
+                Axis(theta, phi)
+            assert str(raised.value) == str(err)
+            return
+        axis = Axis(theta, phi)
+        assert type(axis.theta) is float and type(axis.phi) is float
+        assert _hex(axis.theta, axis.phi) == _hex(*expected)
+
+    def test_canonical_axis_allocates_no_more_than_wrapping(self):
         # setting the fields through the instance `__dict__` would build a
-        # dict per axis: about 1.7 times the memory of `Axis` on CPython 3.11
+        # dict per axis: about 1.7 times the memory of `Axis` on CPython 3.11;
+        # reducing the angles would build two floats (48 bytes) per axis
         def allocated(make) -> int:
             tracemalloc.start()
             try:
@@ -734,7 +816,9 @@ class TestCanonicalAngles:
             finally:
                 tracemalloc.stop()
 
-        assert allocated(_canonical_axis) <= allocated(Axis)
+        # the total drifts by a few dozen bytes from one measurement to the
+        # next; under a byte per axis is that drift, not an object per axis
+        assert allocated(Axis) <= allocated(_wrapped_axis) + 1000
 
 
 class TestInvariances:
