@@ -20,6 +20,9 @@ families are
   with ``eigen_tol`` 1e-12 and 0: long absorbed tails in strict mode, and
   reflective runs past the ~46 steps after which a last-ulp change in one
   step has grown to O(1);
+* ``simulate.born_long``: Born runs of 773 steps over every eighth pair, in
+  both modes and entropy bases: longer than three of the 256-draw blocks
+  in which `simulate` takes its uniforms, and five draws into a fourth;
 * ``eigen_tol0``: near-eigenstates with ``eigen_tol=0``, where `n_i . m`
   can round to +-1: `solve`, `feasible_set`, the oracle and `simulate`.
 
@@ -57,6 +60,7 @@ SEED = 20261018
 ORACLE_GRIDS = ((40, 80), (37, 91))
 ORACLE_TOLS = (1e-9, 5e-3, 0.3)
 OUTCOMES = ("risk:born-surprise", "risk:alignment", "risk:constant", "born")
+BORN_LONG_STEPS = 3 * 256 + 5
 
 
 def _random_axis(rng: random.Random) -> Axis:
@@ -132,6 +136,14 @@ def _simulate_records(state, axis, eigen_tol=1e-12, steps=6):
                 yield json.dumps(doc)
 
 
+def _born_records(state, axis, seed, steps=BORN_LONG_STEPS):
+    for mode in ("strict", "reflective"):
+        for base in (math.e, 2.0):
+            config = SimConfig(steps=steps, mode=mode, outcome="born", seed=seed,
+                               entropy_base=base)
+            yield json.dumps([ts.to_dict() for ts in simulate(state, axis, config)])
+
+
 def _landscape_stdout(state, axis, grid: str, *flags: str) -> bytes:
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "landscape.csv")
@@ -151,7 +163,7 @@ def _families() -> dict[str, list]:
     fam: dict[str, list] = {name: [] for name in (
         "solve", "feasible_set", "oracle.plain", "oracle.exclude", "oracle.base2",
         "oracle.infeasible", "oracle.tol", "landscape", "simulate", "simulate.long",
-        "eigen_tol0")}
+        "simulate.born_long", "eigen_tol0")}
     for k, (state, axis) in enumerate(pairs):
         grid = ORACLE_GRIDS[k % len(ORACLE_GRIDS)]
         fam["solve"].extend(_solve_records(state, axis))
@@ -172,6 +184,8 @@ def _families() -> dict[str, list]:
         for eigen_tol in (1e-12, 0.0):
             fam["simulate.long"].extend(
                 _simulate_records(state, axis, eigen_tol=eigen_tol, steps=60))
+    for k, (state, axis) in enumerate(pairs[::8]):
+        fam["simulate.born_long"].extend(_born_records(state, axis, seed=k))
     for k, (state, axis) in enumerate(pairs[::4]):
         flags = [("--format", "tsv"), ("--entropy-base", "2"), ()][k % 3]
         fam["landscape"].append(_landscape_stdout(state, axis, "9x14", *flags))

@@ -81,8 +81,14 @@ def s_up(axis_i: Axis, axis_f: Axis, base: float = math.e) -> float:
 def _dot_entropy(dot: float, base: float) -> float:
     """binary_entropy((1 + dot)/2), the probability clipped to [0, 1]: the
     entropy of measuring along one unit vector the +1 eigenstate of another,
-    given their dot product.  The caller has already checked `base`."""
-    return _binary_entropy(min(1.0, max(0.0, 0.5 * (1.0 + dot))), base)
+    given their dot product.  The caller has already checked `base`.
+
+    A probability outside the open interval, NaN and +-inf included, is
+    certain: the clip would send it to 0 or 1, where the entropy is 0."""
+    p = 0.5 * (1.0 + dot)
+    if not 0.0 < p < 1.0:
+        return 0.0
+    return _binary_entropy(p, base)
 
 
 def s_down(axis_i: Axis, axis_f: Axis, base: float = math.e) -> float:

@@ -15,8 +15,16 @@ is a certain no-collapse repeat; "reflective" keeps the axis moving along
 the mirror r = 2 (n_i . m) m - n_i, the reflection of -n_i about the
 evolving Bloch vector.
 
+`step` and `simulate` run one step body, `_walk`.  It reads the config once
+per run and hands each step's next axis on together with that axis's unit
+vector, which it has already built for `s_up_next`, so no step recomputes
+the n_i of the one before.  The eigenstate tolerance is checked where it
+comes in, by `SimConfig`, and not again per step.
+
 Born sampling uses numpy's PCG64 generator (see `RNG_NAME`): outcome +1 is
-taken when one uniform draw per step falls below the up probability.
+taken when one uniform draw per collapsing step falls below the up
+probability.  `step` draws it from the caller's generator; `simulate` owns
+its generator and draws the same stream in blocks (`_uniforms`).
 """
 
 from __future__ import annotations
@@ -55,6 +63,7 @@ __all__ = [
 ]
 
 RNG_NAME = "numpy.random.PCG64"
+_DRAW_BLOCK = 256  # the most uniforms `simulate` draws in one call
 
 
 def _parse_outcome(outcome: str) -> RiskFunction | None:
@@ -71,8 +80,23 @@ def _parse_outcome(outcome: str) -> RiskFunction | None:
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """The simulator's generator; one uniform draw is consumed per step."""
+    """The simulator's generator.  A Born run consumes one uniform draw per
+    collapsing step, in order: `step` takes it with one `rng.random()`, and
+    `simulate` takes the same stream in blocks (`_uniforms`)."""
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def _uniforms(rng: np.random.Generator, count: int):
+    """The next `count` uniforms of `rng`, one at a time, drawn in blocks.
+
+    `rng.random(k)` gives the k floats that k calls of `rng.random()` give,
+    so the stream does not depend on the block size.  A block is at most
+    `_DRAW_BLOCK` long and never reaches past the `count`-th draw.
+    """
+    while count > 0:
+        k = min(count, _DRAW_BLOCK)
+        yield from rng.random(k).tolist()
+        count -= k
 
 
 @dataclass(frozen=True)
@@ -163,6 +187,45 @@ class TrajectoryStep:
         }
 
 
+def _walk(
+    state: PureState, axis_i: Axis, n_i: tuple, config: SimConfig, indices, draw
+) -> list[TrajectoryStep]:
+    """The step body of `step` and `simulate`: one record per index of
+    `indices`, up to and including the first no-collapse one.
+
+    n_i is `_unit_xyz(axis_i)`; each step hands the unit vector it builds
+    for `s_up_next` on as the next step's n_i.  `draw()` gives one uniform
+    per collapsing step of a Born run; a risk rule never calls it.
+    """
+    risk, base, mode = config._risk, config.entropy_base, config.mode
+    eigen_tol = config.eigen_tol  # SimConfig checked it, and the base
+    records = []
+    for index in indices:
+        try:
+            p, m, cosb = _collapse_frame(state, axis_i, n_i, eigen_tol)
+        except NoCollapseError:
+            # once per run: `simulate` copies this record for the rest of it
+            p = born_up(state, axis_i)
+            s = 1 if p >= 0.5 else -1
+            records.append(TrajectoryStep(
+                index, state, axis_i, p, s, state, axis_i, _binary_entropy(p, base), 0.0, True
+            ))
+            break
+        axis_next = _next_axis(axis_i, m, n_i, cosb, mode)
+        if risk is None:
+            s = 1 if draw() < p else -1
+        else:
+            s, _ = select_outcome(risk, axis_next, RiskContext(state, axis_i))
+        state_after = state_from_eigenvector(axis_i, s)
+        n_next = _unit_xyz(axis_next)
+        records.append(TrajectoryStep(
+            index, state, axis_i, p, s, state_after, axis_next,
+            _binary_entropy(p, base), _dot_entropy(_dot3(n_i, n_next), base), False,
+        ))
+        state, axis_i, n_i = state_after, axis_next, n_next
+    return records
+
+
 def step(
     state: PureState,
     axis_i: Axis,
@@ -178,42 +241,13 @@ def step(
     frame once and builds only its next axis: n_i in strict mode, the mirror
     r = 2 (n_i . m) m - n_i in reflective mode.  That axis is, bit for bit,
     the one of `solve(...).minimizers` along n_i or r, and `s_up_next` is
-    `s_up(axis_i, axis_next)`.
+    `s_up(axis_i, axis_next)`.  A collapsing Born step takes one
+    `rng.random()` draw; any other step leaves `rng` as it is.
     """
-    risk = config._risk
-    if risk is None and rng is None:
+    if config._risk is None and rng is None:
         raise ValueError("born outcome sampling requires an rng; see make_rng()")
-
-    base = config.entropy_base  # SimConfig checked it
-    try:
-        p, m, n_i, cosb = _collapse_frame(state, axis_i, config.eigen_tol)
-    except NoCollapseError:
-        # once per run: `simulate` copies this record for the rest of it
-        p = born_up(state, axis_i)
-        s = 1 if p >= 0.5 else -1
-        return TrajectoryStep(
-            index, state, axis_i, p, s, state, axis_i, _binary_entropy(p, base), 0.0, True
-        )
-
-    axis_next = _next_axis(axis_i, m, n_i, cosb, config.mode)
-    if risk is None:
-        s = 1 if rng.random() < p else -1
-    else:
-        s, _ = select_outcome(risk, axis_next, RiskContext(state, axis_i))
-
-    state_after = state_from_eigenvector(axis_i, s)
-    return TrajectoryStep(
-        index,
-        state,
-        axis_i,
-        p,
-        s,
-        state_after,
-        axis_next,
-        _binary_entropy(p, base),
-        _dot_entropy(_dot3(n_i, _unit_xyz(axis_next)), base),
-        False,
-    )
+    draw = None if rng is None else rng.random
+    return _walk(state, axis_i, _unit_xyz(axis_i), config, (index,), draw)[0]
 
 
 def simulate(
@@ -221,20 +255,20 @@ def simulate(
 ) -> list[TrajectoryStep]:
     """Run `config.steps` measurements, threading state and axis through.
 
-    A no-collapse step hands its own state and axis to the next step, draws
-    no random number and calls no risk rule, so every later step repeats it
-    exactly; the run stops stepping there and repeats it under the remaining
-    indices.
+    The records are those of a chain of `step` calls sharing one
+    `make_rng(config.seed)`, built by one pass of their common body over the
+    whole run.  A no-collapse step hands its own state and axis to the next
+    step, draws no random number and calls no risk rule, so every later step
+    repeats it exactly; the run stops stepping there and repeats it under
+    the remaining indices.
     """
-    rng = make_rng(config.seed) if config._risk is None else None
-    state, axis = initial_state, initial_axis
-    steps: list[TrajectoryStep] = []
-    for k in range(config.steps):
-        ts = step(state, axis, config, rng, index=k)
-        steps.append(ts)
-        if ts.no_collapse:
-            rest = [getattr(ts, f.name) for f in fields(ts)[1:]]  # all but index
-            steps += [TrajectoryStep(j, *rest) for j in range(k + 1, config.steps)]
-            break
-        state, axis = ts.state_after, ts.axis_next
+    draw = None
+    if config._risk is None:
+        draw = _uniforms(make_rng(config.seed), config.steps).__next__
+    steps = _walk(initial_state, initial_axis, _unit_xyz(initial_axis), config,
+                  range(config.steps), draw)
+    last = steps[-1]
+    if last.no_collapse:
+        rest = [getattr(last, f.name) for f in fields(last)[1:]]  # all but index
+        steps += [TrajectoryStep(j, *rest) for j in range(len(steps), config.steps)]
     return steps

@@ -156,30 +156,28 @@ def _check_eigen_tol(eigen_tol: float) -> None:
         )
 
 
-def _collapse_frame(state: PureState, axis_i: Axis, eigen_tol: float):
-    """p_i, m, n_i and cos(beta) = n_i . m; raises NoCollapseError on eigenstates
-    and ValueError on an `eigen_tol` that is negative, NaN or at least 1/2.
+def _collapse_frame(state: PureState, axis_i: Axis, n_i: tuple, eigen_tol: float):
+    """p_i, m and cos(beta) = n_i . m, where n_i is `_unit_xyz(axis_i)`; raises
+    NoCollapseError on eigenstates.  The caller has checked `eigen_tol`.
 
     That includes n_i . m rounding to +-1: p_i cleared the eigenstate
     tolerance, but at float resolution the Bloch vector lies on the axis and
     no circle exists.  m and n_i are float triples and n_i . m is `_dot3`, the
     plain float sum, so every byte downstream is the same on any BLAS build.
     """
-    _check_eigen_tol(eigen_tol)
     p = born_up(state, axis_i)
     if min(p, 1.0 - p) <= eigen_tol:
         raise NoCollapseError(
             f"state is an eigenstate of the measured axis (born probability {p!r})"
         )
     m = _bloch_xyz(state)
-    n_i = _unit_xyz(axis_i)
     cosb = min(1.0, max(-1.0, _dot3(n_i, m)))
     if abs(cosb) >= 1.0:
         raise NoCollapseError(
             f"state is an eigenstate of the measured axis at float resolution "
             f"(n_i . m = {cosb!r}, born probability {p!r})"
         )
-    return p, m, n_i, cosb
+    return p, m, cosb
 
 
 def _merged(cosb: float) -> bool:
@@ -195,8 +193,8 @@ def _mirror(m: tuple, n_i: tuple, cosb: float) -> tuple[float, float, float]:
 
 
 def _next_axis(axis_i: Axis, m: tuple, n_i: tuple, cosb: float, mode: str) -> Axis:
-    """The one axis `mode` picks, from `_collapse_frame`, without reference
-    to a coordinate frame.
+    """The one axis `mode` picks, from the collapse frame (m, n_i and
+    cos(beta) = n_i . m), without reference to a coordinate frame.
 
     n_i itself in strict mode; otherwise the mirror r = 2 cos(beta) m - n_i,
     which on the merged great circle is -n_i.  The mirrors +-r give the same
@@ -221,20 +219,27 @@ def _circles(p: float, cosb: float) -> tuple[tuple[float, ...], tuple[float, ...
 
 
 def _colatitude(colatitudes: tuple[float, ...], level: int) -> float:
-    """The colatitude of circle `level`; raises ValueError outside the circles."""
-    if not 0 <= level < len(colatitudes):
+    """The colatitude of circle `level`; raises ValueError for anything but an
+    integer index of a circle (a float or a bool is not one)."""
+    try:  # operator.index takes numpy integers, and refuses floats
+        k = operator.index(level)
+    except TypeError:
+        k = -1
+    if isinstance(level, bool) or not 0 <= k < len(colatitudes):
         raise ValueError(
             f"level must lie in [0, {len(colatitudes) - 1}] for this pair "
             f"({len(colatitudes)} feasible circle(s)), got {level!r}"
         )
-    return colatitudes[level]
+    return colatitudes[k]
 
 
 def feasible_set(
     state: PureState, axis_i: Axis, *, eigen_tol: float = DEFAULT_ATOL
 ) -> FeasibleSet:
     """Level probabilities and circles of axes satisfying the constraint."""
-    p, m, n_i, cosb = _collapse_frame(state, axis_i, eigen_tol)
+    _check_eigen_tol(eigen_tol)
+    n_i = _unit_xyz(axis_i)
+    p, m, cosb = _collapse_frame(state, axis_i, n_i, eigen_tol)
     levels, colatitudes = _circles(p, cosb)
     # the circle frame: e1 toward n_i in the plane of m and n_i, e2 = m x e1
     (mx, my, mz), (nx, ny, nz) = m, n_i
@@ -264,8 +269,10 @@ def solve(
     """
     _check_mode(mode)
     _check_base(base)
+    _check_eigen_tol(eigen_tol)
+    n_i = _unit_xyz(axis_i)
     try:
-        _p, m, n_i, cosb = _collapse_frame(state, axis_i, eigen_tol)
+        _p, m, cosb = _collapse_frame(state, axis_i, n_i, eigen_tol)
     except NoCollapseError:
         ext = (Extremum(axis_i, 0.0, "min"),)
         return SolverSolution((axis_i,), 0.0, ext, True, mode)
@@ -415,7 +422,9 @@ def brute_force_oracle(
     if exclude is not None and not exclude > 0.0:
         raise ValueError(f"exclusion radius must be positive, got {exclude!r}")
     _check_base(base)
-    p_i, m, n_i, _cosb = _collapse_frame(state, axis_i, eigen_tol)
+    _check_eigen_tol(eigen_tol)
+    n_i = _unit_xyz(axis_i)
+    p_i, m, _cosb = _collapse_frame(state, axis_i, n_i, eigen_tol)
     thetas, phis, trig = _grid(n_theta, n_phi)
     # the band in row-major order, decided exactly at the prefilter's candidates
     level = _binary_entropy(p_i, base)
@@ -455,7 +464,8 @@ def azimuth_descent(
     bounds the final azimuth gradient, and `_DESCENT_MAX_ITER` caps the
     number of steps.
     """
-    p, _m, _n_i, cosb = _collapse_frame(state, axis_i, eigen_tol)
+    _check_eigen_tol(eigen_tol)
+    p, _m, cosb = _collapse_frame(state, axis_i, _unit_xyz(axis_i), eigen_tol)
     alpha = _colatitude(_circles(p, cosb)[1], level)
     if not math.isfinite(psi0):
         raise ValueError(f"psi0 must be finite, got {psi0!r}")

@@ -101,6 +101,12 @@ EDGE_PROBABILITIES = [
 EDGE_DOTS = [
     -1.0, 1.0, 0.0, -0.0, 1.0 - 2.0**-53, -1.0 + 2.0**-53, TINY, -TINY,
     1.0 + 2.0**-52, -1.0 - 2.0**-52, 1.0 + 1e-12, -1.0 - 1e-12, 2.0, -2.0,
+    math.nextafter(1.0, 0.0), math.nextafter(-1.0, 0.0), 1e308, -1e308,
+]
+# dots whose probability (1 + dot)/2 is not inside (0, 1): a certain outcome
+CERTAIN_DOTS = [
+    1.0, -1.0, math.nextafter(1.0, 2.0), math.nextafter(-1.0, -2.0), 1.0 + 1e-12,
+    -1.0 - 1e-12, math.nan, -math.nan, math.inf, -math.inf,
 ]
 
 
@@ -144,6 +150,14 @@ class TestScalarCoreMatchesOracle:
     @pytest.mark.parametrize("base", [math.e, 2.0])
     @pytest.mark.parametrize("dot", EDGE_DOTS)
     def test_dot_edges(self, dot, base):
+        self._same(_dot_entropy(dot, base), _dot_entropy_minmax(dot, base))
+
+    @pytest.mark.parametrize("base", [math.e, 2.0])
+    @pytest.mark.parametrize("dot", CERTAIN_DOTS)
+    def test_certain_dot_has_zero_entropy(self, dot, base):
+        # NaN and +-inf fail `0 < p < 1` like the probabilities outside it,
+        # and the `min`/`max` clip sends all of them to 0 or 1
+        self._same(_dot_entropy(dot, base), 0.0)
         self._same(_dot_entropy(dot, base), _dot_entropy_minmax(dot, base))
 
 

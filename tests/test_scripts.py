@@ -57,6 +57,8 @@ def test_script_runs(script, args, summary):
 # The ``simulate`` and ``simulate.long`` lines were re-recorded when `step`
 # took the mirror r = 2 (n_i . m) m - n_i itself as its next axis (n_i in
 # strict mode) instead of the canonically smaller of the two candidates.
+# The ``simulate.born_long`` line was recorded on the `simulate` that drew
+# one `rng.random()` per Born step, before it drew its uniforms in blocks.
 # A deliberate change to the emitted bytes updates these lines; a fast path
 # must keep them.
 DIGEST_LINES = """\
@@ -70,6 +72,7 @@ oracle.tol            78  7306eecb5a0752fe65d9711d5ca21018996ab0a902bb25f5771064
 landscape             14  98a4c856b8282cd7cd2702a270af3d9b34f86f268f6df3df4f93f67b65af1ec4
 simulate             400  8a6823a42166fa9db84273c532bb2b0a76c38f5136bcdfebb52fca155bc76706
 simulate.long        208  ae8dee897b4ecdd441ee569e8700f2fde8c96d78f4cbc8235f6cc1d01d6f270f
+simulate.born_long    28  62143250fdccb5f8736b6ba920cfcba01db96481e1b6b36c5cbe3de78199063d
 eigen_tol0           112  1fba571c0765c46364850e178daeb5e8a8e206a4cebaac899fd7eb5179715d0c
 """
 

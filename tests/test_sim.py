@@ -429,6 +429,66 @@ class TestSimulateIsChainedStep:
                                    base, eigen_tol, steps, seed)
 
 
+BLOCK = SIMULATE_MODULE._DRAW_BLOCK
+
+
+class TestBornDraws:
+    """A Born step takes one uniform of the caller's generator when it
+    collapses and none otherwise; `simulate` owns its generator and draws
+    the same stream in blocks, so its runs equal chained `step` calls on
+    either side of a block's edge."""
+
+    @staticmethod
+    def _advanced(seed: int, draws: int) -> dict:
+        rng = make_rng(seed)
+        for _ in range(draws):
+            rng.random()
+        return rng.bit_generator.state
+
+    @pytest.mark.parametrize("mode", ["strict", "reflective"])
+    @pytest.mark.parametrize("outcome", OUTCOMES)
+    @pytest.mark.parametrize("state, axis, collapses", [
+        (PureState(0.3, 1.0), Axis(1.2, 0.4), True),
+        (PureState(0.5, 1.3), Axis(0.0, 0.0), True),  # p = 1/2
+        (UP_Z, Axis(0.0, 0.0), False),  # eigenstate
+        (PureState(1e-20, 0.3), Axis(0.0, 0.0), False),  # n_i . m rounds to -1
+    ])
+    def test_step_takes_one_draw_per_collapse(self, state, axis, collapses, outcome, mode):
+        config = SimConfig(steps=1, mode=mode, outcome=outcome, seed=9, eigen_tol=0.0)
+        rng = make_rng(9)
+        t = step(state, axis, config, rng)
+        assert t.no_collapse is not collapses
+        draws = 1 if collapses and outcome == "born" else 0
+        assert rng.bit_generator.state == self._advanced(9, draws)
+
+    @pytest.mark.parametrize("steps", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    @pytest.mark.parametrize("base", [math.e, 2.0])
+    @pytest.mark.parametrize("mode", ["strict", "reflective"])
+    def test_simulate_is_chained_step_across_blocks(self, steps, base, mode):
+        flags = _check_simulate_is_chained(PureState(0.3, 1.0), Axis(1.2, 0.4), mode,
+                                           "born", base, 1e-12, steps, seed=steps)
+        assert flags[-1] is (mode == "strict")  # reflective runs never absorb here
+
+    @pytest.mark.parametrize("count", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    def test_uniforms_are_the_scalar_stream_in_bounded_blocks(self, count):
+        sizes = []
+
+        class Recording:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def random(self, size):
+                sizes.append(size)
+                return self.rng.random(size)
+
+        rng = make_rng(count)
+        got = list(SIMULATE_MODULE._uniforms(Recording(rng), count))
+        want_rng = make_rng(count)
+        assert got == [want_rng.random() for _ in range(count)]
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+        assert sum(sizes) == count and max(sizes) <= min(count, BLOCK)
+
+
 class TestLongRunLaw:
     """Folded into [0, pi/2], beta follows the tent map in x = beta / (pi/2),
     whose invariant law is uniform: each octile of folded beta holds 1/8 of
@@ -469,17 +529,22 @@ class TestStepDoesEachThingOnce:
     probability once, canonicalizes only the mirror it takes (none in strict
     mode, which hands on the measured axis itself) and reduces its angles
     once, in `_xyz_angles`: `Axis` keeps those canonical angles as they are.
-    It leaves the base to `SimConfig`, which checked it, and builds its
+    It leaves the base and `eigen_tol` to `SimConfig`, which checked them,
+    builds the unit vectors of its two axes once each, and builds its
     record once, through `TrajectoryStep.__init__`, which fills the instance
     dict (one `__dict__` read) instead of setting each field through
-    `object.__setattr__`.  A risk rule's own work is not counted:
+    `object.__setattr__`.  `simulate` hands each step's next unit vector on
+    as the next step's n_i.  A risk rule's own work is not counted:
     `spincollapse.risk` is not patched."""
 
-    @staticmethod
-    def _count(monkeypatch) -> dict:
-        calls = {"_xyz_angles": 0, "_reduce_angles": 0, "_check_base": 0, "born_up": 0,
-                 "Axis.__init__": 0, "TrajectoryStep.__init__": 0,
-                 "TrajectoryStep.__dict__": 0}
+    COUNTED = ("_xyz_angles", "_reduce_angles", "_check_base", "_check_eigen_tol",
+               "_unit_xyz", "born_up")
+
+    @classmethod
+    def _count(cls, monkeypatch) -> dict:
+        calls = dict.fromkeys(cls.COUNTED, 0)
+        calls.update({"Axis.__init__": 0, "TrajectoryStep.__init__": 0,
+                      "TrajectoryStep.__dict__": 0})
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -489,7 +554,7 @@ class TestStepDoesEachThingOnce:
 
         for module in (spincollapse.spin, spincollapse.entropy, spincollapse.solver,
                        SIMULATE_MODULE):
-            for name in ("_xyz_angles", "_reduce_angles", "_check_base", "born_up"):
+            for name in cls.COUNTED:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         for cls in (Axis, TrajectoryStep):
@@ -513,7 +578,8 @@ class TestStepDoesEachThingOnce:
         t = step(state, axis, config, rng)
         assert not t.no_collapse
         assert calls == {"_xyz_angles": 1, "_reduce_angles": 1, "_check_base": 0,
-                         "born_up": 1, "Axis.__init__": 1, "TrajectoryStep.__init__": 1,
+                         "_check_eigen_tol": 0, "_unit_xyz": 2, "born_up": 1,
+                         "Axis.__init__": 1, "TrajectoryStep.__init__": 1,
                          "TrajectoryStep.__dict__": 1}
 
     @pytest.mark.parametrize("outcome", OUTCOMES)
@@ -526,7 +592,8 @@ class TestStepDoesEachThingOnce:
         assert not t.no_collapse
         assert t.axis_next is t.axis_measured
         assert calls == {"_xyz_angles": 0, "_reduce_angles": 0, "_check_base": 0,
-                         "born_up": 1, "Axis.__init__": 0, "TrajectoryStep.__init__": 1,
+                         "_check_eigen_tol": 0, "_unit_xyz": 2, "born_up": 1,
+                         "Axis.__init__": 0, "TrajectoryStep.__init__": 1,
                          "TrajectoryStep.__dict__": 1}
 
     def test_strict_run_builds_each_record_once(self, monkeypatch):
@@ -540,6 +607,22 @@ class TestStepDoesEachThingOnce:
         assert calls["TrajectoryStep.__dict__"] == 20
         assert calls["Axis.__init__"] == 0 and calls["_check_base"] == 0
         assert calls["_reduce_angles"] == 0
+
+    @pytest.mark.parametrize("outcome", OUTCOMES)
+    def test_reflective_run_carries_n_i(self, monkeypatch, outcome):
+        # each collapsing step builds its next axis's unit vector once and
+        # hands it on as the next n_i; only the first n_i is built apart
+        config = SimConfig(steps=40, mode="reflective", outcome=outcome, seed=5)
+        state, axis = PureState(0.3, 1.0), Axis(1.2, 0.4)
+        calls = self._count(monkeypatch)
+        traj = simulate(state, axis, config)
+        collapsed = sum(not t.no_collapse for t in traj)
+        assert collapsed == 40
+        assert calls["_unit_xyz"] == collapsed + 1
+        assert calls["_check_eigen_tol"] == 0 and calls["_check_base"] == 0
+        assert calls["born_up"] == collapsed
+        assert calls["_xyz_angles"] == calls["_reduce_angles"] == calls["Axis.__init__"]
+        assert calls["TrajectoryStep.__init__"] == calls["TrajectoryStep.__dict__"] == 40
 
 
 def test_planted_mirror_fault_reaches_step_and_solve(monkeypatch):
@@ -576,9 +659,11 @@ def _records_of_every_route() -> list:
 
 
 class TestRecordContract:
-    """The records `step` and `simulate` build skip the dataclass `__init__`;
-    each is still the record `TrajectoryStep(*values)` builds, with the whole
-    frozen-dataclass surface."""
+    """The records `step` and `simulate` build go through `TrajectoryStep`'s
+    own `__init__`, which fills the instance dict instead of setting each
+    field through `object.__setattr__` as the generated frozen `__init__`
+    would; each is still the record `TrajectoryStep(*values)` builds, with
+    the whole frozen-dataclass surface."""
 
     NAMES = ("index", "state_before", "axis_measured", "p_up", "s", "state_after",
              "axis_next", "s_i", "s_up_next", "no_collapse")

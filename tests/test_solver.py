@@ -42,7 +42,7 @@ from spincollapse.solver import (
     _grid,
     _next_axis,
 )
-from spincollapse.spin import TWO_PI, _reduce_angles
+from spincollapse.spin import TWO_PI, _reduce_angles, _unit_xyz
 
 from helpers import (
     angle_between,
@@ -645,6 +645,26 @@ class TestAzimuthDescent:
         with pytest.raises(ValueError, match="level must lie in"):
             feasible_set(state, axis).axis_on_circle(level, 1.0)
 
+    @pytest.mark.parametrize(
+        "level", [1.0, 0.5, 0.0, True, False, np.float64(1.0), np.True_, "1", None])
+    @pytest.mark.parametrize("route", ["azimuth_descent", "axis_on_circle"])
+    def test_level_must_be_an_integer(self, route, level):
+        # it used to raise a bare TypeError for a float, and read True as 1
+        state = PureState(0.3, 0.0)
+        with pytest.raises(ValueError, match="level must lie in"):
+            if route == "azimuth_descent":
+                azimuth_descent(state, TILT, level, 1.0)
+            else:
+                feasible_set(state, TILT).axis_on_circle(level, 1.0)
+
+    @pytest.mark.parametrize("level", [np.int64(1), np.int32(0), np.uint8(1)])
+    def test_numpy_integer_level_accepted(self, level):
+        state = PureState(0.3, 0.0)
+        assert azimuth_descent(state, TILT, level, 1.0) == azimuth_descent(
+            state, TILT, int(level), 1.0)
+        fs = feasible_set(state, TILT)
+        assert fs.axis_on_circle(level, 1.0) == fs.axis_on_circle(int(level), 1.0)
+
     @pytest.mark.parametrize("psi0", [math.nan, math.inf, -math.inf])
     def test_non_finite_start_rejected(self, psi0):
         # it used to return (nan, 0.0): a silent objective at the global minimum
@@ -761,8 +781,10 @@ class TestCanonicalAngles:
     @example(rho=0.0, tau=0.0, theta=-0.0, phi=math.pi, eigen_tol=0.0)  # eigenstate
     def test_wrapping_matches_axis(self, rho, tau, theta, phi, eigen_tol):
         state, axis = PureState(rho, tau), Axis(theta, phi)
+        n_i = _unit_xyz(axis)
         try:
-            frame = _collapse_frame(state, axis, eigen_tol)[1:]
+            _p, m, cosb = _collapse_frame(state, axis, n_i, eigen_tol)
+            frame = m, n_i, cosb
         except NoCollapseError:
             frame = None  # no frame: `_next_axis` is never called
         for mode in MODES:
