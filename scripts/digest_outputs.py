@@ -24,7 +24,12 @@ families are
   both modes and entropy bases: longer than three of the 256-draw blocks
   in which `simulate` takes its uniforms, and five draws into a fourth;
 * ``eigen_tol0``: near-eigenstates with ``eigen_tol=0``, where `n_i . m`
-  can round to +-1: `solve`, `feasible_set`, the oracle and `simulate`.
+  can round to +-1: `solve`, `feasible_set`, the oracle and `simulate`;
+* ``kernels``: the scalar kernels of one step over every pair plus edge
+  pairs (``rho`` 0 and 1, poles, axes along and against the Bloch vector,
+  p = 1/2, ``tau`` just under 2*pi): the `float.hex` of `born_up`, the
+  collapse frame at ``eigen_tol`` 0, 1e-12 and 0.3 or its error, and the
+  outcome and risk value `select_outcome` picks under each builtin rule.
 
 Each line reads ``family  records  sha256``.  The script takes no options.
 
@@ -45,9 +50,14 @@ import tempfile
 from spincollapse import (
     Axis,
     PureState,
+    RiskContext,
     SimConfig,
+    antipode,
+    born_up,
     brute_force_oracle,
+    builtin_risks,
     feasible_set,
+    select_outcome,
     simulate,
     solve,
     state_from_bloch,
@@ -55,12 +65,15 @@ from spincollapse import (
     unit_vector,
 )
 from spincollapse.cli import main as cli_main
+from spincollapse.solver import _collapse_frame
+from spincollapse.spin import _unit_xyz
 
 SEED = 20261018
 ORACLE_GRIDS = ((40, 80), (37, 91))
 ORACLE_TOLS = (1e-9, 5e-3, 0.3)
 OUTCOMES = ("risk:born-surprise", "risk:alignment", "risk:constant", "born")
 BORN_LONG_STEPS = 3 * 256 + 5
+FRAME_TOLS = (0.0, 1e-12, 0.3)
 
 
 def _random_axis(rng: random.Random) -> Axis:
@@ -91,6 +104,44 @@ def _pairs() -> dict[str, list[tuple[PureState, Axis]]]:
         axis = _random_axis(rng)
         near.append((state_from_eigenvector(axis, s), axis))
     return {"generic": generic, "poles": poles, "half": half, "near": near}
+
+
+def _edge_pairs(rng: random.Random) -> list[tuple[PureState, Axis]]:
+    """Pairs at the edges of the kernels: certain, antipodal and even odds."""
+    below_two_pi = math.nextafter(2.0 * math.pi, 0.0)
+    edges = [(PureState(rho, 0.0), Axis(theta, 0.0))
+             for rho in (0.0, 1.0) for theta in (0.0, math.pi, 1.0)]
+    for _ in range(12):
+        axis = _random_axis(rng)
+        for s in (1, -1):  # along and against the axis, read on it and its antipode
+            state = state_from_eigenvector(axis, s)
+            edges += [(state, axis), (state, antipode(axis))]
+        tau = rng.uniform(0.0, 2.0 * math.pi)  # p = (1 + cos(phi - tau))/2 at the equator
+        edges += [(PureState(0.5, tau), Axis(0.5 * math.pi, tau)),
+                  (PureState(0.5, tau), Axis(0.5 * math.pi, tau + math.pi))]
+    edges += [(PureState(0.3, below_two_pi), Axis(1.0, below_two_pi)),
+              (PureState(0.5, below_two_pi), Axis(0.5 * math.pi, 0.0))]
+    return edges
+
+
+def _kernel_records(state, axis, axis_f):
+    yield born_up(state, axis).hex()
+    n_i = _unit_xyz(axis)
+    for eigen_tol in FRAME_TOLS:
+        try:
+            p, m, cosb = _collapse_frame(state, axis, n_i, eigen_tol)
+        except Exception as exc:
+            yield _error(exc)
+        else:
+            yield " ".join(x.hex() for x in (p, *m, cosb))
+    context = RiskContext(state, axis)
+    for risk in builtin_risks():
+        try:
+            s, value = select_outcome(risk, axis_f, context)
+        except Exception as exc:
+            yield _error(exc)
+        else:
+            yield f"{s} {value.hex()}"
 
 
 def _error(exc: Exception) -> str:
@@ -163,7 +214,7 @@ def _families() -> dict[str, list]:
     fam: dict[str, list] = {name: [] for name in (
         "solve", "feasible_set", "oracle.plain", "oracle.exclude", "oracle.base2",
         "oracle.infeasible", "oracle.tol", "landscape", "simulate", "simulate.long",
-        "simulate.born_long", "eigen_tol0")}
+        "simulate.born_long", "eigen_tol0", "kernels")}
     for k, (state, axis) in enumerate(pairs):
         grid = ORACLE_GRIDS[k % len(ORACLE_GRIDS)]
         fam["solve"].extend(_solve_records(state, axis))
@@ -196,6 +247,10 @@ def _families() -> dict[str, list]:
         fam["eigen_tol0"].append(
             _oracle_record(state, axis, grid=(40, 80), eigen_tol=0.0))
         fam["eigen_tol0"].extend(_simulate_records(state, axis, eigen_tol=0.0, steps=3))
+    kernel_pairs = pairs + _edge_pairs(random.Random(SEED + 1))
+    for k, (state, axis) in enumerate(kernel_pairs):
+        axis_f = kernel_pairs[(k + 1) % len(kernel_pairs)][1]  # the next pair's axis
+        fam["kernels"].extend(_kernel_records(state, axis, axis_f))
     return fam
 
 

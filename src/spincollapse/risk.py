@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .spin import Axis, PureState, _bloch_xyz, _dot3, _unit_xyz, born_up
+from .spin import Axis, PureState, _bloch_xyz, _dot3, _outcome, _unit_xyz, born_up
 
 __all__ = [
     "RiskContext",
@@ -36,7 +36,10 @@ __all__ = [
 _STAND_IN = "illustrative stand-in: the model does not prescribe a risk function"
 
 
-@dataclass(frozen=True)
+# RiskContext writes its own __init__ (init=False), as Axis does: a step
+# builds one per collapse, and setting each field once is cheaper than the
+# generated frozen __init__.
+@dataclass(frozen=True, init=False)
 class RiskContext:
     """What a rule may look at besides the candidate axis: the pre-collapse
     state and the axis currently being measured."""
@@ -44,14 +47,19 @@ class RiskContext:
     state: PureState
     axis_measured: Axis
 
+    def __init__(self, state: PureState, axis_measured: Axis) -> None:
+        object.__setattr__(self, "state", state)
+        object.__setattr__(self, "axis_measured", axis_measured)
+
 
 @dataclass(frozen=True)
 class RiskFunction:
     """A named rule assigning a scalar risk to each candidate outcome.
 
     `rule(axis_f, s, context)` may return +inf to veto an outcome outright
-    (e.g. a Born-impossible one) but never NaN, which `evaluate` rejects
-    because it would make the selection order-dependent.
+    (e.g. a Born-impossible one) but never NaN, which `evaluate` and
+    `select_outcome` reject because it would make the selection
+    order-dependent.  The outcome a rule sees is the plain int +1 or -1.
     """
 
     name: str
@@ -59,12 +67,16 @@ class RiskFunction:
     note: str = ""
 
     def evaluate(self, axis_f: Axis, s: int, context: RiskContext) -> float:
-        if s not in (1, -1):
-            raise ValueError(f"outcome must be +1 or -1, got {s!r}")
+        s = _outcome(s)
         value = float(self.rule(axis_f, s, context))
         if math.isnan(value):
-            raise ValueError(f"risk {self.name!r} returned NaN for outcome {s:+d}")
+            raise _nan_risk(self, s)
         return value
+
+
+def _nan_risk(risk: RiskFunction, s: int) -> ValueError:
+    """The error for a rule that returned NaN for outcome s."""
+    return ValueError(f"risk {risk.name!r} returned NaN for outcome {s:+d}")
 
 
 def _constant(axis_f: Axis, s: int, context: RiskContext) -> float:
@@ -112,10 +124,17 @@ def select_outcome(
 
     Exact ties resolve to +1.  A +inf risk vetoes that outcome; if both
     outcomes are vetoed no selection is meaningful and a ValueError is
-    raised.
+    raised.  The values are those of `risk.evaluate`, without its check of
+    the outcome: `risk.rule` runs for +1 and then -1, each value goes
+    through `float`, and a NaN raises before the next call.
     """
-    up = risk.evaluate(axis_f, 1, context)
-    down = risk.evaluate(axis_f, -1, context)
+    rule = risk.rule
+    up = float(rule(axis_f, 1, context))
+    if math.isnan(up):
+        raise _nan_risk(risk, 1)
+    down = float(rule(axis_f, -1, context))
+    if math.isnan(down):
+        raise _nan_risk(risk, -1)
     s, value = (-1, down) if down < up else (1, up)
     if value == math.inf:
         raise ValueError(f"risk {risk.name!r} vetoes every outcome (+inf for both)")

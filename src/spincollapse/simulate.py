@@ -94,7 +94,7 @@ def _uniforms(rng: np.random.Generator, count: int):
     `_DRAW_BLOCK` long and never reaches past the `count`-th draw.
     """
     while count > 0:
-        k = min(count, _DRAW_BLOCK)
+        k = count if count < _DRAW_BLOCK else _DRAW_BLOCK
         yield from rng.random(k).tolist()
         count -= k
 

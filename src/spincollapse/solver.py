@@ -164,15 +164,20 @@ def _collapse_frame(state: PureState, axis_i: Axis, n_i: tuple, eigen_tol: float
     tolerance, but at float resolution the Bloch vector lies on the axis and
     no circle exists.  m and n_i are float triples and n_i . m is `_dot3`, the
     plain float sum, so every byte downstream is the same on any BLAS build.
+
+    Both tests compare instead of calling `min` and `max`.  `born_up` keeps p
+    in [0, 1], so p <= tol or 1 - p <= tol is min(p, 1 - p) <= tol; a dot
+    outside (-1, 1) is reported clamped to +-1, and a NaN one as -1.0.
     """
     p = born_up(state, axis_i)
-    if min(p, 1.0 - p) <= eigen_tol:
+    if p <= eigen_tol or 1.0 - p <= eigen_tol:
         raise NoCollapseError(
             f"state is an eigenstate of the measured axis (born probability {p!r})"
         )
     m = _bloch_xyz(state)
-    cosb = min(1.0, max(-1.0, _dot3(n_i, m)))
-    if abs(cosb) >= 1.0:
+    cosb = _dot3(n_i, m)
+    if not -1.0 < cosb < 1.0:
+        cosb = 1.0 if cosb >= 1.0 else -1.0
         raise NoCollapseError(
             f"state is an eigenstate of the measured axis at float resolution "
             f"(n_i . m = {cosb!r}, born probability {p!r})"

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -243,7 +244,10 @@ def born_up(state: PureState, axis: Axis) -> float:
     s2 = math.sin(half) ** 2
     cross = math.sqrt(state.rho * (1.0 - state.rho)) * math.sin(axis.theta)
     p = state.rho * c2 + (1.0 - state.rho) * s2 + cross * math.cos(axis.phi - state.tau)
-    return min(1.0, max(0.0, p))
+    # min(1.0, max(0.0, p)) by comparison: NaN and -0.0 give 0.0
+    if 0.0 < p < 1.0:
+        return p
+    return 1.0 if p >= 1.0 else 0.0
 
 
 def bloch_vector(state: PureState) -> np.ndarray:
@@ -257,10 +261,25 @@ def _bloch_xyz(state: PureState) -> tuple[float, float, float]:
     return r * math.cos(state.tau), r * math.sin(state.tau), 2.0 * state.rho - 1.0
 
 
+def _outcome(s) -> int:
+    """The outcome s as the plain int +1 or -1; raises ValueError for
+    anything else.  A bool or a float is not an outcome; a numpy integer is,
+    through `operator.index`.  A plain int, as a step passes, takes the first
+    test only."""
+    k = s
+    if type(s) is not int:
+        try:
+            k = None if isinstance(s, bool) else operator.index(s)
+        except TypeError:
+            k = None
+    if k != 1 and k != -1:
+        raise ValueError(f"outcome must be +1 or -1, got {s!r}")
+    return k
+
+
 def state_from_eigenvector(axis: Axis, s: int) -> PureState:
     """Post-measurement state: the s = +1 or s = -1 eigenstate of the axis."""
-    if s not in (1, -1):
-        raise ValueError(f"outcome must be +1 or -1, got {s!r}")
+    s = _outcome(s)
     half = 0.5 * axis.theta
     if s == 1:
         return PureState(math.cos(half) ** 2, axis.phi)

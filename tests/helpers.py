@@ -32,6 +32,21 @@ def non_eigen_pair(
             return state, axis
 
 
+def born_up_unclamped(state, axis) -> float:
+    """The closed form of `born_up` before its clamp to [0, 1]."""
+    half = 0.5 * axis.theta
+    c2 = math.cos(half) ** 2
+    s2 = math.sin(half) ** 2
+    cross = math.sqrt(state.rho * (1.0 - state.rho)) * math.sin(axis.theta)
+    return state.rho * c2 + (1.0 - state.rho) * s2 + cross * math.cos(axis.phi - state.tau)
+
+
+def born_up_min_max(state, axis) -> float:
+    """`born_up` as it was written with `min` and `max`: the oracle of its
+    comparison clamp."""
+    return min(1.0, max(0.0, born_up_unclamped(state, axis)))
+
+
 def angle_between(a: Axis, b: Axis) -> float:
     """Angle in [0, pi] between two directions, accurate down to ~1e-16.
 

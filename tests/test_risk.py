@@ -1,7 +1,11 @@
 """Outcome-selection rules: builtins, validation, and well-definedness."""
 
+import dataclasses
 import math
+import pickle
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from spincollapse import (
@@ -125,6 +129,69 @@ class TestSelection:
         with pytest.raises(ValueError, match="vetoes every outcome"):
             select_outcome(rule, Z_AXIS, RiskContext(UP_Z, TILT))
 
+    def test_nan_up_raises_before_the_down_rule_runs(self):
+        calls = []
+
+        def rule(a, s, c):
+            calls.append(s)
+            return math.nan if s == 1 else 0.0
+
+        with pytest.raises(ValueError) as exc:
+            select_outcome(RiskFunction("nan-up", rule), Z_AXIS, RiskContext(UP_Z, TILT))
+        assert str(exc.value) == "risk 'nan-up' returned NaN for outcome +1"
+        assert calls == [1]
+
+    def test_nan_down_names_the_down_outcome(self):
+        calls = []
+
+        def rule(a, s, c):
+            calls.append(s)
+            return math.nan if s == -1 else 0.0
+
+        with pytest.raises(ValueError) as exc:
+            select_outcome(RiskFunction("nan-down", rule), Z_AXIS, RiskContext(UP_Z, TILT))
+        assert str(exc.value) == "risk 'nan-down' returned NaN for outcome -1"
+        assert calls == [1, -1]
+
+    def test_rule_sees_plain_int_outcomes_in_order(self):
+        seen = []
+        rule = RiskFunction("spy", lambda a, s, c: seen.append((type(s), s)) or 0.0)
+        select_outcome(rule, Z_AXIS, RiskContext(UP_Z, TILT))
+        assert seen == [(int, 1), (int, -1)]
+
+    @pytest.mark.parametrize("up, down, expected", [
+        (2, 3, (1, 2.0)),
+        (np.float64(0.5), np.float64(0.25), (-1, 0.25)),
+        (True, False, (-1, 0.0)),
+        (Fraction(1, 4), Fraction(1, 4), (1, 0.25)),
+    ])
+    def test_value_is_a_python_float(self, up, down, expected):
+        rule = RiskFunction("typed", lambda a, s, c: up if s == 1 else down)
+        s, value = select_outcome(rule, Z_AXIS, RiskContext(UP_Z, TILT))
+        assert (s, value) == expected and type(value) is float
+
+    def test_rule_exception_propagates_unchanged(self):
+        error = ZeroDivisionError("inside the rule")
+
+        def rule(a, s, c):
+            raise error
+
+        with pytest.raises(ZeroDivisionError) as exc:
+            select_outcome(RiskFunction("raises", rule), Z_AXIS, RiskContext(UP_Z, TILT))
+        assert exc.value is error
+
+    def test_selection_matches_evaluate(self, rng):
+        # select_outcome reads the rule directly; its pick is the lower of
+        # the two `evaluate` values, ties to +1
+        for rule in builtin_risks():
+            for _ in range(100):
+                ctx = RiskContext(uniform_state(rng), uniform_axis(rng))
+                axis_f = uniform_axis(rng)
+                up = rule.evaluate(axis_f, 1, ctx)
+                down = rule.evaluate(axis_f, -1, ctx)
+                expected = (-1, down) if down < up else (1, up)
+                assert select_outcome(rule, axis_f, ctx) == expected
+
     def test_constant_shift_never_changes_the_selection(self, rng):
         # adding the same constant to every risk leaves the argmin over
         # outcomes untouched; checked across all builtins on random inputs
@@ -146,17 +213,59 @@ class TestSelection:
 
 
 class TestValidation:
-    def test_invalid_outcome_rejected(self):
-        rule = get_risk("constant")
-        ctx = RiskContext(UP_Z, TILT)
-        for bad in (0, 2, -2):
-            with pytest.raises(ValueError):
-                rule.evaluate(Z_AXIS, bad, ctx)
+    @pytest.mark.parametrize("bad", [
+        0, 2, -2, True, False, 1.0, -1.0, np.float64(-1.0), np.True_, Fraction(1), "1", None,
+    ])
+    def test_invalid_outcome_rejected(self, bad):
+        # the +1 risk is not read for True, nor for the float 1.0
+        rule = get_risk("born-surprise")
+        with pytest.raises(ValueError) as exc:
+            rule.evaluate(Axis(1.0, 1.0), bad, RiskContext(UP_Z, TILT))
+        assert str(exc.value) == f"outcome must be +1 or -1, got {bad!r}"
+
+    @pytest.mark.parametrize("s", [np.int64(1), np.int8(-1), np.uint16(1)])
+    def test_numpy_integer_outcomes_accepted(self, s):
+        seen = []
+        rule = RiskFunction("spy", lambda a, k, c: seen.append(k) or float(k))
+        assert rule.evaluate(Z_AXIS, s, RiskContext(UP_Z, TILT)) == float(s)
+        assert seen == [int(s)] and type(seen[0]) is int
 
     def test_nan_risk_rejected(self):
         rule = RiskFunction("broken", lambda a, s, c: math.nan)
         with pytest.raises(ValueError, match="NaN"):
             rule.evaluate(Z_AXIS, +1, RiskContext(UP_Z, TILT))
+        with pytest.raises(ValueError) as exc:
+            rule.evaluate(Z_AXIS, -1, RiskContext(UP_Z, TILT))
+        assert str(exc.value) == "risk 'broken' returned NaN for outcome -1"
+
+
+class TestRiskContextContract:
+    """`RiskContext` sets its fields in its own `__init__`; the dataclass
+    surface around it stays that of a frozen dataclass."""
+
+    NAMES = ("state", "axis_measured")
+
+    def test_frozen_dataclass_surface(self):
+        state, axis = PureState(0.3, 1.0), Axis(1.2, 0.4)
+        ctx = RiskContext(state, axis)
+        assert tuple(f.name for f in dataclasses.fields(ctx)) == self.NAMES
+        assert RiskContext.__match_args__ == self.NAMES
+        assert ctx.state is state and ctx.axis_measured is axis
+        same = RiskContext(axis_measured=Axis(1.2, 0.4), state=PureState(0.3, 1.0))
+        assert ctx == same and hash(ctx) == hash(same)
+        assert ctx != RiskContext(state, Axis(1.2, 0.5))
+        assert repr(ctx) == f"RiskContext(state={state!r}, axis_measured={axis!r})"
+        moved = dataclasses.replace(ctx, axis_measured=TILT)
+        assert moved == RiskContext(state, TILT) and ctx.axis_measured is axis
+        restored = pickle.loads(pickle.dumps(ctx))
+        assert type(restored) is RiskContext
+        assert restored == ctx and repr(restored) == repr(ctx)
+        for name in self.NAMES:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(ctx, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(ctx, name)
+        assert (ctx.state, ctx.axis_measured) == (state, axis)
 
 
 class TestWellDefinedness:

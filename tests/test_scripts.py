@@ -59,6 +59,9 @@ def test_script_runs(script, args, summary):
 # strict mode) instead of the canonically smaller of the two candidates.
 # The ``simulate.born_long`` line was recorded on the `simulate` that drew
 # one `rng.random()` per Born step, before it drew its uniforms in blocks.
+# The ``kernels`` line was recorded on the `born_up` and collapse frame that
+# clamped through `min` and `max`, and on the `select_outcome` that called
+# `RiskFunction.evaluate` once per outcome.
 # A deliberate change to the emitted bytes updates these lines; a fast path
 # must keep them.
 DIGEST_LINES = """\
@@ -74,6 +77,7 @@ simulate             400  8a6823a42166fa9db84273c532bb2b0a76c38f5136bcdfebb52fca
 simulate.long        208  ae8dee897b4ecdd441ee569e8700f2fde8c96d78f4cbc8235f6cc1d01d6f270f
 simulate.born_long    28  62143250fdccb5f8736b6ba920cfcba01db96481e1b6b36c5cbe3de78199063d
 eigen_tol0           112  1fba571c0765c46364850e178daeb5e8a8e206a4cebaac899fd7eb5179715d0c
+kernels              910  b67f07670f872f0ce3c8c044fc97eb5e228c97150bf21f83154501c1442b3fb8
 """
 
 

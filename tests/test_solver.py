@@ -42,10 +42,11 @@ from spincollapse.solver import (
     _grid,
     _next_axis,
 )
-from spincollapse.spin import TWO_PI, _reduce_angles, _unit_xyz
+from spincollapse.spin import TWO_PI, _bloch_xyz, _dot3, _reduce_angles, _unit_xyz
 
 from helpers import (
     angle_between,
+    born_up_min_max,
     non_eigen_pair,
     triple_product,
     uniform_axis,
@@ -841,6 +842,87 @@ class TestCanonicalAngles:
         # the total drifts by a few dozen bytes from one measurement to the
         # next; under a byte per axis is that drift, not an object per axis
         assert allocated(Axis) <= allocated(_wrapped_axis) + 1000
+
+
+def _collapse_frame_min_max(state, axis_i, n_i, eigen_tol):
+    """`_collapse_frame` as it was written with `min` and `max`: the oracle of
+    its comparison tests."""
+    p = born_up_min_max(state, axis_i)
+    if min(p, 1.0 - p) <= eigen_tol:
+        raise NoCollapseError(
+            f"state is an eigenstate of the measured axis (born probability {p!r})"
+        )
+    m = _bloch_xyz(state)
+    cosb = min(1.0, max(-1.0, _dot3(n_i, m)))
+    if abs(cosb) >= 1.0:
+        raise NoCollapseError(
+            f"state is an eigenstate of the measured axis at float resolution "
+            f"(n_i . m = {cosb!r}, born probability {p!r})"
+        )
+    return p, m, cosb
+
+
+def _frame_record(frame, state, axis, eigen_tol, n_i=None):
+    """The float bits of a collapse frame, or its error text."""
+    try:
+        p, m, cosb = frame(state, axis, _unit_xyz(axis) if n_i is None else n_i, eigen_tol)
+    except NoCollapseError as exc:
+        return str(exc)
+    return _hex(p, *m, cosb)
+
+
+FRAME_TOLS = (0.0, 1e-12, 0.3)
+
+
+class TestCollapseFrameClamps:
+    """`_collapse_frame` tests by comparison; on every input it returns the
+    bits, or raises the error, of the `min`/`max` version."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        rho=st.one_of(st.floats(0.0, 1.0),
+                      st.sampled_from([0.0, 1.0, 0.5, 1e-20, 1e-13, 1.0 - 1e-16])),
+        tau=st.one_of(st.floats(0.0, TWO_PI), st.sampled_from([0.0, math.pi])),
+        theta=st.one_of(st.floats(0.0, math.pi), st.sampled_from([0.0, math.pi / 2, math.pi])),
+        phi=st.one_of(st.floats(0.0, TWO_PI), st.sampled_from([0.0, math.pi])),
+        eigen_tol=st.sampled_from(FRAME_TOLS),
+    )
+    @example(rho=0.5, tau=1.3, theta=0.0, phi=0.0, eigen_tol=0.3)  # p = 1/2
+    @example(rho=1.0, tau=0.0, theta=math.pi / 2, phi=0.0, eigen_tol=0.0)
+    @example(rho=0.5, tau=1.0, theta=math.pi / 2, phi=1.0, eigen_tol=0.0)  # p past 1
+    def test_matches_min_max_oracle(self, rho, tau, theta, phi, eigen_tol):
+        state, axis = PureState(rho, tau), Axis(theta, phi)
+        assert _frame_record(_collapse_frame, state, axis, eigen_tol) == _frame_record(
+            _collapse_frame_min_max, state, axis, eigen_tol)
+
+    def test_edges_match_min_max_oracle(self, rng):
+        # certain states on and off the poles; eigenstates read on their own
+        # axis and on its antipode, where n_i . m can round to +-1
+        pairs = [(PureState(rho, 0.0), Axis(theta, 0.0))
+                 for rho in (0.0, 1.0) for theta in (0.0, math.pi, 1.0)]
+        for _ in range(200):
+            axis = uniform_axis(rng)
+            for s in (1, -1):
+                state = state_from_eigenvector(axis, s)
+                pairs += [(state, axis), (state, antipode(axis))]
+        records = [_frame_record(_collapse_frame, state, axis, tol)
+                   for state, axis in pairs for tol in FRAME_TOLS]
+        assert records == [_frame_record(_collapse_frame_min_max, state, axis, tol)
+                           for state, axis in pairs for tol in FRAME_TOLS]
+        assert any("at float resolution" in r for r in records if isinstance(r, str))
+
+    @pytest.mark.parametrize("scale, reads", [
+        (math.nan, "-1.0"),  # a NaN dot reads as the lower clamp
+        (3.0, "1.0"),
+        (-3.0, "-1.0"),
+    ])
+    def test_dot_outside_the_open_interval_reads_clamped(self, scale, reads):
+        # an n_i off the unit sphere, along m: n_i . m = 3, -3 or NaN
+        state, axis = PureState(0.3, 1.0), Axis(1.2, 0.4)
+        n_i = tuple(scale * x for x in _bloch_xyz(state))
+        got = _frame_record(_collapse_frame, state, axis, 0.0, n_i)
+        assert got == _frame_record(_collapse_frame_min_max, state, axis, 0.0, n_i)
+        assert f"(n_i . m = {reads}, born probability " in got
 
 
 class TestInvariances:

@@ -5,6 +5,7 @@ import dataclasses
 import math
 import pickle
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,7 +31,13 @@ from spincollapse import (
 )
 from spincollapse.spin import _dot3, _xyz_angles
 
-from helpers import angle_between, uniform_axis, uniform_state
+from helpers import (
+    angle_between,
+    born_up_min_max,
+    born_up_unclamped,
+    uniform_axis,
+    uniform_state,
+)
 
 finite_angles = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 # vector components reaching signed zeros, pole-snap-sized offsets, NaN and inf
@@ -313,6 +320,54 @@ class TestBornRule:
         assert born_up(PureState(0.0, 0.0), Axis(0.0, 0.0)) == 0.0
 
 
+# the values of a state's and an axis's angles nearest their edges
+_NEAR_TWO_PI = math.nextafter(TWO_PI, 0.0)
+born_states = st.builds(
+    PureState,
+    st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0, 0.5, 1e-20, 1.0 - 1e-16])),
+    st.one_of(st.floats(0.0, TWO_PI), st.sampled_from([0.0, math.pi, _NEAR_TWO_PI])),
+)
+born_axes = st.builds(
+    Axis,
+    st.one_of(st.floats(0.0, math.pi), st.sampled_from([0.0, 0.5 * math.pi, math.pi])),
+    st.one_of(st.floats(0.0, TWO_PI), st.sampled_from([0.0, math.pi, _NEAR_TWO_PI])),
+)
+
+
+class TestBornClamp:
+    """`born_up` clamps its closed form to [0, 1] by comparison; bit for bit
+    that is the `min`/`max` clamp of `born_up_min_max`."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(born_states, born_axes)
+    def test_matches_min_max_oracle(self, state, axis):
+        assert born_up(state, axis).hex() == born_up_min_max(state, axis).hex()
+
+    def test_edges_match_min_max_oracle(self, rng):
+        # certain states read on the poles and off them, eigenstates read on
+        # their own axis and its antipode, and p = 1/2 on the equator
+        pairs = [(PureState(rho, 0.0), Axis(theta, 0.0))
+                 for rho in (0.0, 1.0) for theta in (0.0, math.pi, 1.0)]
+        for _ in range(200):
+            axis = uniform_axis(rng)
+            for s in (1, -1):
+                state = state_from_eigenvector(axis, s)
+                pairs += [(state, axis), (state, antipode(axis))]
+            tau = float(rng.uniform(0.0, TWO_PI))
+            pairs.append((PureState(0.5, tau), Axis(0.5 * math.pi, tau)))
+        raw = [born_up_unclamped(state, axis) for state, axis in pairs]
+        assert min(raw) < 0.0 and max(raw) > 1.0  # both ends are crossed
+        for state, axis in pairs:
+            assert born_up(state, axis).hex() == born_up_min_max(state, axis).hex()
+
+    def test_nan_probability_reads_zero(self):
+        # unreachable from a valid state; a NaN phase makes the closed form NaN
+        state = SimpleNamespace(rho=0.5, tau=math.nan)
+        assert math.isnan(born_up_unclamped(state, Axis(1.0, 1.0)))
+        assert born_up(state, Axis(1.0, 1.0)).hex() == born_up_min_max(
+            state, Axis(1.0, 1.0)).hex() == "0x0.0p+0"
+
+
 class TestStateConstructors:
     def test_state_from_eigenvector_is_certain(self, rng):
         for _ in range(200):
@@ -324,9 +379,20 @@ class TestStateConstructors:
             assert np.allclose(bloch_vector(up_state), unit_vector(axis), atol=1e-12)
             assert np.allclose(bloch_vector(down_state), -unit_vector(axis), atol=1e-12)
 
-    def test_state_from_eigenvector_validates_sign(self):
-        with pytest.raises(ValueError):
-            state_from_eigenvector(Axis(1.0, 1.0), 0)
+    @pytest.mark.parametrize("bad", [
+        0, 2, -2, True, False, 1.0, -1.0, np.float64(1.0), np.True_, Fraction(1),
+        1 + 0j, "1", None,
+    ])
+    def test_state_from_eigenvector_validates_sign(self, bad):
+        # a bool or a float equal to +-1 is not an outcome either
+        with pytest.raises(ValueError) as exc:
+            state_from_eigenvector(Axis(1.0, 1.0), bad)
+        assert str(exc.value) == f"outcome must be +1 or -1, got {bad!r}"
+
+    @pytest.mark.parametrize("s", [np.int64(1), np.int8(-1), np.uint8(1), np.int32(-1)])
+    def test_state_from_eigenvector_takes_numpy_integers(self, s):
+        axis = Axis(1.0, 1.0)
+        assert state_from_eigenvector(axis, s) == state_from_eigenvector(axis, int(s))
 
     def test_state_from_amplitudes_gauge(self, rng):
         for _ in range(200):
@@ -473,3 +539,4 @@ class TestValueTypeContract:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 delattr(value, name)
         assert tuple(getattr(value, n) for n in names) == canonical
+
