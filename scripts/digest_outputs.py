@@ -15,6 +15,11 @@ families are
   1e-9 to 0.3 (where the two entropy levels merge into one band), with and
   without exclusion, over every fourth pair;
 * ``landscape``: the stdout bytes of ``spincollapse landscape``;
+* ``cli.json``: the exit code and ``--out`` bytes of the JSON documents over
+  every fourth pair: ``solve`` in both modes, with ``--entropy-base 2`` and
+  with ``--degrees``; ``oracle`` on a 40x80 grid, plain, with
+  ``--exclude-trivial`` and on the infeasible 8x8 band (exit code 3);
+  ``simulate`` under every outcome rule in both modes, and with ``--tol 0``;
 * ``simulate``: the step documents of `simulate` for every outcome rule;
 * ``simulate.long``: 60-step `simulate` documents over every fourth pair,
   with ``eigen_tol`` 1e-12 and 0: long absorbed tails in strict mode, and
@@ -195,17 +200,45 @@ def _born_records(state, axis, seed, steps=BORN_LONG_STEPS):
             yield json.dumps([ts.to_dict() for ts in simulate(state, axis, config)])
 
 
-def _landscape_stdout(state, axis, grid: str, *flags: str) -> bytes:
+def _cli_flags(state, axis, angle=float) -> list[str]:
+    """The state and axis flags of a CLI call, with the angles through `angle`."""
+    return ["--rho", repr(state.rho), "--tau", repr(angle(state.tau)),
+            "--theta-i", repr(angle(axis.theta)), "--phi-i", repr(angle(axis.phi))]
+
+
+def _cli_out(*argv: str) -> tuple[int, bytes]:
+    """The exit code and the ``--out`` bytes of one in-process CLI call."""
     with tempfile.TemporaryDirectory() as tmp:
-        out = os.path.join(tmp, "landscape.csv")
-        cli_main(
-            ["landscape", "--rho", repr(state.rho), "--tau", repr(state.tau),
-             "--theta-i", repr(axis.theta), "--phi-i", repr(axis.phi),
-             "--grid", grid, "--out", out, *flags],
-            standalone_mode=False,
-        )
+        out = os.path.join(tmp, "out")
+        try:
+            cli_main([*argv, "--out", out], standalone_mode=False)
+            code = 0
+        except SystemExit as exc:
+            code = exc.code
         with open(out, "rb") as fh:
-            return fh.read()
+            return code, fh.read()
+
+
+def _landscape_stdout(state, axis, grid: str, *flags: str) -> bytes:
+    return _cli_out("landscape", *_cli_flags(state, axis), "--grid", grid, *flags)[1]
+
+
+def _cli_json_records(state, axis):
+    flags = _cli_flags(state, axis)
+    calls = [("solve", *flags, "--mode", mode) for mode in ("strict", "reflective")]
+    calls += [("solve", *flags, "--mode", "reflective", "--entropy-base", "2"),
+              ("solve", *_cli_flags(state, axis, math.degrees), "--degrees")]
+    calls += [("oracle", *flags, "--mode", "reflective", *extra) for extra in (
+        ("--grid", "40x80"),
+        ("--grid", "40x80", "--exclude-trivial", "0.2"),
+        ("--grid", "8x8", "--constraint-tol", "1e-9"))]
+    for mode in ("strict", "reflective"):
+        calls += [("simulate", *flags, "--steps", "6", "--mode", mode, "--outcome", outcome,
+                   *(("--seed", "5") if outcome == "born" else ())) for outcome in OUTCOMES]
+        calls.append(("simulate", *flags, "--steps", "6", "--mode", mode, "--tol", "0"))
+    for argv in calls:
+        code, data = _cli_out(*argv)
+        yield b"%d\n" % code + data
 
 
 def _families() -> dict[str, list]:
@@ -213,8 +246,8 @@ def _families() -> dict[str, list]:
     pairs = [pair for name in ("generic", "poles", "half", "near") for pair in groups[name]]
     fam: dict[str, list] = {name: [] for name in (
         "solve", "feasible_set", "oracle.plain", "oracle.exclude", "oracle.base2",
-        "oracle.infeasible", "oracle.tol", "landscape", "simulate", "simulate.long",
-        "simulate.born_long", "eigen_tol0", "kernels")}
+        "oracle.infeasible", "oracle.tol", "landscape", "cli.json", "simulate",
+        "simulate.long", "simulate.born_long", "eigen_tol0", "kernels")}
     for k, (state, axis) in enumerate(pairs):
         grid = ORACLE_GRIDS[k % len(ORACLE_GRIDS)]
         fam["solve"].extend(_solve_records(state, axis))
@@ -241,6 +274,8 @@ def _families() -> dict[str, list]:
         flags = [("--format", "tsv"), ("--entropy-base", "2"), ()][k % 3]
         fam["landscape"].append(_landscape_stdout(state, axis, "9x14", *flags))
     fam["landscape"].append(_landscape_stdout(*groups["generic"][0], "50x100"))
+    for state, axis in pairs[::4]:
+        fam["cli.json"].extend(_cli_json_records(state, axis))
     for state, axis in groups["near"]:
         fam["eigen_tol0"].extend(_solve_records(state, axis, eigen_tol=0.0))
         fam["eigen_tol0"].append(_feasible_record(state, axis, eigen_tol=0.0))

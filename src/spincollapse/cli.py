@@ -13,6 +13,8 @@ and axis inputs, ``--entropy-base`` and ``--out``.  ``solve``/``oracle``/
 document that echoes every input flag, so any output can be re-run from its
 own ``input`` block; ``landscape`` adds ``--format csv|tsv`` and emits
 delimiter-separated rows for external plotting.
+A document is exactly ``json.dumps(doc, indent=2) + "\n"``, ASCII only,
+written in one pass by `_write`.
 Documents carry no timestamps: identical invocations produce bit-identical
 output.  Angles are radians unless ``--degrees`` is given; emitted angles are
 always canonicalized radians (theta in [0, pi], phi in [0, 2*pi)) at full
@@ -24,9 +26,9 @@ feasible point.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 import click
 
@@ -221,6 +223,57 @@ def _solve_results(sol: SolverSolution) -> dict:
     }
 
 
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_LITERALS = {True: "true", False: "false", None: "null"}
+
+
+def _write(value, newline: str, parts: list) -> None:
+    """Append the pieces of ``json.dumps(value, indent=2)`` to `parts`.
+
+    `newline` is a line break plus the indent of the line `value` starts
+    on.  Dispatches on the exact type: float, str, int, bool, None, and
+    dicts with str keys, lists and tuples of these; anything else raises
+    TypeError, as `json` does.  Floats and ints are written by their own
+    `__repr__` (a finite float's ends in a digit; nan, inf and -inf become
+    NaN, Infinity and -Infinity), keys and strings by the C quoting
+    function of `json`, so the bytes are the encoder's.
+    """
+    kind = type(value)
+    if kind is float:
+        text = float.__repr__(value)
+        parts.append(_NON_FINITE[text] if text[-1] in "nf" else text)
+    elif kind is str:
+        parts.append(_quote(value))
+    elif kind is dict:
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            parts += sep, _quote(key), ": "  # a key that is no str raises TypeError
+            _write(item, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            parts.append(sep)
+            _write(item, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "]")
+    elif kind is int:
+        parts.append(int.__repr__(value))
+    elif kind is bool or value is None:
+        parts.append(_LITERALS[value])
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 def _envelope(command, input_echo, entropy_base, mode, results, warnings) -> str:
     doc = {
         "tool": {"name": _TOOL_NAME, "version": __version__},
@@ -231,7 +284,10 @@ def _envelope(command, input_echo, entropy_base, mode, results, warnings) -> str
         "results": results,
         "warnings": warnings,
     }
-    return json.dumps(doc, indent=2) + "\n"
+    parts: list = []
+    _write(doc, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
 
 
 def _emit(text: str, out: str | None) -> None:

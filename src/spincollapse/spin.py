@@ -110,11 +110,14 @@ class Axis:
     phi: float
 
     def __init__(self, theta: float, phi: float) -> None:
-        if not (0.0 < theta < math.pi and 0.0 < phi < TWO_PI
-                and type(theta) is float and type(phi) is float):
-            if not (math.isfinite(theta) and math.isfinite(phi)):
+        if not (type(theta) is float and type(phi) is float
+                and 0.0 < theta < math.pi and 0.0 < phi < TWO_PI):
+            # float() first, as `PureState` does: a numeric string is taken,
+            # and None or a complex raise float()'s TypeError naming the type
+            t, p = float(theta), float(phi)
+            if not (math.isfinite(t) and math.isfinite(p)):
                 raise ValueError(f"axis angles must be finite, got ({theta!r}, {phi!r})")
-            theta, phi = _reduce_angles(float(theta), float(phi))
+            theta, phi = _reduce_angles(t, p)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "phi", phi)
 

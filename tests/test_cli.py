@@ -8,9 +8,11 @@ import math
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spincollapse import __version__
-from spincollapse.cli import main
+from spincollapse.cli import _write, main
 
 H_QUARTER = 0.5623351446188083
 H_QUARTER_BITS = 0.8112781244591328  # same value in base 2
@@ -388,6 +390,62 @@ class TestEnvelope:
         assert result.exit_code == 2
 
 
+def _written(value) -> str:
+    parts: list = []
+    _write(value, "\n", parts)
+    return "".join(parts)
+
+
+# strings reaching non-ASCII, astral, control, quote and backslash characters
+_TEXT = st.text(st.one_of(
+    st.characters(), st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x7f", "\u2028", "\U0001f600"]),
+))
+_SCALAR = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2**80, 2**80),
+    st.floats(), st.sampled_from([-0.0, 5e-324, 1e16, 1e-7, 2.0**63]), _TEXT,
+)
+_DOCUMENT = st.recursive(
+    _SCALAR,
+    lambda inner: st.one_of(st.lists(inner, max_size=5),
+                            st.dictionaries(_TEXT, inner, max_size=5)),
+    max_leaves=30,
+)
+
+
+class TestWriter:
+    """`cli._write` writes exactly the bytes of ``json.dumps(value, indent=2)``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_DOCUMENT)
+    def test_matches_json_dumps(self, value):
+        assert _written(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [
+        [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e-7, 123456789.0],
+        [2**64, -(2**64), 3**100, -(7**90), 0, -1],
+        [True, 1, 1.0, False, 0, 0.0, None],
+        {"caf\u00e9 \u2603 \U0001f600": "\u00fc\u20ac\U0001f600",
+         "\x00\x01\x1f\x7f\n\t": "\x00\x1f\r\b\f",
+         '"quoted" \\ back\\slash': 'say "hi" \\ \\\\'},
+        {}, [], {"a": {}, "b": [], "c": [[], {}, [[]], {"d": {}}]}, [[[]]],
+        (1, (2.5, "x"), ()), {"t": (None, (True,))},
+        "plain", 0.1, None, True, 10**30,
+    ], ids=repr)
+    def test_edge_values(self, value):
+        assert _written(value) == json.dumps(value, indent=2)
+        assert _written(value).isascii()
+
+    @pytest.mark.parametrize("value", [
+        {1, 2}, {"a": {1}}, [frozenset()], b"bytes", complex(1, 2), {"k": object()},
+    ], ids=repr)
+    def test_unsupported_raises_type_error(self, value):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError) as raised:
+            _written(value)
+        assert str(raised.value) == str(expected.value)
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv",
@@ -526,6 +584,14 @@ _PINNED = [
     ("oracle-merged-circle",
      "oracle --rho 0.5 --theta-i 0 --mode reflective --grid 64x128",
      0, "d2fec2dd0cd155b779788a57c92cb442357df84bc7ca85473e301335bfb6d5d0"),
+    # recorded before the documents were written by `cli._write` instead of
+    # `json.dumps`: a strict run that absorbs (records with "no_collapse":
+    # true, an echo with "seed": null) and a base-2 Born run at --tol 0
+    ("simulate-strict-absorbs", f"simulate {_STATE} --steps 4", 0,
+     "54bf1c3f43af00544da5d9d2a8886fc5777e34de1a87cd398dad08c25e0b4b64"),
+    ("simulate-born-tol0-base2",
+     f"simulate {_STATE} --steps 6 --outcome born --seed 0 --tol 0 --entropy-base 2",
+     0, "e49602dc18eac4aa7712a346a99a7ac2981fa6cef109c144cd671b929f175b75"),
 ]
 
 
@@ -539,3 +605,15 @@ class TestPinnedBytes:
         result = runner.invoke(main, command.split())
         assert result.exit_code == exit_code, result.output
         assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
+
+    @pytest.mark.parametrize("name", [
+        "solve-reflective-2", "oracle-exclude", "oracle-infeasible",
+        "simulate-strict-absorbs", "simulate-born-tol0-base2",
+    ])
+    def test_out_file_equals_stdout(self, runner, tmp_path, name):
+        _, command, exit_code, digest = next(case for case in _PINNED if case[0] == name)
+        target = tmp_path / "doc.json"
+        result = runner.invoke(main, [*command.split(), "--out", str(target)])
+        assert result.exit_code == exit_code, result.output
+        assert result.stdout_bytes == b""
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == digest

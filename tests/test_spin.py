@@ -112,6 +112,44 @@ class TestAxisCanonicalization:
         assert str(exc.value) == f"axis angles must be finite, got (0.0, {bad!r})"
 
 
+class TestAxisArguments:
+    """`Axis` converts its arguments with float() before any test, as
+    `PureState` does: what float() takes gives the axis of its float, and
+    what it refuses raises float()'s own error, which names the argument's
+    type instead of an operator."""
+
+    @pytest.mark.parametrize("raw", [
+        "1.0", " 2.5 ", "-7", np.float64(1.2), np.float32(0.5), np.longdouble(3.0),
+        np.float64(-0.0), Fraction(1, 3), Fraction(22, 7), True, False, 3,
+    ], ids=repr)
+    def test_float_convertible_matches_float(self, raw):
+        for got, want in ((Axis(raw, 1.0), Axis(float(raw), 1.0)),
+                          (Axis(1.0, raw), Axis(1.0, float(raw)))):
+            assert type(got.theta) is float and type(got.phi) is float
+            assert (got.theta.hex(), got.phi.hex()) == (want.theta.hex(), want.phi.hex())
+
+    @pytest.mark.parametrize("bad", [None, 1 + 0j, complex(0.5, 0.0), "one", [1.0], object()],
+                             ids=repr)
+    def test_unconvertible_raises_what_float_raises(self, bad):
+        with pytest.raises(Exception) as expected:
+            float(bad)
+        for args in ((bad, 1.0), (1.0, bad)):
+            with pytest.raises(expected.type) as raised:
+                Axis(*args)
+            assert str(raised.value) == str(expected.value)
+            assert "'<' not supported" not in str(raised.value)
+            # PureState reports the same argument the same way
+            with pytest.raises(expected.type) as state_raised:
+                PureState(*args)
+            assert str(state_raised.value) == str(raised.value)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", np.float64(math.nan)], ids=repr)
+    def test_non_finite_after_conversion_names_the_argument(self, bad):
+        with pytest.raises(ValueError) as exc:
+            Axis(bad, 0.0)
+        assert str(exc.value) == f"axis angles must be finite, got ({bad!r}, 0.0)"
+
+
 class TestVectors:
     @given(finite_angles, finite_angles)
     def test_unit_norm(self, theta, phi):
