@@ -15,6 +15,9 @@ families are
   1e-9 to 0.3 (where the two entropy levels merge into one band), with and
   without exclusion, over every fourth pair;
 * ``landscape``: the stdout bytes of ``spincollapse landscape``;
+* ``landscape.shapes``: the same over every fourth pair on grids 2x2, 3x4,
+  10x20, 11x20 and 10x21: odd and even row and column counts, where rows
+  pair off with their antipodal rows or one stands in the middle;
 * ``cli.json``: the exit code and ``--out`` bytes of the JSON documents over
   every fourth pair: ``solve`` in both modes, with ``--entropy-base 2`` and
   with ``--degrees``; ``oracle`` on a 40x80 grid, plain, with
@@ -79,6 +82,8 @@ ORACLE_TOLS = (1e-9, 5e-3, 0.3)
 OUTCOMES = ("risk:born-surprise", "risk:alignment", "risk:constant", "born")
 BORN_LONG_STEPS = 3 * 256 + 5
 FRAME_TOLS = (0.0, 1e-12, 0.3)
+LANDSCAPE_FLAGS = (("--format", "tsv"), ("--entropy-base", "2"), ())
+LANDSCAPE_SHAPES = ("2x2", "3x4", "10x20", "11x20", "10x21")
 
 
 def _random_axis(rng: random.Random) -> Axis:
@@ -246,8 +251,8 @@ def _families() -> dict[str, list]:
     pairs = [pair for name in ("generic", "poles", "half", "near") for pair in groups[name]]
     fam: dict[str, list] = {name: [] for name in (
         "solve", "feasible_set", "oracle.plain", "oracle.exclude", "oracle.base2",
-        "oracle.infeasible", "oracle.tol", "landscape", "cli.json", "simulate",
-        "simulate.long", "simulate.born_long", "eigen_tol0", "kernels")}
+        "oracle.infeasible", "oracle.tol", "landscape", "landscape.shapes", "cli.json",
+        "simulate", "simulate.long", "simulate.born_long", "eigen_tol0", "kernels")}
     for k, (state, axis) in enumerate(pairs):
         grid = ORACLE_GRIDS[k % len(ORACLE_GRIDS)]
         fam["solve"].extend(_solve_records(state, axis))
@@ -271,8 +276,11 @@ def _families() -> dict[str, list]:
     for k, (state, axis) in enumerate(pairs[::8]):
         fam["simulate.born_long"].extend(_born_records(state, axis, seed=k))
     for k, (state, axis) in enumerate(pairs[::4]):
-        flags = [("--format", "tsv"), ("--entropy-base", "2"), ()][k % 3]
+        flags = LANDSCAPE_FLAGS[k % 3]
         fam["landscape"].append(_landscape_stdout(state, axis, "9x14", *flags))
+        for g, grid in enumerate(LANDSCAPE_SHAPES):
+            fam["landscape.shapes"].append(
+                _landscape_stdout(state, axis, grid, *LANDSCAPE_FLAGS[(k + g) % 3]))
     fam["landscape"].append(_landscape_stdout(*groups["generic"][0], "50x100"))
     for state, axis in pairs[::4]:
         fam["cli.json"].extend(_cli_json_records(state, axis))

@@ -11,8 +11,9 @@ Each takes only the flags it reads, from one table: all four take the state
 and axis inputs, ``--entropy-base`` and ``--out``.  ``solve``/``oracle``/
 ``simulate`` add ``--mode`` and ``--tol`` and emit a single structured JSON
 document that echoes every input flag, so any output can be re-run from its
-own ``input`` block; ``landscape`` adds ``--format csv|tsv`` and emits
-delimiter-separated rows for external plotting.
+own ``input`` block (less the default ``tau`` an amplitude input echoes);
+``landscape`` adds ``--format csv|tsv`` and emits delimiter-separated rows
+for external plotting.
 A document is exactly ``json.dumps(doc, indent=2) + "\n"``, ASCII only,
 written in one pass by `_write`.
 Documents carry no timestamps: identical invocations produce bit-identical
@@ -31,6 +32,7 @@ import sys
 from json.encoder import encode_basestring_ascii as _quote
 
 import click
+from click.core import ParameterSource
 
 from . import __version__
 from .entropy import s_i
@@ -153,7 +155,9 @@ def _resolve_inputs() -> tuple[PureState, Axis, dict]:
     rho, amp_up, amp_down = flags["rho"], flags["amp_up"], flags["amp_down"]
     angle = math.radians if flags["degrees"] else float
     has_amp = amp_up is not None or amp_down is not None
-    if has_amp and rho is not None:
+    # an explicit --tau, even 0, is a second state input
+    tau_given = ctx.get_parameter_source("tau") is not ParameterSource.DEFAULT
+    if has_amp and (rho is not None or tau_given):
         raise click.UsageError("give either --rho/--tau or --amp-up/--amp-down, not both")
     if has_amp:
         if amp_up is None or amp_down is None:
@@ -301,6 +305,57 @@ def _emit(text: str, out: str | None) -> None:
         raise click.UsageError(f"cannot write --out {out!r}: {exc}")
 
 
+_COLUMNS = ("theta_f", "phi_f", "p_up", "s_f", "constraint_residual", "s_up")
+
+
+def _table(thetas, phis, p_up, s_f, residual, s_up, delimiter: str) -> str:
+    """The landscape rows, each cell the `repr` of its float, under a header.
+
+    float reprs never hold a delimiter, a quote or a line break, so the rows
+    need no CSV quoting.  Each grid angle is formatted once, and the rows
+    are built in pairs: row i, then its mirror row j = n_theta - 1 - i.
+    With an even n_phi, column k of row j sits at the antipode of column
+    k + n_phi/2 of row i on the linspace grid, and s_f, the residual and
+    s_up are even under n_f -> -n_f.  So each of those columns of row j
+    starts as row i's cells turned half a turn, and only the cells whose
+    float64 bits differ from their antipode's are formatted again.  Bits,
+    not values, decide: -0.0 and 0.0, or two NaN payloads, are told apart.
+    Values become Python floats one pair of rows at a time, which keeps the
+    peak memory of a large grid near that of a csv writer.
+    """
+    n_theta, n_phi = len(thetas), len(phis)
+    half = 0 if n_phi % 2 else n_phi // 2
+    even = (s_f, residual, s_up)
+    bits = [grid.view("u8") for grid in even]
+    theta_cells = thetas.tolist()
+    phi_cells = [repr(phi) for phi in phis.tolist()]
+    rows = [delimiter.join(_COLUMNS), *[""] * n_theta, ""]
+
+    def put(i, columns):
+        rows[i + 1] = "\n".join(map(delimiter.join, zip(
+            [repr(theta_cells[i])] * n_phi, phi_cells, *columns)))
+
+    for i in range((n_theta + 1) // 2):
+        columns = [list(map(repr, grid[i].tolist())) for grid in (p_up, *even)]
+        put(i, columns)
+        j = n_theta - 1 - i
+        if j == i:  # the middle row of an odd n_theta
+            break
+        mirror = [list(map(repr, p_up[j].tolist()))]
+        for grid, grid_bits, cells in zip(even, bits, columns[1:]):
+            if half:
+                cells = cells[half:] + cells[:half]
+                values = grid[j].tolist()
+                antipodes = grid_bits[i].reshape(2, half)[::-1].ravel()
+                for k in (grid_bits[j] != antipodes).nonzero()[0].tolist():
+                    cells[k] = repr(values[k])
+            else:
+                cells = list(map(repr, grid[j].tolist()))
+            mirror.append(cells)
+        put(j, mirror)
+    return "\n".join(rows)
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -341,22 +396,7 @@ def cmd_landscape(entropy_base, out, fmt, grid, **_):
         state, axis_i, n_theta, n_phi, base
     )
     residual = s_f_grid - s_i(state, axis_i, base)
-
-    # float reprs never hold a delimiter, a quote or a line break, so the
-    # rows need no CSV quoting.  Each grid angle is formatted once; values
-    # become Python floats one theta_f row at a time, which keeps the peak
-    # memory of a large grid near that of a csv writer.
-    phi_cells = [repr(phi) for phi in phis.tolist()]
-    blocks = [delimiter.join(
-        ["theta_f", "phi_f", "p_up", "s_f", "constraint_residual", "s_up"]
-    )]
-    for theta, *row in zip(thetas.tolist(), p_up, s_f_grid, residual, s_up_grid):
-        blocks.append("\n".join(map(delimiter.join, zip(
-            [repr(theta)] * n_phi, phi_cells,
-            *(map(repr, cells.tolist()) for cells in row),
-        ))))
-    blocks.append("")
-    _emit("\n".join(blocks), out)
+    _emit(_table(thetas, phis, p_up, s_f_grid, residual, s_up_grid, delimiter), out)
 
 
 @main.command("oracle")

@@ -1,4 +1,4 @@
-"""Shared sampling and geometry helpers for the test suite."""
+"""Shared sampling and geometry helpers, and test oracles, for the test suite."""
 
 from __future__ import annotations
 
@@ -7,6 +7,8 @@ import math
 import numpy as np
 
 from spincollapse import Axis, PureState, born_up, unit_vector
+from spincollapse.entropy import s_i
+from spincollapse.solver import _entropy_grid
 
 
 def uniform_axis(rng: np.random.Generator) -> Axis:
@@ -59,3 +61,27 @@ def angle_between(a: Axis, b: Axis) -> float:
 
 def triple_product(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> float:
     return float(np.dot(u, np.cross(v, w)))
+
+
+def landscape_grids(state, axis_i, n_theta, n_phi, base):
+    """The grids `spincollapse landscape` tabulates, computed as the command
+    does: thetas, phis, p_up, s_f, the constraint residual and s_up."""
+    thetas, phis, p_up, s_f, s_up = _entropy_grid(state, axis_i, n_theta, n_phi, base)
+    return thetas, phis, p_up, s_f, s_f - s_i(state, axis_i, base), s_up
+
+
+def landscape_table(thetas, phis, p_up, s_f, residual, s_up, delimiter) -> str:
+    """The landscape table formatted row by row, every cell by its own
+    `repr`: the oracle of `cli._table`, which reuses antipodal cells."""
+    n_phi = len(phis)
+    phi_cells = [repr(phi) for phi in phis.tolist()]
+    blocks = [delimiter.join(
+        ["theta_f", "phi_f", "p_up", "s_f", "constraint_residual", "s_up"]
+    )]
+    for theta, *row in zip(thetas.tolist(), p_up, s_f, residual, s_up):
+        blocks.append("\n".join(map(delimiter.join, zip(
+            [repr(theta)] * n_phi, phi_cells,
+            *(map(repr, cells.tolist()) for cells in row),
+        ))))
+    blocks.append("")
+    return "\n".join(blocks)

@@ -5,14 +5,19 @@ import hashlib
 import io
 import json
 import math
+import struct
+import tracemalloc
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spincollapse import __version__
-from spincollapse.cli import _write, main
+from helpers import landscape_grids, landscape_table
+from spincollapse import Axis, PureState, __version__
+from spincollapse import cli
+from spincollapse.cli import _table, _write, main
 
 H_QUARTER = 0.5623351446188083
 H_QUARTER_BITS = 0.8112781244591328  # same value in base 2
@@ -220,6 +225,84 @@ class TestLandscapeCommand:
             main, ["landscape", "--rho", "1", "--theta-i", "0", "--grid", "1x5"]
         )
         assert result.exit_code == 2
+
+
+def _bits(x: float) -> int:
+    return struct.unpack("<Q", struct.pack("<d", x))[0]
+
+
+def _nan(payload: int) -> float:
+    return np.array([0x7FF8000000000000 | payload], dtype="u8").view("f8")[0]
+
+
+class TestLandscapeTable:
+    """`cli._table` reuses the `repr` of an antipodal cell whose bits are
+    equal; `helpers.landscape_table` formats every cell, and is its oracle."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n_theta=st.integers(2, 24),
+        n_phi=st.integers(2, 24),
+        rho=st.one_of(st.sampled_from([0.0, 1.0, 0.5]), st.floats(0.0, 1.0)),
+        tau=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+        theta_i=st.one_of(st.sampled_from([0.0, math.pi]), st.floats(0.0, math.pi)),
+        phi_i=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+        base=st.sampled_from(["e", "2"]),
+        fmt=st.sampled_from(["csv", "tsv"]),
+    )
+    def test_stdout_matches_oracle(self, n_theta, n_phi, rho, tau, theta_i, phi_i,
+                                   base, fmt):
+        argv = ["landscape", "--rho", repr(rho), "--tau", repr(tau),
+                "--theta-i", repr(theta_i), "--phi-i", repr(phi_i),
+                "--entropy-base", base, "--format", fmt, "--grid", f"{n_theta}x{n_phi}"]
+        result = CliRunner().invoke(main, argv)
+        assert result.exit_code == 0, result.output
+        grids = landscape_grids(PureState(rho, tau), Axis(theta_i, phi_i),
+                                n_theta, n_phi, {"e": math.e, "2": 2.0}[base])
+        assert result.output == landscape_table(*grids, "\t" if fmt == "tsv" else ",")
+
+    def test_bits_decide_reuse(self, monkeypatch):
+        # row 1, column k is the antipode of row 0, column (k + 2) % 4
+        nan_a, nan_b = _nan(1), _nan(2)
+        p_up = np.array([[0.1, 0.2, 0.3, 0.4], [0.9, 0.8, 0.7, 0.6]])
+        s_f = np.array([[0.0, 0.25, 0.5, 0.75], [0.5, 0.75, -0.0, 0.25]])
+        residual = np.array([[nan_a, 1.0, 2.0, 3.0], [2.0, 3.0, nan_a, 1.0]])
+        s_up = np.array([[nan_a, 1.5, 2.5, 3.5], [2.5, 3.5, nan_b, 1.5]])
+        grids = (np.array([0.0, math.pi]), np.arange(4) * (0.5 * math.pi),
+                 p_up, s_f, residual, s_up)
+        formatted = []
+
+        def recording_repr(x):
+            formatted.append(_bits(x))
+            return repr(x)
+
+        monkeypatch.setattr(cli, "repr", recording_repr, raising=False)
+        text = _table(*grids, ",")
+        monkeypatch.undo()
+        assert text == landscape_table(*grids, ",")
+        assert text.split("\n")[7].split(",")[3] == "-0.0"
+        # -0.0 equals 0.0 but is formatted again; the NaN whose bits match
+        # its antipode's is not, though it equals nothing, and the other is
+        assert formatted.count(_bits(-0.0)) == 1
+        assert formatted.count(_bits(nan_a)) == 2  # row 0: residual and s_up
+        assert formatted.count(_bits(nan_b)) == 1
+        for value in (0.25, 0.5, 0.75, 1.0, 2.0, 3.0, 1.5, 2.5, 3.5):
+            assert formatted.count(_bits(value)) == 1  # row 0 only
+
+    def test_peak_memory_near_oracle(self):
+        # the table of the default grid holds its text about twice (rows and
+        # the joined document); the pairs of cell lists add little to that
+        grids = landscape_grids(PureState(0.7, 0.4), Axis(0.9, 1.1), 200, 400, math.e)
+        peaks = []
+        for build in (landscape_table, _table):
+            tracemalloc.start()
+            try:
+                build(*grids, ",")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        oracle_peak, peak = peaks
+        assert peak <= 1.1 * oracle_peak, (peak, oracle_peak)
 
 
 class TestOracleCommand:
@@ -453,6 +536,15 @@ class TestUsageErrors:
             ["solve", "--theta-i", "1"],  # no state
             ["solve", "--rho", "0.5", "--amp-up", "1", "--amp-down", "0",
              "--theta-i", "1"],  # state given both ways at once
+            # a phase beside the amplitudes, even the default one
+            ["solve", "--amp-up", "0.6", "--amp-down", "0.8", "--tau", "1.0",
+             "--theta-i", "0.5"],
+            ["solve", "--amp-up", "0.6", "--amp-down", "0.8", "--tau", "0",
+             "--theta-i", "0.5"],
+            ["landscape", "--amp-up", "0.6", "--amp-down", "0.8", "--tau", "1.0",
+             "--theta-i", "0.5"],
+            ["landscape", "--amp-up", "0.6", "--amp-down", "0.8", "--tau", "0",
+             "--theta-i", "0.5"],
             ["solve", "--amp-up", "1", "--theta-i", "1"],  # half an amplitude pair
             ["solve", "--rho", "2", "--theta-i", "1"],  # weight out of range
             ["solve", "--amp-up", "0", "--amp-down", "0", "--theta-i", "1"],
@@ -592,6 +684,19 @@ _PINNED = [
     ("simulate-born-tol0-base2",
      f"simulate {_STATE} --steps 6 --outcome born --seed 0 --tol 0 --entropy-base 2",
      0, "e49602dc18eac4aa7712a346a99a7ac2981fa6cef109c144cd671b929f175b75"),
+    # recorded before each landscape row was formatted with its antipodal row:
+    # a middle row left unpaired, a pole axis, an eigenstate, an odd column
+    # count (no antipodal column), and the default 200x400 grid
+    ("landscape-odd-rows", f"landscape {_STATE} --grid 11x16", 0,
+     "02296bc059b710bbf96d28128021d5d322c38f59a9b92e142ffc5b853b595d25"),
+    ("landscape-pole-axis", "landscape --rho 0.7 --tau 0.4 --theta-i 0 --grid 12x24", 0,
+     "b7c7a4f7d66719e04f5e88c3eaf28ecd211814a986fd15cf07c0c6c99e6cb406"),
+    ("landscape-eigenstate", "landscape --rho 1 --theta-i 0 --grid 8x8", 0,
+     "beb5e0d624ffdac777ab889ec395b291b013363bd6374f64b13447a509995071"),
+    ("landscape-odd-columns", f"landscape {_STATE} --grid 10x15", 0,
+     "f28a4d4d25d98fe950b8739f9d63cd8a142378ba45acd043986eb93c999b6e2a"),
+    ("landscape-default-grid", f"landscape {_STATE}", 0,
+     "1aac3f8b671095940d41971a17b965f83a6b45b28359075121db4266370fea34"),
 ]
 
 

@@ -75,6 +75,7 @@ oracle.base2          50  3c34150176d15160ce8067da1e2cfba2c9edb1cedfd87abba7b408
 oracle.infeasible     50  c6d2901b1d1ade7bf7dc90f885825415a5b5079e6b2b7007e730df7e3bc37be8
 oracle.tol            78  7306eecb5a0752fe65d9711d5ca21018996ab0a902bb25f57710648a71dfb8a7
 landscape             14  98a4c856b8282cd7cd2702a270af3d9b34f86f268f6df3df4f93f67b65af1ec4
+landscape.shapes      65  357af32f5f8c2806a284ba6d0e55b162bc314dcdc020d4058ea19ad92db9dbbb
 cli.json             221  96c81fc55d140ee9af45f72222a2a18680c89b2f1b6e62f4c15529de6cdb93f9
 simulate             400  8a6823a42166fa9db84273c532bb2b0a76c38f5136bcdfebb52fca155bc76706
 simulate.long        208  ae8dee897b4ecdd441ee569e8700f2fde8c96d78f4cbc8235f6cc1d01d6f270f
