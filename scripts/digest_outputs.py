@@ -37,7 +37,11 @@ families are
   pairs (``rho`` 0 and 1, poles, axes along and against the Bloch vector,
   p = 1/2, ``tau`` just under 2*pi): the `float.hex` of `born_up`, the
   collapse frame at ``eigen_tol`` 0, 1e-12 and 0.3 or its error, and the
-  outcome and risk value `select_outcome` picks under each builtin rule.
+  outcome and risk value `select_outcome` picks under each builtin rule;
+* ``amplitudes``: the `float.hex` of the (rho, tau) of
+  `state_from_amplitudes` over seeded pairs at unit scale, at 1e300 and
+  1e-300, with every part subnormal (the largest one too), and with one
+  amplitude zero.
 
 Each line reads ``family  records  sha256``.  The script takes no options.
 
@@ -68,6 +72,7 @@ from spincollapse import (
     select_outcome,
     simulate,
     solve,
+    state_from_amplitudes,
     state_from_bloch,
     state_from_eigenvector,
     unit_vector,
@@ -84,6 +89,7 @@ BORN_LONG_STEPS = 3 * 256 + 5
 FRAME_TOLS = (0.0, 1e-12, 0.3)
 LANDSCAPE_FLAGS = (("--format", "tsv"), ("--entropy-base", "2"), ())
 LANDSCAPE_SHAPES = ("2x2", "3x4", "10x20", "11x20", "10x21")
+AMPLITUDE_SCALES = (1.0, 1e300, 1e-300, 2.0**-1060)
 
 
 def _random_axis(rng: random.Random) -> Axis:
@@ -132,6 +138,19 @@ def _edge_pairs(rng: random.Random) -> list[tuple[PureState, Axis]]:
     edges += [(PureState(0.3, below_two_pi), Axis(1.0, below_two_pi)),
               (PureState(0.5, below_two_pi), Axis(0.5 * math.pi, 0.0))]
     return edges
+
+
+def _amplitude_pairs(rng: random.Random) -> list[tuple[complex, complex]]:
+    """Amplitude pairs whose parts share one scale, and pairs with one
+    amplitude zero.  No pair has a subnormal |down| beside a normal |up|."""
+    pairs = []
+    for scale in AMPLITUDE_SCALES:
+        for _ in range(12):
+            up, down = (complex(rng.uniform(-1.0, 1.0) * scale, rng.uniform(-1.0, 1.0) * scale)
+                        for _ in range(2))
+            pairs.append((up, down))
+        pairs += [(up, 0j), (0j, down), (complex(up.real, 0.0), complex(0.0, down.imag))]
+    return pairs
 
 
 def _kernel_records(state, axis, axis_f):
@@ -252,7 +271,8 @@ def _families() -> dict[str, list]:
     fam: dict[str, list] = {name: [] for name in (
         "solve", "feasible_set", "oracle.plain", "oracle.exclude", "oracle.base2",
         "oracle.infeasible", "oracle.tol", "landscape", "landscape.shapes", "cli.json",
-        "simulate", "simulate.long", "simulate.born_long", "eigen_tol0", "kernels")}
+        "simulate", "simulate.long", "simulate.born_long", "eigen_tol0", "kernels",
+        "amplitudes")}
     for k, (state, axis) in enumerate(pairs):
         grid = ORACLE_GRIDS[k % len(ORACLE_GRIDS)]
         fam["solve"].extend(_solve_records(state, axis))
@@ -294,6 +314,9 @@ def _families() -> dict[str, list]:
     for k, (state, axis) in enumerate(kernel_pairs):
         axis_f = kernel_pairs[(k + 1) % len(kernel_pairs)][1]  # the next pair's axis
         fam["kernels"].extend(_kernel_records(state, axis, axis_f))
+    for up, down in _amplitude_pairs(random.Random(SEED + 2)):
+        state = state_from_amplitudes(up, down)
+        fam["amplitudes"].append(f"{state.rho.hex()} {state.tau.hex()}")
     return fam
 
 

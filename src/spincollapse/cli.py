@@ -11,7 +11,7 @@ Each takes only the flags it reads, from one table: all four take the state
 and axis inputs, ``--entropy-base`` and ``--out``.  ``solve``/``oracle``/
 ``simulate`` add ``--mode`` and ``--tol`` and emit a single structured JSON
 document that echoes every input flag, so any output can be re-run from its
-own ``input`` block (less the default ``tau`` an amplitude input echoes);
+own ``input`` block;
 ``landscape`` adds ``--format csv|tsv`` and emits delimiter-separated rows
 for external plotting.
 A document is exactly ``json.dumps(doc, indent=2) + "\n"``, ASCII only,
@@ -32,7 +32,6 @@ import sys
 from json.encoder import encode_basestring_ascii as _quote
 
 import click
-from click.core import ParameterSource
 
 from . import __version__
 from .entropy import s_i
@@ -68,9 +67,8 @@ _FLAGS = {
     "tau": click.option(
         "--tau",
         type=float,
-        default=0.0,
-        show_default=True,
-        help="Relative phase of the state (radians unless --degrees).",
+        default=None,
+        help="Relative phase of the state, 0 if not given (radians unless --degrees).",
     ),
     "amp_up": click.option(
         "--amp-up",
@@ -148,16 +146,16 @@ def _resolve_inputs() -> tuple[PureState, Axis, dict]:
     command reads.
 
     Returns the state, the axis and the command's ``input`` echo: each flag
-    but --out, in declaration order whatever the argv order.
+    but --out, in declaration order whatever the argv order.  A state flag
+    not given (--tau too) echoes None, so every echo replays.
     """
     ctx = click.get_current_context()
     flags = ctx.params
-    rho, amp_up, amp_down = flags["rho"], flags["amp_up"], flags["amp_down"]
+    rho, tau = flags["rho"], flags["tau"]
+    amp_up, amp_down = flags["amp_up"], flags["amp_down"]
     angle = math.radians if flags["degrees"] else float
     has_amp = amp_up is not None or amp_down is not None
-    # an explicit --tau, even 0, is a second state input
-    tau_given = ctx.get_parameter_source("tau") is not ParameterSource.DEFAULT
-    if has_amp and (rho is not None or tau_given):
+    if has_amp and (rho is not None or tau is not None):
         raise click.UsageError("give either --rho/--tau or --amp-up/--amp-down, not both")
     if has_amp:
         if amp_up is None or amp_down is None:
@@ -171,7 +169,7 @@ def _resolve_inputs() -> tuple[PureState, Axis, dict]:
         raise click.UsageError("state input needs --rho (with optional --tau) "
                                "or both --amp-up and --amp-down")
     else:
-        state = _guard(PureState, rho, angle(flags["tau"]))
+        state = _guard(PureState, rho, 0.0 if tau is None else angle(tau))
     axis = _guard(Axis, angle(flags["theta_i"]), angle(flags["phi_i"]))
     echo = {p.name: flags[p.name] for p in ctx.command.params if p.name != "out"}
     return state, axis, echo

@@ -99,5 +99,4 @@ def s_down(axis_i: Axis, axis_f: Axis, base: float = math.e) -> float:
     """
     up_f, _ = eigenpair(axis_f)
     _, down_i = eigenpair(axis_i)
-    q = abs(overlap(up_f, down_i)) ** 2
-    return binary_entropy(min(1.0, max(0.0, q)), base)
+    return binary_entropy(abs(overlap(up_f, down_i)) ** 2, base)

@@ -148,12 +148,17 @@ def _dot3(u, v) -> float:
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def axis_from_vector(vec) -> Axis:
-    """Axis pointing along a nonzero 3-vector (any positive length)."""
+def _floats3(vec) -> list[float]:
+    """A 3-vector argument as three floats."""
     v = np.asarray(vec, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {v.shape}")
-    return Axis(*_xyz_angles(*v.tolist()))
+    return v.tolist()
+
+
+def axis_from_vector(vec) -> Axis:
+    """Axis pointing along a nonzero 3-vector (any positive length)."""
+    return Axis(*_xyz_angles(*_floats3(vec)))
 
 
 def _xyz_angles(x: float, y: float, z: float) -> tuple[float, float]:
@@ -312,29 +317,26 @@ def state_from_amplitudes(up: complex, down: complex) -> PureState:
     mag_down = abs(down)
     if mag_down == 0.0:
         return PureState(1.0, 0.0)
+    if mag_down < _TINY:  # a subnormal |down| is inexact: scale down by 2**k first
+        k = -math.frexp(mag_down)[1]
+        down = complex(math.ldexp(down.real, k), math.ldexp(down.imag, k))
+        mag_down = abs(down)
     up *= down.conjugate() / mag_down  # rotate the global phase: down becomes real >= 0
-    rho = min(1.0, max(0.0, abs(up) ** 2))
-    if abs(up) == 0.0:
-        return PureState(0.0, 0.0)
-    return PureState(rho, -cmath.phase(up))
+    # |up|**2 exceeds 1 by at most a few ulps, which `PureState` clamps
+    return PureState(abs(up) ** 2, -cmath.phase(up))
 
 
 def state_from_bloch(vec) -> PureState:
     """Pure state whose Bloch vector points along the given nonzero 3-vector.
 
     The vector is normalized by its correctly rounded length `math.hypot`,
-    which neither overflows nor underflows and needs no BLAS.
+    which neither overflows nor underflows and needs no BLAS, and is at least
+    |z|: rho lies in [0, 1], and is 0 or 1 (so tau is 0) on the z axis.
     """
-    v = np.asarray(vec, dtype=float)
-    if v.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {v.shape}")
-    x, y, z = v.tolist()
+    x, y, z = _floats3(vec)
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise ValueError("vector components must be finite")
     norm = math.hypot(x, y, z)
     if norm == 0.0:
         raise ValueError("cannot orient a zero vector")
-    x, y, z = x / norm, y / norm, z / norm
-    rho = min(1.0, max(0.0, 0.5 * (1.0 + z)))
-    tau = math.atan2(y, x) if (x != 0.0 or y != 0.0) else 0.0
-    return PureState(rho, tau)
+    return PureState(0.5 * (1.0 + z / norm), math.atan2(y / norm, x / norm))

@@ -6,9 +6,12 @@ import math
 
 import numpy as np
 
-from spincollapse import Axis, PureState, born_up, unit_vector
+from spincollapse import (
+    Axis, PureState, binary_entropy, born_up, eigenpair, overlap, unit_vector,
+)
 from spincollapse.entropy import s_i
 from spincollapse.solver import _entropy_grid
+from spincollapse.spin import _xyz_angles
 
 
 def uniform_axis(rng: np.random.Generator) -> Axis:
@@ -47,6 +50,41 @@ def born_up_min_max(state, axis) -> float:
     """`born_up` as it was written with `min` and `max`: the oracle of its
     comparison clamp."""
     return min(1.0, max(0.0, born_up_unclamped(state, axis)))
+
+
+def axis_from_vector_own_reader(vec) -> Axis:
+    """`axis_from_vector` as it was written with its own array reader."""
+    v = np.asarray(vec, dtype=float)
+    if v.shape != (3,):
+        raise ValueError(f"expected a 3-vector, got shape {v.shape}")
+    return Axis(*_xyz_angles(*v.tolist()))
+
+
+def state_from_bloch_clamped(vec) -> PureState:
+    """`state_from_bloch` as it was written with its own array reader, a
+    clamp on rho and a guard on tau: the oracle of the spelling that leaves
+    both to `PureState`."""
+    v = np.asarray(vec, dtype=float)
+    if v.shape != (3,):
+        raise ValueError(f"expected a 3-vector, got shape {v.shape}")
+    x, y, z = v.tolist()
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        raise ValueError("vector components must be finite")
+    norm = math.hypot(x, y, z)
+    if norm == 0.0:
+        raise ValueError("cannot orient a zero vector")
+    x, y, z = x / norm, y / norm, z / norm
+    rho = min(1.0, max(0.0, 0.5 * (1.0 + z)))
+    tau = math.atan2(y, x) if (x != 0.0 or y != 0.0) else 0.0
+    return PureState(rho, tau)
+
+
+def s_down_clamped(axis_i: Axis, axis_f: Axis, base: float = math.e) -> float:
+    """`s_down` as it was written with a clamp on the overlap probability."""
+    up_f, _ = eigenpair(axis_f)
+    _, down_i = eigenpair(axis_i)
+    q = abs(overlap(up_f, down_i)) ** 2
+    return binary_entropy(min(1.0, max(0.0, q)), base)
 
 
 def angle_between(a: Axis, b: Axis) -> float:

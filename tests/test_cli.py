@@ -445,6 +445,20 @@ class TestEnvelope:
              "--phi-i", "1.1", "--grid", "64x64", "--exclude-trivial", "0.25"],
             ["simulate", "--rho", "0.7", "--tau", "0.4", "--theta-i", "0.9",
              "--phi-i", "1.1", "--steps", "4", "--outcome", "born", "--seed", "11"],
+            # the state as amplitudes: the echo holds "rho" and "tau" as null
+            ["solve", "--amp-up", "0.6+0.2j", "--amp-down", "0.5", "--theta-i", "0.9",
+             "--phi-i", "1.1", "--mode", "reflective"],
+            ["oracle", "--amp-up", "0.6+0.2j", "--amp-down", "0.5", "--theta-i", "0.9",
+             "--grid", "32x64"],
+            ["simulate", "--amp-up", "0.6+0.2j", "--amp-down", "0.5", "--theta-i", "0.9",
+             "--steps", "3", "--mode", "reflective", "--outcome", "risk:alignment"],
+            # --rho without --tau
+            ["solve", "--rho", "0.7", "--theta-i", "0.9"],
+            ["simulate", "--rho", "0.7", "--theta-i", "0.9", "--steps", "3",
+             "--outcome", "born", "--seed", "5"],
+            # angles in degrees
+            ["solve", "--rho", "0.7", "--tau", "30", "--theta-i", "60", "--phi-i", "45",
+             "--degrees", "--mode", "reflective"],
         ],
     )
     def test_round_trip_from_input_echo(self, runner, argv):
@@ -605,6 +619,9 @@ class TestUsageErrors:
 # The simulate digests were re-recorded when `step` took the frame-free next
 # axis (n_i in strict mode, the mirror r = 2 (n_i . m) m - n_i otherwise).
 # The reordered argv lists pin the input echo to the declared flag order.
+# oracle-eigenstate, oracle-merged-circle and solve-amplitudes were
+# re-recorded when --tau lost its default: a run without --tau echoes
+# "tau": null where it echoed 0.0, and no other byte moved.
 _STATE = "--rho 0.7 --tau 0.4 --theta-i 0.9 --phi-i 1.1"
 _PINNED = [
     ("solve-strict-e", f"solve {_STATE}", 0,
@@ -621,7 +638,7 @@ _PINNED = [
      f"oracle {_STATE} --mode reflective --grid 64x128 --exclude-trivial 0.25",
      0, "cc47003de00f417a2307080da581cb300d5dfb78f542b6bac3f7a56a2c937422"),
     ("oracle-eigenstate", "oracle --rho 1 --theta-i 0", 0,
-     "2bda5796537fea88e38d0499ebb9224912248ccbd73e80e90962d3c05037f962"),
+     "1f1ff68bfb867b219df5c18303fb03414428d95e8c0f98ab7055e811e513e786"),
     ("oracle-infeasible",
      "oracle --rho 0.9 --tau 0.3 --theta-i 1.0 --phi-i 0.5 --grid 8x8 "
      "--constraint-tol 1e-9",
@@ -659,7 +676,7 @@ _PINNED = [
     ("solve-amplitudes",
      "solve --amp-up 0.6+0.2j --amp-down 0.5 --theta-i 0.9 --phi-i 1.1 "
      "--mode reflective",
-     0, "6139ab8facd4ed68e30042cef8cfaf4cdfcc5b7ea7e3c6fb53bd831968f4aa10"),
+     0, "08eb0e35b121ce94e92880153a5c3553575618c0cdcd94f19600218103295fc7"),
     # recorded before the oracle scored only its feasible band and the
     # landscape rows were joined without the csv module
     ("landscape-2x3-base2-degrees",
@@ -675,7 +692,7 @@ _PINNED = [
      0, "d8559750991590ae9d43f124d73e0eac4624a5a7876eec32f74d64b561d32de3"),
     ("oracle-merged-circle",
      "oracle --rho 0.5 --theta-i 0 --mode reflective --grid 64x128",
-     0, "d2fec2dd0cd155b779788a57c92cb442357df84bc7ca85473e301335bfb6d5d0"),
+     0, "92bcf4d4928d57ec47db53ac65a64a28e71b4d40f126ca623bc88af1d2269408"),
     # recorded before the documents were written by `cli._write` instead of
     # `json.dumps`: a strict run that absorbs (records with "no_collapse":
     # true, an echo with "seed": null) and a base-2 Born run at --tol 0
@@ -722,3 +739,16 @@ class TestPinnedBytes:
         assert result.exit_code == exit_code, result.output
         assert result.stdout_bytes == b""
         assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "command, exit_code",
+        [case[1:3] for case in _PINNED if not case[1].startswith("landscape")],
+        ids=[case[0] for case in _PINNED if not case[1].startswith("landscape")],
+    )
+    def test_replays_from_input_echo(self, runner, command, exit_code):
+        first = runner.invoke(main, command.split())
+        assert first.exit_code == exit_code, first.output
+        doc = json.loads(first.stdout_bytes)
+        second = runner.invoke(main, _argv_from_echo(doc["command"], doc["input"]))
+        assert second.exit_code == exit_code, second.output
+        assert second.stdout_bytes == first.stdout_bytes

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spincollapse import Axis, PureState, binary_entropy, born_up, s_down, s_i, s_up
+from spincollapse import (
+    Axis, PureState, antipode, binary_entropy, born_up, s_down, s_i, s_up,
+)
 from spincollapse.entropy import _SLACK, _binary_entropy, _binary_entropy_grid, _dot_entropy
 
-from helpers import uniform_axis, uniform_state
+from helpers import s_down_clamped, uniform_axis, uniform_state
 
 # independently derived with 50-digit arithmetic and rounded to double
 H_THREE_QUARTERS = 0.5623351446188083
@@ -159,6 +161,18 @@ class TestScalarCoreMatchesOracle:
         # and the `min`/`max` clip sends all of them to 0 or 1
         self._same(_dot_entropy(dot, base), 0.0)
         self._same(_dot_entropy(dot, base), _dot_entropy_minmax(dot, base))
+
+    @settings(max_examples=500)
+    @given(theta_i=st.floats(-7.0, 7.0), phi_i=st.floats(-7.0, 7.0),
+           theta_f=st.floats(-7.0, 7.0), phi_f=st.floats(-7.0, 7.0),
+           base=st.sampled_from([math.e, 2.0]))
+    def test_s_down_without_clamp(self, theta_i, phi_i, theta_f, phi_f, base):
+        # |<up_f|down_i>|**2 is never negative, and binary_entropy takes it
+        # up to 1 + 1e-12, where the clamp sent it to 1: entropy 0 either way
+        for a, b in [(Axis(theta_i, phi_i), Axis(theta_f, phi_f)),
+                     (Axis(theta_i, phi_i), Axis(theta_i, phi_i))]:
+            self._same(s_down(a, b, base), s_down_clamped(a, b, base))
+            self._same(s_down(a, antipode(b), base), s_down_clamped(a, antipode(b), base))
 
 
 class TestGridHelper:

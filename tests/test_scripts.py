@@ -64,6 +64,9 @@ def test_script_runs(script, args, summary):
 # `RiskFunction.evaluate` once per outcome.
 # The ``cli.json`` line was recorded on the CLI that wrote its documents with
 # `json.dumps(doc, indent=2)`, before they were written by `cli._write`.
+# The ``amplitudes`` line was recorded on the `state_from_amplitudes` that
+# clamped rho and took the phase of a subnormal |down| as it was; none of
+# its pairs has a subnormal |down| beside a normal |up|.
 # A deliberate change to the emitted bytes updates these lines; a fast path
 # must keep them.
 DIGEST_LINES = """\
@@ -82,6 +85,7 @@ simulate.long        208  ae8dee897b4ecdd441ee569e8700f2fde8c96d78f4cbc8235f6cc1
 simulate.born_long    28  62143250fdccb5f8736b6ba920cfcba01db96481e1b6b36c5cbe3de78199063d
 eigen_tol0           112  1fba571c0765c46364850e178daeb5e8a8e206a4cebaac899fd7eb5179715d0c
 kernels              910  b67f07670f872f0ce3c8c044fc97eb5e228c97150bf21f83154501c1442b3fb8
+amplitudes            60  c5d20d4964082740269ca055d92ce571c89b8f7139e0e7c5bd5cc98bac079789
 """
 
 

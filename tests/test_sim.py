@@ -648,7 +648,7 @@ def test_step_path_calls_no_min_or_max(monkeypatch, outcome):
     config = SimConfig(steps=20, mode="reflective", outcome=outcome, seed=5)
     assert not any(t.no_collapse for t in simulate(state, axis, config))
     assert calls == []
-    spincollapse.entropy.s_down(axis, Axis(0.3, 2.0))  # the wrappers do count
+    PureState(1.0 + 1e-13, 0.0)  # the wrappers do count: rho is clamped to 1
     assert calls == ["max", "min"]
 
 

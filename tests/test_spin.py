@@ -33,8 +33,10 @@ from spincollapse.spin import _dot3, _xyz_angles
 
 from helpers import (
     angle_between,
+    axis_from_vector_own_reader,
     born_up_min_max,
     born_up_unclamped,
+    state_from_bloch_clamped,
     uniform_axis,
     uniform_state,
 )
@@ -46,6 +48,13 @@ vector_components = st.one_of(
     st.floats(),
 )
 TWO_PI = 2.0 * math.pi
+# amplitude parts at unit scale, subnormal, huge and zero
+amplitude_parts = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.floats(-2.0**-1022, 2.0**-1022),
+    st.floats(1e290, 1e308), st.floats(-1e308, -1e290),
+    st.sampled_from([0.0, -0.0, 5e-324, -1e-323]),
+)
 # 3-vectors whose component products neither underflow nor overflow, where the
 # float sum's relative error bound holds; signed zeros included
 dot_component = st.one_of(
@@ -492,6 +501,25 @@ class TestStateConstructors:
         assert s.rho == pytest.approx(0.3, abs=1e-12)
         assert s.tau == pytest.approx(tau, abs=1e-12)
 
+    @settings(max_examples=500, deadline=None)
+    @given(parts=st.lists(amplitude_parts, min_size=4, max_size=4).filter(any))
+    # a subnormal |down| once gave rho = 0.8125 here through an inexact phase factor
+    @example(parts=[0.6181578968185409, 0.006276010528103414, 1e-323, 5e-324])
+    @example(parts=[0.0, 1e300, -5e-324, 0.0])
+    @example(parts=[2.0**-1074, 0.0, 1e-310, -3e-320])
+    def test_state_from_amplitudes_exact(self, parts):
+        # rho and tau against the exact rational rho and the phase of up * conj(down)
+        u_re, u_im, d_re, d_im = map(Fraction, parts)
+        n_up, n_down = u_re * u_re + u_im * u_im, d_re * d_re + d_im * d_im
+        rho = n_up / (n_up + n_down)
+        got = state_from_amplitudes(complex(*parts[:2]), complex(*parts[2:]))
+        assert abs(Fraction(got.rho) - rho) <= Fraction(1, 10**12)
+        if Fraction(1, 10**9) < rho < 1 - Fraction(1, 10**9):
+            re, im = u_re * d_re + u_im * d_im, u_im * d_re - u_re * d_im
+            big = max(abs(re), abs(im))  # atan2 is scale-free: bring both to [-1, 1]
+            gap = (got.tau + math.atan2(float(im / big), float(re / big))) % TWO_PI
+            assert min(gap, TWO_PI - gap) <= 1e-9
+
     def test_state_from_bloch_round_trip(self, rng):
         for _ in range(200):
             s = uniform_state(rng)
@@ -513,6 +541,41 @@ class TestStateConstructors:
     ])
     def test_state_from_bloch_normalizes(self, vec, state):
         assert state_from_bloch(vec) == state
+
+
+class TestVectorReaders:
+    """`axis_from_vector` and `state_from_bloch` share one 3-vector reader, and
+    `state_from_bloch` leaves the range of rho and the tau of a pole to
+    `PureState`: every result and message is the old spelling's, bit for bit."""
+
+    @staticmethod
+    def _outcome(make, vec):
+        try:
+            value = make(vec)
+        except ValueError as exc:
+            return str(exc)
+        return tuple(getattr(value, f).hex() for f in value.__dataclass_fields__)
+
+    @settings(max_examples=500, deadline=None)
+    @given(vector_components, vector_components, vector_components,
+           st.sampled_from([1.0, 2.0**-1074, 1e-300, 1e300]))
+    @example(-0.0, 0.0, -2.0, 1.0)
+    @example(0.0, -0.0, 5e-324, 1.0)
+    @example(-1e-300, 0.0, 1.0, 1.0)
+    @example(3.0, 4.0, 0.0, 1e300)
+    def test_same_as_old_spelling(self, x, y, z, scale):
+        vec = [x * scale, y * scale, z * scale]
+        assert self._outcome(state_from_bloch, vec) == self._outcome(
+            state_from_bloch_clamped, vec)
+        assert self._outcome(axis_from_vector, vec) == self._outcome(
+            axis_from_vector_own_reader, vec)
+
+    @pytest.mark.parametrize("vec", [[1.0, 2.0], [[0.0, 0.0, 1.0]], np.zeros((3, 1))])
+    def test_shape_messages_unchanged(self, vec):
+        for make, old in [(state_from_bloch, state_from_bloch_clamped),
+                          (axis_from_vector, axis_from_vector_own_reader)]:
+            assert self._outcome(make, vec) == self._outcome(old, vec)
+            assert self._outcome(make, vec).startswith("expected a 3-vector")
 
 
 @pytest.mark.parametrize("make, args, message", [
