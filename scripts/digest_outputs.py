@@ -41,7 +41,14 @@ families are
 * ``amplitudes``: the `float.hex` of the (rho, tau) of
   `state_from_amplitudes` over seeded pairs at unit scale, at 1e300 and
   1e-300, with every part subnormal (the largest one too), and with one
-  amplitude zero.
+  amplitude zero;
+* ``vectors``: the `float.hex` of `axis_from_vector` and of
+  `state_from_bloch` over seeded 3-vectors at unit scale, at 1e300 and
+  1e-300, with subnormal parts beside a normal one, with signed zeros,
+  along the negative x axis (phi = pi), just below the positive x axis
+  (phi rounds to 2*pi and reads 0), and at and near the poles.  Every
+  vector's largest part lies in [2**-1022, 2**1022): the readers rescale
+  vectors outside that range, on purpose, and none is recorded here.
 
 Each line reads ``family  records  sha256``.  The script takes no options.
 
@@ -65,6 +72,7 @@ from spincollapse import (
     RiskContext,
     SimConfig,
     antipode,
+    axis_from_vector,
     born_up,
     brute_force_oracle,
     builtin_risks,
@@ -90,6 +98,7 @@ FRAME_TOLS = (0.0, 1e-12, 0.3)
 LANDSCAPE_FLAGS = (("--format", "tsv"), ("--entropy-base", "2"), ())
 LANDSCAPE_SHAPES = ("2x2", "3x4", "10x20", "11x20", "10x21")
 AMPLITUDE_SCALES = (1.0, 1e300, 1e-300, 2.0**-1060)
+VECTOR_SCALES = (1.0, 1e300, 1e-300)
 
 
 def _random_axis(rng: random.Random) -> Axis:
@@ -153,12 +162,25 @@ def _amplitude_pairs(rng: random.Random) -> list[tuple[complex, complex]]:
     return pairs
 
 
+def _vectors(rng: random.Random) -> list[tuple[float, float, float]]:
+    """3-vectors whose largest part lies in [2**-1022, 2**1022)."""
+    vectors = [tuple(rng.uniform(-1.0, 1.0) * scale for _ in range(3))
+               for scale in VECTOR_SCALES for _ in range(12)]
+    vectors += [(1e-300, 5e-324, -3e-320), (-3e-308, 1e-310, 4e-312)]  # subnormal parts
+    for a in (0.0, -0.0):
+        for b in (0.0, -0.0):
+            vectors += [(a, b, 2.0), (a, b, -2.0), (-1.0, a, b), (a, 3.0, b)]
+    vectors += [(1.0, -1e-300, 0.5), (1.0, -5e-324, -0.5), (-1.0, 1e-300, 0.0),
+                (1e-20, 0.0, 1.0), (0.0, -1e-14, -3.0), (1e-13, 1e-13, 1.0)]
+    return vectors
+
+
 def _kernel_records(state, axis, axis_f):
     yield born_up(state, axis).hex()
     n_i = _unit_xyz(axis)
     for eigen_tol in FRAME_TOLS:
         try:
-            p, m, cosb = _collapse_frame(state, axis, n_i, eigen_tol)
+            p, m, cosb, _c2, _s2 = _collapse_frame(state, axis, n_i, eigen_tol)
         except Exception as exc:
             yield _error(exc)
         else:
@@ -272,7 +294,7 @@ def _families() -> dict[str, list]:
         "solve", "feasible_set", "oracle.plain", "oracle.exclude", "oracle.base2",
         "oracle.infeasible", "oracle.tol", "landscape", "landscape.shapes", "cli.json",
         "simulate", "simulate.long", "simulate.born_long", "eigen_tol0", "kernels",
-        "amplitudes")}
+        "amplitudes", "vectors")}
     for k, (state, axis) in enumerate(pairs):
         grid = ORACLE_GRIDS[k % len(ORACLE_GRIDS)]
         fam["solve"].extend(_solve_records(state, axis))
@@ -317,6 +339,10 @@ def _families() -> dict[str, list]:
     for up, down in _amplitude_pairs(random.Random(SEED + 2)):
         state = state_from_amplitudes(up, down)
         fam["amplitudes"].append(f"{state.rho.hex()} {state.tau.hex()}")
+    for vec in _vectors(random.Random(SEED + 3)):
+        axis, state = axis_from_vector(vec), state_from_bloch(vec)
+        fam["vectors"].append(" ".join(
+            x.hex() for x in (axis.theta, axis.phi, state.rho, state.tau)))
     return fam
 
 

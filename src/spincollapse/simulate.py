@@ -19,7 +19,12 @@ evolving Bloch vector.
 per run and hands each step's next axis on together with that axis's unit
 vector, which it has already built for `s_up_next`, so no step recomputes
 the n_i of the one before.  The eigenstate tolerance is checked where it
-comes in, by `SimConfig`, and not again per step.
+comes in, by `SimConfig`, and not again per step.  A step reads its
+per-axis numbers once, from the collapse frame: the Born probability p, the
+Bloch vector m, cos(beta) = n_i . m and the eigenstate weights
+cos^2(theta/2) and sin^2(theta/2), with one square root and one half-angle
+cosine and sine between them.  It collapses onto the eigenstate built from
+those weights, bit for bit the state `state_from_eigenvector` builds.
 
 Born sampling uses numpy's PCG64 generator (see `RNG_NAME`): outcome +1 is
 taken when one uniform draw per collapsing step falls below the up
@@ -50,7 +55,6 @@ from .spin import (
     _dot3,
     _unit_xyz,
     born_up,
-    state_from_eigenvector,
 )
 
 __all__ = [
@@ -202,7 +206,7 @@ def _walk(
     records = []
     for index in indices:
         try:
-            p, m, cosb = _collapse_frame(state, axis_i, n_i, eigen_tol)
+            p, m, cosb, c2, s2 = _collapse_frame(state, axis_i, n_i, eigen_tol)
         except NoCollapseError:
             # once per run: `simulate` copies this record for the rest of it
             p = born_up(state, axis_i)
@@ -216,7 +220,11 @@ def _walk(
             s = 1 if draw() < p else -1
         else:
             s, _ = select_outcome(risk, axis_next, RiskContext(state, axis_i))
-        state_after = state_from_eigenvector(axis_i, s)
+        # the s eigenstate of axis_i, as `state_from_eigenvector` builds it
+        if s == 1:
+            state_after = PureState(c2, axis_i.phi)
+        else:
+            state_after = PureState(s2, axis_i.phi + math.pi)
         n_next = _unit_xyz(axis_next)
         records.append(TrajectoryStep(
             index, state, axis_i, p, s, state_after, axis_next,
@@ -244,6 +252,9 @@ def step(
     `s_up(axis_i, axis_next)`.  A collapsing Born step takes one
     `rng.random()` draw; any other step leaves `rng` as it is.
     """
+    # as for `SimConfig.steps`: index=True is a mistake, not index 1
+    if isinstance(index, bool) or not isinstance(index, int) or index < 0:
+        raise ValueError(f"index must be a non-negative integer, got {index!r}")
     if config._risk is None and rng is None:
         raise ValueError("born outcome sampling requires an rng; see make_rng()")
     draw = None if rng is None else rng.random

@@ -54,12 +54,12 @@ from .spin import (
     Axis,
     PureState,
     _bloch_xyz,
+    _born_frame,
     _dot3,
     _unit_xyz,
     _xyz_angles,
     antipode,
     axis_from_vector,
-    born_up,
 )
 
 __all__ = [
@@ -157,24 +157,27 @@ def _check_eigen_tol(eigen_tol: float) -> None:
 
 
 def _collapse_frame(state: PureState, axis_i: Axis, n_i: tuple, eigen_tol: float):
-    """p_i, m and cos(beta) = n_i . m, where n_i is `_unit_xyz(axis_i)`; raises
-    NoCollapseError on eigenstates.  The caller has checked `eigen_tol`.
+    """p_i, m, cos(beta) = n_i . m and the eigenstate weights c2 and s2 of
+    axis_i, where n_i is `_unit_xyz(axis_i)`; raises NoCollapseError on
+    eigenstates.  The caller has checked `eigen_tol`.
 
-    That includes n_i . m rounding to +-1: p_i cleared the eigenstate
-    tolerance, but at float resolution the Bloch vector lies on the axis and
-    no circle exists.  m and n_i are float triples and n_i . m is `_dot3`, the
-    plain float sum, so every byte downstream is the same on any BLAS build.
+    p_i, m, c2 and s2 come from one `_born_frame` call, bit for bit
+    `born_up`, `_bloch_xyz` and the rho of `state_from_eigenvector(axis_i,
+    +1)` and `(axis_i, -1)`.  The eigenstate test includes n_i . m rounding
+    to +-1: p_i cleared the eigenstate tolerance, but at float resolution
+    the Bloch vector lies on the axis and no circle exists.  m and n_i are
+    float triples and n_i . m is `_dot3`, the plain float sum, so every byte
+    downstream is the same on any BLAS build.
 
-    Both tests compare instead of calling `min` and `max`.  `born_up` keeps p
-    in [0, 1], so p <= tol or 1 - p <= tol is min(p, 1 - p) <= tol; a dot
-    outside (-1, 1) is reported clamped to +-1, and a NaN one as -1.0.
+    Both tests compare instead of calling `min` and `max`.  p is in [0, 1],
+    so p <= tol or 1 - p <= tol is min(p, 1 - p) <= tol; a dot outside
+    (-1, 1) is reported clamped to +-1, and a NaN one as -1.0.
     """
-    p = born_up(state, axis_i)
+    p, m, c2, s2 = _born_frame(state, axis_i)
     if p <= eigen_tol or 1.0 - p <= eigen_tol:
         raise NoCollapseError(
             f"state is an eigenstate of the measured axis (born probability {p!r})"
         )
-    m = _bloch_xyz(state)
     cosb = _dot3(n_i, m)
     if not -1.0 < cosb < 1.0:
         cosb = 1.0 if cosb >= 1.0 else -1.0
@@ -182,7 +185,7 @@ def _collapse_frame(state: PureState, axis_i: Axis, n_i: tuple, eigen_tol: float
             f"state is an eigenstate of the measured axis at float resolution "
             f"(n_i . m = {cosb!r}, born probability {p!r})"
         )
-    return p, m, cosb
+    return p, m, cosb, c2, s2
 
 
 def _merged(cosb: float) -> bool:
@@ -244,7 +247,7 @@ def feasible_set(
     """Level probabilities and circles of axes satisfying the constraint."""
     _check_eigen_tol(eigen_tol)
     n_i = _unit_xyz(axis_i)
-    p, m, cosb = _collapse_frame(state, axis_i, n_i, eigen_tol)
+    p, m, cosb, _c2, _s2 = _collapse_frame(state, axis_i, n_i, eigen_tol)
     levels, colatitudes = _circles(p, cosb)
     # the circle frame: e1 toward n_i in the plane of m and n_i, e2 = m x e1
     (mx, my, mz), (nx, ny, nz) = m, n_i
@@ -277,7 +280,7 @@ def solve(
     _check_eigen_tol(eigen_tol)
     n_i = _unit_xyz(axis_i)
     try:
-        _p, m, cosb = _collapse_frame(state, axis_i, n_i, eigen_tol)
+        _p, m, cosb, _c2, _s2 = _collapse_frame(state, axis_i, n_i, eigen_tol)
     except NoCollapseError:
         ext = (Extremum(axis_i, 0.0, "min"),)
         return SolverSolution((axis_i,), 0.0, ext, True, mode)
@@ -429,7 +432,7 @@ def brute_force_oracle(
     _check_base(base)
     _check_eigen_tol(eigen_tol)
     n_i = _unit_xyz(axis_i)
-    p_i, m, _cosb = _collapse_frame(state, axis_i, n_i, eigen_tol)
+    p_i, m, _cosb, _c2, _s2 = _collapse_frame(state, axis_i, n_i, eigen_tol)
     thetas, phis, trig = _grid(n_theta, n_phi)
     # the band in row-major order, decided exactly at the prefilter's candidates
     level = _binary_entropy(p_i, base)
@@ -470,7 +473,7 @@ def azimuth_descent(
     number of steps.
     """
     _check_eigen_tol(eigen_tol)
-    p, _m, cosb = _collapse_frame(state, axis_i, _unit_xyz(axis_i), eigen_tol)
+    p, _m, cosb, _c2, _s2 = _collapse_frame(state, axis_i, _unit_xyz(axis_i), eigen_tol)
     alpha = _colatitude(_circles(p, cosb)[1], level)
     if not math.isfinite(psi0):
         raise ValueError(f"psi0 must be finite, got {psi0!r}")

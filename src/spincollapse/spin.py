@@ -68,9 +68,10 @@ DEFAULT_ATOL = 1e-12
 # indistinguishable from a pole at DEFAULT_ATOL and is snapped onto it.
 _POLE_SNAP = 1e-13
 
-# `state_from_amplitudes` rescales a pair whose largest part lies outside
-# [_TINY, _HUGE).  Inside it the norm is normal, and the norm of four parts
-# each under 2**1022 is under 2**1023, so it cannot overflow.
+# `state_from_amplitudes` and `_floats3` rescale an amplitude pair or a
+# 3-vector whose largest part lies outside [_TINY, _HUGE).  Inside it the
+# norm is normal, and the norm of four parts each under 2**1022 is under
+# 2**1023, so it cannot overflow.
 _TINY = 2.0**-1022  # the smallest normal float
 _HUGE = 2.0**1022
 
@@ -149,11 +150,23 @@ def _dot3(u, v) -> float:
 
 
 def _floats3(vec) -> list[float]:
-    """A 3-vector argument as three floats."""
+    """A 3-vector argument as three floats, pointing the same way.
+
+    Where the largest part lies outside [_TINY, _HUGE), all three are first
+    scaled by one exact power of two, as in `state_from_amplitudes`: past
+    DBL_MAX the length would overflow to inf, and below the smallest normal
+    float it would round to a multiple of the smallest subnormal.  Inside
+    that range the parts are returned as given.
+    """
     v = np.asarray(vec, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {v.shape}")
-    return v.tolist()
+    x, y, z = v.tolist()
+    big = max(abs(x), abs(y), abs(z))
+    if not _TINY <= big < _HUGE:  # frexp's exponent of 0, inf or NaN is 0
+        k = -math.frexp(big)[1]  # brings the largest part into [1/2, 1)
+        x, y, z = math.ldexp(x, k), math.ldexp(y, k), math.ldexp(z, k)
+    return [x, y, z]
 
 
 def axis_from_vector(vec) -> Axis:
@@ -163,7 +176,15 @@ def axis_from_vector(vec) -> Axis:
 
 def _xyz_angles(x: float, y: float, z: float) -> tuple[float, float]:
     """The canonical (theta, phi) of `axis_from_vector` on three floats,
-    without the array round trip; `Axis` leaves them bitwise unchanged."""
+    without the array round trip; `Axis` leaves them bitwise unchanged.
+
+    The parts must be small enough for their length not to overflow, as
+    `_floats3` and a step's mirror (a unit vector) are.  Off the poles
+    theta = atan2(r_xy, z) lies strictly inside (0, pi), and
+    phi = atan2(y, x) in [-pi, pi] needs only a 2*pi added when negative
+    (2*pi itself reads 0.0), and -0.0 made 0.0: `_reduce_angles` returns
+    the same bits, since its float `%` is exact for |phi| < 2*pi.
+    """
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise ValueError("vector components must be finite")
     r_xy = math.hypot(x, y)
@@ -172,7 +193,12 @@ def _xyz_angles(x: float, y: float, z: float) -> tuple[float, float]:
         raise ValueError("cannot orient a zero vector")
     if r_xy <= _POLE_SNAP * norm:
         return (0.0 if z > 0.0 else math.pi), 0.0
-    return _reduce_angles(math.atan2(r_xy, z), math.atan2(y, x))
+    phi = math.atan2(y, x)
+    if phi < 0.0:
+        phi += TWO_PI
+        if phi == TWO_PI:
+            phi = 0.0
+    return math.atan2(r_xy, z), phi + 0.0
 
 
 def spin_operator(axis: Axis) -> np.ndarray:
@@ -245,17 +271,40 @@ def amplitudes(state: PureState) -> Spinor:
     return Spinor(math.sqrt(state.rho) * cmath.exp(-1.0j * state.tau), math.sqrt(1.0 - state.rho))
 
 
+def _born_frame(state: PureState, axis: Axis | None, bloch: bool = True):
+    """What one measurement of `state` along `axis` reads, each number
+    computed once: the Born weight p of the +1 outcome, the Bloch vector m,
+    and the eigenstate weights c2 = cos^2(theta/2) and s2 = sin^2(theta/2),
+    the rho of the +1 and -1 eigenstates of the axis.  Returns
+    (p, m, c2, s2).
+
+    q = sqrt(rho (1 - rho)) gives both the cross term of p and the length
+    2q of m's transverse part, and the half-angle trig both the diagonal
+    terms of p and the two weights.  A reader that needs less stops early:
+    with `bloch` false only p is computed and returned (`born_up`), and with
+    no axis only m (`_bloch_xyz`), which does not depend on the axis.
+    """
+    rho, tau = state.rho, state.tau
+    q = math.sqrt(rho * (1.0 - rho))
+    if axis is not None:
+        theta = axis.theta
+        half = 0.5 * theta
+        c2 = math.cos(half) ** 2
+        s2 = math.sin(half) ** 2
+        p = rho * c2 + (1.0 - rho) * s2 + q * math.sin(theta) * math.cos(axis.phi - tau)
+        # min(1.0, max(0.0, p)) by comparison: NaN and -0.0 give 0.0
+        if not 0.0 < p < 1.0:
+            p = 1.0 if p >= 1.0 else 0.0
+        if not bloch:
+            return p
+    r = 2.0 * q
+    m = r * math.cos(tau), r * math.sin(tau), 2.0 * rho - 1.0
+    return m if axis is None else (p, m, c2, s2)
+
+
 def born_up(state: PureState, axis: Axis) -> float:
     """Probability of the +1 outcome when measuring the state along the axis."""
-    half = 0.5 * axis.theta
-    c2 = math.cos(half) ** 2
-    s2 = math.sin(half) ** 2
-    cross = math.sqrt(state.rho * (1.0 - state.rho)) * math.sin(axis.theta)
-    p = state.rho * c2 + (1.0 - state.rho) * s2 + cross * math.cos(axis.phi - state.tau)
-    # min(1.0, max(0.0, p)) by comparison: NaN and -0.0 give 0.0
-    if 0.0 < p < 1.0:
-        return p
-    return 1.0 if p >= 1.0 else 0.0
+    return _born_frame(state, axis, bloch=False)
 
 
 def bloch_vector(state: PureState) -> np.ndarray:
@@ -265,8 +314,7 @@ def bloch_vector(state: PureState) -> np.ndarray:
 
 def _bloch_xyz(state: PureState) -> tuple[float, float, float]:
     """`bloch_vector` as a float triple, for the scalar path."""
-    r = 2.0 * math.sqrt(state.rho * (1.0 - state.rho))
-    return r * math.cos(state.tau), r * math.sin(state.tau), 2.0 * state.rho - 1.0
+    return _born_frame(state, None)
 
 
 def _outcome(s) -> int:
@@ -285,13 +333,17 @@ def _outcome(s) -> int:
     return k
 
 
+_UP_Z = PureState(1.0, 0.0)
+
+
 def state_from_eigenvector(axis: Axis, s: int) -> PureState:
     """Post-measurement state: the s = +1 or s = -1 eigenstate of the axis."""
     s = _outcome(s)
-    half = 0.5 * axis.theta
+    # the weights do not depend on the state: any one will do
+    _p, _m, c2, s2 = _born_frame(_UP_Z, axis)
     if s == 1:
-        return PureState(math.cos(half) ** 2, axis.phi)
-    return PureState(math.sin(half) ** 2, axis.phi + math.pi)
+        return PureState(c2, axis.phi)
+    return PureState(s2, axis.phi + math.pi)
 
 
 def state_from_amplitudes(up: complex, down: complex) -> PureState:
@@ -329,9 +381,11 @@ def state_from_amplitudes(up: complex, down: complex) -> PureState:
 def state_from_bloch(vec) -> PureState:
     """Pure state whose Bloch vector points along the given nonzero 3-vector.
 
-    The vector is normalized by its correctly rounded length `math.hypot`,
-    which neither overflows nor underflows and needs no BLAS, and is at least
-    |z|: rho lies in [0, 1], and is 0 or 1 (so tau is 0) on the z axis.
+    The vector is read by `_floats3`, which brings its largest part into
+    the normal range by an exact power of two where it lies outside, and is
+    then normalized by its correctly rounded length `math.hypot`, which
+    needs no BLAS and is at least |z|: rho lies in [0, 1], and is 0 or 1 (so
+    tau is 0) on the z axis.
     """
     x, y, z = _floats3(vec)
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):

@@ -11,7 +11,7 @@ from spincollapse import (
 )
 from spincollapse.entropy import s_i
 from spincollapse.solver import _entropy_grid
-from spincollapse.spin import _xyz_angles
+from spincollapse.spin import _POLE_SNAP, _reduce_angles
 
 
 def uniform_axis(rng: np.random.Generator) -> Axis:
@@ -52,12 +52,41 @@ def born_up_min_max(state, axis) -> float:
     return min(1.0, max(0.0, born_up_unclamped(state, axis)))
 
 
+def bloch_xyz_own(state) -> tuple[float, float, float]:
+    """`_bloch_xyz` as it was written with its own square root: the oracle of
+    the Bloch vector `_born_frame` gives."""
+    r = 2.0 * math.sqrt(state.rho * (1.0 - state.rho))
+    return r * math.cos(state.tau), r * math.sin(state.tau), 2.0 * state.rho - 1.0
+
+
+def eigen_weights_own(axis) -> tuple[float, float]:
+    """The rho of the +1 and -1 eigenstates of the axis, as
+    `state_from_eigenvector` wrote them with its own half-angle trig: the
+    oracle of the weights `_born_frame` gives."""
+    half = 0.5 * axis.theta
+    return math.cos(half) ** 2, math.sin(half) ** 2
+
+
+def xyz_angles_reduced(x: float, y: float, z: float) -> tuple[float, float]:
+    """`_xyz_angles` as it was written, sending both `atan2` angles through
+    `_reduce_angles`: the oracle of the reduction it makes itself."""
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        raise ValueError("vector components must be finite")
+    r_xy = math.hypot(x, y)
+    norm = math.hypot(r_xy, z)
+    if norm == 0.0:
+        raise ValueError("cannot orient a zero vector")
+    if r_xy <= _POLE_SNAP * norm:
+        return (0.0 if z > 0.0 else math.pi), 0.0
+    return _reduce_angles(math.atan2(r_xy, z), math.atan2(y, x))
+
+
 def axis_from_vector_own_reader(vec) -> Axis:
     """`axis_from_vector` as it was written with its own array reader."""
     v = np.asarray(vec, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {v.shape}")
-    return Axis(*_xyz_angles(*v.tolist()))
+    return Axis(*xyz_angles_reduced(*v.tolist()))
 
 
 def state_from_bloch_clamped(vec) -> PureState:

@@ -67,6 +67,10 @@ def test_script_runs(script, args, summary):
 # The ``amplitudes`` line was recorded on the `state_from_amplitudes` that
 # clamped rho and took the phase of a subnormal |down| as it was; none of
 # its pairs has a subnormal |down| beside a normal |up|.
+# The ``vectors`` line was recorded on the 3-vector readers that took
+# `math.hypot` of the vector as given and reduced the `atan2` angles through
+# `_reduce_angles`; every one of its vectors has its largest part in
+# [2**-1022, 2**1022), where the readers do not rescale.
 # A deliberate change to the emitted bytes updates these lines; a fast path
 # must keep them.
 DIGEST_LINES = """\
@@ -86,6 +90,7 @@ simulate.born_long    28  62143250fdccb5f8736b6ba920cfcba01db96481e1b6b36c5cbe3d
 eigen_tol0           112  1fba571c0765c46364850e178daeb5e8a8e206a4cebaac899fd7eb5179715d0c
 kernels              910  b67f07670f872f0ce3c8c044fc97eb5e228c97150bf21f83154501c1442b3fb8
 amplitudes            60  c5d20d4964082740269ca055d92ce571c89b8f7139e0e7c5bd5cc98bac079789
+vectors               60  d333e48592596da9ad66ddf8a61a171ac75ed8fba43d2c209a476f45863a58b4
 """
 
 

@@ -224,6 +224,19 @@ class TestOutcomeRules:
         with pytest.raises(ValueError, match="rng"):
             step(UP_Z, TILT, cfg, rng=None)
 
+    @pytest.mark.parametrize("index", [True, False, 1.0, "a", None, -1, np.int64(3)], ids=repr)
+    def test_step_rejects_a_bad_index(self, index):
+        # as for `SimConfig.steps`: a bool, a non-int or a negative value is a mistake
+        cfg = SimConfig(steps=1, outcome="risk:constant")
+        with pytest.raises(ValueError) as exc:
+            step(UP_Z, TILT, cfg, index=index)
+        assert str(exc.value) == f"index must be a non-negative integer, got {index!r}"
+
+    @pytest.mark.parametrize("index", [0, 7, 2**40])
+    def test_step_keeps_a_good_index(self, index):
+        cfg = SimConfig(steps=1, outcome="risk:constant")
+        assert step(UP_Z, TILT, cfg, index=index).to_dict()["index"] == index
+
     def test_rng_is_documented(self):
         assert RNG_NAME == "numpy.random.PCG64"
         assert make_rng(0).bit_generator.__class__.__name__ == "PCG64"
@@ -526,25 +539,31 @@ class TestLongRunLaw:
 
 
 class TestStepDoesEachThingOnce:
-    """The work of one collapsing step, counted: `step` reads the Born
-    probability once, canonicalizes only the mirror it takes (none in strict
-    mode, which hands on the measured axis itself) and reduces its angles
-    once, in `_xyz_angles`: `Axis` keeps those canonical angles as they are.
+    """The work of one collapsing step, counted: `step` reads the collapse
+    frame once, through one `_born_frame` call that gives the Born
+    probability, the Bloch vector and both eigenstate weights, so it calls
+    neither `born_up`, `_bloch_xyz` nor `state_from_eigenvector`.  It
+    canonicalizes only the mirror it takes (none in strict mode, which hands
+    on the measured axis itself), in `_xyz_angles`, which reduces the
+    `atan2` angles itself: `Axis` keeps those canonical angles as they are,
+    and `_reduce_angles` never runs.
     It leaves the base and `eigen_tol` to `SimConfig`, which checked them,
     builds the unit vectors of its two axes once each, and builds its
     record once, through `TrajectoryStep.__init__`, which fills the instance
     dict (one `__dict__` read) instead of setting each field through
     `object.__setattr__`.  `simulate` hands each step's next unit vector on
     as the next step's n_i.  A risk rule's own work is not counted:
-    `spincollapse.risk` is not patched."""
+    `spincollapse.risk` is not patched, and `_born_frame` is counted where
+    the step reads it, in `spincollapse.solver`, and not in
+    `spincollapse.spin`, where `born_up` and `_bloch_xyz` read it."""
 
     COUNTED = ("_xyz_angles", "_reduce_angles", "_check_base", "_check_eigen_tol",
-               "_unit_xyz", "born_up")
+               "_unit_xyz", "born_up", "_bloch_xyz", "state_from_eigenvector")
 
     @classmethod
     def _count(cls, monkeypatch) -> dict:
         calls = dict.fromkeys(cls.COUNTED, 0)
-        calls.update({"Axis.__init__": 0, "TrajectoryStep.__init__": 0,
+        calls.update({"_born_frame": 0, "Axis.__init__": 0, "TrajectoryStep.__init__": 0,
                       "TrajectoryStep.__dict__": 0})
 
         def counted(name, fn):
@@ -558,6 +577,8 @@ class TestStepDoesEachThingOnce:
             for name in cls.COUNTED:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        solver = spincollapse.solver
+        monkeypatch.setattr(solver, "_born_frame", counted("_born_frame", solver._born_frame))
         for cls in (Axis, TrajectoryStep):
             name = f"{cls.__name__}.__init__"
             monkeypatch.setattr(cls, "__init__", counted(name, cls.__init__))
@@ -578,8 +599,9 @@ class TestStepDoesEachThingOnce:
         calls = self._count(monkeypatch)
         t = step(state, axis, config, rng)
         assert not t.no_collapse
-        assert calls == {"_xyz_angles": 1, "_reduce_angles": 1, "_check_base": 0,
-                         "_check_eigen_tol": 0, "_unit_xyz": 2, "born_up": 1,
+        assert calls == {"_xyz_angles": 1, "_reduce_angles": 0, "_check_base": 0,
+                         "_check_eigen_tol": 0, "_unit_xyz": 2, "born_up": 0,
+                         "_bloch_xyz": 0, "state_from_eigenvector": 0, "_born_frame": 1,
                          "Axis.__init__": 1, "TrajectoryStep.__init__": 1,
                          "TrajectoryStep.__dict__": 1}
 
@@ -593,7 +615,8 @@ class TestStepDoesEachThingOnce:
         assert not t.no_collapse
         assert t.axis_next is t.axis_measured
         assert calls == {"_xyz_angles": 0, "_reduce_angles": 0, "_check_base": 0,
-                         "_check_eigen_tol": 0, "_unit_xyz": 2, "born_up": 1,
+                         "_check_eigen_tol": 0, "_unit_xyz": 2, "born_up": 0,
+                         "_bloch_xyz": 0, "state_from_eigenvector": 0, "_born_frame": 1,
                          "Axis.__init__": 0, "TrajectoryStep.__init__": 1,
                          "TrajectoryStep.__dict__": 1}
 
@@ -621,8 +644,10 @@ class TestStepDoesEachThingOnce:
         assert collapsed == 40
         assert calls["_unit_xyz"] == collapsed + 1
         assert calls["_check_eigen_tol"] == 0 and calls["_check_base"] == 0
-        assert calls["born_up"] == collapsed
-        assert calls["_xyz_angles"] == calls["_reduce_angles"] == calls["Axis.__init__"]
+        assert calls["_born_frame"] == collapsed
+        assert calls["born_up"] == calls["_bloch_xyz"] == calls["state_from_eigenvector"] == 0
+        assert calls["_xyz_angles"] == calls["Axis.__init__"]
+        assert calls["_reduce_angles"] == 0
         assert calls["TrajectoryStep.__init__"] == calls["TrajectoryStep.__dict__"] == 40
 
 

@@ -42,11 +42,20 @@ from spincollapse.solver import (
     _grid,
     _next_axis,
 )
-from spincollapse.spin import TWO_PI, _bloch_xyz, _dot3, _reduce_angles, _unit_xyz
+from spincollapse.spin import (
+    TWO_PI,
+    _bloch_xyz,
+    _born_frame,
+    _dot3,
+    _reduce_angles,
+    _unit_xyz,
+)
 
 from helpers import (
     angle_between,
+    bloch_xyz_own,
     born_up_min_max,
+    eigen_weights_own,
     non_eigen_pair,
     triple_product,
     uniform_axis,
@@ -784,7 +793,7 @@ class TestCanonicalAngles:
         state, axis = PureState(rho, tau), Axis(theta, phi)
         n_i = _unit_xyz(axis)
         try:
-            _p, m, cosb = _collapse_frame(state, axis, n_i, eigen_tol)
+            _p, m, cosb, _c2, _s2 = _collapse_frame(state, axis, n_i, eigen_tol)
             frame = m, n_i, cosb
         except NoCollapseError:
             frame = None  # no frame: `_next_axis` is never called
@@ -845,30 +854,32 @@ class TestCanonicalAngles:
 
 
 def _collapse_frame_min_max(state, axis_i, n_i, eigen_tol):
-    """`_collapse_frame` as it was written with `min` and `max`: the oracle of
-    its comparison tests."""
+    """`_collapse_frame` as it was written with `min` and `max`, and with p,
+    m and the eigenstate weights each from its own formula: the oracle of
+    its comparison tests and of the numbers it reads from `_born_frame`."""
     p = born_up_min_max(state, axis_i)
     if min(p, 1.0 - p) <= eigen_tol:
         raise NoCollapseError(
             f"state is an eigenstate of the measured axis (born probability {p!r})"
         )
-    m = _bloch_xyz(state)
+    m = bloch_xyz_own(state)
     cosb = min(1.0, max(-1.0, _dot3(n_i, m)))
     if abs(cosb) >= 1.0:
         raise NoCollapseError(
             f"state is an eigenstate of the measured axis at float resolution "
             f"(n_i . m = {cosb!r}, born probability {p!r})"
         )
-    return p, m, cosb
+    return (p, m, cosb, *eigen_weights_own(axis_i))
 
 
 def _frame_record(frame, state, axis, eigen_tol, n_i=None):
     """The float bits of a collapse frame, or its error text."""
     try:
-        p, m, cosb = frame(state, axis, _unit_xyz(axis) if n_i is None else n_i, eigen_tol)
+        p, m, cosb, c2, s2 = frame(
+            state, axis, _unit_xyz(axis) if n_i is None else n_i, eigen_tol)
     except NoCollapseError as exc:
         return str(exc)
-    return _hex(p, *m, cosb)
+    return _hex(p, *m, cosb, c2, s2)
 
 
 FRAME_TOLS = (0.0, 1e-12, 0.3)
@@ -923,6 +934,54 @@ class TestCollapseFrameClamps:
         got = _frame_record(_collapse_frame, state, axis, 0.0, n_i)
         assert got == _frame_record(_collapse_frame_min_max, state, axis, 0.0, n_i)
         assert f"(n_i . m = {reads}, born probability " in got
+
+
+class TestFrameReadsOneKernel:
+    """One `_born_frame` call gives a step its Born probability, Bloch vector
+    and both eigenstate weights.  Bit for bit, they are what `born_up`,
+    `_bloch_xyz` and `state_from_eigenvector(axis, +1)` and `(axis, -1)`
+    give, and what each gave from its own formula (`tests/helpers.py`)."""
+
+    @staticmethod
+    def _check(state, axis):
+        p, m, c2, s2 = _born_frame(state, axis)
+        assert _hex(p) == _hex(born_up(state, axis)) == _hex(born_up_min_max(state, axis))
+        assert _hex(*m) == _hex(*_bloch_xyz(state)) == _hex(*bloch_xyz_own(state))
+        up, down = state_from_eigenvector(axis, 1), state_from_eigenvector(axis, -1)
+        assert _hex(c2, s2) == _hex(up.rho, down.rho) == _hex(*eigen_weights_own(axis))
+        for eigen_tol in FRAME_TOLS:
+            try:
+                frame = _collapse_frame(state, axis, _unit_xyz(axis), eigen_tol)
+            except NoCollapseError:
+                continue
+            assert _hex(frame[0], *frame[1], *frame[3:]) == _hex(p, *m, c2, s2)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        rho=st.one_of(st.floats(0.0, 1.0),
+                      st.sampled_from([0.0, 1.0, 0.5, 1e-20, 1e-13, 1.0 - 1e-16])),
+        tau=st.one_of(st.floats(0.0, TWO_PI), st.sampled_from([0.0, math.pi])),
+        theta=st.one_of(st.floats(0.0, math.pi), st.sampled_from([0.0, math.pi / 2, math.pi])),
+        phi=st.one_of(st.floats(0.0, TWO_PI), st.sampled_from([0.0, math.pi])),
+    )
+    @example(rho=0.5, tau=1.3, theta=0.0, phi=0.0)  # p = 1/2 at the pole
+    @example(rho=1e-13, tau=0.3, theta=0.0, phi=0.0)  # a near-eigenstate
+    def test_matches_entry_points_and_own_formulas(self, rho, tau, theta, phi):
+        self._check(PureState(rho, tau), Axis(theta, phi))
+
+    def test_edges(self, rng):
+        # rho 0, 1 and 1/2, the poles, and eigenstates read on their own axis
+        # and on its antipode
+        pairs = [(PureState(rho, tau), Axis(theta, phi))
+                 for rho in (0.0, 1.0, 0.5) for tau in (0.0, 2.5)
+                 for theta, phi in ((0.0, 0.0), (math.pi, 0.0), (1.0, 2.5), (0.5 * math.pi, 0.0))]
+        for _ in range(50):
+            axis = uniform_axis(rng)
+            for s in (1, -1):
+                state = state_from_eigenvector(axis, s)
+                pairs += [(state, axis), (state, antipode(axis))]
+        for state, axis in pairs:
+            self._check(state, axis)
 
 
 class TestInvariances:

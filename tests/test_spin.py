@@ -7,6 +7,7 @@ import pickle
 from fractions import Fraction
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -39,6 +40,7 @@ from helpers import (
     state_from_bloch_clamped,
     uniform_axis,
     uniform_state,
+    xyz_angles_reduced,
 )
 
 finite_angles = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
@@ -62,6 +64,12 @@ dot_component = st.one_of(
     st.builds(math.copysign, st.floats(2.0**-300, 2.0**300), st.sampled_from([1.0, -1.0])),
 )
 dot_triples = st.tuples(dot_component, dot_component, dot_component)
+
+
+def in_normal_range(vec) -> bool:
+    """Whether the largest |part| of a 3-vector lies in [2**-1022, 2**1022),
+    where the 3-vector readers take the parts as given."""
+    return 2.0**-1022 <= max(map(abs, vec)) < 2.0**1022
 
 
 class TestAxisCanonicalization:
@@ -201,6 +209,8 @@ class TestVectors:
             with pytest.raises(ValueError):
                 _xyz_angles(*v)
             return
+        if not in_normal_range(v):
+            return  # the array route rescales first: `TestVectorReaders` checks it
         axis = axis_from_vector(np.array(v))
         # already canonical: `Axis` leaves the angles bitwise unchanged
         assert tuple(map(float.hex, _xyz_angles(*v))) == (axis.theta.hex(), axis.phi.hex())
@@ -543,10 +553,43 @@ class TestStateConstructors:
         assert state_from_bloch(vec) == state
 
 
+def _circular_gap(a: float, b: float) -> float:
+    gap = abs(a - b) % TWO_PI
+    return min(gap, TWO_PI - gap)
+
+
+def _exact_direction(vec) -> tuple[float, float, float, float]:
+    """theta, phi, rho and sin(theta) of a float 3-vector, from 50 digits."""
+    with mpmath.workdps(50):
+        x, y, z = (mpmath.mpf(float(c)) for c in vec)
+        r_xy = mpmath.hypot(x, y)
+        norm = mpmath.sqrt(x * x + y * y + z * z)
+        phi = mpmath.atan2(y, x) % (2 * mpmath.pi)
+        return (float(mpmath.atan2(r_xy, z)), float(phi), float((1 + z / norm) / 2),
+                float(r_xy / norm))
+
+
+def _assert_exact_direction(vec) -> None:
+    """`axis_from_vector` and `state_from_bloch` of a finite nonzero 3-vector
+    point along it to a few ulps, or the axis is snapped onto a pole."""
+    axis, state = axis_from_vector(vec), state_from_bloch(vec)
+    theta, phi, rho, sin_theta = _exact_direction(vec)
+    if axis.theta in (0.0, math.pi) and axis.phi == 0.0 and sin_theta <= 1.01e-13:
+        assert abs(axis.theta - theta) <= 1.01e-13  # snapped onto a pole
+    else:
+        assert abs(axis.theta - theta) <= 2e-15
+        assert _circular_gap(axis.phi, phi) <= 2e-15
+    assert abs(state.rho - rho) <= 2e-15
+    if 0.0 < state.rho < 1.0:
+        assert _circular_gap(state.tau, phi) <= 2e-15
+
+
 class TestVectorReaders:
-    """`axis_from_vector` and `state_from_bloch` share one 3-vector reader, and
-    `state_from_bloch` leaves the range of rho and the tau of a pole to
-    `PureState`: every result and message is the old spelling's, bit for bit."""
+    """`axis_from_vector` and `state_from_bloch` share one 3-vector reader,
+    and `state_from_bloch` leaves the range of rho and the tau of a pole to
+    `PureState`.  Where the largest part is in the normal range, every result
+    and message is the old spelling's, bit for bit; everywhere, the direction
+    is the exact one of the float vector."""
 
     @staticmethod
     def _outcome(make, vec):
@@ -565,10 +608,44 @@ class TestVectorReaders:
     @example(3.0, 4.0, 0.0, 1e300)
     def test_same_as_old_spelling(self, x, y, z, scale):
         vec = [x * scale, y * scale, z * scale]
+        if all(map(math.isfinite, vec)) and not in_normal_range(vec) and any(vec):
+            return  # rescaled on purpose: `test_exact_direction` checks these
         assert self._outcome(state_from_bloch, vec) == self._outcome(
             state_from_bloch_clamped, vec)
         assert self._outcome(axis_from_vector, vec) == self._outcome(
             axis_from_vector_own_reader, vec)
+
+    @settings(max_examples=500, deadline=None)
+    @given(vector_components, vector_components, vector_components,
+           st.sampled_from([1.0, 2.0**-1074, 2.0**-1060, 1e-300, 1e300, 2.0**1000]))
+    # past DBL_MAX the length overflowed and the axis snapped onto the north
+    # pole; every part divided by inf gave rho = 1/2
+    @example(-1.2711610061536464e308, 0.0, 1.2711610061536462e308, 1.0)
+    @example(1e308, -1e308, 1e308, 1.0)
+    # the length of subnormal parts rounded to a multiple of 5e-324
+    @example(5e-324, 5e-324, 5e-324, 1.0)
+    @example(3e-323, -1e-323, 2e-323, 1.0)
+    @example(1.0, 1.0, 1.0, 2.0**-1074)
+    @example(0.0, 0.0, -1.0, 1e-320)
+    def test_exact_direction(self, x, y, z, scale):
+        vec = [x * scale, y * scale, z * scale]
+        if all(map(math.isfinite, vec)) and any(vec):
+            _assert_exact_direction(vec)  # else rejected, as the old spelling did
+
+    @pytest.mark.parametrize("k", [-1074, -1060, -1000, 900, 1020])
+    def test_scale_free(self, k, rng):
+        # parts in [2**-20, 8) scale by 2**k without rounding when 2**k is
+        # at least 2**-1002; below that the parts round, and the direction
+        # moves by their rounding
+        for _ in range(50):
+            parts = [math.copysign(math.ldexp(rng.uniform(1.0, 2.0), int(e)), sign)
+                     for e, sign in zip(rng.integers(-20, 3, 3), rng.choice([-1.0, 1.0], 3))]
+            scaled = [math.ldexp(c, k) for c in parts]
+            if k >= -1002:
+                for make in (axis_from_vector, state_from_bloch):
+                    assert make(scaled) == make(parts)
+            if any(scaled):  # at 2**-1074 every part can round to zero
+                _assert_exact_direction(scaled)
 
     @pytest.mark.parametrize("vec", [[1.0, 2.0], [[0.0, 0.0, 1.0]], np.zeros((3, 1))])
     def test_shape_messages_unchanged(self, vec):
@@ -576,6 +653,31 @@ class TestVectorReaders:
                           (axis_from_vector, axis_from_vector_own_reader)]:
             assert self._outcome(make, vec) == self._outcome(old, vec)
             assert self._outcome(make, vec).startswith("expected a 3-vector")
+
+
+class TestAtan2Reduction:
+    """`_xyz_angles` reduces its `atan2` angles itself: bit for bit what
+    `_reduce_angles` makes of them (`xyz_angles_reduced`), on every input."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(vector_components, vector_components, vector_components,
+           st.sampled_from([1.0, 2.0**-1074, 1e-300, 1e300]))
+    @example(-1.0, 0.0, 0.5, 1.0)  # phi = atan2(+0.0, x < 0) = pi
+    @example(-1.0, -0.0, 0.5, 1.0)  # phi = atan2(-0.0, x < 0) = -pi, reads pi
+    @example(1.0, -1e-300, 0.5, 1.0)  # phi + 2 pi rounds to 2 pi, reads 0.0
+    @example(2.0, -0.0, -1.0, 1.0)  # phi = -0.0 reads 0.0
+    @example(-1.0, -1e-300, 0.0, 1.0)  # phi = atan2(-1e-300, -1) rounds to -pi
+    @example(1e-20, 0.0, 1.0, 1.0)  # snapped onto the north pole
+    def test_same_bits_as_reduce_angles(self, x, y, z, scale):
+        v = x * scale, y * scale, z * scale
+        try:
+            expected = tuple(map(float.hex, xyz_angles_reduced(*v)))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                _xyz_angles(*v)
+            assert str(raised.value) == str(exc)
+            return
+        assert tuple(map(float.hex, _xyz_angles(*v))) == expected
 
 
 @pytest.mark.parametrize("make, args, message", [
