@@ -34,7 +34,6 @@ from json.encoder import encode_basestring_ascii as _quote
 import click
 
 from . import __version__
-from .entropy import s_i
 from .simulate import RNG_NAME, SimConfig, simulate
 from .solver import (
     MODES,
@@ -389,12 +388,8 @@ def cmd_landscape(entropy_base, out, fmt, grid, **_):
     state, axis_i, _echo = _resolve_inputs()
     delimiter = "\t" if fmt == "tsv" else ","
     n_theta, n_phi = _parse_grid(grid)
-    base = _BASES[entropy_base]
-    thetas, phis, p_up, s_f_grid, s_up_grid = _entropy_grid(
-        state, axis_i, n_theta, n_phi, base
-    )
-    residual = s_f_grid - s_i(state, axis_i, base)
-    _emit(_table(thetas, phis, p_up, s_f_grid, residual, s_up_grid, delimiter), out)
+    grids = _entropy_grid(state, axis_i, n_theta, n_phi, _BASES[entropy_base])
+    _emit(_table(*grids, delimiter), out)
 
 
 @main.command("oracle")
@@ -464,10 +459,7 @@ def cmd_simulate(mode, entropy_base, tol, out, steps, outcome, seed, **_):
     risk = config._risk
     warnings = []
     if risk is not None:
-        warnings.append(
-            f"risk function {risk.name!r} is an illustrative "
-            "stand-in: the collapse model does not prescribe one"
-        )
+        warnings.append(f"risk function {risk.name!r} is an {risk.note}")
     results = {
         "rng": RNG_NAME if risk is None else None,
         "trajectory": [ts.to_dict() for ts in trajectory],

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .spin import Axis, PureState, _dot3, _unit_xyz, born_up, eigenpair, overlap
 
 __all__ = ["binary_entropy", "s_i", "s_up", "s_down"]
@@ -51,15 +49,6 @@ def _binary_entropy(p: float, base: float) -> float:
     lo = 1.0 - hi
     h = -lo * _log(lo) - hi * _log(hi)
     return h if base == _E else h / _log(base)
-
-
-def _binary_entropy_grid(p: np.ndarray, base: float = math.e) -> np.ndarray:
-    """Vectorized `binary_entropy` for pre-clamped probability grids."""
-    hi = np.minimum(np.maximum(p, 1.0 - p), 1.0)
-    lo = 1.0 - hi
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = np.where(lo > 0.0, -lo * np.log(lo), 0.0) - hi * np.log(hi)
-    return h if base == math.e else h / math.log(base)
 
 
 def s_i(state: PureState, axis_i: Axis, base: float = math.e) -> float:

@@ -33,7 +33,7 @@ __all__ = [
     "select_outcome",
 ]
 
-_STAND_IN = "illustrative stand-in: the model does not prescribe a risk function"
+_STAND_IN = "illustrative stand-in: the collapse model does not prescribe one"
 
 
 # RiskContext writes its own __init__ (init=False), as Axis does: a step

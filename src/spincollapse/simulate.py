@@ -53,6 +53,7 @@ from .spin import (
     Axis,
     PureState,
     _dot3,
+    _integer,
     _unit_xyz,
     born_up,
 )
@@ -109,8 +110,9 @@ class SimConfig:
 
     `outcome="born"` requires a `seed` so every run is replayable; risk
     outcomes ignore the seed, which must still be None or a non-negative
-    integer.  `entropy_base` only rescales reported entropies -- it never
-    changes which axes are chosen.
+    integer; both are stored as plain ints (`_integer`).  `entropy_base`
+    only rescales reported entropies -- it never changes which axes are
+    chosen.
     """
 
     steps: int
@@ -123,15 +125,15 @@ class SimConfig:
     _risk: RiskFunction | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # bool is an int subclass, but steps=True is a mistake, not 1 step
-        if isinstance(self.steps, bool) or not isinstance(self.steps, int) or self.steps < 1:
+        steps, seed = _integer(self.steps), _integer(self.seed)
+        if steps is None or steps < 1:
             raise ValueError(f"steps must be a positive integer, got {self.steps!r}")
         _check_mode(self.mode)
-        seed = self.seed  # checked even where the outcome rule ignores it
-        if seed is not None and (
-            isinstance(seed, bool) or not isinstance(seed, int) or seed < 0
-        ):
-            raise ValueError(f"seed must be None or a non-negative integer, got {seed!r}")
+        # checked even where the outcome rule ignores it
+        if self.seed is not None and (seed is None or seed < 0):
+            raise ValueError(f"seed must be None or a non-negative integer, got {self.seed!r}")
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "_risk", _parse_outcome(self.outcome))
         if self._risk is None and self.seed is None:
             raise ValueError("outcome 'born' requires a seed for reproducibility")
@@ -252,13 +254,13 @@ def step(
     `s_up(axis_i, axis_next)`.  A collapsing Born step takes one
     `rng.random()` draw; any other step leaves `rng` as it is.
     """
-    # as for `SimConfig.steps`: index=True is a mistake, not index 1
-    if isinstance(index, bool) or not isinstance(index, int) or index < 0:
+    k = _integer(index)  # as `SimConfig.steps` is read
+    if k is None or k < 0:
         raise ValueError(f"index must be a non-negative integer, got {index!r}")
     if config._risk is None and rng is None:
         raise ValueError("born outcome sampling requires an rng; see make_rng()")
     draw = None if rng is None else rng.random
-    return _walk(state, axis_i, _unit_xyz(axis_i), config, (index,), draw)[0]
+    return _walk(state, axis_i, _unit_xyz(axis_i), config, (k,), draw)[0]
 
 
 def simulate(

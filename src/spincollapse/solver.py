@@ -36,19 +36,11 @@ exhaustive sphere scan (`brute_force_oracle`).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import (
-    _binary_entropy,
-    _binary_entropy_grid,
-    _check_base,
-    _dot_entropy,
-    binary_entropy,
-    s_i,
-)
+from .entropy import _binary_entropy, _check_base, _dot_entropy, binary_entropy, s_i
 from .spin import (
     DEFAULT_ATOL,
     Axis,
@@ -56,6 +48,7 @@ from .spin import (
     _bloch_xyz,
     _born_frame,
     _dot3,
+    _integer,
     _unit_xyz,
     _xyz_angles,
     antipode,
@@ -228,12 +221,9 @@ def _circles(p: float, cosb: float) -> tuple[tuple[float, ...], tuple[float, ...
 
 def _colatitude(colatitudes: tuple[float, ...], level: int) -> float:
     """The colatitude of circle `level`; raises ValueError for anything but an
-    integer index of a circle (a float or a bool is not one)."""
-    try:  # operator.index takes numpy integers, and refuses floats
-        k = operator.index(level)
-    except TypeError:
-        k = -1
-    if isinstance(level, bool) or not 0 <= k < len(colatitudes):
+    integer (`_integer`) index of a circle."""
+    k = _integer(level)
+    if k is None or not 0 <= k < len(colatitudes):
         raise ValueError(
             f"level must lie in [0, {len(colatitudes) - 1}] for this pair "
             f"({len(colatitudes)} feasible circle(s)), got {level!r}"
@@ -332,18 +322,29 @@ def _up_probability(dot: np.ndarray) -> np.ndarray:
     return np.clip(0.5 * (1.0 + dot), 0.0, 1.0)
 
 
+def _binary_entropy_grid(p: np.ndarray, base: float = math.e) -> np.ndarray:
+    """Vectorized `binary_entropy` for pre-clamped probability grids."""
+    hi = np.minimum(np.maximum(p, 1.0 - p), 1.0)
+    lo = 1.0 - hi
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = np.where(lo > 0.0, -lo * np.log(lo), 0.0) - hi * np.log(hi)
+    return h if base == math.e else h / math.log(base)
+
+
 def _entropy_grid(
     state: PureState, axis_i: Axis, n_theta: int, n_phi: int, base: float
 ):
     """Entropy surfaces over a (theta_f, phi_f) grid of candidate axes.
 
     Returns the grid coordinates, the clipped up-probability grid p_f, its
-    entropy s_f and the transfer entropy s_up.
+    entropy s_f, the constraint residual s_f - s_i and the transfer
+    entropy s_up.
     """
     thetas, phis, trig = _grid(n_theta, n_phi)
     p_up = _up_probability(_grid_dot(_bloch_xyz(state), trig))
+    s_f = _binary_entropy_grid(p_up, base)
     s_up = _binary_entropy_grid(_up_probability(_grid_dot(_unit_xyz(axis_i), trig)), base)
-    return thetas, phis, p_up, _binary_entropy_grid(p_up, base), s_up
+    return thetas, phis, p_up, s_f, s_f - s_i(state, axis_i, base), s_up
 
 
 # the band prefilter's slack in entropy and in n_f . m (float error is ~1e-16)
@@ -419,10 +420,12 @@ def brute_force_oracle(
     band, so the answer is bit-equal to that of a scan of every point.
     """
     # the search flags come before the eigenstate check: the CLI relies on it
-    try:  # operator.index, not int: a size of 8.9 is an error, not 8
-        n_theta, n_phi = map(operator.index, grid)
-    except (TypeError, ValueError):
-        raise ValueError(f"grid must be two integer sizes, got {grid!r}") from None
+    try:  # `_integer`, not int: a size of 8.9 is an error, not 8
+        n_theta, n_phi = map(_integer, grid)
+    except (TypeError, ValueError):  # not iterable, or not two sizes
+        n_theta = n_phi = None
+    if n_theta is None or n_phi is None:
+        raise ValueError(f"grid must be two integer sizes, got {grid!r}")
     if n_theta < 8 or n_phi < 8:
         raise ValueError(f"grid must be at least 8x8, got {n_theta}x{n_phi}")
     if not constraint_tol > 0.0:

@@ -68,12 +68,48 @@ DEFAULT_ATOL = 1e-12
 # indistinguishable from a pole at DEFAULT_ATOL and is snapped onto it.
 _POLE_SNAP = 1e-13
 
-# `state_from_amplitudes` and `_floats3` rescale an amplitude pair or a
-# 3-vector whose largest part lies outside [_TINY, _HUGE).  Inside it the
-# norm is normal, and the norm of four parts each under 2**1022 is under
-# 2**1023, so it cannot overflow.
+# `_raw_parts` rescales an amplitude pair or a 3-vector whose largest part
+# lies outside [_TINY, _HUGE).  Inside it the norm is normal, and the norm
+# of four parts each under 2**1022 is under 2**1023, so it cannot overflow.
 _TINY = 2.0**-1022  # the smallest normal float
 _HUGE = 2.0**1022
+
+
+def _integer(k) -> int | None:
+    """k as a plain int, where k is an int or anything `operator.index`
+    takes (a numpy integer); None for anything else.  A bool is not an
+    integer argument: True as a count, a seed or an outcome is a mistake,
+    not 1 (numpy's bool has no `__index__`)."""
+    if type(k) is int:
+        return k
+    if isinstance(k, bool):
+        return None
+    try:
+        return operator.index(k)
+    except TypeError:
+        return None
+
+
+def _raw_parts(parts: list[float], nonfinite: str, zero: str) -> list[float]:
+    """The float parts of a raw 3-vector or amplitude pair, pointing the
+    same way; raises ValueError(nonfinite) if a part is inf or NaN, and
+    ValueError(zero) if every part is zero.
+
+    Where the largest |part| lies outside [_TINY, _HUGE), all parts are
+    first scaled by one exact power of two: past DBL_MAX the length would
+    overflow to inf, and below the smallest normal float it would round to
+    a multiple of the smallest subnormal.  Inside that range the parts are
+    returned as given.
+    """
+    if not all(map(math.isfinite, parts)):
+        raise ValueError(nonfinite)
+    big = max(map(abs, parts))
+    if big == 0.0:
+        raise ValueError(zero)
+    if _TINY <= big < _HUGE:
+        return parts
+    k = -math.frexp(big)[1]  # brings the largest part into [1/2, 1)
+    return [math.ldexp(c, k) for c in parts]
 
 
 def _reduce_angles(theta: float, phi: float) -> tuple[float, float]:
@@ -150,23 +186,15 @@ def _dot3(u, v) -> float:
 
 
 def _floats3(vec) -> list[float]:
-    """A 3-vector argument as three floats, pointing the same way.
-
-    Where the largest part lies outside [_TINY, _HUGE), all three are first
-    scaled by one exact power of two, as in `state_from_amplitudes`: past
-    DBL_MAX the length would overflow to inf, and below the smallest normal
-    float it would round to a multiple of the smallest subnormal.  Inside
-    that range the parts are returned as given.
-    """
+    """A 3-vector argument as three floats pointing the same way, rescaled
+    by `_raw_parts` where needed.  Raises ValueError unless they are finite
+    and not all zero, which `_xyz_angles` and `state_from_bloch` take as
+    given."""
     v = np.asarray(vec, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {v.shape}")
-    x, y, z = v.tolist()
-    big = max(abs(x), abs(y), abs(z))
-    if not _TINY <= big < _HUGE:  # frexp's exponent of 0, inf or NaN is 0
-        k = -math.frexp(big)[1]  # brings the largest part into [1/2, 1)
-        x, y, z = math.ldexp(x, k), math.ldexp(y, k), math.ldexp(z, k)
-    return [x, y, z]
+    return _raw_parts(v.tolist(), "vector components must be finite",
+                      "cannot orient a zero vector")
 
 
 def axis_from_vector(vec) -> Axis:
@@ -178,19 +206,16 @@ def _xyz_angles(x: float, y: float, z: float) -> tuple[float, float]:
     """The canonical (theta, phi) of `axis_from_vector` on three floats,
     without the array round trip; `Axis` leaves them bitwise unchanged.
 
-    The parts must be small enough for their length not to overflow, as
-    `_floats3` and a step's mirror (a unit vector) are.  Off the poles
+    The parts must be finite and not all zero, and small enough for their
+    length not to overflow, as those of `_floats3` and of a step's mirror
+    (a unit vector) are; they are not checked again.  Off the poles
     theta = atan2(r_xy, z) lies strictly inside (0, pi), and
     phi = atan2(y, x) in [-pi, pi] needs only a 2*pi added when negative
     (2*pi itself reads 0.0), and -0.0 made 0.0: `_reduce_angles` returns
     the same bits, since its float `%` is exact for |phi| < 2*pi.
     """
-    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-        raise ValueError("vector components must be finite")
     r_xy = math.hypot(x, y)
     norm = math.hypot(r_xy, z)
-    if norm == 0.0:
-        raise ValueError("cannot orient a zero vector")
     if r_xy <= _POLE_SNAP * norm:
         return (0.0 if z > 0.0 else math.pi), 0.0
     phi = math.atan2(y, x)
@@ -318,16 +343,9 @@ def _bloch_xyz(state: PureState) -> tuple[float, float, float]:
 
 
 def _outcome(s) -> int:
-    """The outcome s as the plain int +1 or -1; raises ValueError for
-    anything else.  A bool or a float is not an outcome; a numpy integer is,
-    through `operator.index`.  A plain int, as a step passes, takes the first
-    test only."""
-    k = s
-    if type(s) is not int:
-        try:
-            k = None if isinstance(s, bool) else operator.index(s)
-        except TypeError:
-            k = None
+    """The outcome s as the plain int +1 or -1 (`_integer`); raises
+    ValueError for anything else."""
+    k = _integer(s)
     if k != 1 and k != -1:
         raise ValueError(f"outcome must be +1 or -1, got {s!r}")
     return k
@@ -354,16 +372,9 @@ def state_from_amplitudes(up: complex, down: complex) -> PureState:
     into the normal range by an exact power of two.
     """
     up, down = complex(up), complex(down)
-    parts = up.real, up.imag, down.real, down.imag
-    if not all(map(math.isfinite, parts)):
-        raise ValueError("amplitudes must be finite")
-    big = max(map(abs, parts))
-    if big == 0.0:
-        raise ValueError("amplitude pair has zero norm")
-    if not _TINY <= big < _HUGE:
-        k = -math.frexp(big)[1]  # brings the largest part into [1/2, 1)
-        up = complex(math.ldexp(up.real, k), math.ldexp(up.imag, k))
-        down = complex(math.ldexp(down.real, k), math.ldexp(down.imag, k))
+    ur, ui, dr, di = _raw_parts([up.real, up.imag, down.real, down.imag],
+                                "amplitudes must be finite", "amplitude pair has zero norm")
+    up, down = complex(ur, ui), complex(dr, di)
     norm = math.hypot(abs(up), abs(down))
     up, down = up / norm, down / norm
     mag_down = abs(down)
@@ -381,16 +392,12 @@ def state_from_amplitudes(up: complex, down: complex) -> PureState:
 def state_from_bloch(vec) -> PureState:
     """Pure state whose Bloch vector points along the given nonzero 3-vector.
 
-    The vector is read by `_floats3`, which brings its largest part into
-    the normal range by an exact power of two where it lies outside, and is
-    then normalized by its correctly rounded length `math.hypot`, which
-    needs no BLAS and is at least |z|: rho lies in [0, 1], and is 0 or 1 (so
-    tau is 0) on the z axis.
+    The vector is read by `_floats3`, which checks it and brings its
+    largest part into the normal range by an exact power of two where it
+    lies outside, and is then normalized by its correctly rounded length
+    `math.hypot`, which needs no BLAS and is at least |z|: rho lies in
+    [0, 1], and is 0 or 1 (so tau is 0) on the z axis.
     """
     x, y, z = _floats3(vec)
-    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-        raise ValueError("vector components must be finite")
     norm = math.hypot(x, y, z)
-    if norm == 0.0:
-        raise ValueError("cannot orient a zero vector")
     return PureState(0.5 * (1.0 + z / norm), math.atan2(y / norm, x / norm))

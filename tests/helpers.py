@@ -9,8 +9,6 @@ import numpy as np
 from spincollapse import (
     Axis, PureState, binary_entropy, born_up, eigenpair, overlap, unit_vector,
 )
-from spincollapse.entropy import s_i
-from spincollapse.solver import _entropy_grid
 from spincollapse.spin import _POLE_SNAP, _reduce_angles
 
 
@@ -128,13 +126,6 @@ def angle_between(a: Axis, b: Axis) -> float:
 
 def triple_product(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> float:
     return float(np.dot(u, np.cross(v, w)))
-
-
-def landscape_grids(state, axis_i, n_theta, n_phi, base):
-    """The grids `spincollapse landscape` tabulates, computed as the command
-    does: thetas, phis, p_up, s_f, the constraint residual and s_up."""
-    thetas, phis, p_up, s_f, s_up = _entropy_grid(state, axis_i, n_theta, n_phi, base)
-    return thetas, phis, p_up, s_f, s_f - s_i(state, axis_i, base), s_up
 
 
 def landscape_table(thetas, phis, p_up, s_f, residual, s_up, delimiter) -> str:

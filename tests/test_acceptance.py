@@ -1,7 +1,9 @@
 """Acceptance gate: ten numbered end-to-end checks at fixed tolerances.
 
 Each test prints exactly one `[criterion N] PASS` or `[criterion N] FAIL`
-line so a plain pytest run doubles as a scorecard.
+line so a plain pytest run doubles as a scorecard.  The tests after them
+check rules that hold across the package: each kind of argument is read in
+one place, and every value goes through its constructor.
 """
 
 import ast
@@ -21,6 +23,7 @@ from spincollapse import (
     PureState,
     SimConfig,
     amplitudes,
+    azimuth_descent,
     binary_entropy,
     bloch_vector,
     born_up,
@@ -223,15 +226,102 @@ def test_criterion_10_entropy_base_does_not_move_minimizers():
                     assert abs(a.phi - b.phi) <= 1e-9
 
 
+def _where(match) -> set[str]:
+    """Each function of `src/spincollapse`, as "module.qualname", that holds
+    a node `match` accepts; a module-level node counts as the module."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        if match(node):
+            found.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    paths = sorted(Path(spincollapse.__file__).parent.glob("*.py"))
+    assert {"spin.py", "solver.py", "simulate.py"} <= {path.name for path in paths}
+    for path in paths:
+        visit(ast.parse(path.read_text(), str(path)), path.stem)
+    return found
+
+
+def _named(module: str, *names: str):
+    """Matches `module.name` and `from module import name`, for each name."""
+    def match(node):
+        if isinstance(node, ast.ImportFrom):
+            return node.module == module and any(a.name in names for a in node.names)
+        return (isinstance(node, ast.Attribute) and node.attr in names
+                and isinstance(node.value, ast.Name) and node.value.id == module)
+    return match
+
+
+def _isinstance_bool(node) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance" and len(node.args) == 2
+            and any(isinstance(n, ast.Name) and n.id == "bool"
+                    for n in ast.walk(node.args[1])))
+
+
 def test_no_module_builds_values_past_their_constructor():
     # `object.__new__` makes an instance without its `__init__`: a value type
     # has one constructor, and it validates and canonicalizes
-    paths = sorted(Path(spincollapse.__file__).parent.glob("*.py"))
-    assert {"spin.py", "solver.py", "simulate.py"} <= {path.name for path in paths}
-    found = []
-    for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if (isinstance(node, ast.Attribute) and node.attr == "__new__"
-                    and isinstance(node.value, ast.Name) and node.value.id == "object"):
-                found.append(f"{path.name}:{node.lineno}")
-    assert found == []
+    assert _where(_named("object", "__new__")) == set()
+
+
+UP_Z = PureState(1.0, 0.0)
+TILT = Axis(math.pi / 3, 0.0)
+
+# every integer argument: a call that takes it, a plain int it accepts, and
+# the message that refuses anything else
+INTEGER_ARGUMENTS = {
+    "outcome": (lambda v: state_from_eigenvector(Axis(1.0, 1.0), v), 1,
+                lambda v: f"outcome must be +1 or -1, got {v!r}"),
+    "level": (lambda v: azimuth_descent(PureState(0.3, 0.0), TILT, v, 1.0), 1,
+              lambda v: f"level must lie in [0, 1] for this pair (2 feasible circle(s)), got {v!r}"),
+    "grid": (lambda v: brute_force_oracle(UP_Z, TILT, grid=(v, 24)), 16,
+             lambda v: f"grid must be two integer sizes, got {(v, 24)!r}"),
+    "steps": (lambda v: simulate(UP_Z, TILT, SimConfig(steps=v, outcome="born", seed=1)), 3,
+              lambda v: f"steps must be a positive integer, got {v!r}"),
+    "seed": (lambda v: simulate(UP_Z, TILT, SimConfig(steps=3, outcome="born", seed=v)), 5,
+             lambda v: f"seed must be None or a non-negative integer, got {v!r}"),
+    "index": (lambda v: step(UP_Z, TILT, SimConfig(steps=1, outcome="risk:constant"), index=v), 3,
+              lambda v: f"index must be a non-negative integer, got {v!r}"),
+}
+
+
+@pytest.mark.parametrize("site, value", [
+    pytest.param(site, value, id=f"{site}-{getattr(value, '__name__', repr(value))}")
+    for site in INTEGER_ARGUMENTS
+    for value in (np.int64, np.uint8, True, np.True_, 1.0, "1", None)
+    if not (site == "seed" and value is None)  # seed=None is no seed
+])
+def test_one_integer_rule(site, value):
+    # a numpy integer is the plain int it holds; a bool, a float, a string
+    # and None are no integer, and each argument refuses them in its words
+    run, plain, message = INTEGER_ARGUMENTS[site]
+    if isinstance(value, type):
+        assert repr(run(value(plain))) == repr(run(plain))
+        return
+    with pytest.raises(ValueError) as exc:
+        run(value)
+    assert str(exc.value) == message(value)
+
+
+def test_each_argument_rule_is_written_once():
+    # what an integer is: `spin._integer`
+    assert _where(_named("operator", "index")) == {"spin._integer"}
+    assert _where(_isinstance_bool) == {"spin._integer"}
+    # the finite test, zero test and rescale of a raw vector or amplitude
+    # pair: `spin._raw_parts`; `state_from_amplitudes` rescales a subnormal
+    # |down| after normalizing.  The other finite tests are of an angle
+    # pair, a spinor's norm, a state's (rho, tau), a log base and a start
+    # azimuth.
+    assert _where(_named("math", "frexp", "ldexp")) == {
+        "spin._raw_parts", "spin.state_from_amplitudes"}
+    assert _where(_named("math", "isfinite")) == {
+        "spin._raw_parts", "spin.Axis.__init__", "spin.Spinor.__post_init__",
+        "spin.PureState.__init__", "entropy._check_base", "solver.azimuth_descent"}
+    # the readers of `_floats3`'s parts test nothing again
+    readers = {"spin._xyz_angles", "spin.axis_from_vector", "spin.state_from_bloch"}
+    assert readers & _where(lambda node: isinstance(node, ast.Raise)) == set()

@@ -14,10 +14,11 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import landscape_grids, landscape_table
+from helpers import landscape_table
 from spincollapse import Axis, PureState, __version__
 from spincollapse import cli
 from spincollapse.cli import _table, _write, main
+from spincollapse.solver import _entropy_grid
 
 H_QUARTER = 0.5623351446188083
 H_QUARTER_BITS = 0.8112781244591328  # same value in base 2
@@ -257,8 +258,8 @@ class TestLandscapeTable:
                 "--entropy-base", base, "--format", fmt, "--grid", f"{n_theta}x{n_phi}"]
         result = CliRunner().invoke(main, argv)
         assert result.exit_code == 0, result.output
-        grids = landscape_grids(PureState(rho, tau), Axis(theta_i, phi_i),
-                                n_theta, n_phi, {"e": math.e, "2": 2.0}[base])
+        grids = _entropy_grid(PureState(rho, tau), Axis(theta_i, phi_i),
+                              n_theta, n_phi, {"e": math.e, "2": 2.0}[base])
         assert result.output == landscape_table(*grids, "\t" if fmt == "tsv" else ",")
 
     def test_bits_decide_reuse(self, monkeypatch):
@@ -292,7 +293,7 @@ class TestLandscapeTable:
     def test_peak_memory_near_oracle(self):
         # the table of the default grid holds its text about twice (rows and
         # the joined document); the pairs of cell lists add little to that
-        grids = landscape_grids(PureState(0.7, 0.4), Axis(0.9, 1.1), 200, 400, math.e)
+        grids = _entropy_grid(PureState(0.7, 0.4), Axis(0.9, 1.1), 200, 400, math.e)
         peaks = []
         for build in (landscape_table, _table):
             tracemalloc.start()

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from spincollapse import (
     Axis, PureState, antipode, binary_entropy, born_up, s_down, s_i, s_up,
 )
-from spincollapse.entropy import _SLACK, _binary_entropy, _binary_entropy_grid, _dot_entropy
+from spincollapse.entropy import _SLACK, _binary_entropy, _dot_entropy
+from spincollapse.solver import _binary_entropy_grid
 
 from helpers import s_down_clamped, uniform_axis, uniform_state
 

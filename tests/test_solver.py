@@ -466,7 +466,7 @@ class TestBruteForceOracle:
 
 def _full_grid_oracle(state, axis, grid, constraint_tol, exclude, base):
     """The oracle as a masked argmin over the whole landscape grid."""
-    thetas, phis, _p_up, s_f, s_up_grid = _entropy_grid(state, axis, *grid, base)
+    thetas, phis, _p_up, s_f, _residual, s_up_grid = _entropy_grid(state, axis, *grid, base)
     keep = np.abs(s_f - binary_entropy(born_up(state, axis), base)) <= constraint_tol
     if exclude is not None:
         st, ct = np.sin(thetas)[:, None], np.cos(thetas)[:, None]
@@ -546,7 +546,7 @@ def _check_band_superset(state, axis, grid, constraint_tol, base):
     level = binary_entropy(born_up(state, axis), base)
     if constraint_tol == "merge":  # the two levels join into one band
         constraint_tol = binary_entropy(0.5, base) - level + 0.05
-    _thetas, _phis, _p_up, s_f, _s_up = _entropy_grid(state, axis, *grid, base)
+    _thetas, _phis, _p_up, s_f, _residual, _s_up = _entropy_grid(state, axis, *grid, base)
     rows, cols = np.nonzero(np.abs(s_f - level) <= constraint_tol)
     got_rows, got_cols = _band_candidates(
         bloch_vector(state), level, constraint_tol, base, _grid(*grid)[2])

@@ -204,10 +204,9 @@ class TestVectors:
     def test_float_entry_matches_array_route(self, x, y, z, scale):
         v = (x * scale, y * scale, z * scale)
         if not all(map(math.isfinite, v)) or v == (0.0, 0.0, 0.0):
+            # outside what `_xyz_angles` takes: the reader rejects it first
             with pytest.raises(ValueError):
                 axis_from_vector(np.array(v))
-            with pytest.raises(ValueError):
-                _xyz_angles(*v)
             return
         if not in_normal_range(v):
             return  # the array route rescales first: `TestVectorReaders` checks it
@@ -657,7 +656,8 @@ class TestVectorReaders:
 
 class TestAtan2Reduction:
     """`_xyz_angles` reduces its `atan2` angles itself: bit for bit what
-    `_reduce_angles` makes of them (`xyz_angles_reduced`), on every input."""
+    `_reduce_angles` makes of them (`xyz_angles_reduced`), on every finite
+    nonzero input."""
 
     @settings(max_examples=1000, deadline=None)
     @given(vector_components, vector_components, vector_components,
@@ -670,13 +670,9 @@ class TestAtan2Reduction:
     @example(1e-20, 0.0, 1.0, 1.0)  # snapped onto the north pole
     def test_same_bits_as_reduce_angles(self, x, y, z, scale):
         v = x * scale, y * scale, z * scale
-        try:
-            expected = tuple(map(float.hex, xyz_angles_reduced(*v)))
-        except ValueError as exc:
-            with pytest.raises(ValueError) as raised:
-                _xyz_angles(*v)
-            assert str(raised.value) == str(exc)
-            return
+        if not all(map(math.isfinite, v)) or not any(v):
+            return  # outside what `_xyz_angles` takes: `_floats3` rejects it
+        expected = tuple(map(float.hex, xyz_angles_reduced(*v)))
         assert tuple(map(float.hex, _xyz_angles(*v))) == expected
 
 
