@@ -311,44 +311,56 @@ def _table(thetas, phis, p_up, s_f, residual, s_up, delimiter: str) -> str:
     float reprs never hold a delimiter, a quote or a line break, so the rows
     need no CSV quoting.  Each grid angle is formatted once, and the rows
     are built in pairs: row i, then its mirror row j = n_theta - 1 - i.
-    With an even n_phi, column k of row j sits at the antipode of column
-    k + n_phi/2 of row i on the linspace grid, and s_f, the residual and
-    s_up are even under n_f -> -n_f.  So each of those columns of row j
-    starts as row i's cells turned half a turn, and only the cells whose
-    float64 bits differ from their antipode's are formatted again.  Bits,
-    not values, decide: -0.0 and 0.0, or two NaN payloads, are told apart.
+    With an even n_phi, column k of row j is the antipode of column
+    k + n_phi/2 of row i, and s_f, the residual and s_up are even under
+    n_f -> -n_f; `solver._grid` makes the grid dot products of the two
+    cells exact negations, so the values are bit-equal too.  Each of those
+    columns of row j starts as row i's cells turned half a turn.  The first
+    and last rows are one direction each (a pole), so each of their columns
+    starts as its first cell repeated.  Only the cells whose float64 bits
+    differ from the cell they start as are formatted again.  Bits, not
+    values, decide: -0.0 and 0.0, or two NaN payloads, are told apart, and
+    a hand-made grid without these symmetries gets a `repr` per cell.
     Values become Python floats one pair of rows at a time, which keeps the
     peak memory of a large grid near that of a csv writer.
     """
     n_theta, n_phi = len(thetas), len(phis)
     half = 0 if n_phi % 2 else n_phi // 2
-    even = (s_f, residual, s_up)
-    bits = [grid.view("u8") for grid in even]
     theta_cells = thetas.tolist()
     phi_cells = [repr(phi) for phi in phis.tolist()]
     rows = [delimiter.join(_COLUMNS), *[""] * n_theta, ""]
+
+    def reuse(row, cells, start_bits):
+        # cells, with each one whose bits differ from its start formatted anew
+        values = row.tolist()
+        for k in (row.view("u8") != start_bits).nonzero()[0].tolist():
+            cells[k] = repr(values[k])
+        return cells
+
+    def pole(row):
+        return reuse(row, [repr(row[0].item())] * n_phi, row[:1].view("u8"))
+
+    def plain(row):
+        return list(map(repr, row.tolist()))
 
     def put(i, columns):
         rows[i + 1] = "\n".join(map(delimiter.join, zip(
             [repr(theta_cells[i])] * n_phi, phi_cells, *columns)))
 
     for i in range((n_theta + 1) // 2):
-        columns = [list(map(repr, grid[i].tolist())) for grid in (p_up, *even)]
+        cells = pole if i == 0 else plain
+        columns = [cells(grid[i]) for grid in (p_up, s_f, residual, s_up)]
         put(i, columns)
         j = n_theta - 1 - i
         if j == i:  # the middle row of an odd n_theta
             break
-        mirror = [list(map(repr, p_up[j].tolist()))]
-        for grid, grid_bits, cells in zip(even, bits, columns[1:]):
+        mirror = [cells(p_up[j])]
+        for grid, row_cells in zip((s_f, residual, s_up), columns[1:]):
             if half:
-                cells = cells[half:] + cells[:half]
-                values = grid[j].tolist()
-                antipodes = grid_bits[i].reshape(2, half)[::-1].ravel()
-                for k in (grid_bits[j] != antipodes).nonzero()[0].tolist():
-                    cells[k] = repr(values[k])
+                antipodes = grid[i].view("u8").reshape(2, half)[::-1].ravel()
+                mirror.append(reuse(grid[j], row_cells[half:] + row_cells[:half], antipodes))
             else:
-                cells = list(map(repr, grid[j].tolist()))
-            mirror.append(cells)
+                mirror.append(cells(grid[j]))
         put(j, mirror)
     return "\n".join(rows)
 

@@ -297,10 +297,27 @@ def solve(
 
 
 def _grid(n_theta: int, n_phi: int):
-    """The (theta_f, phi_f) grid of candidate axes and its trig (for `_grid_dot`)."""
+    """The (theta_f, phi_f) grid of candidate axes and its trig (for `_grid_dot`).
+
+    The trig is exactly antipodal.  Row n_theta - 1 - i takes sin and -cos
+    of row i, the middle row of an odd n_theta has cos 0, and with an even
+    n_phi column k + n_phi/2 takes -cos and -sin of column k.  So both pole
+    rows have sin exactly 0, and `_grid_dot` at the antipode of a grid point
+    is the exact negation of its value there.  The angles themselves are the
+    linspace values, as printed.
+    """
     thetas = np.linspace(0.0, math.pi, n_theta)
     phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
-    return thetas, phis, (np.sin(thetas), np.cos(thetas), np.cos(phis), np.sin(phis))
+    st, ct, cp, sp = np.sin(thetas), np.cos(thetas), np.cos(phis), np.sin(phis)
+    rows = n_theta // 2
+    st[n_theta - rows:] = st[:rows][::-1]
+    ct[n_theta - rows:] = -ct[:rows][::-1]
+    if n_theta % 2 and rows:
+        ct[rows] = 0.0
+    if n_phi % 2 == 0:
+        cols = n_phi // 2
+        cp[cols:], sp[cols:] = -cp[:cols], -sp[:cols]
+    return thetas, phis, (st, ct, cp, sp)
 
 
 def _grid_dot(v, trig, rows=None, cols=None) -> np.ndarray:

@@ -128,9 +128,18 @@ def triple_product(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> float:
     return float(np.dot(u, np.cross(v, w)))
 
 
+def grid_unmirrored(n_theta: int, n_phi: int):
+    """`solver._grid` as it was written, each sine and cosine taken of its
+    own linspace angle: the oracle of the mirrored trig, which is exactly
+    antipodal where this one is so only up to rounding."""
+    thetas = np.linspace(0.0, math.pi, n_theta)
+    phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
+    return thetas, phis, (np.sin(thetas), np.cos(thetas), np.cos(phis), np.sin(phis))
+
+
 def landscape_table(thetas, phis, p_up, s_f, residual, s_up, delimiter) -> str:
     """The landscape table formatted row by row, every cell by its own
-    `repr`: the oracle of `cli._table`, which reuses antipodal cells."""
+    `repr`: the oracle of `cli._table`, which reuses antipodal and pole cells."""
     n_phi = len(phis)
     phi_cells = [repr(phi) for phi in phis.tolist()]
     blocks = [delimiter.join(

@@ -14,9 +14,9 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import landscape_table
+from helpers import grid_unmirrored, landscape_table
 from spincollapse import Axis, PureState, __version__
-from spincollapse import cli
+from spincollapse import cli, solver
 from spincollapse.cli import _table, _write, main
 from spincollapse.solver import _entropy_grid
 
@@ -237,8 +237,9 @@ def _nan(payload: int) -> float:
 
 
 class TestLandscapeTable:
-    """`cli._table` reuses the `repr` of an antipodal cell whose bits are
-    equal; `helpers.landscape_table` formats every cell, and is its oracle."""
+    """`cli._table` reuses the `repr` of an antipodal cell, or of a pole
+    row's first cell, whose bits are equal; `helpers.landscape_table`
+    formats every cell, and is its oracle."""
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -271,6 +272,20 @@ class TestLandscapeTable:
         s_up = np.array([[nan_a, 1.5, 2.5, 3.5], [2.5, 3.5, nan_b, 1.5]])
         grids = (np.array([0.0, math.pi]), np.arange(4) * (0.5 * math.pi),
                  p_up, s_f, residual, s_up)
+        formatted = self._formatted(monkeypatch, grids)
+        assert landscape_table(*grids, ",").split("\n")[7].split(",")[3] == "-0.0"
+        # -0.0 equals 0.0 but is formatted again; the NaN whose bits match
+        # its antipode's is not, though it equals nothing, and the other is
+        assert formatted.count(_bits(-0.0)) == 1
+        assert formatted.count(_bits(nan_a)) == 2  # row 0: residual and s_up
+        assert formatted.count(_bits(nan_b)) == 1
+        for value in (0.25, 0.5, 0.75, 1.0, 2.0, 3.0, 1.5, 2.5, 3.5):
+            assert formatted.count(_bits(value)) == 1  # row 0 only
+
+    @staticmethod
+    def _formatted(monkeypatch, grids):
+        """The bits of each float `_table` formats, in order; its text must
+        be the oracle's."""
         formatted = []
 
         def recording_repr(x):
@@ -281,14 +296,36 @@ class TestLandscapeTable:
         text = _table(*grids, ",")
         monkeypatch.undo()
         assert text == landscape_table(*grids, ",")
-        assert text.split("\n")[7].split(",")[3] == "-0.0"
-        # -0.0 equals 0.0 but is formatted again; the NaN whose bits match
-        # its antipode's is not, though it equals nothing, and the other is
-        assert formatted.count(_bits(-0.0)) == 1
-        assert formatted.count(_bits(nan_a)) == 2  # row 0: residual and s_up
-        assert formatted.count(_bits(nan_b)) == 1
-        for value in (0.25, 0.5, 0.75, 1.0, 2.0, 3.0, 1.5, 2.5, 3.5):
-            assert formatted.count(_bits(value)) == 1  # row 0 only
+        return formatted
+
+    def test_state_table_repr_count(self, monkeypatch):
+        # 16,211 calls when only antipodal cells were reused on a grid whose
+        # trig was antipodal up to rounding; 12,183 on the mirrored grid
+        grids = _entropy_grid(PureState(0.7, 0.4), Axis(0.9, 1.1), 50, 100, math.e)
+        assert len(self._formatted(monkeypatch, grids)) <= 12_300
+
+    def test_constant_pole_rows_cost_one_repr_per_column(self, monkeypatch):
+        # an odd n_phi, so no cell has an antipodal column to start from
+        thetas, phis = np.array([0.0, 1.0, math.pi]), np.arange(5) * 0.5
+        poles = [np.array([[v] * 5, np.arange(5) + w, [-v] * 5])
+                 for v, w in ((0.125, 10.0), (0.25, 20.0), (0.375, 30.0), (0.625, 40.0))]
+        formatted = self._formatted(monkeypatch, (thetas, phis, *poles))
+        for v in (0.125, 0.25, 0.375, 0.625):
+            assert formatted.count(_bits(v)) == formatted.count(_bits(-v)) == 1
+        assert len(formatted) == 3 + 5 + 2 * 4 + 5 * 4  # angles, pole cells, middle row
+
+    def test_planted_negative_zero_in_a_pole_row_is_formatted(self, monkeypatch):
+        # the two rows of a 2x4 grid are both poles, and antipodal rows; a
+        # -0.0 in a row of 0.0 (or the other way round) differs from the
+        # cell it starts as, the pole's first cell or the antipode, so each
+        # -0.0 cell is formatted, though -0.0 == 0.0
+        thetas, phis = np.array([0.0, math.pi]), np.arange(4) * (0.5 * math.pi)
+        p_up = np.array([[0.0, 0.0, -0.0, 0.0], [0.5, 0.5, 0.5, -0.0]])
+        s_f = np.array([[0.0, -0.0, 0.0, 0.0], [-0.0, 0.0, 0.0, 0.0]])
+        residual = np.array([[1.0] * 4, [1.0] * 4])
+        formatted = self._formatted(monkeypatch, (thetas, phis, p_up, s_f, residual, s_f))
+        assert formatted.count(_bits(-0.0)) == 1 + 1 + 2 * 2  # p_up rows, s_f and s_up
+        assert formatted.count(_bits(1.0)) == 1  # the residual's first row only
 
     def test_peak_memory_near_oracle(self):
         # the table of the default grid holds its text about twice (rows and
@@ -623,6 +660,12 @@ class TestUsageErrors:
 # oracle-eigenstate, oracle-merged-circle and solve-amplitudes were
 # re-recorded when --tau lost its default: a run without --tau echoes
 # "tau": null where it echoed 0.0, and no other byte moved.
+# The landscape cases and oracle-odd-grid-base2-exclude were re-recorded when
+# `solver._grid` built its trig exactly antipodal: a cell moved by a few ulps,
+# the theta = pi row became constant along phi, and the oracle's +-n_f tie
+# went to the first in row-major order.  `_UNMIRRORED` holds their earlier
+# digests, which the grid's earlier trig (`helpers.grid_unmirrored`) still
+# gives, and no other case moved.
 _STATE = "--rho 0.7 --tau 0.4 --theta-i 0.9 --phi-i 1.1"
 _PINNED = [
     ("solve-strict-e", f"solve {_STATE}", 0,
@@ -665,9 +708,9 @@ _PINNED = [
      "--phi-i 1.1 --theta-i 0.9 --tau 0.4 --rho 0.7",
      0, "cc47003de00f417a2307080da581cb300d5dfb78f542b6bac3f7a56a2c937422"),
     ("landscape-csv", f"landscape {_STATE} --grid 20x40", 0,
-     "deb74769431ef22ce00eeb17238f0f3b82107bd30036e84e33dc13f1324d7de3"),
+     "b9fd6baed39fc1caf82238d09dd9fbb69715ef8f255e4dfc5c06dc8fa8f9f146"),
     ("landscape-tsv", f"landscape {_STATE} --grid 20x40 --format tsv", 0,
-     "89160f6c8a8e1224f5738128c79cd8fb60bbc3bb95c37f380be664f180c4e6fb"),
+     "0396751af04802cfb0a204dd7af1fc2729ba0c68ee1ccb0f2983ce716aa0d20c"),
     ("solve-degrees",
      "solve --rho 0.7 --tau 30 --theta-i 60 --phi-i 45 --degrees --mode reflective",
      0, "b83b5b69ac207061e9217c598769aadfd0bfcb18356ee7b0076ff16480e792d0"),
@@ -682,15 +725,15 @@ _PINNED = [
     # landscape rows were joined without the csv module
     ("landscape-2x3-base2-degrees",
      f"landscape {_STATE} --grid 2x3 --entropy-base 2 --degrees", 0,
-     "171f95548728a7da6e3ffea9863df35600b2bc90f81d0daf87bb0673e8a83d1c"),
+     "cc4972a7c2539fa60010313401d599bbb0a12427f603091240eb929d09786421"),
     ("landscape-tsv-amplitudes",
      "landscape --amp-up 0.6+0.2j --amp-down 0.5 --theta-i 0.9 --phi-i 1.1 "
      "--grid 7x5 --format tsv",
-     0, "9da6a43bbc0885f95bcaf5c52dd193f566672d38e796e988e8ab25512c30c135"),
+     0, "14ceda26740386f72f3dcfa948f76e9ae9d1b9683de14657ba7ab10f4c1d953e"),
     ("oracle-odd-grid-base2-exclude",
      f"oracle {_STATE} --mode reflective --grid 37x91 --entropy-base 2 "
      "--exclude-trivial 0.1",
-     0, "d8559750991590ae9d43f124d73e0eac4624a5a7876eec32f74d64b561d32de3"),
+     0, "444869d546683fbbcf8c535b12cdfd5c66d072903be890b137d200dd1c1563ac"),
     ("oracle-merged-circle",
      "oracle --rho 0.5 --theta-i 0 --mode reflective --grid 64x128",
      0, "92bcf4d4928d57ec47db53ac65a64a28e71b4d40f126ca623bc88af1d2269408"),
@@ -706,16 +749,41 @@ _PINNED = [
     # a middle row left unpaired, a pole axis, an eigenstate, an odd column
     # count (no antipodal column), and the default 200x400 grid
     ("landscape-odd-rows", f"landscape {_STATE} --grid 11x16", 0,
-     "02296bc059b710bbf96d28128021d5d322c38f59a9b92e142ffc5b853b595d25"),
+     "0472d18308a65b692e91f263a75caabb3a44ce66440aac6204e066be60dae5c1"),
     ("landscape-pole-axis", "landscape --rho 0.7 --tau 0.4 --theta-i 0 --grid 12x24", 0,
-     "b7c7a4f7d66719e04f5e88c3eaf28ecd211814a986fd15cf07c0c6c99e6cb406"),
+     "8963a708c204e606712fac06776c24cd541f84d04321d13522da91b9102dd309"),
     ("landscape-eigenstate", "landscape --rho 1 --theta-i 0 --grid 8x8", 0,
-     "beb5e0d624ffdac777ab889ec395b291b013363bd6374f64b13447a509995071"),
+     "74003ce4e9c7291af0f91a831d634e495000b1942fe32c4035d715562261ce95"),
     ("landscape-odd-columns", f"landscape {_STATE} --grid 10x15", 0,
-     "f28a4d4d25d98fe950b8739f9d63cd8a142378ba45acd043986eb93c999b6e2a"),
+     "56cc697558a6c34e71135806d09c7580ca1e9d9dde3ecc2e2efe8d2b1e91b7bf"),
     ("landscape-default-grid", f"landscape {_STATE}", 0,
-     "1aac3f8b671095940d41971a17b965f83a6b45b28359075121db4266370fea34"),
+     "e782c6563f769010808911cd2115ed3de4cef7d44b6d94201596839bd4f6fede"),
 ]
+
+
+# the digests of the re-recorded cases on the earlier, unmirrored grid trig
+_UNMIRRORED = {
+    "landscape-csv":
+        "deb74769431ef22ce00eeb17238f0f3b82107bd30036e84e33dc13f1324d7de3",
+    "landscape-tsv":
+        "89160f6c8a8e1224f5738128c79cd8fb60bbc3bb95c37f380be664f180c4e6fb",
+    "landscape-2x3-base2-degrees":
+        "171f95548728a7da6e3ffea9863df35600b2bc90f81d0daf87bb0673e8a83d1c",
+    "landscape-tsv-amplitudes":
+        "9da6a43bbc0885f95bcaf5c52dd193f566672d38e796e988e8ab25512c30c135",
+    "oracle-odd-grid-base2-exclude":
+        "d8559750991590ae9d43f124d73e0eac4624a5a7876eec32f74d64b561d32de3",
+    "landscape-odd-rows":
+        "02296bc059b710bbf96d28128021d5d322c38f59a9b92e142ffc5b853b595d25",
+    "landscape-pole-axis":
+        "b7c7a4f7d66719e04f5e88c3eaf28ecd211814a986fd15cf07c0c6c99e6cb406",
+    "landscape-eigenstate":
+        "beb5e0d624ffdac777ab889ec395b291b013363bd6374f64b13447a509995071",
+    "landscape-odd-columns":
+        "f28a4d4d25d98fe950b8739f9d63cd8a142378ba45acd043986eb93c999b6e2a",
+    "landscape-default-grid":
+        "1aac3f8b671095940d41971a17b965f83a6b45b28359075121db4266370fea34",
+}
 
 
 class TestPinnedBytes:
@@ -728,6 +796,17 @@ class TestPinnedBytes:
         result = runner.invoke(main, command.split())
         assert result.exit_code == exit_code, result.output
         assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
+
+    @pytest.mark.parametrize("name", list(_UNMIRRORED))
+    def test_unmirrored_trig_gives_earlier_digest(self, runner, monkeypatch, name):
+        # the byte change is the grid trig's alone: on the earlier trig each
+        # re-recorded case reads its earlier bytes, through the table that
+        # reuses pole cells
+        _, command, exit_code, _digest = next(case for case in _PINNED if case[0] == name)
+        monkeypatch.setattr(solver, "_grid", grid_unmirrored)
+        result = runner.invoke(main, command.split())
+        assert result.exit_code == exit_code, result.output
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == _UNMIRRORED[name]
 
     @pytest.mark.parametrize("name", [
         "solve-reflective-2", "oracle-exclude", "oracle-infeasible",

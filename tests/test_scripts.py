@@ -71,19 +71,23 @@ def test_script_runs(script, args, summary):
 # `math.hypot` of the vector as given and reduced the `atan2` angles through
 # `_reduce_angles`; every one of its vectors has its largest part in
 # [2**-1022, 2**1022), where the readers do not rescale.
+# The ``oracle.plain``, ``oracle.exclude``, ``oracle.base2``, ``oracle.tol``,
+# ``landscape``, ``landscape.shapes`` and ``cli.json`` lines were re-recorded
+# when `solver._grid` built its trig exactly antipodal; in ``cli.json`` only
+# oracle documents moved.  `_UNMIRRORED_LINES` holds their earlier values.
 # A deliberate change to the emitted bytes updates these lines; a fast path
 # must keep them.
 DIGEST_LINES = """\
 solve                200  a8784dd13f43001253c43cc8c51a48596a555009a43c765704e3709fdd86da4a
 feasible_set          50  a5eebb6fbd7621ac3d79341d506f9051534355e19dde3c6d48c7a7944a4d47aa
-oracle.plain          50  1c0d71cf975da033297d1ab03c9feb523fa64b3922b3ac8728bf7d987c02615a
-oracle.exclude       100  974696b86e4ef738fb11130913c9d5c0d5549e4f57b26d5b769a2b1d81e9f273
-oracle.base2          50  3c34150176d15160ce8067da1e2cfba2c9edb1cedfd87abba7b408951887c750
+oracle.plain          50  02920fdf4dab17354b34c736891405ac10e8006487772f39df5dc48e1d81d546
+oracle.exclude       100  249e7211361381fc842926e5bd8eb6b99fd7538ac482727f9b84016ae9b90ac2
+oracle.base2          50  6ea687f7fb26354fb12bcc0e3c12ad404cbd5ecd8c7c607f8f69f12abbbff71c
 oracle.infeasible     50  c6d2901b1d1ade7bf7dc90f885825415a5b5079e6b2b7007e730df7e3bc37be8
-oracle.tol            78  7306eecb5a0752fe65d9711d5ca21018996ab0a902bb25f57710648a71dfb8a7
-landscape             14  98a4c856b8282cd7cd2702a270af3d9b34f86f268f6df3df4f93f67b65af1ec4
-landscape.shapes      65  357af32f5f8c2806a284ba6d0e55b162bc314dcdc020d4058ea19ad92db9dbbb
-cli.json             221  96c81fc55d140ee9af45f72222a2a18680c89b2f1b6e62f4c15529de6cdb93f9
+oracle.tol            78  99475ce1c5d234f53b25e6cf442d2b978fb5409a28bcfe8bc537da06ed33f74e
+landscape             14  436b9e746f805ac9fdd129dd7719c8c31713ca71f1a26ec46336ca31e5f5e577
+landscape.shapes      65  8207d6f1aa2d3d8809581ea26e64edadff61622a9421828f7bfae4c40d2c7b3c
+cli.json             221  a17084c5861bc2324ff5c38b67a479a1cfcaba8cfe01c82ccb72afe659f1ca8a
 simulate             400  8a6823a42166fa9db84273c532bb2b0a76c38f5136bcdfebb52fca155bc76706
 simulate.long        208  ae8dee897b4ecdd441ee569e8700f2fde8c96d78f4cbc8235f6cc1d01d6f270f
 simulate.born_long    28  62143250fdccb5f8736b6ba920cfcba01db96481e1b6b36c5cbe3de78199063d
@@ -98,6 +102,37 @@ def test_output_digests_unchanged():
     proc = _run("digest_outputs.py")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == DIGEST_LINES
+
+
+# The byte change of the antipodal grid is its trig's alone: with the earlier
+# trig (`helpers.grid_unmirrored`) patched in, the script prints every line it
+# printed before, through the table that reuses pole cells.
+_UNMIRRORED_LINES = """\
+oracle.plain          50  1c0d71cf975da033297d1ab03c9feb523fa64b3922b3ac8728bf7d987c02615a
+oracle.exclude       100  974696b86e4ef738fb11130913c9d5c0d5549e4f57b26d5b769a2b1d81e9f273
+oracle.base2          50  3c34150176d15160ce8067da1e2cfba2c9edb1cedfd87abba7b408951887c750
+oracle.tol            78  7306eecb5a0752fe65d9711d5ca21018996ab0a902bb25f57710648a71dfb8a7
+landscape             14  98a4c856b8282cd7cd2702a270af3d9b34f86f268f6df3df4f93f67b65af1ec4
+landscape.shapes      65  357af32f5f8c2806a284ba6d0e55b162bc314dcdc020d4058ea19ad92db9dbbb
+cli.json             221  96c81fc55d140ee9af45f72222a2a18680c89b2f1b6e62f4c15529de6cdb93f9
+"""
+_UNMIRRORED_RUN = """\
+import runpy, sys
+sys.path.insert(0, sys.argv[1])
+from helpers import grid_unmirrored
+from spincollapse import solver
+solver._grid = grid_unmirrored
+runpy.run_path(sys.argv[2], run_name="__main__")
+"""
+
+
+def test_output_digests_on_unmirrored_trig():
+    proc = _python("-c", _UNMIRRORED_RUN, str(ROOT / "tests"),
+                   str(ROOT / "scripts" / "digest_outputs.py"))
+    assert proc.returncode == 0, proc.stderr
+    earlier = {line.split()[0]: line for line in _UNMIRRORED_LINES.splitlines()}
+    assert proc.stdout.splitlines() == [
+        earlier.get(line.split()[0], line) for line in DIGEST_LINES.splitlines()]
 
 
 # The emitted bytes do not depend on the BLAS build: the same lines under two

@@ -5,6 +5,7 @@ import re
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,12 +35,14 @@ from spincollapse import (
     unit_vector,
 )
 
+from spincollapse import solver
 from spincollapse.solver import (
     MODES,
     _band_candidates,
     _collapse_frame,
     _entropy_grid,
     _grid,
+    _grid_dot,
     _next_axis,
 )
 from spincollapse.spin import (
@@ -56,6 +59,7 @@ from helpers import (
     bloch_xyz_own,
     born_up_min_max,
     eigen_weights_own,
+    grid_unmirrored,
     non_eigen_pair,
     triple_product,
     uniform_axis,
@@ -584,7 +588,7 @@ def _band_cases():
 class TestBandPrefilter:
     """The oracle's closed-form candidates must cover the exact band: a point
     it skipped could be the full-grid argmin.  The pole axes put the band on
-    the theta = pi row, where sin(theta) is 1.2e-16 and not 0."""
+    the theta = pi row, where the row's A is 0, as on the theta = 0 row."""
 
     @pytest.mark.parametrize("state, axis, grid, constraint_tol, base", _band_cases())
     def test_candidates_cover_band(self, state, axis, grid, constraint_tol, base):
@@ -606,6 +610,135 @@ class TestBandPrefilter:
         _check_band_superset(
             PureState(rho, tau), Axis(theta, phi), grid, constraint_tol, base)
 
+
+# u, the unit roundoff (half an ulp of 1), and how far a cell of the mirrored
+# grid may lie from the same cell of the unmirrored one (`grid_unmirrored`).
+# A mirrored row takes the trig of theta_i where the unmirrored grid took that
+# of theta_j, j = n_theta - 1 - i; a mirrored column that of phi_k, where it
+# took that of phi_(k + n_phi/2).  linspace makes each angle fl(k fl(span/div)),
+# so |theta_i + theta_j - pi| <= |pi - fl(pi)| + fl(pi) u + ulp(theta_i)/2
+# + ulp(theta_j)/2 <= (1.1 + pi + 1 + 2) u = 7.3 u, and |phi_(k + n_phi/2) -
+# phi_k - pi| <= (1.1 + pi + 2 + 4) u = 10.3 u.  (sin, cos) is 1-Lipschitz in
+# its angle, and numpy's sin and cos are within an ulp (at most u below 1) on
+# either grid, so a row's (st, ct) moves at most (7.3 + 2 sqrt 2) u and a
+# column's (cp, sp) at most (10.3 + 2 sqrt 2) u.  With |v| = 1 the dot
+# (st, ct) . (cp v0 + sp v1, v2) moves at most their sum, 23.3 u, plus 4 u of
+# rounding on each side (four roundings of terms whose sizes add up to at most
+# 1): 31.3 u.  p = fl(0.5 fl(1 + dot)) adds u a side and halves that: 16.7 u.
+_U = 2.0 ** -53
+_P_BOUND = 17 * _U
+# An entropy reads lo = 1 - hi, which moves at most _P_BOUND + u (fl(1 - p)
+# rounds by u/2 a side).  A nonzero lo is at least 2**-53, the smallest nonzero
+# p: there |H'(q)| = ln((1 - q)/q) < 53 ln 2, and from 0, H(q) <= q (1 + ln(1/q)).
+# So H moves at most (53 ln 2 + 1)(_P_BOUND + u), plus 4 u of rounding a side
+# (two logs and two products, terms below 0.37 each); base 2 divides by ln 2,
+# and the residual subtracts s_i (u a side).  About 990 u, or 1.1e-13.
+_H_BOUND = ((53 * math.log(2) + 1) * (_P_BOUND + _U) + 8 * _U) / math.log(2) + 2 * _U
+
+_GRID_SIZES = dict(n_theta=st.integers(2, 80), n_phi=st.integers(2, 160))
+_STATES = dict(
+    rho=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+    tau=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+    theta_i=st.one_of(st.sampled_from([0.0, math.pi]), st.floats(0.0, math.pi)),
+    phi_i=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+    base=st.sampled_from([math.e, 2.0]),
+)
+
+
+def _oracle_or_error(state, axis, **kwargs):
+    try:
+        return brute_force_oracle(state, axis, **kwargs)
+    except (InfeasibleGridError, NoCollapseError) as exc:
+        return type(exc)
+
+
+class TestAntipodalGrid:
+    """`_grid` builds the second half of its trig from the first, so the
+    grid is exactly antipodal; `helpers.grid_unmirrored` keeps the trig of
+    each angle on its own, and bounds how far any value moved."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(**_GRID_SIZES, **_STATES)
+    # m_z = 0 makes every pole-row dot with m a signed zero; theta_i = 0
+    # makes n_i . n_f exactly cos(theta_f)
+    @example(9, 14, 0.5, 0.4, 0.9, 1.1, math.e)
+    @example(9, 15, 0.5, 0.4, 0.0, 1.1, 2.0)
+    @example(10, 14, 0.7, 0.4, 0.0, 1.1, math.e)
+    def test_mirror_identities(self, n_theta, n_phi, rho, tau, theta_i, phi_i, base):
+        thetas, phis, trig = _grid(n_theta, n_phi)
+        old_thetas, old_phis, _ = grid_unmirrored(n_theta, n_phi)
+        assert thetas.tobytes() == old_thetas.tobytes()
+        assert phis.tobytes() == old_phis.tobytes()
+        s_t, c_t, c_p, s_p = (a.view("u8") for a in trig)
+        rows = n_theta // 2
+        i, j = np.arange(rows), n_theta - 1 - np.arange(rows)
+        assert (s_t[j] == s_t[i]).all()
+        assert (c_t[j] == (-trig[1][i]).view("u8")).all()
+        if n_theta % 2:
+            assert trig[1][rows].hex() == "0x0.0p+0"
+        assert trig[0][0] == trig[0][-1] == 0.0
+        h = n_phi // 2
+        if n_phi % 2 == 0:
+            assert (c_p[h:] == (-trig[2][:h]).view("u8")).all()
+            assert (s_p[h:] == (-trig[3][:h]).view("u8")).all()
+        state, axis = PureState(rho, tau), Axis(theta_i, phi_i)
+        for v in (_bloch_xyz(state), _unit_xyz(axis)):
+            # exactly negated at the antipode (n_theta - 1 - i, k + n_phi/2) of
+            # (i, k), and on the pole rows at every column; compared as values,
+            # since a sum x + (-x) is +0 on both sides
+            dot = _grid_dot(v, trig)
+            assert (dot[-1] == -dot[0]).all()
+            if n_phi % 2 == 0:
+                assert (dot[::-1] == -np.roll(dot, h, axis=1)).all()
+        *_, p_up, s_f, residual, s_up_grid = _entropy_grid(state, axis, n_theta, n_phi, base)
+        for grid in (p_up, s_f, residual, s_up_grid):
+            bits = grid.view("u8")
+            assert (bits[0] == bits[0, 0]).all() and (bits[-1] == bits[-1, 0]).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(**_GRID_SIZES, **_STATES)
+    def test_cells_within_rounding_of_unmirrored(
+        self, n_theta, n_phi, rho, tau, theta_i, phi_i, base
+    ):
+        args = PureState(rho, tau), Axis(theta_i, phi_i), n_theta, n_phi, base
+        new = _entropy_grid(*args)
+        with mock.patch.object(solver, "_grid", grid_unmirrored):
+            old = _entropy_grid(*args)
+        assert np.abs(new[2] - old[2]).max() <= _P_BOUND
+        for got, want in zip(new[3:], old[3:]):
+            assert np.abs(got - want).max() <= _H_BOUND
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_theta=st.integers(8, 80), n_phi=st.integers(8, 160), **_STATES,
+        exclude=st.sampled_from([None, 0.05, 0.2]),
+        constraint_tol=st.sampled_from([5e-3, 0.05]),
+    )
+    def test_oracle_is_unmirrored_answer_or_its_antipode(
+        self, n_theta, n_phi, rho, tau, theta_i, phi_i, base, exclude, constraint_tol
+    ):
+        # +-n_f now tie exactly, and the row-major rule picks between them.
+        # A symmetric input (a pole axis, or phi_i = 0, where n_i has y = 0)
+        # makes mirror-image columns tie too, so an answer may also move to
+        # a point that ties with the unmirrored answer up to rounding.
+        state, axis = PureState(rho, tau), Axis(theta_i, phi_i)
+        kwargs = dict(grid=(n_theta, n_phi), constraint_tol=constraint_tol,
+                      exclude=exclude, base=base)
+        new = _oracle_or_error(state, axis, **kwargs)
+        with mock.patch.object(solver, "_grid", grid_unmirrored):
+            old = _oracle_or_error(state, axis, **kwargs)
+            thetas, phis, _p, _s_f, _r, old_s_up = _entropy_grid(
+                state, axis, n_theta, n_phi, base)
+        if not isinstance(old, tuple):
+            assert new is old
+            return
+        (found, objective), (old_found, old_objective) = new, old
+        assert abs(objective - old_objective) <= _H_BOUND
+        if min(angle_between(found, old_found),
+               angle_between(found, antipode(old_found))) > 1e-12:
+            row = old_s_up[thetas == found.theta][0]
+            cells = row if found.theta in (0.0, math.pi) else row[phis == found.phi]
+            assert cells.min() <= old_objective + 2 * _H_BOUND
 
 class TestAzimuthDescent:
     def test_circle_minima_are_in_plane_and_descent_finds_them(self, rng):
