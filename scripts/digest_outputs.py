@@ -29,8 +29,9 @@ families are
   reflective runs past the ~46 steps after which a last-ulp change in one
   step has grown to O(1);
 * ``simulate.born_long``: Born runs of 773 steps over every eighth pair, in
-  both modes and entropy bases: longer than three of the 256-draw blocks
-  in which `simulate` takes its uniforms, and five draws into a fourth;
+  both modes and entropy bases: hundreds of collapsing reflective steps,
+  each reading its own draw of the run's uniform array, and strict runs
+  that absorb after their first draw;
 * ``eigen_tol0``: near-eigenstates with ``eigen_tol=0``, where `n_i . m`
   can round to +-1: `solve`, `feasible_set`, the oracle and `simulate`;
 * ``kernels``: the scalar kernels of one step over every pair plus edge

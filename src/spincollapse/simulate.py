@@ -15,27 +15,30 @@ is a certain no-collapse repeat; "reflective" keeps the axis moving along
 the mirror r = 2 (n_i . m) m - n_i, the reflection of -n_i about the
 evolving Bloch vector.
 
-`step` and `simulate` run one step body, `_walk`.  It reads the config once
-per run and hands each step's next axis on together with that axis's unit
-vector, which it has already built for `s_up_next`, so no step recomputes
-the n_i of the one before.  The eigenstate tolerance is checked where it
-comes in, by `SimConfig`, and not again per step.  A step reads its
-per-axis numbers once, from the collapse frame: the Born probability p, the
-Bloch vector m, cos(beta) = n_i . m and the eigenstate weights
-cos^2(theta/2) and sin^2(theta/2), with one square root and one half-angle
-cosine and sine between them.  It collapses onto the eigenstate built from
-those weights, bit for bit the state `state_from_eigenvector` builds.
+`_walk` builds every record of a run; `step` is its one-index run and
+`simulate` its whole run.  It reads the config once per run and hands each
+step's next axis on together with that axis's unit vector, which it has
+already built for `s_up_next`, so no step recomputes the n_i of the one
+before.  The eigenstate tolerance is checked where it comes in, by
+`SimConfig`, and not again per step.  A step reads its per-axis numbers
+once, from the collapse frame: the Born probability p, the Bloch vector m,
+cos(beta) = n_i . m and the eigenstate weights cos^2(theta/2) and
+sin^2(theta/2), with one square root and one half-angle cosine and sine
+between them.  It collapses onto the eigenstate built from those weights,
+bit for bit the state `state_from_eigenvector` builds.  The first
+no-collapse step ends the loop: it repeats under every remaining index.
 
 Born sampling uses numpy's PCG64 generator (see `RNG_NAME`): outcome +1 is
 taken when one uniform draw per collapsing step falls below the up
 probability.  `step` draws it from the caller's generator; `simulate` owns
-its generator and draws the same stream in blocks (`_uniforms`).
+its generator and draws one uniform per step of the run in one array,
+whose leading draws are the same stream.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,7 +71,6 @@ __all__ = [
 ]
 
 RNG_NAME = "numpy.random.PCG64"
-_DRAW_BLOCK = 256  # the most uniforms `simulate` draws in one call
 
 
 def _parse_outcome(outcome: str) -> RiskFunction | None:
@@ -87,21 +89,8 @@ def _parse_outcome(outcome: str) -> RiskFunction | None:
 def make_rng(seed: int) -> np.random.Generator:
     """The simulator's generator.  A Born run consumes one uniform draw per
     collapsing step, in order: `step` takes it with one `rng.random()`, and
-    `simulate` takes the same stream in blocks (`_uniforms`)."""
+    `simulate` reads the same stream from one `rng.random(steps)` array."""
     return np.random.Generator(np.random.PCG64(seed))
-
-
-def _uniforms(rng: np.random.Generator, count: int):
-    """The next `count` uniforms of `rng`, one at a time, drawn in blocks.
-
-    `rng.random(k)` gives the k floats that k calls of `rng.random()` give,
-    so the stream does not depend on the block size.  A block is at most
-    `_DRAW_BLOCK` long and never reaches past the `count`-th draw.
-    """
-    while count > 0:
-        k = count if count < _DRAW_BLOCK else _DRAW_BLOCK
-        yield from rng.random(k).tolist()
-        count -= k
 
 
 @dataclass(frozen=True)
@@ -194,29 +183,33 @@ class TrajectoryStep:
 
 
 def _walk(
-    state: PureState, axis_i: Axis, n_i: tuple, config: SimConfig, indices, draw
+    state: PureState, axis_i: Axis, config: SimConfig, indices, draw
 ) -> list[TrajectoryStep]:
-    """The step body of `step` and `simulate`: one record per index of
-    `indices`, up to and including the first no-collapse one.
+    """Every record of a run: one per index of `indices`, in order.
 
-    n_i is `_unit_xyz(axis_i)`; each step hands the unit vector it builds
-    for `s_up_next` on as the next step's n_i.  `draw()` gives one uniform
-    per collapsing step of a Born run; a risk rule never calls it.
+    Each step hands the unit vector it builds for `s_up_next` on as the
+    next step's n_i, so only the first one is built from its axis.  A
+    no-collapse step hands its own state and axis on, draws nothing and
+    calls no risk rule, so every later step repeats it: its record is
+    written under its own index and under each remaining one, and the loop
+    ends.  `draw()` gives one uniform per collapsing step of a Born run; a
+    risk rule never calls it.
     """
     risk, base, mode = config._risk, config.entropy_base, config.mode
     eigen_tol = config.eigen_tol  # SimConfig checked it, and the base
+    n_i = _unit_xyz(axis_i)
     records = []
+    indices = iter(indices)
     for index in indices:
         try:
             p, m, cosb, c2, s2 = _collapse_frame(state, axis_i, n_i, eigen_tol)
         except NoCollapseError:
-            # once per run: `simulate` copies this record for the rest of it
             p = born_up(state, axis_i)
             s = 1 if p >= 0.5 else -1
-            records.append(TrajectoryStep(
-                index, state, axis_i, p, s, state, axis_i, _binary_entropy(p, base), 0.0, True
-            ))
-            break
+            s_i = _binary_entropy(p, base)
+            records += [TrajectoryStep(j, state, axis_i, p, s, state, axis_i, s_i, 0.0, True)
+                        for j in (index, *indices)]
+            return records
         axis_next = _next_axis(axis_i, m, n_i, cosb, mode)
         if risk is None:
             s = 1 if draw() < p else -1
@@ -260,7 +253,7 @@ def step(
     if config._risk is None and rng is None:
         raise ValueError("born outcome sampling requires an rng; see make_rng()")
     draw = None if rng is None else rng.random
-    return _walk(state, axis_i, _unit_xyz(axis_i), config, (k,), draw)[0]
+    return _walk(state, axis_i, config, (k,), draw)[0]
 
 
 def simulate(
@@ -269,19 +262,11 @@ def simulate(
     """Run `config.steps` measurements, threading state and axis through.
 
     The records are those of a chain of `step` calls sharing one
-    `make_rng(config.seed)`, built by one pass of their common body over the
-    whole run.  A no-collapse step hands its own state and axis to the next
-    step, draws no random number and calls no risk rule, so every later step
-    repeats it exactly; the run stops stepping there and repeats it under
-    the remaining indices.
+    `make_rng(config.seed)`, built by one `_walk` over the whole run.  A
+    Born run draws its `config.steps` uniforms at once and reads them in
+    order, one per collapsing step, as Python floats.
     """
     draw = None
     if config._risk is None:
-        draw = _uniforms(make_rng(config.seed), config.steps).__next__
-    steps = _walk(initial_state, initial_axis, _unit_xyz(initial_axis), config,
-                  range(config.steps), draw)
-    last = steps[-1]
-    if last.no_collapse:
-        rest = [getattr(last, f.name) for f in fields(last)[1:]]  # all but index
-        steps += [TrajectoryStep(j, *rest) for j in range(len(steps), config.steps)]
-    return steps
+        draw = iter(memoryview(make_rng(config.seed).random(config.steps))).__next__
+    return _walk(initial_state, initial_axis, config, range(config.steps), draw)

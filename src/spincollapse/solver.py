@@ -80,7 +80,8 @@ class NoCollapseError(Exception):
 
 
 class InfeasibleGridError(Exception):
-    """No grid point meets the entropy constraint at this resolution."""
+    """No grid point meets the entropy constraint at this resolution, or the
+    oracle's exclusion removed every one that does."""
 
 
 @dataclass(frozen=True)
@@ -432,7 +433,9 @@ def brute_force_oracle(
     dropped; with `exclude` set, points within that angular radius of the
     measured axis or its antipode are dropped too.  Returns the surviving
     point of least s_up; ties resolve to the first point in row-major order,
-    so the scan is deterministic no matter how it is scheduled.  s_f is
+    so the scan is deterministic no matter how it is scheduled.  With no
+    survivor, `InfeasibleGridError` reports an empty band, or names the
+    radius when the exclusion removed every band point.  s_f is
     evaluated only at the candidates of `_band_candidates`, a superset of the
     band, so the answer is bit-equal to that of a scan of every point.
     """
@@ -460,16 +463,22 @@ def brute_force_oracle(
     s_f = _binary_entropy_grid(_up_probability(_grid_dot(m, trig, rows, cols)), base)
     band = np.abs(s_f - level) <= constraint_tol
     rows, cols = rows[band], cols[band]
-    dot_i = _grid_dot(n_i, trig, rows, cols)
-    if exclude is not None:
-        # angle to the nearer of the two trivial directions
-        kept = np.arccos(np.clip(np.abs(dot_i), -1.0, 1.0)) > exclude
-        rows, cols, dot_i = rows[kept], cols[kept], dot_i[kept]
     if rows.size == 0:
         raise InfeasibleGridError(
             f"no grid point satisfies |residual| <= {constraint_tol!r} on a "
             f"{n_theta}x{n_phi} grid; refine the grid or loosen the tolerance"
         )
+    dot_i = _grid_dot(n_i, trig, rows, cols)
+    if exclude is not None:
+        # angle to the nearer of the two trivial directions
+        kept = np.arccos(np.clip(np.abs(dot_i), -1.0, 1.0)) > exclude
+        if not kept.any():
+            raise InfeasibleGridError(
+                f"every grid point with |residual| <= {constraint_tol!r} on a "
+                f"{n_theta}x{n_phi} grid lies within the exclusion radius "
+                f"{exclude!r} of the measured axis or its antipode; lower the radius"
+            )
+        rows, cols, dot_i = rows[kept], cols[kept], dot_i[kept]
 
     objective = _binary_entropy_grid(_up_probability(dot_i), base)
     k = int(objective.argmin())

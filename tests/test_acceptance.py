@@ -8,8 +8,10 @@ one place, and every value goes through its constructor.
 
 import ast
 import contextlib
+import inspect
 import json
 import math
+import sys
 import time
 from pathlib import Path
 
@@ -267,6 +269,16 @@ def test_no_module_builds_values_past_their_constructor():
     # `object.__new__` makes an instance without its `__init__`: a value type
     # has one constructor, and it validates and canonicalizes
     assert _where(_named("object", "__new__")) == set()
+
+
+def test_one_loop_builds_every_trajectory_record():
+    # `step` and `simulate` both run `_walk`, which writes the absorbed tail
+    # of a run too; it builds its first n_i from the axis it is given
+    assert _where(lambda node: isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)
+                  and node.func.id == "TrajectoryStep") == {"simulate._walk"}
+    walk = sys.modules["spincollapse.simulate"]._walk
+    assert "n_i" not in inspect.signature(walk).parameters
 
 
 UP_Z = PureState(1.0, 0.0)

@@ -380,7 +380,27 @@ class TestOracleCommand:
         )
         assert result.exit_code == 3
         doc = json.loads(result.output)
-        assert doc["results"]["oracle"]["error"] == "infeasible-grid"
+        assert doc["results"]["oracle"] == {
+            "error": "infeasible-grid",
+            "message": "no grid point satisfies |residual| <= 1e-09 on a 8x8 grid; "
+                       "refine the grid or loosen the tolerance",
+        }
+        assert doc["results"]["discrepancy"] is None
+
+    def test_exclusion_emptied_grid_names_the_radius(self, runner):
+        result = runner.invoke(
+            main,
+            ["oracle", "--rho", "0.3", "--theta-i", "1.0", "--grid", "40x80",
+             "--exclude-trivial", "1.5707963267948966"],
+        )
+        assert result.exit_code == 3
+        doc = json.loads(result.output)
+        assert doc["results"]["oracle"] == {
+            "error": "infeasible-grid",
+            "message": "every grid point with |residual| <= 0.005 on a 40x80 grid "
+                       "lies within the exclusion radius 1.5707963267948966 of the "
+                       "measured axis or its antipode; lower the radius",
+        }
         assert doc["results"]["discrepancy"] is None
 
 

@@ -58,7 +58,8 @@ def test_script_runs(script, args, summary):
 # took the mirror r = 2 (n_i . m) m - n_i itself as its next axis (n_i in
 # strict mode) instead of the canonically smaller of the two candidates.
 # The ``simulate.born_long`` line was recorded on the `simulate` that drew
-# one `rng.random()` per Born step, before it drew its uniforms in blocks.
+# one `rng.random()` per Born step, before it drew its uniforms in blocks
+# and, later, in one array per run.
 # The ``kernels`` line was recorded on the `born_up` and collapse frame that
 # clamped through `min` and `max`, and on the `select_outcome` that called
 # `RiskFunction.evaluate` once per outcome.
@@ -75,16 +76,20 @@ def test_script_runs(script, args, summary):
 # ``landscape``, ``landscape.shapes`` and ``cli.json`` lines were re-recorded
 # when `solver._grid` built its trig exactly antipodal; in ``cli.json`` only
 # oracle documents moved.  `_UNMIRRORED_LINES` holds their earlier values.
+# The ``oracle.exclude`` and ``oracle.tol`` lines, here and in
+# `_UNMIRRORED_LINES`, were re-recorded when the oracle named the exclusion
+# radius where the exclusion, not the band, left no grid point: only the
+# messages of those errors moved.
 # A deliberate change to the emitted bytes updates these lines; a fast path
 # must keep them.
 DIGEST_LINES = """\
 solve                200  a8784dd13f43001253c43cc8c51a48596a555009a43c765704e3709fdd86da4a
 feasible_set          50  a5eebb6fbd7621ac3d79341d506f9051534355e19dde3c6d48c7a7944a4d47aa
 oracle.plain          50  02920fdf4dab17354b34c736891405ac10e8006487772f39df5dc48e1d81d546
-oracle.exclude       100  249e7211361381fc842926e5bd8eb6b99fd7538ac482727f9b84016ae9b90ac2
+oracle.exclude       100  112e418cbbde08687a87f4c38b967807e8f62a4223fca8e364cec6c23b6dd4dc
 oracle.base2          50  6ea687f7fb26354fb12bcc0e3c12ad404cbd5ecd8c7c607f8f69f12abbbff71c
 oracle.infeasible     50  c6d2901b1d1ade7bf7dc90f885825415a5b5079e6b2b7007e730df7e3bc37be8
-oracle.tol            78  99475ce1c5d234f53b25e6cf442d2b978fb5409a28bcfe8bc537da06ed33f74e
+oracle.tol            78  9ff966508d1c8f6fde1fb0730dd95916583c3f5529bb9203bbcd52148f46ba3e
 landscape             14  436b9e746f805ac9fdd129dd7719c8c31713ca71f1a26ec46336ca31e5f5e577
 landscape.shapes      65  8207d6f1aa2d3d8809581ea26e64edadff61622a9421828f7bfae4c40d2c7b3c
 cli.json             221  a17084c5861bc2324ff5c38b67a479a1cfcaba8cfe01c82ccb72afe659f1ca8a
@@ -109,9 +114,9 @@ def test_output_digests_unchanged():
 # printed before, through the table that reuses pole cells.
 _UNMIRRORED_LINES = """\
 oracle.plain          50  1c0d71cf975da033297d1ab03c9feb523fa64b3922b3ac8728bf7d987c02615a
-oracle.exclude       100  974696b86e4ef738fb11130913c9d5c0d5549e4f57b26d5b769a2b1d81e9f273
+oracle.exclude       100  4e6a938879b3dabe56819dc9732e77989ee070e3d062aab441791f56b6a27a64
 oracle.base2          50  3c34150176d15160ce8067da1e2cfba2c9edb1cedfd87abba7b408951887c750
-oracle.tol            78  7306eecb5a0752fe65d9711d5ca21018996ab0a902bb25f57710648a71dfb8a7
+oracle.tol            78  1977ae1ce1ff238023ad8d507016b6ac6adb04a7cbb884c2c16e7724089852e1
 landscape             14  98a4c856b8282cd7cd2702a270af3d9b34f86f268f6df3df4f93f67b65af1ec4
 landscape.shapes      65  357af32f5f8c2806a284ba6d0e55b162bc314dcdc020d4058ea19ad92db9dbbb
 cli.json             221  96c81fc55d140ee9af45f72222a2a18680c89b2f1b6e62f4c15529de6cdb93f9

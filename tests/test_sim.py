@@ -445,14 +445,12 @@ class TestSimulateIsChainedStep:
                                    base, eigen_tol, steps, seed)
 
 
-BLOCK = SIMULATE_MODULE._DRAW_BLOCK
-
-
 class TestBornDraws:
     """A Born step takes one uniform of the caller's generator when it
-    collapses and none otherwise; `simulate` owns its generator and draws
-    the same stream in blocks, so its runs equal chained `step` calls on
-    either side of a block's edge."""
+    collapses and none otherwise.  `simulate` owns its generator and reads
+    the same stream from one array of draws, so a long Born run, with
+    hundreds of collapsing steps, equals chained `step` calls record for
+    record."""
 
     @staticmethod
     def _advanced(seed: int, draws: int) -> dict:
@@ -477,32 +475,15 @@ class TestBornDraws:
         draws = 1 if collapses and outcome == "born" else 0
         assert rng.bit_generator.state == self._advanced(9, draws)
 
-    @pytest.mark.parametrize("steps", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    @pytest.mark.parametrize("steps", [255, 256, 257, 773])
     @pytest.mark.parametrize("base", [math.e, 2.0])
     @pytest.mark.parametrize("mode", ["strict", "reflective"])
-    def test_simulate_is_chained_step_across_blocks(self, steps, base, mode):
+    def test_long_born_run_is_chained_step(self, steps, base, mode):
+        """Every draw of a long Born run lands on the step a chain of `step`
+        calls gives it; a strict run absorbs after its first step."""
         flags = _check_simulate_is_chained(PureState(0.3, 1.0), Axis(1.2, 0.4), mode,
                                            "born", base, 1e-12, steps, seed=steps)
         assert flags[-1] is (mode == "strict")  # reflective runs never absorb here
-
-    @pytest.mark.parametrize("count", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
-    def test_uniforms_are_the_scalar_stream_in_bounded_blocks(self, count):
-        sizes = []
-
-        class Recording:
-            def __init__(self, rng):
-                self.rng = rng
-
-            def random(self, size):
-                sizes.append(size)
-                return self.rng.random(size)
-
-        rng = make_rng(count)
-        got = list(SIMULATE_MODULE._uniforms(Recording(rng), count))
-        want_rng = make_rng(count)
-        assert got == [want_rng.random() for _ in range(count)]
-        assert rng.bit_generator.state == want_rng.bit_generator.state
-        assert sum(sizes) == count and max(sizes) <= min(count, BLOCK)
 
 
 class TestLongRunLaw:

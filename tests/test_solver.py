@@ -413,17 +413,41 @@ class TestBruteForceOracle:
         assert excl_obj >= base_obj
 
     def test_total_exclusion_is_infeasible(self):
-        with pytest.raises(InfeasibleGridError):
+        with pytest.raises(InfeasibleGridError, match=r"exclusion radius 3\.0 "):
             brute_force_oracle(UP_Z, TILT, grid=(64, 64), exclude=3.0)
 
-    def test_tight_tolerance_on_coarse_grid_is_infeasible(self):
-        with pytest.raises(InfeasibleGridError):
+    def test_exclusion_emptied_band_names_the_radius(self):
+        # every band point lies within 2 beta ~ 0.28 of +-n_i; the plain
+        # oracle finds one, so the exclusion, not the band, is to blame
+        state, axis = PureState(0.995, 0.0), Axis(0.0, 0.0)
+        brute_force_oracle(state, axis)
+        with pytest.raises(InfeasibleGridError) as got:
+            brute_force_oracle(state, axis, exclude=0.5)
+        assert str(got.value) == (
+            "every grid point with |residual| <= 0.005 on a 400x800 grid lies "
+            "within the exclusion radius 0.5 of the measured axis or its "
+            "antipode; lower the radius")
+
+    @pytest.mark.parametrize("grid", [(8, 8), (37, 91)])
+    def test_quarter_turn_exclusion_empties_any_grid(self, grid):
+        # no direction lies farther than pi/2 from both n_i and -n_i
+        with pytest.raises(InfeasibleGridError, match=r"exclusion radius 1\.5707963267948966 "):
+            brute_force_oracle(PureState(0.3, 1.0), Axis(1.2, 0.4), grid=grid,
+                               constraint_tol=0.3, exclude=0.5 * math.pi)
+
+    @pytest.mark.parametrize("exclude", [None, 0.2])  # an empty band is the band's fault
+    def test_tight_tolerance_on_coarse_grid_is_infeasible(self, exclude):
+        with pytest.raises(InfeasibleGridError) as got:
             brute_force_oracle(
                 PureState(0.9, 0.3),
                 Axis(1.0, 0.5),
                 grid=(8, 8),
                 constraint_tol=1e-9,
+                exclude=exclude,
             )
+        assert str(got.value) == (
+            "no grid point satisfies |residual| <= 1e-09 on a 8x8 grid; refine "
+            "the grid or loosen the tolerance")
 
     @pytest.mark.parametrize("exclude", [None, 0.2])
     def test_fine_grid_within_spacing_bound(self, rng, exclude):
@@ -472,17 +496,23 @@ def _full_grid_oracle(state, axis, grid, constraint_tol, exclude, base):
     """The oracle as a masked argmin over the whole landscape grid."""
     thetas, phis, _p_up, s_f, _residual, s_up_grid = _entropy_grid(state, axis, *grid, base)
     keep = np.abs(s_f - binary_entropy(born_up(state, axis), base)) <= constraint_tol
+    if not keep.any():
+        raise InfeasibleGridError(
+            f"no grid point satisfies |residual| <= {constraint_tol!r} on a "
+            f"{grid[0]}x{grid[1]} grid; refine the grid or loosen the tolerance"
+        )
     if exclude is not None:
         st, ct = np.sin(thetas)[:, None], np.cos(thetas)[:, None]
         cp, sp = np.cos(phis)[None, :], np.sin(phis)[None, :]
         n = unit_vector(axis)
         dot_i = st * cp * n[0] + st * sp * n[1] + ct * n[2]
         keep &= np.arccos(np.clip(np.abs(dot_i), -1.0, 1.0)) > exclude
-    if not keep.any():
-        raise InfeasibleGridError(
-            f"no grid point satisfies |residual| <= {constraint_tol!r} on a "
-            f"{grid[0]}x{grid[1]} grid; refine the grid or loosen the tolerance"
-        )
+        if not keep.any():
+            raise InfeasibleGridError(
+                f"every grid point with |residual| <= {constraint_tol!r} on a "
+                f"{grid[0]}x{grid[1]} grid lies within the exclusion radius "
+                f"{exclude!r} of the measured axis or its antipode; lower the radius"
+            )
     i, j = divmod(int(np.where(keep, s_up_grid, np.inf).argmin()), grid[1])
     return Axis(float(thetas[i]), float(phis[j])), float(s_up_grid[i, j])
 
