@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .spin import Axis, PureState, _bloch_xyz, _dot3, _outcome, _unit_xyz, born_up
+from .spin import Axis, PureState, _born_frame, _dot3, _outcome, _unit_xyz
 
 __all__ = [
     "RiskContext",
@@ -36,9 +36,12 @@ __all__ = [
 _STAND_IN = "illustrative stand-in: the collapse model does not prescribe one"
 
 
-# RiskContext writes its own __init__ (init=False), as Axis does: a step
-# builds one per collapse, and setting each field once is cheaper than the
-# generated frozen __init__.
+# RiskContext writes its own __init__ (init=False): a step builds one per
+# collapse and fills the instance dict, as `TrajectoryStep` does.  It also
+# keeps `_frame`, the (p, m) of `_born_frame(state, axis_measured)` that
+# the builtins read: a step hands in the pair it has read, and any other
+# caller gets it computed.  Not being a field, eq, hash and repr ignore it,
+# and `replace` computes it anew.
 @dataclass(frozen=True, init=False)
 class RiskContext:
     """What a rule may look at besides the candidate axis: the pre-collapse
@@ -47,9 +50,11 @@ class RiskContext:
     state: PureState
     axis_measured: Axis
 
-    def __init__(self, state: PureState, axis_measured: Axis) -> None:
-        object.__setattr__(self, "state", state)
-        object.__setattr__(self, "axis_measured", axis_measured)
+    def __init__(self, state: PureState, axis_measured: Axis, _frame=None) -> None:
+        d = self.__dict__
+        d["state"] = state
+        d["axis_measured"] = axis_measured
+        d["_frame"] = _born_frame(state, axis_measured)[:2] if _frame is None else _frame
 
 
 @dataclass(frozen=True)
@@ -84,17 +89,19 @@ def _constant(axis_f: Axis, s: int, context: RiskContext) -> float:
 
 
 def _born_surprise(axis_f: Axis, s: int, context: RiskContext) -> float:
-    """Negative log Born probability of the outcome on the measured axis;
-    certain losses are +inf.  Ignores the candidate axis."""
-    p_up = born_up(context.state, context.axis_measured)
+    """Negative log Born probability of the outcome on the measured axis,
+    from the context's p, bit for bit `born_up`; certain losses are +inf.
+    Ignores the candidate axis."""
+    p_up = context._frame[0]
     p = p_up if s == 1 else 1.0 - p_up
     return math.inf if p <= 0.0 else -math.log(p)
 
 
 def _alignment(axis_f: Axis, s: int, context: RiskContext) -> float:
     """Penalize outcomes whose collapsed spin s*n_f would point away from the
-    current Bloch vector: risk = -s * (n_f . m)."""
-    return -float(s) * _dot3(_unit_xyz(axis_f), _bloch_xyz(context.state))
+    current Bloch vector: risk = -s * (n_f . m), with the context's m, bit
+    for bit `_bloch_xyz`."""
+    return -float(s) * _dot3(_unit_xyz(axis_f), context._frame[1])
 
 
 _BUILTINS = (

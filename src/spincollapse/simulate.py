@@ -24,8 +24,9 @@ before.  The eigenstate tolerance is checked where it comes in, by
 once, from the collapse frame: the Born probability p, the Bloch vector m,
 cos(beta) = n_i . m and the eigenstate weights cos^2(theta/2) and
 sin^2(theta/2), with one square root and one half-angle cosine and sine
-between them.  It collapses onto the eigenstate built from those weights,
-bit for bit the state `state_from_eigenvector` builds.  The first
+between them.  A risk rule reads p and m from the `RiskContext` the step
+hands them to, and the step collapses onto the eigenstate `_eigenstate`
+builds from the weights, as `state_from_eigenvector` does.  The first
 no-collapse step ends the loop: it repeats under every remaining index.
 
 Born sampling uses numpy's PCG64 generator (see `RNG_NAME`): outcome +1 is
@@ -56,6 +57,7 @@ from .spin import (
     Axis,
     PureState,
     _dot3,
+    _eigenstate,
     _integer,
     _unit_xyz,
     born_up,
@@ -214,12 +216,8 @@ def _walk(
         if risk is None:
             s = 1 if draw() < p else -1
         else:
-            s, _ = select_outcome(risk, axis_next, RiskContext(state, axis_i))
-        # the s eigenstate of axis_i, as `state_from_eigenvector` builds it
-        if s == 1:
-            state_after = PureState(c2, axis_i.phi)
-        else:
-            state_after = PureState(s2, axis_i.phi + math.pi)
+            s, _ = select_outcome(risk, axis_next, RiskContext(state, axis_i, (p, m)))
+        state_after = _eigenstate(axis_i, s, c2, s2)
         n_next = _unit_xyz(axis_next)
         records.append(TrajectoryStep(
             index, state, axis_i, p, s, state_after, axis_next,

@@ -499,7 +499,8 @@ def azimuth_descent(
     settles at psi = 0 or psi = pi (mod 2*pi).  Returns (psi, objective) at
     the converged point, the objective in nats.  The constant `_DESCENT_TOL`
     bounds the final azimuth gradient, and `_DESCENT_MAX_ITER` caps the
-    number of steps.
+    number of steps.  The line search stops halving once a step is at most
+    a quarter of psi's float spacing: psi - step * g then rounds to psi.
     """
     _check_eigen_tol(eigen_tol)
     p, _m, cosb, _c2, _s2 = _collapse_frame(state, axis_i, _unit_xyz(axis_i), eigen_tol)
@@ -525,13 +526,13 @@ def azimuth_descent(
         if abs(g) <= _DESCENT_TOL:
             break
         step = 1.0
-        while step > 1e-20:
+        while step * abs(g) > 0.25 * math.ulp(psi):
             cand = (psi - step * g) % (2.0 * math.pi)
             cv = value(cand)
             if cv <= v - 0.5 * step * g * g:
                 break
             step *= 0.5
         else:
-            break  # no decrease left at float resolution: psi is converged
+            break  # the step moves psi by under its float spacing: converged
         psi, v = cand, cv
     return psi, v

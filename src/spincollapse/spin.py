@@ -130,10 +130,12 @@ def _reduce_angles(theta: float, phi: float) -> tuple[float, float]:
 
 # Axis and PureState write their own __init__ (init=False): it validates and
 # canonicalizes, then sets each field once, where a generated __init__ plus
-# __post_init__ would set every field twice.  Axis stores two plain floats in
-# 0 < theta < pi, 0 < phi < 2*pi as they are: `_reduce_angles` returns them
-# bit for bit, and the solver's axes land there.  Other types are reduced: a
-# Fraction just inside the region can round onto its edge.
+# __post_init__ would set every field twice.  Each stores two plain floats
+# strictly inside its canonical region as they are: Axis in 0 < theta < pi,
+# 0 < phi < 2*pi, PureState in 0 < rho < 1, 0 < tau < 2*pi, where the full
+# route returns them bit for bit.  The solver's axes and a step's collapsed
+# states land there.  Other types take the full route: a Fraction just inside
+# the region can round onto its edge.
 @dataclass(frozen=True, init=False)
 class Axis:
     """A direction on the unit sphere, canonicalized on construction.
@@ -275,20 +277,23 @@ class PureState:
     tau: float
 
     def __init__(self, rho: float, tau: float) -> None:
-        rho, tau = float(rho), float(tau)
-        if not (math.isfinite(rho) and math.isfinite(tau)):
-            raise ValueError(f"state parameters must be finite, got ({rho!r}, {tau!r})")
-        if rho < 0.0 or rho > 1.0:
-            if rho < -DEFAULT_ATOL or rho > 1.0 + DEFAULT_ATOL:
-                raise ValueError(f"rho must lie in [0, 1], got {rho!r}")
-            rho = min(1.0, max(0.0, rho))
-        tau %= TWO_PI
-        if tau >= TWO_PI:
-            tau = 0.0
-        if rho == 0.0 or rho == 1.0:
-            tau = 0.0  # phase is pure gauge when one amplitude vanishes
-        object.__setattr__(self, "rho", rho + 0.0)
-        object.__setattr__(self, "tau", tau + 0.0)
+        if not (type(rho) is float and type(tau) is float
+                and 0.0 < rho < 1.0 and 0.0 < tau < TWO_PI):
+            rho, tau = float(rho), float(tau)
+            if not (math.isfinite(rho) and math.isfinite(tau)):
+                raise ValueError(f"state parameters must be finite, got ({rho!r}, {tau!r})")
+            if rho < 0.0 or rho > 1.0:
+                if rho < -DEFAULT_ATOL or rho > 1.0 + DEFAULT_ATOL:
+                    raise ValueError(f"rho must lie in [0, 1], got {rho!r}")
+                rho = min(1.0, max(0.0, rho))
+            tau %= TWO_PI
+            if tau >= TWO_PI:
+                tau = 0.0
+            if rho == 0.0 or rho == 1.0:
+                tau = 0.0  # phase is pure gauge when one amplitude vanishes
+            rho, tau = rho + 0.0, tau + 0.0
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "tau", tau)
 
 
 def amplitudes(state: PureState) -> Spinor:
@@ -359,9 +364,19 @@ def state_from_eigenvector(axis: Axis, s: int) -> PureState:
     s = _outcome(s)
     # the weights do not depend on the state: any one will do
     _p, _m, c2, s2 = _born_frame(_UP_Z, axis)
+    return _eigenstate(axis, s, c2, s2)
+
+
+def _eigenstate(axis: Axis, s: int, c2: float, s2: float) -> PureState:
+    """The s eigenstate of the axis from its weights c2 and s2
+    (`_born_frame`).  The -1 state's phi + pi lies in [pi, 3*pi) and is
+    reduced here: subtracting 2*pi is exact (Sterbenz), the bits of `%`."""
     if s == 1:
         return PureState(c2, axis.phi)
-    return PureState(s2, axis.phi + math.pi)
+    tau = axis.phi + math.pi
+    if tau >= TWO_PI:
+        tau -= TWO_PI
+    return PureState(s2, tau)
 
 
 def state_from_amplitudes(up: complex, down: complex) -> PureState:

@@ -9,7 +9,10 @@ import numpy as np
 from spincollapse import (
     Axis, PureState, binary_entropy, born_up, eigenpair, overlap, unit_vector,
 )
-from spincollapse.spin import _POLE_SNAP, _reduce_angles
+from spincollapse.solver import (
+    _DESCENT_MAX_ITER, _DESCENT_TOL, _circles, _collapse_frame, _colatitude,
+)
+from spincollapse.spin import _POLE_SNAP, DEFAULT_ATOL, TWO_PI, _reduce_angles, _unit_xyz
 
 
 def uniform_axis(rng: np.random.Generator) -> Axis:
@@ -63,6 +66,25 @@ def eigen_weights_own(axis) -> tuple[float, float]:
     oracle of the weights `_born_frame` gives."""
     half = 0.5 * axis.theta
     return math.cos(half) ** 2, math.sin(half) ** 2
+
+
+def pure_state_fields(rho, tau) -> tuple[float, float]:
+    """The (rho, tau) `PureState` stores, by the route every input took
+    before plain floats inside 0 < rho < 1, 0 < tau < 2*pi were stored as
+    given: the oracle of that fast path.  Raises as `PureState` does."""
+    rho, tau = float(rho), float(tau)
+    if not (math.isfinite(rho) and math.isfinite(tau)):
+        raise ValueError(f"state parameters must be finite, got ({rho!r}, {tau!r})")
+    if rho < 0.0 or rho > 1.0:
+        if rho < -DEFAULT_ATOL or rho > 1.0 + DEFAULT_ATOL:
+            raise ValueError(f"rho must lie in [0, 1], got {rho!r}")
+        rho = min(1.0, max(0.0, rho))
+    tau %= TWO_PI
+    if tau >= TWO_PI:
+        tau = 0.0
+    if rho == 0.0 or rho == 1.0:
+        tau = 0.0
+    return rho + 0.0, tau + 0.0
 
 
 def xyz_angles_reduced(x: float, y: float, z: float) -> tuple[float, float]:
@@ -152,3 +174,40 @@ def landscape_table(thetas, phis, p_up, s_f, residual, s_up, delimiter) -> str:
         ))))
     blocks.append("")
     return "\n".join(blocks)
+
+
+def azimuth_descent_to_1e_20(state, axis_i, level, psi0):
+    """`azimuth_descent` as it was written, halving its Armijo step down to
+    1e-20 whatever the float spacing of psi: the oracle of the stop once a
+    step can no longer move psi."""
+    p, _m, cosb, _c2, _s2 = _collapse_frame(state, axis_i, _unit_xyz(axis_i), DEFAULT_ATOL)
+    alpha = _colatitude(_circles(p, cosb)[1], level)
+    a = math.cos(alpha) * cosb
+    b = math.sin(alpha) * math.sqrt(1.0 - cosb * cosb)
+
+    def value(psi):
+        return binary_entropy(min(1.0, max(0.0, 0.5 * (1.0 + a + b * math.cos(psi)))))
+
+    def gradient(psi):
+        p = 0.5 * (1.0 + a + b * math.cos(psi))
+        if p <= 0.0 or p >= 1.0:
+            return 0.0
+        return -0.5 * b * math.sin(psi) * math.log((1.0 - p) / p)
+
+    psi = psi0 % (2.0 * math.pi)
+    v = value(psi)
+    for _ in range(_DESCENT_MAX_ITER):
+        g = gradient(psi)
+        if abs(g) <= _DESCENT_TOL:
+            break
+        step = 1.0
+        while step > 1e-20:
+            cand = (psi - step * g) % (2.0 * math.pi)
+            cv = value(cand)
+            if cv <= v - 0.5 * step * g * g:
+                break
+            step *= 0.5
+        else:
+            break
+        psi, v = cand, cv
+    return psi, v

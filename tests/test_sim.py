@@ -633,6 +633,30 @@ class TestStepDoesEachThingOnce:
         assert calls["_reduce_angles"] == 0
         assert calls["TrajectoryStep.__init__"] == calls["TrajectoryStep.__dict__"] == 40
 
+    @pytest.mark.parametrize("outcome", ["risk:born-surprise", "risk:alignment"])
+    def test_risk_rule_reads_the_step_frame(self, monkeypatch, outcome):
+        # the rule reads the p and m of the step's one `_born_frame` call
+        # from its context: `_born_frame` is counted here in every module
+        # that calls it, and neither the rule (which called `born_up` or
+        # `_bloch_xyz` once per outcome) nor the context calls it again
+        calls = self._count(monkeypatch)
+        frame = spincollapse.spin._born_frame
+
+        def counted(*args):
+            calls["_born_frame"] += 1
+            return frame(*args)
+
+        for module in (spincollapse.spin, spincollapse.risk):
+            monkeypatch.setattr(module, "_born_frame", counted)
+        state, axis = PureState(0.3, 1.0), Axis(1.2, 0.4)
+        t = step(state, axis, SimConfig(steps=1, mode="reflective", outcome=outcome))
+        assert not t.no_collapse
+        assert calls["_born_frame"] == 1
+        traj = simulate(state, axis, SimConfig(steps=40, mode="reflective", outcome=outcome))
+        assert not any(t.no_collapse for t in traj)
+        assert calls["_born_frame"] == 1 + 40
+        assert calls["born_up"] == calls["_bloch_xyz"] == 0
+
 
 @pytest.mark.parametrize("outcome", OUTCOMES)
 def test_step_path_calls_no_min_or_max(monkeypatch, outcome):

@@ -54,6 +54,7 @@ from spincollapse.spin import (
     _unit_xyz,
 )
 
+import helpers
 from helpers import (
     angle_between,
     bloch_xyz_own,
@@ -860,6 +861,37 @@ class TestAzimuthDescent:
         psi, _ = azimuth_descent(UP_Z, TILT, 1, math.pi - 0.2)
         assert len(calls) < 1000
         assert abs(psi - math.pi) <= 1e-6
+
+    @pytest.mark.parametrize("state, axis, level, psi0, fewer", [
+        # p_i = 0.0021: the circle is so small that the objective is flat at
+        # float resolution well before psi = 0 or pi, and the descent stalls
+        (UP_Z, Axis(math.acos(2 * 0.0021 - 1), 0.0), 0, 0.3, 8),
+        (UP_Z, Axis(math.acos(2 * 0.0021 - 1), 0.0), 1, math.pi - 0.3, 8),
+        # a descent that creeps toward psi = 0 a few float spacings a step,
+        # which a stop at one full spacing would cut short
+        (PureState(0.7683254544817271, 4.682428672809294),
+         Axis(0.8213638850017897, 4.2258929668079865), 0, 0.3642697502294028, 1),
+    ])
+    def test_halving_stops_where_steps_stop_moving_psi(self, monkeypatch, state, axis,
+                                                       level, psi0, fewer):
+        # a step of at most a quarter of psi's float spacing rounds back to
+        # psi, so the line search stops there: the result is bit for bit
+        # that of halving down to 1e-20, for far fewer objective evaluations
+        import spincollapse.solver as solver_module
+
+        calls = []
+
+        def counting(p, base=math.e):
+            calls.append(p)
+            return binary_entropy(p, base)
+
+        monkeypatch.setattr(solver_module, "binary_entropy", counting)
+        monkeypatch.setattr(helpers, "binary_entropy", counting)
+        psi, value = azimuth_descent(state, axis, level, psi0)
+        now = len(calls)
+        expected = helpers.azimuth_descent_to_1e_20(state, axis, level, psi0)
+        assert [psi.hex(), value.hex()] == [v.hex() for v in expected]
+        assert fewer * now <= len(calls) - now
 
 
 class TestFloatPathAgainstNumpy:

@@ -4,6 +4,8 @@ import cmath
 import dataclasses
 import math
 import pickle
+import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -37,6 +39,7 @@ from helpers import (
     axis_from_vector_own_reader,
     born_up_min_max,
     born_up_unclamped,
+    pure_state_fields,
     state_from_bloch_clamped,
     uniform_axis,
     uniform_state,
@@ -351,6 +354,87 @@ class TestPureState:
             m = bloch_vector(s)
             assert abs(np.linalg.norm(m) - 1.0) <= 1e-12
             assert m[2] == pytest.approx(2.0 * s.rho - 1.0, abs=1e-15)
+
+
+def _wrapped_state(rho: float, tau: float) -> PureState:
+    """A `PureState` holding the given floats, built without `__init__`: the
+    least memory a state can take."""
+    state = object.__new__(PureState)
+    object.__setattr__(state, "rho", rho)
+    object.__setattr__(state, "tau", tau)
+    return state
+
+
+# raw parameters at the edges of the region 0 < rho < 1, 0 < tau < 2 pi
+_EDGE_RHOS = [0.0, -0.0, 1.0, 5e-324, 2.0**-1022, math.nextafter(1.0, 0.0), -1e-13,
+              1.0 + 1e-13, -1e-9, 0.5, 1, 0, True, np.float64(0.5), Fraction(1, 3),
+              math.nan, math.inf]
+_EDGE_TAUS = [0.0, -0.0, TWO_PI, math.nextafter(TWO_PI, 0.0), math.pi,
+              -1e-300, 5e-324, -5e-324, 7.5, -1.0, 3, np.float64(1.0),
+              Fraction(TWO_PI) - Fraction(1, 2**80), Decimal(TWO_PI).next_minus(),
+              math.nan, -math.inf]
+
+
+class TestStateFastPath:
+    """Two plain floats inside 0 < rho < 1, 0 < tau < 2*pi are stored as
+    given; for every input, `PureState` stores the floats of the full route
+    (`helpers.pure_state_fields`) or raises its error."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        rho=st.one_of(st.floats(0.0, 1.0), st.floats(), st.sampled_from(_EDGE_RHOS)),
+        tau=st.one_of(st.floats(0.0, TWO_PI), st.floats(), st.sampled_from(_EDGE_TAUS)),
+    )
+    @example(rho=0.3, tau=math.nextafter(TWO_PI, 0.0))
+    @example(rho=0.3, tau=-0.0)
+    @example(rho=5e-324, tau=1.0)
+    @example(rho=0.0, tau=1.0)
+    @example(rho=1.0, tau=1.0)
+    @example(rho=0.3, tau=math.pi + math.pi)  # phi + pi landing on 2*pi
+    @example(rho=Fraction(1, 3), tau=Fraction(TWO_PI) - Fraction(1, 2**80))
+    def test_matches_full_route(self, rho, tau):
+        try:
+            expected = pure_state_fields(rho, tau)
+        except ValueError as err:
+            with pytest.raises(ValueError) as raised:
+                PureState(rho, tau)
+            assert str(raised.value) == str(err)
+            return
+        state = PureState(rho, tau)
+        assert type(state.rho) is float and type(state.tau) is float
+        assert [state.rho.hex(), state.tau.hex()] == [v.hex() for v in expected]
+
+    @settings(max_examples=300, deadline=None)
+    @given(theta=st.one_of(st.floats(0.0, math.pi), st.sampled_from([0.0, math.pi, 1e-300])),
+           phi=st.one_of(st.floats(0.0, TWO_PI),
+                         st.sampled_from([0.0, math.pi, math.nextafter(math.pi, 0.0),
+                                          math.nextafter(math.pi, 4.0),
+                                          math.nextafter(TWO_PI, 0.0)])),
+           s=st.sampled_from([1, -1]))
+    @example(theta=1.0, phi=math.pi, s=-1)  # phi + pi is exactly 2*pi
+    def test_eigenstate_matches_full_route(self, theta, phi, s):
+        # the -1 eigenstate reduces phi + pi by one exact subtraction
+        axis = Axis(theta, phi)
+        half = 0.5 * axis.theta
+        rho, tau = ((math.cos(half) ** 2, axis.phi) if s == 1
+                    else (math.sin(half) ** 2, axis.phi + math.pi))
+        state = state_from_eigenvector(axis, s)
+        assert [state.rho.hex(), state.tau.hex()] == [
+            v.hex() for v in pure_state_fields(rho, tau)]
+
+    def test_canonical_state_allocates_no_more_than_wrapping(self):
+        # filling the instance `__dict__` would build a dict per state, and
+        # the full route two new floats (48 bytes) per state
+        def allocated(make) -> int:
+            tracemalloc.start()
+            try:
+                states = [make(0.3, 2.0) for _ in range(1000)]  # alive while measured
+                return tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        # a few dozen bytes of drift, not an object per state
+        assert allocated(PureState) <= allocated(_wrapped_state) + 1000
 
 
 class TestBornRule:
