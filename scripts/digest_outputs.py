@@ -23,6 +23,10 @@ families are
   with ``--degrees``; ``oracle`` on a 40x80 grid, plain, with
   ``--exclude-trivial`` and on the infeasible 8x8 band (exit code 3);
   ``simulate`` under every outcome rule in both modes, and with ``--tol 0``;
+* ``cli.simulate_long``: the ``--out`` bytes of ``simulate --steps 1000``
+  under every outcome rule in both modes, over every eighth pair: documents
+  of the size the subprocess ``cli`` benchmark workload writes, with
+  hundreds of collapsing reflective records and long absorbed strict tails;
 * ``simulate``: the step documents of `simulate` for every outcome rule;
 * ``simulate.long``: 60-step `simulate` documents over every fourth pair,
   with ``eigen_tol`` 1e-12 and 0: long absorbed tails in strict mode, and
@@ -95,6 +99,7 @@ ORACLE_GRIDS = ((40, 80), (37, 91))
 ORACLE_TOLS = (1e-9, 5e-3, 0.3)
 OUTCOMES = ("risk:born-surprise", "risk:alignment", "risk:constant", "born")
 BORN_LONG_STEPS = 3 * 256 + 5
+CLI_LONG_STEPS = 1000
 FRAME_TOLS = (0.0, 1e-12, 0.3)
 LANDSCAPE_FLAGS = (("--format", "tsv"), ("--entropy-base", "2"), ())
 LANDSCAPE_SHAPES = ("2x2", "3x4", "10x20", "11x20", "10x21")
@@ -288,14 +293,22 @@ def _cli_json_records(state, axis):
         yield b"%d\n" % code + data
 
 
+def _cli_simulate_long_records(state, axis, seed):
+    flags = _cli_flags(state, axis)
+    for mode in ("strict", "reflective"):
+        for outcome in OUTCOMES:
+            yield _cli_out("simulate", *flags, "--steps", str(CLI_LONG_STEPS), "--mode", mode,
+                           "--outcome", outcome, "--seed", str(seed))[1]
+
+
 def _families() -> dict[str, list]:
     groups = _pairs()
     pairs = [pair for name in ("generic", "poles", "half", "near") for pair in groups[name]]
     fam: dict[str, list] = {name: [] for name in (
         "solve", "feasible_set", "oracle.plain", "oracle.exclude", "oracle.base2",
         "oracle.infeasible", "oracle.tol", "landscape", "landscape.shapes", "cli.json",
-        "simulate", "simulate.long", "simulate.born_long", "eigen_tol0", "kernels",
-        "amplitudes", "vectors")}
+        "cli.simulate_long", "simulate", "simulate.long", "simulate.born_long", "eigen_tol0",
+        "kernels", "amplitudes", "vectors")}
     for k, (state, axis) in enumerate(pairs):
         grid = ORACLE_GRIDS[k % len(ORACLE_GRIDS)]
         fam["solve"].extend(_solve_records(state, axis))
@@ -327,6 +340,8 @@ def _families() -> dict[str, list]:
     fam["landscape"].append(_landscape_stdout(*groups["generic"][0], "50x100"))
     for state, axis in pairs[::4]:
         fam["cli.json"].extend(_cli_json_records(state, axis))
+    for k, (state, axis) in enumerate(pairs[::8]):
+        fam["cli.simulate_long"].extend(_cli_simulate_long_records(state, axis, seed=k))
     for state, axis in groups["near"]:
         fam["eigen_tol0"].extend(_solve_records(state, axis, eigen_tol=0.0))
         fam["eigen_tol0"].append(_feasible_record(state, axis, eigen_tol=0.0))

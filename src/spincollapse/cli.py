@@ -15,7 +15,8 @@ own ``input`` block;
 ``landscape`` adds ``--format csv|tsv`` and emits delimiter-separated rows
 for external plotting.
 A document is exactly ``json.dumps(doc, indent=2) + "\n"``, ASCII only,
-written in one pass by `_write`.
+written in one pass by `_write`; the trajectory records of ``simulate``
+come from one template per record (`_write_records`), with the same bytes.
 Documents carry no timestamps: identical invocations produce bit-identical
 output.  Angles are radians unless ``--degrees`` is given; emitted angles are
 always canonicalized radians (theta in [0, pi], phi in [0, 2*pi)) at full
@@ -27,14 +28,16 @@ feasible point.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from json.encoder import encode_basestring_ascii as _quote
+from types import SimpleNamespace
 
 import click
 
 from . import __version__
-from .simulate import RNG_NAME, SimConfig, simulate
+from .simulate import RNG_NAME, SimConfig, TrajectoryStep, simulate
 from .solver import (
     MODES,
     InfeasibleGridError,
@@ -228,21 +231,32 @@ _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _LITERALS = {True: "true", False: "false", None: "null"}
 
 
+def _float(value: float) -> str:
+    """A float as `json` writes it: its `__repr__`, which ends in a digit
+    when finite, with nan, inf and -inf as NaN, Infinity and -Infinity."""
+    text = float.__repr__(value)
+    return _NON_FINITE[text] if text[-1] in "nf" else text
+
+
+class _Records(list):
+    """A run's `TrajectoryStep` records, which `_write` writes as the list
+    of their `to_dict` documents, from one template (`_write_records`)."""
+
+
 def _write(value, newline: str, parts: list) -> None:
     """Append the pieces of ``json.dumps(value, indent=2)`` to `parts`.
 
     `newline` is a line break plus the indent of the line `value` starts
     on.  Dispatches on the exact type: float, str, int, bool, None, and
     dicts with str keys, lists and tuples of these; anything else raises
-    TypeError, as `json` does.  Floats and ints are written by their own
-    `__repr__` (a finite float's ends in a digit; nan, inf and -inf become
-    NaN, Infinity and -Infinity), keys and strings by the C quoting
-    function of `json`, so the bytes are the encoder's.
+    TypeError, as `json` does.  Floats are written by `_float`, ints by
+    their own `__repr__`, keys and strings by the C quoting function of
+    `json`, so the bytes are the encoder's.  `_Records` are written by
+    `_write_records`, with the same bytes.
     """
     kind = type(value)
     if kind is float:
-        text = float.__repr__(value)
-        parts.append(_NON_FINITE[text] if text[-1] in "nf" else text)
+        parts.append(_float(value))
     elif kind is str:
         parts.append(_quote(value))
     elif kind is dict:
@@ -271,8 +285,69 @@ def _write(value, newline: str, parts: list) -> None:
         parts.append(int.__repr__(value))
     elif kind is bool or value is None:
         parts.append(_LITERALS[value])
+    elif kind is _Records:
+        _write_records(value, newline, parts)
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+@functools.cache
+def _record_template(newline: str) -> str:
+    """One trajectory record as `_write` writes its `to_dict` document on a
+    line that starts with `newline`, with ``%s`` in place of each value, in
+    the order `to_dict` reads them."""
+    slot = "%s"
+    pair = SimpleNamespace(rho=slot, tau=slot, theta=slot, phi=slot)
+    # a stand-in `self` with the record's attributes, so no record is built
+    # outside `simulate._walk`
+    marker = SimpleNamespace(
+        index=slot, state_before=pair, axis_measured=pair, p_up=slot, s=slot,
+        state_after=pair, axis_next=pair, s_i=slot, s_up_next=slot, no_collapse=slot,
+    )
+    parts: list = []
+    _write(TrajectoryStep.to_dict(marker), newline, parts)
+    return "".join(parts).replace(_quote(slot), slot)
+
+
+def _write_records(records: _Records, newline: str, parts: list) -> None:
+    """Append ``json.dumps([ts.to_dict() for ts in records], indent=2)``,
+    each record one `_record_template` filled with its values.
+
+    A state or axis is formatted once: a record whose `state_before` (or
+    `axis_measured`) is the previous record's `state_after` (`axis_next`)
+    takes that record's strings, and a no-collapse record, whose
+    `state_after` and `axis_next` are its `state_before` and
+    `axis_measured`, takes its own.  Identity decides, not equality, so an
+    equal state or axis in a distinct object is formatted anew.
+    """
+    if not records:
+        parts.append("[]")
+        return
+    inner = newline + "  "
+    template = _record_template(inner)
+    sep = "[" + inner
+    # the previous record's state and axis; no record holds None
+    after = axis = None
+    for ts in records:
+        state, measured = ts.state_before, ts.axis_measured
+        if state is not after:  # else rho_a, tau_a already hold its strings
+            rho_a, tau_a = _float(state.rho), _float(state.tau)
+        rho_b, tau_b = rho_a, tau_a
+        if measured is not axis:
+            theta_n, phi_n = _float(measured.theta), _float(measured.phi)
+        theta_m, phi_m = theta_n, phi_n
+        after, axis = ts.state_after, ts.axis_next
+        if after is not state:
+            rho_a, tau_a = _float(after.rho), _float(after.tau)
+        if axis is not measured:
+            theta_n, phi_n = _float(axis.theta), _float(axis.phi)
+        parts += sep, template % (
+            ts.index, rho_b, tau_b, theta_m, phi_m, _float(ts.p_up), ts.s, rho_a,
+            tau_a, theta_n, phi_n, _float(ts.s_i), _float(ts.s_up_next),
+            _LITERALS[ts.no_collapse],
+        )
+        sep = "," + inner
+    parts.append(newline + "]")
 
 
 def _envelope(command, input_echo, entropy_base, mode, results, warnings) -> str:
@@ -474,7 +549,7 @@ def cmd_simulate(mode, entropy_base, tol, out, steps, outcome, seed, **_):
         warnings.append(f"risk function {risk.name!r} is an {risk.note}")
     results = {
         "rng": RNG_NAME if risk is None else None,
-        "trajectory": [ts.to_dict() for ts in trajectory],
+        "trajectory": _Records(trajectory),
     }
     _emit(_envelope("simulate", echo, entropy_base, mode, results, warnings), out)
 

@@ -495,9 +495,16 @@ def azimuth_descent(
 ) -> tuple[float, float]:
     """Projected descent of s_up along one feasible circle's azimuth.
 
-    A numeric cross-check of the in-plane claim: from any start the descent
-    settles at psi = 0 or psi = pi (mod 2*pi).  Returns (psi, objective) at
-    the converged point, the objective in nats.  The constant `_DESCENT_TOL`
+    A numeric cross-check of the in-plane claim: the descent settles within
+    1e-6 of psi = 0 or psi = pi (mod 2*pi) from any start but a maximum of
+    the objective, where the Born probability p_i lies in [0.02, 0.98] and
+    the tilt beta between the Bloch vector and the axis (cos beta = 2 p_i - 1)
+    lies at least 0.15 rad from pi/4 and 3*pi/4.  Elsewhere it can stop
+    short: near those tilts the psi = pi critical point flattens, and on the
+    small circles of a p_i near 0 or 1 the objective is flat at float
+    resolution well before 0 or pi (at p_i = 0.0021, level 0 from
+    psi0 = pi - 0.3 stops at psi = 0.0466).  Returns (psi, objective) at the
+    converged point, the objective in nats.  The constant `_DESCENT_TOL`
     bounds the final azimuth gradient, and `_DESCENT_MAX_ITER` caps the
     number of steps.  The line search stops halving once a step is at most
     a quarter of psi's float spacing: psi - step * g then rounds to psi.

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import grid_unmirrored, landscape_table
-from spincollapse import Axis, PureState, __version__
+from spincollapse import Axis, PureState, SimConfig, TrajectoryStep, __version__, simulate
 from spincollapse import cli, solver
 from spincollapse.cli import _table, _write, main
 from spincollapse.solver import _entropy_grid
@@ -599,6 +599,88 @@ class TestWriter:
         with pytest.raises(TypeError) as raised:
             _written(value)
         assert str(raised.value) == str(expected.value)
+
+
+
+# exact eigenstates of their axis: the first record is already no-collapse
+_EIGEN_STARTS = [(1.0, 0.0, 0.0, 0.0), (0.0, 0.0, math.pi, 1.0), (1.0, 0.0, math.pi, 2.0)]
+
+
+class TestTrajectoryRecords:
+    """`simulate` writes its records from one template (`cli._write_records`)
+    with the bytes of their `to_dict` documents through ``json.dumps``."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        start=st.one_of(
+            st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 2.0 * math.pi),
+                      st.floats(0.0, math.pi), st.floats(0.0, 2.0 * math.pi)),
+            st.sampled_from(_EIGEN_STARTS),
+        ),
+        mode=st.sampled_from(["strict", "reflective"]),
+        outcome=st.sampled_from(["born", "risk:born-surprise", "risk:alignment",
+                                 "risk:constant"]),
+        steps=st.integers(1, 40),
+        base=st.sampled_from(["e", "2"]),
+        tol=st.sampled_from(["1e-12", "0"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stdout_matches_json_dumps_of_dicts(self, start, mode, outcome, steps, base,
+                                                tol, seed):
+        rho, tau, theta, phi = start
+        argv = ["simulate", "--rho", repr(rho), "--tau", repr(tau), "--theta-i", repr(theta),
+                "--phi-i", repr(phi), "--steps", str(steps), "--mode", mode,
+                "--outcome", outcome, "--seed", str(seed), "--entropy-base", base,
+                "--tol", tol]
+        result = CliRunner().invoke(main, argv)
+        assert result.exit_code == 0, result.output
+        config = SimConfig(steps, mode, outcome, seed, cli._BASES[base], float(tol))
+        records = simulate(PureState(rho, tau), Axis(theta, phi), config)
+        doc = json.loads(result.stdout)
+        doc["results"]["trajectory"] = [ts.to_dict() for ts in records]
+        assert result.stdout == json.dumps(doc, indent=2) + "\n"
+        if start in _EIGEN_STARTS:
+            assert records[0].no_collapse
+
+    def test_reuse_follows_identity(self, monkeypatch):
+        formatted = []
+
+        def counting(value):
+            formatted.append(value)
+            return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
+
+        monkeypatch.setattr(cli, "_float", counting)
+        first = TrajectoryStep(0, PureState(0.7, 0.4), Axis(0.9, 1.1), 0.6, 1,
+                               PureState(0.2, 3.0), Axis(2.1, 4.0), 0.5, 0.25, False)
+        after = first.state_after
+        # equal to the state walked out of, but another object of other floats
+        twin = PureState(float(repr(after.rho)), float(repr(after.tau)))
+        assert twin == after and twin is not after and twin.rho is not after.rho
+        second = TrajectoryStep(1, twin, first.axis_next, 0.3, -1, PureState(0.4, 1.0),
+                                Axis(0.5, 0.6), 0.0, 0.0, False)
+        # shares no object with the record before it; -0.0 == 0.0 but is
+        # written "-0.0"
+        third = TrajectoryStep(2, PureState(0.9, 5.0), Axis(0.3, 0.2), math.nan, 1,
+                               PureState(0.1, 2.0), Axis(1.3, 3.3), -0.0, -0.0, False)
+        # no-collapse: walks out as it walked in, and then repeats
+        fourth = TrajectoryStep(3, third.state_after, third.axis_next, 1.0, 1,
+                                third.state_after, third.axis_next, 0.0, 0.0, True)
+        fifth = TrajectoryStep(4, fourth.state_before, fourth.axis_measured, fourth.p_up, 1,
+                               fourth.state_after, fourth.axis_next, fourth.s_i,
+                               fourth.s_up_next, True)
+        records = [first, second, third, fourth, fifth]
+        parts: list = []
+        _write(cli._Records(records), "\n", parts)
+        assert "".join(parts) == json.dumps([ts.to_dict() for ts in records], indent=2)
+        # 11 floats a record: the twin's two and the unshared record's 11 are
+        # formatted; a no-collapse record formats only p_up, s_i and s_up_next
+        assert len(formatted) == 11 + (11 - 2) + 11 + 3 + 3
+        assert any(value is twin.rho for value in formatted)
+        assert any(value is twin.tau for value in formatted)
+        assert not any(value is first.axis_next.theta for value in formatted[11:])
+
+    def test_empty_records(self):
+        assert _written(cli._Records()) == "[]"
 
 
 class TestUsageErrors:

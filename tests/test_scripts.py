@@ -72,6 +72,9 @@ def test_script_runs(script, args, summary):
 # `math.hypot` of the vector as given and reduced the `atan2` angles through
 # `_reduce_angles`; every one of its vectors has its largest part in
 # [2**-1022, 2**1022), where the readers do not rescale.
+# The ``cli.simulate_long`` line was recorded on the CLI that wrote each
+# trajectory record as its `TrajectoryStep.to_dict` document through
+# `cli._write`, before the records were written from one template.
 # The ``oracle.plain``, ``oracle.exclude``, ``oracle.base2``, ``oracle.tol``,
 # ``landscape``, ``landscape.shapes`` and ``cli.json`` lines were re-recorded
 # when `solver._grid` built its trig exactly antipodal; in ``cli.json`` only
@@ -93,6 +96,7 @@ oracle.tol            78  9ff966508d1c8f6fde1fb0730dd95916583c3f5529bb9203bbcd52
 landscape             14  436b9e746f805ac9fdd129dd7719c8c31713ca71f1a26ec46336ca31e5f5e577
 landscape.shapes      65  8207d6f1aa2d3d8809581ea26e64edadff61622a9421828f7bfae4c40d2c7b3c
 cli.json             221  a17084c5861bc2324ff5c38b67a479a1cfcaba8cfe01c82ccb72afe659f1ca8a
+cli.simulate_long     56  e6109c8856fdab8c87de09974466f21c915be91f56e5d581da191c10a432037d
 simulate             400  8a6823a42166fa9db84273c532bb2b0a76c38f5136bcdfebb52fca155bc76706
 simulate.long        208  ae8dee897b4ecdd441ee569e8700f2fde8c96d78f4cbc8235f6cc1d01d6f270f
 simulate.born_long    28  62143250fdccb5f8736b6ba920cfcba01db96481e1b6b36c5cbe3de78199063d

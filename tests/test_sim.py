@@ -387,6 +387,37 @@ class TestTentMap:
                 checked += 1
         assert checked >= 20 * 30
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rho=st.floats(0.0, 1.0),
+        tau=st.floats(0.0, 2.0 * math.pi),
+        theta=st.floats(0.0, math.pi),
+        phi=st.floats(0.0, 2.0 * math.pi),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_entropies_blind_to_outcomes(self, rho, tau, theta, phi, seed):
+        # |cos beta| follows the same map whatever the outcomes, and s_i =
+        # H((1 + cos beta)/2) and s_up_next = H(cos^2 beta) (the next axis
+        # makes 2 cos^2 beta - 1 with n_i) read only |cos beta|: Born runs
+        # of any seed and every rule give the same entropies step by step.
+        # The map stretches a rounding error by up to 4 a step, so the runs
+        # are compared where no step loses digits of cos beta: up to the
+        # first step within 1e-3 of an eigenstate in p_up, and on planes 0.05
+        # rad or more from the poles (every state and axis of a reflective
+        # run lies in the plane of the first ones), since near +z rho =
+        # cos^2(theta/2) holds a direction at distance d to about 1e-16 / d.
+        state, axis = PureState(rho, tau), Axis(theta, phi)
+        normal = np.cross(bloch_vector(state), unit_vector(axis))
+        assume(abs(normal[2]) >= 0.05 * np.linalg.norm(normal) > 0.0)
+        born = simulate(state, axis, SimConfig(16, "reflective", "born", seed))
+        for outcome in OUTCOMES[1:]:
+            ruled = simulate(state, axis, SimConfig(16, "reflective", outcome))
+            for a, b in zip(born, ruled):
+                if min(a.p_up, 1.0 - a.p_up, b.p_up, 1.0 - b.p_up) < 1e-3:
+                    break  # both runs collapse on every step before this one
+                assert abs(a.s_i - b.s_i) <= 1e-9
+                assert abs(a.s_up_next - b.s_up_next) <= 1e-9
+
 
 def _chained_steps(state, axis, config) -> list[dict]:
     """`simulate` spelled out as a chain of public `step` calls."""

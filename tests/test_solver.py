@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spincollapse import (
@@ -861,6 +861,30 @@ class TestAzimuthDescent:
         psi, _ = azimuth_descent(UP_Z, TILT, 1, math.pi - 0.2)
         assert len(calls) < 1000
         assert abs(psi - math.pi) <= 1e-6
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        cos_beta=st.floats(-0.96, 0.96),
+        theta=st.floats(0.0, math.pi),
+        phi=st.floats(0.0, 2.0 * math.pi),
+        turn=st.floats(0.0, 2.0 * math.pi),
+        level=st.integers(0, 1),
+        psi0=st.floats(0.0, 2.0 * math.pi),
+    )
+    def test_settles_in_plane_on_the_stated_domain(self, cos_beta, theta, phi, turn,
+                                                   level, psi0):
+        # the docstring's domain, the one `oracle_sweep` draws its pairs from:
+        # p_i in [0.02, 0.98] and a tilt 0.15 rad or more from pi/4 and 3*pi/4
+        beta = math.acos(cos_beta)
+        assume(min(abs(beta - math.pi / 4), abs(beta - 3 * math.pi / 4)) >= 0.15)
+        axis = Axis(theta, phi)
+        # the Bloch vector: tilted by beta from n toward a direction u normal to n
+        u = (math.cos(turn) * unit_vector(Axis(theta + 0.5 * math.pi, phi))
+             + math.sin(turn) * np.array([-math.sin(phi), math.cos(phi), 0.0]))
+        state = state_from_bloch(cos_beta * unit_vector(axis) + math.sin(beta) * u)
+        level = min(level, len(feasible_set(state, axis).levels) - 1)
+        psi, _ = azimuth_descent(state, axis, level, psi0)
+        assert min(abs(psi), abs(psi - math.pi), abs(psi - 2.0 * math.pi)) <= 1e-6
 
     @pytest.mark.parametrize("state, axis, level, psi0, fewer", [
         # p_i = 0.0021: the circle is so small that the objective is flat at
