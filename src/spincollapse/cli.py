@@ -384,59 +384,41 @@ def _table(thetas, phis, p_up, s_f, residual, s_up, delimiter: str) -> str:
     """The landscape rows, each cell the `repr` of its float, under a header.
 
     float reprs never hold a delimiter, a quote or a line break, so the rows
-    need no CSV quoting.  Each grid angle is formatted once, and the rows
-    are built in pairs: row i, then its mirror row j = n_theta - 1 - i.
-    With an even n_phi, column k of row j is the antipode of column
-    k + n_phi/2 of row i, and s_f, the residual and s_up are even under
-    n_f -> -n_f; `solver._grid` makes the grid dot products of the two
-    cells exact negations, so the values are bit-equal too.  Each of those
-    columns of row j starts as row i's cells turned half a turn.  The first
-    and last rows are one direction each (a pole), so each of their columns
-    starts as its first cell repeated.  Only the cells whose float64 bits
-    differ from the cell they start as are formatted again.  Bits, not
-    values, decide: -0.0 and 0.0, or two NaN payloads, are told apart, and
-    a hand-made grid without these symmetries gets a `repr` per cell.
-    Values become Python floats one pair of rows at a time, which keeps the
-    peak memory of a large grid near that of a csv writer.
+    need no CSV quoting.  The grids must be those of `solver._entropy_grid`,
+    whose symmetries decide which cells are copied instead of formatted.
+    Each of the first and last rows is one direction (a pole), so each of
+    its columns is its first cell repeated.  With an even n_phi, column k
+    of the mirror row j = n_theta - 1 - i is the antipode of column
+    k + n_phi/2 of row i, where s_f, the residual and s_up are bit-equal:
+    those columns of row j are row i's strings turned half a turn.  Every
+    other cell gets its own `repr`.  Values become Python floats one pair
+    of rows at a time, which keeps the peak memory of a large grid near
+    that of a csv writer.
     """
+    grids = p_up, s_f, residual, s_up
     n_theta, n_phi = len(thetas), len(phis)
     half = 0 if n_phi % 2 else n_phi // 2
     theta_cells = thetas.tolist()
     phi_cells = [repr(phi) for phi in phis.tolist()]
     rows = [delimiter.join(_COLUMNS), *[""] * n_theta, ""]
 
-    def reuse(row, cells, start_bits):
-        # cells, with each one whose bits differ from its start formatted anew
-        values = row.tolist()
-        for k in (row.view("u8") != start_bits).nonzero()[0].tolist():
-            cells[k] = repr(values[k])
-        return cells
-
-    def pole(row):
-        return reuse(row, [repr(row[0].item())] * n_phi, row[:1].view("u8"))
-
-    def plain(row):
+    def cells(row):
         return list(map(repr, row.tolist()))
 
     def put(i, columns):
         rows[i + 1] = "\n".join(map(delimiter.join, zip(
             [repr(theta_cells[i])] * n_phi, phi_cells, *columns)))
 
-    for i in range((n_theta + 1) // 2):
-        cells = pole if i == 0 else plain
-        columns = [cells(grid[i]) for grid in (p_up, s_f, residual, s_up)]
+    for i in (0, n_theta - 1):
+        put(i, [[repr(grid[i, 0].item())] * n_phi for grid in grids])
+    for i in range(1, (n_theta + 1) // 2):
+        columns = [cells(grid[i]) for grid in grids]
         put(i, columns)
         j = n_theta - 1 - i
-        if j == i:  # the middle row of an odd n_theta
-            break
-        mirror = [cells(p_up[j])]
-        for grid, row_cells in zip((s_f, residual, s_up), columns[1:]):
-            if half:
-                antipodes = grid[i].view("u8").reshape(2, half)[::-1].ravel()
-                mirror.append(reuse(grid[j], row_cells[half:] + row_cells[:half], antipodes))
-            else:
-                mirror.append(cells(grid[j]))
-        put(j, mirror)
+        if j > i:  # not the middle row of an odd n_theta
+            put(j, [cells(p_up[j]), *(
+                row[half:] + row[:half] if half else cells(grid[j])
+                for grid, row in zip(grids[1:], columns[1:]))])
     return "\n".join(rows)
 
 

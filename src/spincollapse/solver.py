@@ -335,14 +335,13 @@ def _grid_dot(v, trig, rows=None, cols=None) -> np.ndarray:
     return st * cp * v[0] + st * sp * v[1] + ct * v[2]
 
 
-def _up_probability(dot: np.ndarray) -> np.ndarray:
-    """(1 + dot)/2 clipped to [0, 1], elementwise."""
-    return np.clip(0.5 * (1.0 + dot), 0.0, 1.0)
+def _binary_entropy_grid(dot: np.ndarray, base: float = math.e) -> np.ndarray:
+    """Vectorized `binary_entropy` of the up-probability (1 + dot)/2.
 
-
-def _binary_entropy_grid(p: np.ndarray, base: float = math.e) -> np.ndarray:
-    """Vectorized `binary_entropy` for pre-clamped probability grids."""
-    hi = np.minimum(np.maximum(p, 1.0 - p), 1.0)
+    Built from |dot|, hi = min((1 + |dot|)/2, 1) and lo = 1 - hi, so it is
+    even in dot bit for bit: the entropy at n_f and at -n_f is one float.
+    """
+    hi = np.minimum(0.5 * (1.0 + np.abs(dot)), 1.0)
     lo = 1.0 - hi
     with np.errstate(divide="ignore", invalid="ignore"):
         h = np.where(lo > 0.0, -lo * np.log(lo), 0.0) - hi * np.log(hi)
@@ -354,14 +353,17 @@ def _entropy_grid(
 ):
     """Entropy surfaces over a (theta_f, phi_f) grid of candidate axes.
 
-    Returns the grid coordinates, the clipped up-probability grid p_f, its
-    entropy s_f, the constraint residual s_f - s_i and the transfer
-    entropy s_up.
+    Returns the grid coordinates, the up-probability grid p_f (clipped to
+    [0, 1]), its entropy s_f, the constraint residual s_f - s_i and the
+    transfer entropy s_up.  The grid is exactly antipodal (`_grid`) and the
+    entropies even, so s_f, the residual and s_up are bit-equal at a grid
+    point and at its antipode.
     """
     thetas, phis, trig = _grid(n_theta, n_phi)
-    p_up = _up_probability(_grid_dot(_bloch_xyz(state), trig))
-    s_f = _binary_entropy_grid(p_up, base)
-    s_up = _binary_entropy_grid(_up_probability(_grid_dot(_unit_xyz(axis_i), trig)), base)
+    dot = _grid_dot(_bloch_xyz(state), trig)
+    s_f = _binary_entropy_grid(dot, base)
+    s_up = _binary_entropy_grid(_grid_dot(_unit_xyz(axis_i), trig), base)
+    p_up = np.clip(0.5 * (1.0 + dot), 0.0, 1.0)
     return thetas, phis, p_up, s_f, s_f - s_i(state, axis_i, base), s_up
 
 
@@ -460,7 +462,7 @@ def brute_force_oracle(
     # the band in row-major order, decided exactly at the prefilter's candidates
     level = _binary_entropy(p_i, base)
     rows, cols = _band_candidates(m, level, constraint_tol, base, trig)
-    s_f = _binary_entropy_grid(_up_probability(_grid_dot(m, trig, rows, cols)), base)
+    s_f = _binary_entropy_grid(_grid_dot(m, trig, rows, cols), base)
     band = np.abs(s_f - level) <= constraint_tol
     rows, cols = rows[band], cols[band]
     if rows.size == 0:
@@ -480,7 +482,7 @@ def brute_force_oracle(
             )
         rows, cols, dot_i = rows[kept], cols[kept], dot_i[kept]
 
-    objective = _binary_entropy_grid(_up_probability(dot_i), base)
+    objective = _binary_entropy_grid(dot_i, base)
     k = int(objective.argmin())
     return Axis(float(thetas[rows[k]]), float(phis[cols[k]])), float(objective[k])
 

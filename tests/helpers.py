@@ -159,9 +159,23 @@ def grid_unmirrored(n_theta: int, n_phi: int):
     return thetas, phis, (np.sin(thetas), np.cos(thetas), np.cos(phis), np.sin(phis))
 
 
+def binary_entropy_grid_of_p(dot, base: float = math.e):
+    """`solver._binary_entropy_grid` as it was written, on the clipped
+    up-probability p = (1 + dot)/2 with hi = max(p, 1 - p): the oracle of
+    the rule that builds hi from |dot|.  This one rounds 1 + dot and
+    1 - dot apart, so it is even in dot only up to an ulp."""
+    p = np.clip(0.5 * (1.0 + dot), 0.0, 1.0)
+    hi = np.minimum(np.maximum(p, 1.0 - p), 1.0)
+    lo = 1.0 - hi
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = np.where(lo > 0.0, -lo * np.log(lo), 0.0) - hi * np.log(hi)
+    return h if base == math.e else h / math.log(base)
+
+
 def landscape_table(thetas, phis, p_up, s_f, residual, s_up, delimiter) -> str:
     """The landscape table formatted row by row, every cell by its own
-    `repr`: the oracle of `cli._table`, which reuses antipodal and pole cells."""
+    `repr`: the oracle of `cli._table`, which copies antipodal and pole
+    cells, and the table of grids that lack their symmetries."""
     n_phi = len(phis)
     phi_cells = [repr(phi) for phi in phis.tolist()]
     blocks = [delimiter.join(

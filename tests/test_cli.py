@@ -14,7 +14,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import grid_unmirrored, landscape_table
+from helpers import binary_entropy_grid_of_p, grid_unmirrored, landscape_table
 from spincollapse import Axis, PureState, SimConfig, TrajectoryStep, __version__, simulate
 from spincollapse import cli, solver
 from spincollapse.cli import _table, _write, main
@@ -232,14 +232,11 @@ def _bits(x: float) -> int:
     return struct.unpack("<Q", struct.pack("<d", x))[0]
 
 
-def _nan(payload: int) -> float:
-    return np.array([0x7FF8000000000000 | payload], dtype="u8").view("f8")[0]
-
-
 class TestLandscapeTable:
-    """`cli._table` reuses the `repr` of an antipodal cell, or of a pole
-    row's first cell, whose bits are equal; `helpers.landscape_table`
-    formats every cell, and is its oracle."""
+    """`cli._table` copies the `repr` of a pole row's first cell along the
+    row, and with an even n_phi the s_f/residual/s_up strings of a row into
+    its mirror row turned half a turn; `helpers.landscape_table` formats
+    every cell, and is its oracle."""
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -263,25 +260,6 @@ class TestLandscapeTable:
                               n_theta, n_phi, {"e": math.e, "2": 2.0}[base])
         assert result.output == landscape_table(*grids, "\t" if fmt == "tsv" else ",")
 
-    def test_bits_decide_reuse(self, monkeypatch):
-        # row 1, column k is the antipode of row 0, column (k + 2) % 4
-        nan_a, nan_b = _nan(1), _nan(2)
-        p_up = np.array([[0.1, 0.2, 0.3, 0.4], [0.9, 0.8, 0.7, 0.6]])
-        s_f = np.array([[0.0, 0.25, 0.5, 0.75], [0.5, 0.75, -0.0, 0.25]])
-        residual = np.array([[nan_a, 1.0, 2.0, 3.0], [2.0, 3.0, nan_a, 1.0]])
-        s_up = np.array([[nan_a, 1.5, 2.5, 3.5], [2.5, 3.5, nan_b, 1.5]])
-        grids = (np.array([0.0, math.pi]), np.arange(4) * (0.5 * math.pi),
-                 p_up, s_f, residual, s_up)
-        formatted = self._formatted(monkeypatch, grids)
-        assert landscape_table(*grids, ",").split("\n")[7].split(",")[3] == "-0.0"
-        # -0.0 equals 0.0 but is formatted again; the NaN whose bits match
-        # its antipode's is not, though it equals nothing, and the other is
-        assert formatted.count(_bits(-0.0)) == 1
-        assert formatted.count(_bits(nan_a)) == 2  # row 0: residual and s_up
-        assert formatted.count(_bits(nan_b)) == 1
-        for value in (0.25, 0.5, 0.75, 1.0, 2.0, 3.0, 1.5, 2.5, 3.5):
-            assert formatted.count(_bits(value)) == 1  # row 0 only
-
     @staticmethod
     def _formatted(monkeypatch, grids):
         """The bits of each float `_table` formats, in order; its text must
@@ -298,11 +276,18 @@ class TestLandscapeTable:
         assert text == landscape_table(*grids, ",")
         return formatted
 
-    def test_state_table_repr_count(self, monkeypatch):
-        # 16,211 calls when only antipodal cells were reused on a grid whose
-        # trig was antipodal up to rounding; 12,183 on the mirrored grid
-        grids = _entropy_grid(PureState(0.7, 0.4), Axis(0.9, 1.1), 50, 100, math.e)
-        assert len(self._formatted(monkeypatch, grids)) <= 12_300
+    @pytest.mark.parametrize("n_theta, n_phi, count", [
+        (50, 100, 12_158), (51, 100, 12_559), (50, 99, 19_165), (9, 14, 297),
+    ])
+    def test_repr_count(self, monkeypatch, n_theta, n_phi, count):
+        # one repr per angle, one per column of each pole row, four per cell
+        # of the rows 1 .. ceil(n_theta/2) - 1, and on their mirror rows one
+        # per p_up cell, or four per cell when n_phi is odd
+        own, mirrored = (n_theta + 1) // 2 - 1, n_theta // 2 - 1
+        per_mirror = 4 * n_phi if n_phi % 2 else n_phi
+        assert n_theta + n_phi + 8 + 4 * n_phi * own + per_mirror * mirrored == count
+        grids = _entropy_grid(PureState(0.7, 0.4), Axis(0.9, 1.1), n_theta, n_phi, math.e)
+        assert len(self._formatted(monkeypatch, grids)) == count
 
     def test_constant_pole_rows_cost_one_repr_per_column(self, monkeypatch):
         # an odd n_phi, so no cell has an antipodal column to start from
@@ -313,19 +298,6 @@ class TestLandscapeTable:
         for v in (0.125, 0.25, 0.375, 0.625):
             assert formatted.count(_bits(v)) == formatted.count(_bits(-v)) == 1
         assert len(formatted) == 3 + 5 + 2 * 4 + 5 * 4  # angles, pole cells, middle row
-
-    def test_planted_negative_zero_in_a_pole_row_is_formatted(self, monkeypatch):
-        # the two rows of a 2x4 grid are both poles, and antipodal rows; a
-        # -0.0 in a row of 0.0 (or the other way round) differs from the
-        # cell it starts as, the pole's first cell or the antipode, so each
-        # -0.0 cell is formatted, though -0.0 == 0.0
-        thetas, phis = np.array([0.0, math.pi]), np.arange(4) * (0.5 * math.pi)
-        p_up = np.array([[0.0, 0.0, -0.0, 0.0], [0.5, 0.5, 0.5, -0.0]])
-        s_f = np.array([[0.0, -0.0, 0.0, 0.0], [-0.0, 0.0, 0.0, 0.0]])
-        residual = np.array([[1.0] * 4, [1.0] * 4])
-        formatted = self._formatted(monkeypatch, (thetas, phis, p_up, s_f, residual, s_f))
-        assert formatted.count(_bits(-0.0)) == 1 + 1 + 2 * 2  # p_up rows, s_f and s_up
-        assert formatted.count(_bits(1.0)) == 1  # the residual's first row only
 
     def test_peak_memory_near_oracle(self):
         # the table of the default grid holds its text about twice (rows and
@@ -768,6 +740,12 @@ class TestUsageErrors:
 # went to the first in row-major order.  `_UNMIRRORED` holds their earlier
 # digests, which the grid's earlier trig (`helpers.grid_unmirrored`) still
 # gives, and no other case moved.
+# landscape-csv, landscape-tsv, landscape-tsv-amplitudes, landscape-pole-axis
+# and landscape-default-grid were re-recorded when `_binary_entropy_grid`
+# built its entropies from |n_f . v|, which makes them even bit for bit: a
+# few s_f, residual and s_up cells moved by an ulp, and no p_up cell.
+# `_PARENT_RULE` holds their earlier digests, which the earlier rule
+# (`helpers.binary_entropy_grid_of_p`) still gives, and no other case moved.
 _STATE = "--rho 0.7 --tau 0.4 --theta-i 0.9 --phi-i 1.1"
 _PINNED = [
     ("solve-strict-e", f"solve {_STATE}", 0,
@@ -810,9 +788,9 @@ _PINNED = [
      "--phi-i 1.1 --theta-i 0.9 --tau 0.4 --rho 0.7",
      0, "cc47003de00f417a2307080da581cb300d5dfb78f542b6bac3f7a56a2c937422"),
     ("landscape-csv", f"landscape {_STATE} --grid 20x40", 0,
-     "b9fd6baed39fc1caf82238d09dd9fbb69715ef8f255e4dfc5c06dc8fa8f9f146"),
+     "2350803f75a34826dfee0174323e75d17b0fdf052cafe64001a4ebf70ab0c20d"),
     ("landscape-tsv", f"landscape {_STATE} --grid 20x40 --format tsv", 0,
-     "0396751af04802cfb0a204dd7af1fc2729ba0c68ee1ccb0f2983ce716aa0d20c"),
+     "edba8873f45545c137c25fda0f58c34d8039f1fa686e9375b6ff172102e550c8"),
     ("solve-degrees",
      "solve --rho 0.7 --tau 30 --theta-i 60 --phi-i 45 --degrees --mode reflective",
      0, "b83b5b69ac207061e9217c598769aadfd0bfcb18356ee7b0076ff16480e792d0"),
@@ -831,7 +809,7 @@ _PINNED = [
     ("landscape-tsv-amplitudes",
      "landscape --amp-up 0.6+0.2j --amp-down 0.5 --theta-i 0.9 --phi-i 1.1 "
      "--grid 7x5 --format tsv",
-     0, "14ceda26740386f72f3dcfa948f76e9ae9d1b9683de14657ba7ab10f4c1d953e"),
+     0, "5176e7b82b5b149cf91c5d669f996740e91cc0fa9c131ad3e51b2dce3354074b"),
     ("oracle-odd-grid-base2-exclude",
      f"oracle {_STATE} --mode reflective --grid 37x91 --entropy-base 2 "
      "--exclude-trivial 0.1",
@@ -853,13 +831,13 @@ _PINNED = [
     ("landscape-odd-rows", f"landscape {_STATE} --grid 11x16", 0,
      "0472d18308a65b692e91f263a75caabb3a44ce66440aac6204e066be60dae5c1"),
     ("landscape-pole-axis", "landscape --rho 0.7 --tau 0.4 --theta-i 0 --grid 12x24", 0,
-     "8963a708c204e606712fac06776c24cd541f84d04321d13522da91b9102dd309"),
+     "69685810393d8762e80d925d9e934c48b9c528966c1e00f070f13074f9398c8c"),
     ("landscape-eigenstate", "landscape --rho 1 --theta-i 0 --grid 8x8", 0,
      "74003ce4e9c7291af0f91a831d634e495000b1942fe32c4035d715562261ce95"),
     ("landscape-odd-columns", f"landscape {_STATE} --grid 10x15", 0,
      "56cc697558a6c34e71135806d09c7580ca1e9d9dde3ecc2e2efe8d2b1e91b7bf"),
     ("landscape-default-grid", f"landscape {_STATE}", 0,
-     "e782c6563f769010808911cd2115ed3de4cef7d44b6d94201596839bd4f6fede"),
+     "ea8b7e0a91ca76d4725f88caa46d765210720dcdf2e471937351dfbc6bee90b6"),
 ]
 
 
@@ -888,6 +866,30 @@ _UNMIRRORED = {
 }
 
 
+# the digests of the re-recorded cases on the earlier entropy rule
+_PARENT_RULE = {
+    "landscape-csv":
+        "b9fd6baed39fc1caf82238d09dd9fbb69715ef8f255e4dfc5c06dc8fa8f9f146",
+    "landscape-tsv":
+        "0396751af04802cfb0a204dd7af1fc2729ba0c68ee1ccb0f2983ce716aa0d20c",
+    "landscape-tsv-amplitudes":
+        "14ceda26740386f72f3dcfa948f76e9ae9d1b9683de14657ba7ab10f4c1d953e",
+    "landscape-pole-axis":
+        "8963a708c204e606712fac06776c24cd541f84d04321d13522da91b9102dd309",
+    "landscape-default-grid":
+        "e782c6563f769010808911cd2115ed3de4cef7d44b6d94201596839bd4f6fede",
+}
+
+
+def _earlier_rule(monkeypatch, unmirrored: bool) -> None:
+    """Patch in the earlier entropy rule, and the earlier grid trig if asked.
+    Neither grid is even then, so the table is formatted cell by cell."""
+    monkeypatch.setattr(solver, "_binary_entropy_grid", binary_entropy_grid_of_p)
+    monkeypatch.setattr(cli, "_table", landscape_table)
+    if unmirrored:
+        monkeypatch.setattr(solver, "_grid", grid_unmirrored)
+
+
 class TestPinnedBytes:
     @pytest.mark.parametrize(
         "command, exit_code, digest",
@@ -901,14 +903,23 @@ class TestPinnedBytes:
 
     @pytest.mark.parametrize("name", list(_UNMIRRORED))
     def test_unmirrored_trig_gives_earlier_digest(self, runner, monkeypatch, name):
-        # the byte change is the grid trig's alone: on the earlier trig each
-        # re-recorded case reads its earlier bytes, through the table that
-        # reuses pole cells
+        # the byte change is the grid trig's alone: on the earlier trig and
+        # entropy rule each re-recorded case reads its earlier bytes
         _, command, exit_code, _digest = next(case for case in _PINNED if case[0] == name)
-        monkeypatch.setattr(solver, "_grid", grid_unmirrored)
+        _earlier_rule(monkeypatch, unmirrored=True)
         result = runner.invoke(main, command.split())
         assert result.exit_code == exit_code, result.output
         assert hashlib.sha256(result.stdout_bytes).hexdigest() == _UNMIRRORED[name]
+
+    @pytest.mark.parametrize("case", _PINNED, ids=[case[0] for case in _PINNED])
+    def test_earlier_rule_gives_earlier_digest(self, runner, monkeypatch, case):
+        # the byte change is the entropy rule's alone: on the earlier rule
+        # every case reads the bytes it read before the rule changed
+        name, command, exit_code, digest = case
+        _earlier_rule(monkeypatch, unmirrored=False)
+        result = runner.invoke(main, command.split())
+        assert result.exit_code == exit_code, result.output
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == _PARENT_RULE.get(name, digest)
 
     @pytest.mark.parametrize("name", [
         "solve-reflective-2", "oracle-exclude", "oracle-infeasible",

@@ -13,7 +13,7 @@ from spincollapse import (
 from spincollapse.entropy import _SLACK, _binary_entropy, _dot_entropy
 from spincollapse.solver import _binary_entropy_grid
 
-from helpers import s_down_clamped, uniform_axis, uniform_state
+from helpers import binary_entropy_grid_of_p, s_down_clamped, uniform_axis, uniform_state
 
 # independently derived with 50-digit arithmetic and rounded to double
 H_THREE_QUARTERS = 0.5623351446188083
@@ -177,17 +177,45 @@ class TestScalarCoreMatchesOracle:
 
 
 class TestGridHelper:
+    """`_binary_entropy_grid` takes the dot d = n_f . v and builds its pair
+    from |d|, so it is even in d bit for bit."""
+
+    _DOTS = st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1.5, -1.5]),
+        st.floats(-1.5, 1.5),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(dots=st.lists(_DOTS, min_size=1, max_size=16),
+           base=st.sampled_from([math.e, 2.0]))
+    def test_even_bitwise(self, dots, base):
+        d = np.array(dots)
+        assert _binary_entropy_grid(d, base).tobytes() == _binary_entropy_grid(-d, base).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(dots=st.lists(_DOTS, min_size=1, max_size=16),
+           base=st.sampled_from([math.e, 2.0]))
+    def test_matches_earlier_rule(self, dots, base):
+        # the earlier rule took hi = max(p, 1 - p) of the clipped p: the same
+        # float where d >= 0, and within rounding where d < 0
+        d = np.array(dots)
+        got, want = _binary_entropy_grid(d, base), binary_entropy_grid_of_p(d, base)
+        plus = d >= 0.0
+        assert got[plus].tobytes() == want[plus].tobytes()
+        assert np.abs(got - want).max() <= 1e-15
+
     @pytest.mark.parametrize("base", [math.e, 2.0])
     def test_matches_scalar(self, base):
-        p = np.linspace(0.0, 1.0, 513)
-        grid = _binary_entropy_grid(p, base)
-        for pi, hi in zip(p, grid):
-            assert hi == pytest.approx(binary_entropy(float(pi), base), abs=1e-14)
+        d = np.concatenate([np.linspace(-1.5, 1.5, 1025), [-0.0, 0.0, -1.0, 1.0]])
+        grid = _binary_entropy_grid(d, base)
+        for di, hi in zip(d.tolist(), grid.tolist()):
+            assert hi == pytest.approx(_dot_entropy(di, base), abs=1e-14)
 
     def test_silent_at_endpoints(self):
         with np.errstate(all="raise"):
-            out = _binary_entropy_grid(np.array([0.0, 0.5, 1.0]), math.e)
-        assert out[0] == 0.0 and out[2] == 0.0
+            out = _binary_entropy_grid(np.array([-1.0, 0.0, 1.0, -1.5, 1.5]), math.e)
+        assert out[0] == out[2] == out[3] == out[4] == 0.0
+        assert out[1] == LN2
 
 
 class TestStateEntropies:

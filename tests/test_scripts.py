@@ -83,6 +83,9 @@ def test_script_runs(script, args, summary):
 # `_UNMIRRORED_LINES`, were re-recorded when the oracle named the exclusion
 # radius where the exclusion, not the band, left no grid point: only the
 # messages of those errors moved.
+# The ``landscape`` and ``landscape.shapes`` lines were re-recorded when
+# `_binary_entropy_grid` built its entropies from |n_f . v|, which makes them
+# even bit for bit; `_PARENT_RULE_LINES` holds their earlier values.
 # A deliberate change to the emitted bytes updates these lines; a fast path
 # must keep them.
 DIGEST_LINES = """\
@@ -93,8 +96,8 @@ oracle.exclude       100  112e418cbbde08687a87f4c38b967807e8f62a4223fca8e364cec6
 oracle.base2          50  6ea687f7fb26354fb12bcc0e3c12ad404cbd5ecd8c7c607f8f69f12abbbff71c
 oracle.infeasible     50  c6d2901b1d1ade7bf7dc90f885825415a5b5079e6b2b7007e730df7e3bc37be8
 oracle.tol            78  9ff966508d1c8f6fde1fb0730dd95916583c3f5529bb9203bbcd52148f46ba3e
-landscape             14  436b9e746f805ac9fdd129dd7719c8c31713ca71f1a26ec46336ca31e5f5e577
-landscape.shapes      65  8207d6f1aa2d3d8809581ea26e64edadff61622a9421828f7bfae4c40d2c7b3c
+landscape             14  16e09c3f6da24d24da74e6206c35bab9d9f17118a867c16aa01d5e19325bd1cd
+landscape.shapes      65  dc2af32ab59ea29af789a78d3f27aa25b6260f08ca65703b0aea0e8bc4d7dd68
 cli.json             221  a17084c5861bc2324ff5c38b67a479a1cfcaba8cfe01c82ccb72afe659f1ca8a
 cli.simulate_long     56  e6109c8856fdab8c87de09974466f21c915be91f56e5d581da191c10a432037d
 simulate             400  8a6823a42166fa9db84273c532bb2b0a76c38f5136bcdfebb52fca155bc76706
@@ -114,8 +117,8 @@ def test_output_digests_unchanged():
 
 
 # The byte change of the antipodal grid is its trig's alone: with the earlier
-# trig (`helpers.grid_unmirrored`) patched in, the script prints every line it
-# printed before, through the table that reuses pole cells.
+# trig (`helpers.grid_unmirrored`) and entropy rule patched in, the script
+# prints every line it printed before, through the cell-by-cell table.
 _UNMIRRORED_LINES = """\
 oracle.plain          50  1c0d71cf975da033297d1ab03c9feb523fa64b3922b3ac8728bf7d987c02615a
 oracle.exclude       100  4e6a938879b3dabe56819dc9732e77989ee070e3d062aab441791f56b6a27a64
@@ -125,23 +128,43 @@ landscape             14  98a4c856b8282cd7cd2702a270af3d9b34f86f268f6df3df4f93f6
 landscape.shapes      65  357af32f5f8c2806a284ba6d0e55b162bc314dcdc020d4058ea19ad92db9dbbb
 cli.json             221  96c81fc55d140ee9af45f72222a2a18680c89b2f1b6e62f4c15529de6cdb93f9
 """
-_UNMIRRORED_RUN = """\
+# The byte change of the even entropies is their rule's alone: with the
+# earlier rule (`helpers.binary_entropy_grid_of_p`) patched in, the script
+# prints every line it printed before.
+_PARENT_RULE_LINES = """\
+landscape             14  436b9e746f805ac9fdd129dd7719c8c31713ca71f1a26ec46336ca31e5f5e577
+landscape.shapes      65  8207d6f1aa2d3d8809581ea26e64edadff61622a9421828f7bfae4c40d2c7b3c
+"""
+# Neither patched grid is even, so the landscape table is formatted cell by
+# cell (`helpers.landscape_table`).
+_EARLIER_RUN = """\
 import runpy, sys
 sys.path.insert(0, sys.argv[1])
-from helpers import grid_unmirrored
-from spincollapse import solver
-solver._grid = grid_unmirrored
+import helpers
+from spincollapse import cli, solver
+solver._binary_entropy_grid = helpers.binary_entropy_grid_of_p
+cli._table = helpers.landscape_table
+if sys.argv[3] == "unmirrored":
+    solver._grid = helpers.grid_unmirrored
 runpy.run_path(sys.argv[2], run_name="__main__")
 """
 
 
-def test_output_digests_on_unmirrored_trig():
-    proc = _python("-c", _UNMIRRORED_RUN, str(ROOT / "tests"),
-                   str(ROOT / "scripts" / "digest_outputs.py"))
+def _check_earlier_lines(variant: str, lines: str) -> None:
+    proc = _python("-c", _EARLIER_RUN, str(ROOT / "tests"),
+                   str(ROOT / "scripts" / "digest_outputs.py"), variant)
     assert proc.returncode == 0, proc.stderr
-    earlier = {line.split()[0]: line for line in _UNMIRRORED_LINES.splitlines()}
+    earlier = {line.split()[0]: line for line in lines.splitlines()}
     assert proc.stdout.splitlines() == [
         earlier.get(line.split()[0], line) for line in DIGEST_LINES.splitlines()]
+
+
+def test_output_digests_on_unmirrored_trig():
+    _check_earlier_lines("unmirrored", _UNMIRRORED_LINES)
+
+
+def test_output_digests_on_parent_entropy_rule():
+    _check_earlier_lines("mirrored", _PARENT_RULE_LINES)
 
 
 # The emitted bytes do not depend on the BLAS build: the same lines under two

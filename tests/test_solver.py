@@ -658,12 +658,13 @@ class TestBandPrefilter:
 # 1): 31.3 u.  p = fl(0.5 fl(1 + dot)) adds u a side and halves that: 16.7 u.
 _U = 2.0 ** -53
 _P_BOUND = 17 * _U
-# An entropy reads lo = 1 - hi, which moves at most _P_BOUND + u (fl(1 - p)
-# rounds by u/2 a side).  A nonzero lo is at least 2**-53, the smallest nonzero
-# p: there |H'(q)| = ln((1 - q)/q) < 53 ln 2, and from 0, H(q) <= q (1 + ln(1/q)).
-# So H moves at most (53 ln 2 + 1)(_P_BOUND + u), plus 4 u of rounding a side
-# (two logs and two products, terms below 0.37 each); base 2 divides by ln 2,
-# and the residual subtracts s_i (u a side).  About 990 u, or 1.1e-13.
+# An entropy reads hi = fl(0.5 fl(1 + |dot|)), which moves as p does, and the
+# exact lo = 1 - hi; the bound allows lo _P_BOUND + u.  A nonzero lo is at
+# least 2**-53, the smallest nonzero p: there |H'(q)| = ln((1 - q)/q)
+# < 53 ln 2, and from 0, H(q) <= q (1 + ln(1/q)).  So H moves at most
+# (53 ln 2 + 1)(_P_BOUND + u), plus 4 u of rounding a side (two logs and two
+# products, terms below 0.37 each); base 2 divides by ln 2, and the residual
+# subtracts s_i (u a side).  About 990 u, or 1.1e-13.
 _H_BOUND = ((53 * math.log(2) + 1) * (_P_BOUND + _U) + 8 * _U) / math.log(2) + 2 * _U
 
 _GRID_SIZES = dict(n_theta=st.integers(2, 80), n_phi=st.integers(2, 160))
@@ -725,6 +726,23 @@ class TestAntipodalGrid:
         for grid in (p_up, s_f, residual, s_up_grid):
             bits = grid.view("u8")
             assert (bits[0] == bits[0, 0]).all() and (bits[-1] == bits[-1, 0]).all()
+
+    @settings(max_examples=80, deadline=None)
+    @given(n_theta=st.integers(2, 80), n_phi=st.integers(1, 80).map(lambda k: 2 * k),
+           **_STATES)
+    @example(50, 100, 0.7, 0.4, 0.9, 1.1, math.e)  # the landscape of _STATE
+    def test_mirror_rows_are_rows_turned_half_a_turn(
+        self, n_theta, n_phi, rho, tau, theta_i, phi_i, base
+    ):
+        # the precondition of `cli._table`, which copies these strings: the
+        # entropies are even and the grid exactly antipodal, so s_f, the
+        # residual and s_up of row n_theta - 1 - i are row i's, rolled by
+        # n_phi/2, bit for bit
+        *_, s_f, residual, s_up_grid = _entropy_grid(
+            PureState(rho, tau), Axis(theta_i, phi_i), n_theta, n_phi, base)
+        for grid in (s_f, residual, s_up_grid):
+            turned = np.roll(grid, n_phi // 2, axis=1)[::-1]
+            assert grid.tobytes() == turned.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(**_GRID_SIZES, **_STATES)
