@@ -14,9 +14,9 @@ document that echoes every input flag, so any output can be re-run from its
 own ``input`` block;
 ``landscape`` adds ``--format csv|tsv`` and emits delimiter-separated rows
 for external plotting.
-A document is exactly ``json.dumps(doc, indent=2) + "\n"``, ASCII only,
-written in one pass by `_write`; the trajectory records of ``simulate``
-come from one template per record (`_write_records`), with the same bytes.
+A document is exactly ``json.dumps(doc, indent=2) + "\n"``, ASCII only;
+the trajectory records of ``simulate`` come from one template
+(`_write_records`), with the same bytes.
 Documents carry no timestamps: identical invocations produce bit-identical
 output.  Angles are radians unless ``--degrees`` is given; emitted angles are
 always canonicalized radians (theta in [0, pi], phi in [0, 2*pi)) at full
@@ -28,10 +28,9 @@ feasible point.
 
 from __future__ import annotations
 
-import functools
+import json
 import math
 import sys
-from json.encoder import encode_basestring_ascii as _quote
 from types import SimpleNamespace
 
 import click
@@ -228,7 +227,6 @@ def _solve_results(sol: SolverSolution) -> dict:
 
 
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_LITERALS = {True: "true", False: "false", None: "null"}
 
 
 def _float(value: float) -> str:
@@ -238,64 +236,15 @@ def _float(value: float) -> str:
     return _NON_FINITE[text] if text[-1] in "nf" else text
 
 
-class _Records(list):
-    """A run's `TrajectoryStep` records, which `_write` writes as the list
-    of their `to_dict` documents, from one template (`_write_records`)."""
+# a record's line break and indent in the "trajectory" list of `simulate`'s
+# envelope, which is the value of "results" (indent 2) in the document
+_RECORD_LINE = "\n      "
 
 
-def _write(value, newline: str, parts: list) -> None:
-    """Append the pieces of ``json.dumps(value, indent=2)`` to `parts`.
-
-    `newline` is a line break plus the indent of the line `value` starts
-    on.  Dispatches on the exact type: float, str, int, bool, None, and
-    dicts with str keys, lists and tuples of these; anything else raises
-    TypeError, as `json` does.  Floats are written by `_float`, ints by
-    their own `__repr__`, keys and strings by the C quoting function of
-    `json`, so the bytes are the encoder's.  `_Records` are written by
-    `_write_records`, with the same bytes.
-    """
-    kind = type(value)
-    if kind is float:
-        parts.append(_float(value))
-    elif kind is str:
-        parts.append(_quote(value))
-    elif kind is dict:
-        if not value:
-            parts.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, item in value.items():
-            parts += sep, _quote(key), ": "  # a key that is no str raises TypeError
-            _write(item, inner, parts)
-            sep = "," + inner
-        parts.append(newline + "}")
-    elif kind is list or kind is tuple:
-        if not value:
-            parts.append("[]")
-            return
-        inner = newline + "  "
-        sep = "[" + inner
-        for item in value:
-            parts.append(sep)
-            _write(item, inner, parts)
-            sep = "," + inner
-        parts.append(newline + "]")
-    elif kind is int:
-        parts.append(int.__repr__(value))
-    elif kind is bool or value is None:
-        parts.append(_LITERALS[value])
-    elif kind is _Records:
-        _write_records(value, newline, parts)
-    else:
-        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-
-
-@functools.cache
-def _record_template(newline: str) -> str:
-    """One trajectory record as `_write` writes its `to_dict` document on a
-    line that starts with `newline`, with ``%s`` in place of each value, in
-    the order `to_dict` reads them."""
+def _record_template() -> str:
+    """One trajectory record as ``json.dumps(doc, indent=2)`` writes its
+    `to_dict` document in `simulate`'s envelope, with ``%s`` in place of
+    each value, in the order `to_dict` reads them."""
     slot = "%s"
     pair = SimpleNamespace(rho=slot, tau=slot, theta=slot, phi=slot)
     # a stand-in `self` with the record's attributes, so no record is built
@@ -304,14 +253,18 @@ def _record_template(newline: str) -> str:
         index=slot, state_before=pair, axis_measured=pair, p_up=slot, s=slot,
         state_after=pair, axis_next=pair, s_i=slot, s_up_next=slot, no_collapse=slot,
     )
-    parts: list = []
-    _write(TrajectoryStep.to_dict(marker), newline, parts)
-    return "".join(parts).replace(_quote(slot), slot)
+    text = json.dumps(TrajectoryStep.to_dict(marker), indent=2)
+    return text.replace(json.dumps(slot), slot).replace("\n", _RECORD_LINE)
 
 
-def _write_records(records: _Records, newline: str, parts: list) -> None:
-    """Append ``json.dumps([ts.to_dict() for ts in records], indent=2)``,
-    each record one `_record_template` filled with its values.
+_RECORD = _record_template()
+
+
+def _write_records(records: list[TrajectoryStep]) -> str:
+    """The "trajectory" list of `simulate`'s envelope: the bytes of
+    ``json.dumps([ts.to_dict() for ts in records], indent=2)`` at that
+    list's indent, each record one `_RECORD` filled with its values.  A
+    run has at least one record (`SimConfig` requires ``steps >= 1``).
 
     A state or axis is formatted once: a record whose `state_before` (or
     `axis_measured`) is the previous record's `state_after` (`axis_next`)
@@ -320,12 +273,7 @@ def _write_records(records: _Records, newline: str, parts: list) -> None:
     `axis_measured`, takes its own.  Identity decides, not equality, so an
     equal state or axis in a distinct object is formatted anew.
     """
-    if not records:
-        parts.append("[]")
-        return
-    inner = newline + "  "
-    template = _record_template(inner)
-    sep = "[" + inner
+    parts = []
     # the previous record's state and axis; no record holds None
     after = axis = None
     for ts in records:
@@ -341,13 +289,12 @@ def _write_records(records: _Records, newline: str, parts: list) -> None:
             rho_a, tau_a = _float(after.rho), _float(after.tau)
         if axis is not measured:
             theta_n, phi_n = _float(axis.theta), _float(axis.phi)
-        parts += sep, template % (
+        parts.append(_RECORD % (
             ts.index, rho_b, tau_b, theta_m, phi_m, _float(ts.p_up), ts.s, rho_a,
             tau_a, theta_n, phi_n, _float(ts.s_i), _float(ts.s_up_next),
-            _LITERALS[ts.no_collapse],
-        )
-        sep = "," + inner
-    parts.append(newline + "]")
+            "true" if ts.no_collapse else "false",
+        ))
+    return "[" + _RECORD_LINE + ("," + _RECORD_LINE).join(parts) + "\n    ]"
 
 
 def _envelope(command, input_echo, entropy_base, mode, results, warnings) -> str:
@@ -360,10 +307,7 @@ def _envelope(command, input_echo, entropy_base, mode, results, warnings) -> str
         "results": results,
         "warnings": warnings,
     }
-    parts: list = []
-    _write(doc, "\n", parts)
-    parts.append("\n")
-    return "".join(parts)
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -529,11 +473,12 @@ def cmd_simulate(mode, entropy_base, tol, out, steps, outcome, seed, **_):
     warnings = []
     if risk is not None:
         warnings.append(f"risk function {risk.name!r} is an {risk.note}")
-    results = {
-        "rng": RNG_NAME if risk is None else None,
-        "trajectory": _Records(trajectory),
-    }
-    _emit(_envelope("simulate", echo, entropy_base, mode, results, warnings), out)
+    results = {"rng": RNG_NAME if risk is None else None, "trajectory": []}
+    text = _envelope("simulate", echo, entropy_base, mode, results, warnings)
+    # the first "trajectory" key is the results' own: the echo holds no such
+    # key, and inside a JSON string every quote is escaped
+    records = '"trajectory": ' + _write_records(trajectory)
+    _emit(text.replace('"trajectory": []', records, 1), out)
 
 
 if __name__ == "__main__":

@@ -301,7 +301,7 @@ def amplitudes(state: PureState) -> Spinor:
     return Spinor(math.sqrt(state.rho) * cmath.exp(-1.0j * state.tau), math.sqrt(1.0 - state.rho))
 
 
-def _born_frame(state: PureState, axis: Axis | None, bloch: bool = True):
+def _born_frame(state: PureState, axis: Axis):
     """What one measurement of `state` along `axis` reads, each number
     computed once: the Born weight p of the +1 outcome, the Bloch vector m,
     and the eigenstate weights c2 = cos^2(theta/2) and s2 = sin^2(theta/2),
@@ -310,31 +310,27 @@ def _born_frame(state: PureState, axis: Axis | None, bloch: bool = True):
 
     q = sqrt(rho (1 - rho)) gives both the cross term of p and the length
     2q of m's transverse part, and the half-angle trig both the diagonal
-    terms of p and the two weights.  A reader that needs less stops early:
-    with `bloch` false only p is computed and returned (`born_up`), and with
-    no axis only m (`_bloch_xyz`), which does not depend on the axis.
+    terms of p and the two weights.  m does not depend on the axis, nor c2
+    and s2 on the state.
     """
     rho, tau = state.rho, state.tau
     q = math.sqrt(rho * (1.0 - rho))
-    if axis is not None:
-        theta = axis.theta
-        half = 0.5 * theta
-        c2 = math.cos(half) ** 2
-        s2 = math.sin(half) ** 2
-        p = rho * c2 + (1.0 - rho) * s2 + q * math.sin(theta) * math.cos(axis.phi - tau)
-        # min(1.0, max(0.0, p)) by comparison: NaN and -0.0 give 0.0
-        if not 0.0 < p < 1.0:
-            p = 1.0 if p >= 1.0 else 0.0
-        if not bloch:
-            return p
+    theta = axis.theta
+    half = 0.5 * theta
+    c2 = math.cos(half) ** 2
+    s2 = math.sin(half) ** 2
+    p = rho * c2 + (1.0 - rho) * s2 + q * math.sin(theta) * math.cos(axis.phi - tau)
+    # min(1.0, max(0.0, p)) by comparison: NaN and -0.0 give 0.0
+    if not 0.0 < p < 1.0:
+        p = 1.0 if p >= 1.0 else 0.0
     r = 2.0 * q
-    m = r * math.cos(tau), r * math.sin(tau), 2.0 * rho - 1.0
-    return m if axis is None else (p, m, c2, s2)
+    return p, (r * math.cos(tau), r * math.sin(tau), 2.0 * rho - 1.0), c2, s2
 
 
 def born_up(state: PureState, axis: Axis) -> float:
-    """Probability of the +1 outcome when measuring the state along the axis."""
-    return _born_frame(state, axis, bloch=False)
+    """Probability of the +1 outcome when measuring the state along the
+    axis: the p of `_born_frame`."""
+    return _born_frame(state, axis)[0]
 
 
 def bloch_vector(state: PureState) -> np.ndarray:
@@ -342,9 +338,13 @@ def bloch_vector(state: PureState) -> np.ndarray:
     return np.array(_bloch_xyz(state))
 
 
+_Z = Axis(0.0, 0.0)
+
+
 def _bloch_xyz(state: PureState) -> tuple[float, float, float]:
-    """`bloch_vector` as a float triple, for the scalar path."""
-    return _born_frame(state, None)
+    """`bloch_vector` as a float triple, for the scalar path: the m of
+    `_born_frame`, which does not depend on the axis, so any one will do."""
+    return _born_frame(state, _Z)[1]
 
 
 def _outcome(s) -> int:

@@ -3,7 +3,8 @@
 Each test prints exactly one `[criterion N] PASS` or `[criterion N] FAIL`
 line so a plain pytest run doubles as a scorecard.  The tests after them
 check rules that hold across the package: each kind of argument is read in
-one place, and every value goes through its constructor.
+one place, every value goes through its constructor, and every import is
+read.
 """
 
 import ast
@@ -337,3 +338,37 @@ def test_each_argument_rule_is_written_once():
     # the readers of `_floats3`'s parts test nothing again
     readers = {"spin._xyz_angles", "spin.axis_from_vector", "spin.state_from_bloch"}
     assert readers & _where(lambda node: isinstance(node, ast.Raise)) == set()
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Each name an import in `source` binds and no line reads, sorted.  A
+    name listed in the module's ``__all__`` is read, as a re-export."""
+    tree = ast.parse(source)
+    bound, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {a.asname or a.name.partition(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {a.asname or a.name for a in node.names if a.name != "*"}
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and "__all__" in {
+                t.id for t in node.targets if isinstance(t, ast.Name)}:
+            read |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    return sorted(bound - read)
+
+
+def test_unused_import_guard_sees_a_planted_import():
+    planted = ("from __future__ import annotations\nimport os.path\nimport json as js\n"
+               "from a import b, c as d\nfrom e import *\n__all__ = ['b']\n"
+               "js = d\nprint(d)\n")
+    assert _unused_imports(planted) == ["js", "os"]
+
+
+@pytest.mark.parametrize("folder", ["src/spincollapse", "scripts", "tests"])
+def test_every_import_is_read(folder):
+    root = Path(__file__).resolve().parent.parent
+    paths = sorted((root / folder).glob("*.py"))
+    assert paths
+    unused = {path.name: _unused_imports(path.read_text()) for path in paths}
+    assert {name: names for name, names in unused.items() if names} == {}

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from helpers import binary_entropy_grid_of_p, grid_unmirrored, landscape_table
 from spincollapse import Axis, PureState, SimConfig, TrajectoryStep, __version__, simulate
 from spincollapse import cli, solver
-from spincollapse.cli import _table, _write, main
+from spincollapse.cli import _table, main
 from spincollapse.solver import _entropy_grid
 
 H_QUARTER = 0.5623351446188083
@@ -517,61 +517,60 @@ class TestEnvelope:
         assert result.exit_code == 2
 
 
-def _written(value) -> str:
-    parts: list = []
-    _write(value, "\n", parts)
-    return "".join(parts)
+_ARABIC_ONE_POINT_FIVE = "١.٥"  # "1.5" in Arabic-Indic digits
 
 
-# strings reaching non-ASCII, astral, control, quote and backslash characters
-_TEXT = st.text(st.one_of(
-    st.characters(), st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x7f", "\u2028", "\U0001f600"]),
-))
-_SCALAR = st.one_of(
-    st.none(), st.booleans(), st.integers(), st.integers(-2**80, 2**80),
-    st.floats(), st.sampled_from([-0.0, 5e-324, 1e16, 1e-7, 2.0**63]), _TEXT,
-)
-_DOCUMENT = st.recursive(
-    _SCALAR,
-    lambda inner: st.one_of(st.lists(inner, max_size=5),
-                            st.dictionaries(_TEXT, inner, max_size=5)),
-    max_leaves=30,
-)
+class TestDocumentBytes:
+    """Every document is ``json.dumps(doc, indent=2) + "\\n"``, ASCII only:
+    a document re-encoded from its own parse gives back its bytes, whatever
+    values it holds and, for `simulate`, wherever its records are spliced."""
 
-
-class TestWriter:
-    """`cli._write` writes exactly the bytes of ``json.dumps(value, indent=2)``."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(_DOCUMENT)
-    def test_matches_json_dumps(self, value):
-        assert _written(value) == json.dumps(value, indent=2)
-
-    @pytest.mark.parametrize("value", [
-        [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e-7, 123456789.0],
-        [2**64, -(2**64), 3**100, -(7**90), 0, -1],
-        [True, 1, 1.0, False, 0, 0.0, None],
-        {"caf\u00e9 \u2603 \U0001f600": "\u00fc\u20ac\U0001f600",
-         "\x00\x01\x1f\x7f\n\t": "\x00\x1f\r\b\f",
-         '"quoted" \\ back\\slash': 'say "hi" \\ \\\\'},
-        {}, [], {"a": {}, "b": [], "c": [[], {}, [[]], {"d": {}}]}, [[[]]],
-        (1, (2.5, "x"), ()), {"t": (None, (True,))},
-        "plain", 0.1, None, True, 10**30,
-    ], ids=repr)
-    def test_edge_values(self, value):
-        assert _written(value) == json.dumps(value, indent=2)
-        assert _written(value).isascii()
-
-    @pytest.mark.parametrize("value", [
-        {1, 2}, {"a": {1}}, [frozenset()], b"bytes", complex(1, 2), {"k": object()},
-    ], ids=repr)
-    def test_unsupported_raises_type_error(self, value):
-        with pytest.raises(TypeError) as expected:
-            json.dumps(value, indent=2)
-        with pytest.raises(TypeError) as raised:
-            _written(value)
-        assert str(raised.value) == str(expected.value)
-
+    @pytest.mark.parametrize("argv, exit_code", [
+        # amplitudes at the ends of the float range
+        pytest.param(["solve", "--amp-up", "1.5e308", "--amp-down", "1.5e308",
+                      "--theta-i", PI_THIRD], 0, id="solve-huge-amplitudes"),
+        pytest.param(["solve", "--amp-up", repr(2.0**-1070), "--amp-down", "1",
+                      "--theta-i", "0.4"], 0, id="solve-subnormal-amplitude"),
+        # an echo holding non-ASCII text, which the document escapes
+        pytest.param(["solve", "--amp-up", _ARABIC_ONE_POINT_FIVE, "--amp-down",
+                      "0.5+0.25j", "--theta-i", "0.9"], 0, id="solve-non-ascii-echo"),
+        # no collapse: null fields in the results
+        pytest.param(["solve", "--rho", "1", "--theta-i", "0"], 0, id="solve-eigenstate"),
+        pytest.param(["solve", "--rho", "0.5", "--tau", "0.3", "--theta-i", "1e-9",
+                      "--tol", "0", "--mode", "reflective"], 0, id="solve-near-eigenstate"),
+        pytest.param(["oracle", "--rho", "1", "--theta-i", "0", "--grid", "16x32"], 0,
+                     id="oracle-eigenstate"),
+        pytest.param(["oracle", "--rho", "1", "--tau", "0", "--theta-i", PI_THIRD,
+                      "--grid", "64x128", "--exclude-trivial", "0.2"], 0,
+                     id="oracle-warning"),
+        # an infeasible grid: an error message in the results, exit code 3
+        pytest.param(["oracle", "--rho", "0.9", "--tau", "0.3", "--theta-i", "1.0",
+                      "--phi-i", "0.5", "--grid", "8x8", "--constraint-tol", "1e-9"], 3,
+                     id="oracle-infeasible-grid"),
+        pytest.param(["simulate", "--rho", "1", "--theta-i", "0", "--steps", "1"], 0,
+                     id="simulate-one-record"),
+        pytest.param(["simulate", "--rho", "1", "--tau", "0", "--theta-i", PI_THIRD,
+                      "--steps", "5"], 0, id="simulate-absorbs"),
+        pytest.param(["simulate", "--amp-up", _ARABIC_ONE_POINT_FIVE, "--amp-down",
+                      "0.6+0.2j", "--theta-i", "0.9", "--steps", "3", "--mode",
+                      "reflective", "--outcome", "risk:alignment"], 0,
+                     id="simulate-non-ascii-echo"),
+        pytest.param(["simulate", "--rho", "0.7", "--tau", "30", "--theta-i", "60",
+                      "--phi-i", "45", "--degrees", "--steps", "6", "--outcome", "born",
+                      "--seed", "3", "--entropy-base", "2", "--tol", "0"], 0,
+                     id="simulate-born-degrees-base2"),
+    ])
+    def test_reencoded_document_is_byte_identical(self, runner, argv, exit_code):
+        result = runner.invoke(main, argv)
+        assert result.exit_code == exit_code, result.output
+        text = result.stdout
+        assert text.isascii()
+        doc = json.loads(text)
+        assert text == json.dumps(doc, indent=2) + "\n"
+        if doc["command"] == "simulate":
+            # the records replaced the envelope's one empty list
+            assert text.count('"trajectory": ') == 1
+            assert len(doc["results"]["trajectory"]) == doc["input"]["steps"]
 
 
 # exact eigenstates of their axis: the first record is already no-collapse
@@ -641,18 +640,16 @@ class TestTrajectoryRecords:
                                fourth.state_after, fourth.axis_next, fourth.s_i,
                                fourth.s_up_next, True)
         records = [first, second, third, fourth, fifth]
-        parts: list = []
-        _write(cli._Records(records), "\n", parts)
-        assert "".join(parts) == json.dumps([ts.to_dict() for ts in records], indent=2)
+        # the records at their depth in the envelope: "trajectory" in "results"
+        written = '{\n  "results": {\n    "trajectory": %s\n  }\n}' % cli._write_records(records)
+        dicts = [ts.to_dict() for ts in records]
+        assert written == json.dumps({"results": {"trajectory": dicts}}, indent=2)
         # 11 floats a record: the twin's two and the unshared record's 11 are
         # formatted; a no-collapse record formats only p_up, s_i and s_up_next
         assert len(formatted) == 11 + (11 - 2) + 11 + 3 + 3
         assert any(value is twin.rho for value in formatted)
         assert any(value is twin.tau for value in formatted)
         assert not any(value is first.axis_next.theta for value in formatted[11:])
-
-    def test_empty_records(self):
-        assert _written(cli._Records()) == "[]"
 
 
 class TestUsageErrors:
@@ -817,9 +814,10 @@ _PINNED = [
     ("oracle-merged-circle",
      "oracle --rho 0.5 --theta-i 0 --mode reflective --grid 64x128",
      0, "92bcf4d4928d57ec47db53ac65a64a28e71b4d40f126ca623bc88af1d2269408"),
-    # recorded before the documents were written by `cli._write` instead of
-    # `json.dumps`: a strict run that absorbs (records with "no_collapse":
-    # true, an echo with "seed": null) and a base-2 Born run at --tol 0
+    # recorded on `json.dumps`, before a hand-written copy of it (since
+    # deleted) wrote the documents: a strict run that absorbs (records with
+    # "no_collapse": true, an echo with "seed": null) and a base-2 Born run
+    # at --tol 0
     ("simulate-strict-absorbs", f"simulate {_STATE} --steps 4", 0,
      "54bf1c3f43af00544da5d9d2a8886fc5777e34de1a87cd398dad08c25e0b4b64"),
     ("simulate-born-tol0-base2",

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spincollapse import (
-    Axis, PureState, antipode, binary_entropy, born_up, s_down, s_i, s_up,
+    Axis, antipode, binary_entropy, born_up, s_down, s_i, s_up,
 )
 from spincollapse.entropy import _SLACK, _binary_entropy, _dot_entropy
 from spincollapse.solver import _binary_entropy_grid

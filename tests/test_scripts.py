@@ -64,7 +64,8 @@ def test_script_runs(script, args, summary):
 # clamped through `min` and `max`, and on the `select_outcome` that called
 # `RiskFunction.evaluate` once per outcome.
 # The ``cli.json`` line was recorded on the CLI that wrote its documents with
-# `json.dumps(doc, indent=2)`, before they were written by `cli._write`.
+# `json.dumps(doc, indent=2)`, held while a hand-written copy of that encoder
+# (`cli._write`) wrote them, and holds on `json.dumps` again.
 # The ``amplitudes`` line was recorded on the `state_from_amplitudes` that
 # clamped rho and took the phase of a subnormal |down| as it was; none of
 # its pairs has a subnormal |down| beside a normal |up|.
@@ -74,7 +75,8 @@ def test_script_runs(script, args, summary):
 # [2**-1022, 2**1022), where the readers do not rescale.
 # The ``cli.simulate_long`` line was recorded on the CLI that wrote each
 # trajectory record as its `TrajectoryStep.to_dict` document through
-# `cli._write`, before the records were written from one template.
+# `cli._write`, since deleted, before the records were written from one
+# template.
 # The ``oracle.plain``, ``oracle.exclude``, ``oracle.base2``, ``oracle.tol``,
 # ``landscape``, ``landscape.shapes`` and ``cli.json`` lines were re-recorded
 # when `solver._grid` built its trig exactly antipodal; in ``cli.json`` only

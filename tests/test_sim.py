@@ -5,6 +5,7 @@ import math
 import pickle
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -586,6 +587,151 @@ class TestReflectivePlane:
             lift = [abs(float(unit_vector(t.axis_measured) @ normal))
                     for t in simulate(state, axis, config)]
             assert max(lift[:100]) <= 1e-10 and max(lift) <= 1e-9, (k, max(lift))
+
+
+UNIT_ROUNDOFF = 2.0**-53  # of a double
+
+
+def _mp_unit(theta, phi):
+    return (mpmath.sin(theta) * mpmath.cos(phi), mpmath.sin(theta) * mpmath.sin(phi),
+            mpmath.cos(theta))
+
+
+def _merged_edge():
+    """Steps with |cos beta| at the `_merged` threshold: rho = 1/2 with
+    tau a few spacings either side of acos(+-1e-12), measured along x."""
+    for sign in (1.0, -1.0):
+        edge = math.acos(sign * 1e-12)
+        for k in range(-24, 25, 6):
+            yield PureState(0.5, edge + k * 2.0**-52), Axis(math.pi / 2, 0.0)
+
+
+def _near_eigen_edge():
+    """Steps whose p_up (or 1 - p_up) lies just above the default
+    eigen_tol of 1e-12: Bloch vectors at the angle gamma from -n_i (or
+    n_i) with sin^2(gamma/2) = p."""
+    for theta, phi in [(0.3, 1.0), (1.2, 4.0), (2.9, 5.5), (math.pi / 2, 0.0)]:
+        n = (math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi),
+             math.cos(theta))
+        e = (math.cos(theta) * math.cos(phi), math.cos(theta) * math.sin(phi),
+             -math.sin(theta))
+        for p in (1.5e-12, 3e-12, 1e-11):
+            gamma = 2.0 * math.asin(math.sqrt(p))
+            for sign in (-1.0, 1.0):
+                bloch = [sign * math.cos(gamma) * a + math.sin(gamma) * b
+                         for a, b in zip(n, e)]
+                yield state_from_bloch(bloch), Axis(theta, phi)
+    for rho in (1.5e-12, 1.0 - 2.0**-39):  # along z, p_up is rho itself
+        yield PureState(rho, 2.0), Axis(0.0, 0.0)
+
+
+def _pole_edge():
+    """Steps measured along a pole, and steps from a state at a pole."""
+    for theta in (0.0, math.pi):
+        for rho, tau in [(0.3, 1.0), (0.9, 6.0), (1e-3, 2.0)]:
+            yield PureState(rho, tau), Axis(theta, 0.0)
+    for rho in (0.0, 1.0):
+        for theta, phi in [(0.3, 1.0), (2.0, 6.2), (math.pi / 2, 0.0)]:
+            yield PureState(rho, 0.0), Axis(theta, phi)
+
+
+class TestOneStepErrorBudget:
+    """One reflective risk-rule `step` against a 100-digit `mpmath`
+    evaluation of the same formulas, from the same input floats: p_up =
+    (1 + n_i . m)/2, the next axis r/|r| with r = 2 (n_i . m) m - n_i (or
+    -n_i on the merged great circle), and the eigenstate (cos^2(theta/2),
+    phi) or (sin^2(theta/2), phi + pi) of the outcome the step took.  The
+    branch is the one the float step took: at the `_merged` threshold the
+    exact cos(beta) can lie on the other side of it, where the two axes
+    differ by up to 2e-12.
+
+    The bound on the axis is 16 * 2**-53 / sin(beta), the size of the
+    plane tilt that rounding leaves after a step (`TestReflectivePlane`).
+    One step does not reach it: its axis error stays near 11 * 2**-53 on
+    generic inputs and below 4 * 2**-53 next to an eigenstate.  On generic
+    inputs (sin(beta) >= 0.1) every error is at most 16 * 2**-53: the
+    README records the worst one seen as the one-step error eps_1."""
+
+    RULES = ("risk:constant", "risk:born-surprise", "risk:alignment")
+
+    @staticmethod
+    def _errors(state, axis, outcome):
+        """(p_up, axis, rho, tau) errors of the step, with the exact sin(beta)
+        and whether the step took the merged branch; None without a
+        collapse.  The tau of a state at rho 0 or 1 is gauge, and not read."""
+        t = step(state, axis, SimConfig(steps=1, mode="reflective", outcome=outcome))
+        if t.no_collapse:
+            return None
+        cosb = spincollapse.solver._collapse_frame(
+            state, axis, spincollapse.spin._unit_xyz(axis), 1e-12)[2]
+        merged = spincollapse.solver._merged(cosb)
+        mp = mpmath.mpf
+        with mpmath.workdps(100):
+            rho, tau, theta, phi = map(mp, (state.rho, state.tau, axis.theta, axis.phi))
+            q = mpmath.sqrt(rho * (1 - rho))
+            m = (2 * q * mpmath.cos(tau), 2 * q * mpmath.sin(tau), 2 * rho - 1)
+            n = _mp_unit(theta, phi)
+            c = sum(a * b for a, b in zip(n, m))
+            r = [-b for b in n] if merged else [2 * c * a - b for a, b in zip(m, n)]
+            norm = mpmath.sqrt(sum(x * x for x in r))
+            got = _mp_unit(mp(t.axis_next.theta), mp(t.axis_next.phi))
+            if t.s == 1:
+                rho_after, tau_after = mpmath.cos(theta / 2) ** 2, phi
+            else:
+                rho_after = mpmath.sin(theta / 2) ** 2
+                tau_after = (phi + mpmath.pi) % (2 * mpmath.pi)
+            turn = abs(t.state_after.tau - tau_after) % (2 * mpmath.pi)
+            errors = (
+                abs(t.p_up - (1 + c) / 2),
+                mpmath.sqrt(sum((a - b / norm) ** 2 for a, b in zip(got, r))),
+                abs(t.state_after.rho - rho_after),
+                min(turn, 2 * mpmath.pi - turn) if 0.0 < t.state_after.rho < 1.0 else 0,
+            )
+            return tuple(map(float, errors)), float(mpmath.sqrt(1 - c * c)), merged
+
+    def _check(self, state, axis, outcome):
+        """The step's (sin(beta), merged) after checking its errors; None
+        without a collapse."""
+        found = self._errors(state, axis, outcome)
+        if found is None:
+            return None
+        (p_err, axis_err, rho_err, tau_err), sinb, merged = found
+        assert axis_err <= 16 * UNIT_ROUNDOFF / sinb, (axis_err, sinb)
+        # tau after -1 is phi + pi rounded below 3*pi < 16 (half a spacing is
+        # 8 * 2**-53) with the float pi, 1.1 * 2**-53 off, and past 2*pi the
+        # float 2*pi, 2.2 * 2**-53 off, subtracted exactly
+        assert max(p_err, rho_err) <= 8 * UNIT_ROUNDOFF and tau_err <= 12 * UNIT_ROUNDOFF
+        if sinb >= 0.1:
+            assert max(p_err, axis_err, rho_err, tau_err) <= 16 * UNIT_ROUNDOFF
+        return sinb, merged
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rho=st.floats(0.0, 1.0),
+        tau=st.floats(0.0, 2.0 * math.pi),
+        theta=st.floats(0.0, math.pi),
+        phi=st.floats(0.0, 2.0 * math.pi),
+        outcome=st.sampled_from(RULES),
+    )
+    def test_generic(self, rho, tau, theta, phi, outcome):
+        assume(self._check(PureState(rho, tau), Axis(theta, phi), outcome) is not None)
+
+    @pytest.mark.parametrize("outcome", RULES)
+    def test_merged_threshold(self, outcome):
+        merged = [self._check(state, axis, outcome)[1] for state, axis in _merged_edge()]
+        assert any(merged) and not all(merged)
+
+    @pytest.mark.parametrize("outcome", RULES)
+    def test_next_to_an_eigenstate(self, outcome):
+        for state, axis in _near_eigen_edge():
+            p = born_up(state, axis)
+            assert 1e-12 < min(p, 1.0 - p) <= 1.1e-11
+            assert self._check(state, axis, outcome)[0] < 1e-5
+
+    @pytest.mark.parametrize("outcome", RULES)
+    def test_poles(self, outcome):
+        for state, axis in _pole_edge():
+            assert self._check(state, axis, outcome) is not None
 
 
 class TestStepDoesEachThingOnce:
