@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import math
 
-from .spin import Axis, PureState, _dot3, _unit_xyz, born_up, eigenpair, overlap
+from .spin import DEFAULT_ATOL, Axis, PureState, _dot3, _unit_xyz, born_up, eigenpair, overlap
 
 __all__ = ["binary_entropy", "s_i", "s_up", "s_down"]
 
-_SLACK = 1e-12
 _log, _E = math.log, math.e  # module aliases for the scalar hot path
 
 
@@ -40,7 +39,7 @@ def _binary_entropy(p: float, base: float) -> float:
     The larger of p and 1 - p is hi; at or past 1 the entropy is 0 (the
     clamp), and below 1 the complement lo = 1 - hi is exact and nonzero.
     """
-    if not (-_SLACK <= p <= 1.0 + _SLACK):
+    if not (-DEFAULT_ATOL <= p <= 1.0 + DEFAULT_ATOL):
         raise ValueError(f"probability out of range: {p!r}")
     q = 1.0 - p
     hi = p if p >= q else q

@@ -372,3 +372,33 @@ def test_every_import_is_read(folder):
     assert paths
     unused = {path.name: _unused_imports(path.read_text()) for path in paths}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def _unused_helpers(helpers: str, others: list[str]) -> list[str]:
+    """Each top-level function of the `helpers` source that none of the
+    `others` reads, through ``from helpers import`` or ``helpers.name``,
+    sorted.  A read inside `helpers` itself does not count."""
+    defined = {node.name for node in ast.parse(helpers).body
+               if isinstance(node, ast.FunctionDef)}
+    read = set()
+    for source in others:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.module == "helpers":
+                read |= {a.name for a in node.names}
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "helpers"):
+                read.add(node.attr)
+    return sorted(defined - read)
+
+
+def test_unused_helper_guard_sees_a_planted_helper():
+    planted = "def a():\n    pass\ndef b():\n    return a()\ndef c():\n    pass\nd = 1\n"
+    others = ["from helpers import a as e\nprint(e)\n", "import helpers\nhelpers.c()\n"]
+    assert _unused_helpers(planted, others) == ["b"]
+
+
+def test_every_helper_is_read():
+    tests = Path(__file__).resolve().parent
+    helpers = tests / "helpers.py"
+    others = [path.read_text() for path in sorted(tests.glob("*.py")) if path != helpers]
+    assert _unused_helpers(helpers.read_text(), others) == []

@@ -14,9 +14,9 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import binary_entropy_grid_of_p, grid_unmirrored, landscape_table
+from helpers import landscape_table
 from spincollapse import Axis, PureState, SimConfig, TrajectoryStep, __version__, simulate
-from spincollapse import cli, solver
+from spincollapse import cli
 from spincollapse.cli import _table, main
 from spincollapse.solver import _entropy_grid
 
@@ -719,30 +719,16 @@ class TestUsageErrors:
         assert __version__ in result.output
 
 
-# sha256 of stdout for a fixed command set, recorded before the grid code, the
-# input echo and the outcome parsing were each merged into one helper
-# (Python 3.11.7, numpy 2.4.6, click 8.4.0).  A deliberate change to the
-# emitted documents updates these digests; anything else must keep them.
-# The solve, oracle and simulate digests are the bytes of the plain float sum
-# `_dot3` for the 3-vector dots, the same on any BLAS build.
-# The simulate digests were re-recorded when `step` took the frame-free next
-# axis (n_i in strict mode, the mirror r = 2 (n_i . m) m - n_i otherwise).
-# The reordered argv lists pin the input echo to the declared flag order.
-# oracle-eigenstate, oracle-merged-circle and solve-amplitudes were
-# re-recorded when --tau lost its default: a run without --tau echoes
-# "tau": null where it echoed 0.0, and no other byte moved.
-# The landscape cases and oracle-odd-grid-base2-exclude were re-recorded when
-# `solver._grid` built its trig exactly antipodal: a cell moved by a few ulps,
-# the theta = pi row became constant along phi, and the oracle's +-n_f tie
-# went to the first in row-major order.  `_UNMIRRORED` holds their earlier
-# digests, which the grid's earlier trig (`helpers.grid_unmirrored`) still
-# gives, and no other case moved.
-# landscape-csv, landscape-tsv, landscape-tsv-amplitudes, landscape-pole-axis
-# and landscape-default-grid were re-recorded when `_binary_entropy_grid`
-# built its entropies from |n_f . v|, which makes them even bit for bit: a
-# few s_f, residual and s_up cells moved by an ulp, and no p_up cell.
-# `_PARENT_RULE` holds their earlier digests, which the earlier rule
-# (`helpers.binary_entropy_grid_of_p`) still gives, and no other case moved.
+# sha256 of stdout for a fixed command set, recorded on Python 3.11.7, numpy
+# 2.4.6 and click 8.4.0: numpy's vectorized `log` decides the landscape and
+# oracle grid bytes.  The 3-vector dots are the plain float sum `_dot3`, the
+# same on any BLAS build.  A deliberate change to the emitted bytes
+# re-records the digest it moves and says why in CHANGES.md; anything else
+# must keep them.
+# The first cases cover solve in both modes and bases, the oracle plain,
+# excluded, on an eigenstate and infeasible (exit 3), simulate under each
+# outcome rule, and landscape csv and tsv; the reordered argv lists pin the
+# input echo to the declared flag order.
 _STATE = "--rho 0.7 --tau 0.4 --theta-i 0.9 --phi-i 1.1"
 _PINNED = [
     ("solve-strict-e", f"solve {_STATE}", 0,
@@ -798,8 +784,7 @@ _PINNED = [
      "solve --amp-up 0.6+0.2j --amp-down 0.5 --theta-i 0.9 --phi-i 1.1 "
      "--mode reflective",
      0, "08eb0e35b121ce94e92880153a5c3553575618c0cdcd94f19600218103295fc7"),
-    # recorded before the oracle scored only its feasible band and the
-    # landscape rows were joined without the csv module
+    # small and odd grids, base 2, degrees, amplitudes and the merged circle
     ("landscape-2x3-base2-degrees",
      f"landscape {_STATE} --grid 2x3 --entropy-base 2 --degrees", 0,
      "cc4972a7c2539fa60010313401d599bbb0a12427f603091240eb929d09786421"),
@@ -814,18 +799,16 @@ _PINNED = [
     ("oracle-merged-circle",
      "oracle --rho 0.5 --theta-i 0 --mode reflective --grid 64x128",
      0, "92bcf4d4928d57ec47db53ac65a64a28e71b4d40f126ca623bc88af1d2269408"),
-    # recorded on `json.dumps`, before a hand-written copy of it (since
-    # deleted) wrote the documents: a strict run that absorbs (records with
-    # "no_collapse": true, an echo with "seed": null) and a base-2 Born run
-    # at --tol 0
+    # a strict run that absorbs (records with "no_collapse": true, an echo
+    # with "seed": null) and a base-2 Born run at --tol 0
     ("simulate-strict-absorbs", f"simulate {_STATE} --steps 4", 0,
      "54bf1c3f43af00544da5d9d2a8886fc5777e34de1a87cd398dad08c25e0b4b64"),
     ("simulate-born-tol0-base2",
      f"simulate {_STATE} --steps 6 --outcome born --seed 0 --tol 0 --entropy-base 2",
      0, "e49602dc18eac4aa7712a346a99a7ac2981fa6cef109c144cd671b929f175b75"),
-    # recorded before each landscape row was formatted with its antipodal row:
-    # a middle row left unpaired, a pole axis, an eigenstate, an odd column
-    # count (no antipodal column), and the default 200x400 grid
+    # the landscape's antipodal row pairing: a middle row left unpaired, a
+    # pole axis, an eigenstate, an odd column count (no antipodal column),
+    # and the default 200x400 grid
     ("landscape-odd-rows", f"landscape {_STATE} --grid 11x16", 0,
      "0472d18308a65b692e91f263a75caabb3a44ce66440aac6204e066be60dae5c1"),
     ("landscape-pole-axis", "landscape --rho 0.7 --tau 0.4 --theta-i 0 --grid 12x24", 0,
@@ -839,55 +822,6 @@ _PINNED = [
 ]
 
 
-# the digests of the re-recorded cases on the earlier, unmirrored grid trig
-_UNMIRRORED = {
-    "landscape-csv":
-        "deb74769431ef22ce00eeb17238f0f3b82107bd30036e84e33dc13f1324d7de3",
-    "landscape-tsv":
-        "89160f6c8a8e1224f5738128c79cd8fb60bbc3bb95c37f380be664f180c4e6fb",
-    "landscape-2x3-base2-degrees":
-        "171f95548728a7da6e3ffea9863df35600b2bc90f81d0daf87bb0673e8a83d1c",
-    "landscape-tsv-amplitudes":
-        "9da6a43bbc0885f95bcaf5c52dd193f566672d38e796e988e8ab25512c30c135",
-    "oracle-odd-grid-base2-exclude":
-        "d8559750991590ae9d43f124d73e0eac4624a5a7876eec32f74d64b561d32de3",
-    "landscape-odd-rows":
-        "02296bc059b710bbf96d28128021d5d322c38f59a9b92e142ffc5b853b595d25",
-    "landscape-pole-axis":
-        "b7c7a4f7d66719e04f5e88c3eaf28ecd211814a986fd15cf07c0c6c99e6cb406",
-    "landscape-eigenstate":
-        "beb5e0d624ffdac777ab889ec395b291b013363bd6374f64b13447a509995071",
-    "landscape-odd-columns":
-        "f28a4d4d25d98fe950b8739f9d63cd8a142378ba45acd043986eb93c999b6e2a",
-    "landscape-default-grid":
-        "1aac3f8b671095940d41971a17b965f83a6b45b28359075121db4266370fea34",
-}
-
-
-# the digests of the re-recorded cases on the earlier entropy rule
-_PARENT_RULE = {
-    "landscape-csv":
-        "b9fd6baed39fc1caf82238d09dd9fbb69715ef8f255e4dfc5c06dc8fa8f9f146",
-    "landscape-tsv":
-        "0396751af04802cfb0a204dd7af1fc2729ba0c68ee1ccb0f2983ce716aa0d20c",
-    "landscape-tsv-amplitudes":
-        "14ceda26740386f72f3dcfa948f76e9ae9d1b9683de14657ba7ab10f4c1d953e",
-    "landscape-pole-axis":
-        "8963a708c204e606712fac06776c24cd541f84d04321d13522da91b9102dd309",
-    "landscape-default-grid":
-        "e782c6563f769010808911cd2115ed3de4cef7d44b6d94201596839bd4f6fede",
-}
-
-
-def _earlier_rule(monkeypatch, unmirrored: bool) -> None:
-    """Patch in the earlier entropy rule, and the earlier grid trig if asked.
-    Neither grid is even then, so the table is formatted cell by cell."""
-    monkeypatch.setattr(solver, "_binary_entropy_grid", binary_entropy_grid_of_p)
-    monkeypatch.setattr(cli, "_table", landscape_table)
-    if unmirrored:
-        monkeypatch.setattr(solver, "_grid", grid_unmirrored)
-
-
 class TestPinnedBytes:
     @pytest.mark.parametrize(
         "command, exit_code, digest",
@@ -898,26 +832,6 @@ class TestPinnedBytes:
         result = runner.invoke(main, command.split())
         assert result.exit_code == exit_code, result.output
         assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
-
-    @pytest.mark.parametrize("name", list(_UNMIRRORED))
-    def test_unmirrored_trig_gives_earlier_digest(self, runner, monkeypatch, name):
-        # the byte change is the grid trig's alone: on the earlier trig and
-        # entropy rule each re-recorded case reads its earlier bytes
-        _, command, exit_code, _digest = next(case for case in _PINNED if case[0] == name)
-        _earlier_rule(monkeypatch, unmirrored=True)
-        result = runner.invoke(main, command.split())
-        assert result.exit_code == exit_code, result.output
-        assert hashlib.sha256(result.stdout_bytes).hexdigest() == _UNMIRRORED[name]
-
-    @pytest.mark.parametrize("case", _PINNED, ids=[case[0] for case in _PINNED])
-    def test_earlier_rule_gives_earlier_digest(self, runner, monkeypatch, case):
-        # the byte change is the entropy rule's alone: on the earlier rule
-        # every case reads the bytes it read before the rule changed
-        name, command, exit_code, digest = case
-        _earlier_rule(monkeypatch, unmirrored=False)
-        result = runner.invoke(main, command.split())
-        assert result.exit_code == exit_code, result.output
-        assert hashlib.sha256(result.stdout_bytes).hexdigest() == _PARENT_RULE.get(name, digest)
 
     @pytest.mark.parametrize("name", [
         "solve-reflective-2", "oracle-exclude", "oracle-infeasible",

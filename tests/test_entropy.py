@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spincollapse import (
-    Axis, antipode, binary_entropy, born_up, s_down, s_i, s_up,
+    DEFAULT_ATOL, Axis, antipode, binary_entropy, born_up, s_down, s_i, s_up,
 )
-from spincollapse.entropy import _SLACK, _binary_entropy, _dot_entropy
+from spincollapse.entropy import _binary_entropy, _dot_entropy
 from spincollapse.solver import _binary_entropy_grid
 
 from helpers import binary_entropy_grid_of_p, s_down_clamped, uniform_axis, uniform_state
@@ -80,7 +80,7 @@ class TestValidation:
 def _binary_entropy_minmax(p: float, base: float) -> float:
     """The earlier spelling of `_binary_entropy`, through `min`/`max`, kept
     as the oracle of the one-comparison core."""
-    if not (-_SLACK <= p <= 1.0 + _SLACK):
+    if not (-DEFAULT_ATOL <= p <= 1.0 + DEFAULT_ATOL):
         raise ValueError(f"probability out of range: {p!r}")
     hi = min(1.0, max(p, 1.0 - p))
     lo = 1.0 - hi
@@ -195,8 +195,8 @@ class TestGridHelper:
     @settings(max_examples=300, deadline=None)
     @given(dots=st.lists(_DOTS, min_size=1, max_size=16),
            base=st.sampled_from([math.e, 2.0]))
-    def test_matches_earlier_rule(self, dots, base):
-        # the earlier rule took hi = max(p, 1 - p) of the clipped p: the same
+    def test_matches_rule_of_p(self, dots, base):
+        # the rule of p takes hi = max(p, 1 - p) of the clipped p: the same
         # float where d >= 0, and within rounding where d < 0
         d = np.array(dots)
         got, want = _binary_entropy_grid(d, base), binary_entropy_grid_of_p(d, base)

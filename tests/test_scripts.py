@@ -47,49 +47,17 @@ def test_script_runs(script, args, summary):
     assert summary in proc.stdout
 
 
-# The lines `digest_outputs.py` printed before `step` read its next axis from
-# the solver's candidate pair instead of calling `solve` (Python 3.11.7, numpy
-# 2.4.6).  The ``simulate.long`` line was recorded on the `simulate` that still
-# ran every step of an absorbed tail.  The ``solve``, ``feasible_set``,
-# ``simulate`` and ``simulate.long`` lines are the bytes of the plain float sum
-# `_dot3` for the 3-vector dots, which the numpy route printed when
-# scipy-openblas 0.3.31.188.0 (DYNAMIC_ARCH) ran its Haswell kernel.
-# The ``simulate`` and ``simulate.long`` lines were re-recorded when `step`
-# took the mirror r = 2 (n_i . m) m - n_i itself as its next axis (n_i in
-# strict mode) instead of the canonically smaller of the two candidates.
-# The ``simulate.born_long`` line was recorded on the `simulate` that drew
-# one `rng.random()` per Born step, before it drew its uniforms in blocks
-# and, later, in one array per run.
-# The ``kernels`` line was recorded on the `born_up` and collapse frame that
-# clamped through `min` and `max`, and on the `select_outcome` that called
-# `RiskFunction.evaluate` once per outcome.
-# The ``cli.json`` line was recorded on the CLI that wrote its documents with
-# `json.dumps(doc, indent=2)`, held while a hand-written copy of that encoder
-# (`cli._write`) wrote them, and holds on `json.dumps` again.
-# The ``amplitudes`` line was recorded on the `state_from_amplitudes` that
-# clamped rho and took the phase of a subnormal |down| as it was; none of
-# its pairs has a subnormal |down| beside a normal |up|.
-# The ``vectors`` line was recorded on the 3-vector readers that took
-# `math.hypot` of the vector as given and reduced the `atan2` angles through
-# `_reduce_angles`; every one of its vectors has its largest part in
-# [2**-1022, 2**1022), where the readers do not rescale.
-# The ``cli.simulate_long`` line was recorded on the CLI that wrote each
-# trajectory record as its `TrajectoryStep.to_dict` document through
-# `cli._write`, since deleted, before the records were written from one
-# template.
-# The ``oracle.plain``, ``oracle.exclude``, ``oracle.base2``, ``oracle.tol``,
-# ``landscape``, ``landscape.shapes`` and ``cli.json`` lines were re-recorded
-# when `solver._grid` built its trig exactly antipodal; in ``cli.json`` only
-# oracle documents moved.  `_UNMIRRORED_LINES` holds their earlier values.
-# The ``oracle.exclude`` and ``oracle.tol`` lines, here and in
-# `_UNMIRRORED_LINES`, were re-recorded when the oracle named the exclusion
-# radius where the exclusion, not the band, left no grid point: only the
-# messages of those errors moved.
-# The ``landscape`` and ``landscape.shapes`` lines were re-recorded when
-# `_binary_entropy_grid` built its entropies from |n_f . v|, which makes them
-# even bit for bit; `_PARENT_RULE_LINES` holds their earlier values.
-# A deliberate change to the emitted bytes updates these lines; a fast path
-# must keep them.
+# The lines `digest_outputs.py` prints, recorded on Python 3.11.7, numpy
+# 2.4.6 and click 8.4.0: numpy's vectorized `log` decides the grid bytes of
+# the ``oracle.*``, ``landscape*`` and ``cli.json`` lines.  The 3-vector dots
+# are the plain float sum `_dot3`, so no line depends on the BLAS build.
+# The families cover the solver (``solve``, ``feasible_set``), the grid
+# (``oracle.*``, ``landscape*``), the CLI documents (``cli.*``),
+# trajectories (``simulate*``), near-eigenstates at eigen_tol 0
+# (``eigen_tol0``), and the scalar kernels and readers (``kernels``,
+# ``amplitudes``, ``vectors``); the script's docstring says which inputs
+# each one hashes.  A deliberate change to the emitted bytes re-records the
+# line it moves and says why in CHANGES.md; a fast path must keep them.
 DIGEST_LINES = """\
 solve                200  a8784dd13f43001253c43cc8c51a48596a555009a43c765704e3709fdd86da4a
 feasible_set          50  a5eebb6fbd7621ac3d79341d506f9051534355e19dde3c6d48c7a7944a4d47aa
@@ -116,57 +84,6 @@ def test_output_digests_unchanged():
     proc = _run("digest_outputs.py")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == DIGEST_LINES
-
-
-# The byte change of the antipodal grid is its trig's alone: with the earlier
-# trig (`helpers.grid_unmirrored`) and entropy rule patched in, the script
-# prints every line it printed before, through the cell-by-cell table.
-_UNMIRRORED_LINES = """\
-oracle.plain          50  1c0d71cf975da033297d1ab03c9feb523fa64b3922b3ac8728bf7d987c02615a
-oracle.exclude       100  4e6a938879b3dabe56819dc9732e77989ee070e3d062aab441791f56b6a27a64
-oracle.base2          50  3c34150176d15160ce8067da1e2cfba2c9edb1cedfd87abba7b408951887c750
-oracle.tol            78  1977ae1ce1ff238023ad8d507016b6ac6adb04a7cbb884c2c16e7724089852e1
-landscape             14  98a4c856b8282cd7cd2702a270af3d9b34f86f268f6df3df4f93f67b65af1ec4
-landscape.shapes      65  357af32f5f8c2806a284ba6d0e55b162bc314dcdc020d4058ea19ad92db9dbbb
-cli.json             221  96c81fc55d140ee9af45f72222a2a18680c89b2f1b6e62f4c15529de6cdb93f9
-"""
-# The byte change of the even entropies is their rule's alone: with the
-# earlier rule (`helpers.binary_entropy_grid_of_p`) patched in, the script
-# prints every line it printed before.
-_PARENT_RULE_LINES = """\
-landscape             14  436b9e746f805ac9fdd129dd7719c8c31713ca71f1a26ec46336ca31e5f5e577
-landscape.shapes      65  8207d6f1aa2d3d8809581ea26e64edadff61622a9421828f7bfae4c40d2c7b3c
-"""
-# Neither patched grid is even, so the landscape table is formatted cell by
-# cell (`helpers.landscape_table`).
-_EARLIER_RUN = """\
-import runpy, sys
-sys.path.insert(0, sys.argv[1])
-import helpers
-from spincollapse import cli, solver
-solver._binary_entropy_grid = helpers.binary_entropy_grid_of_p
-cli._table = helpers.landscape_table
-if sys.argv[3] == "unmirrored":
-    solver._grid = helpers.grid_unmirrored
-runpy.run_path(sys.argv[2], run_name="__main__")
-"""
-
-
-def _check_earlier_lines(variant: str, lines: str) -> None:
-    proc = _python("-c", _EARLIER_RUN, str(ROOT / "tests"),
-                   str(ROOT / "scripts" / "digest_outputs.py"), variant)
-    assert proc.returncode == 0, proc.stderr
-    earlier = {line.split()[0]: line for line in lines.splitlines()}
-    assert proc.stdout.splitlines() == [
-        earlier.get(line.split()[0], line) for line in DIGEST_LINES.splitlines()]
-
-
-def test_output_digests_on_unmirrored_trig():
-    _check_earlier_lines("unmirrored", _UNMIRRORED_LINES)
-
-
-def test_output_digests_on_parent_entropy_rule():
-    _check_earlier_lines("mirrored", _PARENT_RULE_LINES)
 
 
 # The emitted bytes do not depend on the BLAS build: the same lines under two
