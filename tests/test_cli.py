@@ -833,6 +833,26 @@ class TestPinnedBytes:
         assert result.exit_code == exit_code, result.output
         assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "command",
+        [case[1] for case in _PINNED if case[1].startswith("landscape")],
+        ids=[case[0] for case in _PINNED if case[1].startswith("landscape")],
+    )
+    def test_landscape_is_the_cell_by_cell_table(self, runner, monkeypatch, command):
+        # `_table` copies pole and mirror cells; on each pinned shape its text
+        # is the one that formats every cell by its own `repr`
+        calls = []
+
+        def recording_table(*args):
+            calls.append(args)
+            return _table(*args)
+
+        monkeypatch.setattr(cli, "_table", recording_table)
+        result = runner.invoke(main, command.split())
+        assert result.exit_code == 0, result.output
+        (args,) = calls
+        assert result.output == landscape_table(*args)
+
     @pytest.mark.parametrize("name", [
         "solve-reflective-2", "oracle-exclude", "oracle-infeasible",
         "simulate-strict-absorbs", "simulate-born-tol0-base2",

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spincollapse import (
-    DEFAULT_ATOL, Axis, antipode, binary_entropy, born_up, s_down, s_i, s_up,
+    DEFAULT_ATOL, Axis, PureState, antipode, binary_entropy, born_up, s_down, s_i, s_up,
 )
 from spincollapse.entropy import _binary_entropy, _dot_entropy
 from spincollapse.solver import _binary_entropy_grid
@@ -75,6 +75,31 @@ class TestValidation:
     def test_bad_base_raises(self, base):
         with pytest.raises(ValueError):
             binary_entropy(0.3, base=base)
+
+
+class TestSharedSlack:
+    """`binary_entropy` takes p, and `PureState` rho, up to `DEFAULT_ATOL`
+    outside [0, 1], clamped, and both reject anything farther out: a state's
+    weight and its entropy are read on one range."""
+
+    @pytest.mark.parametrize("p", [
+        -DEFAULT_ATOL, 1.0 + DEFAULT_ATOL, -1e-13, 1.0 + 1e-13, -0.0, 0.0, 1.0,
+    ])
+    def test_accepted_alike(self, p):
+        state = PureState(p, 0.0)
+        assert state.rho == min(1.0, max(0.0, p))
+        assert binary_entropy(p) == binary_entropy(state.rho) == 0.0
+        assert s_i(state, Axis(0.0, 0.0)) == 0.0
+
+    @pytest.mark.parametrize("p", [
+        math.nextafter(-DEFAULT_ATOL, -1.0), math.nextafter(1.0 + DEFAULT_ATOL, 2.0),
+        -1e-9, 1.0 + 1e-9,
+    ])
+    def test_rejected_alike(self, p):
+        with pytest.raises(ValueError, match="probability out of range"):
+            binary_entropy(p)
+        with pytest.raises(ValueError, match=r"rho must lie in \[0, 1\]"):
+            PureState(p, 0.0)
 
 
 def _binary_entropy_minmax(p: float, base: float) -> float:

@@ -356,6 +356,75 @@ class TestPureState:
             assert m[2] == pytest.approx(2.0 * s.rho - 1.0, abs=1e-15)
 
 
+def _polar(rho: float) -> mpmath.mpf:
+    """The polar angle from +z of the direction a stored rho holds, 2 acos
+    sqrt(rho), to 50 digits."""
+    with mpmath.workdps(50):
+        return 2 * mpmath.acos(mpmath.sqrt(mpmath.mpf(rho)))
+
+
+def _rounded_rho(d: float, pole: float) -> float:
+    """rho of the state at angle d from the pole +z (1) or -z (-1),
+    cos^2(d/2) or sin^2(d/2), correctly rounded."""
+    with mpmath.workdps(50):
+        half = mpmath.mpf(d) / 2
+        return float(mpmath.cos(half) ** 2 if pole > 0 else mpmath.sin(half) ** 2)
+
+
+POLE_DISTANCES = [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7]
+
+
+class TestPolePrecision:
+    """rho = cos^2(theta/2) rounds near 1: a `PureState` at angle d from +z
+    holds its direction only to about 2e-16 / d rad, and within about
+    1.5e-8 rad reads exactly +z.  Near -z, rho = sin^2(d/2) is small and
+    held to full relative precision while it is a normal float.
+    `state_from_bloch` reads rho = (1 + z)/2, which loses both sides alike."""
+
+    @pytest.mark.parametrize("d", POLE_DISTANCES)
+    def test_near_plus_z_held_to_1e_16_over_d(self, d):
+        rho = _rounded_rho(d, 1.0)
+        assert PureState(rho, 0.0).rho == rho
+        assert abs(_polar(rho) - d) <= 1.2e-16 / d
+
+    @pytest.mark.parametrize("d", [*POLE_DISTANCES, 1e-10, 1e-100, 1e-150])
+    def test_near_minus_z_exact_to_rounding(self, d):
+        rho = _rounded_rho(d, -1.0)
+        assert PureState(rho, 0.0).rho == rho
+        with mpmath.workdps(50):
+            assert abs(2 * mpmath.asin(mpmath.sqrt(mpmath.mpf(rho))) - d) <= 2.0**-53 * d
+
+    @pytest.mark.parametrize("pole", [1.0, -1.0], ids=["+z", "-z"])
+    @pytest.mark.parametrize("d", POLE_DISTANCES)
+    def test_state_from_bloch_held_to_2e_16_over_d(self, d, pole):
+        x, z = math.sin(d), pole * math.cos(d)
+        state = state_from_bloch((x, 0.0, z))
+        assert state.tau == 0.0
+        with mpmath.workdps(50):
+            assert abs(_polar(state.rho) - mpmath.atan2(x, z)) <= 2.2e-16 / d
+
+    def test_readme_example(self):
+        # the example of README's "Numerics notes"
+        state = state_from_bloch((math.sin(1e-7), 0.0, math.cos(1e-7)))
+        assert state.rho == 0.9999999999999976
+        with mpmath.workdps(50):
+            off = abs(_polar(state.rho) - mpmath.atan2(math.sin(1e-7), math.cos(1e-7)))
+        assert 1.1e-9 < off < 1.2e-9
+
+    @pytest.mark.parametrize("d", [1e-12, 1e-10, 1e-8, 1.4e-8])
+    def test_reads_plus_z_within_1_5e_8(self, d):
+        assert _rounded_rho(d, 1.0) == 1.0
+        assert state_from_bloch((math.sin(d), 0.0, math.cos(d))).rho == 1.0
+        assert _polar(PureState(_rounded_rho(d, 1.0), 0.0).rho) == 0
+
+    def test_leaves_plus_z_past_2_to_the_minus_26(self):
+        # 1 - d^2/4 rounds to 1 while d^2/4 is under half the spacing 2**-53
+        # below 1, that is for d under 2**-26 = 1.49e-8
+        below, above = math.nextafter(2.0**-26, 0.0), math.nextafter(2.0**-26, 1.0)
+        assert _rounded_rho(below, 1.0) == 1.0
+        assert _rounded_rho(above, 1.0) == 1.0 - 2.0**-53
+
+
 def _wrapped_state(rho: float, tau: float) -> PureState:
     """A `PureState` holding the given floats, built without `__init__`: the
     least memory a state can take."""
