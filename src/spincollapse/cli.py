@@ -13,7 +13,8 @@ and axis inputs, ``--entropy-base`` and ``--out``.  ``solve``/``oracle``/
 document that echoes every input flag, so any output can be re-run from its
 own ``input`` block;
 ``landscape`` adds ``--format csv|tsv`` and emits delimiter-separated rows
-for external plotting.
+for external plotting, each cell the `repr` of its float, written by orjson
+one grid row at a time (`_table`); only ``landscape`` imports orjson.
 A document is exactly ``json.dumps(doc, indent=2) + "\n"``, ASCII only;
 the trajectory records of ``simulate`` come from one template
 (`_write_records`), with the same bytes.
@@ -324,45 +325,41 @@ def _emit(text: str, out: str | None) -> None:
 _COLUMNS = ("theta_f", "phi_f", "p_up", "s_f", "constraint_residual", "s_up")
 
 
+def _respelled(line: str) -> str:
+    """A line of orjson cells, its exponents and the ``0.0000...`` of
+    [1e-5, 1e-4) re-spelled by `repr`."""
+    return ",".join(repr(float(cell)) if "e" in cell or cell.lstrip("-").startswith("0.0000")
+                    else cell for cell in line.split(","))
+
+
 def _table(thetas, phis, p_up, s_f, residual, s_up, delimiter: str) -> str:
     """The landscape rows, each cell the `repr` of its float, under a header.
 
     float reprs never hold a delimiter, a quote or a line break, so the rows
-    need no CSV quoting.  The grids must be those of `solver._entropy_grid`,
-    whose symmetries decide which cells are copied instead of formatted.
-    Each of the first and last rows is one direction (a pole), so each of
-    its columns is its first cell repeated.  With an even n_phi, column k
-    of the mirror row j = n_theta - 1 - i is the antipode of column
-    k + n_phi/2 of row i, where s_f, the residual and s_up are bit-equal:
-    those columns of row j are row i's strings turned half a turn.  Every
-    other cell gets its own `repr`.  Values become Python floats one pair
-    of rows at a time, which keeps the peak memory of a large grid near
-    that of a csv writer.
+    need no CSV quoting.  Each grid row is one ``(n_phi, 6)`` block that
+    orjson writes in one call as ``[[a,b,...],[...]]``, with the shortest
+    round-trip digits, which are `repr`'s.  Only the notation can differ,
+    for the nonzero |x| < 1e-4 and the |x| >= 1e16; `_respelled` gives
+    those cells `repr`'s spelling.  orjson writes a non-finite cell as
+    ``null``, which raises ValueError.  One row of text at a time keeps the
+    peak memory of a large grid near that of a csv writer.
     """
-    grids = p_up, s_f, residual, s_up
-    n_theta, n_phi = len(thetas), len(phis)
-    half = 0 if n_phi % 2 else n_phi // 2
-    theta_cells = thetas.tolist()
-    phi_cells = [repr(phi) for phi in phis.tolist()]
-    rows = [delimiter.join(_COLUMNS), *[""] * n_theta, ""]
+    import orjson  # only landscape pays for its import
 
-    def cells(row):
-        return list(map(repr, row.tolist()))
-
-    def put(i, columns):
-        rows[i + 1] = "\n".join(map(delimiter.join, zip(
-            [repr(theta_cells[i])] * n_phi, phi_cells, *columns)))
-
-    for i in (0, n_theta - 1):
-        put(i, [[repr(grid[i, 0].item())] * n_phi for grid in grids])
-    for i in range(1, (n_theta + 1) // 2):
-        columns = [cells(grid[i]) for grid in grids]
-        put(i, columns)
-        j = n_theta - 1 - i
-        if j > i:  # not the middle row of an odd n_theta
-            put(j, [cells(p_up[j]), *(
-                row[half:] + row[:half] if half else cells(grid[j])
-                for grid, row in zip(grids[1:], columns[1:]))])
+    # every column starts as phi_f; each row writes the other five
+    block = phis.repeat(len(_COLUMNS)).reshape(len(phis), len(_COLUMNS))
+    columns = block.T
+    rows = [delimiter.join(_COLUMNS)]
+    for theta, *cells in zip(thetas.tolist(), p_up, s_f, residual, s_up):
+        columns[0] = theta
+        columns[2:] = cells
+        text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+        if "n" in text:  # a "null": no float spelling holds an n
+            raise ValueError(f"landscape row theta_f={theta!r} has a non-finite cell")
+        lines = text[2:-2].split("],[")
+        text = "\n".join(map(_respelled, lines) if "e" in text or ".0000" in text else lines)
+        rows.append(text if delimiter == "," else text.replace(",", delimiter))
+    rows.append("")
     return "\n".join(rows)
 
 

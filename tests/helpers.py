@@ -174,8 +174,7 @@ def binary_entropy_grid_of_p(dot, base: float = math.e):
 
 def landscape_table(thetas, phis, p_up, s_f, residual, s_up, delimiter) -> str:
     """The landscape table formatted row by row, every cell by its own
-    `repr`: the oracle of `cli._table`, which copies antipodal and pole
-    cells, and the table of grids that lack their symmetries."""
+    `repr`: the oracle of `cli._table`, which has orjson write each row."""
     n_phi = len(phis)
     phi_cells = [repr(phi) for phi in phis.tolist()]
     blocks = [delimiter.join(

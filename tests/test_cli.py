@@ -5,7 +5,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -13,6 +16,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from helpers import landscape_table
 from spincollapse import Axis, PureState, SimConfig, TrajectoryStep, __version__, simulate
@@ -214,6 +218,26 @@ class TestLandscapeCommand:
             "theta_f", "phi_f", "p_up", "s_f", "constraint_residual", "s_up",
         ]
 
+    def test_only_landscape_imports_orjson(self):
+        # solve and simulate start up without the table formatter's module
+        script = (
+            "import sys\n"
+            "from spincollapse.cli import main\n"
+            "state = ['--rho', '0.7', '--theta-i', '0.9']\n"
+            "for argv in (['solve', *state], ['simulate', *state, '--steps', '3',\n"
+            "             '--outcome', 'risk:alignment'], ['landscape', *state]):\n"
+            "    main(argv, standalone_mode=False)\n"
+            "    print(argv[0], 'orjson' in sys.modules, file=sys.stderr)\n"
+        )
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines() == [
+            "solve False", "simulate False", "landscape True"]
+
     def test_json_format_rejected(self, runner):
         result = runner.invoke(
             main,
@@ -232,11 +256,33 @@ def _bits(x: float) -> int:
     return struct.unpack("<Q", struct.pack("<d", x))[0]
 
 
+def _columns(thetas, phis, grids) -> list[np.ndarray]:
+    """The six columns of a landscape table, one cell per line."""
+    return [np.repeat(thetas, len(phis)), np.tile(phis, len(thetas)),
+            *(np.ravel(grid) for grid in grids)]
+
+
+def _signed(low: float, high: float):
+    return st.floats(low, high).flatmap(lambda x: st.sampled_from([x, -x]))
+
+
+# finite float64 over every spelling: subnormals, +-0.0, the positional
+# zeros of [1e-5, 1e-4), the exponents of [1e16, 1.8e308) and [1e-4, 7)
+_FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    _signed(0.0, 2.2250738585072014e-308),
+    _signed(1e-5, 1e-4),
+    _signed(1e16, sys.float_info.max),
+    _signed(1e-4, 7.0),
+)
+_EDGES = [5e-324, 1e-05, math.nextafter(1e-4, 0.0), 1e-4, 9999999999999998.0, 1e16,
+          sys.float_info.max]
+
+
 class TestLandscapeTable:
-    """`cli._table` copies the `repr` of a pole row's first cell along the
-    row, and with an even n_phi the s_f/residual/s_up strings of a row into
-    its mirror row turned half a turn; `helpers.landscape_table` formats
-    every cell, and is its oracle."""
+    """`cli._table` writes each grid row in one orjson call and re-spells by
+    `repr` the cells whose notation differs; `helpers.landscape_table`
+    formats every cell by its own `repr`, and is its oracle."""
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -261,9 +307,48 @@ class TestLandscapeTable:
         assert result.output == landscape_table(*grids, "\t" if fmt == "tsv" else ",")
 
     @staticmethod
-    def _formatted(monkeypatch, grids):
-        """The bits of each float `_table` formats, in order; its text must
-        be the oracle's."""
+    def _rows_are_reprs(thetas, phis, grids):
+        # row by row, each line is the delimiter-joined `repr` of its cells
+        for delimiter in (",", "\t"):
+            header, *lines, end = _table(thetas, phis, *grids, delimiter).split("\n")
+            assert header == delimiter.join(cli._COLUMNS) and end == ""
+            assert lines == [delimiter.join(map(repr, row))
+                             for row in zip(*(column.tolist() for column in
+                                              _columns(thetas, phis, grids)))]
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n_theta=st.integers(1, 4), n_phi=st.integers(1, 6))
+    def test_rows_are_reprs_of_any_finite_cells(self, data, n_theta, n_phi):
+        thetas, phis, grids = (data.draw(arrays(np.float64, shape, elements=_FINITE))
+                               for shape in (n_theta, n_phi, (4, n_theta, n_phi)))
+        self._rows_are_reprs(thetas, phis, grids)
+
+    def test_rows_are_reprs_at_the_notation_edges(self):
+        edges = np.array([x for edge in _EDGES for x in (edge, -edge)] + [0.0, -0.0])
+        grids = np.array([np.roll(edges, k) for k in range(4)]).reshape(4, 4, 4)
+        self._rows_are_reprs(edges[:4], edges[-4:], grids)
+
+    @staticmethod
+    def _planted():
+        # one block with both kinds of re-spelled token, in the angles too
+        thetas, phis = np.array([0.0, 5e-5, 1.0]), np.array([0.0, 0.5, 2e-300, 1e17, 3.0])
+        values = np.array([5e-324, -1e-05, 6.25e-05, 1e-4, 0.0, -0.0, 2.5e-8, 1e16, -3e300,
+                           9999999999999998.0, 0.1, 7.0, sys.float_info.max, 1e-300, 0.5])
+        return thetas, phis, *np.resize(values, (4, 3, 5)) * [[[1]], [[-1]], [[1]], [[-1]]]
+
+    @pytest.mark.parametrize("shape", [(50, 100), (51, 100), (50, 99), (9, 14), "planted"],
+                             ids=["50x100", "51x100", "50x99", "9x14", "planted"])
+    def test_repr_only_where_notation_differs(self, monkeypatch, shape):
+        # one repr per cell that is nonzero with |x| < 1e-4 or |x| >= 1e16,
+        # none for any other cell
+        if shape == "planted":
+            grids = self._planted()
+        else:
+            grids = _entropy_grid(PureState(0.7, 0.4), Axis(0.9, 1.1), *shape, math.e)
+        cells = np.concatenate(_columns(grids[0], grids[1], grids[2:]))
+        magnitude = np.abs(cells)
+        expected = sorted(map(_bits, cells[
+            ((magnitude < 1e-4) & (magnitude > 0)) | (magnitude >= 1e16)].tolist()))
         formatted = []
 
         def recording_repr(x):
@@ -274,30 +359,17 @@ class TestLandscapeTable:
         text = _table(*grids, ",")
         monkeypatch.undo()
         assert text == landscape_table(*grids, ",")
-        return formatted
+        assert sorted(formatted) == expected
+        if shape == "planted":  # the theta 5e-5 row, two phis, 8 of each 15 values
+            assert len(expected) == 5 + 2 * 3 + 4 * 8
 
-    @pytest.mark.parametrize("n_theta, n_phi, count", [
-        (50, 100, 12_158), (51, 100, 12_559), (50, 99, 19_165), (9, 14, 297),
-    ])
-    def test_repr_count(self, monkeypatch, n_theta, n_phi, count):
-        # one repr per angle, one per column of each pole row, four per cell
-        # of the rows 1 .. ceil(n_theta/2) - 1, and on their mirror rows one
-        # per p_up cell, or four per cell when n_phi is odd
-        own, mirrored = (n_theta + 1) // 2 - 1, n_theta // 2 - 1
-        per_mirror = 4 * n_phi if n_phi % 2 else n_phi
-        assert n_theta + n_phi + 8 + 4 * n_phi * own + per_mirror * mirrored == count
-        grids = _entropy_grid(PureState(0.7, 0.4), Axis(0.9, 1.1), n_theta, n_phi, math.e)
-        assert len(self._formatted(monkeypatch, grids)) == count
-
-    def test_constant_pole_rows_cost_one_repr_per_column(self, monkeypatch):
-        # an odd n_phi, so no cell has an antipodal column to start from
-        thetas, phis = np.array([0.0, 1.0, math.pi]), np.arange(5) * 0.5
-        poles = [np.array([[v] * 5, np.arange(5) + w, [-v] * 5])
-                 for v, w in ((0.125, 10.0), (0.25, 20.0), (0.375, 30.0), (0.625, 40.0))]
-        formatted = self._formatted(monkeypatch, (thetas, phis, *poles))
-        for v in (0.125, 0.25, 0.375, 0.625):
-            assert formatted.count(_bits(v)) == formatted.count(_bits(-v)) == 1
-        assert len(formatted) == 3 + 5 + 2 * 4 + 5 * 4  # angles, pole cells, middle row
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_cell_raises(self, bad):
+        # orjson writes a non-finite float as null, which no table may hold
+        thetas, phis, *grids = _entropy_grid(PureState(0.7, 0.4), Axis(0.9, 1.1), 6, 8, math.e)
+        grids[1][3, 5] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            _table(thetas, phis, *grids, ",")
 
     def test_peak_memory_near_oracle(self):
         # the table of the default grid holds its text about twice (rows and
@@ -819,6 +891,11 @@ _PINNED = [
      "56cc697558a6c34e71135806d09c7580ca1e9d9dde3ecc2e2efe8d2b1e91b7bf"),
     ("landscape-default-grid", f"landscape {_STATE}", 0,
      "ea8b7e0a91ca76d4725f88caa46d765210720dcdf2e471937351dfbc6bee90b6"),
+    # cells that orjson spells unlike `repr`: 8 in [1e-5, 1e-4), 12 below
+    ("landscape-respelled-cells",
+     "landscape --rho 0.999999999 --tau 0.4 --theta-i 0.9 --phi-i 1.1 --grid 400x4 "
+     "--format tsv",
+     0, "06a8886b780b10cd925eea9fc00d4dd917df901104d4d7b4775533bc902aa762"),
 ]
 
 
@@ -839,8 +916,8 @@ class TestPinnedBytes:
         ids=[case[0] for case in _PINNED if case[1].startswith("landscape")],
     )
     def test_landscape_is_the_cell_by_cell_table(self, runner, monkeypatch, command):
-        # `_table` copies pole and mirror cells; on each pinned shape its text
-        # is the one that formats every cell by its own `repr`
+        # on each pinned shape `_table`'s text is the one that formats every
+        # cell by its own `repr`
         calls = []
 
         def recording_table(*args):
