@@ -14,7 +14,8 @@ document that echoes every input flag, so any output can be re-run from its
 own ``input`` block;
 ``landscape`` adds ``--format csv|tsv`` and emits delimiter-separated rows
 for external plotting, each cell the `repr` of its float, written by orjson
-one grid row at a time (`_table`); only ``landscape`` imports orjson.
+one grid row at a time, and by `repr` on the lines a mask of the numbers
+flags (`_table`); only ``landscape`` imports orjson.
 A document is exactly ``json.dumps(doc, indent=2) + "\n"``, ASCII only;
 the trajectory records of ``simulate`` come from one template
 (`_write_records`), with the same bytes.
@@ -312,8 +313,11 @@ def _envelope(command, input_echo, entropy_base, mode, results, warnings) -> str
 
 
 def _emit(text: str, out: str | None) -> None:
+    """Write the text to --out, or else to stdout; `click.echo` would run an
+    ANSI-strip regex over it off a terminal, and no document holds an ESC."""
     if out is None:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
+        sys.stdout.flush()
         return
     try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
@@ -339,25 +343,31 @@ def _table(thetas, phis, p_up, s_f, residual, s_up, delimiter: str) -> str:
     need no CSV quoting.  Each grid row is one ``(n_phi, 6)`` block that
     orjson writes in one call as ``[[a,b,...],[...]]``, with the shortest
     round-trip digits, which are `repr`'s.  Only the notation can differ,
-    for the nonzero |x| < 1e-4 and the |x| >= 1e16; `_respelled` gives
-    those cells `repr`'s spelling.  orjson writes a non-finite cell as
-    ``null``, which raises ValueError.  One row of text at a time keeps the
-    peak memory of a large grid near that of a csv writer.
+    for the nonzero |x| < 1e-4 and the |x| >= 1e16: a mask of them picks the
+    lines `_respelled` gives `repr`'s spelling.  orjson writes a non-finite
+    cell as ``null``, which raises ValueError first.  One row of text at a
+    time keeps the peak memory of a large grid near that of a csv writer.
     """
     import orjson  # only landscape pays for its import
 
     # every column starts as phi_f; each row writes the other five
     block = phis.repeat(len(_COLUMNS)).reshape(len(phis), len(_COLUMNS))
     columns = block.T
+    # the lines holding a cell orjson may spell unlike repr
+    odd = False
+    for magnitude in map(abs, (thetas[:, None], phis, p_up, s_f, residual, s_up)):
+        odd = odd | ((magnitude < 1e-4) & (magnitude > 0)) | (magnitude >= 1e16)
     rows = [delimiter.join(_COLUMNS)]
-    for theta, *cells in zip(thetas.tolist(), p_up, s_f, residual, s_up):
+    for theta, respell, *cells in zip(thetas.tolist(), odd, p_up, s_f, residual, s_up):
         columns[0] = theta
         columns[2:] = cells
         text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY).decode()
         if "n" in text:  # a "null": no float spelling holds an n
             raise ValueError(f"landscape row theta_f={theta!r} has a non-finite cell")
         lines = text[2:-2].split("],[")
-        text = "\n".join(map(_respelled, lines) if "e" in text or ".0000" in text else lines)
+        for j in respell.nonzero()[0].tolist():
+            lines[j] = _respelled(lines[j])
+        text = "\n".join(lines)
         rows.append(text if delimiter == "," else text.replace(",", delimiter))
     rows.append("")
     return "\n".join(rows)

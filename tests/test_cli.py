@@ -11,7 +11,9 @@ import subprocess
 import sys
 import tracemalloc
 
+import click
 import numpy as np
+import orjson
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
@@ -266,6 +268,13 @@ def _signed(low: float, high: float):
     return st.floats(low, high).flatmap(lambda x: st.sampled_from([x, -x]))
 
 
+def _record_respelled(monkeypatch) -> list:
+    """Have `cli._respelled` record each line it is handed, in a list."""
+    lines, respell = [], cli._respelled
+    monkeypatch.setattr(cli, "_respelled", lambda line: lines.append(line) or respell(line))
+    return lines
+
+
 # finite float64 over every spelling: subnormals, +-0.0, the positional
 # zeros of [1e-5, 1e-4), the exponents of [1e16, 1.8e308) and [1e-4, 7)
 _FINITE = st.one_of(
@@ -281,8 +290,46 @@ _EDGES = [5e-324, 1e-05, math.nextafter(1e-4, 0.0), 1e-4, 9999999999999998.0, 1e
 
 class TestLandscapeTable:
     """`cli._table` writes each grid row in one orjson call and re-spells by
-    `repr` the cells whose notation differs; `helpers.landscape_table`
-    formats every cell by its own `repr`, and is its oracle."""
+    `repr` only the lines that a mask of the numbers flags, and in them only
+    the cells whose notation differs; `helpers.landscape_table` formats
+    every cell by its own `repr`, and is its oracle."""
+
+    @staticmethod
+    def _mask_is_the_text_rule(values):
+        # the cells orjson writes (in a float64 array, as `_table` does) with
+        # an "e" or as the 0.0000... of [1e-5, 1e-4) are those `_respelled`
+        # re-spells; they hold every cell spelled unlike repr, the nonzero
+        # |x| >= 1e-9 of them (below 1e-9 both write the same e-NN)
+        values = np.array(values, dtype=np.float64)
+        written = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+        cells, floats = written[1:-1].split(","), values.tolist()
+        odd = ["e" in c or c.lstrip("-").startswith("0.0000") for c in cells]
+        assert [c != repr(x) for c, x in zip(cells, floats)] == [
+            o and abs(x) >= 1e-9 for o, x in zip(odd, floats)]
+        # with each value in turn in each column, the other cells 0.5,
+        # `_table` re-spells a line exactly when its value is such a cell
+        n, plain = len(floats), np.array([0.5])
+        for k in range(len(cli._COLUMNS)):
+            if k == 0:
+                table = (values, plain, *np.full((4, n, 1), 0.5))
+            else:
+                columns = np.full((len(cli._COLUMNS) - 1, 1, n), 0.5)
+                columns[k - 1] = values
+                table = (plain, columns[0, 0], *columns[1:])
+            with pytest.MonkeyPatch.context() as mp:
+                respelled = _record_respelled(mp)
+                _table(*table, ",")
+            assert [line.split(",")[k] for line in respelled] == [
+                c for c, o in zip(cells, odd) if o]
+
+    @settings(max_examples=500, deadline=None)
+    @given(x=_FINITE)
+    def test_mask_is_the_text_rule(self, x):
+        self._mask_is_the_text_rule([x])
+
+    def test_mask_is_the_text_rule_at_the_notation_edges(self):
+        edges = [*_EDGES, 1e-9, math.nextafter(1e-9, 0.0)]
+        self._mask_is_the_text_rule([x for edge in edges for x in (edge, -edge)] + [0.0, -0.0])
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -340,15 +387,16 @@ class TestLandscapeTable:
                              ids=["50x100", "51x100", "50x99", "9x14", "planted"])
     def test_repr_only_where_notation_differs(self, monkeypatch, shape):
         # one repr per cell that is nonzero with |x| < 1e-4 or |x| >= 1e16,
-        # none for any other cell
+        # none for any other cell; and only the lines holding such a cell
+        # reach the re-speller, not the whole grid row around them
         if shape == "planted":
             grids = self._planted()
         else:
             grids = _entropy_grid(PureState(0.7, 0.4), Axis(0.9, 1.1), *shape, math.e)
         cells = np.concatenate(_columns(grids[0], grids[1], grids[2:]))
         magnitude = np.abs(cells)
-        expected = sorted(map(_bits, cells[
-            ((magnitude < 1e-4) & (magnitude > 0)) | (magnitude >= 1e16)].tolist()))
+        odd = ((magnitude < 1e-4) & (magnitude > 0)) | (magnitude >= 1e16)
+        expected = sorted(map(_bits, cells[odd].tolist()))
         formatted = []
 
         def recording_repr(x):
@@ -356,10 +404,12 @@ class TestLandscapeTable:
             return repr(x)
 
         monkeypatch.setattr(cli, "repr", recording_repr, raising=False)
+        respelled = _record_respelled(monkeypatch)
         text = _table(*grids, ",")
         monkeypatch.undo()
         assert text == landscape_table(*grids, ",")
         assert sorted(formatted) == expected
+        assert len(respelled) == np.count_nonzero(odd.reshape(len(cli._COLUMNS), -1).any(axis=0))
         if shape == "planted":  # the theta 5e-5 row, two phis, 8 of each 15 values
             assert len(expected) == 5 + 2 * 3 + 4 * 8
 
@@ -370,6 +420,19 @@ class TestLandscapeTable:
         grids[1][3, 5] = bad
         with pytest.raises(ValueError, match="non-finite"):
             _table(thetas, phis, *grids, ",")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("column", ["thetas", "phis"])
+    def test_non_finite_angle_raises(self, monkeypatch, column, bad):
+        # an infinite angle flags its lines for re-spelling too: the null
+        # check comes first, so no "null" reaches `_respelled`
+        thetas, phis, *grids = _entropy_grid(PureState(0.7, 0.4), Axis(0.9, 1.1), 6, 8, math.e)
+        {"thetas": thetas, "phis": phis}[column][3] = bad
+        grids[3][:, 3] = 5e-5  # line 3 of every row is flagged, whatever the angle
+        respelled = _record_respelled(monkeypatch)
+        with pytest.raises(ValueError, match="non-finite"):
+            _table(thetas, phis, *grids, ",")
+        assert not any("null" in line for line in respelled)
 
     def test_peak_memory_near_oracle(self):
         # the table of the default grid holds its text about twice (rows and
@@ -643,6 +706,28 @@ class TestDocumentBytes:
             # the records replaced the envelope's one empty list
             assert text.count('"trajectory": ') == 1
             assert len(doc["results"]["trajectory"]) == doc["input"]["steps"]
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--rho", "0.7", "--tau", "0.4", "--theta-i", "0.9", "--phi-i", "1.1"],
+        ["simulate", "--rho", "0.7", "--tau", "0.4", "--theta-i", "0.9", "--steps", "5",
+         "--outcome", "born", "--seed", "3"],
+        ["oracle", "--rho", "0.7", "--tau", "0.4", "--theta-i", "0.9", "--grid", "32x64"],
+        ["landscape", "--rho", "0.7", "--tau", "0.4", "--theta-i", "0.9", "--grid", "9x14"],
+    ], ids=lambda argv: argv[0])
+    def test_stdout_skips_the_ansi_strip(self, runner, monkeypatch, argv):
+        # CliRunner's stdout is no terminal, where `click.echo` would run its
+        # ANSI-strip regex over the document; no document goes through it
+        expected = runner.invoke(main, argv)
+        assert expected.exit_code == 0, expected.output
+
+        def refuse(text):
+            raise AssertionError("a document went through click's ANSI strip")
+
+        monkeypatch.setattr(click.utils, "strip_ansi", refuse)
+        monkeypatch.setattr(click._compat, "strip_ansi", refuse)
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 0, result.output
+        assert result.output == expected.output
 
 
 # exact eigenstates of their axis: the first record is already no-collapse
