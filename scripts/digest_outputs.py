@@ -27,6 +27,9 @@ families are
   under every outcome rule in both modes, over every eighth pair: documents
   of the size the subprocess ``cli`` benchmark workload writes, with
   hundreds of collapsing reflective records and long absorbed strict tails;
+* ``cli.pinned.<name>``: one line per hand-picked CLI command in `PINNED`
+  (whose comments say what each one covers), so a moved line names the
+  command: its exit code and stdout bytes;
 * ``simulate``: the step documents of `simulate` for every outcome rule;
 * ``simulate.long``: 60-step `simulate` documents over every fourth pair,
   with ``eigen_tol`` 1e-12 and 0: long absorbed tails in strict mode, and
@@ -71,6 +74,8 @@ import random
 import struct
 import tempfile
 
+from click.testing import CliRunner
+
 from spincollapse import (
     Axis,
     PureState,
@@ -105,6 +110,67 @@ LANDSCAPE_FLAGS = (("--format", "tsv"), ("--entropy-base", "2"), ())
 LANDSCAPE_SHAPES = ("2x2", "3x4", "10x20", "11x20", "10x21")
 AMPLITUDE_SCALES = (1.0, 1e300, 1e-300, 2.0**-1060)
 VECTOR_SCALES = (1.0, 1e300, 1e-300)
+
+# The commands of the ``cli.pinned.<name>`` lines: (name, argv, exit code).  The
+# first ones cover solve in both modes and bases, the oracle plain, excluded,
+# on an eigenstate and infeasible (exit 3), simulate under each outcome rule,
+# and landscape csv and tsv; the reordered argv lists pin the input echo to
+# the declared flag order.
+_STATE = "--rho 0.7 --tau 0.4 --theta-i 0.9 --phi-i 1.1"
+_ORACLE = f"oracle {_STATE} --mode reflective --grid 64x128"
+_SIMULATE = f"simulate {_STATE} --steps 6 --mode reflective --outcome"
+PINNED = [
+    ("solve-strict-e", f"solve {_STATE}", 0),
+    ("solve-strict-2", f"solve {_STATE} --entropy-base 2", 0),
+    ("solve-reflective-e", f"solve {_STATE} --mode reflective", 0),
+    ("solve-reflective-2", f"solve {_STATE} --mode reflective --entropy-base 2", 0),
+    ("oracle", _ORACLE, 0),
+    ("oracle-exclude", f"{_ORACLE} --exclude-trivial 0.25", 0),
+    ("oracle-eigenstate", "oracle --rho 1 --theta-i 0", 0),
+    ("oracle-infeasible", "oracle --rho 0.9 --tau 0.3 --theta-i 1.0 --phi-i 0.5 "
+     "--grid 8x8 --constraint-tol 1e-9", 3),
+    ("simulate-born", f"{_SIMULATE} born --seed 11", 0),
+    ("simulate-born-surprise", f"{_SIMULATE} risk:born-surprise", 0),
+    ("simulate-alignment", f"{_SIMULATE} risk:alignment", 0),
+    ("simulate-constant", f"{_SIMULATE} risk:constant", 0),
+    ("simulate-flags-reordered", "simulate --outcome risk:constant --steps 6 "
+     "--mode reflective --phi-i 1.1 --theta-i 0.9 --tau 0.4 --rho 0.7", 0),
+    ("oracle-exclude-flags-reordered", "oracle --exclude-trivial 0.25 --grid 64x128 "
+     "--mode reflective --phi-i 1.1 --theta-i 0.9 --tau 0.4 --rho 0.7", 0),
+    ("landscape-csv", f"landscape {_STATE} --grid 20x40", 0),
+    ("landscape-tsv", f"landscape {_STATE} --grid 20x40 --format tsv", 0),
+    ("solve-degrees",
+     "solve --rho 0.7 --tau 30 --theta-i 60 --phi-i 45 --degrees --mode reflective", 0),
+    ("solve-degrees-flags-reordered",
+     "solve --mode reflective --degrees --phi-i 45 --theta-i 60 --tau 30 --rho 0.7", 0),
+    ("solve-amplitudes", "solve --amp-up 0.6+0.2j --amp-down 0.5 --theta-i 0.9 "
+     "--phi-i 1.1 --mode reflective", 0),
+    # small and odd grids, base 2, degrees, amplitudes and the merged circle
+    ("landscape-2x3-base2-degrees",
+     f"landscape {_STATE} --grid 2x3 --entropy-base 2 --degrees", 0),
+    ("landscape-tsv-amplitudes", "landscape --amp-up 0.6+0.2j --amp-down 0.5 "
+     "--theta-i 0.9 --phi-i 1.1 --grid 7x5 --format tsv", 0),
+    ("oracle-odd-grid-base2-exclude", f"oracle {_STATE} --mode reflective --grid 37x91 "
+     "--entropy-base 2 --exclude-trivial 0.1", 0),
+    ("oracle-merged-circle", "oracle --rho 0.5 --theta-i 0 --mode reflective --grid 64x128",
+     0),
+    # a strict run that absorbs (records with "no_collapse": true, an echo
+    # with "seed": null) and a base-2 Born run at --tol 0
+    ("simulate-strict-absorbs", f"simulate {_STATE} --steps 4", 0),
+    ("simulate-born-tol0-base2",
+     f"simulate {_STATE} --steps 6 --outcome born --seed 0 --tol 0 --entropy-base 2", 0),
+    # the landscape's antipodal row pairing: a middle row left unpaired, a
+    # pole axis, an eigenstate, an odd column count (no antipodal column),
+    # and the default 200x400 grid
+    ("landscape-odd-rows", f"landscape {_STATE} --grid 11x16", 0),
+    ("landscape-pole-axis", "landscape --rho 0.7 --tau 0.4 --theta-i 0 --grid 12x24", 0),
+    ("landscape-eigenstate", "landscape --rho 1 --theta-i 0 --grid 8x8", 0),
+    ("landscape-odd-columns", f"landscape {_STATE} --grid 10x15", 0),
+    ("landscape-default-grid", f"landscape {_STATE}", 0),
+    # cells that orjson spells unlike `repr`: 8 in [1e-5, 1e-4), 12 below
+    ("landscape-respelled-cells", "landscape --rho 0.999999999 --tau 0.4 --theta-i 0.9 "
+     "--phi-i 1.1 --grid 400x4 --format tsv", 0),
+]
 
 
 def _random_axis(rng: random.Random) -> Axis:
@@ -301,14 +367,22 @@ def _cli_simulate_long_records(state, axis, seed):
                            "--outcome", outcome, "--seed", str(seed))[1]
 
 
+def _cli_pinned_records():
+    runner = CliRunner()
+    for name, command, _exit_code in PINNED:
+        result = runner.invoke(cli_main, command.split())
+        yield f"cli.pinned.{name}", b"%d\n" % result.exit_code + result.stdout_bytes
+
+
 def _families() -> dict[str, list]:
     groups = _pairs()
     pairs = [pair for name in ("generic", "poles", "half", "near") for pair in groups[name]]
     fam: dict[str, list] = {name: [] for name in (
         "solve", "feasible_set", "oracle.plain", "oracle.exclude", "oracle.base2",
         "oracle.infeasible", "oracle.tol", "landscape", "landscape.shapes", "cli.json",
-        "cli.simulate_long", "simulate", "simulate.long", "simulate.born_long", "eigen_tol0",
-        "kernels", "amplitudes", "vectors")}
+        "cli.simulate_long", *(f"cli.pinned.{name}" for name, _, _ in PINNED), "simulate",
+        "simulate.long", "simulate.born_long", "eigen_tol0", "kernels", "amplitudes",
+        "vectors")}
     for k, (state, axis) in enumerate(pairs):
         grid = ORACLE_GRIDS[k % len(ORACLE_GRIDS)]
         fam["solve"].extend(_solve_records(state, axis))
@@ -342,6 +416,8 @@ def _families() -> dict[str, list]:
         fam["cli.json"].extend(_cli_json_records(state, axis))
     for k, (state, axis) in enumerate(pairs[::8]):
         fam["cli.simulate_long"].extend(_cli_simulate_long_records(state, axis, seed=k))
+    for name, record in _cli_pinned_records():
+        fam[name].append(record)
     for state, axis in groups["near"]:
         fam["eigen_tol0"].extend(_solve_records(state, axis, eigen_tol=0.0))
         fam["eigen_tol0"].append(_feasible_record(state, axis, eigen_tol=0.0))

@@ -3,8 +3,8 @@
 Each test prints exactly one `[criterion N] PASS` or `[criterion N] FAIL`
 line so a plain pytest run doubles as a scorecard.  The tests after them
 check rules that hold across the package: each kind of argument is read in
-one place, every value goes through its constructor, and every import is
-read.
+one place, every value goes through its constructor, every import is read,
+and no call goes through BLAS.
 """
 
 import ast
@@ -372,6 +372,51 @@ def test_every_import_is_read(folder):
     assert paths
     unused = {path.name: _unused_imports(path.read_text()) for path in paths}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+# the numpy names that can run a BLAS kernel, whose rounding differs from one
+# OpenBLAS kernel (and CPU) to another; `spin._dot3` is the scalar dot instead
+_BLAS_NAMES = {"dot", "matmul", "inner", "vdot", "tensordot", "einsum", "linalg"}
+
+
+def _blas_routes(source: str) -> list[str]:
+    """Each spot in `source` where numpy may route through BLAS, as
+    "line: code": a numpy name in `_BLAS_NAMES` (anything under `linalg`
+    included), read or imported, any `.dot` attribute, and the `@`
+    operator."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            hit = node.attr == "dot" or (
+                node.attr in _BLAS_NAMES and isinstance(node.value, ast.Name)
+                and node.value.id in {"np", "numpy"})
+        elif isinstance(node, ast.ImportFrom):
+            hit = (node.module or "").startswith("numpy") and (
+                "linalg" in node.module or any(a.name in _BLAS_NAMES for a in node.names))
+        else:
+            hit = isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+                node.op, ast.MatMult)
+        if hit:
+            found.append((node.lineno, node.col_offset, ast.unparse(node)))
+    return [f"{line}: {code}" for line, _, code in sorted(found)]
+
+
+def test_blas_guard_sees_a_planted_route():
+    planted = ('def _dot3(u, v):\n    """Unlike `np.dot`, one float sum."""\n'
+               "    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]\n"
+               "c = np.dot(a, b)\nd = a @ b\ne = x.dot(y)\nf = np.linalg.norm(v)\n"
+               "g @= h\nfrom numpy.linalg import norm\nfrom numpy import einsum, sqrt\n")
+    assert _blas_routes(planted) == [
+        "4: np.dot", "5: a @ b", "6: x.dot", "7: np.linalg", "8: g @= h",
+        "9: from numpy.linalg import norm", "10: from numpy import einsum, sqrt"]
+
+
+def test_no_module_routes_through_blas():
+    # every emitted byte is the same on any BLAS build and CPU
+    paths = sorted(Path(spincollapse.__file__).parent.glob("*.py"))
+    assert {"spin.py", "solver.py", "cli.py"} <= {path.name for path in paths}
+    routes = {path.name: _blas_routes(path.read_text()) for path in paths}
+    assert {name: found for name, found in routes.items() if found} == {}
 
 
 def _unused_helpers(helpers: str, others: list[str]) -> list[str]:

@@ -1,7 +1,6 @@
 """Command-line contract: envelopes, exit codes, round-trips, formats."""
 
 import csv
-import hashlib
 import io
 import json
 import math
@@ -20,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from digest_outputs import PINNED
 from helpers import landscape_table
 from spincollapse import Axis, PureState, SimConfig, TrajectoryStep, __version__, simulate
 from spincollapse import cli
@@ -876,129 +876,13 @@ class TestUsageErrors:
         assert __version__ in result.output
 
 
-# sha256 of stdout for a fixed command set, recorded on Python 3.11.7, numpy
-# 2.4.6 and click 8.4.0: numpy's vectorized `log` decides the landscape and
-# oracle grid bytes.  The 3-vector dots are the plain float sum `_dot3`, the
-# same on any BLAS build.  A deliberate change to the emitted bytes
-# re-records the digest it moves and says why in CHANGES.md; anything else
-# must keep them.
-# The first cases cover solve in both modes and bases, the oracle plain,
-# excluded, on an eigenstate and infeasible (exit 3), simulate under each
-# outcome rule, and landscape csv and tsv; the reordered argv lists pin the
-# input echo to the declared flag order.
-_STATE = "--rho 0.7 --tau 0.4 --theta-i 0.9 --phi-i 1.1"
-_PINNED = [
-    ("solve-strict-e", f"solve {_STATE}", 0,
-     "fb965bcc41532624ec0f52f5b1c3238c2a6834347203a9b66d3f2880cd589b7a"),
-    ("solve-strict-2", f"solve {_STATE} --entropy-base 2", 0,
-     "a7e8ac8613cbdaf027caee8de800a719bdd8bdafe44fb95bb071721b5dbb9b36"),
-    ("solve-reflective-e", f"solve {_STATE} --mode reflective", 0,
-     "1beb0d75c2f23809fb72605d24a806ab2a85b36bedf3cb637c5b29a26f437781"),
-    ("solve-reflective-2", f"solve {_STATE} --mode reflective --entropy-base 2", 0,
-     "539b5d007f3bb80fc087806ae23b3e5b15cf1c4829b8a3a5f07d0bd6f0bc61a8"),
-    ("oracle", f"oracle {_STATE} --mode reflective --grid 64x128", 0,
-     "6d7637638aa50fa2f5e923213987a28593059aa9ad828a55201e7721977b9a48"),
-    ("oracle-exclude",
-     f"oracle {_STATE} --mode reflective --grid 64x128 --exclude-trivial 0.25",
-     0, "cc47003de00f417a2307080da581cb300d5dfb78f542b6bac3f7a56a2c937422"),
-    ("oracle-eigenstate", "oracle --rho 1 --theta-i 0", 0,
-     "1f1ff68bfb867b219df5c18303fb03414428d95e8c0f98ab7055e811e513e786"),
-    ("oracle-infeasible",
-     "oracle --rho 0.9 --tau 0.3 --theta-i 1.0 --phi-i 0.5 --grid 8x8 "
-     "--constraint-tol 1e-9",
-     3, "50cc0731a0523a4a4539072307117a1d5b5252696dc418f7c64fa989b2771003"),
-    ("simulate-born",
-     f"simulate {_STATE} --steps 6 --mode reflective --outcome born --seed 11",
-     0, "395410efe6a0a70d0b5709d39f19a1b84c35c8e60859b5537a408f7a1f10d2d6"),
-    ("simulate-born-surprise",
-     f"simulate {_STATE} --steps 6 --mode reflective --outcome risk:born-surprise",
-     0, "662208f66d9e2407eb5eca8cde52a8739ce9fa186e6e99d72c43aeef6624a05d"),
-    ("simulate-alignment",
-     f"simulate {_STATE} --steps 6 --mode reflective --outcome risk:alignment",
-     0, "69cecc846f8d259f4d9c9f42f35727c97c9e571303a7d8cef1caa2e61bf66207"),
-    ("simulate-constant",
-     f"simulate {_STATE} --steps 6 --mode reflective --outcome risk:constant",
-     0, "5b834af6640140be1c347a6c3483ea09f3fea6739d21f946809f53c7a28c5ab5"),
-    ("simulate-flags-reordered",
-     "simulate --outcome risk:constant --steps 6 --mode reflective "
-     "--phi-i 1.1 --theta-i 0.9 --tau 0.4 --rho 0.7",
-     0, "5b834af6640140be1c347a6c3483ea09f3fea6739d21f946809f53c7a28c5ab5"),
-    ("oracle-exclude-flags-reordered",
-     "oracle --exclude-trivial 0.25 --grid 64x128 --mode reflective "
-     "--phi-i 1.1 --theta-i 0.9 --tau 0.4 --rho 0.7",
-     0, "cc47003de00f417a2307080da581cb300d5dfb78f542b6bac3f7a56a2c937422"),
-    ("landscape-csv", f"landscape {_STATE} --grid 20x40", 0,
-     "2350803f75a34826dfee0174323e75d17b0fdf052cafe64001a4ebf70ab0c20d"),
-    ("landscape-tsv", f"landscape {_STATE} --grid 20x40 --format tsv", 0,
-     "edba8873f45545c137c25fda0f58c34d8039f1fa686e9375b6ff172102e550c8"),
-    ("solve-degrees",
-     "solve --rho 0.7 --tau 30 --theta-i 60 --phi-i 45 --degrees --mode reflective",
-     0, "b83b5b69ac207061e9217c598769aadfd0bfcb18356ee7b0076ff16480e792d0"),
-    ("solve-degrees-flags-reordered",
-     "solve --mode reflective --degrees --phi-i 45 --theta-i 60 --tau 30 --rho 0.7",
-     0, "b83b5b69ac207061e9217c598769aadfd0bfcb18356ee7b0076ff16480e792d0"),
-    ("solve-amplitudes",
-     "solve --amp-up 0.6+0.2j --amp-down 0.5 --theta-i 0.9 --phi-i 1.1 "
-     "--mode reflective",
-     0, "08eb0e35b121ce94e92880153a5c3553575618c0cdcd94f19600218103295fc7"),
-    # small and odd grids, base 2, degrees, amplitudes and the merged circle
-    ("landscape-2x3-base2-degrees",
-     f"landscape {_STATE} --grid 2x3 --entropy-base 2 --degrees", 0,
-     "cc4972a7c2539fa60010313401d599bbb0a12427f603091240eb929d09786421"),
-    ("landscape-tsv-amplitudes",
-     "landscape --amp-up 0.6+0.2j --amp-down 0.5 --theta-i 0.9 --phi-i 1.1 "
-     "--grid 7x5 --format tsv",
-     0, "5176e7b82b5b149cf91c5d669f996740e91cc0fa9c131ad3e51b2dce3354074b"),
-    ("oracle-odd-grid-base2-exclude",
-     f"oracle {_STATE} --mode reflective --grid 37x91 --entropy-base 2 "
-     "--exclude-trivial 0.1",
-     0, "444869d546683fbbcf8c535b12cdfd5c66d072903be890b137d200dd1c1563ac"),
-    ("oracle-merged-circle",
-     "oracle --rho 0.5 --theta-i 0 --mode reflective --grid 64x128",
-     0, "92bcf4d4928d57ec47db53ac65a64a28e71b4d40f126ca623bc88af1d2269408"),
-    # a strict run that absorbs (records with "no_collapse": true, an echo
-    # with "seed": null) and a base-2 Born run at --tol 0
-    ("simulate-strict-absorbs", f"simulate {_STATE} --steps 4", 0,
-     "54bf1c3f43af00544da5d9d2a8886fc5777e34de1a87cd398dad08c25e0b4b64"),
-    ("simulate-born-tol0-base2",
-     f"simulate {_STATE} --steps 6 --outcome born --seed 0 --tol 0 --entropy-base 2",
-     0, "e49602dc18eac4aa7712a346a99a7ac2981fa6cef109c144cd671b929f175b75"),
-    # the landscape's antipodal row pairing: a middle row left unpaired, a
-    # pole axis, an eigenstate, an odd column count (no antipodal column),
-    # and the default 200x400 grid
-    ("landscape-odd-rows", f"landscape {_STATE} --grid 11x16", 0,
-     "0472d18308a65b692e91f263a75caabb3a44ce66440aac6204e066be60dae5c1"),
-    ("landscape-pole-axis", "landscape --rho 0.7 --tau 0.4 --theta-i 0 --grid 12x24", 0,
-     "69685810393d8762e80d925d9e934c48b9c528966c1e00f070f13074f9398c8c"),
-    ("landscape-eigenstate", "landscape --rho 1 --theta-i 0 --grid 8x8", 0,
-     "74003ce4e9c7291af0f91a831d634e495000b1942fe32c4035d715562261ce95"),
-    ("landscape-odd-columns", f"landscape {_STATE} --grid 10x15", 0,
-     "56cc697558a6c34e71135806d09c7580ca1e9d9dde3ecc2e2efe8d2b1e91b7bf"),
-    ("landscape-default-grid", f"landscape {_STATE}", 0,
-     "ea8b7e0a91ca76d4725f88caa46d765210720dcdf2e471937351dfbc6bee90b6"),
-    # cells that orjson spells unlike `repr`: 8 in [1e-5, 1e-4), 12 below
-    ("landscape-respelled-cells",
-     "landscape --rho 0.999999999 --tau 0.4 --theta-i 0.9 --phi-i 1.1 --grid 400x4 "
-     "--format tsv",
-     0, "06a8886b780b10cd925eea9fc00d4dd917df901104d4d7b4775533bc902aa762"),
-]
-
-
 class TestPinnedBytes:
-    @pytest.mark.parametrize(
-        "command, exit_code, digest",
-        [case[1:] for case in _PINNED],
-        ids=[case[0] for case in _PINNED],
-    )
-    def test_output_digest(self, runner, command, exit_code, digest):
-        result = runner.invoke(main, command.split())
-        assert result.exit_code == exit_code, result.output
-        assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
-
+    # the stdout bytes and exit codes of `PINNED` are the ``cli.pinned.<name>``
+    # lines of `DIGEST_LINES` in tests/test_scripts.py
     @pytest.mark.parametrize(
         "command",
-        [case[1] for case in _PINNED if case[1].startswith("landscape")],
-        ids=[case[0] for case in _PINNED if case[1].startswith("landscape")],
+        [case[1] for case in PINNED if case[1].startswith("landscape")],
+        ids=[case[0] for case in PINNED if case[1].startswith("landscape")],
     )
     def test_landscape_is_the_cell_by_cell_table(self, runner, monkeypatch, command):
         # on each pinned shape `_table`'s text is the one that formats every
@@ -1020,17 +904,19 @@ class TestPinnedBytes:
         "simulate-strict-absorbs", "simulate-born-tol0-base2",
     ])
     def test_out_file_equals_stdout(self, runner, tmp_path, name):
-        _, command, exit_code, digest = next(case for case in _PINNED if case[0] == name)
+        _, command, exit_code = next(case for case in PINNED if case[0] == name)
+        printed = runner.invoke(main, command.split())
+        assert printed.exit_code == exit_code, printed.output
         target = tmp_path / "doc.json"
         result = runner.invoke(main, [*command.split(), "--out", str(target)])
         assert result.exit_code == exit_code, result.output
         assert result.stdout_bytes == b""
-        assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+        assert target.read_bytes() == printed.stdout_bytes
 
     @pytest.mark.parametrize(
         "command, exit_code",
-        [case[1:3] for case in _PINNED if not case[1].startswith("landscape")],
-        ids=[case[0] for case in _PINNED if not case[1].startswith("landscape")],
+        [case[1:] for case in PINNED if not case[1].startswith("landscape")],
+        ids=[case[0] for case in PINNED if not case[1].startswith("landscape")],
     )
     def test_replays_from_input_echo(self, runner, command, exit_code):
         first = runner.invoke(main, command.split())

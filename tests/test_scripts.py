@@ -13,13 +13,14 @@ from pathlib import Path
 
 import pytest
 
+import digest_outputs
 from spincollapse import binary_entropy
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _python(*argv: str, **extra_env: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ, **extra_env)
+def _python(*argv: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
@@ -28,8 +29,8 @@ def _python(*argv: str, **extra_env: str) -> subprocess.CompletedProcess:
     )
 
 
-def _run(script: str, *args: str, **extra_env: str) -> subprocess.CompletedProcess:
-    return _python(str(ROOT / "scripts" / script), *args, **extra_env)
+def _run(script: str, *args: str) -> subprocess.CompletedProcess:
+    return _python(str(ROOT / "scripts" / script), *args)
 
 
 @pytest.mark.parametrize(
@@ -47,17 +48,15 @@ def test_script_runs(script, args, summary):
     assert summary in proc.stdout
 
 
-# The lines `digest_outputs.py` prints, recorded on Python 3.11.7, numpy
-# 2.4.6 and click 8.4.0: numpy's vectorized `log` decides the grid bytes of
-# the ``oracle.*``, ``landscape*`` and ``cli.json`` lines.  The 3-vector dots
-# are the plain float sum `_dot3`, so no line depends on the BLAS build.
-# The families cover the solver (``solve``, ``feasible_set``), the grid
-# (``oracle.*``, ``landscape*``), the CLI documents (``cli.*``),
-# trajectories (``simulate*``), near-eigenstates at eigen_tol 0
-# (``eigen_tol0``), and the scalar kernels and readers (``kernels``,
-# ``amplitudes``, ``vectors``); the script's docstring says which inputs
-# each one hashes.  A deliberate change to the emitted bytes re-records the
-# line it moves and says why in CHANGES.md; a fast path must keep them.
+# The lines `digest_outputs.py` prints, one per output family (its docstring
+# says which inputs each one hashes; ``cli.pinned.<name>`` is the command
+# `name` of `PINNED`), recorded on Python 3.11.7, numpy 2.4.6 and click 8.4.0: numpy's
+# vectorized `log` decides the grid bytes of the ``oracle.*``, ``landscape*``
+# and ``cli.*`` lines.  The 3-vector dots are the plain float sum `_dot3`,
+# the same on any BLAS build (`test_no_module_routes_through_blas`).  These
+# lines are the suite's one record of emitted bytes: a deliberate byte change
+# re-records the lines it moves and says why in CHANGES.md; any other
+# change, a fast path included, must keep them.
 DIGEST_LINES = """\
 solve                200  a8784dd13f43001253c43cc8c51a48596a555009a43c765704e3709fdd86da4a
 feasible_set          50  a5eebb6fbd7621ac3d79341d506f9051534355e19dde3c6d48c7a7944a4d47aa
@@ -70,6 +69,37 @@ landscape             14  16e09c3f6da24d24da74e6206c35bab9d9f17118a867c16aa01d5e
 landscape.shapes      65  dc2af32ab59ea29af789a78d3f27aa25b6260f08ca65703b0aea0e8bc4d7dd68
 cli.json             221  a17084c5861bc2324ff5c38b67a479a1cfcaba8cfe01c82ccb72afe659f1ca8a
 cli.simulate_long     56  e6109c8856fdab8c87de09974466f21c915be91f56e5d581da191c10a432037d
+cli.pinned.solve-strict-e     1  f9411175f0f02fcdf3ed054aa88f387bb7b07a555364919148cf0197028fcbb9
+cli.pinned.solve-strict-2     1  325d6d0fbea12830f5d10fef690495e601faad780c7aef7a5f7e3c879b411cbf
+cli.pinned.solve-reflective-e     1  e8eff3adc994568d34e680952f8c784e1d29945caf3e3dc54d56b1a1ce3ad9ae
+cli.pinned.solve-reflective-2     1  e4ff6f47440b3886c544f6573f64ad8d31b9761e7c4ff334f4e7415715565c1a
+cli.pinned.oracle      1  bb17cb4030ced1a167545dfa9d9415abdd08535e2bf4f0af95e25d16e92caf65
+cli.pinned.oracle-exclude     1  8b7ff65f03c494b0b386c84b19672f928a078bc3376ee5b5a89454fc70e66578
+cli.pinned.oracle-eigenstate     1  6c35c3965bddbfee96acc8b44ab65af8a829a3e74ddb4a167193ac2bafa4fd0b
+cli.pinned.oracle-infeasible     1  5585321a7102279f1ea95ec8b4bb44c1b4ff466a50294f62e87a5c9fd39e5931
+cli.pinned.simulate-born     1  e5770f0a7c86ed6c98b620a02cfc4d8136dc0df686bcc96eb63fef82ae1ec0a2
+cli.pinned.simulate-born-surprise     1  6634d233bd9949f2a37011b49554276a93187ef808db81fb9d08f504e0fa8267
+cli.pinned.simulate-alignment     1  6f4eb50e8f8b6759a1645974ac4a26c6475a9e2557ddf11a4d8fb7febe0d2dd2
+cli.pinned.simulate-constant     1  0a3f11509c9ce548a159403fe44ff14d0c2b6a967a070d20def09b88b52717d8
+cli.pinned.simulate-flags-reordered     1  0a3f11509c9ce548a159403fe44ff14d0c2b6a967a070d20def09b88b52717d8
+cli.pinned.oracle-exclude-flags-reordered     1  8b7ff65f03c494b0b386c84b19672f928a078bc3376ee5b5a89454fc70e66578
+cli.pinned.landscape-csv     1  affc3f7afd29c12a50c859e7ac1a188de59d0253ad91bf76e2fd0a9a634b4e6c
+cli.pinned.landscape-tsv     1  7046501d22415a61f987fd9e0f7ce0bf69b44b71752e5f9ce40e18b47613ed10
+cli.pinned.solve-degrees     1  b5aafbe8f8442d28c335d90558d8f0bb3b058057f5c0c3dc3bd1bf8ba829cc65
+cli.pinned.solve-degrees-flags-reordered     1  b5aafbe8f8442d28c335d90558d8f0bb3b058057f5c0c3dc3bd1bf8ba829cc65
+cli.pinned.solve-amplitudes     1  bdbcf78dabea20bedf40e406ecdf0bfd2796b29bdd1c921ea36dc674c89eb97a
+cli.pinned.landscape-2x3-base2-degrees     1  1dc2c7233b960cbf438d57732504f5019b9dfdc817f54b1aba99158d941d32ee
+cli.pinned.landscape-tsv-amplitudes     1  de6c5d9fa233f161db8701c36ef55a8ddc49d2babb592495c962757e1968a7ce
+cli.pinned.oracle-odd-grid-base2-exclude     1  da6c927754ed28ba0e65efcf5ca6c9cf5ec57b05d5524f2f80b7fdb636942b1f
+cli.pinned.oracle-merged-circle     1  4841d9b18aef1a6c7704de649a93acd4b38ec1e3395133aee0d88719aa3e8970
+cli.pinned.simulate-strict-absorbs     1  d9398e184418a5264cc620dfbfa11d0ba46166bf9242b6d40da4f84ac1b7ea17
+cli.pinned.simulate-born-tol0-base2     1  ea6ecf80684c59591c66955e69a0ab93cafa2b2a505181ec7b25283b7c56228b
+cli.pinned.landscape-odd-rows     1  e637440a376bb630e9a0d9fac20c82a82860c6837aa8b4b5f41b366f6effefe9
+cli.pinned.landscape-pole-axis     1  26423529bfb1428347cbbfe5393b41facedc7cbe78a116da9eb47037e985dd91
+cli.pinned.landscape-eigenstate     1  b6f2fc658065c541c89864d2664713a8e51bd75c3f893bae4db682b9f75cf3fc
+cli.pinned.landscape-odd-columns     1  c9ce8c122c960d5ec9ca3a4b1e87dfb3540b0479deda583ba70bef00ce16cbc8
+cli.pinned.landscape-default-grid     1  245acb906b3b845a5ca0b350fed6b0cf55879793f377dc78a0c71361723fec0a
+cli.pinned.landscape-respelled-cells     1  ad40278d987a2f3726e0caaa11a09d62ff2297f7ae158500c9a6ea35619b21d8
 simulate             400  8a6823a42166fa9db84273c532bb2b0a76c38f5136bcdfebb52fca155bc76706
 simulate.long        208  ae8dee897b4ecdd441ee569e8700f2fde8c96d78f4cbc8235f6cc1d01d6f270f
 simulate.born_long    28  62143250fdccb5f8736b6ba920cfcba01db96481e1b6b36c5cbe3de78199063d
@@ -80,47 +110,26 @@ vectors               60  d333e48592596da9ad66ddf8a61a171ac75ed8fba43d2c209a476f
 """
 
 
-def test_output_digests_unchanged():
-    proc = _run("digest_outputs.py")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == DIGEST_LINES
+@pytest.fixture(scope="session")
+def printed_digests() -> dict[str, str]:
+    """The lines `digest_outputs.main` prints, run once in this process,
+    by family."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert digest_outputs.main() == 0
+    return {line.split()[0]: line for line in out.getvalue().splitlines()}
 
 
-# The emitted bytes do not depend on the BLAS build: the same lines under two
-# OpenBLAS kernels forced in place of the one picked for the CPU, whose
-# `np.dot` calls round 3-vector dots differently.  OpenBLAS reads
-# OPENBLAS_CORETYPE only when built with DYNAMIC_ARCH; on other builds the
-# variable is ignored and this check holds trivially.
-@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
-def test_output_digests_blas_independent(coretype):
-    proc = _run("digest_outputs.py", OPENBLAS_CORETYPE=coretype)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == DIGEST_LINES
+_FAMILIES = [line.split()[0] for line in DIGEST_LINES.splitlines()]
 
 
-# One sha256 over the (rho, tau) bytes of `state_from_bloch` on 2,000 seeded
-# Gaussian vectors: a norm taken through `np.dot` rounds differently from one
-# OpenBLAS kernel to another on about 6 % of them.
-_BLOCH_DIGEST = """\
-import hashlib, struct
-import numpy as np
-from spincollapse import state_from_bloch
-h = hashlib.sha256()
-for v in np.random.default_rng(11).standard_normal((2000, 3)):
-    s = state_from_bloch(v)
-    h.update(struct.pack("<2d", s.rho, s.tau))
-print(h.hexdigest())
-"""
+@pytest.mark.parametrize("line", DIGEST_LINES.splitlines(), ids=_FAMILIES)
+def test_output_digests_unchanged(printed_digests, line):
+    assert printed_digests.get(line.split()[0]) == line
 
 
-@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
-def test_state_from_bloch_blas_independent(coretype):
-    here = io.StringIO()
-    with contextlib.redirect_stdout(here):
-        exec(_BLOCH_DIGEST, {})
-    proc = _python("-c", _BLOCH_DIGEST, OPENBLAS_CORETYPE=coretype)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == here.getvalue()
+def test_every_printed_family_is_recorded(printed_digests):
+    assert list(printed_digests) == _FAMILIES
 
 
 def _quickstart() -> tuple[str, list[str]]:
