@@ -170,6 +170,9 @@ PINNED = [
     # cells that orjson spells unlike `repr`: 8 in [1e-5, 1e-4), 12 below
     ("landscape-respelled-cells", "landscape --rho 0.999999999 --tau 0.4 --theta-i 0.9 "
      "--phi-i 1.1 --grid 400x4 --format tsv", 0),
+    # records with cells orjson spells unlike `repr`, in [1e-5, 1e-4) and below
+    ("simulate-near-pole", "simulate --rho 0.9999999 --tau 0.3 --theta-i 2e-6 "
+     "--phi-i 0.5 --steps 6 --mode reflective --outcome risk:alignment", 0),
 ]
 
 

@@ -15,10 +15,11 @@ own ``input`` block;
 ``landscape`` adds ``--format csv|tsv`` and emits delimiter-separated rows
 for external plotting, each cell the `repr` of its float, written by orjson
 one grid row at a time, and by `repr` on the lines a mask of the numbers
-flags (`_table`); only ``landscape`` imports orjson.
+flags (`_table`).
 A document is exactly ``json.dumps(doc, indent=2) + "\n"``, ASCII only;
-the trajectory records of ``simulate`` come from one template
-(`_write_records`), with the same bytes.
+orjson writes the trajectory records of ``simulate`` in one call, with the
+same bytes once `repr` re-spells its few small numbers (`_write_records`).
+Only ``simulate`` and ``landscape`` import orjson.
 Documents carry no timestamps: identical invocations produce bit-identical
 output.  Angles are radians unless ``--degrees`` is given; emitted angles are
 always canonicalized radians (theta in [0, pi], phi in [0, 2*pi)) at full
@@ -33,7 +34,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from types import SimpleNamespace
 
 import click
 
@@ -228,75 +228,53 @@ def _solve_results(sol: SolverSolution) -> dict:
     }
 
 
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _float(value: float) -> str:
-    """A float as `json` writes it: its `__repr__`, which ends in a digit
-    when finite, with nan, inf and -inf as NaN, Infinity and -Infinity."""
-    text = float.__repr__(value)
-    return _NON_FINITE[text] if text[-1] in "nf" else text
-
-
-# a record's line break and indent in the "trajectory" list of `simulate`'s
-# envelope, which is the value of "results" (indent 2) in the document
-_RECORD_LINE = "\n      "
-
-
-def _record_template() -> str:
-    """One trajectory record as ``json.dumps(doc, indent=2)`` writes its
-    `to_dict` document in `simulate`'s envelope, with ``%s`` in place of
-    each value, in the order `to_dict` reads them."""
-    slot = "%s"
-    pair = SimpleNamespace(rho=slot, tau=slot, theta=slot, phi=slot)
-    # a stand-in `self` with the record's attributes, so no record is built
-    # outside `simulate._walk`
-    marker = SimpleNamespace(
-        index=slot, state_before=pair, axis_measured=pair, p_up=slot, s=slot,
-        state_after=pair, axis_next=pair, s_i=slot, s_up_next=slot, no_collapse=slot,
-    )
-    text = json.dumps(TrajectoryStep.to_dict(marker), indent=2)
-    return text.replace(json.dumps(slot), slot).replace("\n", _RECORD_LINE)
-
-
-_RECORD = _record_template()
-
-
 def _write_records(records: list[TrajectoryStep]) -> str:
     """The "trajectory" list of `simulate`'s envelope: the bytes of
     ``json.dumps([ts.to_dict() for ts in records], indent=2)`` at that
-    list's indent, each record one `_RECORD` filled with its values.  A
-    run has at least one record (`SimConfig` requires ``steps >= 1``).
+    list's indent in the envelope.
 
-    A state or axis is formatted once: a record whose `state_before` (or
-    `axis_measured`) is the previous record's `state_after` (`axis_next`)
-    takes that record's strings, and a no-collapse record, whose
-    `state_after` and `axis_next` are its `state_before` and
-    `axis_measured`, takes its own.  Identity decides, not equality, so an
-    equal state or axis in a distinct object is formatted anew.
+    orjson writes the list in one call, nested as in the envelope, so that
+    each line has its indent there.  It writes the frozen dataclasses
+    `TrajectoryStep`, `PureState` and `Axis` as objects of their fields in
+    field order, which is `to_dict`'s key order, with the shortest
+    round-trip digits, which are `repr`'s.  Every record value is an angle,
+    a probability or an entropy, below 1e16 in magnitude, where only the
+    notation of the nonzero |x| < 1e-4 can differ: orjson writes
+    ``0.000015`` and ``1e-7`` for ``1.5e-05`` and ``1e-07``.  `repr`
+    re-spells each value holding ``0.0000`` or ``e-``; each value ends its
+    line.  orjson writes a non-finite float as ``null``, which raises
+    ValueError, as no record field can be None.
     """
-    parts = []
-    # the previous record's state and axis; no record holds None
-    after = axis = None
-    for ts in records:
-        state, measured = ts.state_before, ts.axis_measured
-        if state is not after:  # else rho_a, tau_a already hold its strings
-            rho_a, tau_a = _float(state.rho), _float(state.tau)
-        rho_b, tau_b = rho_a, tau_a
-        if measured is not axis:
-            theta_n, phi_n = _float(measured.theta), _float(measured.phi)
-        theta_m, phi_m = theta_n, phi_n
-        after, axis = ts.state_after, ts.axis_next
-        if after is not state:
-            rho_a, tau_a = _float(after.rho), _float(after.tau)
-        if axis is not measured:
-            theta_n, phi_n = _float(axis.theta), _float(axis.phi)
-        parts.append(_RECORD % (
-            ts.index, rho_b, tau_b, theta_m, phi_m, _float(ts.p_up), ts.s, rho_a,
-            tau_a, theta_n, phi_n, _float(ts.s_i), _float(ts.s_up_next),
-            "true" if ts.no_collapse else "false",
-        ))
-    return "[" + _RECORD_LINE + ("," + _RECORD_LINE).join(parts) + "\n    ]"
+    import orjson  # solve and oracle do not load it
+
+    text = orjson.dumps({"results": {"trajectory": records}},
+                        option=orjson.OPT_INDENT_2).decode()
+    # over these digits CPython's reverse search runs two to three times as
+    # fast as its forward one, and a one-character search ("-" of "e-")
+    # faster still
+    if text.rfind("null") != -1:
+        raise ValueError("a trajectory record holds a non-finite value")
+    text = text[text.index("["):text.rindex("]") + 1]
+    marks = []
+    at = text.rfind("0.0000")
+    while at != -1:
+        marks.append(at)
+        at = text.rfind("0.0000", 0, at)
+    at = text.find("-")
+    while at != -1:
+        if text[at - 1] == "e":
+            marks.append(at)
+        at = text.find("-", at + 1)
+    parts, last = [], 0
+    for at in sorted(marks):
+        start = text.rfind(" ", 0, at) + 1
+        end = text.find("\n", at)
+        if text[end - 1] == ",":
+            end -= 1
+        parts += text[last:start], repr(float(text[start:end]))
+        last = end
+    parts.append(text[last:])
+    return "".join(parts)
 
 
 def _envelope(command, input_echo, entropy_base, mode, results, warnings) -> str:
@@ -348,7 +326,7 @@ def _table(thetas, phis, p_up, s_f, residual, s_up, delimiter: str) -> str:
     cell as ``null``, which raises ValueError first.  One row of text at a
     time keeps the peak memory of a large grid near that of a csv writer.
     """
-    import orjson  # only landscape pays for its import
+    import orjson  # solve and oracle do not load it
 
     # every column starts as phi_f; each row writes the other five
     block = phis.repeat(len(_COLUMNS)).reshape(len(phis), len(_COLUMNS))

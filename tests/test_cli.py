@@ -1,6 +1,7 @@
 """Command-line contract: envelopes, exit codes, round-trips, formats."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -220,25 +221,30 @@ class TestLandscapeCommand:
             "theta_f", "phi_f", "p_up", "s_f", "constraint_residual", "s_up",
         ]
 
-    def test_only_landscape_imports_orjson(self):
-        # solve and simulate start up without the table formatter's module
+    def test_only_simulate_and_landscape_import_orjson(self):
+        # solve and oracle start up without the writers' module
         script = (
             "import sys\n"
             "from spincollapse.cli import main\n"
             "state = ['--rho', '0.7', '--theta-i', '0.9']\n"
-            "for argv in (['solve', *state], ['simulate', *state, '--steps', '3',\n"
-            "             '--outcome', 'risk:alignment'], ['landscape', *state]):\n"
-            "    main(argv, standalone_mode=False)\n"
-            "    print(argv[0], 'orjson' in sys.modules, file=sys.stderr)\n"
+            "commands = {'solve': [], 'oracle': ['--grid', '8x16'],\n"
+            "            'simulate': ['--steps', '3', '--outcome', 'risk:alignment'],\n"
+            "            'landscape': ['--grid', '4x8']}\n"
+            "for name in sys.argv[1:]:\n"
+            "    main([name, *state, *commands[name]], standalone_mode=False)\n"
+            "    print(name, 'orjson' in sys.modules, file=sys.stderr)\n"
         )
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                              text=True, env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stderr.splitlines() == [
-            "solve False", "simulate False", "landscape True"]
+        # landscape in an interpreter of its own: simulate has loaded orjson
+        for names, expected in ((["solve", "oracle", "simulate"],
+                                 ["solve False", "oracle False", "simulate True"]),
+                                (["landscape"], ["landscape True"])):
+            proc = subprocess.run([sys.executable, "-c", script, *names], capture_output=True,
+                                  text=True, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stderr.splitlines() == expected
 
     def test_json_format_rejected(self, runner):
         result = runner.invoke(
@@ -735,8 +741,8 @@ _EIGEN_STARTS = [(1.0, 0.0, 0.0, 0.0), (0.0, 0.0, math.pi, 1.0), (1.0, 0.0, math
 
 
 class TestTrajectoryRecords:
-    """`simulate` writes its records from one template (`cli._write_records`)
-    with the bytes of their `to_dict` documents through ``json.dumps``."""
+    """`simulate` has orjson write its records (`cli._write_records`) with
+    the bytes of their `to_dict` documents through ``json.dumps``."""
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -770,43 +776,64 @@ class TestTrajectoryRecords:
         if start in _EIGEN_STARTS:
             assert records[0].no_collapse
 
-    def test_reuse_follows_identity(self, monkeypatch):
-        formatted = []
+    @staticmethod
+    def _record(index, values, no_collapse=False):
+        """A record with these 11 floats in its float fields, in `to_dict`'s
+        order, its states and axes built past their constructors' checks."""
+        def raw(cls, **fields):
+            obj = object.__new__(cls)
+            obj.__dict__.update(fields)
+            return obj
 
-        def counting(value):
-            formatted.append(value)
-            return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
+        rho_b, tau_b, theta_m, phi_m, p_up, rho_a, tau_a, theta_n, phi_n, s_i, s_up = values
+        return TrajectoryStep(
+            index, raw(PureState, rho=rho_b, tau=tau_b), raw(Axis, theta=theta_m, phi=phi_m),
+            p_up, 1 - 2 * (index % 2), raw(PureState, rho=rho_a, tau=tau_a),
+            raw(Axis, theta=theta_n, phi=phi_n), s_i, s_up, no_collapse)
 
-        monkeypatch.setattr(cli, "_float", counting)
-        first = TrajectoryStep(0, PureState(0.7, 0.4), Axis(0.9, 1.1), 0.6, 1,
-                               PureState(0.2, 3.0), Axis(2.1, 4.0), 0.5, 0.25, False)
-        after = first.state_after
-        # equal to the state walked out of, but another object of other floats
-        twin = PureState(float(repr(after.rho)), float(repr(after.tau)))
-        assert twin == after and twin is not after and twin.rho is not after.rho
-        second = TrajectoryStep(1, twin, first.axis_next, 0.3, -1, PureState(0.4, 1.0),
-                                Axis(0.5, 0.6), 0.0, 0.0, False)
-        # shares no object with the record before it; -0.0 == 0.0 but is
-        # written "-0.0"
-        third = TrajectoryStep(2, PureState(0.9, 5.0), Axis(0.3, 0.2), math.nan, 1,
-                               PureState(0.1, 2.0), Axis(1.3, 3.3), -0.0, -0.0, False)
-        # no-collapse: walks out as it walked in, and then repeats
-        fourth = TrajectoryStep(3, third.state_after, third.axis_next, 1.0, 1,
-                                third.state_after, third.axis_next, 0.0, 0.0, True)
-        fifth = TrajectoryStep(4, fourth.state_before, fourth.axis_measured, fourth.p_up, 1,
-                               fourth.state_after, fourth.axis_next, fourth.s_i,
-                               fourth.s_up_next, True)
-        records = [first, second, third, fourth, fifth]
+    def test_every_notation_edge_in_every_field(self):
+        # each notation edge of `repr` against orjson: the nonzero |x| < 1e-4,
+        # both sides of 1e-4, the smallest subnormal and the signed zeros
+        edges = [1.5e-05, -1.5e-05, 9.99e-05, 1e-04, 1e-07, 5e-324, -0.0, 0.0]
+        # record k holds edge k + j in its float field j, so every field
+        # holds every edge
+        records = [self._record(k, [edges[(k + j) % len(edges)] for j in range(11)],
+                                no_collapse=k % 3 == 0)
+                   for k in range(len(edges))]
         # the records at their depth in the envelope: "trajectory" in "results"
         written = '{\n  "results": {\n    "trajectory": %s\n  }\n}' % cli._write_records(records)
         dicts = [ts.to_dict() for ts in records]
         assert written == json.dumps({"results": {"trajectory": dicts}}, indent=2)
-        # 11 floats a record: the twin's two and the unshared record's 11 are
-        # formatted; a no-collapse record formats only p_up, s_i and s_up_next
-        assert len(formatted) == 11 + (11 - 2) + 11 + 3 + 3
-        assert any(value is twin.rho for value in formatted)
-        assert any(value is twin.tau for value in formatted)
-        assert not any(value is first.axis_next.theta for value in formatted[11:])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_raises_and_prints_nothing(self, monkeypatch, bad):
+        for field in range(11):
+            values = [0.5] * 11
+            values[field] = bad
+            records = [self._record(0, [0.25] * 11), self._record(1, values)]
+            with pytest.raises(ValueError, match="non-finite"):
+                cli._write_records(records)
+        monkeypatch.setattr(cli, "simulate", lambda *args: records)
+        result = CliRunner().invoke(main, ["simulate", "--rho", "0.7", "--theta-i", "0.9",
+                                           "--steps", "2"])
+        assert isinstance(result.exception, ValueError)
+        assert result.stdout == ""
+
+    def test_orjson_reads_exactly_the_fields(self):
+        # orjson writes a dataclass as its instance __dict__, in insertion
+        # order: a cached public attribute would change the record bytes
+        runs = [simulate(PureState(rho, 0.4), Axis(theta, 1.1), SimConfig(4, mode, outcome, 3))
+                for rho, theta in ((0.7, 0.9), (1.0, 0.0))
+                for mode in ("strict", "reflective")
+                for outcome in ("born", "risk:alignment")]
+        doc = runs[0][0].to_dict()
+        assert [f.name for f in dataclasses.fields(TrajectoryStep)] == list(doc)
+        assert [f.name for f in dataclasses.fields(PureState)] == list(doc["state_before"])
+        assert [f.name for f in dataclasses.fields(Axis)] == list(doc["axis_measured"])
+        for ts in (ts for run in runs for ts in run):
+            for obj in (ts, ts.state_before, ts.axis_measured, ts.state_after, ts.axis_next):
+                assert list(vars(obj)) == [f.name for f in dataclasses.fields(obj)]
+        assert any(ts.no_collapse for run in runs for ts in run)
 
 
 class TestUsageErrors:

@@ -100,6 +100,7 @@ cli.pinned.landscape-eigenstate     1  b6f2fc658065c541c89864d2664713a8e51bd75c3
 cli.pinned.landscape-odd-columns     1  c9ce8c122c960d5ec9ca3a4b1e87dfb3540b0479deda583ba70bef00ce16cbc8
 cli.pinned.landscape-default-grid     1  245acb906b3b845a5ca0b350fed6b0cf55879793f377dc78a0c71361723fec0a
 cli.pinned.landscape-respelled-cells     1  ad40278d987a2f3726e0caaa11a09d62ff2297f7ae158500c9a6ea35619b21d8
+cli.pinned.simulate-near-pole     1  a9f60724490e7523e706de7af86f1665e89203d949398c201e72413dde4c16e2
 simulate             400  8a6823a42166fa9db84273c532bb2b0a76c38f5136bcdfebb52fca155bc76706
 simulate.long        208  ae8dee897b4ecdd441ee569e8700f2fde8c96d78f4cbc8235f6cc1d01d6f270f
 simulate.born_long    28  62143250fdccb5f8736b6ba920cfcba01db96481e1b6b36c5cbe3de78199063d
