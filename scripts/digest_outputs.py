@@ -173,6 +173,19 @@ PINNED = [
     # records with cells orjson spells unlike `repr`, in [1e-5, 1e-4) and below
     ("simulate-near-pole", "simulate --rho 0.9999999 --tau 0.3 --theta-i 2e-6 "
      "--phi-i 0.5 --steps 6 --mode reflective --outcome risk:alignment", 0),
+    # values no JSON document can hold are usage errors: an infinite oracle
+    # flag, and a seed beyond 64 bits (the largest 64-bit seed runs); and
+    # non-ASCII echoes, escaped as json.dumps escapes them
+    ("oracle-constraint-tol-inf", f"oracle {_STATE} --grid 16x32 --constraint-tol inf", 2),
+    ("oracle-exclude-trivial-inf", f"oracle {_STATE} --grid 16x32 --exclude-trivial inf", 2),
+    ("simulate-seed-beyond-64-bits",
+     f"simulate {_STATE} --steps 3 --mode reflective --outcome born "
+     "--seed 1180591620717411303424", 2),
+    ("simulate-seed-64-bit-max",
+     f"simulate {_STATE} --steps 3 --mode reflective --outcome born "
+     "--seed 18446744073709551615", 0),
+    ("solve-fullwidth-amplitude", "solve --amp-up \uff10.6 --amp-down 0.8 --theta-i 0.9", 0),
+    ("solve-astral-amplitude", "solve --amp-up \U0001d7ce.6 --amp-down 0.8 --theta-i 0.9", 0),
 ]
 
 

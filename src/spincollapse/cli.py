@@ -13,13 +13,11 @@ and axis inputs, ``--entropy-base`` and ``--out``.  ``solve``/``oracle``/
 document that echoes every input flag, so any output can be re-run from its
 own ``input`` block;
 ``landscape`` adds ``--format csv|tsv`` and emits delimiter-separated rows
-for external plotting, each cell the `repr` of its float, written by orjson
-one grid row at a time, and by `repr` on the lines a mask of the numbers
-flags (`_table`).
-A document is exactly ``json.dumps(doc, indent=2) + "\n"``, ASCII only;
-orjson writes the trajectory records of ``simulate`` in one call, with the
-same bytes once `repr` re-spells its few small numbers (`_write_records`).
-Only ``simulate`` and ``landscape`` import orjson.
+for external plotting, each cell the `repr` of its float.
+orjson writes every document: a JSON document in one call, exactly
+``json.dumps(doc, indent=2) + "\n"``, ASCII only, once the few numbers it
+spells unlike `repr` are re-spelled (`_envelope`), and the table in blocks
+of grid rows (`_table`); one rule, `_respelled`, re-spells both.
 Documents carry no timestamps: identical invocations produce bit-identical
 output.  Angles are radians unless ``--degrees`` is given; emitted angles are
 always canonicalized radians (theta in [0, pi], phi in [0, 2*pi)) at full
@@ -31,14 +29,15 @@ feasible point.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 
 import click
+import numpy as np
+import orjson
 
 from . import __version__
-from .simulate import RNG_NAME, SimConfig, TrajectoryStep, simulate
+from .simulate import RNG_NAME, SimConfig, simulate
 from .solver import (
     MODES,
     InfeasibleGridError,
@@ -150,7 +149,8 @@ def _resolve_inputs() -> tuple[PureState, Axis, dict]:
 
     Returns the state, the axis and the command's ``input`` echo: each flag
     but --out, in declaration order whatever the argv order.  A state flag
-    not given (--tau too) echoes None, so every echo replays.
+    not given (--tau too) echoes None, so every echo replays; a non-finite
+    float flag, which no JSON number can echo, is a usage error.
     """
     ctx = click.get_current_context()
     flags = ctx.params
@@ -175,6 +175,9 @@ def _resolve_inputs() -> tuple[PureState, Axis, dict]:
         state = _guard(PureState, rho, 0.0 if tau is None else angle(tau))
     axis = _guard(Axis, angle(flags["theta_i"]), angle(flags["phi_i"]))
     echo = {p.name: flags[p.name] for p in ctx.command.params if p.name != "out"}
+    for p in ctx.command.params:
+        if isinstance(flags[p.name], float) and not math.isfinite(flags[p.name]):
+            raise click.BadParameter(f"{flags[p.name]!r} is not finite", param=p)
     return state, axis, echo
 
 
@@ -212,72 +215,27 @@ def _guard(fn, *args, **kwargs):
 # output plumbing
 
 
-def _axis_dict(a: Axis) -> dict:
-    return {"theta": a.theta, "phi": a.phi}
-
-
 def _solve_results(sol: SolverSolution) -> dict:
-    return {
-        "no_collapse": sol.no_collapse,
-        "minimizers": [_axis_dict(a) for a in sol.minimizers],
-        "objective": sol.objective,
-        "extrema": [
-            {"axis": _axis_dict(e.axis), "value": e.value, "kind": e.kind}
-            for e in sol.extrema
-        ],
-    }
-
-
-def _write_records(records: list[TrajectoryStep]) -> str:
-    """The "trajectory" list of `simulate`'s envelope: the bytes of
-    ``json.dumps([ts.to_dict() for ts in records], indent=2)`` at that
-    list's indent in the envelope.
-
-    orjson writes the list in one call, nested as in the envelope, so that
-    each line has its indent there.  It writes the frozen dataclasses
-    `TrajectoryStep`, `PureState` and `Axis` as objects of their fields in
-    field order, which is `to_dict`'s key order, with the shortest
-    round-trip digits, which are `repr`'s.  Every record value is an angle,
-    a probability or an entropy, below 1e16 in magnitude, where only the
-    notation of the nonzero |x| < 1e-4 can differ: orjson writes
-    ``0.000015`` and ``1e-7`` for ``1.5e-05`` and ``1e-07``.  `repr`
-    re-spells each value holding ``0.0000`` or ``e-``; each value ends its
-    line.  orjson writes a non-finite float as ``null``, which raises
-    ValueError, as no record field can be None.
-    """
-    import orjson  # solve and oracle do not load it
-
-    text = orjson.dumps({"results": {"trajectory": records}},
-                        option=orjson.OPT_INDENT_2).decode()
-    # over these digits CPython's reverse search runs two to three times as
-    # fast as its forward one, and a one-character search ("-" of "e-")
-    # faster still
-    if text.rfind("null") != -1:
-        raise ValueError("a trajectory record holds a non-finite value")
-    text = text[text.index("["):text.rindex("]") + 1]
-    marks = []
-    at = text.rfind("0.0000")
-    while at != -1:
-        marks.append(at)
-        at = text.rfind("0.0000", 0, at)
-    at = text.find("-")
-    while at != -1:
-        if text[at - 1] == "e":
-            marks.append(at)
-        at = text.find("-", at + 1)
-    parts, last = [], 0
-    for at in sorted(marks):
-        start = text.rfind(" ", 0, at) + 1
-        end = text.find("\n", at)
-        if text[end - 1] == ",":
-            end -= 1
-        parts += text[last:start], repr(float(text[start:end]))
-        last = end
-    parts.append(text[last:])
-    return "".join(parts)
+    """`solve`'s results, with its `Axis` and `Extremum` dataclasses."""
+    return {"no_collapse": sol.no_collapse, "minimizers": sol.minimizers,
+            "objective": sol.objective, "extrema": sol.extrema}
 
 
 def _envelope(command, input_echo, entropy_base, mode, results, warnings) -> str:
+    """The command's document, with the bytes of ``json.dumps(doc, indent=2)
+    + "\n"``, `simulate`'s `TrajectoryStep` records as their `to_dict`.
+
+    orjson writes it in one call, in that layout, dataclasses as objects of
+    their fields in field order, which is `to_dict`'s key order, and floats
+    in `repr`'s shortest round-trip digits.  Non-ASCII text and DEL, which
+    it writes as they are, are escaped here.  It spells the nonzero
+    |x| < 1e-4 and the |x| >= 1e16 otherwise (``0.000015``, ``1e-7``,
+    ``1e20``): `_respelled` gets each line holding a ``0.0000`` or an ``e``
+    after a digit, which numpy finds, as a str scan would stop at every key.
+    It writes a non-finite float as ``null`` (the flags are finite, and
+    `cmd_simulate` checks its records) and raises on an integer beyond 64
+    bits (the --seed range).
+    """
     doc = {
         "tool": {"name": _TOOL_NAME, "version": __version__},
         "command": command,
@@ -287,7 +245,22 @@ def _envelope(command, input_echo, entropy_base, mode, results, warnings) -> str
         "results": results,
         "warnings": warnings,
     }
-    return json.dumps(doc, indent=2) + "\n"
+    text = orjson.dumps(doc, option=orjson.OPT_INDENT_2 | orjson.OPT_APPEND_NEWLINE).decode()
+    if not text.isascii() or "\x7f" in text:
+        text = "".join(c if c < "\x7f" else _escaped(c) for c in text)
+    codes = np.frombuffer(text.encode(), np.uint8)
+    marks = np.flatnonzero((codes[1:] == ord("e")) & (codes[:-1] - ord("0") < 10)).tolist()
+    at = text.rfind("0.0000")
+    while at != -1:
+        marks.append(at)
+        at = text.rfind("0.0000", 0, at)
+    return _respell_lines(text, sorted(marks))
+
+
+def _escaped(c: str) -> str:
+    """A character as json.dumps escapes it: a surrogate pair above U+FFFF."""
+    units = c.encode("utf-16-be")
+    return "".join(f"\\u{units[k] << 8 | units[k + 1]:04x}" for k in range(0, len(units), 2))
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -305,50 +278,77 @@ def _emit(text: str, out: str | None) -> None:
 
 
 _COLUMNS = ("theta_f", "phi_f", "p_up", "s_f", "constraint_residual", "s_up")
+_BLOCK_LINES = 512  # about as many table lines go to one orjson call
 
 
 def _respelled(line: str) -> str:
-    """A line of orjson cells, its exponents and the ``0.0000...`` of
-    [1e-5, 1e-4) re-spelled by `repr`."""
-    return ",".join(repr(float(cell)) if "e" in cell or cell.lstrip("-").startswith("0.0000")
-                    else cell for cell in line.split(","))
+    """A line orjson wrote, with `repr`'s spelling for each number holding an
+    ``e`` and the ``0.0000...`` of [1e-5, 1e-4).  The numbers of a table
+    line are its cells; a document line holds one after its last space if
+    it ends in a digit, a comma aside, where a string ends in a quote.
+    """
+    if not line.rstrip(",")[-1:].isdigit():
+        return line
+    head, space, cells = line.rpartition(" ")
+    return head + space + ",".join(
+        repr(float(cell)) if "e" in cell or cell.lstrip("-").startswith("0.0000") else cell
+        for cell in cells.split(","))
+
+
+def _respell_lines(text: str, marks: list[int]) -> str:
+    """The text, each line of which ends in a line break, with `_respelled`
+    on each line holding one of the ascending positions `marks`."""
+    parts, last = [], 0
+    for at in marks:
+        if at < last:
+            continue
+        start = text.rfind("\n", 0, at) + 1
+        end = text.index("\n", at)
+        parts += text[last:start], _respelled(text[start:end])
+        last = end
+    parts.append(text[last:])
+    return "".join(parts)
 
 
 def _table(thetas, phis, p_up, s_f, residual, s_up, delimiter: str) -> str:
     """The landscape rows, each cell the `repr` of its float, under a header.
 
     float reprs never hold a delimiter, a quote or a line break, so the rows
-    need no CSV quoting.  Each grid row is one ``(n_phi, 6)`` block that
-    orjson writes in one call as ``[[a,b,...],[...]]``, with the shortest
-    round-trip digits, which are `repr`'s.  Only the notation can differ,
-    for the nonzero |x| < 1e-4 and the |x| >= 1e16: a mask of them picks the
-    lines `_respelled` gives `repr`'s spelling.  orjson writes a non-finite
-    cell as ``null``, which raises ValueError first.  One row of text at a
-    time keeps the peak memory of a large grid near that of a csv writer.
+    need no CSV quoting.  orjson writes a reused block of whole grid rows,
+    about `_BLOCK_LINES` lines, flat in one call, in `repr`'s shortest
+    round-trip digits; every 6th comma becomes a line break.  A mask of the
+    nonzero |x| < 1e-4 and the |x| >= 1e16, whose notation can differ,
+    picks the lines for `_respelled`.  A non-finite cell, written ``null``,
+    raises ValueError first.  One block of text at a time keeps the peak
+    memory of a large grid near that of a csv writer.
     """
-    import orjson  # solve and oracle do not load it
-
-    # every column starts as phi_f; each row writes the other five
-    block = phis.repeat(len(_COLUMNS)).reshape(len(phis), len(_COLUMNS))
-    columns = block.T
+    n_phi = len(phis)
+    block = np.empty((max(1, _BLOCK_LINES // n_phi), n_phi, len(_COLUMNS)))
+    block[:, :, 1] = phis
     # the lines holding a cell orjson may spell unlike repr
     odd = False
     for magnitude in map(abs, (thetas[:, None], phis, p_up, s_f, residual, s_up)):
         odd = odd | ((magnitude < 1e-4) & (magnitude > 0)) | (magnitude >= 1e16)
-    rows = [delimiter.join(_COLUMNS)]
-    for theta, respell, *cells in zip(thetas.tolist(), odd, p_up, s_f, residual, s_up):
-        columns[0] = theta
-        columns[2:] = cells
-        text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+    parts = [delimiter.join(_COLUMNS) + "\n"]
+    for r0 in range(0, len(thetas), len(block)):
+        rows = slice(r0, r0 + len(block))
+        cells = block[:len(thetas[rows])]
+        cells[:, :, 0] = thetas[rows, None]
+        for k, column in enumerate((p_up, s_f, residual, s_up), 2):
+            cells[:, :, k] = column[rows]
+        raw = bytearray(orjson.dumps(cells.reshape(-1), option=orjson.OPT_SERIALIZE_NUMPY))
+        codes = np.frombuffer(raw, np.uint8)
+        commas = np.flatnonzero(codes == ord(","))
+        codes[commas[5::6]] = codes[-1] = ord("\n")
+        text = raw[1:].decode()
         if "n" in text:  # a "null": no float spelling holds an n
-            raise ValueError(f"landscape row theta_f={theta!r} has a non-finite cell")
-        lines = text[2:-2].split("],[")
-        for j in respell.nonzero()[0].tolist():
-            lines[j] = _respelled(lines[j])
-        text = "\n".join(lines)
-        rows.append(text if delimiter == "," else text.replace(",", delimiter))
-    rows.append("")
-    return "\n".join(rows)
+            row = r0 + text.count("\n", 0, text.index("n")) // n_phi
+            raise ValueError(f"landscape row theta_f={thetas.item(row)!r} has a non-finite cell")
+        # a mark in each flagged line: its first comma, less the "[" cut off
+        flagged = np.flatnonzero(odd[rows])
+        text = _respell_lines(text, (commas[6 * flagged] - 1).tolist())
+        parts.append(text if delimiter == "," else text.replace(",", delimiter))
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +425,7 @@ def cmd_oracle(mode, entropy_base, tol, out, grid, constraint_tol, exclude_trivi
     except InfeasibleGridError as exc:
         oracle = {"error": "infeasible-grid", "message": str(exc)}
     else:
-        oracle = {"no_collapse": False, "axis": _axis_dict(axis_o), "objective": obj_o}
+        oracle = {"no_collapse": False, "axis": axis_o, "objective": obj_o}
     sol = _guard(solve, state, axis_i, mode, base=base, eigen_tol=tol)
     discrepancy = oracle["objective"] - sol.objective if "objective" in oracle else None
     results = {
@@ -444,7 +444,7 @@ def cmd_oracle(mode, entropy_base, tol, out, grid, constraint_tol, exclude_trivi
 @click.option("--steps", type=int, required=True, help="Number of measurements (>= 1).")
 @click.option("--outcome", default="risk:born-surprise", show_default=True,
               help="Outcome rule: 'born' (seeded sampling) or 'risk:<name>'.")
-@click.option("--seed", type=int, default=None,
+@click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=None,
               help="RNG seed; required when --outcome born.")
 def cmd_simulate(mode, entropy_base, tol, out, steps, outcome, seed, **_):
     """Run a measurement trajectory and emit every step."""
@@ -458,12 +458,12 @@ def cmd_simulate(mode, entropy_base, tol, out, steps, outcome, seed, **_):
     warnings = []
     if risk is not None:
         warnings.append(f"risk function {risk.name!r} is an {risk.note}")
-    results = {"rng": RNG_NAME if risk is None else None, "trajectory": []}
+    results = {"rng": RNG_NAME if risk is None else None, "trajectory": trajectory}
     text = _envelope("simulate", echo, entropy_base, mode, results, warnings)
-    # the first "trajectory" key is the results' own: the echo holds no such
-    # key, and inside a JSON string every quote is escaped
-    records = '"trajectory": ' + _write_records(trajectory)
-    _emit(text.replace('"trajectory": []', records, 1), out)
+    # a non-finite float is written null, which no record holds (rfind: faster)
+    if text.rfind("null", text.index('"trajectory"'), text.rindex('"warnings"')) != -1:
+        raise ValueError("a trajectory record holds a non-finite value")
+    _emit(text, out)
 
 
 if __name__ == "__main__":

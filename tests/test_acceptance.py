@@ -328,13 +328,14 @@ def test_each_argument_rule_is_written_once():
     # the finite test, zero test and rescale of a raw vector or amplitude
     # pair: `spin._raw_parts`; `state_from_amplitudes` rescales a subnormal
     # |down| after normalizing.  The other finite tests are of an angle
-    # pair, a spinor's norm, a state's (rho, tau), a log base and a start
-    # azimuth.
+    # pair, a spinor's norm, a state's (rho, tau), a log base, a start
+    # azimuth and a CLI flag the JSON echo holds.
     assert _where(_named("math", "frexp", "ldexp")) == {
         "spin._raw_parts", "spin.state_from_amplitudes"}
     assert _where(_named("math", "isfinite")) == {
         "spin._raw_parts", "spin.Axis.__init__", "spin.Spinor.__post_init__",
-        "spin.PureState.__init__", "entropy._check_base", "solver.azimuth_descent"}
+        "spin.PureState.__init__", "entropy._check_base", "solver.azimuth_descent",
+        "cli._resolve_inputs"}
     # the readers of `_floats3`'s parts test nothing again
     readers = {"spin._xyz_angles", "spin.axis_from_vector", "spin.state_from_bloch"}
     assert readers & _where(lambda node: isinstance(node, ast.Raise)) == set()

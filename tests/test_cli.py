@@ -25,7 +25,7 @@ from helpers import landscape_table
 from spincollapse import Axis, PureState, SimConfig, TrajectoryStep, __version__, simulate
 from spincollapse import cli
 from spincollapse.cli import _table, main
-from spincollapse.solver import _entropy_grid
+from spincollapse.solver import MODES, Extremum, _entropy_grid, solve
 
 H_QUARTER = 0.5623351446188083
 H_QUARTER_BITS = 0.8112781244591328  # same value in base 2
@@ -221,30 +221,29 @@ class TestLandscapeCommand:
             "theta_f", "phi_f", "p_up", "s_f", "constraint_residual", "s_up",
         ]
 
-    def test_only_simulate_and_landscape_import_orjson(self):
-        # solve and oracle start up without the writers' module
+    def test_no_command_loads_json(self):
+        # every command writes through orjson alone.  orjson 3.8 imports
+        # json itself, as the base of its JSONDecodeError, so json is barred
+        # only once orjson is in: an import of it after that raises
         script = (
             "import sys\n"
+            "import orjson\n"
+            "sys.modules['json'] = None\n"
             "from spincollapse.cli import main\n"
             "state = ['--rho', '0.7', '--theta-i', '0.9']\n"
-            "commands = {'solve': [], 'oracle': ['--grid', '8x16'],\n"
-            "            'simulate': ['--steps', '3', '--outcome', 'risk:alignment'],\n"
-            "            'landscape': ['--grid', '4x8']}\n"
-            "for name in sys.argv[1:]:\n"
-            "    main([name, *state, *commands[name]], standalone_mode=False)\n"
-            "    print(name, 'orjson' in sys.modules, file=sys.stderr)\n"
+            "for name, *flags in (['solve'], ['oracle', '--grid', '8x16'],\n"
+            "                     ['simulate', '--steps', '3', '--outcome', 'risk:alignment'],\n"
+            "                     ['landscape', '--grid', '4x8']):\n"
+            "    main([name, *state, *flags], standalone_mode=False)\n"
+            "    print(name, file=sys.stderr)\n"
         )
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
-        # landscape in an interpreter of its own: simulate has loaded orjson
-        for names, expected in ((["solve", "oracle", "simulate"],
-                                 ["solve False", "oracle False", "simulate True"]),
-                                (["landscape"], ["landscape True"])):
-            proc = subprocess.run([sys.executable, "-c", script, *names], capture_output=True,
-                                  text=True, env=env, timeout=120)
-            assert proc.returncode == 0, proc.stderr
-            assert proc.stderr.splitlines() == expected
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines() == ["solve", "oracle", "simulate", "landscape"]
 
     def test_json_format_rejected(self, runner):
         result = runner.invoke(
@@ -295,7 +294,7 @@ _EDGES = [5e-324, 1e-05, math.nextafter(1e-4, 0.0), 1e-4, 9999999999999998.0, 1e
 
 
 class TestLandscapeTable:
-    """`cli._table` writes each grid row in one orjson call and re-spells by
+    """`cli._table` writes blocks of grid rows by orjson and re-spells by
     `repr` only the lines that a mask of the numbers flags, and in them only
     the cells whose notation differs; `helpers.landscape_table` formats
     every cell by its own `repr`, and is its oracle."""
@@ -380,6 +379,23 @@ class TestLandscapeTable:
         edges = np.array([x for edge in _EDGES for x in (edge, -edge)] + [0.0, -0.0])
         grids = np.array([np.roll(edges, k) for k in range(4)]).reshape(4, 4, 4)
         self._rows_are_reprs(edges[:4], edges[-4:], grids)
+
+    @pytest.mark.parametrize("n_theta, n_phi", [(2, 2), (12, 100), (11, 512), (3, 600),
+                                                (7, 513)])
+    @pytest.mark.parametrize("delimiter", [",", "\t"], ids=["csv", "tsv"])
+    def test_block_edges(self, n_theta, n_phi, delimiter):
+        # each orjson call writes whole grid rows, about `_BLOCK_LINES` lines:
+        # one block; a short last block (5 rows of 100 to a block); one row
+        # to a block; rows longer than a block.  A cell to re-spell stands on
+        # the first and on the last line of every block
+        thetas, phis, *grids = _entropy_grid(PureState(0.7, 0.4), Axis(0.9, 1.1),
+                                             n_theta, n_phi, math.e)
+        rows = max(1, cli._BLOCK_LINES // n_phi)
+        for r0 in range(0, n_theta, rows):
+            grids[0][r0, 0] = 5e-05
+            grids[3][min(r0 + rows, n_theta) - 1, -1] = -1e17
+        assert _table(thetas, phis, *grids, delimiter) == landscape_table(
+            thetas, phis, *grids, delimiter)
 
     @staticmethod
     def _planted():
@@ -736,13 +752,61 @@ class TestDocumentBytes:
         assert result.output == expected.output
 
 
+# every value an echo can hold: no value, a flag, an integer up to the
+# largest seed, a finite float, at each notation edge too, and text,
+# non-ASCII, astral or DEL, or holding what reads like a number
+_SIGNED_EDGES = st.sampled_from(
+    [*_EDGES, 1e-12, 1e20, math.nextafter(1e-5, 0.0), 2.2250738585072014e-308, 0.0]
+).flatmap(lambda x: st.sampled_from([x, -x]))
+_ECHO_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**63, 2**64 - 1),
+    st.sampled_from([2**64 - 1, 2**63, -2**63]), _FINITE, _SIGNED_EDGES, st.text(),
+    st.sampled_from(["1e-05+0j", "e-", "1e1", "0.0000", "0.00001", " 1e-5,", "1e16",
+                     "\uff10.6", "\U0001d7ce.6", "\x7f", "null"]),
+)
+
+
+class TestDocumentWriter:
+    """`cli._envelope` has orjson write a whole document in one call, with
+    the bytes of ``json.dumps(doc, indent=2) + "\\n"``."""
+
+    @staticmethod
+    def _json_dumps(echo, results, warnings) -> str:
+        doc = {"tool": {"name": "spincollapse", "version": __version__}, "command": "solve",
+               "input": echo, "entropy_base": "e", "mode": "strict", "results": results,
+               "warnings": warnings}
+        return json.dumps(doc, indent=2) + "\n"
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        echo=st.dictionaries(st.text(max_size=8), _ECHO_VALUES, max_size=8),
+        results=st.recursive(_ECHO_VALUES, lambda inner: st.lists(inner, max_size=4) | (
+            st.dictionaries(st.text(max_size=8), inner, max_size=4)), max_leaves=16),
+        warnings=st.lists(st.text(), max_size=3),
+    )
+    def test_matches_json_dumps(self, echo, results, warnings):
+        text = cli._envelope("solve", echo, "e", "strict", results, warnings)
+        assert text == self._json_dumps(echo, results, warnings)
+
+    def test_every_notation_edge(self):
+        # each float edge in each place a number can stand: an echo value,
+        # a list item and the last item of an object or a list
+        edges = [x for edge in [*_EDGES, 1e-12, 1e20, 2.2250738585072014e-308, 0.0]
+                 for x in (edge, -edge)]
+        echo = {f"x{k}": x for k, x in enumerate(edges)}
+        results = {"list": edges, "objects": [{"a": x, "b": x} for x in edges]}
+        text = cli._envelope("solve", echo, "e", "strict", results, [])
+        assert text == self._json_dumps(echo, results, [])
+
+
 # exact eigenstates of their axis: the first record is already no-collapse
 _EIGEN_STARTS = [(1.0, 0.0, 0.0, 0.0), (0.0, 0.0, math.pi, 1.0), (1.0, 0.0, math.pi, 2.0)]
 
 
 class TestTrajectoryRecords:
-    """`simulate` has orjson write its records (`cli._write_records`) with
-    the bytes of their `to_dict` documents through ``json.dumps``."""
+    """`simulate`'s document, written with its records by one orjson call
+    (`cli._envelope`), holds the bytes of their `to_dict` documents through
+    ``json.dumps``."""
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -800,10 +864,10 @@ class TestTrajectoryRecords:
         records = [self._record(k, [edges[(k + j) % len(edges)] for j in range(11)],
                                 no_collapse=k % 3 == 0)
                    for k in range(len(edges))]
-        # the records at their depth in the envelope: "trajectory" in "results"
-        written = '{\n  "results": {\n    "trajectory": %s\n  }\n}' % cli._write_records(records)
-        dicts = [ts.to_dict() for ts in records]
-        assert written == json.dumps({"results": {"trajectory": dicts}}, indent=2)
+        written = cli._envelope("simulate", {}, "e", "strict", {"trajectory": records}, [])
+        doc = json.loads(written)
+        doc["results"]["trajectory"] = [ts.to_dict() for ts in records]
+        assert written == json.dumps(doc, indent=2) + "\n"
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_value_raises_and_prints_nothing(self, monkeypatch, bad):
@@ -811,13 +875,12 @@ class TestTrajectoryRecords:
             values = [0.5] * 11
             values[field] = bad
             records = [self._record(0, [0.25] * 11), self._record(1, values)]
-            with pytest.raises(ValueError, match="non-finite"):
-                cli._write_records(records)
-        monkeypatch.setattr(cli, "simulate", lambda *args: records)
-        result = CliRunner().invoke(main, ["simulate", "--rho", "0.7", "--theta-i", "0.9",
-                                           "--steps", "2"])
-        assert isinstance(result.exception, ValueError)
-        assert result.stdout == ""
+            monkeypatch.setattr(cli, "simulate", lambda *args: records)
+            result = CliRunner().invoke(main, ["simulate", "--rho", "0.7", "--theta-i", "0.9",
+                                               "--steps", "2"])
+            assert isinstance(result.exception, ValueError)
+            assert "non-finite" in str(result.exception)
+            assert result.stdout == ""
 
     def test_orjson_reads_exactly_the_fields(self):
         # orjson writes a dataclass as its instance __dict__, in insertion
@@ -834,6 +897,12 @@ class TestTrajectoryRecords:
             for obj in (ts, ts.state_before, ts.axis_measured, ts.state_after, ts.axis_next):
                 assert list(vars(obj)) == [f.name for f in dataclasses.fields(obj)]
         assert any(ts.no_collapse for run in runs for ts in run)
+        # and `solve`'s axes and extrema, which `cli._solve_results` hands on
+        sols = [solve(PureState(0.7, 0.4), Axis(0.9, 1.1), mode) for mode in MODES]
+        assert [f.name for f in dataclasses.fields(Extremum)] == ["axis", "value", "kind"]
+        for obj in (obj for sol in sols for e in sol.extrema
+                    for obj in (*sol.minimizers, e, e.axis)):
+            assert list(vars(obj)) == [f.name for f in dataclasses.fields(obj)]
 
 
 class TestUsageErrors:
@@ -873,6 +942,12 @@ class TestUsageErrors:
              "--outcome", "born", "--seed", "-1"],
             ["simulate", "--rho", "0.7", "--theta-i", "1", "--steps", "1",
              "--seed", "-1"],
+            # values no JSON document can hold: a seed beyond 64 bits and an
+            # infinite oracle flag
+            ["simulate", "--rho", "0.7", "--theta-i", "1", "--steps", "1",
+             "--outcome", "born", "--seed", str(2**64)],
+            ["oracle", "--rho", "0.7", "--theta-i", "1", "--constraint-tol", "inf"],
+            ["oracle", "--rho", "0.7", "--theta-i", "1", "--exclude-trivial", "inf"],
             # on an eigenstate the oracle still checks its flags before it stops
             ["oracle", "--rho", "1", "--theta-i", "0", "--grid", "2x2"],
             ["oracle", "--rho", "1", "--theta-i", "0", "--constraint-tol", "-1"],
@@ -901,6 +976,11 @@ class TestUsageErrors:
         result = runner.invoke(main, ["--version"])
         assert result.exit_code == 0
         assert __version__ in result.output
+
+
+# the pinned commands that print a JSON document: a usage error prints none
+_DOCUMENT_PINS = [case for case in PINNED
+                  if not case[1].startswith("landscape") and case[2] != 2]
 
 
 class TestPinnedBytes:
@@ -942,8 +1022,7 @@ class TestPinnedBytes:
 
     @pytest.mark.parametrize(
         "command, exit_code",
-        [case[1:] for case in PINNED if not case[1].startswith("landscape")],
-        ids=[case[0] for case in PINNED if not case[1].startswith("landscape")],
+        [case[1:] for case in _DOCUMENT_PINS], ids=[case[0] for case in _DOCUMENT_PINS],
     )
     def test_replays_from_input_echo(self, runner, command, exit_code):
         first = runner.invoke(main, command.split())

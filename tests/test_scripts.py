@@ -101,6 +101,12 @@ cli.pinned.landscape-odd-columns     1  c9ce8c122c960d5ec9ca3a4b1e87dfb3540b0479
 cli.pinned.landscape-default-grid     1  245acb906b3b845a5ca0b350fed6b0cf55879793f377dc78a0c71361723fec0a
 cli.pinned.landscape-respelled-cells     1  ad40278d987a2f3726e0caaa11a09d62ff2297f7ae158500c9a6ea35619b21d8
 cli.pinned.simulate-near-pole     1  a9f60724490e7523e706de7af86f1665e89203d949398c201e72413dde4c16e2
+cli.pinned.oracle-constraint-tol-inf     1  cd98998afc385eefa0b40e6244bcfa9d61850f8fc2054f8c1f3926b3e310522a
+cli.pinned.oracle-exclude-trivial-inf     1  cd98998afc385eefa0b40e6244bcfa9d61850f8fc2054f8c1f3926b3e310522a
+cli.pinned.simulate-seed-beyond-64-bits     1  cd98998afc385eefa0b40e6244bcfa9d61850f8fc2054f8c1f3926b3e310522a
+cli.pinned.simulate-seed-64-bit-max     1  d59405e9e2de10dc869bdae054d63d22650ab599dcb9c0e1a5bc639c72eb5487
+cli.pinned.solve-fullwidth-amplitude     1  ea8f5847fe9bba7255c6b7f840c0fc127e3f27ff57a1b1a477230e84adb8c9dc
+cli.pinned.solve-astral-amplitude     1  498c75ef16d6f90b1e18e39e43ae20c2484407db2b820cae7b5059f4459fc7ff
 simulate             400  8a6823a42166fa9db84273c532bb2b0a76c38f5136bcdfebb52fca155bc76706
 simulate.long        208  ae8dee897b4ecdd441ee569e8700f2fde8c96d78f4cbc8235f6cc1d01d6f270f
 simulate.born_long    28  62143250fdccb5f8736b6ba920cfcba01db96481e1b6b36c5cbe3de78199063d
