@@ -186,6 +186,21 @@ PINNED = [
      "--seed 18446744073709551615", 0),
     ("solve-fullwidth-amplitude", "solve --amp-up \uff10.6 --amp-down 0.8 --theta-i 0.9", 0),
     ("solve-astral-amplitude", "solve --amp-up \U0001d7ce.6 --amp-down 0.8 --theta-i 0.9", 0),
+    # the argv parser's edges: a value that reads like an option (a negative
+    # literal after a space), --flag=value, a repeated option (the last
+    # wins), and the usage errors that print nothing to stdout: an unknown
+    # option, a value given to a switch, a value option ending the argv, no
+    # arguments at all and an unknown command
+    ("solve-negative-amplitude", "solve --amp-up -0.6+0.2j --amp-down 0.5 --theta-i 0.9 "
+     "--phi-i 1.1", 0),
+    ("simulate-equals-values", "simulate --rho=0.7 --tau=0.4 --theta-i=0.9 --phi-i 1.1 "
+     "--steps=4 --outcome=born --seed=5", 0),
+    ("solve-repeated-mode", f"solve {_STATE} --mode reflective --mode strict", 0),
+    ("solve-unknown-option", f"solve {_STATE} --bogus 1", 2),
+    ("solve-degrees-with-value", f"solve {_STATE} --degrees=1", 2),
+    ("simulate-missing-value", f"simulate {_STATE} --steps", 2),
+    ("no-arguments", "", 2),
+    ("unknown-command", f"measure {_STATE}", 2),
 ]
 
 

@@ -107,6 +107,14 @@ cli.pinned.simulate-seed-beyond-64-bits     1  cd98998afc385eefa0b40e6244bcfa9d6
 cli.pinned.simulate-seed-64-bit-max     1  d59405e9e2de10dc869bdae054d63d22650ab599dcb9c0e1a5bc639c72eb5487
 cli.pinned.solve-fullwidth-amplitude     1  ea8f5847fe9bba7255c6b7f840c0fc127e3f27ff57a1b1a477230e84adb8c9dc
 cli.pinned.solve-astral-amplitude     1  498c75ef16d6f90b1e18e39e43ae20c2484407db2b820cae7b5059f4459fc7ff
+cli.pinned.solve-negative-amplitude     1  08b1130d8aa1f7d3f88cd02ab2211fe1db7b84d64f7a552168958eac3cdf2ee2
+cli.pinned.simulate-equals-values     1  9df6abe53357d70be0feb43062f650323f278a08c10e7a0e1781e17e24c887cf
+cli.pinned.solve-repeated-mode     1  f9411175f0f02fcdf3ed054aa88f387bb7b07a555364919148cf0197028fcbb9
+cli.pinned.solve-unknown-option     1  cd98998afc385eefa0b40e6244bcfa9d61850f8fc2054f8c1f3926b3e310522a
+cli.pinned.solve-degrees-with-value     1  cd98998afc385eefa0b40e6244bcfa9d61850f8fc2054f8c1f3926b3e310522a
+cli.pinned.simulate-missing-value     1  cd98998afc385eefa0b40e6244bcfa9d61850f8fc2054f8c1f3926b3e310522a
+cli.pinned.no-arguments     1  cd98998afc385eefa0b40e6244bcfa9d61850f8fc2054f8c1f3926b3e310522a
+cli.pinned.unknown-command     1  cd98998afc385eefa0b40e6244bcfa9d61850f8fc2054f8c1f3926b3e310522a
 simulate             400  8a6823a42166fa9db84273c532bb2b0a76c38f5136bcdfebb52fca155bc76706
 simulate.long        208  ae8dee897b4ecdd441ee569e8700f2fde8c96d78f4cbc8235f6cc1d01d6f270f
 simulate.born_long    28  62143250fdccb5f8736b6ba920cfcba01db96481e1b6b36c5cbe3de78199063d
