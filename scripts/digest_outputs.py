@@ -72,9 +72,9 @@ import math
 import os
 import random
 import struct
+import sys
 import tempfile
-
-from click.testing import CliRunner
+from pathlib import Path
 
 from spincollapse import (
     Axis,
@@ -95,9 +95,12 @@ from spincollapse import (
     state_from_eigenvector,
     unit_vector,
 )
-from spincollapse.cli import main as cli_main
 from spincollapse.solver import _collapse_frame
 from spincollapse.spin import _unit_xyz
+
+# the suite's in-process CLI runner, so these lines hash what the tests see
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from helpers import run_cli  # noqa: E402
 
 SEED = 20261018
 ORACLE_GRIDS = ((40, 80), (37, 91))
@@ -359,11 +362,7 @@ def _cli_out(*argv: str) -> tuple[int, bytes]:
     """The exit code and the ``--out`` bytes of one in-process CLI call."""
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out")
-        try:
-            cli_main([*argv, "--out", out], standalone_mode=False)
-            code = 0
-        except SystemExit as exc:
-            code = exc.code
+        code = run_cli([*argv, "--out", out]).exit_code
         with open(out, "rb") as fh:
             return code, fh.read()
 
@@ -399,10 +398,9 @@ def _cli_simulate_long_records(state, axis, seed):
 
 
 def _cli_pinned_records():
-    runner = CliRunner()
     for name, command, _exit_code in PINNED:
-        result = runner.invoke(cli_main, command.split())
-        yield f"cli.pinned.{name}", b"%d\n" % result.exit_code + result.stdout_bytes
+        run = run_cli(command.split())
+        yield f"cli.pinned.{name}", b"%d\n" % run.exit_code + run.stdout
 
 
 def _families() -> dict[str, list]:

@@ -7,13 +7,17 @@ Four subcommands:
 * ``oracle``     -- brute-force grid search reported side by side with the solver.
 * ``simulate``   -- multi-step measurement trajectory, deterministic or Born-sampled.
 
-Each takes only the flags it reads, from one table: all four take the state
-and axis inputs, ``--entropy-base`` and ``--out``.  ``solve``/``oracle``/
-``simulate`` add ``--mode`` and ``--tol`` and emit a single structured JSON
-document that echoes every input flag, so any output can be re-run from its
-own ``input`` block;
+Each takes only the flags it reads, from one table of `_Flag` rows: all four
+take the state and axis inputs, ``--entropy-base`` and ``--out``.
+``solve``/``oracle``/``simulate`` add ``--mode`` and ``--tol`` and emit a
+single structured JSON document that echoes every input flag, so any output
+can be re-run from its own ``input`` block;
 ``landscape`` adds ``--format csv|tsv`` and emits delimiter-separated rows
 for external plotting, each cell the `repr` of its float.
+`_parse` reads a command's argv against its rows: ``--flag value`` or
+``--flag=value``, each value flag taking the next token as it stands (so
+``--amp-up -0.6+0.2j`` is a value), the last of a repeated flag winning, no
+flag abbreviated.  Each command's ``--help`` is written from the same rows.
 orjson writes every document: a JSON document in one call, exactly
 ``json.dumps(doc, indent=2) + "\n"``, ASCII only, once the few numbers it
 spells unlike `repr` are re-spelled (`_envelope`), and the table in blocks
@@ -23,16 +27,17 @@ output.  Angles are radians unless ``--degrees`` is given; emitted angles are
 always canonicalized radians (theta in [0, pi], phi in [0, 2*pi)) at full
 double precision.
 
-Exit codes: 0 on success, 2 on usage errors, 3 when the oracle grid has no
-feasible point.
+Exit codes: 0 on success, 2 on usage errors (the message goes to stderr and
+nothing to stdout), 3 when the oracle grid has no feasible point.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+import textwrap
+from typing import Callable, NamedTuple
 
-import click
 import numpy as np
 import orjson
 
@@ -51,99 +56,147 @@ from .spin import Axis, PureState, state_from_amplitudes
 
 _BASES = {"e": math.e, "2": 2.0}
 _TOOL_NAME = "spincollapse"
+_ABOUT = "Entropy-conserving wavefunction collapse for a single spin-1/2."
 
 
 # ---------------------------------------------------------------------------
 # flag plumbing
 
 
+class _UsageError(Exception):
+    """A bad command line: its message goes to stderr, and the exit code is 2."""
+
+
+class _Flag(NamedTuple):
+    """One row of the flag table.
+
+    `name` keys the parsed values and the ``input`` echo; the flag is typed
+    as ``--`` and its words joined by dashes.  `convert` reads the value's
+    text, a ValueError making it a usage error; a switch has none, takes no
+    value and reads True only when given.
+    """
+
+    name: str
+    convert: Callable[[str], object] | None
+    default: object = None
+    required: bool = False
+    choices: tuple[str, ...] = ()
+    help: str = ""
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.name.replace("_", "-")
+
+
+def _seed(text: str) -> int:
+    """A --seed: an integer in [0, 2**64), which the RNG takes and a JSON
+    document can echo."""
+    seed = int(text)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"{seed} is not in the range 0<=x<={2**64 - 1}")
+    return seed
+
+
+_METAVARS = {float: "FLOAT", int: "INTEGER", _seed: "INTEGER", str: "TEXT"}
+
 # Each flag more than one command reads, defined once.  A command lists the
 # ones it reads in this order, which is the key order of its ``input`` echo.
-_FLAGS = {
-    "rho": click.option(
-        "--rho",
-        type=float,
-        default=None,
-        help="Up-outcome probability weight of the state, in [0, 1].",
-    ),
-    "tau": click.option(
-        "--tau",
-        type=float,
-        default=None,
-        help="Relative phase of the state, 0 if not given (radians unless --degrees).",
-    ),
-    "amp_up": click.option(
-        "--amp-up",
-        default=None,
-        help="Complex up-amplitude literal, e.g. '0.6+0.2j' "
-        "(alternative to --rho/--tau; requires --amp-down).",
-    ),
-    "amp_down": click.option(
-        "--amp-down",
-        default=None,
-        help="Complex down-amplitude literal (requires --amp-up).",
-    ),
-    "theta_i": click.option(
-        "--theta-i",
-        type=float,
-        required=True,
-        help="Colatitude of the measured axis (radians unless --degrees).",
-    ),
-    "phi_i": click.option(
-        "--phi-i",
-        type=float,
-        default=0.0,
-        show_default=True,
-        help="Azimuth of the measured axis (radians unless --degrees).",
-    ),
-    "degrees": click.option(
-        "--degrees",
-        is_flag=True,
-        help="Interpret angle inputs (--theta-i, --phi-i, --tau) as degrees; "
-        "output stays in radians.",
-    ),
-    "mode": click.option(
-        "--mode",
-        type=click.Choice(MODES),
-        default="strict",
-        show_default=True,
-        help="strict keeps the measured direction; reflective mirrors it "
-        "about the state's Bloch vector.",
-    ),
-    "entropy_base": click.option(
-        "--entropy-base",
-        type=click.Choice(["e", "2"]),
-        default="e",
-        show_default=True,
-        help="Logarithm base for reported entropies (never changes minimizers).",
-    ),
-    "tol": click.option(
-        "--tol",
-        type=float,
-        default=1e-12,
-        show_default=True,
-        help="Eigenstate-detection tolerance on min(p_up, 1 - p_up), in [0, 1/2).",
-    ),
-    "out": click.option(
-        "--out",
-        default=None,
-        help="Write output to this path instead of stdout.",
-    ),
-}
+_FLAGS = {row.name: row for row in (
+    _Flag("rho", float,
+          help="Up-outcome probability weight of the state, in [0, 1]."),
+    _Flag("tau", float,
+          help="Relative phase of the state, 0 if not given (radians unless --degrees)."),
+    _Flag("amp_up", str,
+          help="Complex up-amplitude literal, e.g. '0.6+0.2j' "
+          "(alternative to --rho/--tau; requires --amp-down)."),
+    _Flag("amp_down", str, help="Complex down-amplitude literal (requires --amp-up)."),
+    _Flag("theta_i", float, required=True,
+          help="Colatitude of the measured axis (radians unless --degrees)."),
+    _Flag("phi_i", float, 0.0,
+          help="Azimuth of the measured axis (radians unless --degrees)."),
+    _Flag("degrees", None, False,
+          help="Interpret angle inputs (--theta-i, --phi-i, --tau) as degrees; "
+          "output stays in radians."),
+    _Flag("mode", str, "strict", choices=MODES,
+          help="strict keeps the measured direction; reflective mirrors it "
+          "about the state's Bloch vector."),
+    _Flag("entropy_base", str, "e", choices=("e", "2"),
+          help="Logarithm base for reported entropies (never changes minimizers)."),
+    _Flag("tol", float, 1e-12,
+          help="Eigenstate-detection tolerance on min(p_up, 1 - p_up), in [0, 1/2)."),
+    _Flag("out", str, help="Write output to this path instead of stdout."),
+)}
 _INPUTS = ("rho", "tau", "amp_up", "amp_down", "theta_i", "phi_i", "degrees")
 _JSON_FLAGS = (*_INPUTS, "mode", "entropy_base", "tol", "out")
 
-
-def _flags(*names):
-    """Attach the named `_FLAGS` to a command, in the order given."""
-    def decorate(f):
-        for name in reversed(names):
-            f = _FLAGS[name](f)
-        return f
-    return decorate
+# command name -> (function, its rows in declaration order, flag -> row)
+_COMMANDS: dict[str, tuple] = {}
 
 
-def _resolve_inputs() -> tuple[PureState, Axis, dict]:
+def _command(name: str, *rows):
+    """Register a command reading these flags, `_FLAGS` names or rows of its
+    own, in the order given."""
+    rows = tuple(_FLAGS[row] if isinstance(row, str) else row for row in rows)
+
+    def register(fn):
+        _COMMANDS[name] = fn, rows, {row.flag: row for row in rows}
+        return fn
+    return register
+
+
+def _parse(argv: list[str], rows, lookup: dict) -> dict | None:
+    """The command's flag values, keyed by row name in the rows' order, from
+    the argv after its name; None if --help asks for the help instead.
+
+    A value flag takes the text after its ``=`` or else the next token as it
+    stands, a leading dash too; the last of a repeated flag wins.
+    """
+    given, wants_help = {}, False
+    tokens = iter(argv)
+    for token in tokens:
+        name, eq, text = token.partition("=")
+        row = lookup.get(name)
+        if row is None:
+            if token == "--help":
+                wants_help = True
+                continue
+            if token.startswith("-") and token != "--":
+                raise _UsageError(f"No such option '{name}'.")
+            extra = list(tokens) if token == "--" else [token, *tokens]
+            if extra:
+                raise _UsageError(f"Got unexpected extra argument ({' '.join(extra)})")
+            break  # a "--" that ends the argv
+        if row.convert is None:
+            if eq:
+                raise _UsageError(f"Option '{name}' does not take a value.")
+        elif not eq:
+            text = next(tokens, None)
+            if text is None:
+                raise _UsageError(f"Option '{name}' requires an argument.")
+        given[row.name] = text
+    if wants_help:
+        return None
+    flags = {}
+    for row in rows:
+        text = given.get(row.name)
+        if row.convert is None:
+            flags[row.name] = text is not None
+        elif text is None:
+            if row.required:
+                raise _UsageError(f"Missing option '{row.flag}'.")
+            flags[row.name] = row.default
+        elif row.choices and text not in row.choices:
+            allowed = ", ".join(map(repr, row.choices))
+            raise _UsageError(f"Invalid value for '{row.flag}': {text!r} is not one of {allowed}.")
+        else:
+            try:
+                flags[row.name] = row.convert(text)
+            except ValueError as exc:
+                raise _UsageError(f"Invalid value for '{row.flag}': {exc}") from None
+    return flags
+
+
+def _resolve_inputs(flags: dict, rows) -> tuple[PureState, Axis, dict]:
     """Validate the state and then the measured axis, the inputs every
     command reads.
 
@@ -152,40 +205,83 @@ def _resolve_inputs() -> tuple[PureState, Axis, dict]:
     not given (--tau too) echoes None, so every echo replays; a non-finite
     float flag, which no JSON number can echo, is a usage error.
     """
-    ctx = click.get_current_context()
-    flags = ctx.params
     rho, tau = flags["rho"], flags["tau"]
     amp_up, amp_down = flags["amp_up"], flags["amp_down"]
     angle = math.radians if flags["degrees"] else float
     has_amp = amp_up is not None or amp_down is not None
     if has_amp and (rho is not None or tau is not None):
-        raise click.UsageError("give either --rho/--tau or --amp-up/--amp-down, not both")
+        raise _UsageError("give either --rho/--tau or --amp-up/--amp-down, not both")
     if has_amp:
         if amp_up is None or amp_down is None:
-            raise click.UsageError("amplitude input needs both --amp-up and --amp-down")
+            raise _UsageError("amplitude input needs both --amp-up and --amp-down")
         state = _guard(
             state_from_amplitudes,
             _parse_complex(amp_up, "--amp-up"),
             _parse_complex(amp_down, "--amp-down"),
         )
     elif rho is None:
-        raise click.UsageError("state input needs --rho (with optional --tau) "
-                               "or both --amp-up and --amp-down")
+        raise _UsageError("state input needs --rho (with optional --tau) "
+                          "or both --amp-up and --amp-down")
     else:
         state = _guard(PureState, rho, 0.0 if tau is None else angle(tau))
     axis = _guard(Axis, angle(flags["theta_i"]), angle(flags["phi_i"]))
-    echo = {p.name: flags[p.name] for p in ctx.command.params if p.name != "out"}
-    for p in ctx.command.params:
-        if isinstance(flags[p.name], float) and not math.isfinite(flags[p.name]):
-            raise click.BadParameter(f"{flags[p.name]!r} is not finite", param=p)
+    echo = {row.name: flags[row.name] for row in rows if row.name != "out"}
+    for row in rows:
+        value = flags[row.name]
+        if isinstance(value, float) and not math.isfinite(value):
+            raise _UsageError(f"Invalid value for '{row.flag}': {value!r} is not finite")
     return state, axis, echo
+
+
+def _help(name: str | None) -> str:
+    """The --help text of the command `name`, or of the tool if None."""
+    if name is None:
+        items = [("--version", "Show the version and exit."),
+                 ("--help", "Show this message and exit.")]
+        commands = [(key, fn.__doc__.partition("\n")[0]) for key, (fn, _, _) in
+                    sorted(_COMMANDS.items())]
+        return (f"{_usage(None)}\n\n  {_ABOUT}\n\nOptions:\n{_columns(items)}"
+                f"\nCommands:\n{_columns(commands)}")
+    fn, rows, _ = _COMMANDS[name]
+    first, _, rest = fn.__doc__.partition("\n")
+    items = []
+    for row in rows:
+        term, text = row.flag, row.help
+        if row.convert is not None:
+            term += " " + ("[" + "|".join(row.choices) + "]" if row.choices
+                           else _METAVARS[row.convert])
+        if row.required:
+            text += "  [required]"
+        elif row.default not in (None, False):
+            text += f"  [default: {row.default}]"
+        items.append((term, text))
+    items.append(("--help", "Show this message and exit."))
+    about = textwrap.indent((first + "\n" + textwrap.dedent(rest)).rstrip(), "  ")
+    return f"{_usage(name)}\n\n{about}\n\nOptions:\n{_columns(items)}"
+
+
+def _usage(name: str | None) -> str:
+    if name is None:
+        return f"Usage: {_TOOL_NAME} [OPTIONS] COMMAND [ARGS]..."
+    return f"Usage: {_TOOL_NAME} {name} [OPTIONS]"
+
+
+def _columns(items) -> str:
+    """Lines of two columns, the second wrapped to fit 80 characters."""
+    width = max(len(term) for term, _ in items)
+    lines = []
+    for term, text in items:
+        first, *more = textwrap.wrap(text, 76 - width, break_on_hyphens=False)
+        lines.append(f"  {term:<{width}}  {first}")
+        lines += [" " * (width + 4) + line for line in more]
+    return "\n".join(lines) + "\n"
 
 
 def _parse_complex(text: str, flag: str) -> complex:
     try:
         return complex(text.strip().replace(" ", ""))
     except ValueError:
-        raise click.UsageError(
+        raise _UsageError(
             f"{flag} expects a complex literal like '0.5+0.5j', got {text!r}"
         )
 
@@ -197,9 +293,9 @@ def _parse_grid(text: str) -> tuple[int, int]:
             raise ValueError
         n, m = int(head), int(tail)
     except ValueError:
-        raise click.UsageError(f"--grid expects NxM (e.g. 400x800), got {text!r}")
+        raise _UsageError(f"--grid expects NxM (e.g. 400x800), got {text!r}")
     if n < 2 or m < 2:
-        raise click.UsageError(f"--grid dimensions must be at least 2, got {text!r}")
+        raise _UsageError(f"--grid dimensions must be at least 2, got {text!r}")
     return n, m
 
 
@@ -208,7 +304,7 @@ def _guard(fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
     except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+        raise _UsageError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +360,8 @@ def _escaped(c: str) -> str:
 
 
 def _emit(text: str, out: str | None) -> None:
-    """Write the text to --out, or else to stdout; `click.echo` would run an
-    ANSI-strip regex over it off a terminal, and no document holds an ESC."""
+    """Write the text to --out, or else to stdout, flushed; an unwritable
+    --out is a usage error."""
     if out is None:
         sys.stdout.write(text)
         sys.stdout.flush()
@@ -274,7 +370,7 @@ def _emit(text: str, out: str | None) -> None:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:
-        raise click.UsageError(f"cannot write --out {out!r}: {exc}")
+        raise _UsageError(f"cannot write --out {out!r}: {exc}")
 
 
 _COLUMNS = ("theta_f", "phi_f", "p_up", "s_f", "constraint_residual", "s_up")
@@ -355,54 +451,97 @@ def _table(thetas, phis, p_up, s_f, residual, s_up, delimiter: str) -> str:
 # commands
 
 
-@click.group()
-@click.version_option(__version__, prog_name=_TOOL_NAME)
-def main() -> None:
-    """Entropy-conserving wavefunction collapse for a single spin-1/2."""
+def main(args=None, standalone_mode: bool = True) -> int:
+    """Run the command line `args` (``sys.argv[1:]`` if None) and return its
+    exit code, or exit with it when `standalone_mode`.
+
+    A usage error writes its message to stderr and nothing to stdout, and
+    returns 2; any other exception propagates.
+    """
+    argv = sys.argv[1:] if args is None else list(args)
+    name = argv[0] if argv and argv[0] in _COMMANDS else None
+    try:
+        code = _run(name, argv)
+    except _UsageError as exc:
+        prog = _TOOL_NAME if name is None else f"{_TOOL_NAME} {name}"
+        sys.stderr.write(f"{_usage(name)}\nTry '{prog} --help' for help.\n\nError: {exc}\n")
+        code = 2
+    if standalone_mode:
+        sys.exit(code)
+    return code
 
 
-@main.command("solve")
-@_flags(*_JSON_FLAGS)
-def cmd_solve(mode, entropy_base, tol, out, **_):
+# `main.main(args, standalone_mode=False)` is the spelling of callers written
+# for the click group this function replaced; it is the same call
+main.main = main
+
+
+def _run(name: str | None, argv: list[str]) -> int:
+    if name is None:
+        if not argv:
+            sys.stderr.write(_help(None))
+            return 2
+        if argv[0] == "--help":
+            sys.stdout.write(_help(None))
+        elif argv[0] == "--version":
+            sys.stdout.write(f"{_TOOL_NAME}, version {__version__}\n")
+        elif argv[0].startswith("-"):
+            raise _UsageError(f"No such option '{argv[0]}'.")
+        else:
+            raise _UsageError(f"No such command '{argv[0]}'.")
+        return 0
+    fn, rows, lookup = _COMMANDS[name]
+    flags = _parse(argv[1:], rows, lookup)
+    if flags is None:
+        sys.stdout.write(_help(name))
+        return 0
+    state, axis, echo = _resolve_inputs(flags, rows)
+    return fn(flags, state, axis, echo)
+
+
+@_command("solve", *_JSON_FLAGS)
+def cmd_solve(flags, state, axis, echo) -> int:
     """Minimize the transfer entropy over entropy-conserving axes."""
-    state, axis, echo = _resolve_inputs()
-    sol = _guard(solve, state, axis, mode, base=_BASES[entropy_base], eigen_tol=tol)
-    _emit(_envelope("solve", echo, entropy_base, mode, _solve_results(sol), []), out)
+    mode, entropy_base = flags["mode"], flags["entropy_base"]
+    sol = _guard(solve, state, axis, mode, base=_BASES[entropy_base], eigen_tol=flags["tol"])
+    _emit(_envelope("solve", echo, entropy_base, mode, _solve_results(sol), []), flags["out"])
+    return 0
 
 
-@main.command("landscape")
-@_flags(*_INPUTS, "entropy_base", "out")
-@click.option("--format", "fmt", type=click.Choice(["csv", "tsv"]), default="csv",
-              show_default=True, help="Output format.")
-@click.option("--grid", default="200x400", show_default=True,
-              help="Scan resolution NxM (theta rows x phi columns).")
-def cmd_landscape(entropy_base, out, fmt, grid, **_):
+@_command(
+    "landscape", *_INPUTS, "entropy_base", "out",
+    _Flag("format", str, "csv", choices=("csv", "tsv"), help="Output format."),
+    _Flag("grid", str, "200x400", help="Scan resolution NxM (theta rows x phi columns)."),
+)
+def cmd_landscape(flags, state, axis_i, _echo) -> int:
     """Tabulate p_up, entropies, and the constraint residual over a grid.
 
     Columns: theta_f, phi_f, p_up, s_f, constraint_residual, s_up.  The
     surfaces depend on neither the selection mode nor the eigenstate
     tolerance, so the command takes no --mode and no --tol.
     """
-    state, axis_i, _echo = _resolve_inputs()
-    delimiter = "\t" if fmt == "tsv" else ","
-    n_theta, n_phi = _parse_grid(grid)
-    grids = _entropy_grid(state, axis_i, n_theta, n_phi, _BASES[entropy_base])
-    _emit(_table(*grids, delimiter), out)
+    delimiter = "\t" if flags["format"] == "tsv" else ","
+    n_theta, n_phi = _parse_grid(flags["grid"])
+    grids = _entropy_grid(state, axis_i, n_theta, n_phi, _BASES[flags["entropy_base"]])
+    _emit(_table(*grids, delimiter), flags["out"])
+    return 0
 
 
-@main.command("oracle")
-@_flags(*_JSON_FLAGS)
-@click.option("--grid", default="400x800", show_default=True,
-              help="Search resolution NxM (theta rows x phi columns), each >= 8.")
-@click.option("--constraint-tol", type=float, default=5e-3, show_default=True,
-              help="Feasibility band on |s_f - s_i| for grid points.")
-@click.option("--exclude-trivial", type=float, default=None,
-              help="Drop grid points within this angular radius of the "
-              "measured axis and its antipode.")
-def cmd_oracle(mode, entropy_base, tol, out, grid, constraint_tol, exclude_trivial, **_):
+@_command(
+    "oracle", *_JSON_FLAGS,
+    _Flag("grid", str, "400x800",
+          help="Search resolution NxM (theta rows x phi columns), each >= 8."),
+    _Flag("constraint_tol", float, 5e-3,
+          help="Feasibility band on |s_f - s_i| for grid points."),
+    _Flag("exclude_trivial", float,
+          help="Drop grid points within this angular radius of the "
+          "measured axis and its antipode."),
+)
+def cmd_oracle(flags, state, axis_i, echo) -> int:
     """Brute-force grid search reported beside the closed-form solver."""
-    state, axis_i, echo = _resolve_inputs()
-    grid_dims = _parse_grid(grid)
+    mode, entropy_base, tol = flags["mode"], flags["entropy_base"], flags["tol"]
+    exclude_trivial = flags["exclude_trivial"]
+    grid_dims = _parse_grid(flags["grid"])
     base = _BASES[entropy_base]
     warnings = []
     if exclude_trivial is not None:
@@ -417,7 +556,7 @@ def cmd_oracle(mode, entropy_base, tol, out, grid, constraint_tol, exclude_trivi
         # and before the oracle's own eigenstate check
         axis_o, obj_o = _guard(
             brute_force_oracle, state, axis_i,
-            grid=grid_dims, constraint_tol=constraint_tol,
+            grid=grid_dims, constraint_tol=flags["constraint_tol"],
             exclude=exclude_trivial, base=base, eigen_tol=tol,
         )
     except NoCollapseError:
@@ -434,24 +573,23 @@ def cmd_oracle(mode, entropy_base, tol, out, grid, constraint_tol, exclude_trivi
         "oracle": oracle,
         "discrepancy": discrepancy,
     }
-    _emit(_envelope("oracle", echo, entropy_base, mode, results, warnings), out)
-    if "error" in oracle:
-        sys.exit(3)
+    _emit(_envelope("oracle", echo, entropy_base, mode, results, warnings), flags["out"])
+    return 3 if "error" in oracle else 0
 
 
-@main.command("simulate")
-@_flags(*_JSON_FLAGS)
-@click.option("--steps", type=int, required=True, help="Number of measurements (>= 1).")
-@click.option("--outcome", default="risk:born-surprise", show_default=True,
-              help="Outcome rule: 'born' (seeded sampling) or 'risk:<name>'.")
-@click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=None,
-              help="RNG seed; required when --outcome born.")
-def cmd_simulate(mode, entropy_base, tol, out, steps, outcome, seed, **_):
+@_command(
+    "simulate", *_JSON_FLAGS,
+    _Flag("steps", int, required=True, help="Number of measurements (>= 1)."),
+    _Flag("outcome", str, "risk:born-surprise",
+          help="Outcome rule: 'born' (seeded sampling) or 'risk:<name>'."),
+    _Flag("seed", _seed, help="RNG seed; required when --outcome born."),
+)
+def cmd_simulate(flags, state, axis_i, echo) -> int:
     """Run a measurement trajectory and emit every step."""
-    state, axis_i, echo = _resolve_inputs()
+    mode, entropy_base = flags["mode"], flags["entropy_base"]
     config = _guard(
-        SimConfig, steps=steps, mode=mode, outcome=outcome, seed=seed,
-        entropy_base=_BASES[entropy_base], eigen_tol=tol,
+        SimConfig, steps=flags["steps"], mode=mode, outcome=flags["outcome"],
+        seed=flags["seed"], entropy_base=_BASES[entropy_base], eigen_tol=flags["tol"],
     )
     trajectory = simulate(state, axis_i, config)
     risk = config._risk
@@ -463,7 +601,8 @@ def cmd_simulate(mode, entropy_base, tol, out, steps, outcome, seed, **_):
     # a non-finite float is written null, which no record holds (rfind: faster)
     if text.rfind("null", text.index('"trajectory"'), text.rindex('"warnings"')) != -1:
         raise ValueError("a trajectory record holds a non-finite value")
-    _emit(text, out)
+    _emit(text, flags["out"])
+    return 0
 
 
 if __name__ == "__main__":

@@ -2,17 +2,43 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from spincollapse import (
-    Axis, PureState, binary_entropy, born_up, eigenpair, overlap, unit_vector,
+    Axis, PureState, binary_entropy, born_up, cli, eigenpair, overlap, unit_vector,
 )
 from spincollapse.solver import (
     _DESCENT_MAX_ITER, _DESCENT_TOL, _circles, _collapse_frame, _colatitude,
 )
 from spincollapse.spin import _POLE_SNAP, DEFAULT_ATOL, TWO_PI, _reduce_angles, _unit_xyz
+
+
+class CliRun(NamedTuple):
+    """What one in-process CLI call did: its exit code, its stdout bytes, its
+    stderr text, and the exception it raised past `main` (exit code 1), if any."""
+
+    exit_code: int
+    stdout: bytes
+    stderr: str
+    exception: Exception | None
+
+
+def run_cli(argv) -> CliRun:
+    """Run ``spincollapse *argv`` in this process, as `main` does without
+    exiting, with stdout and stderr captured."""
+    out, err = io.StringIO(), io.StringIO()
+    exception = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv), standalone_mode=False)
+        except Exception as exc:
+            code, exception = 1, exc
+    return CliRun(code, out.getvalue().encode(), err.getvalue(), exception)
 
 
 def uniform_axis(rng: np.random.Generator) -> Axis:

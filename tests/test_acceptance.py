@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import spincollapse
 from spincollapse import (
@@ -46,9 +45,8 @@ from spincollapse import (
     step,
     unit_vector,
 )
-from spincollapse.cli import main as cli_main
 
-from helpers import non_eigen_pair, triple_product, uniform_axis, uniform_state
+from helpers import non_eigen_pair, run_cli, triple_product, uniform_axis, uniform_state
 
 
 @contextlib.contextmanager
@@ -185,7 +183,6 @@ def test_criterion_07_no_collapse_on_eigenstates():
 
 
 def test_criterion_08_trajectory_documents_bit_identical():
-    runner = CliRunner()
     with criterion(8, "identical simulate invocations emit identical bytes"):
         for argv in (
             ["simulate", "--rho", "0.64", "--tau", "2.2", "--theta-i", "1.2",
@@ -195,11 +192,11 @@ def test_criterion_08_trajectory_documents_bit_identical():
              "--steps", "4", "--mode", "strict",
              "--outcome", "risk:born-surprise"],
         ):
-            first = runner.invoke(cli_main, argv)
-            second = runner.invoke(cli_main, argv)
+            first = run_cli(argv)
+            second = run_cli(argv)
             assert first.exit_code == 0 and second.exit_code == 0
-            assert first.output == second.output
-            json.loads(first.output)  # well-formed machine-readable document
+            assert first.stdout == second.stdout
+            json.loads(first.stdout)  # well-formed machine-readable document
 
 
 def test_criterion_09_born_frequency_at_three_quarters():

@@ -11,20 +11,18 @@ import subprocess
 import sys
 import tracemalloc
 
-import click
 import numpy as np
 import orjson
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from digest_outputs import PINNED
-from helpers import landscape_table
+from helpers import landscape_table, run_cli
 from spincollapse import Axis, PureState, SimConfig, TrajectoryStep, __version__, simulate
 from spincollapse import cli
-from spincollapse.cli import _table, main
+from spincollapse.cli import _table
 from spincollapse.solver import MODES, Extremum, _entropy_grid, solve
 
 H_QUARTER = 0.5623351446188083
@@ -32,14 +30,18 @@ H_QUARTER_BITS = 0.8112781244591328  # same value in base 2
 PI_THIRD = "1.0471975511965976"
 
 
-@pytest.fixture
-def runner():
-    return CliRunner()
-
-
 def _json(result):
-    assert result.exit_code == 0, result.output
-    return json.loads(result.output)
+    assert result.exit_code == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+def _python(*argv: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with this package's ``src`` on its path."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env,
+                          timeout=120)
 
 
 def _argv_from_echo(command, echo):
@@ -57,14 +59,9 @@ def _argv_from_echo(command, echo):
 
 
 class TestSolveCommand:
-    def test_strict_example(self, runner):
-        doc = _json(
-            runner.invoke(
-                main,
-                ["solve", "--rho", "1", "--tau", "0", "--theta-i", PI_THIRD,
-                 "--phi-i", "0", "--mode", "strict"],
-            )
-        )
+    def test_strict_example(self):
+        doc = _json(run_cli(["solve", "--rho", "1", "--tau", "0", "--theta-i", PI_THIRD,
+                             "--phi-i", "0", "--mode", "strict"]))
         res = doc["results"]
         assert res["no_collapse"] is False
         assert res["objective"] == 0.0
@@ -75,15 +72,10 @@ class TestSolveCommand:
         }
 
     @pytest.mark.parametrize("mode", ["strict", "reflective"])
-    def test_near_eigenstate_at_zero_tol_reports_two_minimizers(self, runner, mode):
-        doc = _json(
-            runner.invoke(
-                main,
-                ["solve", "--rho", "0.5377366313690835", "--tau", "2.673200529835764",
-                 "--theta-i", "1.4952512277980856", "--phi-i", "2.673200529835764",
-                 "--tol", "0", "--mode", mode],
-            )
-        )
+    def test_near_eigenstate_at_zero_tol_reports_two_minimizers(self, mode):
+        doc = _json(run_cli(["solve", "--rho", "0.5377366313690835", "--tau",
+                             "2.673200529835764", "--theta-i", "1.4952512277980856", "--phi-i",
+                             "2.673200529835764", "--tol", "0", "--mode", mode]))
         res = doc["results"]
         n_i = {"theta": 1.4952512277980856, "phi": 2.673200529835764}
         opposite = {"theta": 1.6463414257917075, "phi": 5.814793183425557}
@@ -97,67 +89,43 @@ class TestSolveCommand:
             {"axis": opposite, "value": mirror_value, "kind": "max"},
         ]
 
-    def test_eigenstate_no_collapse(self, runner):
-        doc = _json(
-            runner.invoke(main, ["solve", "--rho", "1", "--tau", "0", "--theta-i", "0"])
-        )
+    def test_eigenstate_no_collapse(self):
+        doc = _json(run_cli(["solve", "--rho", "1", "--tau", "0", "--theta-i", "0"]))
         assert doc["results"]["no_collapse"] is True
         assert doc["results"]["minimizers"] == [{"theta": 0.0, "phi": 0.0}]
 
-    def test_degenerate_reflective_on_great_circle(self, runner):
-        doc = _json(
-            runner.invoke(
-                main,
-                ["solve", "--rho", "0.5", "--tau", "0", "--theta-i", "0",
-                 "--mode", "reflective"],
-            )
-        )
+    def test_degenerate_reflective_on_great_circle(self):
+        doc = _json(run_cli(["solve", "--rho", "0.5", "--tau", "0", "--theta-i", "0", "--mode",
+                             "reflective"]))
         # Bloch vector is +x; minimizers must be orthogonal to it
         for a in doc["results"]["minimizers"]:
             nx = math.sin(a["theta"]) * math.cos(a["phi"])
             assert abs(nx) <= 1e-9
 
-    def test_degrees_matches_radians(self, runner):
-        deg = _json(
-            runner.invoke(
-                main, ["solve", "--rho", "1", "--theta-i", "60", "--degrees"]
-            )
-        )
-        rad = _json(
-            runner.invoke(main, ["solve", "--rho", "1", "--theta-i", PI_THIRD])
-        )
+    def test_degrees_matches_radians(self):
+        deg = _json(run_cli(["solve", "--rho", "1", "--theta-i", "60", "--degrees"]))
+        rad = _json(run_cli(["solve", "--rho", "1", "--theta-i", PI_THIRD]))
         assert deg["results"] == rad["results"]
 
-    def test_amplitudes_match_probability_weight(self, runner):
-        amp = _json(
-            runner.invoke(
-                main,
-                ["solve", "--amp-up", "1", "--amp-down", "0", "--theta-i", PI_THIRD],
-            )
-        )
-        rho = _json(
-            runner.invoke(main, ["solve", "--rho", "1", "--theta-i", PI_THIRD])
-        )
+    def test_amplitudes_match_probability_weight(self):
+        amp = _json(run_cli(["solve", "--amp-up", "1", "--amp-down", "0", "--theta-i",
+                             PI_THIRD]))
+        rho = _json(run_cli(["solve", "--rho", "1", "--theta-i", PI_THIRD]))
         assert amp["results"] == rho["results"]
 
     @pytest.mark.parametrize("scale", ["1.5e308", repr(2.0**-1070)])
-    def test_amplitudes_at_extreme_scales(self, runner, scale):
+    def test_amplitudes_at_extreme_scales(self, scale):
         # the pair is rescaled by a power of two before its norm overflows or
         # turns subnormal, so it solves like the unit-scale pair
         def results(amp):
             argv = ["solve", "--amp-up", amp, "--amp-down", amp, "--theta-i", PI_THIRD]
-            return _json(runner.invoke(main, argv))["results"]
+            return _json(run_cli(argv))["results"]
 
         assert results(scale) == results("1")
 
-    def test_base_two_rescales_objective(self, runner):
-        doc = _json(
-            runner.invoke(
-                main,
-                ["solve", "--rho", "1", "--theta-i", PI_THIRD,
-                 "--mode", "reflective", "--entropy-base", "2"],
-            )
-        )
+    def test_base_two_rescales_objective(self):
+        doc = _json(run_cli(["solve", "--rho", "1", "--theta-i", PI_THIRD, "--mode",
+                             "reflective", "--entropy-base", "2"]))
         assert doc["entropy_base"] == "2"
         assert doc["results"]["objective"] == pytest.approx(
             H_QUARTER_BITS, abs=1e-12
@@ -165,14 +133,11 @@ class TestSolveCommand:
 
 
 class TestLandscapeCommand:
-    def test_two_by_two_grid(self, runner):
-        result = runner.invoke(
-            main,
-            ["landscape", "--rho", "1", "--tau", "0", "--theta-i", "0",
-             "--grid", "2x2"],
-        )
+    def test_two_by_two_grid(self):
+        result = run_cli(["landscape", "--rho", "1", "--tau", "0", "--theta-i", "0", "--grid",
+                          "2x2"])
         assert result.exit_code == 0
-        rows = list(csv.DictReader(io.StringIO(result.output)))
+        rows = list(csv.DictReader(io.StringIO(result.stdout.decode())))
         assert len(rows) == 4
         assert list(rows[0].keys()) == [
             "theta_f", "phi_f", "p_up", "s_f", "constraint_residual", "s_up",
@@ -182,22 +147,17 @@ class TestLandscapeCommand:
             assert float(r["p_up"]) == 1.0
             assert float(r["s_f"]) == 0.0
 
-    def test_self_transfer_is_zero(self, runner):
-        result = runner.invoke(
-            main, ["landscape", "--rho", "0.3", "--theta-i", "0", "--grid", "3x4"]
-        )
-        rows = list(csv.DictReader(io.StringIO(result.output)))
+    def test_self_transfer_is_zero(self):
+        result = run_cli(["landscape", "--rho", "0.3", "--theta-i", "0", "--grid", "3x4"])
+        rows = list(csv.DictReader(io.StringIO(result.stdout.decode())))
         for r in rows:
             if float(r["theta_f"]) == 0.0:  # the measured axis itself
                 assert abs(float(r["s_up"])) <= 1e-12
 
-    def test_feasible_rows_cluster_on_level_colatitudes(self, runner):
-        result = runner.invoke(
-            main,
-            ["landscape", "--rho", "1", "--tau", "0", "--theta-i", PI_THIRD,
-             "--grid", "200x400"],
-        )
-        rows = list(csv.DictReader(io.StringIO(result.output)))
+    def test_feasible_rows_cluster_on_level_colatitudes(self):
+        result = run_cli(["landscape", "--rho", "1", "--tau", "0", "--theta-i", PI_THIRD,
+                          "--grid", "200x400"])
+        rows = list(csv.DictReader(io.StringIO(result.stdout.decode())))
         assert len(rows) == 200 * 400
         near = [
             float(r["theta_f"])
@@ -210,13 +170,10 @@ class TestLandscapeCommand:
                 min(abs(theta - math.pi / 3), abs(theta - 2 * math.pi / 3)) <= 0.03
             )
 
-    def test_tsv_format(self, runner):
-        result = runner.invoke(
-            main,
-            ["landscape", "--rho", "1", "--theta-i", "0", "--grid", "2x2",
-             "--format", "tsv"],
-        )
-        header = result.output.splitlines()[0]
+    def test_tsv_format(self):
+        result = run_cli(["landscape", "--rho", "1", "--theta-i", "0", "--grid", "2x2",
+                          "--format", "tsv"])
+        header = result.stdout.decode().splitlines()[0]
         assert header.split("\t") == [
             "theta_f", "phi_f", "p_up", "s_f", "constraint_residual", "s_up",
         ]
@@ -237,25 +194,16 @@ class TestLandscapeCommand:
             "    main([name, *state, *flags], standalone_mode=False)\n"
             "    print(name, file=sys.stderr)\n"
         )
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                              text=True, env=env, timeout=120)
+        proc = _python("-c", script)
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.splitlines() == ["solve", "oracle", "simulate", "landscape"]
 
-    def test_json_format_rejected(self, runner):
-        result = runner.invoke(
-            main,
-            ["landscape", "--rho", "1", "--theta-i", "0", "--format", "json"],
-        )
+    def test_json_format_rejected(self):
+        result = run_cli(["landscape", "--rho", "1", "--theta-i", "0", "--format", "json"])
         assert result.exit_code == 2
 
-    def test_grid_must_be_at_least_two(self, runner):
-        result = runner.invoke(
-            main, ["landscape", "--rho", "1", "--theta-i", "0", "--grid", "1x5"]
-        )
+    def test_grid_must_be_at_least_two(self):
+        result = run_cli(["landscape", "--rho", "1", "--theta-i", "0", "--grid", "1x5"])
         assert result.exit_code == 2
 
 
@@ -352,11 +300,11 @@ class TestLandscapeTable:
         argv = ["landscape", "--rho", repr(rho), "--tau", repr(tau),
                 "--theta-i", repr(theta_i), "--phi-i", repr(phi_i),
                 "--entropy-base", base, "--format", fmt, "--grid", f"{n_theta}x{n_phi}"]
-        result = CliRunner().invoke(main, argv)
-        assert result.exit_code == 0, result.output
+        result = run_cli(argv)
+        assert result.exit_code == 0, result.stderr
         grids = _entropy_grid(PureState(rho, tau), Axis(theta_i, phi_i),
                               n_theta, n_phi, {"e": math.e, "2": 2.0}[base])
-        assert result.output == landscape_table(*grids, "\t" if fmt == "tsv" else ",")
+        assert result.stdout.decode() == landscape_table(*grids, "\t" if fmt == "tsv" else ",")
 
     @staticmethod
     def _rows_are_reprs(thetas, phis, grids):
@@ -473,42 +421,28 @@ class TestLandscapeTable:
 
 
 class TestOracleCommand:
-    def test_defaults_small_discrepancy(self, runner):
-        doc = _json(
-            runner.invoke(
-                main, ["oracle", "--rho", "1", "--tau", "0", "--theta-i", PI_THIRD]
-            )
-        )
+    def test_defaults_small_discrepancy(self):
+        doc = _json(run_cli(["oracle", "--rho", "1", "--tau", "0", "--theta-i", PI_THIRD]))
         assert abs(doc["results"]["discrepancy"]) <= 0.01
         assert doc["results"]["oracle"]["no_collapse"] is False
 
-    def test_eigenstate_both_no_collapse(self, runner):
-        doc = _json(
-            runner.invoke(main, ["oracle", "--rho", "1", "--theta-i", "0"])
-        )
+    def test_eigenstate_both_no_collapse(self):
+        doc = _json(run_cli(["oracle", "--rho", "1", "--theta-i", "0"]))
         assert doc["results"]["no_collapse"] is True
         assert doc["results"]["solver"]["no_collapse"] is True
         assert doc["results"]["oracle"]["no_collapse"] is True
 
-    def test_exclude_trivial_finds_boundary_minimum(self, runner):
-        doc = _json(
-            runner.invoke(
-                main,
-                ["oracle", "--rho", "1", "--tau", "0", "--theta-i", PI_THIRD,
-                 "--mode", "reflective", "--exclude-trivial", "0.2"],
-            )
-        )
+    def test_exclude_trivial_finds_boundary_minimum(self):
+        doc = _json(run_cli(["oracle", "--rho", "1", "--tau", "0", "--theta-i", PI_THIRD,
+                             "--mode", "reflective", "--exclude-trivial", "0.2"]))
         assert 0.05 <= doc["results"]["oracle"]["objective"] <= 0.07
         assert any("boundary" in w for w in doc["warnings"])
 
-    def test_infeasible_grid_exits_three(self, runner):
-        result = runner.invoke(
-            main,
-            ["oracle", "--rho", "0.9", "--tau", "0.3", "--theta-i", "1.0",
-             "--phi-i", "0.5", "--grid", "8x8", "--constraint-tol", "1e-9"],
-        )
+    def test_infeasible_grid_exits_three(self):
+        result = run_cli(["oracle", "--rho", "0.9", "--tau", "0.3", "--theta-i", "1.0",
+                          "--phi-i", "0.5", "--grid", "8x8", "--constraint-tol", "1e-9"])
         assert result.exit_code == 3
-        doc = json.loads(result.output)
+        doc = json.loads(result.stdout)
         assert doc["results"]["oracle"] == {
             "error": "infeasible-grid",
             "message": "no grid point satisfies |residual| <= 1e-09 on a 8x8 grid; "
@@ -516,14 +450,11 @@ class TestOracleCommand:
         }
         assert doc["results"]["discrepancy"] is None
 
-    def test_exclusion_emptied_grid_names_the_radius(self, runner):
-        result = runner.invoke(
-            main,
-            ["oracle", "--rho", "0.3", "--theta-i", "1.0", "--grid", "40x80",
-             "--exclude-trivial", "1.5707963267948966"],
-        )
+    def test_exclusion_emptied_grid_names_the_radius(self):
+        result = run_cli(["oracle", "--rho", "0.3", "--theta-i", "1.0", "--grid", "40x80",
+                          "--exclude-trivial", "1.5707963267948966"])
         assert result.exit_code == 3
-        doc = json.loads(result.output)
+        doc = json.loads(result.stdout)
         assert doc["results"]["oracle"] == {
             "error": "infeasible-grid",
             "message": "every grid point with |residual| <= 0.005 on a 40x80 grid "
@@ -534,29 +465,19 @@ class TestOracleCommand:
 
 
 class TestSimulateCommand:
-    def test_strict_absorbs(self, runner):
-        doc = _json(
-            runner.invoke(
-                main,
-                ["simulate", "--rho", "1", "--tau", "0", "--theta-i", PI_THIRD,
-                 "--phi-i", "0", "--steps", "3", "--mode", "strict",
-                 "--outcome", "risk:born-surprise"],
-            )
-        )
+    def test_strict_absorbs(self):
+        doc = _json(run_cli(["simulate", "--rho", "1", "--tau", "0", "--theta-i", PI_THIRD,
+                             "--phi-i", "0", "--steps", "3", "--mode", "strict", "--outcome",
+                             "risk:born-surprise"]))
         steps = doc["results"]["trajectory"]
         assert [s["no_collapse"] for s in steps] == [False, True, True]
         assert any("stand-in" in w for w in doc["warnings"])
         assert doc["results"]["rng"] is None
 
-    def test_reflective_alternates_azimuth(self, runner):
-        doc = _json(
-            runner.invoke(
-                main,
-                ["simulate", "--rho", "1", "--tau", "0", "--theta-i", PI_THIRD,
-                 "--phi-i", "0", "--steps", "3", "--mode", "reflective",
-                 "--outcome", "risk:born-surprise"],
-            )
-        )
+    def test_reflective_alternates_azimuth(self):
+        doc = _json(run_cli(["simulate", "--rho", "1", "--tau", "0", "--theta-i", PI_THIRD,
+                             "--phi-i", "0", "--steps", "3", "--mode", "reflective", "--outcome",
+                             "risk:born-surprise"]))
         steps = doc["results"]["trajectory"]
         assert all(not s["no_collapse"] for s in steps)
         azimuths = [s["axis_measured"]["phi"] for s in steps]
@@ -564,59 +485,42 @@ class TestSimulateCommand:
         assert azimuths[1] == pytest.approx(math.pi, abs=1e-9)
         assert azimuths[2] == pytest.approx(0.0, abs=1e-9)
 
-    def test_eigenstate_single_record(self, runner):
-        doc = _json(
-            runner.invoke(
-                main, ["simulate", "--rho", "1", "--theta-i", "0", "--steps", "1"]
-            )
-        )
+    def test_eigenstate_single_record(self):
+        doc = _json(run_cli(["simulate", "--rho", "1", "--theta-i", "0", "--steps", "1"]))
         steps = doc["results"]["trajectory"]
         assert len(steps) == 1 and steps[0]["no_collapse"] is True
 
-    def test_born_reports_rng(self, runner):
-        doc = _json(
-            runner.invoke(
-                main,
-                ["simulate", "--rho", "0.7", "--theta-i", "0.9", "--steps", "2",
-                 "--outcome", "born", "--seed", "5"],
-            )
-        )
+    def test_born_reports_rng(self):
+        doc = _json(run_cli(["simulate", "--rho", "0.7", "--theta-i", "0.9", "--steps", "2",
+                             "--outcome", "born", "--seed", "5"]))
         assert doc["results"]["rng"] == "numpy.random.PCG64"
 
-    def test_born_without_seed_is_usage_error(self, runner):
-        result = runner.invoke(
-            main,
-            ["simulate", "--rho", "1", "--theta-i", "1", "--steps", "1",
-             "--outcome", "born"],
-        )
+    def test_born_without_seed_is_usage_error(self):
+        result = run_cli(["simulate", "--rho", "1", "--theta-i", "1", "--steps", "1",
+                          "--outcome", "born"])
         assert result.exit_code == 2
-        assert "seed" in result.output
+        assert "seed" in result.stderr
 
-    def test_unknown_risk_lists_builtins(self, runner):
-        result = runner.invoke(
-            main,
-            ["simulate", "--rho", "1", "--theta-i", "1", "--steps", "1",
-             "--outcome", "risk:leap-of-faith"],
-        )
+    def test_unknown_risk_lists_builtins(self):
+        result = run_cli(["simulate", "--rho", "1", "--theta-i", "1", "--steps", "1",
+                          "--outcome", "risk:leap-of-faith"])
         assert result.exit_code == 2
         for name in ("constant", "born-surprise", "alignment"):
-            assert name in result.output
+            assert name in result.stderr
 
-    def test_identical_runs_bit_identical(self, runner):
+    def test_identical_runs_bit_identical(self):
         argv = ["simulate", "--rho", "0.7", "--tau", "0.4", "--theta-i", "0.9",
                 "--phi-i", "1.1", "--steps", "5", "--mode", "reflective",
                 "--outcome", "born", "--seed", "7"]
-        first = runner.invoke(main, argv)
-        second = runner.invoke(main, argv)
+        first = run_cli(argv)
+        second = run_cli(argv)
         assert first.exit_code == 0
-        assert first.output == second.output
+        assert first.stdout == second.stdout
 
 
 class TestEnvelope:
-    def test_structure(self, runner):
-        doc = _json(
-            runner.invoke(main, ["solve", "--rho", "1", "--theta-i", "1"])
-        )
+    def test_structure(self):
+        doc = _json(run_cli(["solve", "--rho", "1", "--theta-i", "1"]))
         assert list(doc.keys()) == [
             "tool", "command", "input", "entropy_base", "mode", "results", "warnings",
         ]
@@ -648,29 +552,23 @@ class TestEnvelope:
              "--degrees", "--mode", "reflective"],
         ],
     )
-    def test_round_trip_from_input_echo(self, runner, argv):
-        first = _json(runner.invoke(main, argv))
+    def test_round_trip_from_input_echo(self, argv):
+        first = _json(run_cli(argv))
         replay = _argv_from_echo(first["command"], first["input"])
-        second = _json(runner.invoke(main, replay))
+        second = _json(run_cli(replay))
         assert second == first
 
-    def test_out_writes_file(self, runner, tmp_path):
+    def test_out_writes_file(self, tmp_path):
         target = tmp_path / "doc.json"
-        result = runner.invoke(
-            main,
-            ["solve", "--rho", "1", "--theta-i", "1", "--out", str(target)],
-        )
+        result = run_cli(["solve", "--rho", "1", "--theta-i", "1", "--out", str(target)])
         assert result.exit_code == 0
-        assert result.output == ""
+        assert result.stdout == b""
         doc = json.loads(target.read_text())
         assert doc["command"] == "solve"
 
-    def test_unwritable_out_is_usage_error(self, runner, tmp_path):
-        result = runner.invoke(
-            main,
-            ["solve", "--rho", "1", "--theta-i", "1",
-             "--out", str(tmp_path / "missing" / "doc.json")],
-        )
+    def test_unwritable_out_is_usage_error(self, tmp_path):
+        result = run_cli(["solve", "--rho", "1", "--theta-i", "1", "--out",
+                          str(tmp_path / "missing" / "doc.json")])
         assert result.exit_code == 2
 
 
@@ -717,10 +615,10 @@ class TestDocumentBytes:
                       "--seed", "3", "--entropy-base", "2", "--tol", "0"], 0,
                      id="simulate-born-degrees-base2"),
     ])
-    def test_reencoded_document_is_byte_identical(self, runner, argv, exit_code):
-        result = runner.invoke(main, argv)
-        assert result.exit_code == exit_code, result.output
-        text = result.stdout
+    def test_reencoded_document_is_byte_identical(self, argv, exit_code):
+        result = run_cli(argv)
+        assert result.exit_code == exit_code, result.stderr
+        text = result.stdout.decode()
         assert text.isascii()
         doc = json.loads(text)
         assert text == json.dumps(doc, indent=2) + "\n"
@@ -728,28 +626,6 @@ class TestDocumentBytes:
             # the records replaced the envelope's one empty list
             assert text.count('"trajectory": ') == 1
             assert len(doc["results"]["trajectory"]) == doc["input"]["steps"]
-
-    @pytest.mark.parametrize("argv", [
-        ["solve", "--rho", "0.7", "--tau", "0.4", "--theta-i", "0.9", "--phi-i", "1.1"],
-        ["simulate", "--rho", "0.7", "--tau", "0.4", "--theta-i", "0.9", "--steps", "5",
-         "--outcome", "born", "--seed", "3"],
-        ["oracle", "--rho", "0.7", "--tau", "0.4", "--theta-i", "0.9", "--grid", "32x64"],
-        ["landscape", "--rho", "0.7", "--tau", "0.4", "--theta-i", "0.9", "--grid", "9x14"],
-    ], ids=lambda argv: argv[0])
-    def test_stdout_skips_the_ansi_strip(self, runner, monkeypatch, argv):
-        # CliRunner's stdout is no terminal, where `click.echo` would run its
-        # ANSI-strip regex over the document; no document goes through it
-        expected = runner.invoke(main, argv)
-        assert expected.exit_code == 0, expected.output
-
-        def refuse(text):
-            raise AssertionError("a document went through click's ANSI strip")
-
-        monkeypatch.setattr(click.utils, "strip_ansi", refuse)
-        monkeypatch.setattr(click._compat, "strip_ansi", refuse)
-        result = runner.invoke(main, argv)
-        assert result.exit_code == 0, result.output
-        assert result.output == expected.output
 
 
 # every value an echo can hold: no value, a flag, an integer up to the
@@ -830,13 +706,13 @@ class TestTrajectoryRecords:
                 "--phi-i", repr(phi), "--steps", str(steps), "--mode", mode,
                 "--outcome", outcome, "--seed", str(seed), "--entropy-base", base,
                 "--tol", tol]
-        result = CliRunner().invoke(main, argv)
-        assert result.exit_code == 0, result.output
+        result = run_cli(argv)
+        assert result.exit_code == 0, result.stderr
         config = SimConfig(steps, mode, outcome, seed, cli._BASES[base], float(tol))
         records = simulate(PureState(rho, tau), Axis(theta, phi), config)
         doc = json.loads(result.stdout)
         doc["results"]["trajectory"] = [ts.to_dict() for ts in records]
-        assert result.stdout == json.dumps(doc, indent=2) + "\n"
+        assert result.stdout.decode() == json.dumps(doc, indent=2) + "\n"
         if start in _EIGEN_STARTS:
             assert records[0].no_collapse
 
@@ -876,11 +752,10 @@ class TestTrajectoryRecords:
             values[field] = bad
             records = [self._record(0, [0.25] * 11), self._record(1, values)]
             monkeypatch.setattr(cli, "simulate", lambda *args: records)
-            result = CliRunner().invoke(main, ["simulate", "--rho", "0.7", "--theta-i", "0.9",
-                                               "--steps", "2"])
+            result = run_cli(["simulate", "--rho", "0.7", "--theta-i", "0.9", "--steps", "2"])
             assert isinstance(result.exception, ValueError)
             assert "non-finite" in str(result.exception)
-            assert result.stdout == ""
+            assert result.stdout == b""
 
     def test_orjson_reads_exactly_the_fields(self):
         # orjson writes a dataclass as its instance __dict__, in insertion
@@ -961,21 +836,151 @@ class TestUsageErrors:
              "--format", "json"],
         ],
     )
-    def test_exit_code_two(self, runner, argv):
-        assert runner.invoke(main, argv).exit_code == 2
+    def test_exit_code_two(self, argv):
+        # a usage error raises nothing past `main` and prints no document
+        result = run_cli(argv)
+        assert (result.exit_code, result.stdout, result.exception) == (2, b"", None)
+        assert "Error: " in result.stderr
+
+    @pytest.mark.parametrize("argv, message", [
+        (["solve", "--rho", "0.7", "--theta-i", "1", "--bogus", "1"],
+         "No such option '--bogus'."),
+        (["solve", "--rho", "0.7", "--phi-i", "1"], "Missing option '--theta-i'."),
+        (["solve", "--rho", "0.7", "--theta-i", "1", "--mode", "sideways"],
+         "Invalid value for '--mode': 'sideways' is not one of 'strict', 'reflective'."),
+        (["simulate", "--rho", "0.7", "--theta-i", "1", "--steps", "1", "--seed", "-1"],
+         "Invalid value for '--seed': -1 is not in the range 0<=x<=18446744073709551615"),
+        # no abbreviation: --th is none of --theta-i, --tau and --tol
+        (["solve", "--rho", "0.7", "--th", "1"], "No such option '--th'."),
+        (["solve", "--rho", "0.7", "--theta-i", "1", "--degrees=1"],
+         "Option '--degrees' does not take a value."),
+        (["simulate", "--rho", "0.7", "--theta-i", "1", "--steps"],
+         "Option '--steps' requires an argument."),
+        (["solve", "--rho", "0.7", "--theta-i", "1", "0.5"],
+         "Got unexpected extra argument (0.5)"),
+        (["solve", "--rho", "x", "--theta-i", "1"],
+         "Invalid value for '--rho': could not convert string to float: 'x'"),
+        (["measure", "--rho", "0.7"], "No such command 'measure'."),
+        (["--rho", "0.7"], "No such option '--rho'."),
+    ])
+    def test_message_on_stderr_only(self, argv, message):
+        result = run_cli(argv)
+        assert (result.exit_code, result.stdout) == (2, b"")
+        command = f"spincollapse {argv[0]}" if argv[0] in cli._COMMANDS else "spincollapse"
+        assert result.stderr.endswith(f"Try '{command} --help' for help.\n\nError: {message}\n")
+
+    def test_no_arguments_prints_help_to_stderr(self):
+        result = run_cli([])
+        assert (result.exit_code, result.stdout) == (2, b"")
+        assert result.stderr == run_cli(["--help"]).stdout.decode()
 
     @pytest.mark.parametrize("grid", ["4x4", "400"])
-    def test_oracle_checks_grid_before_tol(self, runner, grid):
+    def test_oracle_checks_grid_before_tol(self, grid):
         # a bad grid is reported before a bad --tol, whatever its size
         argv = ["oracle", "--rho", "0.7", "--theta-i", "1", "--grid", grid, "--tol", "-1"]
-        result = runner.invoke(main, argv)
+        result = run_cli(argv)
         assert result.exit_code == 2
-        assert "grid" in result.output and "eigen_tol" not in result.output
+        assert "grid" in result.stderr and "eigen_tol" not in result.stderr
 
-    def test_version(self, runner):
-        result = runner.invoke(main, ["--version"])
+    def test_version(self):
+        result = run_cli(["--version"])
         assert result.exit_code == 0
-        assert __version__ in result.output
+        assert result.stdout.decode() == f"spincollapse, version {__version__}\n"
+
+
+class TestArgv:
+    """`cli._parse` reads each command's argv against the command's rows of
+    the flag table."""
+
+    _SOLVE = ["solve", "--rho", "0.7", "--theta-i", "0.9"]
+
+    def test_value_reads_like_an_option(self):
+        # a value flag takes the next token as it stands, a leading dash too
+        doc = _json(run_cli(["solve", "--amp-up", "-0.6+0.2j", "--amp-down", "-0.5",
+                             "--theta-i", "0.9", "--phi-i", "-1.1"]))
+        assert doc["input"]["amp_up"] == "-0.6+0.2j"
+        assert doc["input"]["amp_down"] == "-0.5"
+        assert doc["input"]["phi_i"] == -1.1
+
+    def test_equals_and_space_spellings_agree(self, tmp_path):
+        spaced = run_cli([*self._SOLVE, "--mode", "reflective"])
+        joined = run_cli(["solve", "--rho=0.7", "--theta-i=0.9", "--mode=reflective"])
+        assert spaced.exit_code == 0 and joined == spaced
+        # the value is the text after the first "=", an "=" in it too
+        target = tmp_path / "a=b"
+        assert run_cli([*self._SOLVE, f"--out={target}"]).exit_code == 0
+        assert target.read_bytes() == run_cli(self._SOLVE).stdout
+
+    def test_last_of_a_repeated_flag_wins(self):
+        repeated = run_cli(["solve", "--rho", "0.1", "--theta-i", "0.9", "--rho", "0.7",
+                            "--mode", "reflective", "--mode", "strict"])
+        assert repeated.exit_code == 0 and repeated == run_cli(self._SOLVE)
+
+    def test_double_dash_ends_the_flags(self):
+        assert run_cli([*self._SOLVE, "--"]) == run_cli(self._SOLVE)
+        result = run_cli([*self._SOLVE, "--", "--mode", "reflective"])
+        assert (result.exit_code, result.stdout) == (2, b"")
+        assert "unexpected extra argument (--mode reflective)" in result.stderr
+
+    def test_help_is_the_table(self):
+        # each command's --help lists its rows in order, before any flag
+        # is checked: here the required ones are missing
+        for name, (fn, rows, _) in cli._COMMANDS.items():
+            result = run_cli([name, "--help"])
+            assert (result.exit_code, result.stderr) == (0, "")
+            text = result.stdout.decode()
+            summary = fn.__doc__.partition("\n")[0]
+            assert text.startswith(f"Usage: spincollapse {name} [OPTIONS]\n\n  {summary}\n")
+            options = text.partition("\nOptions:\n")[2].splitlines()
+            assert [line.split()[0] for line in options if line.startswith("  --")] == [
+                *(row.flag for row in rows), "--help"]
+            assert max(map(len, text.splitlines())) <= 80
+        listed = run_cli(["--help"]).stdout.decode().partition("\nCommands:\n")[2]
+        assert [line.split()[0] for line in listed.splitlines()] == sorted(cli._COMMANDS)
+
+    def test_main_returns_or_exits_with_the_code(self, monkeypatch, capsys):
+        assert cli.main.main is cli.main
+        monkeypatch.setattr(sys, "argv", ["spincollapse", "--version"])
+        assert cli.main(standalone_mode=False) == 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["oracle", "--rho", "0.9", "--tau", "0.3", "--theta-i", "1.0",
+                      "--phi-i", "0.5", "--grid", "8x8", "--constraint-tol", "1e-9"])
+        assert exc.value.code == 3
+        assert capsys.readouterr().out.startswith("spincollapse, version")
+
+    def test_runs_without_click(self):
+        # the CLI imports no argument-parsing package: the four commands,
+        # --version and each --help run with click barred
+        script = (
+            "import sys\n"
+            "sys.modules['click'] = None\n"
+            "from spincollapse.cli import main\n"
+            "state = ['--rho', '0.7', '--theta-i', '0.9']\n"
+            "for argv in (['solve', *state], ['oracle', *state, '--grid', '8x16'],\n"
+            "             ['simulate', *state, '--steps', '3', '--outcome', 'born',\n"
+            "              '--seed', '4'],\n"
+            "             ['landscape', *state, '--grid', '4x8'], ['--version'], ['--help'],\n"
+            "             ['solve', '--help'], ['oracle', '--help'],\n"
+            "             ['simulate', '--help'], ['landscape', '--help']):\n"
+            "    print(argv[0], main(argv, standalone_mode=False), file=sys.stderr)\n"
+        )
+        proc = _python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines() == [
+            "solve 0", "oracle 0", "simulate 0", "landscape 0", "--version 0", "--help 0",
+            "solve 0", "oracle 0", "simulate 0", "landscape 0"]
+
+    @pytest.mark.parametrize("argv, exit_code", [
+        (["solve", "--rho", "0.7", "--theta-i", "0.9"], 0),
+        (["solve", "--rho", "0.7", "--theta-i", "0.9", "--bogus"], 2),
+        (["oracle", "--rho", "0.9", "--tau", "0.3", "--theta-i", "1.0", "--phi-i", "0.5",
+          "--grid", "8x8", "--constraint-tol", "1e-9"], 3),
+    ])
+    def test_module_exit_codes(self, argv, exit_code):
+        proc = _python("-m", "spincollapse.cli", *argv)
+        assert proc.returncode == exit_code, proc.stderr
+        assert (proc.stdout == "") == (exit_code == 2)
+        assert ("Error: " in proc.stderr) == (exit_code == 2)
 
 
 # the pinned commands that print a JSON document: a usage error prints none
@@ -991,7 +996,7 @@ class TestPinnedBytes:
         [case[1] for case in PINNED if case[1].startswith("landscape")],
         ids=[case[0] for case in PINNED if case[1].startswith("landscape")],
     )
-    def test_landscape_is_the_cell_by_cell_table(self, runner, monkeypatch, command):
+    def test_landscape_is_the_cell_by_cell_table(self, monkeypatch, command):
         # on each pinned shape `_table`'s text is the one that formats every
         # cell by its own `repr`
         calls = []
@@ -1001,33 +1006,33 @@ class TestPinnedBytes:
             return _table(*args)
 
         monkeypatch.setattr(cli, "_table", recording_table)
-        result = runner.invoke(main, command.split())
-        assert result.exit_code == 0, result.output
+        result = run_cli(command.split())
+        assert result.exit_code == 0, result.stderr
         (args,) = calls
-        assert result.output == landscape_table(*args)
+        assert result.stdout.decode() == landscape_table(*args)
 
     @pytest.mark.parametrize("name", [
         "solve-reflective-2", "oracle-exclude", "oracle-infeasible",
         "simulate-strict-absorbs", "simulate-born-tol0-base2",
     ])
-    def test_out_file_equals_stdout(self, runner, tmp_path, name):
+    def test_out_file_equals_stdout(self, tmp_path, name):
         _, command, exit_code = next(case for case in PINNED if case[0] == name)
-        printed = runner.invoke(main, command.split())
-        assert printed.exit_code == exit_code, printed.output
+        printed = run_cli(command.split())
+        assert printed.exit_code == exit_code, printed.stderr
         target = tmp_path / "doc.json"
-        result = runner.invoke(main, [*command.split(), "--out", str(target)])
-        assert result.exit_code == exit_code, result.output
-        assert result.stdout_bytes == b""
-        assert target.read_bytes() == printed.stdout_bytes
+        result = run_cli([*command.split(), "--out", str(target)])
+        assert result.exit_code == exit_code, result.stderr
+        assert result.stdout == b""
+        assert target.read_bytes() == printed.stdout
 
     @pytest.mark.parametrize(
         "command, exit_code",
         [case[1:] for case in _DOCUMENT_PINS], ids=[case[0] for case in _DOCUMENT_PINS],
     )
-    def test_replays_from_input_echo(self, runner, command, exit_code):
-        first = runner.invoke(main, command.split())
-        assert first.exit_code == exit_code, first.output
-        doc = json.loads(first.stdout_bytes)
-        second = runner.invoke(main, _argv_from_echo(doc["command"], doc["input"]))
-        assert second.exit_code == exit_code, second.output
-        assert second.stdout_bytes == first.stdout_bytes
+    def test_replays_from_input_echo(self, command, exit_code):
+        first = run_cli(command.split())
+        assert first.exit_code == exit_code, first.stderr
+        doc = json.loads(first.stdout)
+        second = run_cli(_argv_from_echo(doc["command"], doc["input"]))
+        assert second.exit_code == exit_code, second.stderr
+        assert second.stdout == first.stdout

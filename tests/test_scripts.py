@@ -50,7 +50,7 @@ def test_script_runs(script, args, summary):
 
 # The lines `digest_outputs.py` prints, one per output family (its docstring
 # says which inputs each one hashes; ``cli.pinned.<name>`` is the command
-# `name` of `PINNED`), recorded on Python 3.11.7, numpy 2.4.6 and click 8.4.0: numpy's
+# `name` of `PINNED`), recorded on Python 3.11.7, numpy 2.4.6 and orjson 3.8.3: numpy's
 # vectorized `log` decides the grid bytes of the ``oracle.*``, ``landscape*``
 # and ``cli.*`` lines.  The 3-vector dots are the plain float sum `_dot3`,
 # the same on any BLAS build (`test_no_module_routes_through_blas`).  These

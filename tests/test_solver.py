@@ -734,10 +734,9 @@ class TestAntipodalGrid:
     def test_mirror_rows_are_rows_turned_half_a_turn(
         self, n_theta, n_phi, rho, tau, theta_i, phi_i, base
     ):
-        # the precondition of `cli._table`, which copies these strings: the
-        # entropies are even and the grid exactly antipodal, so s_f, the
-        # residual and s_up of row n_theta - 1 - i are row i's, rolled by
-        # n_phi/2, bit for bit
+        # what `_entropy_grid` documents: the grid is exactly antipodal and
+        # the entropies even, so s_f, the residual and s_up of row
+        # n_theta - 1 - i are row i's, rolled by n_phi/2, bit for bit
         *_, s_f, residual, s_up_grid = _entropy_grid(
             PureState(rho, tau), Axis(theta_i, phi_i), n_theta, n_phi, base)
         for grid in (s_f, residual, s_up_grid):
