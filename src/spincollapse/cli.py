@@ -451,7 +451,7 @@ def _table(thetas, phis, p_up, s_f, residual, s_up, delimiter: str) -> str:
 # commands
 
 
-def main(args=None, standalone_mode: bool = True) -> int:
+def main(args: list[str] | None = None, standalone_mode: bool = True) -> int:
     """Run the command line `args` (``sys.argv[1:]`` if None) and return its
     exit code, or exit with it when `standalone_mode`.
 
@@ -477,6 +477,8 @@ main.main = main
 
 
 def _run(name: str | None, argv: list[str]) -> int:
+    """The exit code of `argv`, whose first token is the command `name`, or
+    names no command if that is None."""
     if name is None:
         if not argv:
             sys.stderr.write(_help(None))
@@ -496,15 +498,14 @@ def _run(name: str | None, argv: list[str]) -> int:
         sys.stdout.write(_help(name))
         return 0
     state, axis, echo = _resolve_inputs(flags, rows)
-    return fn(flags, state, axis, echo)
+    return fn(state, axis, echo, **flags)
 
 
 @_command("solve", *_JSON_FLAGS)
-def cmd_solve(flags, state, axis, echo) -> int:
+def cmd_solve(state, axis, echo, mode, entropy_base, tol, out, **_) -> int:
     """Minimize the transfer entropy over entropy-conserving axes."""
-    mode, entropy_base = flags["mode"], flags["entropy_base"]
-    sol = _guard(solve, state, axis, mode, base=_BASES[entropy_base], eigen_tol=flags["tol"])
-    _emit(_envelope("solve", echo, entropy_base, mode, _solve_results(sol), []), flags["out"])
+    sol = _guard(solve, state, axis, mode, base=_BASES[entropy_base], eigen_tol=tol)
+    _emit(_envelope("solve", echo, entropy_base, mode, _solve_results(sol), []), out)
     return 0
 
 
@@ -513,17 +514,17 @@ def cmd_solve(flags, state, axis, echo) -> int:
     _Flag("format", str, "csv", choices=("csv", "tsv"), help="Output format."),
     _Flag("grid", str, "200x400", help="Scan resolution NxM (theta rows x phi columns)."),
 )
-def cmd_landscape(flags, state, axis_i, _echo) -> int:
+def cmd_landscape(state, axis_i, _echo, entropy_base, out, format, grid, **_) -> int:
     """Tabulate p_up, entropies, and the constraint residual over a grid.
 
     Columns: theta_f, phi_f, p_up, s_f, constraint_residual, s_up.  The
     surfaces depend on neither the selection mode nor the eigenstate
     tolerance, so the command takes no --mode and no --tol.
     """
-    delimiter = "\t" if flags["format"] == "tsv" else ","
-    n_theta, n_phi = _parse_grid(flags["grid"])
-    grids = _entropy_grid(state, axis_i, n_theta, n_phi, _BASES[flags["entropy_base"]])
-    _emit(_table(*grids, delimiter), flags["out"])
+    delimiter = "\t" if format == "tsv" else ","
+    n_theta, n_phi = _parse_grid(grid)
+    grids = _entropy_grid(state, axis_i, n_theta, n_phi, _BASES[entropy_base])
+    _emit(_table(*grids, delimiter), out)
     return 0
 
 
@@ -537,11 +538,10 @@ def cmd_landscape(flags, state, axis_i, _echo) -> int:
           help="Drop grid points within this angular radius of the "
           "measured axis and its antipode."),
 )
-def cmd_oracle(flags, state, axis_i, echo) -> int:
+def cmd_oracle(state, axis_i, echo, mode, entropy_base, tol, out, grid, constraint_tol,
+               exclude_trivial, **_) -> int:
     """Brute-force grid search reported beside the closed-form solver."""
-    mode, entropy_base, tol = flags["mode"], flags["entropy_base"], flags["tol"]
-    exclude_trivial = flags["exclude_trivial"]
-    grid_dims = _parse_grid(flags["grid"])
+    grid_dims = _parse_grid(grid)
     base = _BASES[entropy_base]
     warnings = []
     if exclude_trivial is not None:
@@ -556,7 +556,7 @@ def cmd_oracle(flags, state, axis_i, echo) -> int:
         # and before the oracle's own eigenstate check
         axis_o, obj_o = _guard(
             brute_force_oracle, state, axis_i,
-            grid=grid_dims, constraint_tol=flags["constraint_tol"],
+            grid=grid_dims, constraint_tol=constraint_tol,
             exclude=exclude_trivial, base=base, eigen_tol=tol,
         )
     except NoCollapseError:
@@ -573,7 +573,7 @@ def cmd_oracle(flags, state, axis_i, echo) -> int:
         "oracle": oracle,
         "discrepancy": discrepancy,
     }
-    _emit(_envelope("oracle", echo, entropy_base, mode, results, warnings), flags["out"])
+    _emit(_envelope("oracle", echo, entropy_base, mode, results, warnings), out)
     return 3 if "error" in oracle else 0
 
 
@@ -584,12 +584,12 @@ def cmd_oracle(flags, state, axis_i, echo) -> int:
           help="Outcome rule: 'born' (seeded sampling) or 'risk:<name>'."),
     _Flag("seed", _seed, help="RNG seed; required when --outcome born."),
 )
-def cmd_simulate(flags, state, axis_i, echo) -> int:
+def cmd_simulate(state, axis_i, echo, mode, entropy_base, tol, out, steps, outcome, seed,
+                 **_) -> int:
     """Run a measurement trajectory and emit every step."""
-    mode, entropy_base = flags["mode"], flags["entropy_base"]
     config = _guard(
-        SimConfig, steps=flags["steps"], mode=mode, outcome=flags["outcome"],
-        seed=flags["seed"], entropy_base=_BASES[entropy_base], eigen_tol=flags["tol"],
+        SimConfig, steps=steps, mode=mode, outcome=outcome, seed=seed,
+        entropy_base=_BASES[entropy_base], eigen_tol=tol,
     )
     trajectory = simulate(state, axis_i, config)
     risk = config._risk
@@ -601,7 +601,7 @@ def cmd_simulate(flags, state, axis_i, echo) -> int:
     # a non-finite float is written null, which no record holds (rfind: faster)
     if text.rfind("null", text.index('"trajectory"'), text.rindex('"warnings"')) != -1:
         raise ValueError("a trajectory record holds a non-finite value")
-    _emit(text, flags["out"])
+    _emit(text, out)
     return 0
 
 

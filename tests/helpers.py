@@ -1,10 +1,15 @@
-"""Shared sampling and geometry helpers, and test oracles, for the test suite."""
+"""Shared sampling and geometry helpers, test oracles and CLI runners for the
+test suite."""
 
 from __future__ import annotations
 
 import contextlib
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -35,10 +40,20 @@ def run_cli(argv) -> CliRun:
     exception = None
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = cli.main(list(argv), standalone_mode=False)
+            code = cli.main(argv, standalone_mode=False)
         except Exception as exc:
             code, exception = 1, exc
     return CliRun(code, out.getvalue().encode(), err.getvalue(), exception)
+
+
+def run_python(*argv: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter run on `argv`, with the repository's ``src`` on
+    its path and its output captured as text."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env,
+                          timeout=120)
 
 
 def uniform_axis(rng: np.random.Generator) -> Axis:

@@ -5,9 +5,7 @@ import dataclasses
 import io
 import json
 import math
-import os
 import struct
-import subprocess
 import sys
 import tracemalloc
 
@@ -19,7 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from digest_outputs import PINNED
-from helpers import landscape_table, run_cli
+from helpers import landscape_table, run_cli, run_python
 from spincollapse import Axis, PureState, SimConfig, TrajectoryStep, __version__, simulate
 from spincollapse import cli
 from spincollapse.cli import _table
@@ -33,15 +31,6 @@ PI_THIRD = "1.0471975511965976"
 def _json(result):
     assert result.exit_code == 0, result.stderr
     return json.loads(result.stdout)
-
-
-def _python(*argv: str) -> subprocess.CompletedProcess:
-    """A fresh interpreter run with this package's ``src`` on its path."""
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env,
-                          timeout=120)
 
 
 def _argv_from_echo(command, echo):
@@ -194,7 +183,7 @@ class TestLandscapeCommand:
             "    main([name, *state, *flags], standalone_mode=False)\n"
             "    print(name, file=sys.stderr)\n"
         )
-        proc = _python("-c", script)
+        proc = run_python("-c", script)
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.splitlines() == ["solve", "oracle", "simulate", "landscape"]
 
@@ -964,7 +953,7 @@ class TestArgv:
             "             ['simulate', '--help'], ['landscape', '--help']):\n"
             "    print(argv[0], main(argv, standalone_mode=False), file=sys.stderr)\n"
         )
-        proc = _python("-c", script)
+        proc = run_python("-c", script)
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.splitlines() == [
             "solve 0", "oracle 0", "simulate 0", "landscape 0", "--version 0", "--help 0",
@@ -977,7 +966,7 @@ class TestArgv:
           "--grid", "8x8", "--constraint-tol", "1e-9"], 3),
     ])
     def test_module_exit_codes(self, argv, exit_code):
-        proc = _python("-m", "spincollapse.cli", *argv)
+        proc = run_python("-m", "spincollapse.cli", *argv)
         assert proc.returncode == exit_code, proc.stderr
         assert (proc.stdout == "") == (exit_code == 2)
         assert ("Error: " in proc.stderr) == (exit_code == 2)

@@ -5,32 +5,21 @@ import contextlib
 import io
 import json
 import math
-import os
 import re
 import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
 import digest_outputs
+from helpers import run_python
 from spincollapse import binary_entropy
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _python(*argv: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
-    return subprocess.run(
-        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120,
-    )
-
-
 def _run(script: str, *args: str) -> subprocess.CompletedProcess:
-    return _python(str(ROOT / "scripts" / script), *args)
+    return run_python(str(ROOT / "scripts" / script), *args)
 
 
 @pytest.mark.parametrize(
@@ -184,7 +173,7 @@ def test_readme_quickstart():
 # benchmark itself applies, so a change that breaks them fails here too.
 @pytest.mark.parametrize("workload", ["trajectory", "cli_inproc"])
 def test_gated_workload_smoke(workload):
-    proc = _python(str(ROOT / "perfbench" / "worker.py"), workload, "1", "0.5",
+    proc = run_python(str(ROOT / "perfbench" / "worker.py"), workload, "1", "0.5",
                    "measure", "--tiny")
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
