@@ -187,7 +187,8 @@ def _parse(argv: list[str], rows, lookup: dict) -> dict | None:
             flags[row.name] = row.default
         elif row.choices and text not in row.choices:
             allowed = ", ".join(map(repr, row.choices))
-            raise _UsageError(f"Invalid value for '{row.flag}': {text!r} is not one of {allowed}.")
+            raise _UsageError(
+                f"Invalid value for '{row.flag}': {text!r} is not one of {allowed}.")
         else:
             try:
                 flags[row.name] = row.convert(text)
