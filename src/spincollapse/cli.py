@@ -114,7 +114,7 @@ _FLAGS = {row.name: row for row in (
           help="Colatitude of the measured axis (radians unless --degrees)."),
     _Flag("phi_i", float, 0.0,
           help="Azimuth of the measured axis (radians unless --degrees)."),
-    _Flag("degrees", None, False,
+    _Flag("degrees", None,
           help="Interpret angle inputs (--theta-i, --phi-i, --tau) as degrees; "
           "output stays in radians."),
     _Flag("mode", str, "strict", choices=MODES,
@@ -253,7 +253,7 @@ def _help(name: str | None) -> str:
                            else _METAVARS[row.convert])
         if row.required:
             text += "  [required]"
-        elif row.default not in (None, False):
+        elif row.default is not None:
             text += f"  [default: {row.default}]"
         items.append((term, text))
     items.append(("--help", "Show this message and exit."))
