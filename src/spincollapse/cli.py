@@ -120,7 +120,7 @@ _FLAGS = {row.name: row for row in (
     _Flag("mode", str, "strict", choices=MODES,
           help="strict keeps the measured direction; reflective mirrors it "
           "about the state's Bloch vector."),
-    _Flag("entropy_base", str, "e", choices=("e", "2"),
+    _Flag("entropy_base", str, "e", choices=tuple(_BASES),
           help="Logarithm base for reported entropies (never changes minimizers)."),
     _Flag("tol", float, 1e-12,
           help="Eigenstate-detection tolerance on min(p_up, 1 - p_up), in [0, 1/2)."),
@@ -472,8 +472,9 @@ def main(args: list[str] | None = None, standalone_mode: bool = True) -> int:
     return code
 
 
-# `main.main(args, standalone_mode=False)` is the spelling of callers written
-# for the click group this function replaced; it is the same call
+# `main.main(args, standalone_mode=False)` is the click-era spelling of this
+# call; its one remaining caller is `Cli.run` in `perfbench/workloads.py`,
+# and ROADMAP item 1 moves that to `main(args)` and deletes this alias
 main.main = main
 
 

@@ -321,17 +321,15 @@ def _grid(n_theta: int, n_phi: int):
     return thetas, phis, (st, ct, cp, sp)
 
 
-def _grid_dot(v, trig, rows=None, cols=None) -> np.ndarray:
-    """v . n_f over the whole grid, or at the grid points (rows[k], cols[k]).
+def _grid_dot(v, trig) -> np.ndarray:
+    """v . n_f from the four trig arrays (sin, cos theta_f; cos, sin phi_f).
 
-    Both forms make the same elementwise products in the same order, so a
-    point's value does not depend on which form computed it.
+    The arrays broadcast as given: rows as a column against 1-D columns give
+    the whole grid, and gathers at the same points give those points.  The
+    elementwise products are the same either way, so a point's value does
+    not depend on which shape computed it.
     """
     st, ct, cp, sp = trig
-    if rows is None:
-        st, ct, cp, sp = st[:, None], ct[:, None], cp[None, :], sp[None, :]
-    else:
-        st, ct, cp, sp = st[rows], ct[rows], cp[cols], sp[cols]
     return st * cp * v[0] + st * sp * v[1] + ct * v[2]
 
 
@@ -359,7 +357,8 @@ def _entropy_grid(
     entropies even, so s_f, the residual and s_up are bit-equal at a grid
     point and at its antipode.
     """
-    thetas, phis, trig = _grid(n_theta, n_phi)
+    thetas, phis, (st, ct, cp, sp) = _grid(n_theta, n_phi)
+    trig = st[:, None], ct[:, None], cp, sp
     dot = _grid_dot(_bloch_xyz(state), trig)
     s_f = _binary_entropy_grid(dot, base)
     s_up = _binary_entropy_grid(_grid_dot(_unit_xyz(axis_i), trig), base)
@@ -437,9 +436,9 @@ def brute_force_oracle(
     point of least s_up; ties resolve to the first point in row-major order,
     so the scan is deterministic no matter how it is scheduled.  With no
     survivor, `InfeasibleGridError` reports an empty band, or names the
-    radius when the exclusion removed every band point.  s_f is
-    evaluated only at the candidates of `_band_candidates`, a superset of the
-    band, so the answer is bit-equal to that of a scan of every point.
+    radius when the exclusion removed every band point.  The trig is gathered
+    once, at the superset of the band that `_band_candidates` gives, and the
+    masked argmin of s_up there is bit-equal to one over every point.
     """
     # the search flags come before the eigenstate check: the CLI relies on it
     try:  # `_integer`, not int: a size of 8.9 is an error, not 8
@@ -459,32 +458,31 @@ def brute_force_oracle(
     n_i = _unit_xyz(axis_i)
     p_i, m, _cosb, _c2, _s2 = _collapse_frame(state, axis_i, n_i, eigen_tol)
     thetas, phis, trig = _grid(n_theta, n_phi)
-    # the band in row-major order, decided exactly at the prefilter's candidates
     level = _binary_entropy(p_i, base)
     rows, cols = _band_candidates(m, level, constraint_tol, base, trig)
-    s_f = _binary_entropy_grid(_grid_dot(m, trig, rows, cols), base)
-    band = np.abs(s_f - level) <= constraint_tol
-    rows, cols = rows[band], cols[band]
-    if rows.size == 0:
+    st, ct, cp, sp = trig
+    near = st[rows], ct[rows], cp[cols], sp[cols]  # gathered once, for both dots
+    dot_m, dot_i = _grid_dot(m, near), _grid_dot(n_i, near)
+    del near  # so that the entropies' temporaries do not pile onto it
+    # the band, decided exactly at the prefilter's candidates
+    kept = np.abs(_binary_entropy_grid(dot_m, base) - level) <= constraint_tol
+    if not kept.any():
         raise InfeasibleGridError(
             f"no grid point satisfies |residual| <= {constraint_tol!r} on a "
             f"{n_theta}x{n_phi} grid; refine the grid or loosen the tolerance"
         )
-    dot_i = _grid_dot(n_i, trig, rows, cols)
     if exclude is not None:
         # angle to the nearer of the two trivial directions
-        kept = np.arccos(np.clip(np.abs(dot_i), -1.0, 1.0)) > exclude
+        kept &= np.arccos(np.minimum(np.abs(dot_i), 1.0)) > exclude
         if not kept.any():
             raise InfeasibleGridError(
                 f"every grid point with |residual| <= {constraint_tol!r} on a "
                 f"{n_theta}x{n_phi} grid lies within the exclusion radius "
                 f"{exclude!r} of the measured axis or its antipode; lower the radius"
             )
-        rows, cols, dot_i = rows[kept], cols[kept], dot_i[kept]
-
-    objective = _binary_entropy_grid(dot_i, base)
-    k = int(objective.argmin())
-    return Axis(float(thetas[rows[k]]), float(phis[cols[k]])), float(objective[k])
+    s_up = _binary_entropy_grid(dot_i, base)
+    k = int(np.where(kept, s_up, np.inf).argmin())
+    return Axis(float(thetas[rows[k]]), float(phis[cols[k]])), float(s_up[k])
 
 
 def azimuth_descent(

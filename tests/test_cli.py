@@ -2,12 +2,14 @@
 
 import csv
 import dataclasses
+import importlib
 import io
 import json
 import math
 import struct
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import orjson
@@ -970,6 +972,29 @@ class TestArgv:
         assert proc.returncode == exit_code, proc.stderr
         assert (proc.stdout == "") == (exit_code == 2)
         assert ("Error: " in proc.stderr) == (exit_code == 2)
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+    def test_console_script(self):
+        # the [project.scripts] entry point, called the way an installed
+        # script calls it: its own name as argv[0] and main() with no arguments
+        import tomllib
+
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+        module, _, attr = scripts["spincollapse"].partition(":")
+        assert getattr(importlib.import_module(module), attr) is cli.main
+
+        def script(*argv):
+            return run_python("-c", f"import sys\nfrom {module} import {attr} as main\n"
+                              f"sys.argv = ['spincollapse', *{argv!r}]\nsys.exit(main())\n")
+
+        version = script("--version")
+        assert (version.returncode, version.stdout, version.stderr) == (
+            0, "spincollapse, version 0.1.0\n", "")
+        bare = script()
+        assert (bare.returncode, bare.stdout) == (2, "")
+        assert bare.stderr.startswith("Usage: spincollapse [OPTIONS] COMMAND [ARGS]...\n")
+        assert "\nCommands:\n" in bare.stderr
 
 
 # the pinned commands that print a JSON document: a usage error prints none

@@ -413,6 +413,22 @@ class TestBruteForceOracle:
         _, excl_obj = brute_force_oracle(UP_Z, TILT, grid=(200, 400), exclude=0.2)
         assert excl_obj >= base_obj
 
+    @pytest.mark.parametrize("grid", [(40, 80), (400, 800)])
+    def test_exclusion_boundary_is_strict(self, grid):
+        # the answer's angle alpha to +-n_i, taken with the oracle's own
+        # expression on the grid's trig: a radius of exactly alpha drops the
+        # point, and one ulp less keeps it
+        state, axis = PureState(0.7, 0.4), Axis(0.9, 1.1)
+        found, _ = brute_force_oracle(state, axis, grid=grid, exclude=0.2)
+        thetas, phis, (sin_t, cos_t, cos_p, sin_p) = _grid(*grid)
+        i, j = np.flatnonzero(thetas == found.theta), np.flatnonzero(phis == found.phi)
+        dot = _grid_dot(_unit_xyz(axis), (sin_t[i], cos_t[i], cos_p[j], sin_p[j]))
+        alpha = float(np.arccos(np.minimum(np.abs(dot), 1.0))[0])
+        assert alpha > 0.2
+        assert brute_force_oracle(state, axis, grid=grid, exclude=alpha)[0] != found
+        inside = math.nextafter(alpha, 0.0)
+        assert brute_force_oracle(state, axis, grid=grid, exclude=inside)[0] == found
+
     def test_total_exclusion_is_infeasible(self):
         with pytest.raises(InfeasibleGridError, match=r"exclusion radius 3\.0 "):
             brute_force_oracle(UP_Z, TILT, grid=(64, 64), exclude=3.0)
@@ -550,9 +566,10 @@ def _oracle_cases():
 
 
 class TestOracleSubsetPath:
-    """The oracle scores s_f only at the band prefilter's candidates and s_up
-    only on the feasible band; its answer must be bit-equal to the row-major
-    argmin over the full landscape surfaces."""
+    """The oracle gathers the trig once at the band prefilter's candidates
+    and scores s_f, the exclusion and s_up there; its masked argmin must be
+    bit-equal to the one `_full_grid_oracle` takes over the full landscape
+    surfaces."""
 
     @pytest.mark.parametrize(
         "state, axis, grid, constraint_tol, exclude, base", _oracle_cases()
@@ -718,7 +735,7 @@ class TestAntipodalGrid:
             # exactly negated at the antipode (n_theta - 1 - i, k + n_phi/2) of
             # (i, k), and on the pole rows at every column; compared as values,
             # since a sum x + (-x) is +0 on both sides
-            dot = _grid_dot(v, trig)
+            dot = _grid_dot(v, (trig[0][:, None], trig[1][:, None], trig[2], trig[3]))
             assert (dot[-1] == -dot[0]).all()
             if n_phi % 2 == 0:
                 assert (dot[::-1] == -np.roll(dot, h, axis=1)).all()
