@@ -4,6 +4,7 @@ import dataclasses
 import math
 import pickle
 import sys
+from dataclasses import astuple
 
 import mpmath
 import numpy as np
@@ -290,7 +291,8 @@ def _frame_free_minimizer(sol, state: PureState, axis: Axis, mode: str) -> Axis:
 
 
 def _check_step_against_routes(state, axis, mode, outcome, base, eigen_tol):
-    """`step` against `solve`, `s_up`, `born_up` and `binary_entropy`, bit for bit."""
+    """`step` against `solve`, `s_up`, `born_up`, `binary_entropy` and
+    `state_from_eigenvector`, bit for bit."""
     config = SimConfig(steps=1, mode=mode, outcome=outcome, seed=0,
                        entropy_base=base, eigen_tol=eigen_tol)
     t = step(state, axis, config, make_rng(3))
@@ -305,6 +307,8 @@ def _check_step_against_routes(state, axis, mode, outcome, base, eigen_tol):
         assert _hex(t.s_up_next) == _hex(0.0)
     else:
         assert _hex(t.s_up_next) == _hex(s_up(axis, t.axis_next, base))
+        assert _hex(t.state_after.rho, t.state_after.tau) == _hex(
+            *astuple(state_from_eigenvector(axis, t.s)))
     return t.no_collapse
 
 
