@@ -16,17 +16,23 @@ the mirror r = 2 (n_i . m) m - n_i, the reflection of -n_i about the
 evolving Bloch vector.
 
 `_walk` builds every record of a run; `step` is its one-index run and
-`simulate` its whole run.  It reads the config once per run and hands each
-step's next axis on together with that axis's unit vector, which it has
-already built for `s_up_next`, so no step recomputes the n_i of the one
-before.  The eigenstate tolerance is checked where it comes in, by
-`SimConfig`, and not again per step.  A step reads its per-axis numbers
-once, from the collapse frame: the Born probability p, the Bloch vector m,
-cos(beta) = n_i . m and the eigenstate weights cos^2(theta/2) and
-sin^2(theta/2), with one square root and one half-angle cosine and sine
-between them.  A risk rule reads p and m from the `RiskContext` the step
-hands them to, and the step collapses onto the eigenstate `_eigenstate`
-builds from the weights, as `state_from_eigenvector` does.  The first
+`simulate` its whole run.  It reads the config once per run, and its loop
+body is one step written out, with no call per formula: the Born
+probability p, the Bloch vector m, cos(beta) = n_i . m and the eigenstate
+weights cos^2(theta/2) and sin^2(theta/2) of `spin._born_frame` (one
+square root and one half-angle cosine and sine between them), the
+no-collapse test of `solver._collapse_frame`, the collapsed state of
+`state_from_eigenvector`, the next axis's unit vector of `spin._unit_xyz`
+and the entropies of `binary_entropy` and `s_up`.  Each line keeps the
+operation order of the route it repeats, so every float is that route's,
+bit for bit: `TestStepPinnedToSolve` compares every record field with
+`solve`, `born_up`, `binary_entropy`, `s_up` and `state_from_eigenvector`.
+The mirror stays the call `solver._mirror`, which `solve` makes too, and
+its angles come from `spin._xyz_angles`.  Each step hands its next axis on
+with that axis's unit vector and sin(theta), so no step recomputes the n_i
+of the one before.  The base and the eigenstate tolerance are checked
+where they come in, by `SimConfig`, and not again per step.  A risk rule
+reads p and m from the `RiskContext` the step hands them to.  The first
 no-collapse step ends the loop: it repeats under every remaining index.
 
 Born sampling uses numpy's PCG64 generator (see `RNG_NAME`): outcome +1 is
@@ -43,25 +49,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropy import _binary_entropy, _check_base, _dot_entropy
+from . import solver as _solver
+from .entropy import _binary_entropy, _check_base
 from .risk import RiskContext, RiskFunction, get_risk, select_outcome
-from .solver import (
-    NoCollapseError,
-    _check_eigen_tol,
-    _check_mode,
-    _collapse_frame,
-    _next_axis,
-)
-from .spin import (
-    DEFAULT_ATOL,
-    Axis,
-    PureState,
-    _dot3,
-    _eigenstate,
-    _integer,
-    _unit_xyz,
-    born_up,
-)
+from .solver import _check_eigen_tol, _check_mode
+from .spin import DEFAULT_ATOL, TWO_PI, Axis, PureState, _integer, _xyz_angles, antipode
 
 __all__ = [
     "RNG_NAME",
@@ -73,6 +65,9 @@ __all__ = [
 ]
 
 RNG_NAME = "numpy.random.PCG64"
+
+# module aliases for the arithmetic `_walk` writes out, as `entropy._log`
+_sqrt, _sin, _cos, _log, _PI = math.sqrt, math.sin, math.cos, math.log, math.pi
 
 
 def _parse_outcome(outcome: str) -> RiskFunction | None:
@@ -189,41 +184,99 @@ def _walk(
 ) -> list[TrajectoryStep]:
     """Every record of a run: one per index of `indices`, in order.
 
-    Each step hands the unit vector it builds for `s_up_next` on as the
-    next step's n_i, so only the first one is built from its axis.  A
-    no-collapse step hands its own state and axis on, draws nothing and
+    The loop body is one collapsing step written out: each line repeats,
+    operation for operation, the formula of a public route, so that every
+    float is bit for bit the route's (`TestStepPinnedToSolve`):
+    - p, m and the eigenstate weights c2 and s2 repeat `spin._born_frame`,
+      whose p is `born_up` and whose c2 and s2 are the rho of
+      `state_from_eigenvector`; the sin(theta) it takes is the one of n_i;
+    - the no-collapse test repeats `solver._collapse_frame`, with cos(beta)
+      = n_i . m summed as `spin._dot3` does, and the merged great circle
+      repeats `solver._merged`;
+    - the next axis is `solve`'s minimizer along n_i or along the mirror:
+      the mirror is `solver._mirror` itself, called through its module, and
+      `spin._xyz_angles` gives its angles;
+    - `state_after` repeats `state_from_eigenvector`;
+    - the unit vector of the next axis repeats `spin._unit_xyz`, and it is
+      handed on as the next step's n_i, with its sin(theta), so only the
+      first n_i is built from its axis;
+    - s_i repeats `binary_entropy(p)` and s_up_next `s_up(axis_i,
+      axis_next)`: `entropy._binary_entropy`, whose range check a
+      probability in [0, 1] passes, and `entropy._dot_entropy`.
+
+    A no-collapse step hands its own state and axis on, draws nothing and
     calls no risk rule, so every later step repeats it: its record is
     written under its own index and under each remaining one, and the loop
     ends.  `draw()` gives one uniform per collapsing step of a Born run; a
     risk rule never calls it.
     """
-    risk, base, mode = config._risk, config.entropy_base, config.mode
-    eigen_tol = config.eigen_tol  # SimConfig checked it, and the base
-    n_i = _unit_xyz(axis_i)
+    risk, base, eigen_tol = config._risk, config.entropy_base, config.eigen_tol
+    reflective = config.mode == "reflective"
+    # h / 1.0 is h: one division stands for `_binary_entropy`'s base test
+    log_base = 1.0 if base == math.e else _log(base)
+    theta, phi = axis_i.theta, axis_i.phi
+    st = _sin(theta)
+    nx, ny, nz = st * _cos(phi), st * _sin(phi), _cos(theta)
     records = []
     indices = iter(indices)
     for index in indices:
-        try:
-            p, m, cosb, c2, s2 = _collapse_frame(state, axis_i, n_i, eigen_tol)
-        except NoCollapseError:
-            p = born_up(state, axis_i)
+        rho, tau = state.rho, state.tau
+        q = _sqrt(rho * (1.0 - rho))
+        half = 0.5 * theta
+        c2 = _cos(half) ** 2
+        s2 = _sin(half) ** 2
+        p = rho * c2 + (1.0 - rho) * s2 + q * st * _cos(phi - tau)
+        if not 0.0 < p < 1.0:
+            p = 1.0 if p >= 1.0 else 0.0
+        r = 2.0 * q
+        m = r * _cos(tau), r * _sin(tau), 2.0 * rho - 1.0
+        mx, my, mz = m
+        cosb = nx * mx + ny * my + nz * mz
+        p_down = 1.0 - p
+        if p <= eigen_tol or p_down <= eigen_tol or not -1.0 < cosb < 1.0:
             s = 1 if p >= 0.5 else -1
             s_i = _binary_entropy(p, base)
             records += [TrajectoryStep(j, state, axis_i, p, s, state, axis_i, s_i, 0.0, True)
                         for j in (index, *indices)]
             return records
-        axis_next = _next_axis(axis_i, m, n_i, cosb, mode)
+        if reflective:
+            if -DEFAULT_ATOL <= cosb <= DEFAULT_ATOL:
+                axis_next = antipode(axis_i)
+            else:
+                axis_next = Axis(*_xyz_angles(*_solver._mirror(m, (nx, ny, nz), cosb)))
+            theta_n, phi_n = axis_next.theta, axis_next.phi
+            st_n = _sin(theta_n)
+            nx_n, ny_n, nz_n = st_n * _cos(phi_n), st_n * _sin(phi_n), _cos(theta_n)
+        else:
+            axis_next, theta_n, phi_n, st_n, nx_n, ny_n, nz_n = axis_i, theta, phi, st, nx, ny, nz
         if risk is None:
             s = 1 if draw() < p else -1
         else:
             s, _ = select_outcome(risk, axis_next, RiskContext(state, axis_i, (p, m)))
-        state_after = _eigenstate(axis_i, s, c2, s2)
-        n_next = _unit_xyz(axis_next)
-        records.append(TrajectoryStep(
-            index, state, axis_i, p, s, state_after, axis_next,
-            _binary_entropy(p, base), _dot_entropy(_dot3(n_i, n_next), base), False,
-        ))
-        state, axis_i, n_i = state_after, axis_next, n_next
+        if s == 1:
+            state_after = PureState(c2, phi)
+        else:
+            tau = phi + _PI
+            if tau >= TWO_PI:
+                tau -= TWO_PI  # exact (Sterbenz): the bits of `%`
+            state_after = PureState(s2, tau)
+        hi = p if p >= p_down else p_down
+        s_i = 0.0
+        if hi < 1.0:
+            lo = 1.0 - hi
+            s_i = (-lo * _log(lo) - hi * _log(hi)) / log_base
+        p_next = 0.5 * (1.0 + (nx * nx_n + ny * ny_n + nz * nz_n))
+        s_up_next = 0.0
+        if 0.0 < p_next < 1.0:
+            p_next_down = 1.0 - p_next
+            hi = p_next if p_next >= p_next_down else p_next_down
+            if hi < 1.0:
+                lo = 1.0 - hi
+                s_up_next = (-lo * _log(lo) - hi * _log(hi)) / log_base
+        records.append(TrajectoryStep(index, state, axis_i, p, s, state_after, axis_next,
+                                      s_i, s_up_next, False))
+        state, axis_i = state_after, axis_next
+        theta, phi, st, nx, ny, nz = theta_n, phi_n, st_n, nx_n, ny_n, nz_n
     return records
 
 

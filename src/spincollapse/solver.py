@@ -188,28 +188,17 @@ def _merged(cosb: float) -> bool:
 
 
 def _mirror(m: tuple, n_i: tuple, cosb: float) -> tuple[float, float, float]:
-    """r = 2 cos(beta) m - n_i on floats: the reflection of -n_i about m."""
+    """r = 2 cos(beta) m - n_i on floats: the reflection of -n_i about m.
+
+    `solve` and a reflective step (`simulate._walk`, which calls it through
+    this module) both build the mirror here.  The mirrors +-r give the same
+    spin-projection operator up to sign, so they are one measurement with
+    the outcome labels swapped; a step takes r rather than the smaller of
+    the two in some frame, which keeps a trajectory covariant under
+    rotations of the frame."""
     c = 2.0 * cosb
     (mx, my, mz), (nx, ny, nz) = m, n_i
     return c * mx - nx, c * my - ny, c * mz - nz
-
-
-def _next_axis(axis_i: Axis, m: tuple, n_i: tuple, cosb: float, mode: str) -> Axis:
-    """The one axis `mode` picks, from the collapse frame (m, n_i and
-    cos(beta) = n_i . m), without reference to a coordinate frame.
-
-    n_i itself in strict mode; otherwise the mirror r = 2 cos(beta) m - n_i,
-    which on the merged great circle is -n_i.  The mirrors +-r give the same
-    spin-projection operator up to sign, so they are one measurement with the
-    outcome labels swapped; taking r rather than the smaller of the two in
-    some frame keeps a trajectory covariant under rotations of the frame.
-    The axis is, bit for bit, the one of `solve(...).minimizers` along it.
-    """
-    if mode == "strict":
-        return axis_i
-    if _merged(cosb):
-        return antipode(axis_i)
-    return Axis(*_xyz_angles(*_mirror(m, n_i, cosb)))
 
 
 def _circles(p: float, cosb: float) -> tuple[tuple[float, ...], tuple[float, ...]]:

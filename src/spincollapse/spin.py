@@ -360,17 +360,13 @@ _UP_Z = PureState(1.0, 0.0)
 
 
 def state_from_eigenvector(axis: Axis, s: int) -> PureState:
-    """Post-measurement state: the s = +1 or s = -1 eigenstate of the axis."""
+    """Post-measurement state: the s = +1 or s = -1 eigenstate of the axis,
+    whose rho is the weight c2 = cos^2(theta/2) or s2 = sin^2(theta/2) of
+    `_born_frame`.  The -1 state's phi + pi lies in [pi, 3*pi) and is
+    reduced here: subtracting 2*pi is exact (Sterbenz), the bits of `%`."""
     s = _outcome(s)
     # the weights do not depend on the state: any one will do
     _p, _m, c2, s2 = _born_frame(_UP_Z, axis)
-    return _eigenstate(axis, s, c2, s2)
-
-
-def _eigenstate(axis: Axis, s: int, c2: float, s2: float) -> PureState:
-    """The s eigenstate of the axis from its weights c2 and s2
-    (`_born_frame`).  The -1 state's phi + pi lies in [pi, 3*pi) and is
-    reduced here: subtracting 2*pi is exact (Sterbenz), the bits of `%`."""
     if s == 1:
         return PureState(c2, axis.phi)
     tau = axis.phi + math.pi

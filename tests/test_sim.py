@@ -739,31 +739,45 @@ class TestOneStepErrorBudget:
 
 
 class TestStepDoesEachThingOnce:
-    """The work of one collapsing step, counted: `step` reads the collapse
-    frame once, through one `_born_frame` call that gives the Born
-    probability, the Bloch vector and both eigenstate weights, so it calls
-    neither `born_up`, `_bloch_xyz` nor `state_from_eigenvector`.  It
-    canonicalizes only the mirror it takes (none in strict mode, which hands
-    on the measured axis itself), in `_xyz_angles`, which reduces the
-    `atan2` angles itself: `Axis` keeps those canonical angles as they are,
-    and `_reduce_angles` never runs.
-    It leaves the base and `eigen_tol` to `SimConfig`, which checked them,
-    builds the unit vectors of its two axes once each, and builds its
-    record once, through `TrajectoryStep.__init__`, which fills the instance
-    dict (one `__dict__` read) instead of setting each field through
-    `object.__setattr__`.  `simulate` hands each step's next unit vector on
-    as the next step's n_i.  A risk rule's own work is not counted:
-    `spincollapse.risk` is not patched, and `_born_frame` is counted where
-    the step reads it, in `spincollapse.solver`, and not in
-    `spincollapse.spin`, where `born_up` and `_bloch_xyz` read it."""
+    """The work of one collapsing step, counted.  `_walk` writes the step's
+    arithmetic out, so the count is of the `math` aliases it calls,
+    patched on `spincollapse.simulate` as `entropy._log` is patched on
+    `spincollapse.entropy`:
+    - the first n_i takes sin(theta), cos(phi), sin(phi) and cos(theta),
+      and each reflective step takes the same four for its next axis,
+      whose unit vector it hands on as the next n_i;
+    - the collapse frame takes one square root (q), and the cosine and
+      sine of theta/2 (c2, s2), of tau (m) and the cosine of phi - tau (p);
+      the sin(theta) of p is that of n_i;
+    - each of the two entropies takes two logarithms, and a base other
+      than e one more per run.
+    It calls none of the routes it repeats (`born_up`, `_bloch_xyz`,
+    `_born_frame`, `state_from_eigenvector`, `_unit_xyz`, `_collapse_frame`,
+    `_binary_entropy`, `_dot_entropy`), leaves the base and `eigen_tol` to
+    `SimConfig`, which checked them, and canonicalizes only the mirror it
+    takes (none in strict mode, which hands on the measured axis itself):
+    one `solver._mirror`, one `_xyz_angles` and one `Axis` per reflective
+    step, and `Axis` keeps the canonical angles as they are, so
+    `_reduce_angles` never runs.  It builds its record once, through
+    `TrajectoryStep.__init__`, which fills the instance dict (one `__dict__`
+    read) instead of setting each field through `object.__setattr__`.  A
+    risk rule's own work is not counted: of `spincollapse.risk`, only the
+    `_born_frame` that a `RiskContext` calls when it is handed no frame is
+    patched."""
 
-    COUNTED = ("_xyz_angles", "_reduce_angles", "_check_base", "_check_eigen_tol",
-               "_unit_xyz", "born_up", "_bloch_xyz", "state_from_eigenvector")
+    ALIASES = ("_sqrt", "_sin", "_cos", "_log")
+    NEVER = ("born_up", "_bloch_xyz", "_born_frame", "state_from_eigenvector", "_unit_xyz",
+             "_collapse_frame", "_binary_entropy", "_dot_entropy", "_reduce_angles",
+             "_check_base", "_check_eigen_tol", "antipode")
+    COUNTED = ALIASES + NEVER + ("_mirror", "_xyz_angles")
+    FIRST_N_I = {"_sin": 2, "_cos": 2}
+    FRAME = {"_sqrt": 1, "_sin": 2, "_cos": 3}
+    NEXT_N = {"_sin": 2, "_cos": 2}
 
     @classmethod
     def _count(cls, monkeypatch) -> dict:
         calls = dict.fromkeys(cls.COUNTED, 0)
-        calls.update({"_born_frame": 0, "Axis.__init__": 0, "TrajectoryStep.__init__": 0,
+        calls.update({"Axis.__init__": 0, "TrajectoryStep.__init__": 0,
                       "TrajectoryStep.__dict__": 0})
 
         def counted(name, fn):
@@ -775,10 +789,14 @@ class TestStepDoesEachThingOnce:
         for module in (spincollapse.spin, spincollapse.entropy, spincollapse.solver,
                        SIMULATE_MODULE):
             for name in cls.COUNTED:
-                if hasattr(module, name):
+                # the aliases are counted where `_walk` reads them; `entropy._log`
+                # would count a `_binary_entropy` call twice
+                if hasattr(module, name) and (name not in cls.ALIASES
+                                              or module is SIMULATE_MODULE):
                     monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-        solver = spincollapse.solver
-        monkeypatch.setattr(solver, "_born_frame", counted("_born_frame", solver._born_frame))
+        # a context computes its frame only where a step hands it none
+        risk = spincollapse.risk
+        monkeypatch.setattr(risk, "_born_frame", counted("_born_frame", risk._born_frame))
         for cls in (Axis, TrajectoryStep):
             name = f"{cls.__name__}.__init__"
             monkeypatch.setattr(cls, "__init__", counted(name, cls.__init__))
@@ -791,6 +809,25 @@ class TestStepDoesEachThingOnce:
         monkeypatch.setattr(TrajectoryStep, "__getattribute__", getattribute)
         return calls
 
+    @classmethod
+    def _expected(cls, *, collapses=0, reflective=0, logs=0, records=0, no_collapses=0,
+                  extra_logs=0) -> dict:
+        """The counts of a run: the first n_i, `collapses` frames, of which
+        `reflective` hand on a mirror, `logs` entropies with their two
+        logarithms each, and `no_collapses` frames of steps that end the run
+        (each with its one `_binary_entropy`)."""
+        want = dict.fromkeys(cls.COUNTED, 0)
+        frames = collapses + no_collapses
+        for alias in cls.ALIASES[:3]:
+            want[alias] = (cls.FIRST_N_I.get(alias, 0) + frames * cls.FRAME.get(alias, 0)
+                           + reflective * cls.NEXT_N.get(alias, 0))
+        want["_log"] = 2 * logs + extra_logs
+        want["_binary_entropy"] = no_collapses
+        want["_mirror"] = want["_xyz_angles"] = reflective
+        want.update({"Axis.__init__": reflective, "TrajectoryStep.__init__": records,
+                     "TrajectoryStep.__dict__": records})
+        return want
+
     @pytest.mark.parametrize("outcome", OUTCOMES)
     def test_call_counts(self, monkeypatch, outcome):
         config = SimConfig(steps=1, mode="reflective", outcome=outcome, seed=5)
@@ -798,12 +835,9 @@ class TestStepDoesEachThingOnce:
         rng = make_rng(5)
         calls = self._count(monkeypatch)
         t = step(state, axis, config, rng)
-        assert not t.no_collapse
-        assert calls == {"_xyz_angles": 1, "_reduce_angles": 0, "_check_base": 0,
-                         "_check_eigen_tol": 0, "_unit_xyz": 2, "born_up": 0,
-                         "_bloch_xyz": 0, "state_from_eigenvector": 0, "_born_frame": 1,
-                         "Axis.__init__": 1, "TrajectoryStep.__init__": 1,
-                         "TrajectoryStep.__dict__": 1}
+        assert not t.no_collapse and t.s_i > 0.0 and t.s_up_next > 0.0
+        assert calls == self._expected(collapses=1, reflective=1, logs=2, records=1)
+        assert calls["_sqrt"] == 1 and calls["_sin"] == 6 and calls["_cos"] == 7
 
     @pytest.mark.parametrize("outcome", OUTCOMES)
     def test_strict_step_hands_on_the_measured_axis(self, monkeypatch, outcome):
@@ -814,11 +848,9 @@ class TestStepDoesEachThingOnce:
         t = step(state, axis, config, rng)
         assert not t.no_collapse
         assert t.axis_next is t.axis_measured
-        assert calls == {"_xyz_angles": 0, "_reduce_angles": 0, "_check_base": 0,
-                         "_check_eigen_tol": 0, "_unit_xyz": 2, "born_up": 0,
-                         "_bloch_xyz": 0, "state_from_eigenvector": 0, "_born_frame": 1,
-                         "Axis.__init__": 0, "TrajectoryStep.__init__": 1,
-                         "TrajectoryStep.__dict__": 1}
+        # n_i . n_i rounds to 1: a certain outcome, whose entropy takes no log
+        assert t.s_i > 0.0 and t.s_up_next == 0.0
+        assert calls == self._expected(collapses=1, logs=1, records=1)
 
     def test_strict_run_builds_each_record_once(self, monkeypatch):
         # one collapse, one no-collapse step and an 18-step absorbed tail
@@ -827,52 +859,42 @@ class TestStepDoesEachThingOnce:
         calls = self._count(monkeypatch)
         traj = simulate(state, axis, config)
         assert [t.no_collapse for t in traj] == [False] + [True] * 19
-        assert calls["TrajectoryStep.__init__"] == 20
-        assert calls["TrajectoryStep.__dict__"] == 20
-        assert calls["Axis.__init__"] == 0 and calls["_check_base"] == 0
-        assert calls["_reduce_angles"] == 0
+        assert traj[0].s_up_next == 0.0
+        assert calls == self._expected(collapses=1, no_collapses=1, logs=1, records=20)
 
     @pytest.mark.parametrize("outcome", OUTCOMES)
     def test_reflective_run_carries_n_i(self, monkeypatch, outcome):
         # each collapsing step builds its next axis's unit vector once and
-        # hands it on as the next n_i; only the first n_i is built apart
-        config = SimConfig(steps=40, mode="reflective", outcome=outcome, seed=5)
+        # hands it on as the next n_i; only the first n_i is built apart.  A
+        # base-2 run takes log(2) once.
         state, axis = PureState(0.3, 1.0), Axis(1.2, 0.4)
-        calls = self._count(monkeypatch)
-        traj = simulate(state, axis, config)
-        collapsed = sum(not t.no_collapse for t in traj)
-        assert collapsed == 40
-        assert calls["_unit_xyz"] == collapsed + 1
-        assert calls["_check_eigen_tol"] == 0 and calls["_check_base"] == 0
-        assert calls["_born_frame"] == collapsed
-        assert calls["born_up"] == calls["_bloch_xyz"] == calls["state_from_eigenvector"] == 0
-        assert calls["_xyz_angles"] == calls["Axis.__init__"]
-        assert calls["_reduce_angles"] == 0
-        assert calls["TrajectoryStep.__init__"] == calls["TrajectoryStep.__dict__"] == 40
+        for base, extra_logs in ((math.e, 0), (2.0, 1)):
+            config = SimConfig(steps=40, mode="reflective", outcome=outcome, seed=5,
+                               entropy_base=base)
+            calls = self._count(monkeypatch)
+            traj = simulate(state, axis, config)
+            monkeypatch.undo()
+            assert not any(t.no_collapse for t in traj)
+            assert all(t.s_i > 0.0 and t.s_up_next > 0.0 for t in traj)
+            assert calls == self._expected(collapses=40, reflective=40, logs=80, records=40,
+                                           extra_logs=extra_logs)
 
     @pytest.mark.parametrize("outcome", ["risk:born-surprise", "risk:alignment"])
     def test_risk_rule_reads_the_step_frame(self, monkeypatch, outcome):
-        # the rule reads the p and m of the step's one `_born_frame` call
-        # from its context: `_born_frame` is counted here in every module
-        # that calls it, and neither the rule (which called `born_up` or
-        # `_bloch_xyz` once per outcome) nor the context calls it again
-        calls = self._count(monkeypatch)
-        frame = spincollapse.spin._born_frame
-
-        def counted(*args):
-            calls["_born_frame"] += 1
-            return frame(*args)
-
-        for module in (spincollapse.spin, spincollapse.risk):
-            monkeypatch.setattr(module, "_born_frame", counted)
+        # the rule reads the p and m the step computed from its context, so
+        # neither the rule (which called `born_up` or `_bloch_xyz` once per
+        # outcome) nor the context (`risk._born_frame`, counted here too)
+        # computes them again
         state, axis = PureState(0.3, 1.0), Axis(1.2, 0.4)
-        t = step(state, axis, SimConfig(steps=1, mode="reflective", outcome=outcome))
-        assert not t.no_collapse
-        assert calls["_born_frame"] == 1
-        traj = simulate(state, axis, SimConfig(steps=40, mode="reflective", outcome=outcome))
-        assert not any(t.no_collapse for t in traj)
-        assert calls["_born_frame"] == 1 + 40
-        assert calls["born_up"] == calls["_bloch_xyz"] == 0
+        for steps in (1, 40):
+            config = SimConfig(steps=steps, mode="reflective", outcome=outcome)
+            calls = self._count(monkeypatch)
+            traj = simulate(state, axis, config)
+            monkeypatch.undo()
+            assert not any(t.no_collapse for t in traj)
+            assert all(t.s_i > 0.0 and t.s_up_next > 0.0 for t in traj)
+            assert calls == self._expected(collapses=steps, reflective=steps, logs=2 * steps,
+                                           records=steps)
 
 
 @pytest.mark.parametrize("outcome", OUTCOMES)

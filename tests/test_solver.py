@@ -19,6 +19,7 @@ from spincollapse import (
     InfeasibleGridError,
     NoCollapseError,
     PureState,
+    SimConfig,
     antipode,
     axis_from_vector,
     azimuth_descent,
@@ -32,6 +33,7 @@ from spincollapse import (
     solve,
     state_from_bloch,
     state_from_eigenvector,
+    step,
     unit_vector,
 )
 
@@ -43,7 +45,6 @@ from spincollapse.solver import (
     _entropy_grid,
     _grid,
     _grid_dot,
-    _next_axis,
 )
 from spincollapse.spin import (
     TWO_PI,
@@ -1044,17 +1045,11 @@ class TestCanonicalAngles:
     @example(rho=0.0, tau=0.0, theta=-0.0, phi=math.pi, eigen_tol=0.0)  # eigenstate
     def test_wrapping_matches_axis(self, rho, tau, theta, phi, eigen_tol):
         state, axis = PureState(rho, tau), Axis(theta, phi)
-        n_i = _unit_xyz(axis)
-        try:
-            _p, m, cosb, _c2, _s2 = _collapse_frame(state, axis, n_i, eigen_tol)
-            frame = m, n_i, cosb
-        except NoCollapseError:
-            frame = None  # no frame: `_next_axis` is never called
         for mode in MODES:
             sol = solve(state, axis, mode, eigen_tol=eigen_tol)
+            config = SimConfig(1, mode, "risk:constant", eigen_tol=eigen_tol)
             axes = [e.axis for e in sol.extrema] + list(sol.minimizers)
-            if frame is not None:
-                axes.append(_next_axis(axis, *frame, mode))
+            axes.append(step(state, axis, config).axis_next)
             for built in axes:
                 assert type(built) is Axis
                 assert _hex(built.theta, built.phi) == _hex(
