@@ -27,8 +27,9 @@ and the entropies of `binary_entropy` and `s_up`.  Each line keeps the
 operation order of the route it repeats, so every float is that route's,
 bit for bit: `TestStepPinnedToSolve` compares every record field with
 `solve`, `born_up`, `binary_entropy`, `s_up` and `state_from_eigenvector`.
-The mirror stays the call `solver._mirror`, which `solve` makes too, and
-its angles come from `spin._xyz_angles`.  Each step hands its next axis on
+The merged-circle test and the mirror stay the calls `solver._merged`
+and `solver._mirror`, which `solve` makes too, and the mirror's angles
+come from `spin._xyz_angles`.  Each step hands its next axis on
 with that axis's unit vector and sin(theta), so no step recomputes the n_i
 of the one before.  The base and the eigenstate tolerance are checked
 where they come in, by `SimConfig`, and not again per step.  A risk rule
@@ -191,11 +192,13 @@ def _walk(
       whose p is `born_up` and whose c2 and s2 are the rho of
       `state_from_eigenvector`; the sin(theta) it takes is the one of n_i;
     - the no-collapse test repeats `solver._collapse_frame`, with cos(beta)
-      = n_i . m summed as `spin._dot3` does, and the merged great circle
-      repeats `solver._merged`;
-    - the next axis is `solve`'s minimizer along n_i or along the mirror:
-      the mirror is `solver._mirror` itself, called through its module, and
-      `spin._xyz_angles` gives its angles;
+      = n_i . m summed as `spin._dot3` does;
+    - the next axis is `solve`'s minimizer along n_i or along the mirror,
+      from the calls `solve` makes too: `solver._merged` tells the merged
+      great circle, where the mirror is -n_i, `solver._mirror` builds the
+      mirror (both called through their module, where a test can plant a
+      fault in both routes at once) and `spin._xyz_angles` gives its
+      angles;
     - `state_after` repeats `state_from_eigenvector`;
     - the unit vector of the next axis repeats `spin._unit_xyz`, and it is
       handed on as the next step's n_i, with its sin(theta), so only the
@@ -240,7 +243,7 @@ def _walk(
                         for j in (index, *indices)]
             return records
         if reflective:
-            if -DEFAULT_ATOL <= cosb <= DEFAULT_ATOL:
+            if _solver._merged(cosb):
                 axis_next = antipode(axis_i)
             else:
                 axis_next = Axis(*_xyz_angles(*_solver._mirror(m, (nx, ny, nz), cosb)))

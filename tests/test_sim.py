@@ -756,8 +756,8 @@ class TestStepDoesEachThingOnce:
     `_binary_entropy`, `_dot_entropy`), leaves the base and `eigen_tol` to
     `SimConfig`, which checked them, and canonicalizes only the mirror it
     takes (none in strict mode, which hands on the measured axis itself):
-    one `solver._mirror`, one `_xyz_angles` and one `Axis` per reflective
-    step, and `Axis` keeps the canonical angles as they are, so
+    one `solver._merged`, one `solver._mirror`, one `_xyz_angles` and one
+    `Axis` per reflective step, and `Axis` keeps the canonical angles as they are, so
     `_reduce_angles` never runs.  It builds its record once, through
     `TrajectoryStep.__init__`, which fills the instance dict (one `__dict__`
     read) instead of setting each field through `object.__setattr__`.  A
@@ -769,7 +769,7 @@ class TestStepDoesEachThingOnce:
     NEVER = ("born_up", "_bloch_xyz", "_born_frame", "state_from_eigenvector", "_unit_xyz",
              "_collapse_frame", "_binary_entropy", "_dot_entropy", "_reduce_angles",
              "_check_base", "_check_eigen_tol", "antipode")
-    COUNTED = ALIASES + NEVER + ("_mirror", "_xyz_angles")
+    COUNTED = ALIASES + NEVER + ("_merged", "_mirror", "_xyz_angles")
     FIRST_N_I = {"_sin": 2, "_cos": 2}
     FRAME = {"_sqrt": 1, "_sin": 2, "_cos": 3}
     NEXT_N = {"_sin": 2, "_cos": 2}
@@ -823,7 +823,7 @@ class TestStepDoesEachThingOnce:
                            + reflective * cls.NEXT_N.get(alias, 0))
         want["_log"] = 2 * logs + extra_logs
         want["_binary_entropy"] = no_collapses
-        want["_mirror"] = want["_xyz_angles"] = reflective
+        want["_merged"] = want["_mirror"] = want["_xyz_angles"] = reflective
         want.update({"Axis.__init__": reflective, "TrajectoryStep.__init__": records,
                      "TrajectoryStep.__dict__": records})
         return want
