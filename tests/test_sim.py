@@ -757,8 +757,8 @@ class TestStepDoesEachThingOnce:
     `SimConfig`, which checked them, and canonicalizes only the mirror it
     takes (none in strict mode, which hands on the measured axis itself):
     one `solver._merged`, one `solver._mirror`, one `_xyz_angles` and one
-    `Axis` per reflective step, and `Axis` keeps the canonical angles as they are, so
-    `_reduce_angles` never runs.  It builds its record once, through
+    `Axis` per reflective step, and `Axis` keeps the canonical angles as
+    they are, so `_reduce_angles` never runs.  It builds its record once, through
     `TrajectoryStep.__init__`, which fills the instance dict (one `__dict__`
     read) instead of setting each field through `object.__setattr__`.  A
     risk rule's own work is not counted: of `spincollapse.risk`, only the
@@ -770,9 +770,6 @@ class TestStepDoesEachThingOnce:
              "_collapse_frame", "_binary_entropy", "_dot_entropy", "_reduce_angles",
              "_check_base", "_check_eigen_tol", "antipode")
     COUNTED = ALIASES + NEVER + ("_merged", "_mirror", "_xyz_angles")
-    FIRST_N_I = {"_sin": 2, "_cos": 2}
-    FRAME = {"_sqrt": 1, "_sin": 2, "_cos": 3}
-    NEXT_N = {"_sin": 2, "_cos": 2}
 
     @classmethod
     def _count(cls, monkeypatch) -> dict:
@@ -818,9 +815,9 @@ class TestStepDoesEachThingOnce:
         (each with its one `_binary_entropy`)."""
         want = dict.fromkeys(cls.COUNTED, 0)
         frames = collapses + no_collapses
-        for alias in cls.ALIASES[:3]:
-            want[alias] = (cls.FIRST_N_I.get(alias, 0) + frames * cls.FRAME.get(alias, 0)
-                           + reflective * cls.NEXT_N.get(alias, 0))
+        want["_sqrt"] = frames
+        want["_sin"] = 2 + 2 * frames + 2 * reflective
+        want["_cos"] = 2 + 3 * frames + 2 * reflective
         want["_log"] = 2 * logs + extra_logs
         want["_binary_entropy"] = no_collapses
         want["_merged"] = want["_mirror"] = want["_xyz_angles"] = reflective
