@@ -29,9 +29,9 @@ bit for bit: `TestStepPinnedToSolve` compares every record field with
 `solve`, `born_up`, `binary_entropy`, `s_up` and `state_from_eigenvector`.
 The merged-circle test and the mirror stay the calls `solver._merged`
 and `solver._mirror`, which `solve` makes too, and the mirror's angles
-come from `spin._xyz_angles`.  Each step hands its next axis on
-with that axis's unit vector and sin(theta), so no step recomputes the n_i
-of the one before.  The base and the eigenstate tolerance are checked
+come from `spin._xyz_angles`.  Each step hands its next axis on with
+that axis's unit vector and sin(theta), so no step recomputes the n_i of
+the one before.  The base and the eigenstate tolerance are checked
 where they come in, by `SimConfig`, and not again per step.  A risk rule
 reads p and m from the `RiskContext` the step hands them to.  The first
 no-collapse step ends the loop: it repeats under every remaining index.
@@ -206,6 +206,12 @@ def _walk(
     - s_i repeats `binary_entropy(p)` and s_up_next `s_up(axis_i,
       axis_next)`: `entropy._binary_entropy`, whose range check a
       probability in [0, 1] passes, and `entropy._dot_entropy`.
+    `_check_step_against_routes` in `tests/test_sim.py` pins p_up, s_i,
+    s_up_next, state_after and axis_next to those routes by `float.hex`;
+    `TestStepDoesEachThingOnce` counts the `math` calls of each line and
+    checks that none of the routes is called;
+    `test_planted_mirror_fault_reaches_step_and_solve` checks the mirror's
+    route.
 
     A no-collapse step hands its own state and axis on, draws nothing and
     calls no risk rule, so every later step repeats it: its record is
