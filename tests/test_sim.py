@@ -16,15 +16,18 @@ from spincollapse import (
     RNG_NAME,
     Axis,
     PureState,
+    RiskContext,
     SimConfig,
     TrajectoryStep,
     axis_from_vector,
     binary_entropy,
     bloch_vector,
     born_up,
+    builtin_risks,
     make_rng,
     s_i,
     s_up,
+    select_outcome,
     simulate,
     solve,
     state_from_bloch,
@@ -292,7 +295,8 @@ def _frame_free_minimizer(sol, state: PureState, axis: Axis, mode: str) -> Axis:
 
 def _check_step_against_routes(state, axis, mode, outcome, base, eigen_tol):
     """`step` against `solve`, `s_up`, `born_up`, `binary_entropy` and
-    `state_from_eigenvector`, bit for bit."""
+    `state_from_eigenvector`, bit for bit, and a risk step's outcome
+    against `select_outcome`."""
     config = SimConfig(steps=1, mode=mode, outcome=outcome, seed=0,
                        entropy_base=base, eigen_tol=eigen_tol)
     t = step(state, axis, config, make_rng(3))
@@ -309,6 +313,8 @@ def _check_step_against_routes(state, axis, mode, outcome, base, eigen_tol):
         assert _hex(t.s_up_next) == _hex(s_up(axis, t.axis_next, base))
         assert _hex(t.state_after.rho, t.state_after.tau) == _hex(
             *astuple(state_from_eigenvector(axis, t.s)))
+        if config._risk is not None:
+            assert t.s == select_outcome(config._risk, t.axis_next, RiskContext(state, axis))[0]
     return t.no_collapse
 
 
@@ -364,6 +370,32 @@ class TestStepPinnedToSolve:
     def test_any_pair(self, rho, tau, theta, phi, mode, outcome, base, eigen_tol):
         state, axis = PureState(rho, tau), Axis(theta, phi)
         _check_step_against_routes(state, axis, mode, outcome, base, eigen_tol)
+
+
+class TestRiskOutcomePinned:
+    """Every collapsing record of a risk run carries the outcome
+    `select_outcome` picks from the record's own state, axis and next axis;
+    a no-collapse record carries the certain outcome, whatever the rule."""
+
+    @pytest.mark.parametrize("mode", ["strict", "reflective"])
+    @pytest.mark.parametrize("rule", builtin_risks(), ids=lambda rule: rule.name)
+    def test_every_record(self, rule, mode):
+        rng = np.random.Generator(np.random.PCG64(20261021))
+        pairs = _pinning_pairs() + [(uniform_state(rng), uniform_axis(rng)) for _ in range(40)]
+        picked = []
+        for eigen_tol in (1e-12, 0.0):
+            for state, axis in pairs:
+                config = SimConfig(steps=25, mode=mode, outcome=f"risk:{rule.name}",
+                                   eigen_tol=eigen_tol)
+                for t in simulate(state, axis, config):
+                    if t.no_collapse:
+                        assert t.s == (1 if t.p_up >= 0.5 else -1)
+                        continue
+                    context = RiskContext(t.state_before, t.axis_measured)
+                    assert t.s == select_outcome(rule, t.axis_next, context)[0]
+                    picked.append(t.s)
+        assert len(picked) >= (1000 if mode == "reflective" else 100)
+        assert set(picked) == ({1} if rule.name == "constant" else {1, -1})
 
 
 def _cos_beta(state: PureState, axis: Axis) -> float:
