@@ -15,6 +15,12 @@ measurement directions -- a function of the canonical axis alone -- because
 
 No particular risk functional is singled out by the collapse model itself,
 so the builtins are explicitly labelled illustrative stand-ins.
+
+Next to each builtin sits its outcome in closed form: the s `select_outcome`
+picks under that rule in a collapsing step, from the step's Born weight p,
+Bloch vector m and candidate unit vector n_f.  A trajectory picks its risk
+outcomes through these; `select_outcome` and the rules stay the reference
+they are tested against.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .spin import Axis, PureState, _born_frame, _dot3, _outcome, _unit_xyz
+from .spin import Axis, PureState, _bloch_xyz, _dot3, _outcome, _unit_xyz, born_up
 
 __all__ = [
     "RiskContext",
@@ -36,25 +42,13 @@ __all__ = [
 _STAND_IN = "illustrative stand-in: the collapse model does not prescribe one"
 
 
-# RiskContext writes its own __init__ (init=False): a step builds one per
-# collapse and fills the instance dict, as `TrajectoryStep` does.  It also
-# keeps `_frame`, the (p, m) of `_born_frame(state, axis_measured)` that
-# the builtins read: a step hands in the pair it has read, and any other
-# caller gets it computed.  Not being a field, eq, hash and repr ignore it,
-# and `replace` computes it anew.
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class RiskContext:
     """What a rule may look at besides the candidate axis: the pre-collapse
     state and the axis currently being measured."""
 
     state: PureState
     axis_measured: Axis
-
-    def __init__(self, state: PureState, axis_measured: Axis, _frame=None) -> None:
-        d = self.__dict__
-        d["state"] = state
-        d["axis_measured"] = axis_measured
-        d["_frame"] = _born_frame(state, axis_measured)[:2] if _frame is None else _frame
 
 
 @dataclass(frozen=True)
@@ -88,20 +82,36 @@ def _constant(axis_f: Axis, s: int, context: RiskContext) -> float:
     return 0.0
 
 
+def _constant_outcome(p, m, nx, ny, nz) -> int:
+    """`_constant`'s pick: both risks are 0.0, and the tie goes to +1."""
+    return 1
+
+
 def _born_surprise(axis_f: Axis, s: int, context: RiskContext) -> float:
-    """Negative log Born probability of the outcome on the measured axis,
-    from the context's p, bit for bit `born_up`; certain losses are +inf.
-    Ignores the candidate axis."""
-    p_up = context._frame[0]
+    """Negative log Born probability of the outcome on the measured axis;
+    certain losses are +inf.  Ignores the candidate axis."""
+    p_up = born_up(context.state, context.axis_measured)
     p = p_up if s == 1 else 1.0 - p_up
     return math.inf if p <= 0.0 else -math.log(p)
 
 
+def _born_surprise_outcome(p, m, nx, ny, nz) -> int:
+    """`_born_surprise`'s pick: -1 iff -log(1 - p) < -log(p).  A collapsing
+    step has 0 < p < 1, so neither risk is +inf or NaN."""
+    return -1 if math.log(p) < math.log(1.0 - p) else 1
+
+
 def _alignment(axis_f: Axis, s: int, context: RiskContext) -> float:
     """Penalize outcomes whose collapsed spin s*n_f would point away from the
-    current Bloch vector: risk = -s * (n_f . m), with the context's m, bit
-    for bit `_bloch_xyz`."""
-    return -float(s) * _dot3(_unit_xyz(axis_f), context._frame[1])
+    current Bloch vector: risk = -s * (n_f . m)."""
+    return -float(s) * _dot3(_unit_xyz(axis_f), _bloch_xyz(context.state))
+
+
+def _alignment_outcome(p, m, nx, ny, nz) -> int:
+    """`_alignment`'s pick: the risks are -d and d for d = n_f . m, summed as
+    `_dot3` does, so -1 iff d < 0.0; d = -0.0 ties and picks +1."""
+    mx, my, mz = m
+    return -1 if nx * mx + ny * my + nz * mz < 0.0 else 1
 
 
 _BUILTINS = (
@@ -109,6 +119,16 @@ _BUILTINS = (
     RiskFunction("born-surprise", _born_surprise, _STAND_IN),
     RiskFunction("alignment", _alignment, _STAND_IN),
 )
+
+
+# each builtin rule's outcome in a collapsing step, called by `_walk` as
+# pick(p, m, *n_f) with the step's Born weight, Bloch vector and candidate
+# unit vector
+_OUTCOMES = {
+    _constant: _constant_outcome,
+    _born_surprise: _born_surprise_outcome,
+    _alignment: _alignment_outcome,
+}
 
 
 def builtin_risks() -> tuple[RiskFunction, ...]:

@@ -32,9 +32,11 @@ and `solver._mirror`, which `solve` makes too, and the mirror's angles
 come from `spin._xyz_angles`.  Each step hands its next axis on with
 that axis's unit vector and sin(theta), so no step recomputes the n_i of
 the one before.  The base and the eigenstate tolerance are checked
-where they come in, by `SimConfig`, and not again per step.  A risk rule
-reads p and m from the `RiskContext` the step hands them to.  The first
-no-collapse step ends the loop: it repeats under every remaining index.
+where they come in, by `SimConfig`, and not again per step.  A risk step
+takes its outcome from the closed form of its rule in `risk._OUTCOMES`,
+fed the p, m and next unit vector it holds: the pick of `select_outcome`,
+which it does not call.  The first no-collapse step ends the loop: it
+repeats under every remaining index.
 
 Born sampling uses numpy's PCG64 generator (see `RNG_NAME`): outcome +1 is
 taken when one uniform draw per collapsing step falls below the up
@@ -52,7 +54,7 @@ import numpy as np
 
 from . import solver as _solver
 from .entropy import _binary_entropy, _check_base
-from .risk import RiskContext, RiskFunction, get_risk, select_outcome
+from .risk import _OUTCOMES, RiskFunction, get_risk
 from .solver import _check_eigen_tol, _check_mode
 from .spin import DEFAULT_ATOL, TWO_PI, Axis, PureState, _integer, _xyz_angles, antipode
 
@@ -205,11 +207,17 @@ def _walk(
       first n_i is built from its axis;
     - s_i repeats `binary_entropy(p)` and s_up_next `s_up(axis_i,
       axis_next)`: `entropy._binary_entropy`, whose range check a
-      probability in [0, 1] passes, and `entropy._dot_entropy`.
+      probability in [0, 1] passes, and `entropy._dot_entropy`;
+    - a risk outcome is the closed form `risk._OUTCOMES` holds for the
+      rule, called with p, m and the next unit vector; it picks what
+      `select_outcome(risk, axis_next, RiskContext(state, axis_i))` picks.
     `_check_step_against_routes` in `tests/test_sim.py` pins p_up, s_i,
-    s_up_next, state_after and axis_next to those routes by `float.hex`;
+    s_up_next, state_after and axis_next to those routes by `float.hex`,
+    and a risk step's s to `select_outcome`; `TestRiskOutcomePinned` pins
+    the s of every record of risk runs, and `TestClosedFormOutcomes` each
+    closed form at the edges of a tie;
     `TestStepDoesEachThingOnce` counts the `math` calls of each line and
-    checks that none of the routes is called;
+    checks that none of the routes, and no rule, is called;
     `test_planted_mirror_fault_reaches_step_and_solve` checks the mirror's
     route.
 
@@ -220,6 +228,7 @@ def _walk(
     risk rule never calls it.
     """
     risk, base, eigen_tol = config._risk, config.entropy_base, config.eigen_tol
+    pick = None if risk is None else _OUTCOMES[risk.rule]
     reflective = config.mode == "reflective"
     # h / 1.0 is h: one division stands for `_binary_entropy`'s base test
     log_base = 1.0 if base == math.e else _log(base)
@@ -258,10 +267,10 @@ def _walk(
             nx_n, ny_n, nz_n = st_n * _cos(phi_n), st_n * _sin(phi_n), _cos(theta_n)
         else:
             axis_next, theta_n, phi_n, st_n, nx_n, ny_n, nz_n = axis_i, theta, phi, st, nx, ny, nz
-        if risk is None:
+        if pick is None:
             s = 1 if draw() < p else -1
         else:
-            s, _ = select_outcome(risk, axis_next, RiskContext(state, axis_i, (p, m)))
+            s = pick(p, m, nx_n, ny_n, nz_n)
         if s == 1:
             state_after = PureState(c2, phi)
         else:

@@ -24,6 +24,7 @@ from spincollapse import (
     bloch_vector,
     born_up,
     builtin_risks,
+    get_risk,
     make_rng,
     s_i,
     s_up,
@@ -396,6 +397,74 @@ class TestRiskOutcomePinned:
                     picked.append(t.s)
         assert len(picked) >= (1000 if mode == "reflective" else 100)
         assert set(picked) == ({1} if rule.name == "constant" else {1, -1})
+
+
+def _closed_form_pick(rule, state: PureState, axis: Axis, axis_f: Axis) -> int:
+    """The outcome of `rule`'s closed form for measuring `state` along `axis`
+    with candidate `axis_f`, fed the public routes' p, m and n_f."""
+    spin = spincollapse.spin
+    pick = spincollapse.risk._OUTCOMES[rule.rule]
+    return pick(born_up(state, axis), spin._bloch_xyz(state), *spin._unit_xyz(axis_f))
+
+
+class TestClosedFormOutcomes:
+    """Each builtin rule's outcome in closed form, which a risk step calls,
+    picks what `select_outcome` picks under that rule, at the edges of the
+    tie: p = 1/2 and its float neighbours, the merged great circle, and
+    n_f . m = +-0.0."""
+
+    def test_half_and_its_neighbours(self):
+        rng = np.random.Generator(np.random.PCG64(20261022))
+        z = Axis(0.0, 0.0)
+        born_picks = {}
+        for rho in (math.nextafter(0.5, 0.0), 0.5, math.nextafter(0.5, 1.0)):
+            for tau in (0.0, 1.3, math.pi, 5.0):
+                state = PureState(rho, tau)
+                assert born_up(state, z).hex() == rho.hex()  # +z reads rho exactly
+                candidates = [z, Axis(math.pi, 0.0), Axis(math.pi / 2, tau)]
+                candidates += [uniform_axis(rng) for _ in range(20)]
+                for rule in builtin_risks():
+                    for axis_f in candidates:
+                        s = select_outcome(rule, axis_f, RiskContext(state, z))[0]
+                        assert _closed_form_pick(rule, state, z, axis_f) == s
+                        if rule.name == "born-surprise":
+                            born_picks[rho] = s
+        # the tie at 1/2 goes to +1; just below it 1 - p rounds to 1/2
+        assert list(born_picks.values()) == [-1, 1, 1]
+
+    @pytest.mark.parametrize("mode", ["strict", "reflective"])
+    def test_merged_circle_pairs(self, mode):
+        spin = spincollapse.spin
+        merged = [(state, axis) for state, axis in _pinning_pairs()
+                  if spincollapse.solver._merged(
+                      spin._dot3(spin._unit_xyz(axis), spin._bloch_xyz(state)))]
+        assert len(merged) >= 2
+        for state, axis in merged:
+            for rule in builtin_risks():
+                config = SimConfig(steps=1, mode=mode, outcome=f"risk:{rule.name}")
+                t = step(state, axis, config)
+                assert not t.no_collapse
+                s = select_outcome(rule, t.axis_next, RiskContext(state, axis))[0]
+                assert _closed_form_pick(rule, state, axis, t.axis_next) == s == t.s
+
+    @pytest.mark.parametrize("m, d, s", [
+        ((0.0, 0.0, 0.0), "0x0.0p+0", 1),
+        ((-0.0, 0.0, -0.0), "0x0.0p+0", 1),
+        ((-0.0, -0.0, -0.0), "-0x0.0p+0", 1),
+        ((5e-324, 0.0, 0.0), "0x0.0000000000001p-1022", 1),
+        ((-5e-324, 0.0, 0.0), "-0x0.0000000000001p-1022", -1),
+    ])
+    def test_alignment_at_signed_zero(self, monkeypatch, m, d, s):
+        # no float state and axis give n_f . m = -0.0, so the rule is fed
+        # this m and n_f in place of `_bloch_xyz` and `_unit_xyz`
+        n = (1.0, 1.0, 1.0)
+        assert spincollapse.spin._dot3(n, m).hex() == d
+        risk = spincollapse.risk
+        monkeypatch.setattr(risk, "_bloch_xyz", lambda state: m)
+        monkeypatch.setattr(risk, "_unit_xyz", lambda axis: n)
+        alignment = get_risk("alignment")
+        assert select_outcome(alignment, TILT, RiskContext(UP_Z, TILT))[0] == s
+        assert risk._OUTCOMES[alignment.rule](0.5, m, *n) == s
 
 
 def _cos_beta(state: PureState, axis: Axis) -> float:
@@ -793,21 +862,28 @@ class TestStepDoesEachThingOnce:
     they are, so `_reduce_angles` never runs.  It builds its record once, through
     `TrajectoryStep.__init__`, which fills the instance dict (one `__dict__`
     read) instead of setting each field through `object.__setattr__`.  A
-    risk rule's own work is not counted: of `spincollapse.risk`, only the
-    `_born_frame` that a `RiskContext` calls when it is handed no frame is
-    patched."""
+    collapsing risk step calls its rule's outcome in closed form once, and
+    no `select_outcome`, `RiskContext` or rule: these are counted by the
+    code they run, however they are reached."""
 
     ALIASES = ("_sqrt", "_sin", "_cos", "_log")
     NEVER = ("born_up", "_bloch_xyz", "_born_frame", "state_from_eigenvector", "_unit_xyz",
              "_collapse_frame", "_binary_entropy", "_dot_entropy", "_reduce_angles",
              "_check_base", "_check_eigen_tol", "antipode")
     COUNTED = ALIASES + NEVER + ("_merged", "_mirror", "_xyz_angles")
+    RISK = ("select_outcome", "_constant", "_born_surprise", "_alignment",
+            "_constant_outcome", "_born_surprise_outcome", "_alignment_outcome")
+
+    @pytest.fixture(autouse=True)
+    def _profile_off(self):
+        yield
+        sys.setprofile(None)
 
     @classmethod
     def _count(cls, monkeypatch) -> dict:
-        calls = dict.fromkeys(cls.COUNTED, 0)
+        calls = dict.fromkeys(cls.COUNTED + cls.RISK, 0)
         calls.update({"Axis.__init__": 0, "TrajectoryStep.__init__": 0,
-                      "TrajectoryStep.__dict__": 0})
+                      "TrajectoryStep.__dict__": 0, "RiskContext.__init__": 0})
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -816,16 +892,24 @@ class TestStepDoesEachThingOnce:
             return wrapper
 
         for module in (spincollapse.spin, spincollapse.entropy, spincollapse.solver,
-                       SIMULATE_MODULE):
+                       spincollapse.risk, SIMULATE_MODULE):
             for name in cls.COUNTED:
                 # the aliases are counted where `_walk` reads them; `entropy._log`
                 # would count a `_binary_entropy` call twice
                 if hasattr(module, name) and (name not in cls.ALIASES
                                               or module is SIMULATE_MODULE):
                     monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-        # a context computes its frame only where a step hands it none
+        # a rule is reached through its `RiskFunction` and a closed form
+        # through `risk._OUTCOMES`, so these are told by the code they run
         risk = spincollapse.risk
-        monkeypatch.setattr(risk, "_born_frame", counted("_born_frame", risk._born_frame))
+        codes = {getattr(risk, name).__code__: name for name in cls.RISK}
+        codes[RiskContext.__init__.__code__] = "RiskContext.__init__"
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in codes:
+                calls[codes[frame.f_code]] += 1
+
+        sys.setprofile(profile)
         for cls in (Axis, TrajectoryStep):
             name = f"{cls.__name__}.__init__"
             monkeypatch.setattr(cls, "__init__", counted(name, cls.__init__))
@@ -839,13 +923,17 @@ class TestStepDoesEachThingOnce:
         return calls
 
     @classmethod
-    def _expected(cls, *, collapses=0, reflective=0, logs=0, records=0, no_collapses=0,
-                  extra_logs=0) -> dict:
+    def _expected(cls, outcome, *, collapses=0, reflective=0, logs=0, records=0,
+                  no_collapses=0, extra_logs=0) -> dict:
         """The counts of a run: the first n_i, `collapses` frames, of which
         `reflective` hand on a mirror, `logs` entropies with their two
         logarithms each, and `no_collapses` frames of steps that end the run
-        (each with its one `_binary_entropy`)."""
-        want = dict.fromkeys(cls.COUNTED, 0)
+        (each with its one `_binary_entropy`).  Each collapse of a risk run
+        calls the closed form of its `outcome`'s rule."""
+        want = dict.fromkeys(cls.COUNTED + cls.RISK, 0)
+        want["RiskContext.__init__"] = 0
+        if outcome != "born":
+            want[f"_{outcome.removeprefix('risk:').replace('-', '_')}_outcome"] = collapses
         frames = collapses + no_collapses
         want["_sqrt"] = frames
         want["_sin"] = 2 + 2 * frames + 2 * reflective
@@ -865,7 +953,7 @@ class TestStepDoesEachThingOnce:
         calls = self._count(monkeypatch)
         t = step(state, axis, config, rng)
         assert not t.no_collapse and t.s_i > 0.0 and t.s_up_next > 0.0
-        assert calls == self._expected(collapses=1, reflective=1, logs=2, records=1)
+        assert calls == self._expected(outcome, collapses=1, reflective=1, logs=2, records=1)
         assert calls["_sqrt"] == 1 and calls["_sin"] == 6 and calls["_cos"] == 7
 
     @pytest.mark.parametrize("outcome", OUTCOMES)
@@ -879,7 +967,7 @@ class TestStepDoesEachThingOnce:
         assert t.axis_next is t.axis_measured
         # n_i . n_i rounds to 1: a certain outcome, whose entropy takes no log
         assert t.s_i > 0.0 and t.s_up_next == 0.0
-        assert calls == self._expected(collapses=1, logs=1, records=1)
+        assert calls == self._expected(outcome, collapses=1, logs=1, records=1)
 
     def test_strict_run_builds_each_record_once(self, monkeypatch):
         # one collapse, one no-collapse step and an 18-step absorbed tail
@@ -889,7 +977,8 @@ class TestStepDoesEachThingOnce:
         traj = simulate(state, axis, config)
         assert [t.no_collapse for t in traj] == [False] + [True] * 19
         assert traj[0].s_up_next == 0.0
-        assert calls == self._expected(collapses=1, no_collapses=1, logs=1, records=20)
+        assert calls == self._expected(config.outcome, collapses=1, no_collapses=1, logs=1,
+                                       records=20)
 
     @pytest.mark.parametrize("outcome", OUTCOMES)
     def test_reflective_run_carries_n_i(self, monkeypatch, outcome):
@@ -905,25 +994,25 @@ class TestStepDoesEachThingOnce:
             monkeypatch.undo()
             assert not any(t.no_collapse for t in traj)
             assert all(t.s_i > 0.0 and t.s_up_next > 0.0 for t in traj)
-            assert calls == self._expected(collapses=40, reflective=40, logs=80, records=40,
-                                           extra_logs=extra_logs)
+            assert calls == self._expected(outcome, collapses=40, reflective=40, logs=80,
+                                           records=40, extra_logs=extra_logs)
 
     @pytest.mark.parametrize("outcome", ["risk:born-surprise", "risk:alignment"])
     def test_risk_rule_reads_the_step_frame(self, monkeypatch, outcome):
-        # the rule reads the p and m the step computed from its context, so
-        # neither the rule (which called `born_up` or `_bloch_xyz` once per
-        # outcome) nor the context (`risk._born_frame`, counted here too)
-        # computes them again
+        # the closed form reads the p, m and next unit vector the step holds,
+        # so neither `born_up`, `_bloch_xyz` nor `_unit_xyz`, which the rules
+        # call, runs (each is counted on `spincollapse.risk` too)
         state, axis = PureState(0.3, 1.0), Axis(1.2, 0.4)
-        for steps in (1, 40):
-            config = SimConfig(steps=steps, mode="reflective", outcome=outcome)
+        for mode, steps in (("reflective", 1), ("reflective", 40), ("strict", 1)):
+            reflective = steps if mode == "reflective" else 0
+            config = SimConfig(steps=steps, mode=mode, outcome=outcome)
             calls = self._count(monkeypatch)
             traj = simulate(state, axis, config)
             monkeypatch.undo()
             assert not any(t.no_collapse for t in traj)
-            assert all(t.s_i > 0.0 and t.s_up_next > 0.0 for t in traj)
-            assert calls == self._expected(collapses=steps, reflective=steps, logs=2 * steps,
-                                           records=steps)
+            assert calls == self._expected(outcome, collapses=steps, reflective=reflective,
+                                           logs=steps + reflective, records=steps)
+            assert calls["born_up"] == calls["_bloch_xyz"] == calls["_unit_xyz"] == 0
 
 
 @pytest.mark.parametrize("outcome", OUTCOMES)
