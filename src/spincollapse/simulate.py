@@ -227,8 +227,8 @@ def _walk(
     ends.  `draw()` gives one uniform per collapsing step of a Born run; a
     risk rule never calls it.
     """
-    risk, base, eigen_tol = config._risk, config.entropy_base, config.eigen_tol
-    pick = None if risk is None else _OUTCOMES[risk.rule]
+    base, eigen_tol = config.entropy_base, config.eigen_tol
+    pick = None if config._risk is None else _OUTCOMES[config._risk.rule]
     reflective = config.mode == "reflective"
     # h / 1.0 is h: one division stands for `_binary_entropy`'s base test
     log_base = 1.0 if base == math.e else _log(base)

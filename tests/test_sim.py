@@ -416,8 +416,8 @@ class TestClosedFormOutcomes:
     def test_half_and_its_neighbours(self):
         rng = np.random.Generator(np.random.PCG64(20261022))
         z = Axis(0.0, 0.0)
-        born_picks = {}
-        for rho in (math.nextafter(0.5, 0.0), 0.5, math.nextafter(0.5, 1.0)):
+        rhos = (math.nextafter(0.5, 0.0), 0.5, math.nextafter(0.5, 1.0))
+        for rho in rhos:
             for tau in (0.0, 1.3, math.pi, 5.0):
                 state = PureState(rho, tau)
                 assert born_up(state, z).hex() == rho.hex()  # +z reads rho exactly
@@ -427,10 +427,9 @@ class TestClosedFormOutcomes:
                     for axis_f in candidates:
                         s = select_outcome(rule, axis_f, RiskContext(state, z))[0]
                         assert _closed_form_pick(rule, state, z, axis_f) == s
-                        if rule.name == "born-surprise":
-                            born_picks[rho] = s
-        # the tie at 1/2 goes to +1; just below it 1 - p rounds to 1/2
-        assert list(born_picks.values()) == [-1, 1, 1]
+        # the tie at 1/2 goes to +1; just below it, 1 - p rounds to 1/2
+        born = get_risk("born-surprise")
+        assert [_closed_form_pick(born, PureState(rho, 0.0), z, z) for rho in rhos] == [-1, 1, 1]
 
     @pytest.mark.parametrize("mode", ["strict", "reflective"])
     def test_merged_circle_pairs(self, mode):
