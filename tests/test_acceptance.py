@@ -279,6 +279,22 @@ def test_one_loop_builds_every_trajectory_record():
     assert "n_i" not in inspect.signature(walk).parameters
 
 
+def test_public_names():
+    # a change that adds or drops a public name says so here
+    assert spincollapse.__all__ == [
+        "Axis", "DEFAULT_ATOL", "Extremum", "FeasibleSet", "InfeasibleGridError",
+        "NoCollapseError", "PureState", "RNG_NAME", "RiskContext", "RiskFunction",
+        "SimConfig", "SolverSolution", "Spinor", "TrajectoryStep",
+        "amplitudes", "antipode", "axis_from_vector", "azimuth_descent", "binary_entropy",
+        "bloch_vector", "born_up", "brute_force_oracle", "builtin_risks",
+        "constraint_residual", "eigenpair", "feasible_set", "get_risk", "make_rng",
+        "overlap", "s_down", "s_i", "s_up", "select_outcome", "simulate", "solve",
+        "spin_operator", "state_from_amplitudes", "state_from_bloch",
+        "state_from_eigenvector", "step", "unit_vector",
+        "__version__",
+    ]
+
+
 UP_Z = PureState(1.0, 0.0)
 TILT = Axis(math.pi / 3, 0.0)
 

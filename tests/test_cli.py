@@ -496,8 +496,18 @@ class TestSimulateCommand:
         result = run_cli(["simulate", "--rho", "1", "--theta-i", "1", "--steps", "1",
                           "--outcome", "risk:leap-of-faith"])
         assert result.exit_code == 2
-        for name in ("constant", "born-surprise", "alignment"):
-            assert name in result.stderr
+        assert result.stderr == (
+            "Usage: spincollapse simulate [OPTIONS]\n"
+            "Try 'spincollapse simulate --help' for help.\n\n"
+            "Error: unknown risk function 'leap-of-faith'; builtins are: constant, "
+            "born-surprise, alignment\n")
+
+    @pytest.mark.parametrize("rule", ["constant", "born-surprise", "alignment"])
+    def test_risk_rule_warns_it_is_a_stand_in(self, rule):
+        doc = _json(run_cli(["simulate", "--rho", "1", "--theta-i", "1", "--steps", "1",
+                             "--outcome", f"risk:{rule}"]))
+        assert doc["warnings"] == [f"risk function {rule!r} is an illustrative stand-in: "
+                                   "the collapse model does not prescribe one"]
 
     def test_identical_runs_bit_identical(self):
         argv = ["simulate", "--rho", "0.7", "--tau", "0.4", "--theta-i", "0.9",

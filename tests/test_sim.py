@@ -88,6 +88,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SimConfig(steps=1, outcome=outcome)
 
+    @pytest.mark.parametrize("outcome, message", [
+        (1, "outcome must be a string, got 1"),
+        ("Born", "outcome must be 'born' or 'risk:<name>', got 'Born'"),
+        ("risk:", "unknown risk function ''; builtins are: constant, born-surprise, alignment"),
+        ("risk:leap-of-faith", "unknown risk function 'leap-of-faith'; builtins are: "
+                               "constant, born-surprise, alignment"),
+    ])
+    def test_bad_outcome_message(self, outcome, message):
+        with pytest.raises(ValueError) as exc:
+            SimConfig(steps=1, outcome=outcome)
+        assert str(exc.value) == message
+
     def test_born_requires_seed(self):
         with pytest.raises(ValueError, match="seed"):
             SimConfig(steps=1, outcome="born")
