@@ -45,7 +45,9 @@ families are
   pairs (``rho`` 0 and 1, poles, axes along and against the Bloch vector,
   p = 1/2, ``tau`` just under 2*pi): the `float.hex` of `born_up`, the
   collapse frame at ``eigen_tol`` 0, 1e-12 and 0.3 or its error, and the
-  outcome and risk value `select_outcome` picks under each builtin rule;
+  outcome and risk value the generic minimize-the-risk selection picks
+  under each builtin rule: `min_risk_outcome` of ``tests/helpers.py``, the
+  reference each rule's closed-form outcome is tested against;
 * ``amplitudes``: the `float.hex` of the (rho, tau) of
   `state_from_amplitudes` over seeded pairs at unit scale, at 1e300 and
   1e-300, with every part subnormal (the largest one too), and with one
@@ -79,15 +81,12 @@ from pathlib import Path
 from spincollapse import (
     Axis,
     PureState,
-    RiskContext,
     SimConfig,
     antipode,
     axis_from_vector,
     born_up,
     brute_force_oracle,
-    builtin_risks,
     feasible_set,
-    select_outcome,
     simulate,
     solve,
     state_from_amplitudes,
@@ -98,9 +97,10 @@ from spincollapse import (
 from spincollapse.solver import _collapse_frame
 from spincollapse.spin import _unit_xyz
 
-# the suite's in-process CLI runner, so these lines hash what the tests see
+# the suite's in-process CLI runner and risk reference, so these lines hash
+# what the tests see
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from helpers import run_cli  # noqa: E402
+from helpers import RISK_RULES, min_risk_outcome, run_cli  # noqa: E402
 
 SEED = 20261018
 ORACLE_GRIDS = ((40, 80), (37, 91))
@@ -291,10 +291,9 @@ def _kernel_records(state, axis, axis_f):
             yield _error(exc)
         else:
             yield " ".join(x.hex() for x in (p, *m, cosb))
-    context = RiskContext(state, axis)
-    for risk in builtin_risks():
+    for name in RISK_RULES:
         try:
-            s, value = select_outcome(risk, axis_f, context)
+            s, value = min_risk_outcome(name, state, axis, axis_f)
         except Exception as exc:
             yield _error(exc)
         else:

@@ -42,6 +42,7 @@ import numpy as np
 import orjson
 
 from . import __version__
+from .risk import _STAND_IN
 from .simulate import RNG_NAME, SimConfig, simulate
 from .solver import (
     MODES,
@@ -597,7 +598,7 @@ def cmd_simulate(state, axis_i, echo, mode, entropy_base, tol, out, steps, outco
     risk = config._risk
     warnings = []
     if risk is not None:
-        warnings.append(f"risk function {risk.name!r} is an {risk.note}")
+        warnings.append(f"risk function {risk!r} is an {_STAND_IN}")
     results = {"rng": RNG_NAME if risk is None else None, "trajectory": trajectory}
     text = _envelope("simulate", echo, entropy_base, mode, results, warnings)
     # a non-finite float is written null, which no record holds (rfind: faster)

@@ -34,9 +34,8 @@ that axis's unit vector and sin(theta), so no step recomputes the n_i of
 the one before.  The base and the eigenstate tolerance are checked
 where they come in, by `SimConfig`, and not again per step.  A risk step
 takes its outcome from the closed form of its rule in `risk._OUTCOMES`,
-fed the p, m and next unit vector it holds: the pick of `select_outcome`,
-which it does not call.  The first no-collapse step ends the loop: it
-repeats under every remaining index.
+fed the p, m and next unit vector it holds.  The first no-collapse step
+ends the loop: it repeats under every remaining index.
 
 Born sampling uses numpy's PCG64 generator (see `RNG_NAME`): outcome +1 is
 taken when one uniform draw per collapsing step falls below the up
@@ -54,7 +53,7 @@ import numpy as np
 
 from . import solver as _solver
 from .entropy import _binary_entropy, _check_base
-from .risk import _OUTCOMES, RiskFunction, get_risk
+from .risk import _OUTCOMES
 from .solver import _check_eigen_tol, _check_mode
 from .spin import DEFAULT_ATOL, TWO_PI, Axis, PureState, _integer, _xyz_angles, antipode
 
@@ -73,14 +72,18 @@ RNG_NAME = "numpy.random.PCG64"
 _sqrt, _sin, _cos, _log, _PI = math.sqrt, math.sin, math.cos, math.log, math.pi
 
 
-def _parse_outcome(outcome: str) -> RiskFunction | None:
-    """The risk rule `outcome` names, or None for Born sampling."""
+def _parse_outcome(outcome: str) -> str | None:
+    """The name of the risk rule `outcome` names, or None for Born sampling."""
     if not isinstance(outcome, str):
         raise ValueError(f"outcome must be a string, got {outcome!r}")
     if outcome == "born":
         return None
     if outcome.startswith("risk:"):
-        return get_risk(outcome[len("risk:") :])
+        name = outcome[len("risk:") :]
+        if name not in _OUTCOMES:
+            known = ", ".join(_OUTCOMES)
+            raise ValueError(f"unknown risk function {name!r}; builtins are: {known}")
+        return name
     raise ValueError(
         f"outcome must be 'born' or 'risk:<name>', got {outcome!r}"
     )
@@ -110,8 +113,9 @@ class SimConfig:
     seed: int | None = None
     entropy_base: float = math.e
     eigen_tol: float = DEFAULT_ATOL
-    # the risk rule, None for Born sampling: `outcome` parsed once, on construction
-    _risk: RiskFunction | None = field(init=False, repr=False, compare=False)
+    # the risk rule's name, None for Born sampling: `outcome` parsed once, on
+    # construction
+    _risk: str | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         steps, seed = _integer(self.steps), _integer(self.seed)
@@ -209,26 +213,26 @@ def _walk(
       axis_next)`: `entropy._binary_entropy`, whose range check a
       probability in [0, 1] passes, and `entropy._dot_entropy`;
     - a risk outcome is the closed form `risk._OUTCOMES` holds for the
-      rule, called with p, m and the next unit vector; it picks what
-      `select_outcome(risk, axis_next, RiskContext(state, axis_i))` picks.
+      rule, called with p, m and the next unit vector.
     `_check_step_against_routes` in `tests/test_sim.py` pins p_up, s_i,
     s_up_next, state_after and axis_next to those routes by `float.hex`,
-    and a risk step's s to `select_outcome`; `TestRiskOutcomePinned` pins
-    the s of every record of risk runs, and `TestClosedFormOutcomes` each
-    closed form at the edges of a tie;
+    and a risk step's s to the generic minimize-the-risk selection of
+    `tests/helpers.py`; `TestRiskOutcomePinned` pins the s of every record
+    of risk runs to it, and `TestClosedFormOutcomes` each closed form at the
+    edges of a tie;
     `TestStepDoesEachThingOnce` counts the `math` calls of each line and
-    checks that none of the routes, and no rule, is called;
+    checks that none of the routes is called;
     `test_planted_mirror_fault_reaches_step_and_solve` checks the mirror's
     route.
 
     A no-collapse step hands its own state and axis on, draws nothing and
-    calls no risk rule, so every later step repeats it: its record is
+    picks no risk outcome, so every later step repeats it: its record is
     written under its own index and under each remaining one, and the loop
     ends.  `draw()` gives one uniform per collapsing step of a Born run; a
-    risk rule never calls it.
+    risk run never calls it.
     """
     base, eigen_tol = config.entropy_base, config.eigen_tol
-    pick = None if config._risk is None else _OUTCOMES[config._risk.rule]
+    pick = None if config._risk is None else _OUTCOMES[config._risk]
     reflective = config.mode == "reflective"
     # h / 1.0 is h: one division stands for `_binary_entropy`'s base test
     log_base = 1.0 if base == math.e else _log(base)

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from spincollapse import (
-    Axis, PureState, binary_entropy, born_up, cli, eigenpair, overlap, unit_vector,
+    Axis, PureState, binary_entropy, born_up, cli, eigenpair, overlap, spin, unit_vector,
 )
 from spincollapse.solver import (
     _DESCENT_MAX_ITER, _DESCENT_TOL, _circles, _collapse_frame, _colatitude,
@@ -175,6 +175,50 @@ def s_down_clamped(axis_i: Axis, axis_f: Axis, base: float = math.e) -> float:
     _, down_i = eigenpair(axis_i)
     q = abs(overlap(up_f, down_i)) ** 2
     return binary_entropy(min(1.0, max(0.0, q)), base)
+
+
+def constant_risk(axis_f: Axis, s: int, state: PureState, axis_measured: Axis) -> float:
+    return 0.0
+
+
+def born_surprise_risk(axis_f: Axis, s: int, state: PureState, axis_measured: Axis) -> float:
+    """Negative log Born probability of the outcome on the measured axis;
+    certain losses are +inf.  Ignores the candidate axis."""
+    p_up = born_up(state, axis_measured)
+    p = p_up if s == 1 else 1.0 - p_up
+    return math.inf if p <= 0.0 else -math.log(p)
+
+
+def alignment_risk(axis_f: Axis, s: int, state: PureState, axis_measured: Axis) -> float:
+    """Penalize outcomes whose collapsed spin s*n_f would point away from the
+    current Bloch vector: risk = -s * (n_f . m).  Its kernels are read
+    through the `spin` module, where a test can plant their values."""
+    return -float(s) * spin._dot3(spin._unit_xyz(axis_f), spin._bloch_xyz(state))
+
+
+RISK_RULES = {"constant": constant_risk, "born-surprise": born_surprise_risk,
+              "alignment": alignment_risk}
+
+
+def min_risk_outcome(name: str, state: PureState, axis_measured: Axis,
+                     axis_f: Axis) -> tuple[int, float]:
+    """The outcome of lower risk under the builtin rule `name` at the
+    candidate axis, with its risk value: the generic minimize-the-risk
+    selection, the oracle of each rule's closed form in `risk._OUTCOMES`.
+    Exact ties go to +1.  A +inf risk vetoes its outcome, and a double veto
+    raises ValueError, as does a NaN risk, before the next outcome's risk
+    is taken."""
+    rule = RISK_RULES[name]
+    up = float(rule(axis_f, 1, state, axis_measured))
+    if math.isnan(up):
+        raise ValueError(f"risk {name!r} returned NaN for outcome +1")
+    down = float(rule(axis_f, -1, state, axis_measured))
+    if math.isnan(down):
+        raise ValueError(f"risk {name!r} returned NaN for outcome -1")
+    s, value = (-1, down) if down < up else (1, up)
+    if value == math.inf:
+        raise ValueError(f"risk {name!r} vetoes every outcome (+inf for both)")
+    return s, value
 
 
 def angle_between(a: Axis, b: Axis) -> float:

@@ -283,12 +283,11 @@ def test_public_names():
     # a change that adds or drops a public name says so here
     assert spincollapse.__all__ == [
         "Axis", "DEFAULT_ATOL", "Extremum", "FeasibleSet", "InfeasibleGridError",
-        "NoCollapseError", "PureState", "RNG_NAME", "RiskContext", "RiskFunction",
-        "SimConfig", "SolverSolution", "Spinor", "TrajectoryStep",
+        "NoCollapseError", "PureState", "RNG_NAME", "SimConfig", "SolverSolution", "Spinor",
+        "TrajectoryStep",
         "amplitudes", "antipode", "axis_from_vector", "azimuth_descent", "binary_entropy",
-        "bloch_vector", "born_up", "brute_force_oracle", "builtin_risks",
-        "constraint_residual", "eigenpair", "feasible_set", "get_risk", "make_rng",
-        "overlap", "s_down", "s_i", "s_up", "select_outcome", "simulate", "solve",
+        "bloch_vector", "born_up", "brute_force_oracle", "constraint_residual", "eigenpair",
+        "feasible_set", "make_rng", "overlap", "s_down", "s_i", "s_up", "simulate", "solve",
         "spin_operator", "state_from_amplitudes", "state_from_bloch",
         "state_from_eigenvector", "step", "unit_vector",
         "__version__",

@@ -16,19 +16,15 @@ from spincollapse import (
     RNG_NAME,
     Axis,
     PureState,
-    RiskContext,
     SimConfig,
     TrajectoryStep,
     axis_from_vector,
     binary_entropy,
     bloch_vector,
     born_up,
-    builtin_risks,
-    get_risk,
     make_rng,
     s_i,
     s_up,
-    select_outcome,
     simulate,
     solve,
     state_from_bloch,
@@ -46,7 +42,7 @@ import spincollapse.spin
 # the package binds `spincollapse.simulate` to the function of that name
 SIMULATE_MODULE = sys.modules["spincollapse.simulate"]
 
-from helpers import non_eigen_pair, uniform_axis, uniform_state
+from helpers import min_risk_outcome, non_eigen_pair, uniform_axis, uniform_state
 
 H_QUARTER = 0.5623351446188083  # binary_entropy(1/4) == binary_entropy(3/4)
 
@@ -290,6 +286,7 @@ class TestSerialization:
 
 
 OUTCOMES = ("born", "risk:born-surprise", "risk:alignment", "risk:constant")
+RULE_NAMES = ("constant", "born-surprise", "alignment")
 
 
 def _hex(*values: float) -> tuple[str, ...]:
@@ -309,7 +306,7 @@ def _frame_free_minimizer(sol, state: PureState, axis: Axis, mode: str) -> Axis:
 def _check_step_against_routes(state, axis, mode, outcome, base, eigen_tol):
     """`step` against `solve`, `s_up`, `born_up`, `binary_entropy` and
     `state_from_eigenvector`, bit for bit, and a risk step's outcome
-    against `select_outcome`."""
+    against the minimize-the-risk reference `min_risk_outcome`."""
     config = SimConfig(steps=1, mode=mode, outcome=outcome, seed=0,
                        entropy_base=base, eigen_tol=eigen_tol)
     t = step(state, axis, config, make_rng(3))
@@ -327,7 +324,7 @@ def _check_step_against_routes(state, axis, mode, outcome, base, eigen_tol):
         assert _hex(t.state_after.rho, t.state_after.tau) == _hex(
             *astuple(state_from_eigenvector(axis, t.s)))
         if config._risk is not None:
-            assert t.s == select_outcome(config._risk, t.axis_next, RiskContext(state, axis))[0]
+            assert t.s == min_risk_outcome(config._risk, state, axis, t.axis_next)[0]
     return t.no_collapse
 
 
@@ -387,41 +384,42 @@ class TestStepPinnedToSolve:
 
 class TestRiskOutcomePinned:
     """Every collapsing record of a risk run carries the outcome
-    `select_outcome` picks from the record's own state, axis and next axis;
-    a no-collapse record carries the certain outcome, whatever the rule."""
+    `min_risk_outcome` picks from the record's own state, axis and next
+    axis; a no-collapse record carries the certain outcome, whatever the
+    rule."""
 
     @pytest.mark.parametrize("mode", ["strict", "reflective"])
-    @pytest.mark.parametrize("rule", builtin_risks(), ids=lambda rule: rule.name)
+    @pytest.mark.parametrize("rule", RULE_NAMES)
     def test_every_record(self, rule, mode):
         rng = np.random.Generator(np.random.PCG64(20261021))
         pairs = _pinning_pairs() + [(uniform_state(rng), uniform_axis(rng)) for _ in range(40)]
         picked = []
         for eigen_tol in (1e-12, 0.0):
             for state, axis in pairs:
-                config = SimConfig(steps=25, mode=mode, outcome=f"risk:{rule.name}",
+                config = SimConfig(steps=25, mode=mode, outcome=f"risk:{rule}",
                                    eigen_tol=eigen_tol)
                 for t in simulate(state, axis, config):
                     if t.no_collapse:
                         assert t.s == (1 if t.p_up >= 0.5 else -1)
                         continue
-                    context = RiskContext(t.state_before, t.axis_measured)
-                    assert t.s == select_outcome(rule, t.axis_next, context)[0]
+                    assert t.s == min_risk_outcome(rule, t.state_before, t.axis_measured,
+                                                   t.axis_next)[0]
                     picked.append(t.s)
         assert len(picked) >= (1000 if mode == "reflective" else 100)
-        assert set(picked) == ({1} if rule.name == "constant" else {1, -1})
+        assert set(picked) == ({1} if rule == "constant" else {1, -1})
 
 
 def _closed_form_pick(rule, state: PureState, axis: Axis, axis_f: Axis) -> int:
     """The outcome of `rule`'s closed form for measuring `state` along `axis`
     with candidate `axis_f`, fed the public routes' p, m and n_f."""
     spin = spincollapse.spin
-    pick = spincollapse.risk._OUTCOMES[rule.rule]
+    pick = spincollapse.risk._OUTCOMES[rule]
     return pick(born_up(state, axis), spin._bloch_xyz(state), *spin._unit_xyz(axis_f))
 
 
 class TestClosedFormOutcomes:
     """Each builtin rule's outcome in closed form, which a risk step calls,
-    picks what `select_outcome` picks under that rule, at the edges of the
+    picks what `min_risk_outcome` picks under that rule, at the edges of the
     tie: p = 1/2 and its float neighbours, the merged great circle, and
     n_f . m = +-0.0."""
 
@@ -435,12 +433,12 @@ class TestClosedFormOutcomes:
                 assert born_up(state, z).hex() == rho.hex()  # +z reads rho exactly
                 candidates = [z, Axis(math.pi, 0.0), Axis(math.pi / 2, tau)]
                 candidates += [uniform_axis(rng) for _ in range(20)]
-                for rule in builtin_risks():
+                for rule in RULE_NAMES:
                     for axis_f in candidates:
-                        s = select_outcome(rule, axis_f, RiskContext(state, z))[0]
+                        s = min_risk_outcome(rule, state, z, axis_f)[0]
                         assert _closed_form_pick(rule, state, z, axis_f) == s
         # the tie at 1/2 goes to +1; just below it, 1 - p rounds to 1/2
-        born = get_risk("born-surprise")
+        born = "born-surprise"
         assert [_closed_form_pick(born, PureState(rho, 0.0), z, z) for rho in rhos] == [-1, 1, 1]
 
     @pytest.mark.parametrize("mode", ["strict", "reflective"])
@@ -451,11 +449,11 @@ class TestClosedFormOutcomes:
                       spin._dot3(spin._unit_xyz(axis), spin._bloch_xyz(state)))]
         assert len(merged) >= 2
         for state, axis in merged:
-            for rule in builtin_risks():
-                config = SimConfig(steps=1, mode=mode, outcome=f"risk:{rule.name}")
+            for rule in RULE_NAMES:
+                config = SimConfig(steps=1, mode=mode, outcome=f"risk:{rule}")
                 t = step(state, axis, config)
                 assert not t.no_collapse
-                s = select_outcome(rule, t.axis_next, RiskContext(state, axis))[0]
+                s = min_risk_outcome(rule, state, axis, t.axis_next)[0]
                 assert _closed_form_pick(rule, state, axis, t.axis_next) == s == t.s
 
     @pytest.mark.parametrize("m, d, s", [
@@ -466,16 +464,15 @@ class TestClosedFormOutcomes:
         ((-5e-324, 0.0, 0.0), "-0x0.0000000000001p-1022", -1),
     ])
     def test_alignment_at_signed_zero(self, monkeypatch, m, d, s):
-        # no float state and axis give n_f . m = -0.0, so the rule is fed
-        # this m and n_f in place of `_bloch_xyz` and `_unit_xyz`
+        # no float state and axis give n_f . m = -0.0, so the reference rule
+        # is fed this m and n_f in place of `_bloch_xyz` and `_unit_xyz`
         n = (1.0, 1.0, 1.0)
-        assert spincollapse.spin._dot3(n, m).hex() == d
-        risk = spincollapse.risk
-        monkeypatch.setattr(risk, "_bloch_xyz", lambda state: m)
-        monkeypatch.setattr(risk, "_unit_xyz", lambda axis: n)
-        alignment = get_risk("alignment")
-        assert select_outcome(alignment, TILT, RiskContext(UP_Z, TILT))[0] == s
-        assert risk._OUTCOMES[alignment.rule](0.5, m, *n) == s
+        spin = spincollapse.spin
+        assert spin._dot3(n, m).hex() == d
+        monkeypatch.setattr(spin, "_bloch_xyz", lambda state: m)
+        monkeypatch.setattr(spin, "_unit_xyz", lambda axis: n)
+        assert min_risk_outcome("alignment", UP_Z, TILT, TILT)[0] == s
+        assert spincollapse.risk._OUTCOMES["alignment"](0.5, m, *n) == s
 
 
 def _cos_beta(state: PureState, axis: Axis) -> float:
@@ -873,17 +870,15 @@ class TestStepDoesEachThingOnce:
     they are, so `_reduce_angles` never runs.  It builds its record once, through
     `TrajectoryStep.__init__`, which fills the instance dict (one `__dict__`
     read) instead of setting each field through `object.__setattr__`.  A
-    collapsing risk step calls its rule's outcome in closed form once, and
-    no `select_outcome`, `RiskContext` or rule: these are counted by the
-    code they run, however they are reached."""
+    collapsing risk step calls its rule's outcome in closed form once: each
+    is counted by the code it runs, however it is reached."""
 
     ALIASES = ("_sqrt", "_sin", "_cos", "_log")
     NEVER = ("born_up", "_bloch_xyz", "_born_frame", "state_from_eigenvector", "_unit_xyz",
              "_collapse_frame", "_binary_entropy", "_dot_entropy", "_reduce_angles",
              "_check_base", "_check_eigen_tol", "antipode")
     COUNTED = ALIASES + NEVER + ("_merged", "_mirror", "_xyz_angles")
-    RISK = ("select_outcome", "_constant", "_born_surprise", "_alignment",
-            "_constant_outcome", "_born_surprise_outcome", "_alignment_outcome")
+    RISK = tuple(f"_OUTCOMES[{name!r}]" for name in spincollapse.risk._OUTCOMES)
 
     @pytest.fixture(autouse=True)
     def _profile_off(self):
@@ -894,7 +889,7 @@ class TestStepDoesEachThingOnce:
     def _count(cls, monkeypatch) -> dict:
         calls = dict.fromkeys(cls.COUNTED + cls.RISK, 0)
         calls.update({"Axis.__init__": 0, "TrajectoryStep.__init__": 0,
-                      "TrajectoryStep.__dict__": 0, "RiskContext.__init__": 0})
+                      "TrajectoryStep.__dict__": 0})
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -910,11 +905,10 @@ class TestStepDoesEachThingOnce:
                 if hasattr(module, name) and (name not in cls.ALIASES
                                               or module is SIMULATE_MODULE):
                     monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-        # a rule is reached through its `RiskFunction` and a closed form
-        # through `risk._OUTCOMES`, so these are told by the code they run
-        risk = spincollapse.risk
-        codes = {getattr(risk, name).__code__: name for name in cls.RISK}
-        codes[RiskContext.__init__.__code__] = "RiskContext.__init__"
+        # a closed form is reached through `risk._OUTCOMES`, so it is told
+        # by the code it runs
+        codes = {pick.__code__: f"_OUTCOMES[{name!r}]"
+                 for name, pick in spincollapse.risk._OUTCOMES.items()}
 
         def profile(frame, event, arg):
             if event == "call" and frame.f_code in codes:
@@ -942,9 +936,8 @@ class TestStepDoesEachThingOnce:
         (each with its one `_binary_entropy`).  Each collapse of a risk run
         calls the closed form of its `outcome`'s rule."""
         want = dict.fromkeys(cls.COUNTED + cls.RISK, 0)
-        want["RiskContext.__init__"] = 0
         if outcome != "born":
-            want[f"_{outcome.removeprefix('risk:').replace('-', '_')}_outcome"] = collapses
+            want[f"_OUTCOMES[{outcome.removeprefix('risk:')!r}]"] = collapses
         frames = collapses + no_collapses
         want["_sqrt"] = frames
         want["_sin"] = 2 + 2 * frames + 2 * reflective
@@ -1011,8 +1004,8 @@ class TestStepDoesEachThingOnce:
     @pytest.mark.parametrize("outcome", ["risk:born-surprise", "risk:alignment"])
     def test_risk_rule_reads_the_step_frame(self, monkeypatch, outcome):
         # the closed form reads the p, m and next unit vector the step holds,
-        # so neither `born_up`, `_bloch_xyz` nor `_unit_xyz`, which the rules
-        # call, runs (each is counted on `spincollapse.risk` too)
+        # so neither `born_up`, `_bloch_xyz` nor `_unit_xyz`, which the
+        # reference rules call, runs
         state, axis = PureState(0.3, 1.0), Axis(1.2, 0.4)
         for mode, steps in (("reflective", 1), ("reflective", 40), ("strict", 1)):
             reflective = steps if mode == "reflective" else 0
