@@ -200,21 +200,30 @@ RISK_RULES = {"constant": constant_risk, "born-surprise": born_surprise_risk,
               "alignment": alignment_risk}
 
 
+def risk_value(name: str, axis_f: Axis, s: int, state: PureState, axis_measured: Axis,
+               rule=None) -> float:
+    """The risk of outcome s under the builtin rule `name`, or under `rule`
+    called by that name, as a Python float.  s must be +1 or -1, read as
+    `spin._outcome` reads it, and the rule sees it as a plain int; a +inf
+    risk is a veto, and a NaN risk raises ValueError."""
+    s = spin._outcome(s)
+    rule = RISK_RULES[name] if rule is None else rule
+    value = float(rule(axis_f, s, state, axis_measured))
+    if math.isnan(value):
+        raise ValueError(f"risk {name!r} returned NaN for outcome {s:+d}")
+    return value
+
+
 def min_risk_outcome(name: str, state: PureState, axis_measured: Axis,
-                     axis_f: Axis) -> tuple[int, float]:
-    """The outcome of lower risk under the builtin rule `name` at the
-    candidate axis, with its risk value: the generic minimize-the-risk
-    selection, the oracle of each rule's closed form in `risk._OUTCOMES`.
-    Exact ties go to +1.  A +inf risk vetoes its outcome, and a double veto
-    raises ValueError, as does a NaN risk, before the next outcome's risk
-    is taken."""
-    rule = RISK_RULES[name]
-    up = float(rule(axis_f, 1, state, axis_measured))
-    if math.isnan(up):
-        raise ValueError(f"risk {name!r} returned NaN for outcome +1")
-    down = float(rule(axis_f, -1, state, axis_measured))
-    if math.isnan(down):
-        raise ValueError(f"risk {name!r} returned NaN for outcome -1")
+                     axis_f: Axis, rule=None) -> tuple[int, float]:
+    """The outcome of lower `risk_value` at the candidate axis, with its
+    risk value: the generic minimize-the-risk selection, the oracle of each
+    builtin rule's closed form in `risk._OUTCOMES`.  The risk of +1 is taken
+    first, and a NaN raises before the risk of -1 is taken.  Exact ties go
+    to +1.  A +inf risk vetoes its outcome, and a double veto raises
+    ValueError."""
+    up = risk_value(name, axis_f, 1, state, axis_measured, rule)
+    down = risk_value(name, axis_f, -1, state, axis_measured, rule)
     s, value = (-1, down) if down < up else (1, up)
     if value == math.inf:
         raise ValueError(f"risk {name!r} vetoes every outcome (+inf for both)")
