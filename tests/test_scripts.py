@@ -9,10 +9,14 @@ import re
 import subprocess
 from pathlib import Path
 
+from fractions import Fraction
+
+import mpmath
 import pytest
 
 import digest_outputs
-from helpers import run_python
+import exact_replay
+from helpers import run_cli, run_python
 from spincollapse import binary_entropy
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,6 +39,63 @@ def test_script_runs(script, args, summary):
     proc = _run(script, *args)
     assert proc.returncode == 0, proc.stderr
     assert summary in proc.stdout
+
+
+def _simulate_document(tmp_path, *flags: str) -> Path:
+    run = run_cli(["simulate", "--rho", "0.3", "--tau", "1.0", "--theta-i", "1.2",
+                   "--phi-i", "0.4", *flags])
+    assert run.exit_code == 0, run.stderr
+    path = tmp_path / "run.json"
+    path.write_bytes(run.stdout)
+    return path
+
+
+def test_exact_replay_prints_the_horizon(tmp_path):
+    path = _simulate_document(tmp_path, "--mode", "reflective", "--steps", "80",
+                              "--outcome", "risk:alignment")
+    proc = _run("exact_replay.py", str(path), str(path))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 3 and lines[0] == lines[1]
+    # the map stretches rounding by up to 4 a step: the float run shadows its
+    # exact orbit for a few dozen steps, not for 80
+    k = int(re.search(r"shadowing horizon step (\d+) of 80 ", lines[0]).group(1))
+    assert 15 <= k < 60
+    assert lines[2] == f"horizon over 2 runs: min {k}, median {k}, max {k}"
+
+
+def test_exact_replay_rejects_a_strict_run(tmp_path):
+    path = _simulate_document(tmp_path, "--mode", "strict", "--steps", "3")
+    proc = _run("exact_replay.py", str(path))
+    assert proc.returncode == 2 and "expected a reflective simulate document" in proc.stderr
+
+
+OUTCOME_RUNS = [[1] * 12, [-1] * 12, [1, -1] * 6, [-1, -1, 1, -1, 1, 1, 1, -1, 1, -1, -1, 1]]
+
+
+@pytest.mark.parametrize("outcomes", OUTCOME_RUNS)
+@pytest.mark.parametrize("q", range(1, 9))
+def test_a_dyadic_start_absorbs_at_its_denominator(q, outcomes):
+    # delta_0 / pi = j / 2^q, j odd: each step halves the denominator and
+    # keeps the numerator odd, so delta_q / pi is the first integer, c = +-1
+    for j in range(1, 2 ** (q + 1), 2):
+        orbit = exact_replay.delta_orbit(Fraction(j, 2**q), outcomes[:q])
+        assert [d.denominator for d in orbit] == [2 ** (q - k) for k in range(q + 1)]
+        with mpmath.workprec(exact_replay.BITS):
+            c = exact_replay.c_orbit(mpmath.cospi(mpmath.mpf(j) / 2**q), outcomes[:q])
+            for d, ck in zip(orbit, c):
+                assert abs(ck - mpmath.cospi(d.numerator / mpmath.mpf(d.denominator))) < 1e-100
+            assert abs(abs(c[q]) - 1) < 1e-100 and all(abs(ck) < 1 for ck in c[:q])
+
+
+@pytest.mark.parametrize("outcomes", OUTCOME_RUNS)
+def test_a_third_keeps_cos_beta_at_a_half(outcomes):
+    orbit = exact_replay.delta_orbit(Fraction(1, 3), outcomes)
+    assert set(orbit) <= {Fraction(1, 3), Fraction(4, 3)}
+    with mpmath.workprec(exact_replay.BITS):
+        c = exact_replay.c_orbit(mpmath.mpf(0.5), outcomes)
+    assert [abs(ck) for ck in c] == [0.5] * len(c)
+    assert [ck for ck in c[1:]] == [s * -0.5 for s in outcomes]
 
 
 # The lines `digest_outputs.py` prints, one per output family (its docstring
