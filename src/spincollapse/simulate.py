@@ -46,6 +46,7 @@ whose leading draws are the same stream.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -55,7 +56,9 @@ from . import solver as _solver
 from .entropy import _binary_entropy, _check_base
 from .risk import _OUTCOMES
 from .solver import _check_eigen_tol, _check_mode
-from .spin import DEFAULT_ATOL, TWO_PI, Axis, PureState, _integer, _xyz_angles, antipode
+from .spin import (
+    _POLE_SNAP, DEFAULT_ATOL, TWO_PI, Axis, PureState, _integer, _xyz_angles, antipode,
+)
 
 __all__ = [
     "RNG_NAME",
@@ -70,6 +73,9 @@ RNG_NAME = "numpy.random.PCG64"
 
 # module aliases for the arithmetic `_walk` writes out, as `entropy._log`
 _sqrt, _sin, _cos, _log, _PI = math.sqrt, math.sin, math.cos, math.log, math.pi
+_hypot, _atan2, _chain = math.hypot, math.atan2, itertools.chain
+# `solver._merged`'s threshold on |cos(beta)|
+_MERGED = DEFAULT_ATOL
 
 
 def _parse_outcome(outcome: str) -> str | None:
@@ -191,9 +197,10 @@ def _walk(
 ) -> list[TrajectoryStep]:
     """Every record of a run: one per index of `indices`, in order.
 
-    The loop body is one collapsing step written out: each line repeats,
-    operation for operation, the formula of a public route, so that every
-    float is bit for bit the route's (`TestStepPinnedToSolve`):
+    The first record, every record of a strict run and every absorbed tail
+    come from one loop whose body is a collapsing step written out: each
+    line repeats, operation for operation, the formula of a public route, so
+    that every float is bit for bit the route's (`TestStepPinnedToSolve`):
     - p, m and the eigenstate weights c2 and s2 repeat `spin._born_frame`,
       whose p is `born_up` and whose c2 and s2 are the rho of
       `state_from_eigenvector`; the sin(theta) it takes is the one of n_i;
@@ -204,30 +211,50 @@ def _walk(
       great circle, where the mirror is -n_i, `solver._mirror` builds the
       mirror (both called through their module, where a test can plant a
       fault in both routes at once) and `spin._xyz_angles` gives its
-      angles;
+      angles; the unit vector of the next axis repeats `spin._unit_xyz`;
     - `state_after` repeats `state_from_eigenvector`;
-    - the unit vector of the next axis repeats `spin._unit_xyz`, and it is
-      handed on as the next step's n_i, with its sin(theta), so only the
-      first n_i is built from its axis;
     - s_i repeats `binary_entropy(p)` and s_up_next `s_up(axis_i,
       axis_next)`: `entropy._binary_entropy`, whose range check a
       probability in [0, 1] passes, and `entropy._dot_entropy`;
     - a risk outcome is the closed form `risk._OUTCOMES` holds for the
       rule, called with p, m and the next unit vector.
-    `_check_step_against_routes` in `tests/test_sim.py` pins p_up, s_i,
-    s_up_next, state_after and axis_next to those routes by `float.hex`,
-    and a risk step's s to the generic minimize-the-risk selection of
-    `tests/helpers.py`; `TestRiskOutcomePinned` pins the s of every record
-    of risk runs to it, and `TestClosedFormOutcomes` each closed form at the
-    edges of a tie;
-    `TestStepDoesEachThingOnce` counts the `math` calls of each line and
-    checks that none of the routes is called;
-    `test_planted_mirror_fault_reaches_step_and_solve` checks the mirror's
-    route.
+    A strict step hands on the axis it measured, with its unit vector.
+
+    From its second record on, a reflective run is carried in its own
+    plane.  A collapse moves m to s n_i and n_i to the mirror r = 2 (n_i .
+    m) m - n_i, so every later state and axis lies in the plane of the
+    first n_i and the second; with e1 = n_0 and e2 the part of n_1 normal
+    to it, built once, m and n_i are unit 2-vectors there, and a step is:
+    - cos(beta) = n_i . m and p = (1 + cos(beta))/2, with the eigenstate
+      test of the first loop; `solver._merged`'s threshold on cos(beta),
+      where the mirror is -n_i;
+    - the mirror 2 cos(beta) m - n_i, made unit by its `hypot`, and lifted
+      to 3-D once, as e1 r_1 + e2 r_2, for the record's `Axis`, whose
+      angles are `spin._xyz_angles`' formulas;
+    - the collapsed state: `state_from_eigenvector`'s half-angle weight of
+      the measured axis, for the outcome taken only;
+    - the next state s n_i, and the next cos(beta) = s (n_i . r), whose
+      absolute value gives both this step's s_up_next and the next step's
+      s_i: one entropy a step, computed from |cos(beta)|;
+    - a risk outcome from the closed form, fed the lifted m and mirror.
+    No rounding then moves the plane, and no state is read back from its
+    (rho, tau), which near +z holds its direction only to about 2e-16 / d
+    rad.
+
+    `_check_step_against_routes` in `tests/test_sim.py` pins the first
+    record to those routes by `float.hex`, and a risk step's s to the
+    generic minimize-the-risk selection of `tests/helpers.py`;
+    `TestSimulateIsChainedStep` holds the plane records to a chain of
+    `step` calls within the shadowing bound of `scripts/exact_replay.py`;
+    `TestRiskOutcomePinned` pins the s of every record of risk runs, off
+    ties, to that selection, and `TestClosedFormOutcomes` each closed form
+    at the edges of a tie; `TestStepDoesEachThingOnce` counts the `math`
+    calls of both loops and checks that none of the routes is called;
+    `TestReflectivePlane` bounds the lift off the first plane.
 
     A no-collapse step hands its own state and axis on, draws nothing and
     picks no risk outcome, so every later step repeats it: its record is
-    written under its own index and under each remaining one, and the loop
+    written under its own index and under each remaining one, and the run
     ends.  `draw()` gives one uniform per collapsing step of a Born run; a
     risk run never calls it.
     """
@@ -270,7 +297,7 @@ def _walk(
             st_n = _sin(theta_n)
             nx_n, ny_n, nz_n = st_n * _cos(phi_n), st_n * _sin(phi_n), _cos(theta_n)
         else:
-            axis_next, theta_n, phi_n, st_n, nx_n, ny_n, nz_n = axis_i, theta, phi, st, nx, ny, nz
+            axis_next, nx_n, ny_n, nz_n = axis_i, nx, ny, nz
         if pick is None:
             s = 1 if draw() < p else -1
         else:
@@ -287,7 +314,8 @@ def _walk(
         if hi < 1.0:
             lo = 1.0 - hi
             s_i = (-lo * _log(lo) - hi * _log(hi)) / log_base
-        p_next = 0.5 * (1.0 + (nx * nx_n + ny * ny_n + nz * nz_n))
+        d = nx * nx_n + ny * ny_n + nz * nz_n
+        p_next = 0.5 * (1.0 + d)
         s_up_next = 0.0
         if 0.0 < p_next < 1.0:
             p_next_down = 1.0 - p_next
@@ -298,7 +326,101 @@ def _walk(
         records.append(TrajectoryStep(index, state, axis_i, p, s, state_after, axis_next,
                                       s_i, s_up_next, False))
         state, axis_i = state_after, axis_next
-        theta, phi, st, nx, ny, nz = theta_n, phi_n, st_n, nx_n, ny_n, nz_n
+        if reflective:
+            break
+    else:
+        return records
+    index = next(indices, None)
+    if index is None:
+        return records
+    # the plane of the run: e1 = n_0, and e2 = m_0 with its e1 part taken
+    # out and made unit, twice, so that e2 . e1 is rounding alone however
+    # close m_0 is to +-n_0.  n_1 = 2 cos(beta) m_0 - n_0 would give the same
+    # plane, but near the merged circle it is nearly -n_0, and its rounding
+    # would tilt e2 by about 2**-53 / |sin(2 beta)|.  Where m_0 is parallel to
+    # n_0 at float resolution, e2 is left 0: n_1 is (+-1, 0) in the plane,
+    # the first plane step reads cos(beta) = +-1 and absorbs, and e2 is never
+    # read.
+    e1x, e1y, e1z = nx, ny, nz
+    e2x, e2y, e2z = mx, my, mz
+    for _ in range(2):
+        k = e2x * e1x + e2y * e1y + e2z * e1z
+        e2x, e2y, e2z = e2x - k * e1x, e2y - k * e1y, e2z - k * e1z
+        w = _hypot(e2x, e2y, e2z)
+        if w == 0.0:
+            break
+        e2x, e2y, e2z = e2x / w, e2y / w, e2z / w
+    # n_1 and m_1 = s n_0 in the plane
+    n1, n2 = d, nx_n * e2x + ny_n * e2y + nz_n * e2z
+    h = _hypot(n1, n2)
+    n1, n2 = n1 / h, n2 / h
+    m1, m2 = float(s), 0.0
+    c = m1 * n1
+    theta, phi = axis_i.theta, axis_i.phi
+    hi = 0.5 * (1.0 + (c if c >= 0.0 else -c))
+    s_i = 0.0
+    if hi < 1.0:
+        lo = 1.0 - hi
+        s_i = (-lo * _log(lo) - hi * _log(hi)) / log_base
+    for index in _chain((index,), indices):
+        p = 0.5 * (1.0 + c)
+        p_down = 1.0 - p
+        if p <= eigen_tol or p_down <= eigen_tol or not -1.0 < c < 1.0:
+            if not 0.0 < p < 1.0:
+                p = 1.0 if p >= 1.0 else 0.0
+            s = 1 if p >= 0.5 else -1
+            s_i = _binary_entropy(p, base)
+            records += [TrajectoryStep(j, state, axis_i, p, s, state, axis_i, s_i, 0.0, True)
+                        for j in (index, *indices)]
+            return records
+        if -_MERGED <= c <= _MERGED:
+            r1, r2 = -n1, -n2
+        else:
+            r1, r2 = 2.0 * c * m1 - n1, 2.0 * c * m2 - n2
+            h = _hypot(r1, r2)
+            r1, r2 = r1 / h, r2 / h
+        x = r1 * e1x + r2 * e2x
+        y = r1 * e1y + r2 * e2y
+        z = r1 * e1z + r2 * e2z
+        # the angles of `spin._xyz_angles`
+        r_xy = _hypot(x, y)
+        if r_xy <= _POLE_SNAP * _hypot(r_xy, z):
+            theta_n, phi_n = (0.0 if z > 0.0 else _PI), 0.0
+        else:
+            phi_n = _atan2(y, x)
+            if phi_n < 0.0:
+                phi_n += TWO_PI
+                if phi_n == TWO_PI:
+                    phi_n = 0.0
+            theta_n, phi_n = _atan2(r_xy, z), phi_n + 0.0
+        axis_next = Axis(theta_n, phi_n)
+        if pick is None:
+            s = 1 if draw() < p else -1
+        else:
+            s = pick(p, (m1 * e1x + m2 * e2x, m1 * e1y + m2 * e2y, m1 * e1z + m2 * e2z),
+                     x, y, z)
+        if s == 1:
+            state_after = PureState(_cos(0.5 * theta) ** 2, phi)
+        else:
+            tau = phi + _PI
+            if tau >= TWO_PI:
+                tau -= TWO_PI  # exact (Sterbenz): the bits of `%`
+            state_after = PureState(_sin(0.5 * theta) ** 2, tau)
+        # n_i . r, and s times it the next cos(beta)
+        d = n1 * r1 + n2 * r2
+        hi = 0.5 * (1.0 + (d if d >= 0.0 else -d))
+        s_up_next = 0.0
+        if hi < 1.0:
+            lo = 1.0 - hi
+            s_up_next = (-lo * _log(lo) - hi * _log(hi)) / log_base
+        records.append(TrajectoryStep(index, state, axis_i, p, s, state_after, axis_next,
+                                      s_i, s_up_next, False))
+        state, axis_i, theta, phi = state_after, axis_next, theta_n, phi_n
+        if s == 1:
+            m1, m2, c = n1, n2, d
+        else:
+            m1, m2, c = -n1, -n2, -d
+        n1, n2, s_i = r1, r2, s_up_next
     return records
 
 

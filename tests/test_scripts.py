@@ -117,8 +117,8 @@ oracle.infeasible     50  c6d2901b1d1ade7bf7dc90f885825415a5b5079e6b2b7007e730df
 oracle.tol            78  9ff966508d1c8f6fde1fb0730dd95916583c3f5529bb9203bbcd52148f46ba3e
 landscape             14  16e09c3f6da24d24da74e6206c35bab9d9f17118a867c16aa01d5e19325bd1cd
 landscape.shapes      65  dc2af32ab59ea29af789a78d3f27aa25b6260f08ca65703b0aea0e8bc4d7dd68
-cli.json             221  a17084c5861bc2324ff5c38b67a479a1cfcaba8cfe01c82ccb72afe659f1ca8a
-cli.simulate_long     56  e6109c8856fdab8c87de09974466f21c915be91f56e5d581da191c10a432037d
+cli.json             221  6d1a046dcaf1f8ee893650818239cf6f17e0f01345e1d8efa6d59b9ac327af5b
+cli.simulate_long     56  602eb6590b603c431c4a6261085a680fb52b0868013685da3e5def0ecbe52def
 cli.pinned.solve-strict-e     1  f9411175f0f02fcdf3ed054aa88f387bb7b07a555364919148cf0197028fcbb9
 cli.pinned.solve-strict-2     1  325d6d0fbea12830f5d10fef690495e601faad780c7aef7a5f7e3c879b411cbf
 cli.pinned.solve-reflective-e     1  e8eff3adc994568d34e680952f8c784e1d29945caf3e3dc54d56b1a1ce3ad9ae
@@ -127,11 +127,11 @@ cli.pinned.oracle      1  bb17cb4030ced1a167545dfa9d9415abdd08535e2bf4f0af95e25d
 cli.pinned.oracle-exclude     1  8b7ff65f03c494b0b386c84b19672f928a078bc3376ee5b5a89454fc70e66578
 cli.pinned.oracle-eigenstate     1  6c35c3965bddbfee96acc8b44ab65af8a829a3e74ddb4a167193ac2bafa4fd0b
 cli.pinned.oracle-infeasible     1  5585321a7102279f1ea95ec8b4bb44c1b4ff466a50294f62e87a5c9fd39e5931
-cli.pinned.simulate-born     1  e5770f0a7c86ed6c98b620a02cfc4d8136dc0df686bcc96eb63fef82ae1ec0a2
-cli.pinned.simulate-born-surprise     1  6634d233bd9949f2a37011b49554276a93187ef808db81fb9d08f504e0fa8267
-cli.pinned.simulate-alignment     1  6f4eb50e8f8b6759a1645974ac4a26c6475a9e2557ddf11a4d8fb7febe0d2dd2
-cli.pinned.simulate-constant     1  0a3f11509c9ce548a159403fe44ff14d0c2b6a967a070d20def09b88b52717d8
-cli.pinned.simulate-flags-reordered     1  0a3f11509c9ce548a159403fe44ff14d0c2b6a967a070d20def09b88b52717d8
+cli.pinned.simulate-born     1  40a43ae8d46212af5d5a6e13db1c135392bda2c0335a1bd9cb0a860b18cdd9b4
+cli.pinned.simulate-born-surprise     1  28411b3181beda4da924a928ce34cbc7cd35878549365a519b94ca8c0ce9e154
+cli.pinned.simulate-alignment     1  53bdd0739a7442e88a087d3252e2d79ee417af79afe18b306662872c4e9dad24
+cli.pinned.simulate-constant     1  70d465137f38f80a062c6c8da556a5ba63b006f589533aed2dc5ea67bbbf1585
+cli.pinned.simulate-flags-reordered     1  70d465137f38f80a062c6c8da556a5ba63b006f589533aed2dc5ea67bbbf1585
 cli.pinned.oracle-exclude-flags-reordered     1  8b7ff65f03c494b0b386c84b19672f928a078bc3376ee5b5a89454fc70e66578
 cli.pinned.landscape-csv     1  affc3f7afd29c12a50c859e7ac1a188de59d0253ad91bf76e2fd0a9a634b4e6c
 cli.pinned.landscape-tsv     1  7046501d22415a61f987fd9e0f7ce0bf69b44b71752e5f9ce40e18b47613ed10
@@ -150,11 +150,11 @@ cli.pinned.landscape-eigenstate     1  b6f2fc658065c541c89864d2664713a8e51bd75c3
 cli.pinned.landscape-odd-columns     1  c9ce8c122c960d5ec9ca3a4b1e87dfb3540b0479deda583ba70bef00ce16cbc8
 cli.pinned.landscape-default-grid     1  245acb906b3b845a5ca0b350fed6b0cf55879793f377dc78a0c71361723fec0a
 cli.pinned.landscape-respelled-cells     1  ad40278d987a2f3726e0caaa11a09d62ff2297f7ae158500c9a6ea35619b21d8
-cli.pinned.simulate-near-pole     1  a9f60724490e7523e706de7af86f1665e89203d949398c201e72413dde4c16e2
+cli.pinned.simulate-near-pole     1  af0490671012c99b086c7c2fb506462c747c02fbb91241174799dba522ab0072
 cli.pinned.oracle-constraint-tol-inf     1  cd98998afc385eefa0b40e6244bcfa9d61850f8fc2054f8c1f3926b3e310522a
 cli.pinned.oracle-exclude-trivial-inf     1  cd98998afc385eefa0b40e6244bcfa9d61850f8fc2054f8c1f3926b3e310522a
 cli.pinned.simulate-seed-beyond-64-bits     1  cd98998afc385eefa0b40e6244bcfa9d61850f8fc2054f8c1f3926b3e310522a
-cli.pinned.simulate-seed-64-bit-max     1  d59405e9e2de10dc869bdae054d63d22650ab599dcb9c0e1a5bc639c72eb5487
+cli.pinned.simulate-seed-64-bit-max     1  ca6263ba846aef25cfba5b2b3a3fb89f88df1a57ad0d34ba55412c45581a335d
 cli.pinned.solve-fullwidth-amplitude     1  ea8f5847fe9bba7255c6b7f840c0fc127e3f27ff57a1b1a477230e84adb8c9dc
 cli.pinned.solve-astral-amplitude     1  498c75ef16d6f90b1e18e39e43ae20c2484407db2b820cae7b5059f4459fc7ff
 cli.pinned.solve-negative-amplitude     1  08b1130d8aa1f7d3f88cd02ab2211fe1db7b84d64f7a552168958eac3cdf2ee2
@@ -165,10 +165,10 @@ cli.pinned.solve-degrees-with-value     1  cd98998afc385eefa0b40e6244bcfa9d61850
 cli.pinned.simulate-missing-value     1  cd98998afc385eefa0b40e6244bcfa9d61850f8fc2054f8c1f3926b3e310522a
 cli.pinned.no-arguments     1  cd98998afc385eefa0b40e6244bcfa9d61850f8fc2054f8c1f3926b3e310522a
 cli.pinned.unknown-command     1  cd98998afc385eefa0b40e6244bcfa9d61850f8fc2054f8c1f3926b3e310522a
-simulate             400  8a6823a42166fa9db84273c532bb2b0a76c38f5136bcdfebb52fca155bc76706
-simulate.long        208  ae8dee897b4ecdd441ee569e8700f2fde8c96d78f4cbc8235f6cc1d01d6f270f
-simulate.born_long    28  62143250fdccb5f8736b6ba920cfcba01db96481e1b6b36c5cbe3de78199063d
-eigen_tol0           112  1fba571c0765c46364850e178daeb5e8a8e206a4cebaac899fd7eb5179715d0c
+simulate             400  89348943d66029318913b82e2c0a400831744ab77726e663b4e3ea2cf51ae8e2
+simulate.long        208  d823767eabfe9dbdd7f077dfbd7b052d99c1f9c0db303746da835ea02a43f761
+simulate.born_long    28  2f68cf97fcc186362d261a16527eee0bbd82573d9351709093ebfeb2e6e08ee1
+eigen_tol0           112  c0a0babe9ca11236e81ff4bef6e308fe3177096afc4bd4872f808a80bc97c4ff
 kernels              910  b67f07670f872f0ce3c8c044fc97eb5e228c97150bf21f83154501c1442b3fb8
 amplitudes            60  c5d20d4964082740269ca055d92ce571c89b8f7139e0e7c5bd5cc98bac079789
 vectors               60  d333e48592596da9ad66ddf8a61a171ac75ed8fba43d2c209a476f45863a58b4
@@ -226,7 +226,7 @@ def test_readme_quickstart():
     assert printed[1].startswith("0.5623")
     # the outcomes and the last axis are quoted as printed
     assert printed[2:] == comments[2:] == [
-        "[1, -1, 1]", "Axis(theta=1.047197551196598, phi=0.0)"]
+        "[1, -1, 1]", "Axis(theta=1.0471975511965987, phi=0.0)"]
 
 
 # The two workloads `BENCHMARK.json` gates, run for half a second each at the

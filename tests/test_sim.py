@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spincollapse import (
+    DEFAULT_ATOL,
     RNG_NAME,
     Axis,
     PureState,
@@ -42,6 +43,7 @@ import spincollapse.spin
 # the package binds `spincollapse.simulate` to the function of that name
 SIMULATE_MODULE = sys.modules["spincollapse.simulate"]
 
+import exact_replay
 from helpers import min_risk_outcome, non_eigen_pair, uniform_axis, uniform_state
 
 H_QUARTER = 0.5623351446188083  # binary_entropy(1/4) == binary_entropy(3/4)
@@ -287,6 +289,7 @@ class TestSerialization:
 
 OUTCOMES = ("born", "risk:born-surprise", "risk:alignment", "risk:constant")
 RULE_NAMES = ("constant", "born-surprise", "alignment")
+UNIT_ROUNDOFF = 2.0**-53  # of a double
 
 
 def _hex(*values: float) -> tuple[str, ...]:
@@ -386,14 +389,22 @@ class TestRiskOutcomePinned:
     """Every collapsing record of a risk run carries the outcome
     `min_risk_outcome` picks from the record's own state, axis and next
     axis; a no-collapse record carries the certain outcome, whatever the
-    rule."""
+    rule.
+
+    The first record is `step`'s, pinned bit for bit.  A later record's rule
+    reads the run's plane vectors, which the record's (rho, tau) and
+    (theta, phi) hold only to rounding: a record whose tie quantity (2 p - 1
+    for born-surprise, n_f . m for alignment) lies within the one-step
+    budget of `TestOneStepErrorBudget`, 16 * 2**-53 / sin(beta), plus its
+    state's rounding (`_state_rounding`), may be broken either way, and is
+    only counted."""
 
     @pytest.mark.parametrize("mode", ["strict", "reflective"])
     @pytest.mark.parametrize("rule", RULE_NAMES)
     def test_every_record(self, rule, mode):
         rng = np.random.Generator(np.random.PCG64(20261021))
         pairs = _pinning_pairs() + [(uniform_state(rng), uniform_axis(rng)) for _ in range(40)]
-        picked = []
+        picked, ties = [], 0
         for eigen_tol in (1e-12, 0.0):
             for state, axis in pairs:
                 config = SimConfig(steps=25, mode=mode, outcome=f"risk:{rule}",
@@ -402,10 +413,21 @@ class TestRiskOutcomePinned:
                     if t.no_collapse:
                         assert t.s == (1 if t.p_up >= 0.5 else -1)
                         continue
-                    assert t.s == min_risk_outcome(rule, t.state_before, t.axis_measured,
-                                                   t.axis_next)[0]
+                    s, tie = min_risk_outcome(rule, t.state_before, t.axis_measured,
+                                              t.axis_next)[0], 0.0
+                    if rule == "born-surprise":
+                        tie = 2.0 * born_up(t.state_before, t.axis_measured) - 1.0
+                    elif rule == "alignment":
+                        tie = float(unit_vector(t.axis_next) @ bloch_vector(t.state_before))
+                    sinb = 2.0 * math.sqrt(t.p_up * (1.0 - t.p_up))
+                    margin = 16 * UNIT_ROUNDOFF / sinb + _state_rounding(t.state_before.rho)
+                    if t.index > 0 and rule != "constant" and abs(tie) <= margin:
+                        ties += 1
+                        continue
+                    assert t.s == s, t
                     picked.append(t.s)
         assert len(picked) >= (1000 if mode == "reflective" else 100)
+        assert ties <= len(picked) // 100
         assert set(picked) == ({1} if rule == "constant" else {1, -1})
 
 
@@ -479,6 +501,27 @@ def _cos_beta(state: PureState, axis: Axis) -> float:
     return float(np.dot(bloch_vector(state), unit_vector(axis)))
 
 
+def _check_outcome_blind(state, axis, steps, seed):
+    """Born runs of any seed and every rule measure the same axes, with
+    the same entropies, record for record, until one of them absorbs.
+
+    |cos beta| follows the same map whatever the outcomes, and s_i =
+    H((1 + |cos beta|)/2) and s_up_next = H(cos^2 beta) read only |cos
+    beta|.  This holds in floats too: an outcome s flips the signs of m
+    and of the next cos(beta) together, so the mirror 2 cos(beta) m - n_i,
+    and with it every later axis and |cos beta|, is the same float triple
+    under every outcome.  The first record builds its mirror before it
+    takes its outcome."""
+    born = simulate(state, axis, SimConfig(steps, "reflective", "born", seed))
+    for outcome in OUTCOMES[1:]:
+        ruled = simulate(state, axis, SimConfig(steps, "reflective", outcome))
+        for a, b in zip(born, ruled):
+            assert a.axis_measured == b.axis_measured, (a.index, outcome)
+            if a.no_collapse or b.no_collapse:
+                break
+            assert (a.axis_next, a.s_i, a.s_up_next) == (b.axis_next, b.s_i, b.s_up_next)
+
+
 class TestTentMap:
     """On a reflective collapse step the state becomes +-n_i and the next axis
     is the mirror +-(2 cos(beta) m - n_i), so |cos beta| follows the tent-map
@@ -510,52 +553,168 @@ class TestTentMap:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_entropies_blind_to_outcomes(self, rho, tau, theta, phi, seed):
-        # |cos beta| follows the same map whatever the outcomes, and s_i =
-        # H((1 + cos beta)/2) and s_up_next = H(cos^2 beta) (the next axis
-        # makes 2 cos^2 beta - 1 with n_i) read only |cos beta|: Born runs
-        # of any seed and every rule give the same entropies step by step.
-        # The map stretches a rounding error by up to 4 a step, so the runs
-        # are compared where no step loses digits of cos beta: up to the
-        # first step within 1e-3 of an eigenstate in p_up, and on planes 0.05
-        # rad or more from the poles (every state and axis of a reflective
-        # run lies in the plane of the first ones), since near +z rho =
-        # cos^2(theta/2) holds a direction at distance d to about 1e-16 / d.
-        state, axis = PureState(rho, tau), Axis(theta, phi)
-        normal = np.cross(bloch_vector(state), unit_vector(axis))
-        assume(abs(normal[2]) >= 0.05 * np.linalg.norm(normal) > 0.0)
-        born = simulate(state, axis, SimConfig(16, "reflective", "born", seed))
-        for outcome in OUTCOMES[1:]:
-            ruled = simulate(state, axis, SimConfig(16, "reflective", outcome))
-            for a, b in zip(born, ruled):
-                if min(a.p_up, 1.0 - a.p_up, b.p_up, 1.0 - b.p_up) < 1e-3:
-                    break  # both runs collapse on every step before this one
-                assert abs(a.s_i - b.s_i) <= 1e-9
-                assert abs(a.s_up_next - b.s_up_next) <= 1e-9
+        # every plane, the poles' included, and starts next to an eigenstate
+        _check_outcome_blind(PureState(rho, tau), Axis(theta, phi), 60, seed)
 
 
-def _chained_steps(state, axis, config) -> list[dict]:
-    """`simulate` spelled out as a chain of public `step` calls."""
+class TestOutcomeBlindAxes:
+    """A reflective run measures the same axes under every outcome rule
+    (`_check_outcome_blind`): over long runs, and next to the +z pole."""
+
+    def test_long_runs(self):
+        rng = np.random.Generator(np.random.PCG64(20261025))
+        for seed in range(12):
+            _check_outcome_blind(*non_eigen_pair(rng), 2000, seed)
+
+    def test_next_to_the_pole(self):
+        # a plane through +z: the state is read back from its (rho, tau)
+        # nowhere, so near +z the Born and the rule runs do not drift apart
+        # (where each step read it back, their s_i were 4.1e-8 apart)
+        state, axis = PureState(0.25, 0.0), Axis(1e-12, 0.0)
+        _check_outcome_blind(state, axis, 40, 400)
+        born = simulate(state, axis, SimConfig(40, "reflective", "born", 400))
+        ruled = simulate(state, axis, SimConfig(40, "reflective", "risk:born-surprise"))
+        assert not any(t.no_collapse for t in born + ruled)
+        assert [t.s for t in born] != [t.s for t in ruled]
+        assert max(abs(a.s_i - b.s_i) for a, b in zip(born, ruled)) == 0.0
+
+
+def _chained_steps(state, axis, config, steps=None) -> list:
+    """`simulate` spelled out as a chain of public `step` calls: the records
+    of its first `steps` (all of them by default)."""
     rng = make_rng(config.seed) if config.outcome == "born" else None
-    docs = []
-    for k in range(config.steps):
+    records = []
+    for k in range(config.steps if steps is None else steps):
         t = step(state, axis, config, rng, index=k)
-        docs.append(t.to_dict())
+        records.append(t)
         state, axis = t.state_after, t.axis_next
-    return docs
+    return records
+
+
+# a chain of `step` calls and a reflective run agree within the shadowing
+# bound of `scripts/exact_replay.py` for this many records
+SHADOW_STEPS = 18
+# what one step of either route adds to the error of an angle in the plane:
+# twice the one-step budget of `TestOneStepErrorBudget`
+STEP_ROUNDING = 32 * UNIT_ROUNDOFF
+
+
+def _state_rounding(rho: float) -> float:
+    """How far from its own direction a state's (rho, tau) can hold it:
+    rho = cos^2(theta/2) holds 1 - rho to 2**-53, which at d = 2 sqrt(1 -
+    rho) from +z is about 1.1e-16 / sqrt(1 - rho) rad, and rho = 1 reads
+    every state within 1.5e-8 rad of +z (README, "States near +z")."""
+    return 1.1e-16 / math.sqrt(1.0 - rho) if rho < 1.0 else 1.5e-8
+
+
+def _entropy_slope(*ps: float) -> float:
+    """The largest |H'(p)| = |log(p / (1 - p))| at the given p."""
+    return max(abs(math.log(p / (1.0 - p))) for p in ps)
+
+
+def _check_plane_shadows_chain(run, chain, config) -> int:
+    """The first `SHADOW_STEPS` records of a reflective run against a chain
+    of `step` calls from the same start; returns how many records were
+    compared.
+
+    The two round differently, and the reflection stretches the difference.
+    With a and b bounds on the errors of the angles of m_k and n_k in the
+    plane, m_{k+1} = s n_k and n_{k+1}, n_k reflected across m_k, give
+    a_{k+1} = b_k and b_{k+1} = 2 a_k + b_k: the bound doubles a step.  Each
+    step adds `STEP_ROUNDING` to both, and the chain, which reads its state
+    back from (rho, tau), adds that state's rounding to a.  The chain's own
+    plane also tilts by up to 16 * 2**-53 / sin(beta) a step (the axis
+    budget of `TestOneStepErrorBudget`), which the map does not stretch.
+    So cos(beta) = 2 p_up - 1 agrees within a + b, the measured axes within
+    b plus the tilt, and the states within a plus the tilt plus the
+    rounding of both states; s_i within the slope of H times the error of
+    p_up.  Outcomes and no-collapse flags are equal until a record lies
+    within a + b of a branch edge: the eigenstate tolerance, the merged
+    circle (which holds both risk rules' ties, at p = 1/2 and at n_f . m =
+    cos(beta) = 0) or a Born draw.  There the routes may branch apart, and
+    the comparison ends."""
+    draws = make_rng(config.seed).random(config.steps) if config._risk is None else None
+    a = b = tilt = 0.0
+    compared = 0
+    for k, (x, y) in enumerate(zip(run[:SHADOW_STEPS], chain)):
+        compared += 1
+        margin = a + b
+        assert abs(2.0 * (x.p_up - y.p_up)) <= margin + 4 * UNIT_ROUNDOFF, (k, x, y)
+        axis_gap = np.abs(unit_vector(x.axis_measured) - unit_vector(y.axis_measured)).max()
+        assert axis_gap <= b + tilt + 4 * UNIT_ROUNDOFF, (k, axis_gap, x, y)
+        state_gap = np.abs(bloch_vector(x.state_before) - bloch_vector(y.state_before)).max()
+        rounding = _state_rounding(x.state_before.rho) + _state_rounding(y.state_before.rho)
+        assert state_gap <= a + tilt + rounding, (k, state_gap, x, y)
+        ps = (x.p_up, y.p_up)
+        if any(min(p, 1.0 - p) <= config.eigen_tol + margin
+               or abs(2.0 * p - 1.0) <= DEFAULT_ATOL + margin
+               or (draws is not None and abs(draws[k] - p) <= margin) for p in ps):
+            break
+        assert (x.s, x.no_collapse) == (y.s, y.no_collapse), (k, x, y)
+        if x.no_collapse:
+            break
+        assert abs(x.s_i - y.s_i) <= _entropy_slope(*ps) * (margin + 8 * UNIT_ROUNDOFF), (k, x, y)
+        a, b = b + STEP_ROUNDING + _state_rounding(y.state_after.rho), 2 * a + b + STEP_ROUNDING
+        tilt += 16 * UNIT_ROUNDOFF / (2.0 * math.sqrt(x.p_up * (1.0 - x.p_up)))
+    return compared
+
+
+def _check_run_is_its_own_chain(run, config):
+    """Each record of a run continues the one before: it measures the state
+    and axis that record handed on.  A reflective run's plane records read
+    s_i, like s_up_next, from |cos(beta)|: s_i is H(p_up) within the
+    rounding of p_up, and from the third record on it is the s_up_next of
+    the record before."""
+    for k, (x, y) in enumerate(zip(run, run[1:])):
+        assert y.index == k + 1
+        assert y.state_before is x.state_after and y.axis_measured is x.axis_next
+        if config.mode == "reflective" and not y.no_collapse:
+            if k >= 1:
+                assert y.s_i == x.s_up_next
+            h = binary_entropy(y.p_up, config.entropy_base)
+            assert abs(y.s_i - h) <= (_entropy_slope(y.p_up) + 1.0) * 4 * UNIT_ROUNDOFF
 
 
 def _check_simulate_is_chained(state, axis, mode, outcome, base, eigen_tol, steps, seed=0):
+    """A run against a chain of `step` calls: the first record and a whole
+    strict run exactly (-0.0 too), a reflective run within the shadowing
+    bound for its first `SHADOW_STEPS` records; returns the no-collapse
+    flags."""
     config = SimConfig(steps=steps, mode=mode, outcome=outcome, seed=seed,
                        entropy_base=base, eigen_tol=eigen_tol)
-    docs = [t.to_dict() for t in simulate(state, axis, config)]
-    assert repr(docs) == repr(_chained_steps(state, axis, config))  # exact, -0.0 too
-    return [d["no_collapse"] for d in docs]
+    run = simulate(state, axis, config)
+    assert len(run) == steps
+    _check_run_is_its_own_chain(run, config)
+    if mode == "strict":
+        assert repr([t.to_dict() for t in run]) == repr(
+            [t.to_dict() for t in _chained_steps(state, axis, config)])
+    else:
+        chain = _chained_steps(state, axis, config, min(steps, SHADOW_STEPS))
+        assert repr(run[0].to_dict()) == repr(chain[0].to_dict())
+        _check_plane_shadows_chain(run, chain, config)
+    return [t.no_collapse for t in run]
+
+
+def test_the_chain_budget_stays_inside_the_shadowing_bound():
+    # away from +z, the bound of `_check_plane_shadows_chain` on cos(beta)
+    # after SHADOW_STEPS steps is the shadowing bound `exact_replay.TOL`;
+    # one more step would double it past that
+    a = b = 0.0
+    budgets = []
+    for _ in range(SHADOW_STEPS + 1):
+        budgets.append(a + b)
+        a, b = b + STEP_ROUNDING, 2 * a + b + STEP_ROUNDING
+    assert budgets[SHADOW_STEPS - 1] <= exact_replay.TOL < budgets[SHADOW_STEPS] * 2
 
 
 class TestSimulateIsChainedStep:
     """`simulate` stops stepping once a step is no-collapse and repeats that
-    step under the remaining indices; its documents must equal a chain of
-    public `step` calls exactly, absorbed tail included."""
+    step under the remaining indices.  Its first record is `step`'s, bit for
+    bit, and so is every record of a strict run, absorbed tail included; a
+    reflective run carries its later records in its plane, which rounds
+    otherwise than a chain of `step` calls, and agrees with that chain
+    within the shadowing bound of `scripts/exact_replay.py` for its first
+    `SHADOW_STEPS` records (`_check_plane_shadows_chain`)."""
 
     @pytest.mark.parametrize("base", [math.e, 2.0])
     @pytest.mark.parametrize("outcome", OUTCOMES)
@@ -565,11 +724,13 @@ class TestSimulateIsChainedStep:
         for eigen_tol in (1e-12, 0.0):
             for state, axis in _pinning_pairs():
                 flags = _check_simulate_is_chained(
-                    state, axis, mode, outcome, base, eigen_tol, steps=7, seed=11)
+                    state, axis, mode, outcome, base, eigen_tol, steps=SHADOW_STEPS, seed=11)
                 patterns.add((flags[0], flags[1]))
         assert (True, True) in patterns  # an eigenstate start: every step absorbed
         if mode == "strict":
             assert (False, True) in patterns  # collapses once, absorbed from step 2
+        else:
+            assert (False, False) in patterns
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -581,13 +742,24 @@ class TestSimulateIsChainedStep:
         outcome=st.sampled_from(OUTCOMES),
         base=st.sampled_from([math.e, 2.0]),
         eigen_tol=st.sampled_from([1e-12, 0.0]),
-        steps=st.integers(1, 12),
+        steps=st.integers(1, SHADOW_STEPS),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_any_pair(self, rho, tau, theta, phi, mode, outcome, base, eigen_tol,
                       steps, seed):
         _check_simulate_is_chained(PureState(rho, tau), Axis(theta, phi), mode, outcome,
                                    base, eigen_tol, steps, seed)
+
+    @pytest.mark.parametrize("outcome", OUTCOMES)
+    def test_generic_starts_shadow_for_every_step(self, outcome):
+        # off the branch edges and away from +z the comparison runs its full
+        # length
+        rng = np.random.Generator(np.random.PCG64(20261024))
+        for k in range(20):
+            state, axis = non_eigen_pair(rng)
+            config = SimConfig(steps=SHADOW_STEPS, mode="reflective", outcome=outcome, seed=k)
+            run, chain = simulate(state, axis, config), _chained_steps(state, axis, config)
+            assert _check_plane_shadows_chain(run, chain, config) >= 10
 
 
 class TestBornDraws:
@@ -625,10 +797,18 @@ class TestBornDraws:
     @pytest.mark.parametrize("mode", ["strict", "reflective"])
     def test_long_born_run_is_chained_step(self, steps, base, mode):
         """Every draw of a long Born run lands on the step a chain of `step`
-        calls gives it; a strict run absorbs after its first step."""
+        calls gives it: a strict run absorbs after its first step and equals
+        the chain, and every record of a reflective run, which never absorbs
+        here, takes +1 exactly when its own draw falls below its p_up."""
         flags = _check_simulate_is_chained(PureState(0.3, 1.0), Axis(1.2, 0.4), mode,
                                            "born", base, 1e-12, steps, seed=steps)
         assert flags[-1] is (mode == "strict")  # reflective runs never absorb here
+        if mode == "reflective":
+            config = SimConfig(steps=steps, mode=mode, outcome="born", seed=steps,
+                               entropy_base=base)
+            run = simulate(PureState(0.3, 1.0), Axis(1.2, 0.4), config)
+            draws = make_rng(steps).random(steps)
+            assert [t.s for t in run] == [1 if u < t.p_up else -1 for u, t in zip(draws, run)]
 
 
 class TestLongRunLaw:
@@ -669,16 +849,16 @@ class TestLongRunLaw:
 class TestReflectivePlane:
     """After a collapse m' = s n and n' = 2 (n . m) m - n, so every axis of a
     reflective run lies in the plane of m_0 and n_0: |n_k . nu|, the lift
-    off that plane (nu its unit normal), is rounding alone.  It is
-    heavy-tailed.  Near a tilt beta of 0 or pi the plane is fixed only by
-    the small difference of m and n, so rounding tilts it by about
-    2**-53 / sin(beta), and the tent map reaches a tilt below x with a
-    chance near x per step.  A run is chaotic, so any change of rounding
-    draws new paths: the bounds must hold on starts not used to set them.
-    These starts lift at most 6.2e-13 in 100 steps and 4.6e-11 in 2,000.
-    On 20,400 runs of 100 steps from other seeds, 22 passed 5e-12 and none
-    1e-10 (the largest 7.8e-11); on 2,400 runs of 2,000 steps, 3 passed
-    1e-10 and none 1e-9 (the largest 2.3e-10)."""
+    off that plane (nu its unit normal), is rounding alone.  The run's first
+    mirror is `step`'s, whose tilt off the plane is within the one-step
+    budget of 16 * 2**-53 / sin(beta_0) (`TestOneStepErrorBudget`).  Every
+    later axis is lifted from the run's own plane basis, n_0 and the part
+    of m_0 normal to it, which lies in the plane to within a few roundings
+    of m_0 and n_0 over sin(beta_0); no later step tilts it.  So the bound
+    is 16 * 2**-53 / sin(beta_0) for every record, however long the run.
+    These starts lift at most 7.8 * 2**-53 / sin(beta_0) (9.1e-16) in 2,000
+    steps; 3,000 held-out runs of 40 steps and 300 of 2,000 steps, from
+    other seeds, lifted at most 9.3 * 2**-53 / sin(beta_0) (1.0e-15)."""
 
     STARTS, STEPS = 20, 2000
 
@@ -688,21 +868,19 @@ class TestReflectivePlane:
         while count:
             state, axis = uniform_state(rng), uniform_axis(rng)
             normal = np.cross(bloch_vector(state), unit_vector(axis))
-            if np.linalg.norm(normal) >= 0.2:
+            sinb = float(np.linalg.norm(normal))
+            if sinb >= 0.2:
                 count -= 1
-                yield state, axis, normal / np.linalg.norm(normal)
+                yield state, axis, normal / sinb, sinb
 
     @pytest.mark.parametrize("outcome", ["born", "risk:alignment", "risk:born-surprise"])
     def test_axes_stay_in_the_starting_plane(self, outcome):
-        for k, (state, axis, normal) in enumerate(self._starts(11, self.STARTS)):
+        for k, (state, axis, normal, sinb) in enumerate(self._starts(11, self.STARTS)):
             config = SimConfig(steps=self.STEPS, mode="reflective", outcome=outcome,
                                seed=k if outcome == "born" else None)
-            lift = [abs(float(unit_vector(t.axis_measured) @ normal))
-                    for t in simulate(state, axis, config)]
-            assert max(lift[:100]) <= 1e-10 and max(lift) <= 1e-9, (k, max(lift))
-
-
-UNIT_ROUNDOFF = 2.0**-53  # of a double
+            traj = simulate(state, axis, config)
+            lift = max(abs(float(unit_vector(t.axis_measured) @ normal)) for t in traj)
+            assert lift <= 16 * UNIT_ROUNDOFF / sinb, (k, lift)
 
 
 def _mp_unit(theta, phi):
@@ -851,10 +1029,11 @@ class TestStepDoesEachThingOnce:
     """The work of one collapsing step, counted.  `_walk` writes the step's
     arithmetic out, so the count is of the `math` aliases it calls,
     patched on `spincollapse.simulate` as `entropy._log` is patched on
-    `spincollapse.entropy`:
+    `spincollapse.entropy`.  The first record, and every record of a
+    strict run:
     - the first n_i takes sin(theta), cos(phi), sin(phi) and cos(theta),
-      and each reflective step takes the same four for its next axis,
-      whose unit vector it hands on as the next n_i;
+      and a reflective step takes the same four for its next axis, whose
+      unit vector it hands on as the next n_i;
     - the collapse frame takes one square root (q), and the cosine and
       sine of theta/2 (c2, s2), of tau (m) and the cosine of phi - tau (p);
       the sin(theta) of p is that of n_i;
@@ -866,14 +1045,23 @@ class TestStepDoesEachThingOnce:
     `SimConfig`, which checked them, and canonicalizes only the mirror it
     takes (none in strict mode, which hands on the measured axis itself):
     one `solver._merged`, one `solver._mirror`, one `_xyz_angles` and one
-    `Axis` per reflective step, and `Axis` keeps the canonical angles as
-    they are, so `_reduce_angles` never runs.  It builds its record once, through
-    `TrajectoryStep.__init__`, which fills the instance dict (one `__dict__`
-    read) instead of setting each field through `object.__setattr__`.  A
-    collapsing risk step calls its rule's outcome in closed form once: each
-    is counted by the code it runs, however it is reached."""
+    `Axis`, and `Axis` keeps the canonical angles as they are, so
+    `_reduce_angles` never runs.
+    A reflective run then builds its plane once: three `hypot`s (e2, made
+    unit twice, and n_1) and the first plane s_i, two logarithms.  Each
+    plane step takes no sine or cosine of its next axis and no square
+    root: one half-angle cosine (outcome +1) or sine (-1) for its state,
+    three `hypot`s (the mirror made unit, and the r_xy and length of
+    `_xyz_angles`), two `atan2`s (phi and theta), and two logarithms (one
+    entropy), with no call of `solver._merged`, `solver._mirror` or
+    `_xyz_angles`, and one `Axis`.
+    Each record is built once, through `TrajectoryStep.__init__`, which
+    fills the instance dict (one `__dict__` read) instead of setting each
+    field through `object.__setattr__`.  A collapsing risk step calls its
+    rule's outcome in closed form once: each is counted by the code it
+    runs, however it is reached."""
 
-    ALIASES = ("_sqrt", "_sin", "_cos", "_log")
+    ALIASES = ("_sqrt", "_sin", "_cos", "_log", "_hypot", "_atan2")
     NEVER = ("born_up", "_bloch_xyz", "_born_frame", "state_from_eigenvector", "_unit_xyz",
              "_collapse_frame", "_binary_entropy", "_dot_entropy", "_reduce_angles",
              "_check_base", "_check_eigen_tol", "antipode")
@@ -929,23 +1117,28 @@ class TestStepDoesEachThingOnce:
 
     @classmethod
     def _expected(cls, outcome, *, collapses=0, reflective=0, logs=0, records=0,
-                  no_collapses=0, extra_logs=0) -> dict:
-        """The counts of a run: the first n_i, `collapses` frames, of which
-        `reflective` hand on a mirror, `logs` entropies with their two
-        logarithms each, and `no_collapses` frames of steps that end the run
-        (each with its one `_binary_entropy`).  Each collapse of a risk run
-        calls the closed form of its `outcome`'s rule."""
+                  no_collapses=0, extra_logs=0, plane=0, ups=0) -> dict:
+        """The counts of a run: the first n_i, `collapses` collapsing steps,
+        of which `reflective` build a mirror in the first loop and `plane`
+        (`ups` of them with outcome +1) are plane steps, `logs` entropies
+        of the first loop with their two logarithms each, and
+        `no_collapses` frames of steps that end the run (each with its one
+        `_binary_entropy`).  Each collapse of a risk run calls the closed
+        form of its `outcome`'s rule."""
         want = dict.fromkeys(cls.COUNTED + cls.RISK, 0)
         if outcome != "born":
             want[f"_OUTCOMES[{outcome.removeprefix('risk:')!r}]"] = collapses
-        frames = collapses + no_collapses
+        frames = collapses - plane + no_collapses
+        planes = 1 if plane else 0
         want["_sqrt"] = frames
-        want["_sin"] = 2 + 2 * frames + 2 * reflective
-        want["_cos"] = 2 + 3 * frames + 2 * reflective
-        want["_log"] = 2 * logs + extra_logs
+        want["_sin"] = 2 + 2 * frames + 2 * reflective + plane - ups
+        want["_cos"] = 2 + 3 * frames + 2 * reflective + ups
+        want["_log"] = 2 * logs + extra_logs + 2 * planes + 2 * plane
+        want["_hypot"] = 3 * planes + 3 * plane
+        want["_atan2"] = 2 * plane
         want["_binary_entropy"] = no_collapses
         want["_merged"] = want["_mirror"] = want["_xyz_angles"] = reflective
-        want.update({"Axis.__init__": reflective, "TrajectoryStep.__init__": records,
+        want.update({"Axis.__init__": reflective + plane, "TrajectoryStep.__init__": records,
                      "TrajectoryStep.__dict__": records})
         return want
 
@@ -985,10 +1178,10 @@ class TestStepDoesEachThingOnce:
                                        records=20)
 
     @pytest.mark.parametrize("outcome", OUTCOMES)
-    def test_reflective_run_carries_n_i(self, monkeypatch, outcome):
-        # each collapsing step builds its next axis's unit vector once and
-        # hands it on as the next n_i; only the first n_i is built apart.  A
-        # base-2 run takes log(2) once.
+    def test_reflective_run_carries_its_plane(self, monkeypatch, outcome):
+        # the first step builds its next axis's unit vector once and hands it
+        # on; the plane is built once, and each later step lifts its mirror
+        # once.  A base-2 run takes log(2) once.
         state, axis = PureState(0.3, 1.0), Axis(1.2, 0.4)
         for base, extra_logs in ((math.e, 0), (2.0, 1)):
             config = SimConfig(steps=40, mode="reflective", outcome=outcome, seed=5,
@@ -998,8 +1191,32 @@ class TestStepDoesEachThingOnce:
             monkeypatch.undo()
             assert not any(t.no_collapse for t in traj)
             assert all(t.s_i > 0.0 and t.s_up_next > 0.0 for t in traj)
-            assert calls == self._expected(outcome, collapses=40, reflective=40, logs=80,
-                                           records=40, extra_logs=extra_logs)
+            ups = sum(t.s == 1 for t in traj[1:])
+            assert 0 < ups < 39 or outcome == "risk:constant"  # both half angles
+            assert calls == self._expected(outcome, collapses=40, reflective=1, logs=2,
+                                           records=40, extra_logs=extra_logs, plane=39,
+                                           ups=ups)
+
+    @pytest.mark.parametrize("outcome", OUTCOMES)
+    def test_one_plane_step(self, monkeypatch, outcome):
+        # a run one step longer does one plane step more, and only that
+        state, axis = PureState(0.3, 1.0), Axis(1.2, 0.4)
+        counts = []
+        for steps in (20, 21):
+            config = SimConfig(steps=steps, mode="reflective", outcome=outcome, seed=5)
+            calls = self._count(monkeypatch)
+            traj = simulate(state, axis, config)
+            monkeypatch.undo()
+            assert not any(t.no_collapse for t in traj)
+            counts.append(calls)
+        extra = {name: counts[1][name] - counts[0][name] for name in counts[0]}
+        half = "_cos" if traj[-1].s == 1 else "_sin"
+        want = dict.fromkeys(extra, 0)
+        want.update({half: 1, "_hypot": 3, "_atan2": 2, "_log": 2, "Axis.__init__": 1,
+                     "TrajectoryStep.__init__": 1, "TrajectoryStep.__dict__": 1})
+        if outcome != "born":
+            want[f"_OUTCOMES[{outcome.removeprefix('risk:')!r}]"] = 1
+        assert extra == want
 
     @pytest.mark.parametrize("outcome", ["risk:born-surprise", "risk:alignment"])
     def test_risk_rule_reads_the_step_frame(self, monkeypatch, outcome):
@@ -1008,14 +1225,17 @@ class TestStepDoesEachThingOnce:
         # reference rules call, runs
         state, axis = PureState(0.3, 1.0), Axis(1.2, 0.4)
         for mode, steps in (("reflective", 1), ("reflective", 40), ("strict", 1)):
-            reflective = steps if mode == "reflective" else 0
+            reflective = 1 if mode == "reflective" else 0
+            plane = steps - 1 if mode == "reflective" else 0
             config = SimConfig(steps=steps, mode=mode, outcome=outcome)
             calls = self._count(monkeypatch)
             traj = simulate(state, axis, config)
             monkeypatch.undo()
             assert not any(t.no_collapse for t in traj)
+            ups = sum(t.s == 1 for t in traj[1:])
             assert calls == self._expected(outcome, collapses=steps, reflective=reflective,
-                                           logs=steps + reflective, records=steps)
+                                           logs=1 + reflective, records=steps, plane=plane,
+                                           ups=ups)
             assert calls["born_up"] == calls["_bloch_xyz"] == calls["_unit_xyz"] == 0
 
 
