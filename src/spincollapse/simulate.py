@@ -16,26 +16,34 @@ the mirror r = 2 (n_i . m) m - n_i, the reflection of -n_i about the
 evolving Bloch vector.
 
 `_walk` builds every record of a run; `step` is its one-index run and
-`simulate` its whole run.  It reads the config once per run, and its loop
-body is one step written out, with no call per formula: the Born
-probability p, the Bloch vector m, cos(beta) = n_i . m and the eigenstate
-weights cos^2(theta/2) and sin^2(theta/2) of `spin._born_frame` (one
-square root and one half-angle cosine and sine between them), the
-no-collapse test of `solver._collapse_frame`, the collapsed state of
+`simulate` its whole run.  It reads the config once per run.  Its first
+loop writes one step out, with no call per formula: the Born probability
+p, the Bloch vector m, cos(beta) = n_i . m and the eigenstate weights
+cos^2(theta/2) and sin^2(theta/2) of `spin._born_frame`, the no-collapse
+test of `solver._collapse_frame`, the collapsed state of
 `state_from_eigenvector`, the next axis's unit vector of `spin._unit_xyz`
-and the entropies of `binary_entropy` and `s_up`.  Each line keeps the
-operation order of the route it repeats, so every float is that route's,
-bit for bit: `TestStepPinnedToSolve` compares every record field with
-`solve`, `born_up`, `binary_entropy`, `s_up` and `state_from_eigenvector`.
-The merged-circle test and the mirror stay the calls `solver._merged`
-and `solver._mirror`, which `solve` makes too, and the mirror's angles
-come from `spin._xyz_angles`.  Each step hands its next axis on with
-that axis's unit vector and sin(theta), so no step recomputes the n_i of
-the one before.  The base and the eigenstate tolerance are checked
-where they come in, by `SimConfig`, and not again per step.  A risk step
-takes its outcome from the closed form of its rule in `risk._OUTCOMES`,
-fed the p, m and next unit vector it holds.  The first no-collapse step
-ends the loop: it repeats under every remaining index.
+and the entropies of `binary_entropy` and `s_up`, each in the operation
+order of the route it repeats, so that every float of `step` is that
+route's, bit for bit (`TestStepPinnedToSolve`).  The merged-circle test and
+the mirror are the calls `solver._merged` and `solver._mirror`, which
+`solve` makes too, and the mirror's angles come from `spin._xyz_angles`.
+That loop writes the first record of every run and every record of a
+strict run, which hands on the axis it measured.
+
+A reflective collapse moves m to s n_i and n_i to the mirror, so a
+reflective run stays in the plane of its first m and n_i.  From its second
+record on, `_walk` carries m and n_i as unit 2-vectors in a basis of that
+plane built once, and each step takes cos(beta) as a 2-D dot, the mirror
+in the plane, one lift of it to 3-D for the record's `Axis`, the
+half-angle weight of the collapsed state for the outcome taken only, and
+one entropy: the next cos(beta) is s (n_i . r), so one step's s_up_next is
+the next step's s_i.  These records round otherwise than a chain of `step`
+calls, within the shadowing bound of `scripts/exact_replay.py`
+(`TestSimulateIsChainedStep`).  A risk step takes its outcome from the
+closed form of its rule in `risk._OUTCOMES`, fed the p, m and next unit
+vector it holds.  The base and the eigenstate tolerance are checked where
+they come in, by `SimConfig`, and not again per step.  The first
+no-collapse step ends the run: it repeats under every remaining index.
 
 Born sampling uses numpy's PCG64 generator (see `RNG_NAME`): outcome +1 is
 taken when one uniform draw per collapsing step falls below the up
@@ -197,8 +205,8 @@ def _walk(
 ) -> list[TrajectoryStep]:
     """Every record of a run: one per index of `indices`, in order.
 
-    The first record, every record of a strict run and every absorbed tail
-    come from one loop whose body is a collapsing step written out: each
+    The first record and every record of a strict run come from one loop
+    whose body is a collapsing step written out: each
     line repeats, operation for operation, the formula of a public route, so
     that every float is bit for bit the route's (`TestStepPinnedToSolve`):
     - p, m and the eigenstate weights c2 and s2 repeat `spin._born_frame`,
@@ -222,9 +230,9 @@ def _walk(
 
     From its second record on, a reflective run is carried in its own
     plane.  A collapse moves m to s n_i and n_i to the mirror r = 2 (n_i .
-    m) m - n_i, so every later state and axis lies in the plane of the
-    first n_i and the second; with e1 = n_0 and e2 the part of n_1 normal
-    to it, built once, m and n_i are unit 2-vectors there, and a step is:
+    m) m - n_i, so every later state and axis lies in the plane of m_0 and
+    n_0; with e1 = n_0 and e2 the part of m_0 normal to it, built once, m
+    and n_i are unit 2-vectors there, and a step is:
     - cos(beta) = n_i . m and p = (1 + cos(beta))/2, with the eigenstate
       test of the first loop; `solver._merged`'s threshold on cos(beta),
       where the mirror is -n_i;
@@ -456,10 +464,12 @@ def simulate(
 ) -> list[TrajectoryStep]:
     """Run `config.steps` measurements, threading state and axis through.
 
-    The records are those of a chain of `step` calls sharing one
-    `make_rng(config.seed)`, built by one `_walk` over the whole run.  A
-    Born run draws its `config.steps` uniforms at once and reads them in
-    order, one per collapsing step, as Python floats.
+    One `_walk` builds the whole run.  Its first record is that of `step`,
+    and a strict run is a chain of `step` calls sharing one
+    `make_rng(config.seed)`; a reflective run carries its later records in
+    its plane, within rounding of that chain.  A Born run draws its
+    `config.steps` uniforms at once and reads them in order, one per
+    collapsing step, as Python floats.
     """
     draw = None
     if config._risk is None:

@@ -1178,7 +1178,7 @@ class TestStepDoesEachThingOnce:
                                        records=20)
 
     @pytest.mark.parametrize("outcome", OUTCOMES)
-    def test_reflective_run_carries_its_plane(self, monkeypatch, outcome):
+    def test_reflective_run_carries_n_i(self, monkeypatch, outcome):
         # the first step builds its next axis's unit vector once and hands it
         # on; the plane is built once, and each later step lifts its mirror
         # once.  A base-2 run takes log(2) once.
