@@ -82,8 +82,6 @@ RNG_NAME = "numpy.random.PCG64"
 # module aliases for the arithmetic `_walk` writes out, as `entropy._log`
 _sqrt, _sin, _cos, _log, _PI = math.sqrt, math.sin, math.cos, math.log, math.pi
 _hypot, _atan2, _chain = math.hypot, math.atan2, itertools.chain
-# `solver._merged`'s threshold on |cos(beta)|
-_MERGED = DEFAULT_ATOL
 
 
 def _parse_outcome(outcome: str) -> str | None:
@@ -206,9 +204,9 @@ def _walk(
     """Every record of a run: one per index of `indices`, in order.
 
     The first record and every record of a strict run come from one loop
-    whose body is a collapsing step written out: each
-    line repeats, operation for operation, the formula of a public route, so
-    that every float is bit for bit the route's (`TestStepPinnedToSolve`):
+    whose body is a collapsing step written out: each line repeats,
+    operation for operation, the formula of a public route, so that every
+    float is bit for bit the route's (`TestStepPinnedToSolve`):
     - p, m and the eigenstate weights c2 and s2 repeat `spin._born_frame`,
       whose p is `born_up` and whose c2 and s2 are the rho of
       `state_from_eigenvector`; the sin(theta) it takes is the one of n_i;
@@ -381,7 +379,7 @@ def _walk(
             records += [TrajectoryStep(j, state, axis_i, p, s, state, axis_i, s_i, 0.0, True)
                         for j in (index, *indices)]
             return records
-        if -_MERGED <= c <= _MERGED:
+        if -DEFAULT_ATOL <= c <= DEFAULT_ATOL:  # `solver._merged`
             r1, r2 = -n1, -n2
         else:
             r1, r2 = 2.0 * c * m1 - n1, 2.0 * c * m2 - n2

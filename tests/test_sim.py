@@ -696,15 +696,15 @@ def _check_simulate_is_chained(state, axis, mode, outcome, base, eigen_tol, step
 
 
 def test_the_chain_budget_stays_inside_the_shadowing_bound():
-    # away from +z, the bound of `_check_plane_shadows_chain` on cos(beta)
-    # after SHADOW_STEPS steps is the shadowing bound `exact_replay.TOL`;
-    # one more step would double it past that
+    # away from +z, the bound `_check_plane_shadows_chain` puts on cos(beta)
+    # at the last record it compares (9.3e-10) lies inside the shadowing
+    # bound `exact_replay.TOL`; at one more record (1.9e-9) it would not
     a = b = 0.0
     budgets = []
     for _ in range(SHADOW_STEPS + 1):
         budgets.append(a + b)
         a, b = b + STEP_ROUNDING, 2 * a + b + STEP_ROUNDING
-    assert budgets[SHADOW_STEPS - 1] <= exact_replay.TOL < budgets[SHADOW_STEPS] * 2
+    assert budgets[SHADOW_STEPS - 1] <= exact_replay.TOL < budgets[SHADOW_STEPS]
 
 
 class TestSimulateIsChainedStep:
