@@ -34,7 +34,6 @@ from __future__ import annotations
 import argparse
 import json
 import statistics
-import sys
 from fractions import Fraction
 
 import mpmath
@@ -72,9 +71,9 @@ def delta_orbit(delta0: Fraction, outcomes) -> list[Fraction]:
     return orbit
 
 
-def horizon(doc: dict, tol: float = TOL) -> tuple[int | None, int, float]:
+def horizon(doc: dict) -> tuple[int | None, int, float]:
     """(k, compared, worst): the first record k whose c leaves the exact orbit
-    by more than `tol` (None if none does), the number of records compared,
+    by more than `TOL` (None if none does), the number of records compared,
     and the largest departure seen up to and including k."""
     if doc.get("command") != "simulate" or doc.get("mode") != "reflective":
         raise ValueError("expected a reflective simulate document")
@@ -89,33 +88,27 @@ def horizon(doc: dict, tol: float = TOL) -> tuple[int | None, int, float]:
         for k, (t, c) in enumerate(zip(records, exact)):
             gap = float(abs(2 * mpmath.mpf(t["p_up"]) - 1 - c))
             worst = max(worst, gap)
-            if gap > tol:
+            if gap > TOL:
                 return k, compared, worst
     return None, compared, worst
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("documents", nargs="+",
-                        help="simulate documents (JSON files; - reads stdin)")
-    parser.add_argument("--tol", type=float, default=TOL,
-                        help="departure that ends the shadowing (default: %(default)s)")
+    parser.add_argument("documents", nargs="+", help="simulate documents (JSON files)")
     args = parser.parse_args(argv)
 
     horizons = []
     for path in args.documents:
-        if path == "-":
-            doc = json.load(sys.stdin)
-        else:
-            with open(path, encoding="utf-8") as f:
-                doc = json.load(f)
+        with open(path, encoding="utf-8") as f:
+            doc = json.load(f)
         try:
-            k, compared, worst = horizon(doc, args.tol)
+            k, compared, worst = horizon(doc)
         except (ValueError, KeyError, IndexError) as exc:
             parser.error(f"{path}: {exc}")
         if k is None:
             horizons.append(compared)
-            print(f"{path}: no departure past {args.tol:g} in {compared} steps "
+            print(f"{path}: no departure past {TOL:g} in {compared} steps "
                   f"(largest {worst:.2e})")
         else:
             horizons.append(k)
