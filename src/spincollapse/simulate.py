@@ -33,10 +33,11 @@ strict run, which hands on the axis it measured.
 A reflective collapse moves m to s n_i and n_i to the mirror, so a
 reflective run stays in the plane of its first m and n_i.  From its second
 record on, `_walk` carries m and n_i as unit 2-vectors in a basis of that
-plane built once, and each step takes cos(beta) as a 2-D dot, the mirror
-in the plane, one lift of it to 3-D for the record's `Axis`, the
-half-angle weight of the collapsed state for the outcome taken only, and
-one entropy: the next cos(beta) is s (n_i . r), so one step's s_up_next is
+plane built once, and each step takes cos(beta) as a 2-D dot, the
+merged-circle test of `solver._merged`, the mirror in the plane, one lift
+of it to 3-D for the record's `Axis`, whose angles `spin._xyz_angles`
+gives, the half-angle weight of the collapsed state for the outcome taken
+only, and one entropy: the next cos(beta) is s (n_i . r), so one step's s_up_next is
 the next step's s_i.  These records round otherwise than a chain of `step`
 calls, within the shadowing bound of `scripts/exact_replay.py`
 (`TestSimulateIsChainedStep`).  A risk step takes its outcome from the
@@ -64,9 +65,7 @@ from . import solver as _solver
 from .entropy import _binary_entropy, _check_base
 from .risk import _OUTCOMES
 from .solver import _check_eigen_tol, _check_mode
-from .spin import (
-    _POLE_SNAP, DEFAULT_ATOL, TWO_PI, Axis, PureState, _integer, _xyz_angles, antipode,
-)
+from .spin import DEFAULT_ATOL, TWO_PI, Axis, PureState, _integer, _xyz_angles, antipode
 
 __all__ = [
     "RNG_NAME",
@@ -81,7 +80,7 @@ RNG_NAME = "numpy.random.PCG64"
 
 # module aliases for the arithmetic `_walk` writes out, as `entropy._log`
 _sqrt, _sin, _cos, _log, _PI = math.sqrt, math.sin, math.cos, math.log, math.pi
-_hypot, _atan2, _chain = math.hypot, math.atan2, itertools.chain
+_hypot, _chain = math.hypot, itertools.chain
 
 
 def _parse_outcome(outcome: str) -> str | None:
@@ -216,8 +215,10 @@ def _walk(
       from the calls `solve` makes too: `solver._merged` tells the merged
       great circle, where the mirror is -n_i, `solver._mirror` builds the
       mirror (both called through their module, where a test can plant a
-      fault in both routes at once) and `spin._xyz_angles` gives its
-      angles; the unit vector of the next axis repeats `spin._unit_xyz`;
+      fault in both routes at once; the plane loop below calls
+      `solver._merged` too, but builds its mirror itself) and
+      `spin._xyz_angles` gives its angles; the unit vector of the next axis
+      repeats `spin._unit_xyz`;
     - `state_after` repeats `state_from_eigenvector`;
     - s_i repeats `binary_entropy(p)` and s_up_next `s_up(axis_i,
       axis_next)`: `entropy._binary_entropy`, whose range check a
@@ -232,11 +233,11 @@ def _walk(
     n_0; with e1 = n_0 and e2 the part of m_0 normal to it, built once, m
     and n_i are unit 2-vectors there, and a step is:
     - cos(beta) = n_i . m and p = (1 + cos(beta))/2, with the eigenstate
-      test of the first loop; `solver._merged`'s threshold on cos(beta),
-      where the mirror is -n_i;
+      test of the first loop; `solver._merged` on cos(beta), where the
+      mirror is -n_i;
     - the mirror 2 cos(beta) m - n_i, made unit by its `hypot`, and lifted
       to 3-D once, as e1 r_1 + e2 r_2, for the record's `Axis`, whose
-      angles are `spin._xyz_angles`' formulas;
+      angles `spin._xyz_angles` gives;
     - the collapsed state: `state_from_eigenvector`'s half-angle weight of
       the measured axis, for the outcome taken only;
     - the next state s n_i, and the next cos(beta) = s (n_i . r), whose
@@ -379,7 +380,7 @@ def _walk(
             records += [TrajectoryStep(j, state, axis_i, p, s, state, axis_i, s_i, 0.0, True)
                         for j in (index, *indices)]
             return records
-        if -DEFAULT_ATOL <= c <= DEFAULT_ATOL:  # `solver._merged`
+        if _solver._merged(c):
             r1, r2 = -n1, -n2
         else:
             r1, r2 = 2.0 * c * m1 - n1, 2.0 * c * m2 - n2
@@ -388,17 +389,7 @@ def _walk(
         x = r1 * e1x + r2 * e2x
         y = r1 * e1y + r2 * e2y
         z = r1 * e1z + r2 * e2z
-        # the angles of `spin._xyz_angles`
-        r_xy = _hypot(x, y)
-        if r_xy <= _POLE_SNAP * _hypot(r_xy, z):
-            theta_n, phi_n = (0.0 if z > 0.0 else _PI), 0.0
-        else:
-            phi_n = _atan2(y, x)
-            if phi_n < 0.0:
-                phi_n += TWO_PI
-                if phi_n == TWO_PI:
-                    phi_n = 0.0
-            theta_n, phi_n = _atan2(r_xy, z), phi_n + 0.0
+        theta_n, phi_n = _xyz_angles(x, y, z)
         axis_next = Axis(theta_n, phi_n)
         if pick is None:
             s = 1 if draw() < p else -1

@@ -1051,17 +1051,17 @@ class TestStepDoesEachThingOnce:
     unit twice, and n_1) and the first plane s_i, two logarithms.  Each
     plane step takes no sine or cosine of its next axis and no square
     root: one half-angle cosine (outcome +1) or sine (-1) for its state,
-    three `hypot`s (the mirror made unit, and the r_xy and length of
-    `_xyz_angles`), two `atan2`s (phi and theta), and two logarithms (one
-    entropy), with no call of `solver._merged`, `solver._mirror` or
-    `_xyz_angles`, and one `Axis`.
+    one `hypot` (the mirror made unit), one `solver._merged`, one
+    `_xyz_angles` (with its two `hypot`s and two `atan2`s off the poles)
+    and one `Axis` for its mirror, and two logarithms (one entropy), with
+    no `solver._mirror` call.
     Each record is built once, through `TrajectoryStep.__init__`, which
     fills the instance dict (one `__dict__` read) instead of setting each
     field through `object.__setattr__`.  A collapsing risk step calls its
     rule's outcome in closed form once: each is counted by the code it
     runs, however it is reached."""
 
-    ALIASES = ("_sqrt", "_sin", "_cos", "_log", "_hypot", "_atan2")
+    ALIASES = ("_sqrt", "_sin", "_cos", "_log", "_hypot")
     NEVER = ("born_up", "_bloch_xyz", "_born_frame", "state_from_eigenvector", "_unit_xyz",
              "_collapse_frame", "_binary_entropy", "_dot_entropy", "_reduce_angles",
              "_check_base", "_check_eigen_tol", "antipode")
@@ -1134,10 +1134,10 @@ class TestStepDoesEachThingOnce:
         want["_sin"] = 2 + 2 * frames + 2 * reflective + plane - ups
         want["_cos"] = 2 + 3 * frames + 2 * reflective + ups
         want["_log"] = 2 * logs + extra_logs + 2 * planes + 2 * plane
-        want["_hypot"] = 3 * planes + 3 * plane
-        want["_atan2"] = 2 * plane
+        want["_hypot"] = 3 * planes + plane
         want["_binary_entropy"] = no_collapses
-        want["_merged"] = want["_mirror"] = want["_xyz_angles"] = reflective
+        want["_merged"] = want["_xyz_angles"] = reflective + plane
+        want["_mirror"] = reflective
         want.update({"Axis.__init__": reflective + plane, "TrajectoryStep.__init__": records,
                      "TrajectoryStep.__dict__": records})
         return want
@@ -1212,8 +1212,9 @@ class TestStepDoesEachThingOnce:
         extra = {name: counts[1][name] - counts[0][name] for name in counts[0]}
         half = "_cos" if traj[-1].s == 1 else "_sin"
         want = dict.fromkeys(extra, 0)
-        want.update({half: 1, "_hypot": 3, "_atan2": 2, "_log": 2, "Axis.__init__": 1,
-                     "TrajectoryStep.__init__": 1, "TrajectoryStep.__dict__": 1})
+        want.update({half: 1, "_hypot": 1, "_merged": 1, "_xyz_angles": 1, "_log": 2,
+                     "Axis.__init__": 1, "TrajectoryStep.__init__": 1,
+                     "TrajectoryStep.__dict__": 1})
         if outcome != "born":
             want[f"_OUTCOMES[{outcome.removeprefix('risk:')!r}]"] = 1
         assert extra == want
